@@ -1,6 +1,7 @@
 #include "bench/bench_util.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/options.hpp"
 #include "gmg/fused_kernels.hpp"
@@ -121,6 +122,40 @@ FusedDescentTimes measure_fused_descent(index_t n, index_t bdim,
     }
   }
   return out;
+}
+
+JacobiSweepTimes measure_jacobi_sweep(index_t n, index_t bdim,
+                                      int repetitions) {
+  KernelFixture f(n, bdim);
+  BrickedArray x_next(f.x.grid_ptr(), f.x.shape());
+  const Box interior = Box::from_extent({n, n, n});
+  const std::function<void()> runs[4] = {
+      [&] {
+        apply_op(f.Ax, f.x, f.alpha, f.beta, interior);
+        smooth(f.x, f.Ax, f.b, f.gamma, interior);
+      },
+      [&] {
+        fused::jacobi_sweep(x_next, nullptr, nullptr, f.x, f.b, f.alpha,
+                            f.beta, f.gamma, interior);
+      },
+      [&] {
+        apply_op(f.Ax, f.x, f.alpha, f.beta, interior);
+        smooth_residual(f.x, f.r, f.Ax, f.b, f.gamma, interior);
+      },
+      [&] {
+        fused::jacobi_sweep(x_next, &f.r, nullptr, f.x, f.b, f.alpha, f.beta,
+                            f.gamma, interior);
+      }};
+  double best[4] = {1e30, 1e30, 1e30, 1e30};
+  for (const auto& run : runs) run();  // warm-up
+  for (int rep = 0; rep < repetitions; ++rep) {
+    for (int v = 0; v < 4; ++v) {
+      Timer t;
+      runs[v]();
+      best[v] = std::min(best[v], t.elapsed());
+    }
+  }
+  return JacobiSweepTimes{best[0], best[1], best[2], best[3]};
 }
 
 arch::ArchSpec calibrated_host(index_t n) {

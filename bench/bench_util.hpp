@@ -43,6 +43,17 @@ struct FusedDescentTimes {
 FusedDescentTimes measure_fused_descent(index_t n, index_t bdim,
                                         int repetitions = 3);
 
+/// Best-of-k wall times for one Jacobi sweep over the interior two
+/// ways (DESIGN.md §16): the two-pass applyOp then smooth (or
+/// smooth+residual), and the one-pass fused::jacobi_sweep writing x'
+/// into a spare buffer (without / with the residual). Interleaved.
+struct JacobiSweepTimes {
+  double two_pass = 0, one_pass = 0;
+  double two_pass_residual = 0, one_pass_residual = 0;
+};
+JacobiSweepTimes measure_jacobi_sweep(index_t n, index_t bdim,
+                                      int repetitions = 3);
+
 /// The host ArchSpec with its per-kernel efficiencies filled from live
 /// measurements:
 ///   frac_roofline[op]        = achieved bandwidth / STREAM bandwidth

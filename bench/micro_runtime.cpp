@@ -2,7 +2,9 @@
 // host, swept over worker counts and over the two runtime modes
 // (persistent engine pool vs legacy OpenMP fork/join). Both modes use
 // the same chunk plan, so any throughput delta is pure dispatch cost.
-// Writes BENCH_kernel_runtime.json.
+// Then the fused-descent and one-pass Jacobi sweep rows against their
+// split stages, and the schedule-proof overhead. Writes
+// BENCH_kernel_runtime.json.
 #include <algorithm>
 #include <fstream>
 #include <iostream>
@@ -121,6 +123,31 @@ int main(int argc, char** argv) {
   bench::note("  fused/split speedup = " +
               std::to_string(fd.split_sum() / fd.fused));
 
+  // --- one-pass Jacobi sweep (DESIGN.md §16): A*x in registers and
+  // x' written to a spare buffer, vs the paper's applyOp then smooth
+  // (+residual) pair, at the default worker count.
+  bench::section(
+      "One-pass Jacobi sweep — applyOp+smooth in one pass per brick vs "
+      "the two-pass pair, 64^3, bricks 8^3, default workers");
+  const bench::JacobiSweepTimes js = bench::measure_jacobi_sweep(n, bdim, 25);
+  const double cells = static_cast<double>(n) * n * n;
+  Table jt({"sweep", "two-pass wall_s", "one-pass wall_s", "speedup",
+            "one-pass GStencil/s"});
+  jt.row()
+      .cell("x update")
+      .cell(js.two_pass, 6)
+      .cell(js.one_pass, 6)
+      .cell(js.two_pass / js.one_pass, 3)
+      .cell(cells / js.one_pass / 1e9, 3);
+  jt.row()
+      .cell("x update + residual")
+      .cell(js.two_pass_residual, 6)
+      .cell(js.one_pass_residual, 6)
+      .cell(js.two_pass_residual / js.one_pass_residual, 3)
+      .cell(cells / js.one_pass_residual / 1e9, 3);
+  jt.print();
+  jt.write_csv("bench/out/micro_runtime_jacobi_sweep.csv");
+
   // --- setup-time schedule verification (DESIGN.md §18): what the
   // static proof costs relative to the solver setup it rides on. The
   // ctor hook is disabled so the record+verify phases are timed
@@ -175,6 +202,14 @@ int main(int argc, char** argv) {
      << "    \"fused_gstencil_per_s\": " << fused_gsps << ",\n"
      << "    \"fused_over_split_speedup\": " << fd.split_sum() / fd.fused
      << "\n  },\n"
+     << "  \"jacobi_sweep\": {\n"
+     << "    \"two_pass_s\": " << js.two_pass << ",\n"
+     << "    \"one_pass_s\": " << js.one_pass << ",\n"
+     << "    \"two_pass_residual_s\": " << js.two_pass_residual << ",\n"
+     << "    \"one_pass_residual_s\": " << js.one_pass_residual << ",\n"
+     << "    \"one_pass_speedup\": " << js.two_pass / js.one_pass << ",\n"
+     << "    \"one_pass_residual_speedup\": "
+     << js.two_pass_residual / js.one_pass_residual << "\n  },\n"
      << "  \"schedule_verify\": {\n"
      << "    \"setup_s\": " << setup_s << ",\n"
      << "    \"proof_s\": " << proof_s << ",\n"

@@ -79,6 +79,10 @@ echo "== tier 1: solver suite, default workers =="
 ./build/tests/test_solver
 echo "== tier 1: solver suite, fusion off (GMG_FUSE_STAGES=0) =="
 GMG_FUSE_STAGES=0 ./build/tests/test_solver
+# test_fused also holds the one-pass Jacobi sweep's bitwise reference
+# tests (binding vs applyOp + smooth stages over interior, CA-grown and
+# split-phase regions); they run here, in the plain and GMG_CHECK=1
+# ctest stages above, and in the TSan tree below.
 echo "== tier 1: fused-kernel suite, fusion off (split fallback) =="
 GMG_FUSE_STAGES=0 ./build/tests/test_fused
 

@@ -6,6 +6,7 @@
 #include "amr/composite_solver.hpp"
 #include "amr/hierarchy.hpp"
 #include "amr/interface_kernels.hpp"
+#include "gmg/fused_kernels.hpp"
 #include "gmg/operators.hpp"
 #include "gmg/schedule_audit.hpp"
 
@@ -96,11 +97,11 @@ class CompositeRecorder {
   void exchange_coarse_xh() { rec_.exchange(0, {"xH"}, bx0_); }
   void exchange_patch_x() { rec_.exchange(patch_level_, {"x"}, 1); }
 
-  void prolong_ghosts() {
+  void prolong_ghosts(const char* field = "x") {
     check::ScheduleStep& step = rec_.kernel("amr.prolongGhosts", patch_level_,
                                             prolong_interface_ghosts_effects());
     step.accesses.push_back(
-        write_access("x", patch_level_, grow(interior_p_, 1), "patch_x"));
+        write_access(field, patch_level_, grow(interior_p_, 1), "patch_x"));
     step.accesses.push_back(read_access("xH", 0, part_coarse_, 1, "xH"));
   }
 
@@ -174,25 +175,43 @@ class CompositeRecorder {
 
   void patch_smooth() {
     exchange_coarse_xh();
-    if (h_.has_part()) prolong_ghosts();
+    if (h_.has_part()) {
+      // Both ping-pong buffers carry the frozen interface ghosts.
+      prolong_ghosts("x");
+      prolong_ghosts("Ax");
+    }
+    const bool one_pass =
+        h_.has_part() && jacobi_is_one_pass(h_.options().gmg, h_.patch());
     for (int s = 0; s < h_.options().patch_smooths; ++s) {
       exchange_patch_x();
       if (!h_.has_part()) continue;
-      check::ScheduleStep& ap =
-          rec_.kernel("kernel.applyOp", patch_level_, apply_op_effects(1));
-      ap.accesses.push_back(
-          write_access("Ax", patch_level_, interior_p_, "Ax"));
-      ap.accesses.push_back(
-          read_access("x", patch_level_, interior_p_, 1, "x"));
-      check::ScheduleStep& sm =
-          rec_.kernel("kernel.smooth", patch_level_, smooth_effects());
-      sm.accesses.push_back(write_access("x", patch_level_, interior_p_, "x"));
-      sm.accesses.push_back(
-          read_access("x", patch_level_, interior_p_, 0, "x"));
-      sm.accesses.push_back(
-          read_access("Ax", patch_level_, interior_p_, 0, "Ax"));
-      sm.accesses.push_back(
+      if (!one_pass) {
+        check::ScheduleStep& ap =
+            rec_.kernel("kernel.applyOp", patch_level_, apply_op_effects(1));
+        ap.accesses.push_back(
+            write_access("Ax", patch_level_, interior_p_, "Ax"));
+        ap.accesses.push_back(
+            read_access("x", patch_level_, interior_p_, 1, "x"));
+      }
+      check::ScheduleStep& sw =
+          one_pass ? rec_.kernel("kernel.jacobiSweep", patch_level_,
+                                 fused::jacobi_sweep_effects())
+                   : rec_.kernel("kernel.jacobiUpdate", patch_level_,
+                                 fused::jacobi_update_effects());
+      sw.accesses.push_back(
+          write_access("Ax", patch_level_, interior_p_, "out"));
+      if (one_pass) {
+        sw.accesses.push_back(
+            read_access("x", patch_level_, interior_p_, 1, "x"));
+      } else {
+        sw.accesses.push_back(
+            read_access("Ax", patch_level_, interior_p_, 0, "out"));
+        sw.accesses.push_back(
+            read_access("x", patch_level_, interior_p_, 0, "x"));
+      }
+      sw.accesses.push_back(
           read_access("b", patch_level_, interior_p_, 0, "b"));
+      rec_.swap(patch_level_, "x", "Ax");
     }
   }
 

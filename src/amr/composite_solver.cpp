@@ -1,6 +1,7 @@
 #include "amr/composite_solver.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/timer.hpp"
 #include "gmg/operators.hpp"
@@ -72,16 +73,19 @@ void CompositeSolver::patch_smooth(comm::Communicator& comm) {
   MgLevel& P = h_.patch();
   // Dirichlet closure: prolong the interface ghosts from the current
   // coarse solution once and freeze them for the whole sweep block;
-  // only fine–fine ghosts are re-exchanged per sweep.
+  // only fine–fine ghosts are re-exchanged per sweep. The Jacobi sweep
+  // ping-pongs x through Ax's storage and writes only interior cells,
+  // so both buffers carry the frozen ghosts.
   exchange_coarse_solution(comm);
   if (h_.has_part()) {
     prolong_interface_ghosts(P.x, h_.xH(), h_.geometry());
+    prolong_interface_ghosts(P.Ax, h_.xH(), h_.geometry());
   }
   for (int s = 0; s < h_.options().patch_smooths; ++s) {
     exchange_patch_solution(comm);
     if (h_.has_part()) {
-      P.plan.apply(P.Ax, P.x, P.interior());
-      P.plan.smooth(P.interior());
+      P.plan.jacobi(P.interior(), /*residual=*/false, nullptr);
+      std::swap(P.x, P.Ax);
     }
   }
 }

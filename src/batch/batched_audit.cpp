@@ -15,6 +15,7 @@ check::Schedule record_batched_schedule(const BatchedSolver& bs) {
   w.add_levels();
   w.set_canonical_initial();
   w.set_num_components(bs.k_);
+  w.mirror_in_place_jacobi();
 
   std::vector<int> active(static_cast<std::size_t>(bs.k_));
   std::iota(active.begin(), active.end(), 0);

@@ -549,7 +549,8 @@ void BatchedSolver::cycle_at(comm::Communicator& comm, int l) {
 
   interpolation_increment(bl.x, coarse.x);
   bl.margin = 0;  // interior changed; ghosts are stale
-  smooth_level(comm, l, opts.smooths, /*with_residual=*/true);
+  // No ascent residual, as in the solo cycle_at.
+  smooth_level(comm, l, opts.smooths, /*with_residual=*/false);
 }
 
 void BatchedSolver::vcycle(comm::Communicator& comm) {

@@ -135,6 +135,9 @@ class Checker {
         case StepKind::kRetire:
           check_retire(st);
           break;
+        case StepKind::kSwap:
+          check_swap(st);
+          break;
         case StepKind::kPlanSwitch:
           break;
       }
@@ -253,9 +256,56 @@ class Checker {
     fl.active = false;
   }
 
+  void check_swap(const ScheduleStep& st) {
+    const InFlight& fl = inflight(st.level);
+    for (const std::string& f : st.exchange_fields) {
+      if (fl.active && fl.covers(f)) {
+        std::ostringstream os;
+        os << step_name(s_, i_) << " swaps '" << f
+           << "' while its exchange (begun at "
+           << step_name(s_, fl.begin_step)
+           << ") is in flight — the receives would land in the other buffer";
+        report(os.str());
+        return;
+      }
+    }
+    // Create both slots before taking references: state() may grow the
+    // slot vector.
+    const std::string& a = st.exchange_fields[0];
+    const std::string& b = st.exchange_fields[1];
+    state(st.level, a);
+    state(st.level, b);
+    std::swap(state(st.level, a), state(st.level, b));
+  }
+
+  // A write through one role of a field the same launch reads through a
+  // stencil under another role: with any chunking, a brick reads a
+  // neighbor's cell after the neighbor's chunk overwrote it. Kernels
+  // that update in place by design (the colored GS half-sweep) declare
+  // the field under ONE role, read and written.
+  void check_aliasing(const ScheduleStep& st) {
+    for (const StepAccess& w : st.accesses) {
+      if (!w.write) continue;
+      for (const StepAccess& r : st.accesses) {
+        if (r.write || r.reach == 0 || r.level != w.level ||
+            r.field != w.field || r.role == w.role)
+          continue;
+        std::ostringstream os;
+        os << step_name(s_, i_) << " writes '" << w.field << "' (role '"
+           << w.role << "') while reading it through a radius-" << r.reach
+           << " stencil (role '" << r.role
+           << "'): in-place stencil update — its output storage aliases "
+              "its input, a read-after-write race across bricks";
+        report(os.str());
+        return;
+      }
+    }
+  }
+
   void check_kernel(const ScheduleStep& st) {
     const LevelInfo* li = level_info(st.level);
     check_effect_conformance(st);
+    check_aliasing(st);
     check_masked(st);
     check_chunks(st, li);
     if (li == nullptr) return;

@@ -19,6 +19,10 @@
 //   * effect conformance: each recorded access matches the kernel's
 //     constexpr EffectSummary — an access with no declared effect for
 //     its role is an undeclared read/write box;
+//   * no in-place stencil updates: a launch never writes, through one
+//     role, the field it reads through a stencil (reach > 0) under
+//     another role — the one-pass Jacobi sweep must write its spare
+//     buffer, and a swapped field is never in flight;
 //   * fused chunk disjointness: a fused stage's per-chunk write boxes
 //     are pairwise disjoint (congruent aligned tiles take an O(n)
 //     hash path; small irregular sets fall back to O(n^2));
@@ -75,6 +79,7 @@ enum class StepKind : std::uint8_t {
   kReduction,       // one collective contribution (component, group)
   kRetire,          // batch component retirement
   kPlanSwitch,      // kernel-plan rebind (set_coefficient, fusion flip)
+  kSwap,            // two fields of one level exchange storage (ping-pong)
 };
 
 struct ScheduleStep {
@@ -240,6 +245,16 @@ class ScheduleRecorder {
     s.kind = StepKind::kRetire;
     s.kernel = "retire";
     s.component = component;
+    push(std::move(s));
+  }
+  /// The two named fields of `level` trade storage (the Jacobi sweep's
+  /// x <-> Ax ping-pong): their ghost-validity states swap with them.
+  void swap(int level, const std::string& a, const std::string& b) {
+    ScheduleStep s;
+    s.kind = StepKind::kSwap;
+    s.kernel = "swap";
+    s.level = level;
+    s.exchange_fields = {a, b};
     push(std::move(s));
   }
   void plan_switch(const char* what) {

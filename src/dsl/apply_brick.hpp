@@ -70,6 +70,57 @@ struct FastAccessor {
   }
 };
 
+/// Evaluate `expr` over cells [ilo, ihi) of row (lj, lk) of one brick,
+/// handing each value to `emit(li, v)`. Rows whose taps stay in-brick
+/// in y/z split x into shell|core|shell so the core is a pure in-brick
+/// SIMD loop; the rest resolve taps through the adjacency table. The
+/// fused variable-coefficient Jacobi sweep (gmg/fused_kernels.cpp)
+/// evaluates its A*x rows through this same body, so its per-element
+/// arithmetic is the apply's by construction.
+template <typename BD, int NSlots, typename Expr, typename Emit>
+inline void eval_row(const Expr& expr, const Extents& ext,
+                     const BrickAccessor<BD, NSlots>& slow,
+                     const FastAccessor<BD, NSlots>& fast, index_t lj,
+                     index_t lk, index_t ilo, index_t ihi, Emit&& emit) {
+  const bool zin = (lk + ext.lo[2] >= 0) && (lk + ext.hi[2] < BD::bz);
+  const bool yin = (lj + ext.lo[1] >= 0) && (lj + ext.hi[1] < BD::by);
+  if (zin && yin) {
+    const index_t core_lo =
+        std::max<index_t>(ilo, static_cast<index_t>(-ext.lo[0]));
+    const index_t core_hi =
+        std::min<index_t>(ihi, BD::bx - static_cast<index_t>(ext.hi[0]));
+    for (index_t li = ilo; li < std::min(core_lo, ihi); ++li)
+      emit(li, expr.eval(slow, li, lj, lk));
+    if (core_lo < core_hi) {
+#pragma omp simd
+      for (index_t li = core_lo; li < core_hi; ++li)
+        emit(li, expr.eval(fast, li, lj, lk));
+    }
+    for (index_t li = std::max(core_hi, ilo); li < ihi; ++li)
+      emit(li, expr.eval(slow, li, lj, lk));
+  } else {
+    for (index_t li = ilo; li < ihi; ++li)
+      emit(li, expr.eval(slow, li, lj, lk));
+  }
+}
+
+/// The slow (adjacency-resolving) and fast (in-brick) accessors of plan
+/// brick `id` over the slot storage bases.
+template <typename BD, int NSlots>
+struct BrickAccessors {
+  BrickAccessor<BD, NSlots> slow;
+  FastAccessor<BD, NSlots> fast;
+
+  BrickAccessors(const std::array<const real_t*, NSlots>& bases,
+                 const std::int32_t* adj, std::int32_t id)
+      : slow{bases, adj, id}, fast{} {
+    for (int s = 0; s < NSlots; ++s)
+      fast.brick[static_cast<std::size_t>(s)] =
+          bases[static_cast<std::size_t>(s)] +
+          static_cast<std::size_t>(id) * BD::volume;
+  }
+};
+
 template <bool Increment, typename BD, typename Expr, typename... Fields>
 void apply_bricks_impl(BD, const Expr& expr, BrickedArray& out,
                        const Box& active, const Fields&... inputs) {
@@ -144,59 +195,17 @@ void apply_bricks_impl(BD, const Expr& expr, BrickedArray& out,
         const index_t klo = kFull ? 0 : it.klo;
         const index_t khi = kFull ? BD::bz : it.khi;
 
-        const BrickAccessor<BD, kSlots> slow{bases, it.adj, id};
-        std::array<const real_t*, kSlots> brick_bases{};
-        for (int s = 0; s < kSlots; ++s)
-          brick_bases[static_cast<std::size_t>(s)] =
-              bases[static_cast<std::size_t>(s)] +
-              static_cast<std::size_t>(id) * BD::volume;
-        const FastAccessor<BD, kSlots> fast{brick_bases};
-
+        const BrickAccessors<BD, kSlots> acc(bases, it.adj, id);
         for (index_t lk = klo; lk < khi; ++lk) {
-          const bool zin = (lk + ext.lo[2] >= 0) && (lk + ext.hi[2] < BD::bz);
           for (index_t lj = jlo; lj < jhi; ++lj) {
-            const bool yin = (lj + ext.lo[1] >= 0) && (lj + ext.hi[1] < BD::by);
             real_t* __restrict orow = ob + (lk * BD::by + lj) * BD::bx;
-            if (zin && yin) {
-              // Row interior in y/z: split x into shell|core|shell so
-              // the core is a pure in-brick SIMD loop.
-              const index_t core_lo =
-                  std::max<index_t>(ilo, static_cast<index_t>(-ext.lo[0]));
-              const index_t core_hi = std::min<index_t>(
-                  ihi, BD::bx - static_cast<index_t>(ext.hi[0]));
-              for (index_t li = ilo; li < std::min(core_lo, ihi); ++li) {
-                const real_t v = expr.eval(slow, li, lj, lk);
-                if constexpr (Increment)
-                  orow[li] += v;
-                else
-                  orow[li] = v;
-              }
-              if (core_lo < core_hi) {
-#pragma omp simd
-                for (index_t li = core_lo; li < core_hi; ++li) {
-                  const real_t v = expr.eval(fast, li, lj, lk);
-                  if constexpr (Increment)
-                    orow[li] += v;
-                  else
-                    orow[li] = v;
-                }
-              }
-              for (index_t li = std::max(core_hi, ilo); li < ihi; ++li) {
-                const real_t v = expr.eval(slow, li, lj, lk);
-                if constexpr (Increment)
-                  orow[li] += v;
-                else
-                  orow[li] = v;
-              }
-            } else {
-              for (index_t li = ilo; li < ihi; ++li) {
-                const real_t v = expr.eval(slow, li, lj, lk);
-                if constexpr (Increment)
-                  orow[li] += v;
-                else
-                  orow[li] = v;
-              }
-            }
+            eval_row(expr, ext, acc.slow, acc.fast, lj, lk, ilo, ihi,
+                     [&](index_t li, real_t v) {
+                       if constexpr (Increment)
+                         orow[li] += v;
+                       else
+                         orow[li] = v;
+                     });
           }
         }
       });

@@ -1,10 +1,17 @@
 #include "gmg/fused_kernels.hpp"
 
+#include <array>
 #include <cmath>
+#include <optional>
+#include <type_traits>
+#include <vector>
 
 #include "brick/brick_plan.hpp"
 #include "check/shadow.hpp"
+#include "dsl/apply_brick.hpp"
 #include "exec/runtime.hpp"
+#include "gmg/operators_varcoef.hpp"
+#include "gmg/stencil_rows.hpp"
 #include "trace/trace.hpp"
 
 namespace gmg::fused {
@@ -19,84 +26,143 @@ inline std::uint64_t box_points(const Box& b) {
   return static_cast<std::uint64_t>(b.volume());
 }
 
-/// 8->1 full weighting of ONE fine brick into its coarse octant — the
-/// split restriction()'s per-brick body verbatim (same row pointers,
-/// same 0.125 * 8-term summation order), so fused coarse RHS values
-/// are bitwise identical to the split pass. `bc` is the fine brick's
-/// grid coordinate; `fb` points at its (freshly written) residual.
-template <typename BD>
-inline void restrict_brick(const Vec3& bc, const BrickGrid& cg,
-                           const real_t* __restrict fb,
-                           real_t* __restrict cp) {
-  const index_t bx = bc.x, by = bc.y, bz = bc.z;
-  const std::int32_t cid = cg.storage_id({bx / 2, by / 2, bz / 2});
-  GMG_ASSERT(cid >= 0);
-  // In-coarse-brick base offset of this fine brick's image.
-  const index_t ox = (bx % 2) * (BD::bx / 2);
-  const index_t oy = (by % 2) * (BD::by / 2);
-  const index_t oz = (bz % 2) * (BD::bz / 2);
-  real_t* cb = cp + static_cast<std::size_t>(cid) * BD::volume;
-  for (index_t lk = 0; lk < BD::bz; lk += 2) {
-    for (index_t lj = 0; lj < BD::by; lj += 2) {
-      const real_t* r0 = fb + (lk * BD::by + lj) * BD::bx;
-      const real_t* r1 = r0 + BD::bx;           // j+1
-      const real_t* r2 = r0 + BD::by * BD::bx;  // k+1
-      const real_t* r3 = r2 + BD::bx;           // j+1, k+1
-      real_t* crow = cb +
-                     ((oz + lk / 2) * BD::by + (oy + lj / 2)) * BD::bx + ox;
-#pragma omp simd
-      for (index_t li = 0; li < BD::bx / 2; ++li) {
-        const index_t f = 2 * li;
-        crow[li] = 0.125 * (r0[f] + r0[f + 1] + r1[f] + r1[f + 1] + r2[f] +
-                            r2[f + 1] + r3[f] + r3[f + 1]);
-      }
-    }
-  }
-}
+/// brick_pass stage that does nothing (a kernel with no per-row A*x
+/// stage, or no separate pointwise stage).
+struct NoStage {
+  template <typename... Args>
+  void operator()(Args&&...) const {}
+};
 
-/// One pass over the bricks of `active`: run `pointwise(o, ilo, ihi)`
-/// on every row (exactly as for_each_row chunks them — full bricks
-/// collapse to one whole-brick call), and restrict each INTERIOR
-/// brick's just-written residual into the coarse grid. Interior bricks
-/// are always in the plan's full prefix here because `active` covers
-/// the interior; clipped items are ghost-shell bricks, which
-/// contribute no restriction.
-template <typename BD, typename PointwiseRow>
-void descent_pass(BD, const char* name, const BrickGrid& fg,
-                  const BrickGrid& cg, const real_t* __restrict rp,
-                  real_t* __restrict cp, const Box& active,
-                  PointwiseRow&& pointwise) {
+/// One pass over the bricks of `active`. `row(it, full, lj, lk, ilo,
+/// ihi, o)` runs per row, `o` being the row's flat storage offset (the
+/// one-pass sweeps: A*x and the x update, in registers); `flat(o, ilo,
+/// ihi)` runs a pointwise stage over the row's cells — full bricks
+/// collapse their rows into one whole-brick call, exactly as
+/// for_each_row chunks them. With a coarse grid `cg`, every INTERIOR
+/// brick then restricts its just-written residual `rp` into `cp`.
+/// Interior bricks are always full plan items here (the caller's region
+/// cuts the interior only at brick boundaries); clipped items are
+/// ghost-shell bricks, which contribute no restriction.
+template <typename BD, typename Row, typename Flat>
+void brick_pass(BD, const char* name, const BrickGrid& fg, const Box& active,
+                Row&& row, Flat&& flat, const BrickGrid* cg, const real_t* rp,
+                real_t* cp) {
   const std::int64_t ni = fg.num_interior();
   const auto plan = fg.iteration_plan(active, Vec3{BD::bx, BD::by, BD::bz});
   for_each_plan_brick<BD>(name, *plan, [&](const BrickPlanItem& it,
                                            auto full) {
+    constexpr bool kFull = decltype(full)::value;
     const std::size_t base = static_cast<std::size_t>(it.id) * BD::volume;
-    if constexpr (decltype(full)::value) {
-      pointwise(base, index_t{0}, static_cast<index_t>(BD::volume));
-      if (it.id < ni) restrict_brick<BD>(it.coord, cg, rp + base, cp);
-    } else {
-      GMG_ASSERT(it.id >= ni);
-      for (index_t lk = it.klo; lk < it.khi; ++lk) {
-        for (index_t lj = it.jlo; lj < it.jhi; ++lj) {
-          pointwise(base +
-                        static_cast<std::size_t>((lk * BD::by + lj) * BD::bx),
-                    static_cast<index_t>(it.ilo),
-                    static_cast<index_t>(it.ihi));
-        }
+    const index_t ilo = kFull ? 0 : it.ilo;
+    const index_t ihi = kFull ? BD::bx : it.ihi;
+    const index_t jlo = kFull ? 0 : it.jlo;
+    const index_t jhi = kFull ? BD::by : it.jhi;
+    const index_t klo = kFull ? 0 : it.klo;
+    const index_t khi = kFull ? BD::bz : it.khi;
+    for (index_t lk = klo; lk < khi; ++lk) {
+      for (index_t lj = jlo; lj < jhi; ++lj) {
+        const std::size_t o =
+            base + static_cast<std::size_t>((lk * BD::by + lj) * BD::bx);
+        row(it, full, lj, lk, ilo, ihi, o);
+        if constexpr (!kFull) flat(o, ilo, ihi);
       }
+    }
+    if constexpr (kFull) {
+      flat(base, index_t{0}, static_cast<index_t>(BD::volume));
+      if (cp != nullptr && it.id < ni)
+        detail::restrict_brick<BD>(it.coord, *cg, rp + base, cp);
+    } else {
+      GMG_ASSERT(cp == nullptr || it.id >= ni);
     }
   });
 }
 
-/// Shared argument checks for the fused descent kernels.
-void require_descent_args(const BrickedArray& r, const BrickedArray& coarse_b,
-                          const Box& active) {
-  const Vec3 fe = r.extent(), ce = coarse_b.extent();
+/// Calls fn(std::true_type{}) when the sweep writes r, fn(false_type{})
+/// otherwise — the residual store is resolved at compile time.
+template <typename Fn>
+void with_residual(const BrickedArray* r, Fn&& fn) {
+  if (r != nullptr)
+    fn(std::true_type{});
+  else
+    fn(std::false_type{});
+}
+
+/// The x update of one cell: x' = x + gamma*(ax - b), and r = b - ax —
+/// the split smooth / smooth_residual arithmetic verbatim (`scale` is
+/// gamma, or -omega/diag for the variable-coefficient operator).
+template <bool kResidual>
+inline void jacobi_update_cell(real_t* __restrict xn, real_t* __restrict rp,
+                               const real_t* __restrict xp,
+                               const real_t* __restrict bp, real_t scale,
+                               std::size_t i, real_t ax) {
+  const real_t rhs = bp[i];
+  if constexpr (kResidual) rp[i] = rhs - ax;
+  xn[i] = xp[i] + scale * (ax - rhs);
+}
+
+/// A fused restriction folds `fine` bricks into `coarse` octants: the
+/// fine extent is twice the coarse one and both share the brick shape.
+void require_coarse_image(const BrickedArray& fine,
+                          const BrickedArray& coarse) {
+  const Vec3 fe = fine.extent(), ce = coarse.extent();
   GMG_REQUIRE(fe.x == 2 * ce.x && fe.y == 2 * ce.y && fe.z == 2 * ce.z,
               "fine extent must be twice the coarse extent");
-  GMG_REQUIRE(r.shape() == coarse_b.shape(),
+  GMG_REQUIRE(fine.shape() == coarse.shape(),
               "fused restriction assumes equal brick shapes on both levels");
-  GMG_REQUIRE(active.covers(Box::from_extent(fe)),
+}
+
+/// Shared argument checks of the sweep family. Returns the interior
+/// part of `active` a restricting sweep folds into the coarse RHS
+/// (empty otherwise).
+Box require_sweep_args(const BrickedArray& x_next, const BrickedArray* r,
+                       const BrickedArray* coarse_b, const BrickedArray& x,
+                       const Box& active) {
+  GMG_REQUIRE(x_next.data() != x.data(),
+              "jacobi sweep output aliases its input x: an in-place "
+              "stencil update races read-after-write across bricks");
+  GMG_REQUIRE(&x_next.grid() == &x.grid() && x_next.shape() == x.shape(),
+              "jacobi sweep fields must share a brick grid");
+  if (coarse_b == nullptr) return Box{};
+  GMG_REQUIRE(r != nullptr, "a restricting jacobi sweep writes r");
+  require_coarse_image(x, *coarse_b);
+  const Box fine = intersect(active, Box::from_extent(x.extent()));
+  if (fine.empty()) return Box{};
+  const Vec3 d = x.shape().dims();
+  for (int a = 0; a < 3; ++a) {
+    GMG_REQUIRE(fine.lo[a] % d[a] == 0 && fine.hi[a] % d[a] == 0,
+                "a restricting jacobi sweep region must cut the interior "
+                "at brick boundaries");
+  }
+  return fine;
+}
+
+/// GMG_CHECK declaration of one sweep launch: x' (and r) written over
+/// `active`, the coarse image of the restricted interior bricks, and
+/// the residual those bricks re-read; `reads()` lists the kernel's own
+/// inputs. Nothing is built while the detector is off.
+template <typename Reads>
+std::optional<check::KernelScope> sweep_scope(
+    const char* name, const Box& active, const BrickedArray& x_next,
+    const BrickedArray* r, const BrickedArray* coarse_b, const Box& fine,
+    Reads&& reads) {
+  std::optional<check::KernelScope> scope;
+  if (!check::enabled()) return scope;
+  std::vector<check::Access> writes{check::access(x_next, active)};
+  std::vector<check::Access> in = reads();
+  if (r != nullptr) writes.push_back(check::access(*r, active));
+  if (coarse_b != nullptr) {
+    writes.push_back(check::access(*coarse_b, coarsen(fine, 2)));
+    in.push_back(check::access(*r, fine));
+  }
+  scope.emplace(name, std::move(writes), std::move(in));
+  return scope;
+}
+
+/// Shared argument checks for the in-place fused descent kernels.
+void require_descent_args(const BrickedArray& r, const BrickedArray& coarse_b,
+                          const Box& active) {
+  require_coarse_image(r, coarse_b);
+  GMG_REQUIRE(active.covers(Box::from_extent(r.extent())),
               "fused descent sweep must cover the fine interior");
 }
 
@@ -108,6 +174,134 @@ void require_fused_fits(const BrickShape& shape) {
   GMG_REQUIRE(shape.bx % 2 == 0 && shape.by % 2 == 0 && shape.bz % 2 == 0,
               "fused smooth+residual+restriction needs even brick dims "
               "(per-brick 8->1 octant restriction)");
+}
+
+void jacobi_sweep(BrickedArray& x_next, BrickedArray* r,
+                  BrickedArray* coarse_b, const BrickedArray& x,
+                  const BrickedArray& b, real_t alpha, real_t beta,
+                  real_t gamma, const Box& active) {
+  const Box fine = require_sweep_args(x_next, r, coarse_b, x, active);
+  trace::TraceSpan span("kernel.jacobiSweep");
+  // A*x (8) + the x update (3) + the residual (1) per point; 8 per
+  // coarse point for the restriction.
+  count_flops(box_points(active), r != nullptr ? 12 : 11);
+  if (coarse_b != nullptr) count_flops(box_points(fine) / 8, 8);
+  const std::optional<check::KernelScope> scope = sweep_scope(
+      "kernel.jacobiSweep", active, x_next, r, coarse_b, fine, [&] {
+        return std::vector<check::Access>{check::access(x, grow(active, 1)),
+                                          check::access(b, active)};
+      });
+  with_brick_dims(x.shape(), [&](auto bd) {
+    using BD = decltype(bd);
+    detail::require_taps_in_grid(bd, x.grid(), active, 1);
+    real_t* __restrict xn = x_next.data();
+    real_t* __restrict rp = r != nullptr ? r->data() : nullptr;
+    const real_t* __restrict xp = x.data();
+    const real_t* __restrict bp = b.data();
+    with_residual(r, [&](auto res) {
+      brick_pass(
+          bd, "kernel.jacobiSweep", x.grid(), active,
+          [&](const BrickPlanItem& it, auto full, index_t lj, index_t lk,
+              index_t ilo, index_t ihi, std::size_t o) {
+            // A*x stays in a register: each cell's ax goes straight into
+            // its update.
+            detail::star7_row<BD, decltype(full)::value>(
+                it, xp, lj, lk, ilo, ihi, alpha, beta,
+                [&](index_t li, real_t ax) {
+                  jacobi_update_cell<decltype(res)::value>(
+                      xn, rp, xp, bp, gamma, o + static_cast<std::size_t>(li),
+                      ax);
+                });
+          },
+          NoStage{}, coarse_b != nullptr ? &coarse_b->grid() : nullptr, rp,
+          coarse_b != nullptr ? coarse_b->data() : nullptr);
+    });
+  });
+}
+
+void jacobi_sweep_varcoef(BrickedArray& x_next, BrickedArray* r,
+                          BrickedArray* coarse_b, const BrickedArray& x,
+                          const BrickedArray& b, const BrickedArray& coef,
+                          const BrickedArray& diag, real_t identity_coef,
+                          real_t h, real_t omega, const Box& active) {
+  const Box fine = require_sweep_args(x_next, r, coarse_b, x, active);
+  trace::TraceSpan span("kernel.jacobiSweepVarCoef");
+  count_flops(box_points(active), r != nullptr ? 32 : 31);
+  if (coarse_b != nullptr) count_flops(box_points(fine) / 8, 8);
+  const std::optional<check::KernelScope> scope = sweep_scope(
+      "kernel.jacobiSweepVarCoef", active, x_next, r, coarse_b, fine, [&] {
+        return std::vector<check::Access>{
+            check::access(x, grow(active, 1)),
+            check::access(coef, grow(active, 1)), check::access(b, active),
+            check::access(diag, active)};
+      });
+  // The operator is apply_op_varcoef's expression, evaluated through the
+  // DSL engine's own row body.
+  const auto expr = vc::apply_expr(identity_coef, 0.5 / (h * h));
+  const dsl::Extents ext = expr.extents();
+  const std::array<const real_t*, 2> bases{x.data(), coef.data()};
+  with_brick_dims(x.shape(), [&](auto bd) {
+    using BD = decltype(bd);
+    detail::require_taps_in_grid(bd, x.grid(), active, 1);
+    real_t* __restrict xn = x_next.data();
+    real_t* __restrict rp = r != nullptr ? r->data() : nullptr;
+    const real_t* __restrict xp = x.data();
+    const real_t* __restrict bp = b.data();
+    const real_t* __restrict dp = diag.data();
+    with_residual(r, [&](auto res) {
+      brick_pass(
+          bd, "kernel.jacobiSweepVarCoef", x.grid(), active,
+          [&](const BrickPlanItem& it, auto, index_t lj, index_t lk,
+              index_t ilo, index_t ihi, std::size_t o) {
+            const dsl::detail::BrickAccessors<BD, 2> acc(bases, it.adj,
+                                                         it.id);
+            dsl::detail::eval_row(
+                expr, ext, acc.slow, acc.fast, lj, lk, ilo, ihi,
+                [&](index_t li, real_t ax) {
+                  const std::size_t i = o + static_cast<std::size_t>(li);
+                  jacobi_update_cell<decltype(res)::value>(
+                      xn, rp, xp, bp, -omega / dp[i], i, ax);
+                });
+          },
+          NoStage{}, coarse_b != nullptr ? &coarse_b->grid() : nullptr, rp,
+          coarse_b != nullptr ? coarse_b->data() : nullptr);
+    });
+  });
+}
+
+void jacobi_update(BrickedArray& x_next, BrickedArray* r,
+                   BrickedArray* coarse_b, const BrickedArray& x,
+                   const BrickedArray& b, real_t gamma, const Box& active) {
+  const Box fine = require_sweep_args(x_next, r, coarse_b, x, active);
+  trace::TraceSpan span("kernel.jacobiUpdate");
+  count_flops(box_points(active), r != nullptr ? 4 : 3);
+  if (coarse_b != nullptr) count_flops(box_points(fine) / 8, 8);
+  const std::optional<check::KernelScope> scope = sweep_scope(
+      "kernel.jacobiUpdate", active, x_next, r, coarse_b, fine, [&] {
+        return std::vector<check::Access>{check::access(x_next, active),
+                                          check::access(x, active),
+                                          check::access(b, active)};
+      });
+  with_brick_dims(x.shape(), [&](auto bd) {
+    real_t* __restrict xn = x_next.data();
+    real_t* __restrict rp = r != nullptr ? r->data() : nullptr;
+    const real_t* __restrict xp = x.data();
+    const real_t* __restrict bp = b.data();
+    with_residual(r, [&](auto res) {
+      brick_pass(
+          bd, "kernel.jacobiUpdate", x.grid(), active, NoStage{},
+          [&](std::size_t o, index_t ilo, index_t ihi) {
+#pragma omp simd
+            for (index_t i = ilo; i < ihi; ++i) {
+              const std::size_t c = o + static_cast<std::size_t>(i);
+              jacobi_update_cell<decltype(res)::value>(xn, rp, xp, bp, gamma,
+                                                       c, xn[c]);
+            }
+          },
+          coarse_b != nullptr ? &coarse_b->grid() : nullptr, rp,
+          coarse_b != nullptr ? coarse_b->data() : nullptr);
+    });
+  });
 }
 
 void smooth_residual_restrict(BrickedArray& x, BrickedArray& r,
@@ -138,17 +332,18 @@ void smooth_residual_restrict(BrickedArray& x, BrickedArray& r,
     real_t* __restrict cp = coarse_b.data();
     const real_t* __restrict axp = Ax.data();
     const real_t* __restrict bp = b.data();
-    descent_pass(bd, "kernel.smoothResidualRestrict", x.grid(),
-                 coarse_b.grid(), rp, cp, active,
-                 [&](std::size_t o, index_t ilo, index_t ihi) {
+    brick_pass(
+        bd, "kernel.smoothResidualRestrict", x.grid(), active, NoStage{},
+        [&](std::size_t o, index_t ilo, index_t ihi) {
 #pragma omp simd
-                   for (index_t i = ilo; i < ihi; ++i) {
-                     const real_t ax = axp[o + i];
-                     const real_t rhs = bp[o + i];
-                     rp[o + i] = rhs - ax;
-                     xp[o + i] += gamma * (ax - rhs);
-                   }
-                 });
+          for (index_t i = ilo; i < ihi; ++i) {
+            const real_t ax = axp[o + i];
+            const real_t rhs = bp[o + i];
+            rp[o + i] = rhs - ax;
+            xp[o + i] += gamma * (ax - rhs);
+          }
+        },
+        &coarse_b.grid(), rp, cp);
   });
 }
 
@@ -180,27 +375,26 @@ void smooth_residual_restrict_varcoef(BrickedArray& x, BrickedArray& r,
     const real_t* __restrict axp = Ax.data();
     const real_t* __restrict bp = b.data();
     const real_t* __restrict dp = diag.data();
-    descent_pass(bd, "kernel.smoothResidualRestrictVarCoef", x.grid(),
-                 coarse_b.grid(), rp, cp, active,
-                 [&](std::size_t o, index_t ilo, index_t ihi) {
+    brick_pass(
+        bd, "kernel.smoothResidualRestrictVarCoef", x.grid(), active,
+        NoStage{},
+        [&](std::size_t o, index_t ilo, index_t ihi) {
 #pragma omp simd
-                   for (index_t i = ilo; i < ihi; ++i) {
-                     const real_t ax = axp[o + i];
-                     const real_t rhs = bp[o + i];
-                     rp[o + i] = rhs - ax;
-                     xp[o + i] += (-omega / dp[o + i]) * (ax - rhs);
-                   }
-                 });
+          for (index_t i = ilo; i < ihi; ++i) {
+            const real_t ax = axp[o + i];
+            const real_t rhs = bp[o + i];
+            rp[o + i] = rhs - ax;
+            xp[o + i] += (-omega / dp[o + i]) * (ax - rhs);
+          }
+        },
+        &coarse_b.grid(), rp, cp);
   });
 }
 
 void residual_restrict(BrickedArray& r, BrickedArray& coarse_b,
                        const BrickedArray& b, const BrickedArray& Ax) {
+  require_coarse_image(r, coarse_b);
   const Vec3 fe = r.extent(), ce = coarse_b.extent();
-  GMG_REQUIRE(fe.x == 2 * ce.x && fe.y == 2 * ce.y && fe.z == 2 * ce.z,
-              "fine extent must be twice the coarse extent");
-  GMG_REQUIRE(r.shape() == coarse_b.shape(),
-              "fused restriction assumes equal brick shapes on both levels");
   trace::TraceSpan span("kernel.residualRestrict");
   const Box interior = Box::from_extent(fe);
   count_flops(box_points(interior), 1);
@@ -234,8 +428,8 @@ void residual_restrict(BrickedArray& r, BrickedArray& coarse_b,
             for (index_t i = 0; i < static_cast<index_t>(BD::volume); ++i) {
               rp[base + i] = bp[base + i] - axp[base + i];
             }
-            restrict_brick<BD>(fg.coord_of(static_cast<std::int32_t>(fid)),
-                               cg, rp + base, cp);
+            detail::restrict_brick<BD>(
+                fg.coord_of(static_cast<std::int32_t>(fid)), cg, rp + base, cp);
           }
         });
   });

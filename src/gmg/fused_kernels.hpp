@@ -1,25 +1,40 @@
-// Fused multi-stage kernels for the descent leg of the V-cycle
-// (DESIGN.md §16). The split schedule makes three full passes over
-// each fine brick per level visit — smooth, residual, restriction —
-// even though fine-grain blocking keeps a brick's working set
-// resident. These kernels glue the post-applyOp stages into ONE pass:
-// per fine brick, the final smoother update, r = b - Ax, and the 8->1
-// full-weighted coarse contribution, with the brick's freshly-written
-// residual still in cache when the restriction reads it.
+// Fused multi-stage kernels for the V-cycle (DESIGN.md §16). The
+// split schedule makes a separate full pass over every fine brick per
+// stage — applyOp, smooth (+ residual), restriction — even though
+// fine-grain blocking keeps a brick's working set resident. These
+// kernels glue stages into ONE pass per brick:
 //
-// Fusion boundary: applyOp stays its own pass. The CA margin schedule
-// and the split-phase overlap machinery split only the operator
-// application by region (DESIGN.md §10/§11); the stages fused here are
-// pointwise (smooth/residual) or read only the brick's own residual
-// (restriction), so composing them changes no exchange, margin, or
-// overlap decision.
+//   * jacobi_sweep[_varcoef]: the whole Jacobi sweep. Each cell's A*x
+//     is computed in a register (the split applyOp's row body and tap
+//     order) and consumed at once by x' = x + gamma*(A*x - b) — plus
+//     r = b - A*x, and the 8->1 restriction of r per brick, on the last
+//     descent sweep. x' goes to a buffer distinct from x (the level's
+//     spare, Ax's storage; the solver swaps the two after the sweep),
+//     so no brick reads a neighbor value the sweep already replaced. A
+//     fine sweep streams x, b and x' (plus r on the last one) instead
+//     of the split pair's seven streams.
+//   * jacobi_update: the pointwise half of the same sweep for the
+//     operators that keep a separate A*x pass (13-point, stencilgen).
+//   * smooth_residual_restrict[_varcoef]: the post-applyOp descent
+//     stages in place on x — kept as the two-pass reference the sweep
+//     is tested against bit for bit.
+//   * residual_restrict (red-black GS tail) and residual_max_norm (the
+//     convergence check).
+//
+// Region splitting: a sweep reads x and writes only x', r and the
+// coarse RHS, so the split-phase overlap machinery runs it over the
+// safe interior box and the shell boxes independently (DESIGN.md §10);
+// those regions cut the interior at brick boundaries, so every interior
+// brick restricts exactly once.
 //
 // Bitwise contract: every fused kernel replicates the split kernels'
-// per-element arithmetic and summation order VERBATIM (same tap order,
-// same 0.125 * (8-term sum), same -omega/diag factor), under the
-// repo-wide -ffp-contract=off. Restriction writes stay race-free under
-// any chunking: eight fine bricks write disjoint octants of one coarse
-// brick, and each fine brick reads only the residual it just wrote.
+// per-element arithmetic and summation order VERBATIM (the same 7-point
+// row body and restriction octant from stencil_rows.hpp, the same DSL
+// row evaluation for the variable-coefficient operator, the same
+// -omega/diag factor), under the repo-wide -ffp-contract=off.
+// Restriction writes stay race-free under any chunking: eight fine
+// bricks write disjoint octants of one coarse brick, and each fine
+// brick reads only the residual it just wrote.
 #pragma once
 
 #include "brick/bricked_array.hpp"
@@ -59,12 +74,40 @@ static_assert(check::footprint_fits(descent_footprint().extents(), 2, 2, 2),
 /// setup, not discovered as corrupt coarse RHS values.
 void require_fused_fits(const BrickShape& shape);
 
-/// Fused final Jacobi sweep: per brick of `active`,
+/// One Jacobi sweep over `active` in one pass per brick: per cell,
+///   ax = alpha*x + beta*(6 face neighbors);  x_next = x + gamma*(ax - b)
+/// and, with `r`, r = b - ax; with `coarse_b` (needs `r`), the 8->1
+/// restriction of r for every interior brick of `active`. `x_next`
+/// must not alias `x` (GMG_REQUIRE: an in-place stencil update races
+/// read-after-write across bricks). With `coarse_b`, `active` must cut
+/// the interior only at brick boundaries.
+void jacobi_sweep(BrickedArray& x_next, BrickedArray* r,
+                  BrickedArray* coarse_b, const BrickedArray& x,
+                  const BrickedArray& b, real_t alpha, real_t beta,
+                  real_t gamma, const Box& active);
+
+/// Variable-coefficient twin: ax = apply_op_varcoef's DSL expression,
+/// x_next = x + (-omega / diag) * (ax - b).
+void jacobi_sweep_varcoef(BrickedArray& x_next, BrickedArray* r,
+                          BrickedArray* coarse_b, const BrickedArray& x,
+                          const BrickedArray& b, const BrickedArray& coef,
+                          const BrickedArray& diag, real_t identity_coef,
+                          real_t h, real_t omega, const Box& active);
+
+/// The pointwise half of a two-stage Jacobi sweep (13-point and
+/// stencilgen operators): `x_next` holds A*x over `active` on entry and
+/// is turned into x + gamma*(A*x - b) in place, with the same optional
+/// residual and restriction as jacobi_sweep.
+void jacobi_update(BrickedArray& x_next, BrickedArray* r,
+                   BrickedArray* coarse_b, const BrickedArray& x,
+                   const BrickedArray& b, real_t gamma, const Box& active);
+
+/// Post-applyOp descent stages in place on x (the two-pass reference
+/// the one-pass sweep is tested against): per brick of `active`,
 ///   r = b - Ax;  x += gamma * (Ax - b);
 /// and, for interior bricks, the 8->1 full-weighted restriction of the
 /// just-written r into `coarse_b`. `active` must cover the fine
-/// interior (it always does: active = grow(interior, margin - radius)
-/// with margin >= radius). Extents/shapes as restriction().
+/// interior. Extents/shapes as restriction().
 void smooth_residual_restrict(BrickedArray& x, BrickedArray& r,
                               BrickedArray& coarse_b, const BrickedArray& Ax,
                               const BrickedArray& b, real_t gamma,
@@ -115,6 +158,41 @@ constexpr check::EffectSummary smooth_residual_restrict_varcoef_effects() {
       .reads("Ax")
       .reads("b")
       .reads("diag");
+}
+
+/// The one-pass sweep reads x through the 7-point stencil and writes
+/// the new iterate into `out` — a role distinct from `x`, which is what
+/// lets the verifier reject a schedule binding both to one field (an
+/// in-place stencil update).
+constexpr check::EffectSummary jacobi_sweep_effects() {
+  return check::EffectSummary("kernel.jacobiSweep")
+      .writes("out")
+      .writes("r")
+      .writes("coarse")
+      .reads("x", 1)
+      .reads("b");
+}
+
+constexpr check::EffectSummary jacobi_sweep_varcoef_effects() {
+  return check::EffectSummary("kernel.jacobiSweepVarCoef")
+      .writes("out")
+      .writes("r")
+      .writes("coarse")
+      .reads("x", 1)
+      .reads("coef", 1)
+      .reads("b")
+      .reads("diag");
+}
+
+/// In place on `out` (which holds A*x on entry): pointwise, reach 0.
+constexpr check::EffectSummary jacobi_update_effects() {
+  return check::EffectSummary("kernel.jacobiUpdate")
+      .writes("out")
+      .writes("r")
+      .writes("coarse")
+      .reads("out")
+      .reads("x")
+      .reads("b");
 }
 
 constexpr check::EffectSummary residual_restrict_effects() {

@@ -14,6 +14,10 @@
 
 namespace gmg {
 
+bool jacobi_is_one_pass(const GmgOptions& opts, const MgLevel& lev) {
+  return lev.varcoef || (lev.radius == 1 && !opts.use_generated_kernels);
+}
+
 // This file IS the specializer registry: the only place in src/gmg
 // that names the per-stage kernels directly. Everything in the sweep
 // hot path (solver.cpp) calls through the bound functors —
@@ -81,33 +85,34 @@ void resolve_level_kernels(const GmgOptions& opts, MgLevel& lev) {
     };
   }
 
-  // Pointwise smoother stage, const/var coefficient resolved here.
+  // The Jacobi sweep. Every variant writes x' into the spare buffer
+  // L->Ax; `r` is bound only when the sweep is asked for the residual.
   const real_t weight = plan.weight;
   if (lev.varcoef) {
-    plan.smooth = [L, weight](const Box& active) {
-      smooth_varcoef(L->x, L->Ax, L->b, L->diag, weight, active);
+    const real_t s = opts.identity_coef;
+    plan.jacobi = [L, s, weight](const Box& active, bool residual,
+                                 BrickedArray* coarse_b) {
+      fused::jacobi_sweep_varcoef(L->Ax, residual ? &L->r : nullptr, coarse_b,
+                                  L->x, L->b, L->coef, L->diag, s, L->h,
+                                  weight, active);
     };
-    plan.smooth_residual = [L, weight](const Box& active) {
-      smooth_residual_varcoef(L->x, L->r, L->Ax, L->b, L->diag, weight,
-                              active);
-    };
-    plan.smooth_residual_restrict = [L, weight](BrickedArray& coarse_b,
-                                                const Box& active) {
-      fused::smooth_residual_restrict_varcoef(L->x, L->r, coarse_b, L->Ax,
-                                              L->b, L->diag, weight, active);
+  } else if (jacobi_is_one_pass(opts, lev)) {
+    const real_t gamma = -weight / lev.alpha;
+    plan.jacobi = [L, gamma](const Box& active, bool residual,
+                             BrickedArray* coarse_b) {
+      fused::jacobi_sweep(L->Ax, residual ? &L->r : nullptr, coarse_b, L->x,
+                          L->b, L->alpha, L->beta, gamma, active);
     };
   } else {
+    // Two-stage body: A*x into the spare buffer through the level's
+    // apply binding, then the pointwise update over it.
     const real_t gamma = -weight / lev.alpha;
-    plan.smooth = [L, gamma](const Box& active) {
-      smooth(L->x, L->Ax, L->b, gamma, active);
-    };
-    plan.smooth_residual = [L, gamma](const Box& active) {
-      smooth_residual(L->x, L->r, L->Ax, L->b, gamma, active);
-    };
-    plan.smooth_residual_restrict = [L, gamma](BrickedArray& coarse_b,
-                                               const Box& active) {
-      fused::smooth_residual_restrict(L->x, L->r, coarse_b, L->Ax, L->b,
-                                      gamma, active);
+    plan.jacobi = [L, gamma, apply = plan.apply](
+                      const Box& active, bool residual,
+                      BrickedArray* coarse_b) {
+      apply(L->Ax, L->x, active);
+      fused::jacobi_update(L->Ax, residual ? &L->r : nullptr, coarse_b, L->x,
+                           L->b, gamma, active);
     };
   }
 

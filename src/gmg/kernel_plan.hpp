@@ -7,10 +7,17 @@
 // smooth_level/jacobi_sweeps disappears: every sweep goes through one
 // member-function pointer and a handful of pre-bound functors.
 //
+// Every Jacobi sweep goes through ONE binding, `jacobi`: one pass per
+// brick computing A*x in registers and writing x' into the level's
+// spare buffer (Ax's storage; the caller swaps x and Ax afterwards) —
+// plus r on the last sweep of a residual-producing block, and the
+// descent restriction when fusion is on. The 13-point and stencilgen
+// operators keep a two-stage body (A*x into the spare buffer, then the
+// pointwise update over it) behind the same call.
+//
 // The plan also carries the fusion capability predicate. Cross-stage
-// fusion (final smooth + residual + restriction in one pass over each
-// fine brick) is legal only where the last smoother application is a
-// pointwise update of an already-materialized Ax:
+// fusion of the descent restriction is legal only where the last
+// smoother application produces the residual pointwise:
 //   - Jacobi / weighted Jacobi: fully fusible (fuse_descent).
 //   - Red-black GS: the half-sweeps update x in place, but the descent
 //     tail's residual + restriction still fuse (fuse_gs_tail).
@@ -65,26 +72,33 @@ struct KernelPlan {
 
   // Pre-bound kernel functors. Each captures the MgLevel POINTER plus
   // scalar coefficients by value — the field BrickedArrays are
-  // reassigned by detach/attach_field_storage, so the bindings must
-  // dereference through the level at call time.
+  // reassigned by detach/attach_field_storage and swapped by every
+  // Jacobi sweep, so the bindings must dereference through the level at
+  // call time.
   /// out = A in over `active` (varcoef / generated / radius-specific
   /// variant chosen at resolve time).
   std::function<void(BrickedArray& out, const BrickedArray& in,
                      const Box& active)>
       apply;
-  /// x-update only (bottom solve, upsweep without residual).
-  std::function<void(const Box& active)> smooth;
-  /// x-update + r = b - Ax (split descent / non-final sweeps).
-  std::function<void(const Box& active)> smooth_residual;
-  /// Fused final sweep: x-update + residual + restriction of r into
-  /// the coarse RHS, one pass per fine brick.
-  std::function<void(BrickedArray& coarse_b, const Box& active)>
-      smooth_residual_restrict;
+  /// One Jacobi sweep over `active`: x' = x + w(Ax - b) into the spare
+  /// buffer lev.Ax, read from lev.x. With `residual` it also writes
+  /// lev.r = b - Ax; a non-null `coarse_b` (needs `residual`) folds the
+  /// restriction of r into it. The caller swaps lev.x and lev.Ax once
+  /// every region of the sweep has run.
+  std::function<void(const Box& active, bool residual,
+                     BrickedArray* coarse_b)>
+      jacobi;
   /// Fused GS tail: r = b - Ax + restriction, one pass per fine brick.
   std::function<void(BrickedArray& coarse_b)> residual_restrict;
   /// Fused convergence check: r = b - Ax and local max|r| in one pass.
   std::function<real_t()> residual_max_norm;
 };
+
+/// Whether `jacobi` runs as one pass per brick (the 7-point operators,
+/// constant and variable coefficient) or as the two-stage body (apply
+/// into the spare buffer, then fused::jacobi_update over it). The
+/// schedule walker records whichever the binding issues.
+bool jacobi_is_one_pass(const GmgOptions& opts, const MgLevel& lev);
 
 /// Resolve the kernel bindings and fusion predicate for one level.
 /// Called from GmgSolver's constructor and again from set_coefficient

@@ -10,6 +10,7 @@
 #include "dsl/apply_brick.hpp"
 #include "dsl/stencils.hpp"
 #include "exec/runtime.hpp"
+#include "gmg/stencil_rows.hpp"
 #include "trace/trace.hpp"
 
 namespace gmg {
@@ -59,34 +60,11 @@ void for_each_row(BD, const char* name, const BrickGrid& grid,
   for_each_row_plan(BD{}, name, *plan, fn);
 }
 
-/// The brick-coordinate cover of the taps of `active` at stencil
-/// `radius` must lie within the grid (the active region grown by the
-/// radius, in bricks).
-template <typename BD>
-void require_taps_in_grid(BD, const BrickGrid& grid, const Box& active,
-                          index_t radius) {
-  const Box tap_region{{floor_div(active.lo.x - radius, BD::bx),
-                        floor_div(active.lo.y - radius, BD::by),
-                        floor_div(active.lo.z - radius, BD::bz)},
-                       {floor_div(active.hi.x - 1 + radius, BD::bx) + 1,
-                        floor_div(active.hi.y - 1 + radius, BD::by) + 1,
-                        floor_div(active.hi.z - 1 + radius, BD::bz) + 1}};
-  GMG_REQUIRE(grid.extended_box().covers(tap_region),
-              "stencil taps reach beyond the ghost bricks");
-}
-
-}  // namespace
-
-namespace {
-
-/// Specialized 7-point star kernel — the code BrickLib's vector code
-/// generator would emit for Fig. 1's DSL input. Per output row, the
-/// six neighbor rows are resolved to direct pointers once (crossing
-/// into adjacent bricks where needed); the row body is then a pure
-/// unit-stride SIMD loop with scalar patch-ups only at the two
-/// x-boundary cells. The generic DSL engine (dsl::apply) remains the
-/// fallback for arbitrary stencils. Full bricks of the iteration plan
-/// instantiate the body with compile-time whole-brick bounds.
+/// Specialized 7-point star kernel: one detail::star7_row call per
+/// output row of the cached iteration plan (stencil_rows.hpp). The
+/// generic DSL engine (dsl::apply) remains the fallback for arbitrary
+/// stencils. Full bricks of the iteration plan instantiate the row
+/// body with compile-time whole-brick bounds.
 template <typename BD>
 void apply_op_7pt(BD, BrickedArray& Ax, const BrickedArray& x, real_t alpha,
                   real_t beta, const Box& active,
@@ -96,80 +74,26 @@ void apply_op_7pt(BD, BrickedArray& Ax, const BrickedArray& x, real_t alpha,
   const real_t* __restrict xp = x.data();
   real_t* __restrict op = Ax.data();
 
-  require_taps_in_grid(BD{}, grid, active, 1);
+  detail::require_taps_in_grid(BD{}, grid, active, 1);
   const auto plan =
       grid.iteration_plan(active, Vec3{BD::bx, BD::by, BD::bz}, mask);
 
   for_each_plan_brick<BD>("kernel.applyOp", *plan, [&](const BrickPlanItem& it,
                                                        auto full) {
     constexpr bool kFull = decltype(full)::value;
-    const auto& adj = it.adj;
-    const auto brick_of = [&](int dx, int dy, int dz) {
-      const std::int32_t b = adj[direction_index(dx, dy, dz)];
-      GMG_ASSERT(b >= 0);
-      return xp + static_cast<std::size_t>(b) * BD::volume;
-    };
-    const real_t* __restrict xb = xp + static_cast<std::size_t>(it.id) *
-                                           BD::volume;
     real_t* __restrict ob = op + static_cast<std::size_t>(it.id) * BD::volume;
-
     const index_t ilo = kFull ? 0 : it.ilo;
     const index_t ihi = kFull ? BD::bx : it.ihi;
     const index_t jlo = kFull ? 0 : it.jlo;
     const index_t jhi = kFull ? BD::by : it.jhi;
     const index_t klo = kFull ? 0 : it.klo;
     const index_t khi = kFull ? BD::bz : it.khi;
-
-    constexpr index_t kRow = BD::bx;
-    constexpr index_t kPlane = BD::bx * BD::by;
-    const auto row_at = [&](const real_t* brick, index_t lj, index_t lk) {
-      return brick + lk * kPlane + lj * kRow;
-    };
-
     for (index_t lk = klo; lk < khi; ++lk) {
       for (index_t lj = jlo; lj < jhi; ++lj) {
-        const real_t* __restrict xr = row_at(xb, lj, lk);
-        const real_t* __restrict ym =
-            lj > 0 ? row_at(xb, lj - 1, lk)
-                   : row_at(brick_of(0, -1, 0), BD::by - 1, lk);
-        const real_t* __restrict yp =
-            lj < BD::by - 1 ? row_at(xb, lj + 1, lk)
-                            : row_at(brick_of(0, 1, 0), 0, lk);
-        const real_t* __restrict zm =
-            lk > 0 ? row_at(xb, lj, lk - 1)
-                   : row_at(brick_of(0, 0, -1), lj, BD::bz - 1);
-        const real_t* __restrict zp =
-            lk < BD::bz - 1 ? row_at(xb, lj, lk + 1)
-                            : row_at(brick_of(0, 0, 1), lj, 0);
-        real_t* __restrict orow = ob + lk * kPlane + lj * kRow;
-
-        // One SIMD core over [max(ilo,1), min(ihi,B-1)) plus
-        // scalar patch-ups at the two x-boundary cells. The tap
-        // summation order (xm + xp + ym + yp + zm + zp) is kept
-        // IDENTICAL between core and patches so that cells
-        // computed redundantly in ghost bricks (communication-
-        // avoiding sweeps) are bitwise equal to the owning rank's
-        // interior computation.
-        const index_t core_lo = kFull ? 1 : std::max<index_t>(ilo, 1);
-        const index_t core_hi =
-            kFull ? BD::bx - 1 : std::min<index_t>(ihi, BD::bx - 1);
-#pragma omp simd
-        for (index_t li = core_lo; li < core_hi; ++li) {
-          orow[li] = alpha * xr[li] +
-                     beta * (xr[li - 1] + xr[li + 1] + ym[li] + yp[li] +
-                             zm[li] + zp[li]);
-        }
-        if (kFull || ilo == 0) {
-          const real_t xm = row_at(brick_of(-1, 0, 0), lj, lk)[BD::bx - 1];
-          orow[0] = alpha * xr[0] +
-                    beta * (xm + xr[1] + ym[0] + yp[0] + zm[0] + zp[0]);
-        }
-        if (kFull || ihi == BD::bx) {
-          constexpr index_t e = BD::bx - 1;
-          const real_t xpv = row_at(brick_of(1, 0, 0), lj, lk)[0];
-          orow[e] = alpha * xr[e] +
-                    beta * (xr[e - 1] + xpv + ym[e] + yp[e] + zm[e] + zp[e]);
-        }
+        real_t* __restrict orow = ob + (lk * BD::by + lj) * BD::bx;
+        detail::star7_row<BD, kFull>(
+            it, xp, lj, lk, ilo, ihi, alpha, beta,
+            [&](index_t li, real_t ax) { orow[li] = ax; });
       }
     }
   });
@@ -325,34 +249,9 @@ void restriction(BrickedArray& coarse, const BrickedArray& fine) {
         "kernel.restriction", fg.num_interior(), exec::brick_grain(BD::volume),
         [&](std::int64_t lo, std::int64_t hi) {
           for (std::int64_t fid = lo; fid < hi; ++fid) {
-            const Vec3 bc = fg.coord_of(static_cast<std::int32_t>(fid));
-            const index_t bx = bc.x, by = bc.y, bz = bc.z;
-            const std::int32_t cid = cg.storage_id({bx / 2, by / 2, bz / 2});
-            GMG_ASSERT(cid >= 0);
-            // In-coarse-brick base offset of this fine brick's image.
-            const index_t ox = (bx % 2) * (BD::bx / 2);
-            const index_t oy = (by % 2) * (BD::by / 2);
-            const index_t oz = (bz % 2) * (BD::bz / 2);
-            const real_t* fb = fp + static_cast<std::size_t>(fid) * BD::volume;
-            real_t* cb = cp + static_cast<std::size_t>(cid) * BD::volume;
-            for (index_t lk = 0; lk < BD::bz; lk += 2) {
-              for (index_t lj = 0; lj < BD::by; lj += 2) {
-                const real_t* r0 = fb + (lk * BD::by + lj) * BD::bx;
-                const real_t* r1 = r0 + BD::bx;           // j+1
-                const real_t* r2 = r0 + BD::by * BD::bx;  // k+1
-                const real_t* r3 = r2 + BD::bx;           // j+1, k+1
-                real_t* crow = cb +
-                               ((oz + lk / 2) * BD::by + (oy + lj / 2)) *
-                                   BD::bx +
-                               ox;
-#pragma omp simd
-                for (index_t li = 0; li < BD::bx / 2; ++li) {
-                  const index_t f = 2 * li;
-                  crow[li] = 0.125 * (r0[f] + r0[f + 1] + r1[f] + r1[f + 1] +
-                                      r2[f] + r2[f + 1] + r3[f] + r3[f + 1]);
-                }
-              }
-            }
+            detail::restrict_brick<BD>(
+                fg.coord_of(static_cast<std::int32_t>(fid)), cg,
+                fp + static_cast<std::size_t>(fid) * BD::volume, cp);
           }
         });
   });
@@ -422,7 +321,7 @@ void gs_color_sweep(BrickedArray& x, const BrickedArray& b, real_t alpha,
     real_t* __restrict xp = x.data();
     const real_t* __restrict bp = b.data();
 
-    require_taps_in_grid(bd, grid, active, 1);
+    detail::require_taps_in_grid(bd, grid, active, 1);
     const auto plan =
         grid.iteration_plan(active, Vec3{BD::bx, BD::by, BD::bz});
 

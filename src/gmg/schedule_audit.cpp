@@ -187,6 +187,76 @@ void ScheduleWalker::smooth_level(int l, int iterations, bool with_residual,
   }
 }
 
+void ScheduleWalker::record_sweep(int l, const Box& region, bool residual,
+                                  bool restrict_to_coarse, bool partial) {
+  const MgLevel& L = lev(l);
+  // The two-stage body (13-point / stencilgen operators) issues its
+  // applyOp into the spare buffer first, then the pointwise update.
+  const bool one_pass = jacobi_is_one_pass(s_.options(), L);
+  if (!one_pass) record_apply(l, region, "x", "Ax", partial);
+  check::ScheduleStep& step =
+      !one_pass ? rec_.kernel("kernel.jacobiUpdate", l,
+                              fused::jacobi_update_effects())
+      : L.varcoef
+          ? rec_.kernel("kernel.jacobiSweepVarCoef", l,
+                        fused::jacobi_sweep_varcoef_effects())
+          : rec_.kernel("kernel.jacobiSweep", l, fused::jacobi_sweep_effects());
+  step.partial = partial;
+  step.accesses.push_back(write_access("Ax", l, region, "out"));
+  if (residual) step.accesses.push_back(write_access("r", l, region, "r"));
+  const Box fine = intersect(region, L.interior());
+  if (restrict_to_coarse && !fine.empty()) {
+    step.accesses.push_back(
+        write_access("b", l + 1, coarsen(fine, 2), "coarse"));
+    if (!partial) add_chunk_writes(step, l, region);
+  }
+  if (one_pass) {
+    step.accesses.push_back(read_access("x", l, region, 1, "x"));
+  } else {
+    step.accesses.push_back(read_access("Ax", l, region, 0, "out"));
+    step.accesses.push_back(read_access("x", l, region, 0, "x"));
+  }
+  step.accesses.push_back(read_access("b", l, region, 0, "b"));
+  if (L.varcoef) {
+    step.accesses.push_back(read_access("coef", l, region, 1, "coef"));
+    step.accesses.push_back(read_access("diag", l, region, 0, "diag"));
+  }
+}
+
+void ScheduleWalker::record_in_place_smooth(int l, const Box& active,
+                                            bool with_residual,
+                                            bool fuse_final) {
+  const MgLevel& L = lev(l);
+  check::ScheduleStep* step = nullptr;
+  if (fuse_final) {
+    step = &rec_.kernel(
+        L.varcoef ? "kernel.fusedDescentVarCoef" : "kernel.fusedDescent", l,
+        L.varcoef ? fused::smooth_residual_restrict_varcoef_effects()
+                  : fused::smooth_residual_restrict_effects());
+    step->accesses.push_back(
+        write_access("b", l + 1, lev(l + 1).interior(), "coarse"));
+    add_chunk_writes(*step, l, active);
+  } else if (with_residual) {
+    step = &rec_.kernel(
+        L.varcoef ? "kernel.smoothResidualVarCoef" : "kernel.smoothResidual",
+        l,
+        L.varcoef ? smooth_residual_varcoef_effects()
+                  : smooth_residual_effects());
+  } else {
+    step = &rec_.kernel(L.varcoef ? "kernel.smoothVarCoef" : "kernel.smooth",
+                        l, L.varcoef ? smooth_varcoef_effects()
+                                     : smooth_effects());
+  }
+  step->accesses.push_back(write_access("x", l, active, "x"));
+  if (fuse_final || with_residual)
+    step->accesses.push_back(write_access("r", l, active, "r"));
+  step->accesses.push_back(read_access("x", l, active, 0, "x"));
+  step->accesses.push_back(read_access("Ax", l, active, 0, "Ax"));
+  step->accesses.push_back(read_access("b", l, active, 0, "b"));
+  if (L.varcoef)
+    step->accesses.push_back(read_access("diag", l, active, 0, "diag"));
+}
+
 void ScheduleWalker::jacobi_sweeps(int l, int iterations, bool with_residual,
                                    bool restrict_to_coarse) {
   const MgLevel& L = lev(l);
@@ -213,48 +283,27 @@ void ScheduleWalker::jacobi_sweeps(int l, int iterations, bool with_residual,
         exchange_for_smooth(l);
       ls.margin = 0;
     }
-    apply_op(l, active, "x", "Ax", split);
-
-    const bool fuse_final = with_residual && restrict_to_coarse &&
-                            L.plan.fuse_descent && it == iterations - 1;
-    if (fuse_final) {
-      check::ScheduleStep& step = rec_.kernel(
-          L.varcoef ? "kernel.fusedDescentVarCoef" : "kernel.fusedDescent", l,
-          L.varcoef ? fused::smooth_residual_restrict_varcoef_effects()
-                    : fused::smooth_residual_restrict_effects());
-      step.accesses.push_back(write_access("x", l, active, "x"));
-      step.accesses.push_back(write_access("r", l, active, "r"));
-      step.accesses.push_back(
-          write_access("b", l + 1, lev(l + 1).interior(), "coarse"));
-      step.accesses.push_back(read_access("x", l, active, 0, "x"));
-      step.accesses.push_back(read_access("Ax", l, active, 0, "Ax"));
-      step.accesses.push_back(read_access("b", l, active, 0, "b"));
-      if (L.varcoef)
-        step.accesses.push_back(read_access("diag", l, active, 0, "diag"));
-      add_chunk_writes(step, l, active);
-    } else if (with_residual) {
-      check::ScheduleStep& step = rec_.kernel(
-          L.varcoef ? "kernel.smoothResidualVarCoef" : "kernel.smoothResidual",
-          l,
-          L.varcoef ? smooth_residual_varcoef_effects()
-                    : smooth_residual_effects());
-      step.accesses.push_back(write_access("x", l, active, "x"));
-      step.accesses.push_back(write_access("r", l, active, "r"));
-      step.accesses.push_back(read_access("x", l, active, 0, "x"));
-      step.accesses.push_back(read_access("Ax", l, active, 0, "Ax"));
-      step.accesses.push_back(read_access("b", l, active, 0, "b"));
-      if (L.varcoef)
-        step.accesses.push_back(read_access("diag", l, active, 0, "diag"));
+    const bool last = it == iterations - 1;
+    if (in_place_jacobi_) {
+      // The batched twin: applyOp split by region, then the pointwise
+      // stage in place on x over the whole region.
+      apply_op(l, active, "x", "Ax", split);
+      record_in_place_smooth(
+          l, active, with_residual,
+          with_residual && restrict_to_coarse && L.plan.fuse_descent && last);
     } else {
-      check::ScheduleStep& step = rec_.kernel(
-          L.varcoef ? "kernel.smoothVarCoef" : "kernel.smooth", l,
-          L.varcoef ? smooth_varcoef_effects() : smooth_effects());
-      step.accesses.push_back(write_access("x", l, active, "x"));
-      step.accesses.push_back(read_access("x", l, active, 0, "x"));
-      step.accesses.push_back(read_access("Ax", l, active, 0, "Ax"));
-      step.accesses.push_back(read_access("b", l, active, 0, "b"));
-      if (L.varcoef)
-        step.accesses.push_back(read_access("diag", l, active, 0, "diag"));
+      // The solo one-pass sweep splits by region as a whole, then x and
+      // its spare buffer trade storage.
+      const bool residual = with_residual && last;
+      const bool restrict_here = residual && restrict_to_coarse;
+      if (split) {
+        const Box safe = s_.overlap_safe_box(L, active);
+        if (!safe.empty())
+          record_sweep(l, safe, residual, restrict_here, /*partial=*/true);
+        rec_.exchange_finish(l);
+      }
+      record_sweep(l, active, residual, restrict_here, /*partial=*/false);
+      rec_.swap(l, "x", "Ax");
     }
     if (ca()) ls.margin -= radius;
   }
@@ -507,7 +556,7 @@ void ScheduleWalker::cycle_at(int l) {
   interp.accesses.push_back(
       read_access("x", l + 1, lev(l + 1).interior(), 0, "coarse"));
   st_[static_cast<std::size_t>(l)].margin = 0;
-  smooth_level(l, s_.options().smooths, /*with_residual=*/true,
+  smooth_level(l, s_.options().smooths, /*with_residual=*/false,
                /*restrict_to_coarse=*/false);
 }
 

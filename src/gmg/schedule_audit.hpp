@@ -47,6 +47,10 @@ class ScheduleWalker {
   /// residual_norm's per-component norms follow the retirement-masked
   /// active list. Solo default: K = 1, active = {0}.
   void set_num_components(int k) { num_components_ = k; }
+  /// Record Jacobi sweeps the way the batched twin (src/batch) issues
+  /// them: applyOp into Ax, then the pointwise stage in place on x —
+  /// instead of the solo one-pass sweep into the spare buffer.
+  void mirror_in_place_jacobi() { in_place_jacobi_ = true; }
   /// The components residual_norm's retirement-masked reductions
   /// cover; the batched audit shrinks this after recording a retire.
   void set_active_components(std::vector<int> comps) {
@@ -93,6 +97,13 @@ class ScheduleWalker {
                     bool partial);
   void add_chunk_writes(check::ScheduleStep& step, int l, const Box& active);
 
+  /// One solo Jacobi sweep (or one region of it) as the plan binding
+  /// issues it: x read through the stencil, x' written into "Ax".
+  void record_sweep(int l, const Box& region, bool residual,
+                    bool restrict_to_coarse, bool partial);
+  /// The batched twin's pointwise stage, in place on x.
+  void record_in_place_smooth(int l, const Box& active, bool with_residual,
+                              bool fuse_final);
   void smooth_level(int l, int iterations, bool with_residual,
                     bool restrict_to_coarse);
   void jacobi_sweeps(int l, int iterations, bool with_residual,
@@ -109,6 +120,7 @@ class ScheduleWalker {
   std::vector<LevState> st_;
   int num_components_ = 1;
   std::vector<int> active_components_{0};
+  bool in_place_jacobi_ = false;
 };
 
 /// Record the planned schedule of `cycles` V-cycles (with the

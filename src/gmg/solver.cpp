@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <string>
+#include <utility>
 
 #include "check/footprint.hpp"
 #include "check/schedule.hpp"
@@ -558,7 +559,7 @@ void GmgSolver::jacobi_sweeps(comm::Communicator& comm, MgLevel& lev,
   const index_t radius = lev.radius;
   for (int it = 0; it < iterations; ++it) {
     Box active = interior;
-    bool split = false;  // exchange begun, to finish around the applyOp
+    bool split = false;  // exchange begun, to finish around the sweep
     if (opts_.communication_avoiding) {
       // Exchange when the ghost margin is spent — or when b's ghosts
       // are stale, since the redundant sweep reads b there too.
@@ -578,39 +579,25 @@ void GmgSolver::jacobi_sweeps(comm::Communicator& comm, MgLevel& lev,
         exchange_for_smooth(comm, lev);
       lev.margin = 0;
     }
-    // Only the operator application is split by region: Ax is computed
-    // from an x the exchange does not modify outside the ghost bricks,
-    // so interior-then-surface order cannot change any value. The
-    // pointwise update below stays one full-region call either way —
-    // that is the bitwise-identity argument (DESIGN.md §10).
+    // One pass per brick (DESIGN.md §16): x' lands in the spare buffer
+    // (Ax's storage), so the sweep never writes what it reads and splits
+    // by region as a whole — interior-then-surface order cannot change
+    // a value (DESIGN.md §10). Only the block's last sweep writes r, and
+    // on the descent it also folds the restriction of r into the coarse
+    // RHS: nothing reads an earlier sweep's residual.
+    const bool residual = with_residual && it == iterations - 1;
+    BrickedArray* coarse_b = residual ? restrict_to : nullptr;
+    const perf::Phase phase = coarse_b != nullptr ? perf::Phase::kFusedDescent
+                                                  : perf::Phase::kJacobiSweep;
+    const auto sweep = [&](const Box& region) {
+      lev.plan.jacobi(region, residual, coarse_b);
+    };
     if (split) {
-      finish_exchange_overlapped(
-          comm, lev, active, perf::Phase::kApplyOp,
-          [&](const Box& region) {
-            apply_operator(lev, lev.Ax, lev.x, region);
-          });
+      finish_exchange_overlapped(comm, lev, active, phase, sweep);
     } else {
-      profiler_.timed(lev.level, perf::Phase::kApplyOp,
-                      [&] { apply_operator(lev, lev.Ax, lev.x, active); });
+      profiler_.timed(lev.level, phase, [&] { sweep(active); });
     }
-    // On the FINAL descent sweep the fused plan folds the restriction
-    // of the just-computed residual into the same pass over each fine
-    // brick (one pass instead of smooth+residual then restriction).
-    // Earlier sweeps overwrite r anyway, so only the last one feeds
-    // the coarse RHS.
-    const bool fuse_final = with_residual && restrict_to != nullptr &&
-                            lev.plan.fuse_descent && it == iterations - 1;
-    if (fuse_final) {
-      profiler_.timed(lev.level, perf::Phase::kFusedDescent, [&] {
-        lev.plan.smooth_residual_restrict(*restrict_to, active);
-      });
-    } else if (with_residual) {
-      profiler_.timed(lev.level, perf::Phase::kSmoothResidual,
-                      [&] { lev.plan.smooth_residual(active); });
-    } else {
-      profiler_.timed(lev.level, perf::Phase::kSmooth,
-                      [&] { lev.plan.smooth(active); });
-    }
+    std::swap(lev.x, lev.Ax);
     if (opts_.communication_avoiding) lev.margin -= radius;
   }
 }
@@ -653,8 +640,8 @@ void GmgSolver::chebyshev_sweeps(comm::Communicator& comm, MgLevel& lev,
         exchange_for_smooth(comm, lev);
       lev.margin = 0;
     }
-    // Split only the applyOp (see jacobi_sweeps); the Chebyshev
-    // recurrence below reads Ax and runs once over the full region.
+    // Split only the applyOp (DESIGN.md §10); the Chebyshev recurrence
+    // below reads Ax and runs once over the full region.
     if (split) {
       finish_exchange_overlapped(
           comm, lev, active, perf::Phase::kApplyOp,
@@ -759,7 +746,9 @@ void GmgSolver::cycle_at(comm::Communicator& comm, int l) {
   profiler_.timed(l, perf::Phase::kInterpIncrement,
                   [&] { interpolation_increment(lev.x, coarse.x); });
   lev.margin = 0;  // interior changed; ghosts are stale
-  smooth_level(comm, lev, opts_.smooths, /*with_residual=*/true);
+  // The ascent leaves no residual: the next descent or residual_norm
+  // rewrites r before anything reads it.
+  smooth_level(comm, lev, opts_.smooths, /*with_residual=*/false);
 }
 
 void GmgSolver::vcycle(comm::Communicator& comm) {

@@ -61,10 +61,11 @@ struct GmgOptions {
   /// exchange runs split-phase, with the stencil applied over the
   /// interior brick partition on an exec::Engine worker while the
   /// messages fly, then over the surface shell once finish() returns.
-  /// Bitwise identical to the blocking path (only the operator
-  /// application is split by region; the pointwise x-update still runs
-  /// as one full-region call). No effect on ranks with no remote
-  /// neighbor.
+  /// Bitwise identical to the blocking path: a region split only
+  /// reorders work that never reads what it writes — the whole one-pass
+  /// Jacobi sweep (x' goes to a separate buffer), Chebyshev's operator
+  /// application, the red GS half-sweep. No effect on ranks with no
+  /// remote neighbor.
   bool overlap = true;
   /// Levels with fewer interior (non-surface) bricks than this fall
   /// back to the blocking exchange even when `overlap` is on: on the

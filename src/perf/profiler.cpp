@@ -10,7 +10,7 @@ const char* phase_name(Phase p) {
   // Exhaustive: adding a Phase without naming it must fail to compile
   // (no default case, so -Wswitch flags the omission) and the
   // static_assert pins the count this switch was written against.
-  static_assert(static_cast<int>(Phase::kCount) == 11,
+  static_assert(static_cast<int>(Phase::kCount) == 12,
                 "Phase enum changed: update phase_name and "
                 "phase_from_name");
   switch (p) {
@@ -36,6 +36,8 @@ const char* phase_name(Phase p) {
       return "maxNorm";
     case Phase::kBottomSolve:
       return "bottomSolve";
+    case Phase::kJacobiSweep:
+      return "applyOp+smooth";
     case Phase::kCount:
       break;
   }

@@ -30,14 +30,18 @@ enum class Phase : int {
   kResidual,
   kRestriction,
   /// One fused descent pass covering the final smooth application,
-  /// the residual, and the restriction (DESIGN.md §16) — replaces a
-  /// kSmoothResidual + kRestriction pair (Jacobi) or a kResidual +
-  /// kRestriction pair (GS tail) when fusion is on.
+  /// the residual, and the restriction (DESIGN.md §16) — for Jacobi the
+  /// last one-pass sweep of the descent (its A*x included), for the GS
+  /// tail a kResidual + kRestriction pair, when fusion is on.
   kFusedDescent,
   kInterpIncrement,
   kInitZero,
   kMaxNorm,
   kBottomSolve,
+  /// One one-pass Jacobi sweep: A*x and the x update (and, on the last
+  /// sweep of a split-schedule descent, the residual) in one pass per
+  /// brick (DESIGN.md §16).
+  kJacobiSweep,
   kCount
 };
 

@@ -3,22 +3,32 @@
 // residual+max-norm convergence checks, and the GS residual tail —
 // must be BITWISE identical to the split schedule, across smoothers,
 // coefficients (constant and variable), brick dims, worker counts, and
-// batched K-way solves. Plus the footprint machinery: the fused union
+// batched K-way solves; and the one-pass Jacobi sweep must equal the
+// two-pass applyOp + smooth stages it replaced, over every region shape
+// a sweep is issued on. Plus the footprint machinery: the fused union
 // footprint is derived constexpr and static_assert-ed, GMG_CHECK sees
 // only the declared boxes during a fused run, and a seeded undersized-
 // ghost configuration is rejected at setup.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "batch/batched_solver.hpp"
 #include "check/footprint.hpp"
 #include "check/shadow.hpp"
+#include "common/rng.hpp"
 #include "exec/runtime.hpp"
 #include "gmg/fused_kernels.hpp"
+#include "gmg/operators.hpp"
+#include "gmg/operators_varcoef.hpp"
 #include "gmg/solver.hpp"
+#include "trace/trace.hpp"
 #include "tests/test_util.hpp"
 
 namespace gmg {
@@ -215,6 +225,238 @@ TEST(FusedDescent, MultiRankMatchesSingleRankBitwise) {
              });
     ASSERT_EQ(failures, 0);
   });
+}
+
+// ---- one-pass Jacobi sweep vs its two-pass reference ---------------------
+
+/// Deterministic values in every storage cell, ghost bricks included,
+/// so a CA-grown region reads defined data.
+void fill_storage(BrickedArray& a, std::uint64_t seed) {
+  Rng rng(seed);
+  real_t* p = a.data();
+  for (std::size_t i = 0; i < a.size(); ++i) p[i] = rng.uniform();
+}
+
+void expect_same_bits(const BrickedArray& got, const BrickedArray& want,
+                      const Box& box, const std::string& what) {
+  int failures = 0;
+  for_each(box, [&](index_t i, index_t j, index_t k) {
+    const real_t g = got(i, j, k), w = want(i, j, k);
+    if (std::memcmp(&g, &w, sizeof g) != 0 && failures++ < 3) {
+      ADD_FAILURE() << what << ": differs at (" << i << ',' << j << ',' << k
+                    << "): " << g << " vs " << w;
+    }
+  });
+  ASSERT_EQ(failures, 0) << what;
+}
+
+/// The regions one sweep may be issued over: the interior, CA-grown
+/// boxes (clipped ghost bricks), and the split-phase decomposition of
+/// the deepest grown box — a safe box clipped one owned brick inside
+/// two "remote" faces, plus its shell boxes.
+struct SweepRegion {
+  std::string what;
+  Box active;
+  std::vector<Box> parts;
+};
+
+std::vector<SweepRegion> sweep_regions(const MgLevel& lev) {
+  const Box in = lev.interior();
+  const index_t deep = lev.shape.bx - lev.radius;
+  std::vector<SweepRegion> out{{"interior", in, {in}},
+                               {"grown by 1", grow(in, 1), {grow(in, 1)}},
+                               {"grown to margin", grow(in, deep),
+                                {grow(in, deep)}}};
+  Box safe = grow(in, deep);
+  safe.lo.x = in.lo.x + lev.shape.bx;
+  safe.hi.z = in.hi.z - lev.shape.bz;
+  std::vector<Box> parts{safe};
+  for (const Box& s : shell_boxes(grow(in, deep), safe)) parts.push_back(s);
+  out.push_back({"split safe box + shell", grow(in, deep), parts});
+  return out;
+}
+
+struct SweepCase {
+  index_t bdim;
+  bool varcoef;
+  int radius;
+  bool generated;  // stencilgen operator: the two-stage body
+  const char* name;
+};
+
+// Stable test names: print the case name, not the struct's bytes.
+void PrintTo(const SweepCase& c, std::ostream* os) { *os << c.name; }
+
+class OnePassSweep : public ::testing::TestWithParam<SweepCase> {};
+
+// One call of the level's Jacobi binding (over each part of a region)
+// must equal applyOp followed by smooth / smooth_residual /
+// fused::smooth_residual_restrict over the whole region, bit for bit:
+// the new iterate, the residual, and the restricted coarse RHS.
+TEST_P(OnePassSweep, MatchesTwoPassReferenceBitwise) {
+  const SweepCase sc = GetParam();
+  class EngineGuard {
+   public:
+    ~EngineGuard() {
+      exec::configure_default_engine(exec::resolved_default_workers());
+    }
+  } guard;
+  comm::World world(1);
+  world.run([&](comm::Communicator& c) {
+    GmgOptions o = base_options(sc.bdim, Smoother::kWeightedJacobi);
+    o.jacobi_weight = 0.6;
+    o.operator_radius = sc.radius;
+    o.use_generated_kernels = sc.generated;
+    GmgSolver solver(o, CartDecomp({32, 32, 32}, {1, 1, 1}), 0);
+    if (sc.varcoef) solver.set_coefficient(c, wavy_coef);
+    MgLevel& lev = solver.level(0);
+    MgLevel& coarse = solver.level(1);
+    const real_t weight = lev.plan.weight;
+    const real_t gamma = -weight / lev.alpha;
+    BrickedArray xref(lev.grid, lev.shape), ax(lev.grid, lev.shape),
+        rref(lev.grid, lev.shape), cref(coarse.grid, coarse.shape);
+    for (const int workers : {1, 4}) {
+      exec::configure_default_engine(workers);
+      for (const SweepRegion& reg : sweep_regions(lev)) {
+        const Box& act = reg.active;
+        for (const int stage : {0, 1, 2}) {  // smooth, +residual, +restrict
+          const std::string what = std::string(sc.name) + ", " + reg.what +
+                                   ", stage " + std::to_string(stage) +
+                                   ", workers " + std::to_string(workers);
+          fill_storage(lev.x, 11);
+          fill_storage(lev.b, 12);
+          std::memcpy(xref.data(), lev.x.data(), lev.x.size() * sizeof(real_t));
+          if (sc.varcoef) {
+            apply_op_varcoef(ax, xref, lev.coef, o.identity_coef, lev.h, act);
+          } else if (sc.radius == 1 && !sc.generated) {
+            apply_op(ax, xref, lev.alpha, lev.beta, act);
+          } else {
+            lev.plan.apply(ax, xref, act);
+          }
+          if (stage == 0) {
+            if (sc.varcoef)
+              smooth_varcoef(xref, ax, lev.b, lev.diag, weight, act);
+            else
+              smooth(xref, ax, lev.b, gamma, act);
+          } else if (stage == 1) {
+            if (sc.varcoef)
+              smooth_residual_varcoef(xref, rref, ax, lev.b, lev.diag, weight,
+                                      act);
+            else
+              smooth_residual(xref, rref, ax, lev.b, gamma, act);
+          } else if (sc.varcoef) {
+            fused::smooth_residual_restrict_varcoef(xref, rref, cref, ax,
+                                                    lev.b, lev.diag, weight,
+                                                    act);
+          } else {
+            fused::smooth_residual_restrict(xref, rref, cref, ax, lev.b,
+                                            gamma, act);
+          }
+          for (const Box& part : reg.parts) {
+            lev.plan.jacobi(part, stage >= 1,
+                            stage == 2 ? &coarse.b : nullptr);
+          }
+          // The binding wrote x' into the spare buffer and left x alone.
+          expect_same_bits(lev.Ax, xref, act, what + ": x'");
+          if (stage >= 1) expect_same_bits(lev.r, rref, act, what + ": r");
+          if (stage == 2) {
+            expect_same_bits(coarse.b, cref, coarse.interior(),
+                             what + ": coarse b");
+          }
+        }
+      }
+    }
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweeps, OnePassSweep,
+    ::testing::Values(SweepCase{2, false, 1, false, "const-2"},
+                      SweepCase{4, false, 1, false, "const-4"},
+                      SweepCase{8, false, 1, false, "const-8"},
+                      SweepCase{2, true, 1, false, "varcoef-2"},
+                      SweepCase{4, true, 1, false, "varcoef-4"},
+                      SweepCase{8, true, 1, false, "varcoef-8"},
+                      SweepCase{4, false, 2, false, "two-stage-13pt-4"},
+                      SweepCase{4, false, 1, true, "two-stage-generated-4"}),
+    [](const ::testing::TestParamInfo<SweepCase>& info) {
+      std::string n = info.param.name;
+      for (char& ch : n)
+        if (ch == '-') ch = '_';
+      return n;
+    });
+
+TEST(JacobiSweep, AliasedOutputRejected) {
+  // x' written over x is an in-place stencil update: a brick would read
+  // a neighbor cell another chunk already replaced.
+  const CartDecomp decomp({16, 16, 16}, {1, 1, 1});
+  GmgSolver solver(base_options(4, Smoother::kPointJacobi), decomp, 0);
+  MgLevel& lev = solver.level(0);
+  EXPECT_THROW(fused::jacobi_sweep(lev.x, nullptr, nullptr, lev.x, lev.b,
+                                   lev.alpha, lev.beta, lev.gamma,
+                                   lev.interior()),
+               Error);
+}
+
+TEST(JacobiSweep, RegionSplitEightRankSolveMatchesSingleRank) {
+  // With the bytes-ratio cutoff off, the finest level runs split-phase,
+  // so each sweep executes by region: the safe box on the engine stream
+  // while the exchange is in flight, then the shell boxes. Solution and
+  // residual history must equal the single-rank solve's bit for bit.
+  const Vec3 global{32, 32, 32};
+  for (const bool varcoef : {false, true}) {
+    GmgOptions o = base_options(4, Smoother::kPointJacobi);
+    o.overlap_min_compute_bytes_ratio = 0;
+    RunOut reference;
+    {
+      comm::World world(1);
+      world.run([&](comm::Communicator& c) {
+        reference = run_cycles(c, o, /*fuse=*/true, varcoef, 3);
+      });
+    }
+    trace::clear();
+    const CartDecomp decomp(global, {2, 2, 2});
+    std::vector<real_t> history;
+    comm::World world(decomp.num_ranks());
+    world.run([&](comm::Communicator& c) {
+      GmgOptions ro = o;
+      ro.fuse_stages = true;
+      GmgSolver solver(ro, decomp, c.rank());
+      if (varcoef) solver.set_coefficient(c, wavy_coef);
+      solver.set_rhs(sine_rhs);
+      std::vector<real_t> h{solver.residual_norm(c)};
+      for (int v = 0; v < 3; ++v) {
+        solver.vcycle(c);
+        h.push_back(solver.residual_norm(c));
+      }
+      if (c.rank() == 0) history = h;
+      const Box my_box = decomp.subdomain_box(c.rank());
+      const BrickedArray& x = solver.solution();
+      int failures = 0;
+      for_each(Box::from_extent(decomp.subdomain_extent()),
+               [&](index_t i, index_t j, index_t k) {
+                 const real_t want = reference.sol[static_cast<std::size_t>(
+                     ((my_box.lo.z + k) * global.y + my_box.lo.y + j) *
+                         global.x +
+                     my_box.lo.x + i)];
+                 if (x(i, j, k) != want && failures++ < 3) {
+                   ADD_FAILURE() << "rank " << c.rank() << " (" << i << ','
+                                 << j << ',' << k << ')';
+                 }
+               });
+      EXPECT_EQ(failures, 0);
+    });
+    ASSERT_EQ(history.size(), reference.history.size());
+    for (std::size_t i = 0; i < history.size(); ++i) {
+      EXPECT_EQ(history[i], reference.history[i]) << "cycle " << i;
+    }
+    // The split path really ran.
+    const trace::Snapshot snap = trace::collect();
+    const auto waits = std::count_if(
+        snap.spans.begin(), snap.spans.end(),
+        [](const trace::SpanRecord& s) { return s.name == "exec.wait_overlap"; });
+    EXPECT_GT(waits, 0) << (varcoef ? "varcoef" : "const");
+  }
 }
 
 // ---- batched K-way solves ------------------------------------------------

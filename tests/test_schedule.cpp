@@ -4,8 +4,9 @@
 // verifier must reject at setup with a sourced diagnostic — a dropped
 // exchange, an undeclared fused write box, a masked plan scheduling a
 // covered brick, a retired batch component whose collectives resurrect,
-// a reordered reduction group, duplicated fused chunk writes, and a
-// split-phase exchange that never finishes.
+// a reordered reduction group, duplicated fused chunk writes, a
+// split-phase exchange that never finishes, and a Jacobi sweep that
+// writes the field it reads through its stencil.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -328,6 +329,44 @@ TEST(ScheduleSeededBug, UnfinishedSplitExchangeRejected) {
                d.find("never finished") != std::string::npos;
       });
   EXPECT_TRUE(sourced) << diags.front();
+}
+
+// Hazard class 8: a one-pass Jacobi sweep whose output is bound to its
+// own input — an in-place stencil update, racing read-after-write
+// across bricks. The sweep must write the level's spare buffer.
+TEST(ScheduleSeededBug, InPlaceStencilSweepRejected) {
+  check::Schedule sched = jacobi_schedule();
+  const auto it = std::find_if(
+      sched.steps.begin(), sched.steps.end(), [](const check::ScheduleStep& s) {
+        return s.kind == check::StepKind::kKernel &&
+               s.kernel == "kernel.jacobiSweep";
+      });
+  ASSERT_NE(it, sched.steps.end()) << "no one-pass sweep in the schedule";
+  bool rebound = false;
+  for (check::StepAccess& a : it->accesses) {
+    if (a.write && a.role == "out") {
+      a.field = "x";
+      rebound = true;
+    }
+  }
+  ASSERT_TRUE(rebound);
+  expect_rejected(sched, "in-place stencil update");
+}
+
+// The ping-pong swap must never trade storage under an in-flight
+// exchange: the receives would land in the buffer that is no longer x.
+TEST(ScheduleSeededBug, SwapUnderInFlightExchangeRejected) {
+  check::ScheduleRecorder rec("seeded.swap");
+  check::LevelInfo L;
+  L.level = 0;
+  L.interior = Box::from_extent({16, 16, 16});
+  L.ghost_depth = 4;
+  L.remote_hi[0] = true;
+  rec.add_level(L);
+  rec.exchange_begin(0, {"x"}, 4);
+  rec.swap(0, "x", "Ax");
+  rec.exchange_finish(0);
+  expect_rejected(rec.take(), "is in flight");
 }
 
 // ---- the GMG_VERIFY_SCHEDULE gate --------------------------------------

@@ -223,8 +223,11 @@ TEST(GmgSolver, ProfilerRecordsAllPhases) {
     solver.set_rhs(sine_rhs);
     solver.vcycle(c);
     const auto& prof = solver.profiler();
-    EXPECT_TRUE(prof.has(0, perf::Phase::kApplyOp));
-    EXPECT_TRUE(prof.has(0, perf::Phase::kSmoothResidual));
+    // Jacobi sweeps run as one pass per brick (DESIGN.md §16) and are
+    // labelled as such, not as a separate applyOp + smooth+residual.
+    EXPECT_TRUE(prof.has(0, perf::Phase::kJacobiSweep));
+    EXPECT_FALSE(prof.has(0, perf::Phase::kApplyOp));
+    EXPECT_FALSE(prof.has(0, perf::Phase::kSmoothResidual));
     // With the default fused descent (DESIGN.md §16) the final
     // smooth+residual and the restriction merge into one phase.
     // Branch on the solver's resolved option so the suite also passes
@@ -238,11 +241,11 @@ TEST(GmgSolver, ProfilerRecordsAllPhases) {
     }
     EXPECT_TRUE(prof.has(0, perf::Phase::kInterpIncrement));
     EXPECT_TRUE(prof.has(0, perf::Phase::kExchange));
-    EXPECT_TRUE(prof.has(2, perf::Phase::kSmooth));  // bottom solver
+    EXPECT_TRUE(prof.has(2, perf::Phase::kJacobiSweep));  // bottom solver
     EXPECT_GT(prof.level_total(0), 0.0);
     // Report contains artifact-style lines.
     const std::string report = prof.report();
-    EXPECT_NE(report.find("level 0 applyOp ["), std::string::npos);
+    EXPECT_NE(report.find("level 0 applyOp+smooth ["), std::string::npos);
 
     // Split configuration: the separate restriction phase comes back
     // (unless a GMG_FUSE_STAGES=1 override forces fusion back on).

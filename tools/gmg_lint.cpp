@@ -44,8 +44,9 @@
 //                       KernelScope).
 //   plan-bindings       6. In src/gmg/solver.cpp the per-stage
 //                       kernels (smooth, smooth_residual, apply_op,
-//                       their varcoef twins) may only be invoked
-//                       through KernelPlan bindings ('.' or '->'):
+//                       the jacobi_sweep family, their varcoef twins)
+//                       may only be invoked through KernelPlan
+//                       bindings ('.' or '->'):
 //                       a bare call bypasses the specializer registry
 //                       and silently forks the solo/batched schedules.
 //   effect-summary      7. Every kernel in src/gmg, src/dsl,
@@ -53,7 +54,8 @@
 //                       non-template function that launches a
 //                       parallel loop (parallel_for, for_each_row,
 //                       for_each_plan_brick, sweep_rows, run_plan,
-//                       parallel_reduce) — must export a constexpr
+//                       parallel_reduce, the fused brick_pass) — must
+//                       export a constexpr
 //                       `<name>_effects` EffectSummary
 //                       (check/effects.hpp), in the same file or its
 //                       same-stem header/source sibling. The static
@@ -371,7 +373,7 @@ bool body_launches(const TokenizedFile& tf, const FnInfo& fn) {
   return body_has_ident(tf, fn,
                         {"parallel_for", "for_each_row",
                          "for_each_plan_brick", "sweep_rows", "run_plan",
-                         "parallel_reduce"});
+                         "parallel_reduce", "brick_pass"});
 }
 
 // ---------------------------------------------------------------------------
@@ -549,8 +551,9 @@ class Linter {
   void rule_plan_bindings(const FileClass& fc, const TokenizedFile& tf) {
     if (!fc.is_solver_cpp) return;
     static const std::set<std::string> kStage = {
-        "smooth",   "smooth_residual",  "smooth_varcoef",
-        "apply_op", "apply_op_varcoef", "smooth_residual_varcoef"};
+        "smooth",        "smooth_residual",  "smooth_varcoef",
+        "apply_op",      "apply_op_varcoef", "smooth_residual_varcoef",
+        "jacobi_sweep",  "jacobi_update",    "jacobi_sweep_varcoef"};
     const std::vector<Tok>& t = tf.toks;
     for (std::size_t i = 0; i + 1 < t.size(); ++i) {
       if (t[i].kind != Tok::kIdent || kStage.count(t[i].text) == 0) continue;
@@ -711,6 +714,10 @@ const SelfTest kSelfTests[] = {
      "namespace gmg::fused {\nconstexpr int fused_pass_effects() { return 0; "
      "}\n}\n",
      nullptr},
+    {"brick_pass launch without scope flagged", "src/gmg/my_fused.cpp",
+     "namespace gmg::fused {\nvoid fused_pass(BrickedArray& out) {\n"
+     "  brick_pass(bd, \"k\", grid, active, row, flat, cg, rp, cp);\n}\n}\n",
+     "kernel-scope"},
     {"anon-namespace helper exempt from rule 5", "src/amr/foo.cpp",
      "namespace gmg {\nnamespace {\nvoid helper() { "
      "exec::parallel_for(plan, body); }\n}\n}\n",
@@ -721,7 +728,7 @@ const SelfTest kSelfTests[] = {
      "plan-bindings"},
     {"plan binding clean", "src/gmg/solver.cpp",
      "namespace gmg {\nvoid GmgSolver::sweep(MgLevel& lev) {\n"
-     "  lev.plan.smooth(active);\n}\n}\n",
+     "  lev.plan.jacobi(active, false, nullptr);\n}\n}\n",
      nullptr},
     {"kernel without effects flagged", "src/batch/foo_kernels.cpp",
      "namespace gmg::batch {\nvoid my_kernel(BrickedArray& out) {\n"
