@@ -271,8 +271,8 @@ void BatchedSolver::gs_sweeps(comm::Communicator& comm, int l, int iterations,
         else
           exchange_for_smooth(comm, l);
       }
-      const Box red_box = grow(interior, bl.margin - 1);
-      const Box black_box = grow(interior, bl.margin - 2);
+      const Box red_box = lev.grid->grow_unwrapped(interior, bl.margin - 1);
+      const Box black_box = lev.grid->grow_unwrapped(interior, bl.margin - 2);
       if (split) {
         finish_exchange_overlapped(
             comm, l, red_box, [&](const Box& region) {
@@ -347,7 +347,7 @@ void BatchedSolver::jacobi_sweeps(comm::Communicator& comm, int l,
         else
           exchange_for_smooth(comm, l);
       }
-      active = grow(interior, bl.margin - radius);
+      active = lev.grid->grow_unwrapped(interior, bl.margin - radius);
     } else {
       split = use_overlap(l);
       if (split)
@@ -420,7 +420,7 @@ void BatchedSolver::chebyshev_sweeps(comm::Communicator& comm, int l,
         else
           exchange_for_smooth(comm, l);
       }
-      active = grow(interior, bl.margin - radius);
+      active = lev.grid->grow_unwrapped(interior, bl.margin - radius);
     } else {
       split = use_overlap(l);
       if (split)

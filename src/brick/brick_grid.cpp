@@ -26,8 +26,10 @@ std::size_t default_plan_cache_cap() {
 
 }  // namespace
 
-BrickGrid::BrickGrid(Vec3 interior_bricks)
-    : nb_(interior_bricks), plan_cache_cap_(default_plan_cache_cap()) {
+BrickGrid::BrickGrid(Vec3 interior_bricks, std::array<bool, 3> wrap)
+    : nb_(interior_bricks),
+      wrap_(wrap),
+      plan_cache_cap_(default_plan_cache_cap()) {
   GMG_REQUIRE(nb_.x > 0 && nb_.y > 0 && nb_.z > 0,
               "brick grid extents must be positive");
 
@@ -41,24 +43,33 @@ BrickGrid::BrickGrid(Vec3 interior_bricks)
   });
   interior_count_ = next;
 
-  // Then each of the 26 ghost groups, contiguous, in direction order.
+  // Then each stored ghost group, contiguous, in direction order.
   for (int dir = 0; dir < kNumDirections; ++dir) {
     if (dir == kSelfDirection) continue;
-    const Box region = ghost_box(dir);
     ghost_ranges_[dir].first = next;
-    for_each(region, [&](index_t i, index_t j, index_t k) {
+    if (!stores_group(dir)) continue;
+    for_each(ghost_box(dir), [&](index_t i, index_t j, index_t k) {
       id_of_[flat_index({i, j, k})] = next++;
     });
     ghost_ranges_[dir].count = next - ghost_ranges_[dir].first;
   }
   total_ = next;
 
-  // Reverse map and adjacency.
+  // Reverse map; every remaining coordinate aliases the stored brick
+  // its wrapped-axis components wrap onto.
   coord_of_.resize(static_cast<std::size_t>(total_));
   for_each(ext, [&](index_t i, index_t j, index_t k) {
-    const std::int32_t id = id_of_[flat_index({i, j, k})];
+    std::int32_t& id = id_of_[flat_index({i, j, k})];
+    if (id >= 0) {
+      coord_of_[static_cast<std::size_t>(id)] = {i, j, k};
+      return;
+    }
+    Vec3 home{i, j, k};
+    for (int d = 0; d < 3; ++d) {
+      if (wraps(d)) home[d] = floor_mod(home[d], nb_[d]);
+    }
+    id = id_of_[flat_index(home)];
     GMG_ASSERT(id >= 0);
-    coord_of_[static_cast<std::size_t>(id)] = {i, j, k};
   });
 
   adj_.resize(static_cast<std::size_t>(total_));
@@ -69,6 +80,24 @@ BrickGrid::BrickGrid(Vec3 interior_bricks)
           storage_id(c + direction_offset(dir));
     }
   }
+}
+
+bool BrickGrid::stores_group(int dir) const {
+  const Vec3 off = direction_offset(dir);
+  for (int d = 0; d < 3; ++d) {
+    if (wraps(d) && off[d] != 0) return false;
+  }
+  return true;
+}
+
+Box BrickGrid::grow_unwrapped(const Box& cells, index_t layers) const {
+  Box out = cells;
+  for (int d = 0; d < 3; ++d) {
+    if (wraps(d)) continue;
+    out.lo[d] -= layers;
+    out.hi[d] += layers;
+  }
+  return out;
 }
 
 BrickRange BrickGrid::ghost_range(int dir) const {
@@ -148,6 +177,13 @@ std::shared_ptr<const BrickIterPlan> BrickGrid::build_plan(
            floor_div(active.hi.z - 1, bd.z) + 1}};
   GMG_REQUIRE(extended_box().covers(plan->brick_region),
               "active region extends beyond the ghost bricks");
+  for (int d = 0; d < 3; ++d) {
+    GMG_REQUIRE(!wraps(d) || (active.lo[d] >= 0 &&
+                              active.hi[d] <= nb_[d] * bd[d]),
+                "active region reaches past the interior on a wrapped axis "
+                "(its ghost bricks alias owned bricks the plan would visit "
+                "twice)");
+  }
 
   // Two lexicographic passes keep each half of `items` in brick order
   // (chunk boundaries then cut a deterministic sequence).

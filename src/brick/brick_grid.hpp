@@ -8,6 +8,12 @@
 // Receives from a neighbor therefore land in a single contiguous range
 // of brick storage — no unpack pass ("packing-free communication
 // buffers", paper §V).
+//
+// A grid may *wrap* an axis on which the subdomain is its own periodic
+// neighbor (DESIGN.md §11): ghost coordinates along that axis resolve,
+// in storage_id() and in every adjacency row, to the owned brick they
+// would otherwise hold a copy of, and the ghost groups with a
+// component along a wrapped axis get no storage.
 #pragma once
 
 #include <array>
@@ -77,25 +83,43 @@ struct BrickIterPlan {
 class BrickGrid {
  public:
   /// `interior_bricks`: number of bricks per axis covering the
-  /// subdomain interior. The grid always carries one ghost brick layer
-  /// on every side (the paper's deep ghost zone: depth == brick dim).
-  explicit BrickGrid(Vec3 interior_bricks);
+  /// subdomain interior. On every unwrapped axis the grid carries one
+  /// ghost brick layer per side (the paper's deep ghost zone: depth ==
+  /// brick dim). `wrap[d]` marks axis d as self-periodic: its ghost
+  /// coordinates alias the owned bricks at the wrapped coordinate, so
+  /// no ghost storage exists along it and nothing needs copying there.
+  explicit BrickGrid(Vec3 interior_bricks,
+                     std::array<bool, 3> wrap = {false, false, false});
 
   Vec3 interior_extent() const { return nb_; }
   Box interior_box() const { return Box::from_extent(nb_); }
+  /// Every addressable brick coordinate: the interior grown by one
+  /// brick on all sides (on wrapped axes those coordinates alias).
   Box extended_box() const { return grow(interior_box(), 1); }
 
+  bool wraps(int axis) const { return wrap_[static_cast<std::size_t>(axis)]; }
+  /// Whether ghost group `dir` has storage: true iff the direction has
+  /// no component along a wrapped axis.
+  bool stores_group(int dir) const;
+  /// `cells` grown by `layers` along the unwrapped axes only — the one
+  /// rule by which communication-avoiding sweeps extend their active
+  /// region into the ghost zone (a box past the interior on a wrapped
+  /// axis would visit owned bricks twice; iteration_plan rejects it).
+  Box grow_unwrapped(const Box& cells, index_t layers) const;
+
+  /// Interior bricks plus the bricks of the stored ghost groups.
   std::int32_t num_bricks() const { return total_; }
   std::int32_t num_interior() const { return interior_count_; }
 
-  /// Storage id of the brick at coordinate `bc` in [-1, nb+1)^3;
-  /// -1 if outside the extended grid.
+  /// Storage id of the brick at coordinate `bc` in [-1, nb+1)^3 (an
+  /// aliased coordinate resolves to the brick it wraps onto); -1 if
+  /// outside the extended grid.
   std::int32_t storage_id(Vec3 bc) const {
     if (!extended_box().contains(bc)) return -1;
     return id_of_[flat_index(bc)];
   }
 
-  /// Brick coordinate of a storage id.
+  /// Brick coordinate of a storage id (never an aliased coordinate).
   Vec3 coord_of(std::int32_t id) const { return coord_of_[id]; }
 
   /// Storage id of the neighbor of brick `id` in direction `dir`
@@ -110,7 +134,7 @@ class BrickGrid {
   }
 
   /// The contiguous storage range holding the ghost bricks received
-  /// from the neighbor in direction `dir`.
+  /// from the neighbor in direction `dir` (empty for an unstored group).
   BrickRange ghost_range(int dir) const;
 
   /// The ghost group (one of the 26 directions) a ghost brick belongs
@@ -127,7 +151,8 @@ class BrickGrid {
       const std::array<bool, kNumDirections>& remote) const;
 
   /// The memoized iteration plan for `active` under `brick_dims`
-  /// (BrickShape element dims). Repeated calls with the same arguments
+  /// (BrickShape element dims); `active` must stay inside the interior
+  /// on wrapped axes. Repeated calls with the same arguments
   /// return the same shared plan — steady-state V-cycle sweeps resolve
   /// their brick list, storage ids, clip bounds, and adjacency pointers
   /// exactly once. Thread-safe. The grid is immutable, so plans are
@@ -187,6 +212,7 @@ class BrickGrid {
   }
 
   Vec3 nb_;
+  std::array<bool, 3> wrap_;
   std::int32_t total_ = 0;
   std::int32_t interior_count_ = 0;
   std::vector<std::int32_t> id_of_;   // flat extended-grid coord -> id

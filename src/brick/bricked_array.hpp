@@ -54,7 +54,8 @@ class BrickedArray {
     const Vec3 nb = grid_->interior_extent();
     return {nb.x * shape_.bx, nb.y * shape_.by, nb.z * shape_.bz};
   }
-  /// Ghost depth in cells (always one brick layer).
+  /// Ghost depth in cells: one brick layer (on a wrapped axis the
+  /// ghost cells alias owned cells — BrickGrid).
   Vec3 ghost_depth() const { return shape_.dims(); }
 
   real_t* data() { return data_.data(); }

@@ -336,6 +336,9 @@ class Checker {
     const bool in_flight = fl.active && fl.covers(a.field);
     const FieldState& fs = state(a.level, a.field);
     for (int d = 0; d < 3; ++d) {
+      // A wrapped axis has no ghost layers: past the interior it reads
+      // the owned cells themselves, which are always current.
+      if (li.wrapped[d]) continue;
       for (int side = 0; side < 2; ++side) {
         const int n = side == 0 ? need.lo[d] : need.hi[d];
         if (n <= 0) continue;
@@ -377,6 +380,17 @@ class Checker {
   void check_write(const ScheduleStep& st, const StepAccess& a,
                    const LevelInfo& li) {
     const SideNeed g = side_need(a.box, li.interior, /*reach=*/0);
+    for (int d = 0; d < 3; ++d) {
+      if (li.wrapped[d] && (g.lo[d] > 0 || g.hi[d] > 0)) {
+        std::ostringstream os;
+        os << step_name(s_, i_) << " writes '" << a.field
+           << "' past the interior on wrapped axis " << d
+           << ": write into wrapped ghost — those cells alias owned cells, "
+              "so the launch would write them twice";
+        report(os.str());
+        return;
+      }
+    }
     const InFlight& fl = inflight(a.level);
     if (fl.active && fl.covers(a.field)) {
       if (!st.partial) {
@@ -405,6 +419,7 @@ class Checker {
     if (st.partial) return;  // combined effect lands with the full pass
     index_t valid = li.ghost_depth;
     for (int d = 0; d < 3; ++d) {
+      if (li.wrapped[d]) continue;  // reads there never consult `valid`
       valid = std::min(valid, static_cast<index_t>(std::max(0, g.lo[d])));
       valid = std::min(valid, static_cast<index_t>(std::max(0, g.hi[d])));
     }

@@ -12,7 +12,8 @@
 //     interior is preceded by a completed exchange (or producing
 //     write) that filled at least `g` layers — the CA margin
 //     invariant, proven over the whole plan instead of observed at
-//     runtime by GMG_CHECK;
+//     runtime by GMG_CHECK; on a wrapped axis reads are always valid
+//     and writes past the interior are rejected;
 //   * split-phase safety: while an exchange is in flight, no kernel
 //     reads or writes the in-flight fields' remote-side ghost layers,
 //     and no second exchange begins on the same engine;
@@ -127,15 +128,20 @@ struct ScheduleStep {
 };
 
 /// Static per-level geometry the verifier needs: the interior box in
-/// local coordinates, the ghost capacity in layers, and which of the
-/// six faces borders a remote rank (in-flight ghost rules apply there;
-/// self-periodic faces complete synchronously at begin()).
+/// local coordinates, the ghost capacity in layers, which of the six
+/// faces borders a remote rank (in-flight ghost rules apply there;
+/// self-periodic faces complete synchronously at begin()), and which
+/// axes the level's brick grid wraps (DESIGN.md §11): past the
+/// interior on a wrapped axis every read lands on owned cells and is
+/// always valid, while a write there is rejected — it would hit an
+/// owned cell through its alias.
 struct LevelInfo {
   int level = 0;
   Box interior;
   index_t ghost_depth = 0;
   bool remote_lo[3] = {false, false, false};
   bool remote_hi[3] = {false, false, false};
+  bool wrapped[3] = {false, false, false};
 };
 
 /// Initial ghost validity of one field (e.g. init_zero'd fields start

@@ -26,8 +26,14 @@ BrickExchange::BrickExchange(std::shared_ptr<const BrickGrid> grid,
                              int rank, BrickExchangeMode mode)
     : grid_(std::move(grid)), shape_(shape), rank_(rank), mode_(mode) {
   GMG_REQUIRE(grid_ != nullptr, "null brick grid");
+  for (int d = 0; d < 3; ++d) {
+    GMG_REQUIRE(!grid_->wraps(d) || decomp.rank_grid()[d] == 1,
+                "a brick grid may wrap only axes with one rank");
+  }
+  // Only the stored ghost groups move: on a wrapped axis the ghost
+  // coordinates alias owned bricks, so there is nothing to fill.
   for (int dir = 0; dir < kNumDirections; ++dir) {
-    if (dir == kSelfDirection) continue;
+    if (dir == kSelfDirection || !grid_->stores_group(dir)) continue;
     DirectionPlan plan;
     plan.dir = dir;
     plan.neighbor = decomp.neighbor(rank, dir);

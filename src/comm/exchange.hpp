@@ -33,12 +33,14 @@ enum class BrickExchangeMode { kPackFree, kPacked, kPerBrick };
 class BrickExchange {
  public:
   /// `grid` must be the brick grid shared by every field this engine
-  /// will exchange; `decomp` is in units of ranks; `rank` is ours.
+  /// will exchange; `decomp` is in units of ranks; `rank` is ours. The
+  /// grid may wrap only axes on which `decomp` has one rank.
   BrickExchange(std::shared_ptr<const BrickGrid> grid, BrickShape shape,
                 const CartDecomp& decomp, int rank,
                 BrickExchangeMode mode = BrickExchangeMode::kPackFree);
 
-  /// Fill all 26 ghost-brick groups of `field` from the neighbors.
+  /// Fill the ghost-brick groups the grid stores (all 26 on a
+  /// full-shell grid, none on a fully wrapped one) from the neighbors.
   /// Equivalent to begin() + finish().
   void exchange(Communicator& comm, BrickedArray& field);
 
@@ -47,7 +49,9 @@ class BrickExchange {
   void exchange(Communicator& comm, std::vector<BrickedArray*> fields);
 
   // Split-phase protocol (DESIGN.md §10). begin() posts the ghost
-  // receives, performs the periodic self-copies synchronously, packs
+  // receives, performs the periodic self-copies synchronously (only
+  // full-shell grids have any: solver levels wrap their self-periodic
+  // axes instead, DESIGN.md §11), packs
   // (mode-dependent) and sends; the caller then computes on data that
   // does not touch the in-flight ghost ranges — for kPackFree the
   // receives scatter straight into ghost brick storage, so those

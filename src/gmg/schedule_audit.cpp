@@ -42,6 +42,7 @@ void ScheduleWalker::add_levels() {
     info.interior = L.interior();
     info.ghost_depth = L.shape.bx;
     for (int d = 0; d < 3; ++d) {
+      info.wrapped[d] = L.grid->wraps(d);
       int off[3] = {0, 0, 0};
       off[d] = -1;
       info.remote_lo[d] = L.remote[static_cast<std::size_t>(
@@ -80,8 +81,8 @@ void ScheduleWalker::reset_fine_for_correction(const std::string& rhs_field) {
   cp.accesses.push_back(read_access(rhs_field, 0, interior, 0, "src"));
   check::ScheduleStep& iz =
       rec_.kernel("kernel.initZero", 0, init_zero_effects());
-  iz.accesses.push_back(
-      write_access("x", 0, grow(interior, lev(0).shape.bx), "a"));
+  iz.accesses.push_back(write_access(
+      "x", 0, lev(0).grid->grow_unwrapped(interior, lev(0).shape.bx), "a"));
   st_[0].margin = lev(0).shape.bx;
   st_[0].b_ghosts_valid = false;
 }
@@ -274,7 +275,7 @@ void ScheduleWalker::jacobi_sweeps(int l, int iterations, bool with_residual,
         else
           exchange_for_smooth(l);
       }
-      active = grow(interior, ls.margin - radius);
+      active = L.grid->grow_unwrapped(interior, ls.margin - radius);
     } else {
       split = s_.use_overlap(L);
       if (split)
@@ -325,7 +326,7 @@ void ScheduleWalker::chebyshev_sweeps(int l, int iterations) {
         else
           exchange_for_smooth(l);
       }
-      active = grow(interior, ls.margin - radius);
+      active = L.grid->grow_unwrapped(interior, ls.margin - radius);
     } else {
       split = s_.use_overlap(L);
       if (split)
@@ -384,8 +385,8 @@ void ScheduleWalker::gs_sweeps(int l, int iterations, bool with_residual,
         else
           exchange_for_smooth(l);
       }
-      const Box red_box = grow(interior, ls.margin - 1);
-      const Box black_box = grow(interior, ls.margin - 2);
+      const Box red_box = L.grid->grow_unwrapped(interior, ls.margin - 1);
+      const Box black_box = L.grid->grow_unwrapped(interior, ls.margin - 2);
       if (split) {
         const Box safe = s_.overlap_safe_box(L, red_box);
         if (!safe.empty()) color_sweep(safe, /*partial=*/true);
@@ -543,7 +544,10 @@ void ScheduleWalker::cycle_at(int l) {
   check::ScheduleStep& iz =
       rec_.kernel("kernel.initZero", l + 1, init_zero_effects());
   iz.accesses.push_back(write_access(
-      "x", l + 1, grow(lev(l + 1).interior(), lev(l + 1).shape.bx), "a"));
+      "x", l + 1,
+      lev(l + 1).grid->grow_unwrapped(lev(l + 1).interior(),
+                                      lev(l + 1).shape.bx),
+      "a"));
   cs.margin = lev(l + 1).shape.bx;
 
   cycle_at(l + 1);
@@ -610,8 +614,10 @@ void ScheduleWalker::fmg() {
   }
   check::ScheduleStep& iz =
       rec_.kernel("kernel.initZero", bot, init_zero_effects());
-  iz.accesses.push_back(
-      write_access("x", bot, grow(lev(bot).interior(), lev(bot).shape.bx), "a"));
+  iz.accesses.push_back(write_access(
+      "x", bot,
+      lev(bot).grid->grow_unwrapped(lev(bot).interior(), lev(bot).shape.bx),
+      "a"));
   st_[static_cast<std::size_t>(bot)].margin = lev(bot).shape.bx;
   bottom_solve();
   for (int l = bot - 1; l >= 0; --l) {

@@ -115,6 +115,9 @@ GmgSolver::GmgSolver(const GmgOptions& opts, const CartDecomp& decomp,
       decomp.remote_neighbors(rank);
   bool has_remote = false;
   for (bool r : remote) has_remote = has_remote || r;
+  // Axes with one rank wrap through the brick adjacency instead of
+  // storing ghost copies of owned bricks (DESIGN.md §11).
+  const std::array<bool, 3> wrap = decomp.self_periodic_axes();
 
   levels_.reserve(static_cast<std::size_t>(levels));
   for (int l = 0; l < levels; ++l) {
@@ -149,8 +152,10 @@ GmgSolver::GmgSolver(const GmgOptions& opts, const CartDecomp& decomp,
     // the paper's gamma = h^2/12.
     lev.gamma = -0.5 / lev.alpha;
 
-    lev.grid = std::make_shared<BrickGrid>(Vec3{
-        lev.cells.x / shape.bx, lev.cells.y / shape.by, lev.cells.z / shape.bz});
+    lev.grid = std::make_shared<BrickGrid>(
+        Vec3{lev.cells.x / shape.bx, lev.cells.y / shape.by,
+             lev.cells.z / shape.bz},
+        wrap);
     lev.remote = remote;
     lev.has_remote = has_remote;
     lev.part = lev.grid->partition(remote);
@@ -286,7 +291,8 @@ void GmgSolver::set_coefficient(
     // The CA redundant sweeps read the diagonal in the ghost shell;
     // compute it everywhere the taps stay within the ghost bricks.
     varcoef_diagonal(lev.diag, lev.coef, opts_.identity_coef, lev.h,
-                     grow(lev.interior(), lev.shape.bx - 1));
+                     lev.grid->grow_unwrapped(lev.interior(),
+                                              lev.shape.bx - 1));
     lev.margin = 0;  // ghosts of x are unrelated to the new operator
   }
   // The varcoef flip invalidates every const-coefficient kernel
@@ -383,9 +389,9 @@ Box GmgSolver::overlap_safe_box(const MgLevel& lev, const Box& active) const {
   if (lev.part.interior_box.empty()) return Box{};
   // Clamp to the interior-partition cells on sides with a remote
   // neighbor (their ghost bricks are in-flight receive targets; one
-  // brick of owned surface keeps the stencil taps clear of them). On
-  // self-periodic sides the ghost copies completed synchronously in
-  // begin(), so the full active growth is safe.
+  // brick of owned surface keeps the stencil taps clear of them).
+  // Self-periodic axes wrap onto owned bricks and never grow the
+  // active region, so nothing there is in flight.
   Box safe = active;
   for (int d = 0; d < 3; ++d) {
     int off[3] = {0, 0, 0};
@@ -466,8 +472,9 @@ void GmgSolver::gs_sweeps(comm::Communicator& comm, MgLevel& lev,
         else
           exchange_for_smooth(comm, lev);
       }
-      const Box red_box = grow(interior, lev.margin - 1);
-      const Box black_box = grow(interior, lev.margin - 2);
+      const Box red_box = lev.grid->grow_unwrapped(interior, lev.margin - 1);
+      const Box black_box =
+          lev.grid->grow_unwrapped(interior, lev.margin - 2);
       if (split) {
         // A red cell reads only black-parity neighbors, which the red
         // half-sweep never writes — so splitting red by region changes
@@ -570,7 +577,7 @@ void GmgSolver::jacobi_sweeps(comm::Communicator& comm, MgLevel& lev,
         else
           exchange_for_smooth(comm, lev);
       }
-      active = grow(interior, lev.margin - radius);
+      active = lev.grid->grow_unwrapped(interior, lev.margin - radius);
     } else {
       split = use_overlap(lev);
       if (split)
@@ -631,7 +638,7 @@ void GmgSolver::chebyshev_sweeps(comm::Communicator& comm, MgLevel& lev,
         else
           exchange_for_smooth(comm, lev);
       }
-      active = grow(interior, lev.margin - radius);
+      active = lev.grid->grow_unwrapped(interior, lev.margin - radius);
     } else {
       split = use_overlap(lev);
       if (split)

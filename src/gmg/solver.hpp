@@ -52,8 +52,10 @@ struct GmgOptions {
   BrickShape brick = BrickShape::cube(8);
   /// Deep-ghost communication-avoiding smoothing (paper §V): exchange
   /// once per brick-depth/radius sweeps, computing redundantly into
-  /// the ghost region. Off = exchange before every applyOp
-  /// (Algorithm 2 as literally written).
+  /// the ghost region along the axes that have remote neighbors (a
+  /// self-periodic axis wraps onto owned bricks and saves no message,
+  /// so sweeps never grow along it — DESIGN.md §11). Off = exchange
+  /// before every applyOp (Algorithm 2 as literally written).
   bool communication_avoiding = true;
   comm::BrickExchangeMode exchange_mode = comm::BrickExchangeMode::kPackFree;
 

@@ -43,6 +43,13 @@ class CartDecomp {
   /// overlap (DESIGN.md §10).
   std::array<bool, kNumDirections> remote_neighbors(int rank) const;
 
+  /// The axes along which the rank grid has one rank, so every rank is
+  /// its own periodic neighbor there — the axes a level's BrickGrid
+  /// wraps instead of storing ghost copies (DESIGN.md §11).
+  std::array<bool, 3> self_periodic_axes() const {
+    return {grid_.x == 1, grid_.y == 1, grid_.z == 1};
+  }
+
   /// This rank's interior box in global cell coordinates.
   Box subdomain_box(int rank) const;
 

@@ -299,11 +299,12 @@ TEST(CompositeSolve, BitwiseReproducibleAcrossWorkerCounts) {
 }
 
 TEST(CompositeSolve, MultiRankCheckCleanMatchesSingleRank) {
-  // 2x2x2 ranks, 16^3 coarse subdomains; patch faces at 8 and 24
-  // avoid the rank plane at 16. Overlap is forced on so refluxing and
-  // the masked kernels run concurrently with split-phase exchanges
-  // inside the correction V-cycles — the shadow tracker must stay
-  // clean throughout.
+  // 2x2x2 ranks (16^3 coarse subdomains) and the amr_ranks shape 2x2x1
+  // (z wrapped onto each rank itself, DESIGN.md §11); patch faces at 8
+  // and 24 avoid the rank planes at 16. Overlap is forced on so
+  // refluxing and the masked kernels run concurrently with split-phase
+  // exchanges inside the correction V-cycles — the shadow tracker must
+  // stay clean throughout.
   amr::AmrOptions aopts = composite_options(Box{{8, 8, 8}, {24, 24, 24}});
   aopts.gmg.overlap_min_compute_bytes_ratio = 0.0;
   // Pin the level count to what the 16^3 subdomains allow, so the
@@ -328,49 +329,55 @@ TEST(CompositeSolve, MultiRankCheckCleanMatchesSingleRank) {
   }
   ASSERT_TRUE(sres.converged);
 
-  const CartDecomp decomp({32, 32, 32}, {2, 2, 2});
-  std::mutex mu;
-  std::vector<amr::CompositeResult> results(8);
-  check::set_enabled(true);
-  comm::World world(8);
-  world.run([&](comm::Communicator& c) {
-    amr::AmrHierarchy h(aopts, decomp, c.rank());
-    EXPECT_TRUE(h.has_part());
-    // Every rank owns one octant of the patch: three faces of its
-    // part are rank-internal cuts (fine-filled), three are the
-    // coarse-fine interface.
-    EXPECT_EQ(h.patch_exchange().fine_filled_count(), 3);
-    h.set_rhs(gaussian_rhs);
-    const auto res = amr::CompositeSolver(h).solve(c);
-    // Same cycle count as single-rank: the residual reductions are
-    // exact max-reductions, so the composite loop is decomposition-
-    // invariant — and with matching cycles the local stencil
-    // arithmetic is too, making xH bitwise reproducible across
-    // decompositions.
-    EXPECT_EQ(res.cycles, sres.cycles);
-    const Box rb = decomp.subdomain_box(c.rank());
-    for_each(h.solver().level(0).interior(),
-             [&](index_t i, index_t j, index_t k) {
-               const Vec3 gc = rb.lo + Vec3{i, j, k};
-               const real_t want =
-                   sx[static_cast<std::size_t>((gc.z * 32 + gc.y) * 32 +
-                                               gc.x)];
-               if (h.xH()(i, j, k) != want) {
-                 std::lock_guard<std::mutex> lock(mu);
-                 ADD_FAILURE() << "rank " << c.rank() << " xH(" << gc.x
-                               << ',' << gc.y << ',' << gc.z << ") = "
-                               << h.xH()(i, j, k) << " want " << want;
-               }
-             });
-    std::lock_guard<std::mutex> lock(mu);
-    results[static_cast<std::size_t>(c.rank())] = res;
-  });
-  EXPECT_TRUE(check::hazards().empty());
-  EXPECT_NO_THROW(check::require_clean("composite AMR solve"));
-  check::set_enabled(false);
-  for (const auto& r : results) {
-    EXPECT_TRUE(r.converged);
-    EXPECT_DOUBLE_EQ(r.final_residual, sres.final_residual);
+  for (const Vec3 rank_grid : {Vec3{2, 2, 2}, Vec3{2, 2, 1}}) {
+    SCOPED_TRACE(std::to_string(rank_grid.z) + " rank(s) along z");
+    const CartDecomp decomp({32, 32, 32}, rank_grid);
+    const int cut_axes = (rank_grid.x > 1) + (rank_grid.y > 1) +
+                         (rank_grid.z > 1);
+    std::mutex mu;
+    std::vector<amr::CompositeResult> results(
+        static_cast<std::size_t>(decomp.num_ranks()));
+    check::set_enabled(true);
+    comm::World world(decomp.num_ranks());
+    world.run([&](comm::Communicator& c) {
+      amr::AmrHierarchy h(aopts, decomp, c.rank());
+      EXPECT_TRUE(h.has_part());
+      // Every rank owns one piece of the patch: on 2x2x2 an octant, with
+      // three faces of its part rank-internal cuts (fine-filled) and
+      // three the coarse-fine interface; each cut axis contributes one.
+      EXPECT_EQ(h.patch_exchange().fine_filled_count(), cut_axes);
+      h.set_rhs(gaussian_rhs);
+      const auto res = amr::CompositeSolver(h).solve(c);
+      // Same cycle count as single-rank: the residual reductions are
+      // exact max-reductions, so the composite loop is decomposition-
+      // invariant — and with matching cycles the local stencil
+      // arithmetic is too, making xH bitwise reproducible across
+      // decompositions.
+      EXPECT_EQ(res.cycles, sres.cycles);
+      const Box rb = decomp.subdomain_box(c.rank());
+      for_each(h.solver().level(0).interior(),
+               [&](index_t i, index_t j, index_t k) {
+                 const Vec3 gc = rb.lo + Vec3{i, j, k};
+                 const real_t want =
+                     sx[static_cast<std::size_t>((gc.z * 32 + gc.y) * 32 +
+                                                 gc.x)];
+                 if (h.xH()(i, j, k) != want) {
+                   std::lock_guard<std::mutex> lock(mu);
+                   ADD_FAILURE() << "rank " << c.rank() << " xH(" << gc.x
+                                 << ',' << gc.y << ',' << gc.z << ") = "
+                                 << h.xH()(i, j, k) << " want " << want;
+                 }
+               });
+      std::lock_guard<std::mutex> lock(mu);
+      results[static_cast<std::size_t>(c.rank())] = res;
+    });
+    EXPECT_TRUE(check::hazards().empty());
+    EXPECT_NO_THROW(check::require_clean("composite AMR solve"));
+    check::set_enabled(false);
+    for (const auto& r : results) {
+      EXPECT_TRUE(r.converged);
+      EXPECT_DOUBLE_EQ(r.final_residual, sres.final_residual);
+    }
   }
 }
 

@@ -77,6 +77,95 @@ TEST(BrickGrid, AdjacencyMatchesCoordinates) {
   }
 }
 
+// Wrapped grids (DESIGN.md §11): the axes of `wrap` are self-periodic,
+// so their ghost coordinates alias owned bricks and only the ghost
+// groups with no component along them are stored.
+const std::array<std::array<bool, 3>, 4> kWraps{{{true, false, false},
+                                                 {false, true, true},
+                                                 {true, true, false},
+                                                 {true, true, true}}};
+
+TEST(WrappedBrickGrid, AdjacencyResolvesToOwnedBrickAtWrappedCoordinate) {
+  const Vec3 nb{3, 2, 4};
+  for (const auto& wrap : kWraps) {
+    const BrickGrid g(nb, wrap);
+    // The brick a coordinate resolves to: wrapped axes taken mod nb,
+    // -1 once an unwrapped axis leaves the one-brick ghost shell.
+    const auto expected = [&](Vec3 c) -> std::int32_t {
+      for (int d = 0; d < 3; ++d) {
+        if (wrap[static_cast<std::size_t>(d)]) {
+          c[d] = floor_mod(c[d], nb[d]);
+        } else if (c[d] < -1 || c[d] > nb[d]) {
+          return -1;
+        }
+      }
+      const std::int32_t id = g.storage_id(c);
+      EXPECT_GE(id, 0);
+      EXPECT_EQ(g.coord_of(id), c) << "a stored brick's home coordinate";
+      return id;
+    };
+    for (std::int32_t id = 0; id < g.num_bricks(); ++id) {
+      const Vec3 c = g.coord_of(id);
+      for (int dir = 0; dir < kNumDirections; ++dir) {
+        EXPECT_EQ(g.adjacent(id, dir), expected(c + direction_offset(dir)));
+      }
+      EXPECT_EQ(g.adjacent(id, kSelfDirection), id);
+    }
+    // The interior bricks on a wrapped face neighbor the owned bricks
+    // on the opposite face directly.
+    for (int d = 0; d < 3; ++d) {
+      if (!wrap[static_cast<std::size_t>(d)]) continue;
+      int off[3] = {0, 0, 0};
+      off[d] = -1;
+      const int lo_dir = direction_index(off[0], off[1], off[2]);
+      Vec3 far{0, 0, 0};
+      far[d] = nb[d] - 1;
+      EXPECT_EQ(g.adjacent(g.storage_id({0, 0, 0}), lo_dir),
+                g.storage_id(far));
+      EXPECT_LT(g.storage_id(far), g.num_interior());
+    }
+  }
+}
+
+TEST(WrappedBrickGrid, StoresOnlyGroupsWithoutWrappedComponents) {
+  const Vec3 nb{3, 2, 4};
+  for (const auto& wrap : kWraps) {
+    const BrickGrid g(nb, wrap);
+    index_t stored = 1;
+    for (int d = 0; d < 3; ++d) {
+      stored *= nb[d] + (wrap[static_cast<std::size_t>(d)] ? 0 : 2);
+    }
+    EXPECT_EQ(g.num_bricks(), stored);
+    EXPECT_EQ(g.num_interior(), nb.volume());
+    index_t total = 0;
+    for (int dir = 0; dir < kNumDirections; ++dir) {
+      if (dir == kSelfDirection) continue;
+      const Vec3 off = direction_offset(dir);
+      bool aliased = false;
+      for (int d = 0; d < 3; ++d) {
+        aliased = aliased || (wrap[static_cast<std::size_t>(d)] && off[d] != 0);
+      }
+      EXPECT_EQ(g.stores_group(dir), !aliased);
+      const BrickRange r = g.ghost_range(dir);
+      EXPECT_EQ(r.count, aliased ? 0 : g.ghost_box(dir).volume());
+      total += r.count;
+    }
+    EXPECT_EQ(total, g.num_bricks() - g.num_interior());
+  }
+}
+
+TEST(WrappedBrickGrid, GrowsAndPlansAlongUnwrappedAxesOnly) {
+  const BrickGrid g({4, 4, 4}, {true, false, true});
+  const Box in = Box::from_extent({16, 16, 16});
+  EXPECT_EQ(g.grow_unwrapped(in, 3), (Box{{0, -3, 0}, {16, 19, 16}}));
+  EXPECT_NO_THROW(g.iteration_plan(g.grow_unwrapped(in, 3), {4, 4, 4}));
+  // Past the interior on a wrapped axis the plan would list owned
+  // bricks twice (once through their alias).
+  EXPECT_THROW(g.iteration_plan(grow(in, 1), {4, 4, 4}), Error);
+  EXPECT_THROW(g.iteration_plan(Box{{0, 0, 0}, {16, 16, 17}}, {4, 4, 4}),
+               Error);
+}
+
 TEST(BrickIterPlan, CacheReturnsSameSharedPlan) {
   const BrickGrid g({4, 4, 4});
   const Box active = Box::from_extent({16, 16, 16});

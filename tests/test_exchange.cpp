@@ -1,6 +1,9 @@
 // Ghost-exchange correctness: after exchange(), every ghost cell must
 // equal the periodically wrapped global field value, for all rank
-// grids, brick shapes, and exchange modes.
+// grids, brick shapes, and exchange modes — on full-shell grids (every
+// ghost brick stored, self-periodic groups filled by local copies) and
+// on the wrapped grids solver levels use (DESIGN.md §11), where a
+// self-periodic ghost coordinate reads the owned brick itself.
 #include <gtest/gtest.h>
 
 #include "comm/exchange.hpp"
@@ -21,12 +24,41 @@ struct BrickCase {
   Vec3 rank_grid;
   index_t bdim;
   BrickExchangeMode mode;
+  bool wrapped = false;  // wrap the decomposition's one-rank axes
 };
+
+/// A zeroed field over a `sub`^3 subdomain: a full-shell grid, or one
+/// wrapped on the axes where `decomp` has one rank.
+BrickedArray make_field(const CartDecomp& decomp, index_t sub, index_t bdim,
+                        bool wrapped) {
+  if (!wrapped) {
+    return BrickedArray::create({sub, sub, sub}, BrickShape::cube(bdim));
+  }
+  const index_t nb = sub / bdim;
+  return BrickedArray(
+      std::make_shared<BrickGrid>(Vec3{nb, nb, nb},
+                                  decomp.self_periodic_axes()),
+      BrickShape::cube(bdim));
+}
+
+/// The wrapped-grid cases: every one-rank axis wrapped, in all modes.
+std::vector<BrickCase> wrapped_cases() {
+  std::vector<BrickCase> cases;
+  for (const Vec3 rg : {Vec3{1, 1, 1}, Vec3{2, 1, 1}, Vec3{2, 2, 1},
+                        Vec3{1, 2, 2}}) {
+    for (const BrickExchangeMode mode :
+         {BrickExchangeMode::kPackFree, BrickExchangeMode::kPacked,
+          BrickExchangeMode::kPerBrick}) {
+      cases.push_back(BrickCase{rg, 4, mode, true});
+    }
+  }
+  return cases;
+}
 
 class BrickExchangeTest : public ::testing::TestWithParam<BrickCase> {};
 
 TEST_P(BrickExchangeTest, GhostsMatchPeriodicWrap) {
-  const auto [rank_grid, bdim, mode] = GetParam();
+  const auto [rank_grid, bdim, mode, wrapped] = GetParam();
   const index_t sub = 2 * bdim;  // two bricks per axis per rank
   const Vec3 global{sub * rank_grid.x, sub * rank_grid.y, sub * rank_grid.z};
   const CartDecomp decomp(global, rank_grid);
@@ -34,8 +66,7 @@ TEST_P(BrickExchangeTest, GhostsMatchPeriodicWrap) {
   World world(decomp.num_ranks());
   world.run([&](Communicator& c) {
     const Box my_box = decomp.subdomain_box(c.rank());
-    BrickedArray field =
-        BrickedArray::create({sub, sub, sub}, BrickShape::cube(bdim));
+    BrickedArray field = make_field(decomp, sub, bdim, wrapped);
     for_each(Box::from_extent({sub, sub, sub}),
              [&](index_t i, index_t j, index_t k) {
                field(i, j, k) = global_value(
@@ -62,6 +93,9 @@ TEST_P(BrickExchangeTest, GhostsMatchPeriodicWrap) {
     ASSERT_EQ(failures, 0);
   });
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Wrapped, BrickExchangeTest, ::testing::ValuesIn(wrapped_cases()));
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, BrickExchangeTest,
@@ -115,7 +149,7 @@ TEST(BrickExchangeMultiField, AggregatesFieldsInOneRound) {
 class SplitPhaseTest : public ::testing::TestWithParam<BrickCase> {};
 
 TEST_P(SplitPhaseTest, BeginFinishMatchesBlockingExchange) {
-  const auto [rank_grid, bdim, mode] = GetParam();
+  const auto [rank_grid, bdim, mode, wrapped] = GetParam();
   const index_t sub = 2 * bdim;
   const Vec3 global{sub * rank_grid.x, sub * rank_grid.y, sub * rank_grid.z};
   const CartDecomp decomp(global, rank_grid);
@@ -123,8 +157,7 @@ TEST_P(SplitPhaseTest, BeginFinishMatchesBlockingExchange) {
   World world(decomp.num_ranks());
   world.run([&](Communicator& c) {
     const Box my_box = decomp.subdomain_box(c.rank());
-    BrickedArray field =
-        BrickedArray::create({sub, sub, sub}, BrickShape::cube(bdim));
+    BrickedArray field = make_field(decomp, sub, bdim, wrapped);
     for_each(Box::from_extent({sub, sub, sub}),
              [&](index_t i, index_t j, index_t k) {
                field(i, j, k) = global_value(
@@ -156,6 +189,9 @@ TEST_P(SplitPhaseTest, BeginFinishMatchesBlockingExchange) {
     ASSERT_EQ(failures, 0);
   });
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Wrapped, SplitPhaseTest, ::testing::ValuesIn(wrapped_cases()));
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, SplitPhaseTest,
@@ -227,6 +263,37 @@ TEST(BrickExchangeAccounting, BytesMatchGhostVolume) {
   // 2x2x2 rank grid: every one of the 26 directions is remote.
   EXPECT_EQ(ex.remote_bytes_per_exchange(), shell);
   EXPECT_EQ(ex.remote_neighbor_count(), 26);
+}
+
+TEST(BrickExchangeAccounting, WrappedGridMovesOnlyStoredGroups) {
+  const index_t bdim = 4, sub = 8;
+  const std::uint64_t brick_bytes = 4 * 4 * 4 * sizeof(real_t);
+  // 2x2x1 (the amr_ranks shape): z wraps, leaving the 4 x/y faces and
+  // the 4 xy edges — 8 messages instead of 24, 2*2*2 + 2*2*2 + 4*2
+  // ghost bricks.
+  {
+    const CartDecomp decomp({16, 16, 8}, {2, 2, 1});
+    const BrickedArray f = make_field(decomp, sub, bdim, true);
+    BrickExchange ex(f.grid_ptr(), f.shape(), decomp, 0);
+    EXPECT_EQ(ex.remote_neighbor_count(), 8);
+    EXPECT_EQ(ex.remote_bytes_per_exchange(), 24 * brick_bytes);
+    EXPECT_EQ(ex.bytes_per_exchange(), ex.remote_bytes_per_exchange());
+  }
+  // One rank: every axis wraps and the exchange moves nothing.
+  {
+    const CartDecomp decomp({8, 8, 8}, {1, 1, 1});
+    const BrickedArray f = make_field(decomp, sub, bdim, true);
+    BrickExchange ex(f.grid_ptr(), f.shape(), decomp, 0);
+    EXPECT_EQ(ex.remote_neighbor_count(), 0);
+    EXPECT_EQ(ex.bytes_per_exchange(), 0u);
+  }
+  // A grid may not wrap an axis that has more than one rank.
+  {
+    const CartDecomp decomp({16, 8, 8}, {2, 1, 1});
+    const BrickedArray f = make_field(
+        CartDecomp({8, 8, 8}, {1, 1, 1}), sub, bdim, true);
+    EXPECT_THROW(BrickExchange(f.grid_ptr(), f.shape(), decomp, 0), Error);
+  }
 }
 
 struct ArrayCase {

@@ -289,10 +289,77 @@ void PrintTo(const SweepCase& c, std::ostream* os) { *os << c.name; }
 
 class OnePassSweep : public ::testing::TestWithParam<SweepCase> {};
 
+// Rank 0's half of OnePassSweep: each binding call against its
+// two-pass reference, at 1 and 4 workers, over every sweep region.
+void compare_sweeps(const SweepCase& sc, const GmgOptions& o,
+                    GmgSolver& solver) {
+  MgLevel& lev = solver.level(0);
+  MgLevel& coarse = solver.level(1);
+  const real_t weight = lev.plan.weight;
+  const real_t gamma = -weight / lev.alpha;
+  BrickedArray xref(lev.grid, lev.shape), ax(lev.grid, lev.shape),
+      rref(lev.grid, lev.shape), cref(coarse.grid, coarse.shape);
+  for (const int workers : {1, 4}) {
+    exec::configure_default_engine(workers);
+    for (const SweepRegion& reg : sweep_regions(lev)) {
+      const Box& act = reg.active;
+      for (const int stage : {0, 1, 2}) {  // smooth, +residual, +restrict
+        const std::string what = std::string(sc.name) + ", " + reg.what +
+                                 ", stage " + std::to_string(stage) +
+                                 ", workers " + std::to_string(workers);
+        fill_storage(lev.x, 11);
+        fill_storage(lev.b, 12);
+        std::memcpy(xref.data(), lev.x.data(), lev.x.size() * sizeof(real_t));
+        if (sc.varcoef) {
+          apply_op_varcoef(ax, xref, lev.coef, o.identity_coef, lev.h, act);
+        } else if (sc.radius == 1 && !sc.generated) {
+          apply_op(ax, xref, lev.alpha, lev.beta, act);
+        } else {
+          lev.plan.apply(ax, xref, act);
+        }
+        if (stage == 0) {
+          if (sc.varcoef)
+            smooth_varcoef(xref, ax, lev.b, lev.diag, weight, act);
+          else
+            smooth(xref, ax, lev.b, gamma, act);
+        } else if (stage == 1) {
+          if (sc.varcoef)
+            smooth_residual_varcoef(xref, rref, ax, lev.b, lev.diag, weight,
+                                    act);
+          else
+            smooth_residual(xref, rref, ax, lev.b, gamma, act);
+        } else if (sc.varcoef) {
+          fused::smooth_residual_restrict_varcoef(xref, rref, cref, ax,
+                                                  lev.b, lev.diag, weight,
+                                                  act);
+        } else {
+          fused::smooth_residual_restrict(xref, rref, cref, ax, lev.b,
+                                          gamma, act);
+        }
+        for (const Box& part : reg.parts) {
+          lev.plan.jacobi(part, stage >= 1,
+                          stage == 2 ? &coarse.b : nullptr);
+        }
+        // The binding wrote x' into the spare buffer and left x alone.
+        expect_same_bits(lev.Ax, xref, act, what + ": x'");
+        if (stage >= 1) expect_same_bits(lev.r, rref, act, what + ": r");
+        if (stage == 2) {
+          expect_same_bits(coarse.b, cref, coarse.interior(),
+                           what + ": coarse b");
+        }
+      }
+    }
+  }
+}
+
 // One call of the level's Jacobi binding (over each part of a region)
 // must equal applyOp followed by smooth / smooth_residual /
 // fused::smooth_residual_restrict over the whole region, bit for bit:
-// the new iterate, the residual, and the restricted coarse RHS.
+// the new iterate, the residual, and the restricted coarse RHS. The
+// level is rank 0's of a 2x2x2 grid: with remote neighbors on every
+// axis its grid stores the full ghost shell, so the CA-grown regions
+// reach into ghost bricks (a one-rank level wraps every axis and
+// never grows its sweeps — DESIGN.md §11).
 TEST_P(OnePassSweep, MatchesTwoPassReferenceBitwise) {
   const SweepCase sc = GetParam();
   class EngineGuard {
@@ -301,71 +368,19 @@ TEST_P(OnePassSweep, MatchesTwoPassReferenceBitwise) {
       exec::configure_default_engine(exec::resolved_default_workers());
     }
   } guard;
-  comm::World world(1);
+  comm::World world(8);
   world.run([&](comm::Communicator& c) {
     GmgOptions o = base_options(sc.bdim, Smoother::kWeightedJacobi);
     o.jacobi_weight = 0.6;
     o.operator_radius = sc.radius;
     o.use_generated_kernels = sc.generated;
-    GmgSolver solver(o, CartDecomp({32, 32, 32}, {1, 1, 1}), 0);
+    GmgSolver solver(o, CartDecomp({64, 64, 64}, {2, 2, 2}), c.rank());
     if (sc.varcoef) solver.set_coefficient(c, wavy_coef);
-    MgLevel& lev = solver.level(0);
-    MgLevel& coarse = solver.level(1);
-    const real_t weight = lev.plan.weight;
-    const real_t gamma = -weight / lev.alpha;
-    BrickedArray xref(lev.grid, lev.shape), ax(lev.grid, lev.shape),
-        rref(lev.grid, lev.shape), cref(coarse.grid, coarse.shape);
-    for (const int workers : {1, 4}) {
-      exec::configure_default_engine(workers);
-      for (const SweepRegion& reg : sweep_regions(lev)) {
-        const Box& act = reg.active;
-        for (const int stage : {0, 1, 2}) {  // smooth, +residual, +restrict
-          const std::string what = std::string(sc.name) + ", " + reg.what +
-                                   ", stage " + std::to_string(stage) +
-                                   ", workers " + std::to_string(workers);
-          fill_storage(lev.x, 11);
-          fill_storage(lev.b, 12);
-          std::memcpy(xref.data(), lev.x.data(), lev.x.size() * sizeof(real_t));
-          if (sc.varcoef) {
-            apply_op_varcoef(ax, xref, lev.coef, o.identity_coef, lev.h, act);
-          } else if (sc.radius == 1 && !sc.generated) {
-            apply_op(ax, xref, lev.alpha, lev.beta, act);
-          } else {
-            lev.plan.apply(ax, xref, act);
-          }
-          if (stage == 0) {
-            if (sc.varcoef)
-              smooth_varcoef(xref, ax, lev.b, lev.diag, weight, act);
-            else
-              smooth(xref, ax, lev.b, gamma, act);
-          } else if (stage == 1) {
-            if (sc.varcoef)
-              smooth_residual_varcoef(xref, rref, ax, lev.b, lev.diag, weight,
-                                      act);
-            else
-              smooth_residual(xref, rref, ax, lev.b, gamma, act);
-          } else if (sc.varcoef) {
-            fused::smooth_residual_restrict_varcoef(xref, rref, cref, ax,
-                                                    lev.b, lev.diag, weight,
-                                                    act);
-          } else {
-            fused::smooth_residual_restrict(xref, rref, cref, ax, lev.b,
-                                            gamma, act);
-          }
-          for (const Box& part : reg.parts) {
-            lev.plan.jacobi(part, stage >= 1,
-                            stage == 2 ? &coarse.b : nullptr);
-          }
-          // The binding wrote x' into the spare buffer and left x alone.
-          expect_same_bits(lev.Ax, xref, act, what + ": x'");
-          if (stage >= 1) expect_same_bits(lev.r, rref, act, what + ": r");
-          if (stage == 2) {
-            expect_same_bits(coarse.b, cref, coarse.interior(),
-                             what + ": coarse b");
-          }
-        }
-      }
-    }
+    // Only rank 0 sweeps; the others keep their hierarchies until it
+    // is done (the engine reconfiguration below is process-wide).
+    c.barrier();
+    if (c.rank() == 0) compare_sweeps(sc, o, solver);
+    c.barrier();
   });
 }
 

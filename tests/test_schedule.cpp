@@ -5,12 +5,15 @@
 // exchange, an undeclared fused write box, a masked plan scheduling a
 // covered brick, a retired batch component whose collectives resurrect,
 // a reordered reduction group, duplicated fused chunk writes, a
-// split-phase exchange that never finishes, and a Jacobi sweep that
-// writes the field it reads through its stencil.
+// split-phase exchange that never finishes, a Jacobi sweep that writes
+// the field it reads through its stencil, and a write past the
+// interior on a wrapped (self-periodic) axis.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -65,35 +68,57 @@ const char* smoother_tag(Smoother s) {
 
 // ---- parity: the prover accepts exactly what GMG_CHECK runs clean ------
 
-// For every smoother x fusion state, the statically recorded schedule
-// proves clean AND the same configuration's instrumented solve leaves
-// the hazard detector empty. The two layers watch the same invariants
-// from opposite ends; this pins them together.
-TEST(ScheduleParity, StaticProofMatchesCheckedRunAcrossMatrix) {
-  const CartDecomp decomp({32, 32, 32}, {1, 1, 1});
-  for (const Smoother sm : kSmoothers) {
-    for (const bool fuse : {false, true}) {
-      SCOPED_TRACE(std::string(smoother_tag(sm)) +
-                   (fuse ? " fused" : " split"));
-      comm::World world(1);
-      world.run([&](comm::Communicator& c) {
-        // The constructor already runs the static proof (it throws on
-        // any hazard); re-check explicitly so a clean run asserts an
-        // empty diagnostic list, not just the absence of a throw.
-        GmgSolver solver(matrix_options(sm, fuse), decomp, 0);
-        const check::Schedule sched = record_solver_schedule(solver);
-        EXPECT_TRUE(check::ScheduleVerifier().check(sched).empty());
-        const check::Schedule fmg = record_fmg_schedule(solver);
-        EXPECT_TRUE(check::ScheduleVerifier().check(fmg).empty());
+// Rank 0 of each grid is proven: one rank wraps every axis (no ghost
+// zone, no CA growth), 2x2x1 grows its sweeps along x and y only, and
+// 2x2x2 along all three.
+const Vec3 kRankGrids[] = {{1, 1, 1}, {2, 2, 1}, {2, 2, 2}};
 
-        check::set_enabled(true);
-        check::reset();
-        solver.set_rhs(sine_rhs);
-        solver.solve(c);
-        EXPECT_TRUE(check::hazards().empty());
-        check::reset();
-        check::set_enabled(false);
-      });
+std::string grid_tag(const Vec3& g) {
+  return std::to_string(g.x) + "x" + std::to_string(g.y) + "x" +
+         std::to_string(g.z);
+}
+
+/// Run `body` on every rank of `decomp` with the hazard detector live,
+/// then require that it recorded nothing.
+void expect_checked_run_clean(
+    const CartDecomp& decomp,
+    const std::function<void(comm::Communicator&)>& body) {
+  check::set_enabled(true);
+  check::reset();
+  comm::World world(decomp.num_ranks());
+  world.run(body);
+  EXPECT_TRUE(check::hazards().empty());
+  check::reset();
+  check::set_enabled(false);
+}
+
+// For every rank grid x smoother x fusion state, the statically
+// recorded schedule proves clean AND the same configuration's
+// instrumented solve leaves the hazard detector empty. The two layers
+// watch the same invariants from opposite ends; this pins them
+// together.
+TEST(ScheduleParity, StaticProofMatchesCheckedRunAcrossMatrix) {
+  for (const Vec3& rg : kRankGrids) {
+    const CartDecomp decomp({32, 32, 32}, rg);
+    for (const Smoother sm : kSmoothers) {
+      for (const bool fuse : {false, true}) {
+        SCOPED_TRACE(grid_tag(rg) + " " + smoother_tag(sm) +
+                     (fuse ? " fused" : " split"));
+        expect_checked_run_clean(decomp, [&](comm::Communicator& c) {
+          // The constructor already runs the static proof (it throws
+          // on any hazard); re-check explicitly so a clean run asserts
+          // an empty diagnostic list, not just the absence of a throw.
+          GmgSolver solver(matrix_options(sm, fuse), decomp, c.rank());
+          if (c.rank() == 0) {
+            const check::Schedule sched = record_solver_schedule(solver);
+            EXPECT_TRUE(check::ScheduleVerifier().check(sched).empty());
+            const check::Schedule fmg = record_fmg_schedule(solver);
+            EXPECT_TRUE(check::ScheduleVerifier().check(fmg).empty());
+          }
+          solver.set_rhs(sine_rhs);
+          solver.solve(c);
+        });
+      }
     }
   }
 }
@@ -102,28 +127,26 @@ TEST(ScheduleParity, BatchedScheduleProvesCleanAndRunsClean) {
   GmgOptions o = matrix_options(Smoother::kPointJacobi, true);
   o.bottom = BottomSolverType::kConjugateGradient;
   o.max_batch = 4;
-  const CartDecomp decomp({32, 32, 32}, {1, 1, 1});
-  comm::World world(1);
-  world.run([&](comm::Communicator& c) {
-    GmgSolver base(o, decomp, 0);
-    batch::BatchedSolver bs(base, 4);
-    const check::Schedule sched = batch::record_batched_schedule(bs);
-    EXPECT_EQ(sched.num_components, 4);
-    EXPECT_TRUE(check::ScheduleVerifier().check(sched).empty());
-
-    check::set_enabled(true);
-    check::reset();
-    bs.set_rhs({sine_rhs, bump_rhs, sine_rhs, bump_rhs});
-    std::vector<batch::BatchSolveSpec> specs(4);
-    for (auto& s : specs) {
-      s.tolerance = 1e-8;
-      s.max_vcycles = 4;
-    }
-    bs.solve(c, specs);
-    EXPECT_TRUE(check::hazards().empty());
-    check::reset();
-    check::set_enabled(false);
-  });
+  for (const Vec3& rg : kRankGrids) {
+    SCOPED_TRACE(grid_tag(rg));
+    const CartDecomp decomp({32, 32, 32}, rg);
+    expect_checked_run_clean(decomp, [&](comm::Communicator& c) {
+      GmgSolver base(o, decomp, c.rank());
+      batch::BatchedSolver bs(base, 4);
+      if (c.rank() == 0) {
+        const check::Schedule sched = batch::record_batched_schedule(bs);
+        EXPECT_EQ(sched.num_components, 4);
+        EXPECT_TRUE(check::ScheduleVerifier().check(sched).empty());
+      }
+      bs.set_rhs({sine_rhs, bump_rhs, sine_rhs, bump_rhs});
+      std::vector<batch::BatchSolveSpec> specs(4);
+      for (auto& s : specs) {
+        s.tolerance = 1e-8;
+        s.max_vcycles = 4;
+      }
+      bs.solve(c, specs);
+    });
+  }
 }
 
 TEST(ScheduleParity, CompositeAmrScheduleProvesCleanAndRunsClean) {
@@ -135,27 +158,53 @@ TEST(ScheduleParity, CompositeAmrScheduleProvesCleanAndRunsClean) {
   ao.correction_vcycles = 2;
   ao.tolerance = 1e-8;
   ao.max_cycles = 4;
-  const CartDecomp decomp({32, 32, 32}, {1, 1, 1});
-  comm::World world(1);
-  world.run([&](comm::Communicator& c) {
-    amr::AmrHierarchy h(ao, decomp, 0);
-    const check::Schedule sched = amr::record_composite_schedule(h);
-    EXPECT_TRUE(check::ScheduleVerifier().check(sched).empty());
-
-    check::set_enabled(true);
-    check::reset();
-    h.set_rhs(bump_rhs);
-    amr::CompositeSolver(h).solve(c);
-    EXPECT_TRUE(check::hazards().empty());
-    check::reset();
-    check::set_enabled(false);
-  });
+  for (const Vec3& rg : kRankGrids) {
+    SCOPED_TRACE(grid_tag(rg));
+    const CartDecomp decomp({32, 32, 32}, rg);
+    expect_checked_run_clean(decomp, [&](comm::Communicator& c) {
+      amr::AmrHierarchy h(ao, decomp, c.rank());
+      if (c.rank() == 0) {
+        const check::Schedule sched = amr::record_composite_schedule(h);
+        EXPECT_TRUE(check::ScheduleVerifier().check(sched).empty());
+      }
+      h.set_rhs(bump_rhs);
+      amr::CompositeSolver(h).solve(c);
+    });
+  }
 }
 
 // ---- seeded hazards: each class rejected with a sourced diagnostic -----
 
-check::Schedule jacobi_schedule() {
-  const CartDecomp decomp({32, 32, 32}, {1, 1, 1});
+/// Lifts the GMG_FUSE_STAGES override for its lifetime. The seeded
+/// fused-step hazards need a schedule that holds fused steps whatever
+/// the environment says (ci/tier1.sh re-runs this suite with fusion
+/// overridden off), so their solver is built from an explicitly fused
+/// configuration the override cannot flip.
+class FuseOverrideLifted {
+ public:
+  FuseOverrideLifted() {
+    if (const char* v = std::getenv("GMG_FUSE_STAGES")) {
+      saved_ = v;
+      had_ = true;
+      unsetenv("GMG_FUSE_STAGES");
+    }
+  }
+  ~FuseOverrideLifted() {
+    if (had_) setenv("GMG_FUSE_STAGES", saved_.c_str(), 1);
+  }
+  FuseOverrideLifted(const FuseOverrideLifted&) = delete;
+  FuseOverrideLifted& operator=(const FuseOverrideLifted&) = delete;
+
+ private:
+  bool had_ = false;
+  std::string saved_;
+};
+
+/// The fused point-Jacobi schedule of rank 0 of `ranks` (32^3 cells
+/// per rank).
+check::Schedule jacobi_schedule(Vec3 ranks = {1, 1, 1}) {
+  const FuseOverrideLifted lifted;
+  const CartDecomp decomp({32 * ranks.x, 32 * ranks.y, 32 * ranks.z}, ranks);
   GmgSolver solver(matrix_options(Smoother::kPointJacobi, true), decomp, 0);
   return record_solver_schedule(solver);
 }
@@ -170,8 +219,10 @@ void expect_rejected(const check::Schedule& sched, const char* substring) {
 }
 
 // Hazard class 1: a ghost read whose matching exchange was dropped.
+// On rank 0 of 2x2x2 every axis has remote neighbors; a one-rank level
+// wraps every axis and has no exchange whose loss is a hazard.
 TEST(ScheduleSeededBug, DroppedExchangeRejected) {
-  check::Schedule sched = jacobi_schedule();
+  check::Schedule sched = jacobi_schedule({2, 2, 2});
   const auto it = std::find_if(
       sched.steps.begin(), sched.steps.end(), [](const check::ScheduleStep& s) {
         return s.kind == check::StepKind::kExchange;
@@ -367,6 +418,33 @@ TEST(ScheduleSeededBug, SwapUnderInFlightExchangeRejected) {
   rec.swap(0, "x", "Ax");
   rec.exchange_finish(0);
   expect_rejected(rec.take(), "is in flight");
+}
+
+// Hazard class 9: a write past the interior on a wrapped axis. A
+// one-rank level wraps every axis, so there the ghost coordinates alias
+// owned cells: the verifier rejects the write box, and the level's grid
+// rejects the same box as an iteration plan at run time.
+TEST(ScheduleSeededBug, WriteIntoWrappedGhostRejected) {
+  const CartDecomp decomp({32, 32, 32}, {1, 1, 1});
+  GmgSolver solver(matrix_options(Smoother::kPointJacobi, true), decomp, 0);
+  check::Schedule sched = record_solver_schedule(solver);
+  const auto it = std::find_if(
+      sched.steps.begin(), sched.steps.end(), [](const check::ScheduleStep& s) {
+        return s.kind == check::StepKind::kKernel &&
+               s.kernel == "kernel.jacobiSweep";
+      });
+  ASSERT_NE(it, sched.steps.end()) << "no one-pass sweep in the schedule";
+  Box grown;
+  for (check::StepAccess& a : it->accesses) {
+    if (a.write && a.role == "out") {
+      a.box = grow(a.box, 1);
+      grown = a.box;
+    }
+  }
+  ASSERT_FALSE(grown.empty());
+  expect_rejected(sched, "write into wrapped ghost");
+  const MgLevel& lev = solver.level(it->level);
+  EXPECT_THROW(lev.grid->iteration_plan(grown, lev.shape.dims()), Error);
 }
 
 // ---- the GMG_VERIFY_SCHEDULE gate --------------------------------------

@@ -176,9 +176,14 @@ TEST_P(MultiRankSolve, MatchesSingleRankBitwise) {
   });
 }
 
+// Each grid wraps its one-rank axes (DESIGN.md §11) and grows its CA
+// sweeps along the rest; {1,1,2}, {1,2,2} and {4,1,1} put the remote
+// axes where the others do not.
 INSTANTIATE_TEST_SUITE_P(RankGrids, MultiRankSolve,
                          ::testing::Values(Vec3{2, 1, 1}, Vec3{1, 2, 1},
-                                           Vec3{2, 2, 1}, Vec3{2, 2, 2}));
+                                           Vec3{2, 2, 1}, Vec3{2, 2, 2},
+                                           Vec3{1, 1, 2}, Vec3{1, 2, 2},
+                                           Vec3{4, 1, 1}));
 
 TEST(ArrayBaseline, ConvergesToSameSolutionAsBricks) {
   const Vec3 global{32, 32, 32};

@@ -10,7 +10,11 @@
 // proves both the V-cycle and FMG schedules) the tool records the
 // planned launch/exchange sequence with the ScheduleWalker and runs
 // check::ScheduleVerifier over it, printing step counts and proof
-// time. --batch K adds the K-component batched schedule (with the
+// time. Every configuration is proven for rank 0 of three rank grids,
+// each rank owning an N^3 subdomain (--extent N): 1x1x1 (every axis
+// wraps, so no ghost zone and no CA growth), 2x2x1 and 2x2x2 (CA
+// sweeps grow along the axes with remote neighbors — DESIGN.md §11).
+// --batch K adds the K-component batched schedule (with the
 // representative retirement between cycles); --amr adds the composite
 // AMR schedule. --assert-overhead fails (exit 1) when the total
 // record+verify time exceeds PCT percent of the corresponding solver
@@ -120,8 +124,6 @@ int main(int argc, char** argv) {
   // hook and drives verification explicitly.
   check::set_verify_schedule_enabled(false);
 
-  const CartDecomp decomp({args.extent, args.extent, args.extent},
-                          {1, 1, 1});
   const char* fuse_env = std::getenv("GMG_FUSE_STAGES");
   std::printf("schedule_audit: extent=%lld levels=%d fuse=%s\n",
               static_cast<long long>(args.extent), args.levels,
@@ -144,103 +146,115 @@ int main(int argc, char** argv) {
 
   double setup_s = 0, proof_s = 0;
   bool all_ok = true;
-  for (const Config& c : configs) {
-    GmgOptions o = base_options(args, c.smoother, c.bottom);
-    o.cycle = c.cycle;
-    Timer t;
-    GmgSolver solver(o, decomp, 0);
-    const double setup = t.elapsed();
-    t.restart();
-    const check::Schedule sched = record_solver_schedule(solver);
-    const check::Schedule fmg = record_fmg_schedule(solver);
-    bool ok = true;
-    std::string diag;
-    try {
-      check::ScheduleVerifier().verify(sched);
-      check::ScheduleVerifier().verify(fmg);
-    } catch (const std::exception& e) {
-      ok = false;
-      diag = e.what();
+  for (const Vec3 rank_grid : {Vec3{1, 1, 1}, Vec3{2, 2, 1}, Vec3{2, 2, 2}}) {
+    const CartDecomp decomp({args.extent * rank_grid.x,
+                             args.extent * rank_grid.y,
+                             args.extent * rank_grid.z},
+                            rank_grid);
+    std::printf(" rank 0 of %lldx%lldx%lld:\n",
+                static_cast<long long>(rank_grid.x),
+                static_cast<long long>(rank_grid.y),
+                static_cast<long long>(rank_grid.z));
+    for (const Config& c : configs) {
+      GmgOptions o = base_options(args, c.smoother, c.bottom);
+      o.cycle = c.cycle;
+      Timer t;
+      GmgSolver solver(o, decomp, 0);
+      const double setup = t.elapsed();
+      t.restart();
+      const check::Schedule sched = record_solver_schedule(solver);
+      const check::Schedule fmg = record_fmg_schedule(solver);
+      bool ok = true;
+      std::string diag;
+      try {
+        check::ScheduleVerifier().verify(sched);
+        check::ScheduleVerifier().verify(fmg);
+      } catch (const std::exception& e) {
+        ok = false;
+        diag = e.what();
+      }
+      const double proof = t.elapsed();
+      setup_s += setup;
+      proof_s += proof;
+      std::printf(
+          "  %-9s bottom=%-6s %s: %4zu steps (+%zu fmg)  setup %6.2f ms  "
+          "proof %6.2f ms  %s\n",
+          smoother_name(c.smoother),
+          c.bottom == BottomSolverType::kConjugateGradient ? "cg" : "smooth",
+          c.cycle == CycleType::kW ? "W" : "V", sched.steps.size(),
+          fmg.steps.size(), setup * 1e3, proof * 1e3,
+          ok ? "proven" : "REJECTED");
+      if (!ok) {
+        std::fprintf(stderr, "    %s\n", diag.c_str());
+        all_ok = false;
+      }
     }
-    const double proof = t.elapsed();
-    setup_s += setup;
-    proof_s += proof;
-    std::printf(
-        "  %-9s bottom=%-6s %s: %4zu steps (+%zu fmg)  setup %6.2f ms  "
-        "proof %6.2f ms  %s\n",
-        smoother_name(c.smoother),
-        c.bottom == BottomSolverType::kConjugateGradient ? "cg" : "smooth",
-        c.cycle == CycleType::kW ? "W" : "V", sched.steps.size(),
-        fmg.steps.size(), setup * 1e3, proof * 1e3,
-        ok ? "proven" : "REJECTED");
-    if (!ok) {
-      std::fprintf(stderr, "    %s\n", diag.c_str());
-      all_ok = false;
-    }
-  }
 
-  if (args.batch > 1) {
-    GmgOptions o = base_options(args, Smoother::kPointJacobi,
-                                BottomSolverType::kConjugateGradient);
-    o.max_batch = args.batch;
-    Timer t;
-    GmgSolver base(o, decomp, 0);
-    batch::BatchedSolver bs(base, args.batch);
-    const double setup = t.elapsed();
-    t.restart();
-    const check::Schedule sched = batch::record_batched_schedule(bs);
-    bool ok = true;
-    std::string diag;
-    try {
-      check::ScheduleVerifier().verify(sched);
-    } catch (const std::exception& e) {
-      ok = false;
-      diag = e.what();
+    if (args.batch > 1) {
+      GmgOptions o = base_options(args, Smoother::kPointJacobi,
+                                  BottomSolverType::kConjugateGradient);
+      o.max_batch = args.batch;
+      Timer t;
+      GmgSolver base(o, decomp, 0);
+      batch::BatchedSolver bs(base, args.batch);
+      const double setup = t.elapsed();
+      t.restart();
+      const check::Schedule sched = batch::record_batched_schedule(bs);
+      bool ok = true;
+      std::string diag;
+      try {
+        check::ScheduleVerifier().verify(sched);
+      } catch (const std::exception& e) {
+        ok = false;
+        diag = e.what();
+      }
+      const double proof = t.elapsed();
+      setup_s += setup;
+      proof_s += proof;
+      std::printf("  batched K=%d: %4zu steps  setup %6.2f ms  proof %6.2f ms"
+                  "  %s\n",
+                  args.batch, sched.steps.size(), setup * 1e3, proof * 1e3,
+                  ok ? "proven" : "REJECTED");
+      if (!ok) {
+        std::fprintf(stderr, "    %s\n", diag.c_str());
+        all_ok = false;
+      }
     }
-    const double proof = t.elapsed();
-    setup_s += setup;
-    proof_s += proof;
-    std::printf("  batched K=%d: %4zu steps  setup %6.2f ms  proof %6.2f ms"
-                "  %s\n",
-                args.batch, sched.steps.size(), setup * 1e3, proof * 1e3,
-                ok ? "proven" : "REJECTED");
-    if (!ok) {
-      std::fprintf(stderr, "    %s\n", diag.c_str());
-      all_ok = false;
-    }
-  }
 
-  if (args.amr) {
-    amr::AmrOptions ao;
-    ao.gmg = base_options(args, Smoother::kPointJacobi,
-                          BottomSolverType::kSmooth);
-    const index_t q = args.extent / 4;
-    ao.patch = Box{{q, q, q}, {3 * q, 3 * q, 3 * q}};
-    ao.patch_smooths = 4;
-    ao.correction_vcycles = 2;
-    Timer t;
-    amr::AmrHierarchy h(ao, decomp, 0);
-    const double setup = t.elapsed();
-    t.restart();
-    const check::Schedule sched = amr::record_composite_schedule(h);
-    bool ok = true;
-    std::string diag;
-    try {
-      check::ScheduleVerifier().verify(sched);
-    } catch (const std::exception& e) {
-      ok = false;
-      diag = e.what();
-    }
-    const double proof = t.elapsed();
-    setup_s += setup;
-    proof_s += proof;
-    std::printf("  amr composite: %4zu steps  setup %6.2f ms  proof %6.2f ms"
-                "  %s\n",
-                sched.steps.size(), setup * 1e3, proof * 1e3,
-                ok ? "proven" : "REJECTED");
-    if (!ok) {
-      std::fprintf(stderr, "    %s\n", diag.c_str());
-      all_ok = false;
+    if (args.amr) {
+      amr::AmrOptions ao;
+      ao.gmg = base_options(args, Smoother::kPointJacobi,
+                            BottomSolverType::kSmooth);
+      const Vec3 q{decomp.global_extent().x / 4,
+                   decomp.global_extent().y / 4,
+                   decomp.global_extent().z / 4};
+      ao.patch = Box{q, Vec3{3 * q.x, 3 * q.y, 3 * q.z}};
+      ao.patch_smooths = 4;
+      ao.correction_vcycles = 2;
+      Timer t;
+      amr::AmrHierarchy h(ao, decomp, 0);
+      const double setup = t.elapsed();
+      t.restart();
+      const check::Schedule sched = amr::record_composite_schedule(h);
+      bool ok = true;
+      std::string diag;
+      try {
+        check::ScheduleVerifier().verify(sched);
+      } catch (const std::exception& e) {
+        ok = false;
+        diag = e.what();
+      }
+      const double proof = t.elapsed();
+      setup_s += setup;
+      proof_s += proof;
+      std::printf("  amr composite: %4zu steps  setup %6.2f ms  proof %6.2f ms"
+                  "  %s\n",
+                  sched.steps.size(), setup * 1e3, proof * 1e3,
+                  ok ? "proven" : "REJECTED");
+      if (!ok) {
+        std::fprintf(stderr, "    %s\n", diag.c_str());
+        all_ok = false;
+      }
     }
   }
 
