@@ -10,7 +10,9 @@
 #      per-thread ring buffers would hide.
 #   3. A TSan tree (./build-tsan, OpenMP off — see GMG_SANITIZE_THREAD)
 #      running the exec engine, kernel-runtime parallel_for, simmpi,
-#      split-phase exchange, and solve-service tests: the worker-pool
+#      split-phase exchange, overlapped smoothing (the solo and batched
+#      cycles' shared finish_exchange_overlapped runs its interior pass
+#      on an engine worker), and solve-service tests: the worker-pool
 #      handoffs of DESIGN.md §10–11 and the serve layer's executor
 #      pool / hierarchy cache / brick arena (§12) are exactly what a
 #      race detector must see scheduled live. The socket front's wire
@@ -140,11 +142,11 @@ else
     -DGMG_NATIVE_ARCH=OFF >/dev/null
   cmake --build build-tsan -j"${JOBS}" \
     --target test_exec test_parallel_for test_simmpi test_exchange \
-             test_batch test_serve test_wire test_front test_fused \
-             test_amr
+             test_overlap test_batch test_serve test_wire test_front \
+             test_fused test_amr
   for t in test_exec test_parallel_for test_simmpi test_exchange \
-           test_batch test_serve test_wire test_front test_fused \
-           test_amr; do
+           test_overlap test_batch test_serve test_wire test_front \
+           test_fused test_amr; do
     echo "-- ${t} (tsan)"
     "./build-tsan/tests/${t}"
   done

@@ -76,9 +76,8 @@ int main(int argc, char** argv) {
       // rhs of this step is u^n: copy into the solver's b.
       BrickedArray& b = solver.level(0).b;
       std::memcpy(b.data(), u.data(), u.size() * sizeof(real_t));
-      solver.level(0).b_ghosts_valid = false;
       init_zero(solver.level(0).x);
-      solver.level(0).margin = opts.brick.bx;
+      solver.fine_fields_written();
       const SolveResult res = solver.solve(comm);
 
       std::memcpy(u.data(), solver.solution().data(),

@@ -1,5 +1,7 @@
 // Composite-grid solve over an AmrHierarchy (DESIGN.md §17): a
-// local-defect-correction / MLAT-style cycle. Each composite cycle
+// local-defect-correction / MLAT-style cycle, written once as a stage
+// sequence that the solver runs and the schedule recording records.
+// Each composite cycle
 //   1. solves A_H e = r_comp on the coarse composite grid with a
 //      fixed number of V-cycles of the existing GmgSolver (so the
 //      collective schedule is rank-aligned by construction),
@@ -17,6 +19,7 @@
 #include <vector>
 
 #include "amr/hierarchy.hpp"
+#include "check/schedule.hpp"
 
 namespace gmg::amr {
 
@@ -42,16 +45,20 @@ class CompositeSolver {
   real_t composite_residual(comm::Communicator& comm);
 
  private:
-  void correction_solve(comm::Communicator& comm);
-  void patch_smooth(comm::Communicator& comm);
-
-  /// The sanctioned ghost-round entry points (gmg_lint rule 8): one
-  /// coarse-engine round over the composite solution, one masked
-  /// fine–fine patch round.
-  void exchange_coarse_solution(comm::Communicator& comm);
-  void exchange_patch_solution(comm::Communicator& comm);
-
   AmrHierarchy& h_;
 };
+
+/// Record the planned composite schedule (DESIGN.md §18) through the
+/// solver's own stage sequence: the initial composite residual, then
+/// one full cycle (correction solve, correction application, patch
+/// smooth, slave restriction, closing residual). The patch part appears
+/// as synthetic level index solver().num_levels(); the embedded
+/// correction V-cycles are recorded by the solver's cycle.
+check::Schedule record_composite_schedule(const AmrHierarchy& h);
+
+/// Record and statically verify; throws gmg::Error naming the
+/// offending step pair. Called from the AmrHierarchy constructor when
+/// check::verify_schedule_enabled().
+void verify_composite_schedule(const AmrHierarchy& h);
 
 }  // namespace gmg::amr

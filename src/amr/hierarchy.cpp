@@ -1,6 +1,6 @@
 #include "amr/hierarchy.hpp"
 
-#include "amr/composite_audit.hpp"
+#include "amr/composite_solver.hpp"
 #include "common/error.hpp"
 #include "gmg/kernel_plan.hpp"
 #include "gmg/operators.hpp"

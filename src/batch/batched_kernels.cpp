@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "batch/apply_batch.hpp"
@@ -95,15 +96,16 @@ inline void restrict_brick_b(index_t K, const Vec3& bc, const BrickGrid& cg,
   }
 }
 
-/// The batched twin of gmg::fused's descent_pass: one pass over the
-/// bricks of `active` running `pointwise(base_row_offset, ilo, ihi)`
-/// on every BASE row (chunked exactly as for_each_row_b), plus the
-/// 8->1 restriction of each INTERIOR brick's just-written residual.
-/// Interior bricks are always in the plan's full prefix because
-/// `active` covers the interior; clipped items are ghost-shell bricks.
+/// The batched twin of gmg::fused's brick_pass: one pass over the
+/// bricks of `active` running `pointwise(base_row_offset, ilo, ihi)` on
+/// every BASE row (chunked exactly as for_each_row_b) and, with a coarse
+/// array `cp`, the 8->1 restriction of each INTERIOR brick's
+/// just-written residual. Interior bricks are full plan items there
+/// (the caller's region cuts the interior only at brick boundaries);
+/// clipped items are ghost-shell bricks.
 template <typename BD, typename PointwiseRow>
 void descent_pass_b(BD, const char* name, const BrickGrid& fg,
-                    const BrickGrid& cg, index_t K,
+                    const BrickGrid* cg, index_t K,
                     const real_t* __restrict rp, real_t* __restrict cp,
                     const Box& active, PointwiseRow&& pointwise) {
   const std::int64_t ni = fg.num_interior();
@@ -115,12 +117,12 @@ void descent_pass_b(BD, const char* name, const BrickGrid& fg,
     const std::size_t base = static_cast<std::size_t>(it.id) * BD::volume;
     if constexpr (decltype(full)::value) {
       pointwise(base, index_t{0}, static_cast<index_t>(BD::volume));
-      if (it.id < ni) {
-        restrict_brick_b<BD>(K, it.coord, cg,
+      if (cp != nullptr && it.id < ni) {
+        restrict_brick_b<BD>(K, it.coord, *cg,
                              rp + static_cast<std::size_t>(it.id) * bvol, cp);
       }
     } else {
-      GMG_ASSERT(it.id >= ni);
+      GMG_ASSERT(cp == nullptr || it.id >= ni);
       for (index_t lk = it.klo; lk < it.khi; ++lk) {
         for (index_t lj = it.jlo; lj < it.jhi; ++lj) {
           pointwise(base +
@@ -162,9 +164,10 @@ void require_compatible(const BatchedBrickedArray& a,
               "fields must share batch size and base brick shape");
 }
 
-/// Shared argument checks for the fused descent kernels (stretched
-/// extents in x, BASE `active` coordinates).
-void require_descent_args_b(const BatchedBrickedArray& r,
+/// Argument checks of a restricting update (stretched extents in x,
+/// BASE `active` coordinates). Returns the interior part of `active`,
+/// which must cut the interior only at brick boundaries.
+Box require_restrict_args_b(const BatchedBrickedArray& r,
                             const BatchedBrickedArray& coarse_b,
                             const Box& active) {
   const Vec3 fe = r.inner().extent(), ce = coarse_b.inner().extent();
@@ -174,8 +177,16 @@ void require_descent_args_b(const BatchedBrickedArray& r,
                   r.batch() == coarse_b.batch(),
               "fused restriction assumes equal base shapes and batch sizes");
   const index_t K = static_cast<index_t>(r.batch());
-  GMG_REQUIRE(active.covers(Box::from_extent({fe.x / K, fe.y, fe.z})),
-              "fused descent sweep must cover the fine interior");
+  const Box fine =
+      intersect(active, Box::from_extent({fe.x / K, fe.y, fe.z}));
+  if (fine.empty()) return Box{};
+  const Vec3 d = r.base_shape().dims();
+  for (int a = 0; a < 3; ++a) {
+    GMG_REQUIRE(fine.lo[a] % d[a] == 0 && fine.hi[a] % d[a] == 0,
+                "a restricting jacobi update region must cut the interior "
+                "at brick boundaries");
+  }
+  return fine;
 }
 
 /// 64-byte-aligned per-thread gather scratch for the '+'-reductions.
@@ -307,68 +318,6 @@ void apply_op(BatchedBrickedArray& Ax, const BatchedBrickedArray& x,
   });
 }
 
-void smooth(BatchedBrickedArray& x, const BatchedBrickedArray& Ax,
-            const BatchedBrickedArray& b, real_t gamma, const Box& active) {
-  require_compatible(x, Ax);
-  require_compatible(x, b);
-  trace::TraceSpan span("kernel.smooth");
-  count_flops(batch_points(active, x), 3);
-  const auto scope = check::scope_if_enabled(
-      "kernel.smooth",
-      {check::access(x.inner(), stretch_box(active, x.batch()))},
-      {check::access(Ax.inner(), stretch_box(active, x.batch())),
-       check::access(b.inner(), stretch_box(active, x.batch()))});
-  with_brick_dims(x.base_shape(), [&](auto bd) {
-    const index_t K = static_cast<index_t>(x.batch());
-    real_t* __restrict xp = x.data();
-    const real_t* __restrict axp = Ax.data();
-    const real_t* __restrict bp = b.data();
-    for_each_row_b(bd, "kernel.smooth", x.grid(), active,
-                   [&](std::size_t o, index_t ilo, index_t ihi) {
-                     const std::size_t ob = o * static_cast<std::size_t>(K);
-#pragma omp simd
-                     for (index_t s = ilo * K; s < ihi * K; ++s) {
-                       xp[ob + s] += gamma * (axp[ob + s] - bp[ob + s]);
-                     }
-                   });
-  });
-}
-
-void smooth_residual(BatchedBrickedArray& x, BatchedBrickedArray& r,
-                     const BatchedBrickedArray& Ax,
-                     const BatchedBrickedArray& b, real_t gamma,
-                     const Box& active) {
-  require_compatible(x, r);
-  require_compatible(x, Ax);
-  require_compatible(x, b);
-  trace::TraceSpan span("kernel.smoothResidual");
-  count_flops(batch_points(active, x), 4);
-  const auto scope = check::scope_if_enabled(
-      "kernel.smoothResidual",
-      {check::access(x.inner(), stretch_box(active, x.batch())),
-       check::access(r.inner(), stretch_box(active, x.batch()))},
-      {check::access(Ax.inner(), stretch_box(active, x.batch())),
-       check::access(b.inner(), stretch_box(active, x.batch()))});
-  with_brick_dims(x.base_shape(), [&](auto bd) {
-    const index_t K = static_cast<index_t>(x.batch());
-    real_t* __restrict xp = x.data();
-    real_t* __restrict rp = r.data();
-    const real_t* __restrict axp = Ax.data();
-    const real_t* __restrict bp = b.data();
-    for_each_row_b(bd, "kernel.smoothResidual", x.grid(), active,
-                   [&](std::size_t o, index_t ilo, index_t ihi) {
-                     const std::size_t ob = o * static_cast<std::size_t>(K);
-#pragma omp simd
-                     for (index_t s = ilo * K; s < ihi * K; ++s) {
-                       const real_t ax = axp[ob + s];
-                       const real_t rhs = bp[ob + s];
-                       rp[ob + s] = rhs - ax;
-                       xp[ob + s] += gamma * (ax - rhs);
-                     }
-                   });
-  });
-}
-
 void residual(BatchedBrickedArray& r, const BatchedBrickedArray& b,
               const BatchedBrickedArray& Ax, const Box& active) {
   require_compatible(r, b);
@@ -459,101 +408,87 @@ void restriction(BatchedBrickedArray& coarse, const BatchedBrickedArray& fine) {
   });
 }
 
-void smooth_residual_restrict(BatchedBrickedArray& x, BatchedBrickedArray& r,
-                              BatchedBrickedArray& coarse_b,
-                              const BatchedBrickedArray& Ax,
-                              const BatchedBrickedArray& b, real_t gamma,
-                              const Box& active) {
-  require_compatible(x, r);
-  require_compatible(x, Ax);
-  require_compatible(x, b);
-  require_descent_args_b(r, coarse_b, active);
-  trace::TraceSpan span("kernel.smoothResidualRestrict");
-  count_flops(batch_points(active, x), 4);
-  const Vec3 ce = coarse_b.inner().extent();
-  count_flops(static_cast<std::uint64_t>(ce.x) * ce.y * ce.z, 8);
-  // r appears in both lists: the restriction stage reads the residual
-  // the pointwise stage just wrote (same-brick read-after-write,
-  // ordered within one chunk).
-  const auto scope = check::scope_if_enabled(
-      "kernel.smoothResidualRestrict",
-      {check::access(x.inner(), stretch_box(active, x.batch())),
-       check::access(r.inner(), stretch_box(active, x.batch())),
-       check::access(coarse_b.inner(), Box::from_extent(ce))},
-      {check::access(Ax.inner(), stretch_box(active, x.batch())),
-       check::access(b.inner(), stretch_box(active, x.batch())),
-       check::access(r.inner(), Box::from_extent(r.inner().extent()))});
+void jacobi_update(BatchedBrickedArray& x_next, BatchedBrickedArray* r,
+                   BatchedBrickedArray* coarse_b, const BatchedBrickedArray& x,
+                   const BatchedBrickedArray& b, real_t w,
+                   const BrickedArray* diag, const Box& active) {
+  GMG_REQUIRE(x_next.data() != x.data(),
+              "jacobi update output aliases its input x");
+  require_compatible(x_next, x);
+  require_compatible(x_next, b);
+  if (r != nullptr) require_compatible(x_next, *r);
+  Box fine;
+  if (coarse_b != nullptr) {
+    GMG_REQUIRE(r != nullptr, "a restricting jacobi update writes r");
+    fine = require_restrict_args_b(*r, *coarse_b, active);
+  }
+  trace::TraceSpan span("kernel.jacobiUpdate");
+  count_flops(batch_points(active, x),
+              (diag != nullptr ? 5 : 3) + (r != nullptr ? 1 : 0));
+  if (coarse_b != nullptr) count_flops(batch_points(fine, x) / 8, 8);
+  std::optional<check::KernelScope> scope;
+  if (check::enabled()) {
+    const int k = x.batch();
+    std::vector<check::Access> writes{
+        check::access(x_next.inner(), stretch_box(active, k))};
+    std::vector<check::Access> reads{
+        check::access(x_next.inner(), stretch_box(active, k)),
+        check::access(x.inner(), stretch_box(active, k)),
+        check::access(b.inner(), stretch_box(active, k))};
+    if (diag != nullptr) reads.push_back(check::access(*diag, active));
+    if (r != nullptr)
+      writes.push_back(check::access(r->inner(), stretch_box(active, k)));
+    if (coarse_b != nullptr && !fine.empty()) {
+      writes.push_back(check::access(coarse_b->inner(),
+                                     stretch_box(coarsen(fine, 2), k)));
+      reads.push_back(check::access(r->inner(), stretch_box(fine, k)));
+    }
+    scope.emplace("kernel.jacobiUpdate", std::move(writes), std::move(reads));
+  }
   with_brick_dims(x.base_shape(), [&](auto bd) {
-    using BD = decltype(bd);
-    static_assert(BD::bx % 2 == 0 && BD::by % 2 == 0 && BD::bz % 2 == 0);
     const index_t K = static_cast<index_t>(x.batch());
-    real_t* __restrict xp = x.data();
-    real_t* __restrict rp = r.data();
-    real_t* __restrict cp = coarse_b.data();
-    const real_t* __restrict axp = Ax.data();
+    real_t* __restrict xn = x_next.data();
+    real_t* __restrict rp = r != nullptr ? r->data() : nullptr;
+    const real_t* __restrict xp = x.data();
     const real_t* __restrict bp = b.data();
-    descent_pass_b(bd, "kernel.smoothResidualRestrict", x.grid(),
-                   coarse_b.grid(), K, rp, cp, active,
-                   [&](std::size_t o, index_t ilo, index_t ihi) {
-                     const std::size_t ob = o * static_cast<std::size_t>(K);
+    const real_t* __restrict dp = diag != nullptr ? diag->data() : nullptr;
+    // x' = x + scale*(A*x - b) over the A*x x_next holds on entry, and
+    // r = b - A*x: the solo update arithmetic verbatim, with scale = w,
+    // or -w/diag shared across the batch.
+    const auto pass = [&](auto res) {
+      constexpr bool kRes = decltype(res)::value;
+      descent_pass_b(
+          bd, "kernel.jacobiUpdate", x.grid(),
+          coarse_b != nullptr ? &coarse_b->grid() : nullptr, K, rp,
+          coarse_b != nullptr ? coarse_b->data() : nullptr, active,
+          [&](std::size_t o, index_t ilo, index_t ihi) {
+            if (dp == nullptr) {
+              const std::size_t ob = o * static_cast<std::size_t>(K);
 #pragma omp simd
-                     for (index_t s = ilo * K; s < ihi * K; ++s) {
-                       const real_t ax = axp[ob + s];
-                       const real_t rhs = bp[ob + s];
-                       rp[ob + s] = rhs - ax;
-                       xp[ob + s] += gamma * (ax - rhs);
-                     }
-                   });
-  });
-}
-
-void smooth_residual_restrict_varcoef(
-    BatchedBrickedArray& x, BatchedBrickedArray& r,
-    BatchedBrickedArray& coarse_b, const BatchedBrickedArray& Ax,
-    const BatchedBrickedArray& b, const BrickedArray& diag, real_t omega,
-    const Box& active) {
-  require_compatible(x, r);
-  require_compatible(x, Ax);
-  require_compatible(x, b);
-  require_descent_args_b(r, coarse_b, active);
-  trace::TraceSpan span("kernel.smoothResidualRestrictVarCoef");
-  count_flops(batch_points(active, x), 6);
-  const Vec3 ce = coarse_b.inner().extent();
-  count_flops(static_cast<std::uint64_t>(ce.x) * ce.y * ce.z, 8);
-  const auto scope = check::scope_if_enabled(
-      "kernel.smoothResidualRestrictVarCoef",
-      {check::access(x.inner(), stretch_box(active, x.batch())),
-       check::access(r.inner(), stretch_box(active, x.batch())),
-       check::access(coarse_b.inner(), Box::from_extent(ce))},
-      {check::access(Ax.inner(), stretch_box(active, x.batch())),
-       check::access(b.inner(), stretch_box(active, x.batch())),
-       check::access(diag, active),
-       check::access(r.inner(), Box::from_extent(r.inner().extent()))});
-  with_brick_dims(x.base_shape(), [&](auto bd) {
-    using BD = decltype(bd);
-    static_assert(BD::bx % 2 == 0 && BD::by % 2 == 0 && BD::bz % 2 == 0);
-    const index_t K = static_cast<index_t>(x.batch());
-    real_t* __restrict xp = x.data();
-    real_t* __restrict rp = r.data();
-    real_t* __restrict cp = coarse_b.data();
-    const real_t* __restrict axp = Ax.data();
-    const real_t* __restrict bp = b.data();
-    const real_t* __restrict dp = diag.data();
-    descent_pass_b(bd, "kernel.smoothResidualRestrictVarCoef", x.grid(),
-                   coarse_b.grid(), K, rp, cp, active,
-                   [&](std::size_t o, index_t ilo, index_t ihi) {
-                     for (index_t i = ilo; i < ihi; ++i) {
-                       const real_t g = -omega / dp[o + i];
-                       const std::size_t e =
-                           (o + i) * static_cast<std::size_t>(K);
-                       for (index_t c = 0; c < K; ++c) {
-                         const real_t ax = axp[e + c];
-                         const real_t rhs = bp[e + c];
-                         rp[e + c] = rhs - ax;
-                         xp[e + c] += g * (ax - rhs);
-                       }
-                     }
-                   });
+              for (index_t s = ilo * K; s < ihi * K; ++s) {
+                const real_t ax = xn[ob + s];
+                const real_t rhs = bp[ob + s];
+                if constexpr (kRes) rp[ob + s] = rhs - ax;
+                xn[ob + s] = xp[ob + s] + w * (ax - rhs);
+              }
+              return;
+            }
+            for (index_t i = ilo; i < ihi; ++i) {
+              const real_t g = -w / dp[o + i];
+              const std::size_t e = (o + i) * static_cast<std::size_t>(K);
+              for (index_t c = 0; c < K; ++c) {
+                const real_t ax = xn[e + c];
+                const real_t rhs = bp[e + c];
+                if constexpr (kRes) rp[e + c] = rhs - ax;
+                xn[e + c] = xp[e + c] + g * (ax - rhs);
+              }
+            }
+          });
+    };
+    if (r != nullptr)
+      pass(std::true_type{});
+    else
+      pass(std::false_type{});
   });
 }
 
@@ -935,80 +870,6 @@ void apply_op_varcoef(BatchedBrickedArray& Ax, const BatchedBrickedArray& x,
   // Literally the same expression tree as the solo kernel (vc::), run
   // by the batched engine with the coefficient as a shared slot.
   batch::apply(vc::apply_expr(identity_coef, f), Ax, active, x, beta);
-}
-
-void smooth_residual_varcoef(BatchedBrickedArray& x, BatchedBrickedArray& r,
-                             const BatchedBrickedArray& Ax,
-                             const BatchedBrickedArray& b,
-                             const BrickedArray& diag, real_t omega,
-                             const Box& active) {
-  require_compatible(x, r);
-  require_compatible(x, Ax);
-  require_compatible(x, b);
-  trace::TraceSpan span("kernel.smoothResidualVarCoef");
-  count_flops(batch_points(active, x), 6);
-  const auto scope = check::scope_if_enabled(
-      "kernel.smoothResidualVarCoef",
-      {check::access(x.inner(), stretch_box(active, x.batch())),
-       check::access(r.inner(), stretch_box(active, x.batch()))},
-      {check::access(Ax.inner(), stretch_box(active, x.batch())),
-       check::access(b.inner(), stretch_box(active, x.batch())),
-       check::access(diag, active)});
-  with_brick_dims(x.base_shape(), [&](auto bd) {
-    const index_t K = static_cast<index_t>(x.batch());
-    real_t* __restrict xp = x.data();
-    real_t* __restrict rp = r.data();
-    const real_t* __restrict axp = Ax.data();
-    const real_t* __restrict bp = b.data();
-    const real_t* __restrict dp = diag.data();
-    for_each_row_b(bd, "kernel.smoothResidualVarCoef", x.grid(), active,
-                   [&](std::size_t o, index_t ilo, index_t ihi) {
-                     for (index_t i = ilo; i < ihi; ++i) {
-                       const real_t g = -omega / dp[o + i];
-                       const std::size_t e =
-                           (o + i) * static_cast<std::size_t>(K);
-                       for (index_t c = 0; c < K; ++c) {
-                         const real_t ax = axp[e + c];
-                         const real_t rhs = bp[e + c];
-                         rp[e + c] = rhs - ax;
-                         xp[e + c] += g * (ax - rhs);
-                       }
-                     }
-                   });
-  });
-}
-
-void smooth_varcoef(BatchedBrickedArray& x, const BatchedBrickedArray& Ax,
-                    const BatchedBrickedArray& b, const BrickedArray& diag,
-                    real_t omega, const Box& active) {
-  require_compatible(x, Ax);
-  require_compatible(x, b);
-  trace::TraceSpan span("kernel.smoothVarCoef");
-  count_flops(batch_points(active, x), 5);
-  const auto scope = check::scope_if_enabled(
-      "kernel.smoothVarCoef",
-      {check::access(x.inner(), stretch_box(active, x.batch()))},
-      {check::access(Ax.inner(), stretch_box(active, x.batch())),
-       check::access(b.inner(), stretch_box(active, x.batch())),
-       check::access(diag, active)});
-  with_brick_dims(x.base_shape(), [&](auto bd) {
-    const index_t K = static_cast<index_t>(x.batch());
-    real_t* __restrict xp = x.data();
-    const real_t* __restrict axp = Ax.data();
-    const real_t* __restrict bp = b.data();
-    const real_t* __restrict dp = diag.data();
-    for_each_row_b(bd, "kernel.smoothVarCoef", x.grid(), active,
-                   [&](std::size_t o, index_t ilo, index_t ihi) {
-                     for (index_t i = ilo; i < ihi; ++i) {
-                       const real_t g = -omega / dp[o + i];
-                       const std::size_t e =
-                           (o + i) * static_cast<std::size_t>(K);
-                       for (index_t c = 0; c < K; ++c) {
-                         xp[e + c] += g * (axp[e + c] - bp[e + c]);
-                       }
-                     }
-                   });
-  });
 }
 
 void cheby_p_update_varcoef(BatchedBrickedArray& p,

@@ -26,16 +26,6 @@ namespace gmg::batch {
 void apply_op(BatchedBrickedArray& Ax, const BatchedBrickedArray& x,
               real_t alpha, real_t beta, const Box& active);
 
-/// x += gamma * (Ax - b).
-void smooth(BatchedBrickedArray& x, const BatchedBrickedArray& Ax,
-            const BatchedBrickedArray& b, real_t gamma, const Box& active);
-
-/// Fused point-Jacobi smooth and residual.
-void smooth_residual(BatchedBrickedArray& x, BatchedBrickedArray& r,
-                     const BatchedBrickedArray& Ax,
-                     const BatchedBrickedArray& b, real_t gamma,
-                     const Box& active);
-
 /// r = b - Ax.
 void residual(BatchedBrickedArray& r, const BatchedBrickedArray& b,
               const BatchedBrickedArray& Ax, const Box& active);
@@ -44,28 +34,20 @@ void residual(BatchedBrickedArray& r, const BatchedBrickedArray& b,
 /// interiors; equal base brick shapes and batch sizes.
 void restriction(BatchedBrickedArray& coarse, const BatchedBrickedArray& fine);
 
-// Fused descent kernels — the K-inner twins of gmg::fused (DESIGN.md
-// §16): one pass per fine brick covers the final smoother update, the
-// residual, and the 8->1 coarse contribution for all K components.
-// Same bitwise contract as the split twins above: identical per-cell,
-// per-component expressions and summation order, so fused batched ==
-// split batched == K solo runs.
-
-/// Fused final Jacobi sweep + restriction of the just-written residual
-/// (interior fine bricks) into `coarse_b`. `active` must cover the
-/// fine interior.
-void smooth_residual_restrict(BatchedBrickedArray& x, BatchedBrickedArray& r,
-                              BatchedBrickedArray& coarse_b,
-                              const BatchedBrickedArray& Ax,
-                              const BatchedBrickedArray& b, real_t gamma,
-                              const Box& active);
-
-/// Variable-coefficient twin (diag shared across the batch).
-void smooth_residual_restrict_varcoef(
-    BatchedBrickedArray& x, BatchedBrickedArray& r,
-    BatchedBrickedArray& coarse_b, const BatchedBrickedArray& Ax,
-    const BatchedBrickedArray& b, const BrickedArray& diag, real_t omega,
-    const Box& active);
+/// The pointwise half of a two-stage Jacobi sweep, all K components —
+/// the K-inner twin of gmg::fused::jacobi_update (DESIGN.md §16):
+/// `x_next` holds A*x over `active` on entry and becomes
+/// x + scale*(A*x - b) in place, where scale is `w` (gamma), or with
+/// `diag` the per-cell -w/diag (w = the Jacobi weight omega, diag shared
+/// across the batch). With `r` it also writes r = b - A*x; with
+/// `coarse_b` (needs `r`) it folds the 8->1 restriction of r for every
+/// interior brick of `active` into the coarse RHS, one pass per brick —
+/// `active` must then cut the interior at brick boundaries. `x_next`
+/// must not alias `x`: the caller swaps the two after the sweep.
+void jacobi_update(BatchedBrickedArray& x_next, BatchedBrickedArray* r,
+                   BatchedBrickedArray* coarse_b, const BatchedBrickedArray& x,
+                   const BatchedBrickedArray& b, real_t w,
+                   const BrickedArray* diag, const Box& active);
 
 /// Fused GS descent tail: r = b - Ax over the full interior plus the
 /// per-brick restriction into `coarse_b`, one pass per fine brick.
@@ -126,16 +108,6 @@ void apply_op_varcoef(BatchedBrickedArray& Ax, const BatchedBrickedArray& x,
                       const BrickedArray& beta, real_t identity_coef, real_t h,
                       const Box& active);
 
-void smooth_residual_varcoef(BatchedBrickedArray& x, BatchedBrickedArray& r,
-                             const BatchedBrickedArray& Ax,
-                             const BatchedBrickedArray& b,
-                             const BrickedArray& diag, real_t omega,
-                             const Box& active);
-
-void smooth_varcoef(BatchedBrickedArray& x, const BatchedBrickedArray& Ax,
-                    const BatchedBrickedArray& b, const BrickedArray& diag,
-                    real_t omega, const Box& active);
-
 void cheby_p_update_varcoef(BatchedBrickedArray& p,
                             const BatchedBrickedArray& r,
                             const BrickedArray& diag, real_t beta_ch,
@@ -151,23 +123,14 @@ void cheby_p_update_varcoef(BatchedBrickedArray& p,
 constexpr check::EffectSummary apply_op_effects(int radius) {
   return ::gmg::apply_op_effects(radius);
 }
-constexpr check::EffectSummary smooth_effects() {
-  return ::gmg::smooth_effects();
-}
-constexpr check::EffectSummary smooth_residual_effects() {
-  return ::gmg::smooth_residual_effects();
-}
 constexpr check::EffectSummary residual_effects() {
   return ::gmg::residual_effects();
 }
 constexpr check::EffectSummary restriction_effects() {
   return ::gmg::restriction_effects();
 }
-constexpr check::EffectSummary smooth_residual_restrict_effects() {
-  return ::gmg::fused::smooth_residual_restrict_effects();
-}
-constexpr check::EffectSummary smooth_residual_restrict_varcoef_effects() {
-  return ::gmg::fused::smooth_residual_restrict_varcoef_effects();
+constexpr check::EffectSummary jacobi_update_effects() {
+  return ::gmg::fused::jacobi_update_varcoef_effects();
 }
 constexpr check::EffectSummary residual_restrict_effects() {
   return ::gmg::fused::residual_restrict_effects();
@@ -207,12 +170,6 @@ constexpr check::EffectSummary cheby_p_update_effects() {
 }
 constexpr check::EffectSummary apply_op_varcoef_effects() {
   return ::gmg::apply_op_varcoef_effects();
-}
-constexpr check::EffectSummary smooth_residual_varcoef_effects() {
-  return ::gmg::smooth_residual_varcoef_effects();
-}
-constexpr check::EffectSummary smooth_varcoef_effects() {
-  return ::gmg::smooth_varcoef_effects();
 }
 constexpr check::EffectSummary cheby_p_update_varcoef_effects() {
   return ::gmg::cheby_p_update_varcoef_effects();

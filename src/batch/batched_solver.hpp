@@ -1,9 +1,11 @@
 // Multi-RHS batched geometric multigrid (DESIGN.md §15): one V-cycle
 // schedule driven over K independent systems that share a hierarchy's
-// geometry and operator. Fields live in AoSoA batched storage
-// (batched_array.hpp), every kernel is the K-systems twin of the solo
-// one (batched_kernels.hpp), and ONE stretched-shape ghost exchange
-// round per sweep moves all K components of every aggregated field.
+// geometry and operator. The schedule is the solo solver's own cycle
+// (gmg/cycle.hpp) run over K components; fields live in AoSoA batched
+// storage (batched_array.hpp), every kernel is the K-systems twin of
+// the solo one (batched_kernels.hpp), and ONE stretched-shape ghost
+// exchange round per sweep moves all K components of every aggregated
+// field.
 //
 // Correctness bar: a K-way batched solve is BITWISE identical to K
 // solo GmgSolver::solve runs with the same hierarchy and inputs —
@@ -28,7 +30,7 @@
 #include "check/schedule.hpp"
 #include "comm/exchange.hpp"
 #include "comm/simmpi.hpp"
-#include "exec/engine.hpp"
+#include "gmg/cycle_state.hpp"
 #include "gmg/solver.hpp"
 
 namespace gmg::batch {
@@ -91,61 +93,19 @@ class BatchedSolver {
   /// The live batched fine-level solution field (testing hook).
   BatchedBrickedArray& solution_field() { return levels_.front().x; }
 
+  /// The hierarchy the batch rides on (geometry, operator, options).
+  const GmgSolver& base() const { return base_; }
+
  private:
-  /// Batched per-level state: the K-component twins of MgLevel's
-  /// per-solve fields plus this solver's own exchange scheduling state.
-  /// Everything else (geometry, coefficients) is read from
-  /// base_.level(l).
+  /// The K-component twins of MgLevel's per-solve fields plus the
+  /// stretched exchange engine. Everything else (geometry, coefficients)
+  /// is read from base_.level(l).
   struct BatchLevel {
     BatchedBrickedArray x, b, Ax, r, p;
     std::unique_ptr<comm::BrickExchange> exchange;
-    index_t margin = 0;  // valid ghost depth, in BASE cells
-    bool b_ghosts_valid = false;
   };
-
-  const MgLevel& base_level(int l) const { return base_.level(l); }
-  int bottom_level() const { return num_levels() - 1; }
-
-  void apply_operator(const MgLevel& lev, BatchedBrickedArray& out,
-                      const BatchedBrickedArray& in, const Box& active);
-
-  /// Smoother sweeps; a non-null `restrict_to` asks the final descent
-  /// sweep to also restrict the fresh residual into that coarse RHS
-  /// (honored when the base level's KernelPlan fuses — same
-  /// capability rules as the solo smooth_level).
-  void smooth_level(comm::Communicator& comm, int l, int iterations,
-                    bool with_residual,
-                    BatchedBrickedArray* restrict_to = nullptr);
-  void jacobi_sweeps(comm::Communicator& comm, int l, int iterations,
-                     bool with_residual, BatchedBrickedArray* restrict_to);
-  void chebyshev_sweeps(comm::Communicator& comm, int l, int iterations,
-                        bool with_residual, BatchedBrickedArray* restrict_to);
-  void gs_sweeps(comm::Communicator& comm, int l, int iterations,
-                 bool with_residual, BatchedBrickedArray* restrict_to);
-  void bottom_solve(comm::Communicator& comm);
-  void bottom_cg(comm::Communicator& comm, int l);
-  void cycle_at(comm::Communicator& comm, int l);
-  void vcycle(comm::Communicator& comm);
-
-  /// One aggregated stretched-shape exchange round: the same field set
-  /// the solo exchange_for_smooth aggregates ({x, +b when stale under
-  /// CA, +p for CA Chebyshev}), each carrying all K components.
-  void exchange_for_smooth(comm::Communicator& comm, int l);
-  bool use_overlap(int l) const;
-  void begin_exchange_for_smooth(comm::Communicator& comm, int l);
-  Box overlap_safe_box(const MgLevel& lev, const Box& active) const;
-  void finish_exchange_overlapped(
-      comm::Communicator& comm, int l, const Box& active,
-      const std::function<void(const Box&)>& kernel);
-  exec::Engine& engine();
-
-  /// Per-active-component residual max-norms on the finest level (one
-  /// batched exchange+applyOp+residual pass, then a per-component
-  /// reduce+allreduce in component order). Retired components are
-  /// skipped (res untouched).
-  void residual_norms(comm::Communicator& comm,
-                      const std::vector<bool>& active,
-                      std::vector<real_t>& res);
+  /// The batched run executor of the cycle (defined in the .cpp).
+  class Run;
 
   /// Capture component c's fine-level solution into solutions_[c].
   void snapshot_solution(int c);
@@ -155,23 +115,27 @@ class BatchedSolver {
            base_.options().bottom == BottomSolverType::kConjugateGradient;
   }
 
-  /// The single sanctioned direct-exchange entry point outside the
-  /// exchange_* scheduling routines (gmg_lint rule 8); margin
-  /// bookkeeping stays at the call sites.
-  void exchange_now(comm::Communicator& comm, BatchLevel& bl,
-                    BrickedArray& field);
-
-  /// Dry-run schedule recording (batch/batched_audit.hpp) reads the
-  /// base hierarchy and batch width without mutating anything.
-  friend check::Schedule record_batched_schedule(const BatchedSolver& bs);
-
   GmgSolver& base_;
   int k_;
   BrickArena* arena_;
   std::vector<BatchLevel> levels_;
   std::vector<std::vector<real_t>> solutions_;
-  std::uint64_t engine_generation_ = 0;
-  exec::Stream compute_stream_;
+  /// The cycle's ghost bookkeeping (in base cells) and bottom-CG scratch.
+  CycleState cycle_;
+  OverlapStream overlap_{"batch.compute"};
 };
+
+/// Record the planned batched schedule through the batched run's own
+/// cycle (gmg/cycle.hpp, Record executor): an initial convergence
+/// check, one full cycle with every component active, the
+/// representative retirement of component 0, and a second cycle over
+/// the survivors — proving that shrinking the active set can never
+/// reorder or resurrect a collective.
+check::Schedule record_batched_schedule(const BatchedSolver& bs);
+
+/// Record and statically verify; throws gmg::Error naming the
+/// offending step pair. Called from the BatchedSolver constructor when
+/// check::verify_schedule_enabled().
+void verify_batched_schedule(const BatchedSolver& bs);
 
 }  // namespace gmg::batch

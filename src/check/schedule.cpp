@@ -535,7 +535,7 @@ class Checker {
            << cell.z << "): chunk write sets are not pairwise disjoint";
         report(os.str());
       };
-      // The audit walkers emit chunks in brick-iteration order
+      // The recordings emit chunks in brick-iteration order
       // (for_each: z outer, x inner — exactly this key's collation),
       // so a well-formed set is strictly increasing and one
       // allocation-free scan proves uniqueness. Only sets that break

@@ -2,10 +2,10 @@
 // verification ladder). A Schedule is the full planned sequence of
 // kernel launches, ghost exchanges (blocking and split-phase), masked
 // sweeps, reductions and component retirements one solver
-// configuration will execute — recorded by a dry-run walker
-// (gmg/schedule_audit.hpp, batch/batched_audit.hpp,
-// amr/composite_audit.hpp) that replicates the solver's margin
-// algebra without running a single sweep. The ScheduleVerifier then
+// configuration will execute — recorded by driving the solvers' own
+// cycle through a recording executor (gmg/schedule_audit.hpp; the
+// batched and AMR composite recordings build on it) without running a
+// single sweep. The ScheduleVerifier then
 // statically proves, per level and per field:
 //
 //   * ghost-validity: every read reaching `g` layers past the
@@ -160,9 +160,8 @@ struct Schedule {
   int num_components = 1;  // batch width K (reduction components)
 };
 
-/// Builder used by the dry-run walkers. Thin: it owns the Schedule and
-/// hands out step construction helpers so walker code reads like the
-/// solver schedule it mirrors.
+/// Builder used by the recording executors. Thin: it owns the Schedule
+/// and hands out step construction helpers.
 class ScheduleRecorder {
  public:
   explicit ScheduleRecorder(std::string name) { sched_.name = std::move(name); }

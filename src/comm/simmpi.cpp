@@ -97,7 +97,7 @@ struct WorldState {
 
   int reduce_count = 0;
   std::uint64_t reduce_gen = 0;
-  double reduce_acc = 0.0;
+  std::vector<double> reduce_buf;  // one contribution per rank
   double reduce_result = 0.0;
 
   int gather_count = 0;
@@ -111,6 +111,7 @@ struct WorldState {
 
   explicit WorldState(int n) : nranks(n), mailboxes(static_cast<size_t>(n)) {
     gather_buf.resize(static_cast<size_t>(n));
+    reduce_buf.resize(static_cast<size_t>(n));
   }
 
   template <typename Pred>
@@ -261,19 +262,21 @@ void Communicator::barrier() {
 }
 
 namespace {
+// Contributions are buffered per rank and folded in rank order
+// ((v0 + v1) + v2) + ... once the last one arrives, so a floating-point
+// sum does not depend on which rank reached the collective first.
 template <typename Combine>
-double reduce_impl(WorldState* w, int, double v, Combine combine) {
+double reduce_impl(WorldState* w, int rank, double v, Combine combine) {
   trace::TraceSpan span("mpi.allreduce", trace::Category::kWait);
   trace::counter_add("mpi.allreduce_calls", 1);
   std::unique_lock<std::mutex> lock(w->mu);
   const std::uint64_t gen = w->reduce_gen;
-  if (w->reduce_count == 0) {
-    w->reduce_acc = v;
-  } else {
-    w->reduce_acc = combine(w->reduce_acc, v);
-  }
+  w->reduce_buf[static_cast<size_t>(rank)] = v;
   if (++w->reduce_count == w->nranks) {
-    w->reduce_result = w->reduce_acc;
+    double acc = w->reduce_buf[0];
+    for (int r = 1; r < w->nranks; ++r)
+      acc = combine(acc, w->reduce_buf[static_cast<size_t>(r)]);
+    w->reduce_result = acc;
     w->reduce_count = 0;
     ++w->reduce_gen;
     w->cv.notify_all();

@@ -96,6 +96,9 @@ class Communicator {
   int wait_any(std::span<Request> requests);
 
   void barrier();
+  /// Global max / sum of one double per rank. Contributions combine in
+  /// rank order whatever order the ranks arrive in, so the result is
+  /// reproducible from run to run.
   double allreduce_max(double v);
   double allreduce_sum(double v);
   /// Gather one double from every rank (index == rank).

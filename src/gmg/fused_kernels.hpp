@@ -195,6 +195,20 @@ constexpr check::EffectSummary jacobi_update_effects() {
       .reads("b");
 }
 
+/// The batched variable-coefficient twin of jacobi_update
+/// (batch::jacobi_update with a diagonal): the update factor is
+/// -omega/diag, read pointwise.
+constexpr check::EffectSummary jacobi_update_varcoef_effects() {
+  return check::EffectSummary("kernel.jacobiUpdate")
+      .writes("out")
+      .writes("r")
+      .writes("coarse")
+      .reads("out")
+      .reads("x")
+      .reads("b")
+      .reads("diag");
+}
+
 constexpr check::EffectSummary residual_restrict_effects() {
   return check::EffectSummary("kernel.fusedGsTail")
       .writes("r")

@@ -19,14 +19,11 @@ bool jacobi_is_one_pass(const GmgOptions& opts, const MgLevel& lev) {
 }
 
 // This file IS the specializer registry: the only place in src/gmg
-// that names the per-stage kernels directly. Everything in the sweep
-// hot path (solver.cpp) calls through the bound functors —
-// tools/gmg_lint enforces that no bare per-stage kernel call creeps
-// back into the solver.
+// that names the per-stage kernels directly. The solo cycle's run
+// executor (solver.cpp) calls through the bound functors — tools/gmg_lint
+// enforces that no bare per-stage kernel call creeps back into it.
 void resolve_level_kernels(const GmgOptions& opts, MgLevel& lev) {
   KernelPlan plan;
-  plan.sweep = lev.plan.sweep;  // assigned by the solver; keep across
-                                // a set_coefficient re-resolve
 
   const bool jacobi = opts.smoother == Smoother::kPointJacobi ||
                       opts.smoother == Smoother::kWeightedJacobi;
@@ -49,9 +46,7 @@ void resolve_level_kernels(const GmgOptions& opts, MgLevel& lev) {
   // addresses are stable (levels_ is sized once at construction).
   MgLevel* L = &lev;
 
-  // applyOp variant: the former branch chain in
-  // GmgSolver::apply_operator, resolved once per level instead of per
-  // sweep.
+  // applyOp variant, resolved once per level instead of per sweep.
   if (lev.varcoef) {
     const real_t s = opts.identity_coef;
     plan.apply = [L, s](BrickedArray& out, const BrickedArray& in,

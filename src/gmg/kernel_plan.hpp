@@ -3,9 +3,8 @@
 // set_coefficient flips a level to the variable-coefficient operator)
 // and cached in the MgLevel. It binds the exact kernel variant for
 // this level's (brick dims, const/var coefficient, smoother,
-// fused-vs-split) configuration, so the per-sweep `switch` dispatch in
-// smooth_level/jacobi_sweeps disappears: every sweep goes through one
-// member-function pointer and a handful of pre-bound functors.
+// fused-vs-split) configuration, so no sweep re-derives its kernel:
+// every launch goes through a handful of pre-bound functors.
 //
 // Every Jacobi sweep goes through ONE binding, `jacobi`: one pass per
 // brick computing A*x in registers and writing x' into the level's
@@ -36,11 +35,6 @@
 
 namespace gmg {
 
-namespace comm {
-class Communicator;
-}
-
-class GmgSolver;
 struct MgLevel;
 struct GmgOptions;
 
@@ -60,15 +54,9 @@ struct KernelPlan {
   /// kWeightedJacobi (resolved once; sweeps stop re-deriving it).
   real_t weight = 0.5;
 
-  /// Whether the descent smooth_level call consumes the restriction
-  /// itself (cycle_at skips the separate restriction pass).
+  /// Whether the descent smoothing block consumes the restriction
+  /// itself (the cycle skips the separate restriction pass).
   bool fuses_restriction() const { return fuse_descent || fuse_gs_tail; }
-
-  /// The smoother sweep routine for this configuration — the former
-  /// smooth_level switch, resolved once.
-  using SweepFn = void (GmgSolver::*)(comm::Communicator&, MgLevel&, int,
-                                      bool, BrickedArray*);
-  SweepFn sweep = nullptr;
 
   // Pre-bound kernel functors. Each captures the MgLevel POINTER plus
   // scalar coefficients by value — the field BrickedArrays are
@@ -97,14 +85,12 @@ struct KernelPlan {
 /// Whether `jacobi` runs as one pass per brick (the 7-point operators,
 /// constant and variable coefficient) or as the two-stage body (apply
 /// into the spare buffer, then fused::jacobi_update over it). The
-/// schedule walker records whichever the binding issues.
+/// schedule recording records whichever the binding issues.
 bool jacobi_is_one_pass(const GmgOptions& opts, const MgLevel& lev);
 
 /// Resolve the kernel bindings and fusion predicate for one level.
 /// Called from GmgSolver's constructor and again from set_coefficient
-/// (the varcoef flip invalidates the const-coefficient bindings). The
-/// sweep member pointer is assigned by the solver (it points at
-/// private members).
+/// (the varcoef flip invalidates the const-coefficient bindings).
 void resolve_level_kernels(const GmgOptions& opts, MgLevel& lev);
 
 }  // namespace gmg

@@ -47,13 +47,6 @@ struct MgLevel {
   // kernel_plan.hpp. Rebuilt by set_coefficient when varcoef flips.
   KernelPlan plan;
 
-  // Communication-avoiding bookkeeping: how many ghost cell layers of
-  // x are still valid (0 = must exchange before the next applyOp), and
-  // whether b's ghosts are current (needed when smoothing extends into
-  // the ghost region).
-  index_t margin = 0;
-  bool b_ghosts_valid = false;
-
   // Compute–comm overlap (DESIGN.md §10): which ghost groups are
   // filled by another rank, the interior/surface split of the owned
   // bricks, and the interior set as a cell-space box. Levels with no

@@ -1,126 +1,114 @@
-// Dry-run schedule recording for GmgSolver (DESIGN.md §18). The
-// ScheduleWalker replicates the solver's cycle routines — the CA
-// margin algebra, the aggregated-exchange decisions, the split-phase
-// overlap branches, and the fused-plan capability checks — step for
-// step against the live MgLevel/KernelPlan state, but instead of
-// launching kernels it records check::ScheduleStep entries. The
-// resulting Schedule is the complete planned launch/exchange sequence
-// of a solve, proven hazard-free by check::ScheduleVerifier at setup
-// time (the GmgSolver constructor runs verify_solver_schedule before
-// returning).
-//
-// The walker is the one place outside solver.cpp that re-states the
-// sweep schedules; tests/test_schedule.cpp pins the two together by
-// asserting the verifier accepts exactly the configurations whose
-// GMG_CHECK-instrumented runs execute clean.
+// Schedule recording for the solvers (DESIGN.md §18). Record is the
+// cycle's third executor (gmg/cycle.hpp): driving Cycle<Record> runs
+// the solvers' own schedule logic — the CA margin algebra, the
+// aggregated-exchange decisions, the split-phase branches and the
+// fused-plan capability checks — against the live MgLevel/KernelPlan
+// state, but every launch, exchange and reduction becomes a
+// check::ScheduleStep instead of executing. The resulting Schedule is
+// the planned launch/exchange sequence of a solve, proven hazard-free
+// by check::ScheduleVerifier at setup time (the GmgSolver constructor
+// runs verify_solver_schedule before returning).
 #pragma once
 
-#include <string>
+#include <initializer_list>
 
 #include "check/schedule.hpp"
+#include "gmg/cycle.hpp"
 #include "gmg/solver.hpp"
 
 namespace gmg {
 
-/// Mirrors one solve's schedule against `s` into a recorder. Keeps its
-/// own per-level margin/b_ghosts_valid shadow state so several cycles
-/// (or an embedding composite walk — amr/composite_audit.cpp) can be
-/// appended with the state carried across.
-class ScheduleWalker {
+/// Records the cycle's launches against `s`'s levels. With `batched`,
+/// it records what the batched run issues instead of the solo one: the
+/// two-stage Jacobi body and the split convergence norm, over `k`
+/// components.
+class Record {
  public:
-  ScheduleWalker(check::ScheduleRecorder& rec, const GmgSolver& s);
+  Record(check::ScheduleRecorder& rec, const GmgSolver& s, int k = 1,
+         bool batched = false);
 
-  /// Register every solver level's LevelInfo with the recorder.
+  /// Register every solver level's LevelInfo, and the field validity
+  /// set_rhs leaves (CycleState::after_set_rhs is the matching ghost
+  /// state): the fine x freshly zeroed, the fine b interior-written
+  /// with stale ghosts, coarse x/b and every p zeroed; the
+  /// variable-coefficient fields were exchanged or ghost-computed at
+  /// set_coefficient time.
   void add_levels();
-  /// Record the canonical post-set_rhs state: fine margin at brick
-  /// depth with stale b ghosts, coarse margins spent, x/p fully valid
-  /// from init_zero.
-  void set_canonical_initial();
 
-  /// Re-establish the fine-level state a composite correction solve
-  /// creates (copy_interior into b, init_zero of x) — records the
-  /// init_zero/copy steps and resets the walker's fine margin.
-  void reset_fine_for_correction(const std::string& rhs_field);
+  /// Record one kernel launch with its effect summary and accesses
+  /// (more can be appended to the returned step).
+  check::ScheduleStep& launch(
+      const char* kernel, int l, const check::EffectSummary& summary,
+      std::initializer_list<check::StepAccess> accesses);
 
-  /// Batch width K: bottom-CG collectives record every component
-  /// (unconditional across the batch — retirement-exempt), while
-  /// residual_norm's per-component norms follow the retirement-masked
-  /// active list. Solo default: K = 1, active = {0}.
-  void set_num_components(int k) { num_components_ = k; }
-  /// Record Jacobi sweeps the way the batched twin (src/batch) issues
-  /// them: applyOp into Ax, then the pointwise stage in place on x —
-  /// instead of the solo one-pass sweep into the spare buffer.
-  void mirror_in_place_jacobi() { in_place_jacobi_ = true; }
-  /// The components residual_norm's retirement-masked reductions
-  /// cover; the batched audit shrinks this after recording a retire.
-  void set_active_components(std::vector<int> comps) {
-    active_components_ = std::move(comps);
+  // ---- the executor contract (gmg/cycle.hpp) ----
+  int k() const { return k_; }
+  bool fuses_norm() const { return !batched_; }
+  template <class Fn>
+  void timed(int, perf::Phase, Fn&& fn) {
+    fn();
   }
+  void exchange(int l, const FieldSet& fs);
+  void begin(int l, const FieldSet& fs);
+  /// The partial step over the safe box runs while the exchange is in
+  /// flight; the full-region step after the finish carries the
+  /// combined effect.
+  template <class Kernel>
+  void finish(int l, const Box& active, const Box& safe, perf::Phase,
+              Kernel& kernel) {
+    if (!safe.empty()) kernel(safe, true);
+    rec_.exchange_finish(l);
+    kernel(active, false);
+  }
+  void apply(int l, Fld out, Fld in, const Box& box, bool partial);
+  void jacobi(int l, const Box& box, bool residual, bool restrict,
+              bool partial);
+  void swap(int l) { rec_.swap(l, "x", "Ax"); }
+  void gs_color(int l, int color, const Box& box, bool partial);
+  void residual(int l, const Box& box);
+  void residual_restrict(int l);
+  void restriction(int l, Fld fine);
+  void init_zero_x(int l, const Box& stored);
+  void interp_increment(int l);
+  void interp_trilinear(int l);
+  void cheby_p(int l, const Box& box, real_t beta);
+  void axpy_p(int l, real_t alpha, const Box& box);
+  void copy(int l, Fld dst, Fld src);
+  real_t dot(int, Fld, Fld, int) { return 0; }
+  void axpy_interior(int l, Fld y, real_t a, Fld x, int c);
+  void xpay_interior(int l, Fld y, Fld x, real_t beta, int c);
+  real_t residual_max_norm();
+  real_t max_norm(int c);
+  int next_group() { return rec_.next_reduction_group(); }
+  /// Records one collective contribution. The recorded values keep
+  /// every bottom-CG component live, so the representative iterations
+  /// cover all of them.
+  real_t allreduce_sum(real_t, const char* op, int l, int c, int group,
+                       bool masked) {
+    rec_.reduction(op, l, c, group, masked);
+    return 1.0;
+  }
+  real_t allreduce_max(real_t local, const char* op, int l, int c, int group,
+                       bool masked) {
+    return allreduce_sum(local, op, l, c, group, masked);
+  }
+  /// Every bottom-CG iteration has the same launch/exchange/reduction
+  /// structure, so two prove the loop body (the real count is
+  /// data-dependent and bounded by the budget).
+  int cg_iterations(int budget) const { return budget < 2 ? budget : 2; }
 
-  /// One convergence-check pass: exchange-if-needed, applyOp,
-  /// residual(+max-norm), allreduce.
-  void residual_norm();
-  /// One V (or W) cycle from the finest level.
-  void vcycle();
-  /// The FMG F-cycle: RHS restriction chain, bottom solve, prolonged
-  /// initial guesses with one cycle per level.
-  void fmg();
-
-  index_t margin(int l) const;
-
-  /// Canonical field name used for solver level fields in recorded
-  /// schedules ("x", "b", "Ax", "r", "p", "coef", "diag").
-  static std::string field(const char* name) { return name; }
+  /// Canonical schedule name of a cycle field ("x", "b", "Ax", "r",
+  /// "p").
+  static const char* name(Fld f);
 
  private:
-  struct LevState {
-    index_t margin = 0;
-    bool b_ghosts_valid = false;
-  };
-
   const MgLevel& lev(int l) const { return s_.level(l); }
-  int bottom() const { return s_.bottom_level(); }
-  bool ca() const { return s_.options().communication_avoiding; }
-  bool cheby() const { return s_.options().smoother == Smoother::kChebyshev; }
-  bool varcoef(int l) const { return lev(l).varcoef; }
-
-  std::vector<std::string> smooth_exchange_fields(int l);
-  index_t exchange_depth(int l) const;
-  void exchange_for_smooth(int l);
-  void begin_exchange_for_smooth(int l);
-  /// applyOp over `active`, split-phase when the solver would split:
-  /// begin, partial pass over the remote-clipped safe box, finish,
-  /// then the full-region step. `in`/`out` name the bound fields.
-  void apply_op(int l, const Box& active, const char* in, const char* out,
-                bool split);
-  void record_apply(int l, const Box& active, const char* in, const char* out,
-                    bool partial);
   void add_chunk_writes(check::ScheduleStep& step, int l, const Box& active);
-
-  /// One solo Jacobi sweep (or one region of it) as the plan binding
-  /// issues it: x read through the stencil, x' written into "Ax".
-  void record_sweep(int l, const Box& region, bool residual,
-                    bool restrict_to_coarse, bool partial);
-  /// The batched twin's pointwise stage, in place on x.
-  void record_in_place_smooth(int l, const Box& active, bool with_residual,
-                              bool fuse_final);
-  void smooth_level(int l, int iterations, bool with_residual,
-                    bool restrict_to_coarse);
-  void jacobi_sweeps(int l, int iterations, bool with_residual,
-                     bool restrict_to_coarse);
-  void chebyshev_sweeps(int l, int iterations);
-  void gs_sweeps(int l, int iterations, bool with_residual,
-                 bool restrict_to_coarse);
-  void bottom_solve();
-  void bottom_cg(int l);
-  void cycle_at(int l);
 
   check::ScheduleRecorder& rec_;
   const GmgSolver& s_;
-  std::vector<LevState> st_;
-  int num_components_ = 1;
-  std::vector<int> active_components_{0};
-  bool in_place_jacobi_ = false;
+  int k_;
+  bool batched_;
 };
 
 /// Record the planned schedule of `cycles` V-cycles (with the

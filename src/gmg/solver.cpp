@@ -10,6 +10,7 @@
 #include "check/schedule.hpp"
 #include "common/timer.hpp"
 #include "dsl/stencils.hpp"
+#include "gmg/cycle.hpp"
 #include "gmg/fused_kernels.hpp"
 #include "gmg/operators.hpp"
 #include "gmg/operators_varcoef.hpp"
@@ -35,6 +36,124 @@ static_assert(check::restriction_shape().num_taps() == 8 &&
               "restriction must read exactly the 2x2x2 fine block");
 static_assert(check::interpolation_trilinear_shape().num_taps() == 27,
               "trilinear interpolation reads the 27-point coarse box");
+
+namespace {
+
+/// The solo run executor of the cycle (gmg/cycle.hpp): GmgSolver's
+/// fields through each level's KernelPlan bindings, every phase timed
+/// by the solver's profiler.
+class SoloRun {
+ public:
+  SoloRun(std::vector<MgLevel>& levels, perf::Profiler& prof,
+          OverlapStream& os, comm::Communicator& comm)
+      : levels_(levels), prof_(prof), os_(os), comm_(comm) {}
+
+  int k() const { return 1; }
+  bool fuses_norm() const { return true; }
+  template <class Fn>
+  void timed(int l, perf::Phase phase, Fn&& fn) {
+    prof_.timed(l, phase, std::forward<Fn>(fn));
+  }
+
+  // Exchange primitives: the only direct exchange-engine calls of the
+  // solo path.
+  void exchange(int l, const FieldSet& fs) {
+    lev(l).exchange->exchange(comm_, fields(l, fs));
+  }
+  void exchange(int l, BrickedArray& field) {
+    lev(l).exchange->exchange(comm_, field);
+  }
+  void begin(int l, const FieldSet& fs) {
+    lev(l).exchange->begin(comm_, fields(l, fs));
+  }
+  template <class Kernel>
+  void finish(int l, const Box& active, const Box& safe, perf::Phase phase,
+              Kernel& kernel) {
+    finish_exchange_overlapped(
+        comm_, *lev(l).exchange, os_, &prof_, l, active, safe, phase,
+        [&](const Box& region) { kernel(region, false); });
+  }
+
+  void apply(int l, Fld out, Fld in, const Box& box, bool) {
+    MgLevel& L = lev(l);
+    L.plan.apply(field(L, out), field(L, in), box);
+  }
+  void jacobi(int l, const Box& box, bool residual, bool restrict, bool) {
+    lev(l).plan.jacobi(box, residual, restrict ? &lev(l + 1).b : nullptr);
+  }
+  void swap(int l) { std::swap(lev(l).x, lev(l).Ax); }
+  void gs_color(int l, int color, const Box& box, bool) {
+    MgLevel& L = lev(l);
+    gs_color_sweep(L.x, L.b, L.alpha, L.beta, color, L.rank_box.lo, box);
+  }
+  void residual(int l, const Box& box) {
+    MgLevel& L = lev(l);
+    gmg::residual(L.r, L.b, L.Ax, box);
+  }
+  void residual_restrict(int l) {
+    lev(l).plan.residual_restrict(lev(l + 1).b);
+  }
+  void restriction(int l, Fld fine) {
+    gmg::restriction(lev(l + 1).b, field(lev(l), fine));
+  }
+  void init_zero_x(int l, const Box&) { init_zero(lev(l).x); }
+  void interp_increment(int l) {
+    interpolation_increment(lev(l).x, lev(l + 1).x);
+  }
+  void interp_trilinear(int l) {
+    interpolation_trilinear_assign(lev(l).x, lev(l + 1).x);
+  }
+  void cheby_p(int l, const Box& box, real_t beta) {
+    MgLevel& L = lev(l);
+    if (L.varcoef) {
+      cheby_p_update_varcoef(L.p, L.r, L.diag, beta, box);
+    } else {
+      cheby_p_update(L.p, L.r, 1.0 / L.alpha, beta, box);
+    }
+  }
+  void axpy_p(int l, real_t alpha, const Box& box) {
+    axpy(lev(l).x, alpha, lev(l).p, box);
+  }
+  void copy(int l, Fld dst, Fld src) {
+    copy_interior(field(lev(l), dst), field(lev(l), src));
+  }
+  real_t dot(int l, Fld a, Fld b, int) {
+    return dot_interior(field(lev(l), a), field(lev(l), b));
+  }
+  void axpy_interior(int l, Fld y, real_t a, Fld x, int) {
+    gmg::axpy_interior(field(lev(l), y), a, field(lev(l), x));
+  }
+  void xpay_interior(int l, Fld y, Fld x, real_t beta, int) {
+    gmg::xpay_interior(field(lev(l), y), field(lev(l), x), beta);
+  }
+  real_t residual_max_norm() { return lev(0).plan.residual_max_norm(); }
+  real_t max_norm(int) { return gmg::max_norm(lev(0).r); }
+  real_t norm2_sq() { return gmg::norm2_sq(lev(0).r); }
+  int next_group() { return 0; }
+  real_t allreduce_sum(real_t v, const char*, int, int, int, bool) {
+    return comm_.allreduce_sum(v);
+  }
+  real_t allreduce_max(real_t v, const char*, int, int, int, bool) {
+    return comm_.allreduce_max(v);
+  }
+  int cg_iterations(int budget) const { return budget; }
+
+ private:
+  MgLevel& lev(int l) { return levels_[static_cast<std::size_t>(l)]; }
+  std::vector<BrickedArray*> fields(int l, const FieldSet& fs) {
+    std::vector<BrickedArray*> out(static_cast<std::size_t>(fs.n));
+    for (std::size_t i = 0; i < out.size(); ++i)
+      out[i] = &field(lev(l), fs.f[i]);
+    return out;
+  }
+
+  std::vector<MgLevel>& levels_;
+  perf::Profiler& prof_;
+  OverlapStream& os_;
+  comm::Communicator& comm_;
+};
+
+}  // namespace
 
 GmgSolver::GmgSolver(const GmgOptions& opts, const CartDecomp& decomp,
                      int rank)
@@ -175,6 +294,7 @@ GmgSolver::GmgSolver(const GmgOptions& opts, const CartDecomp& decomp,
         lev.grid, shape, decomp, rank, opts_.exchange_mode);
     levels_.push_back(std::move(lev));
   }
+  cycle_ = CycleState(levels, 1);
   resolve_kernel_plans();
   // Setup-time schedule proof (DESIGN.md §18): dry-run the planned
   // V-cycle and FMG schedules and statically verify the margin
@@ -185,21 +305,7 @@ GmgSolver::GmgSolver(const GmgOptions& opts, const CartDecomp& decomp,
 }
 
 void GmgSolver::resolve_kernel_plans() {
-  for (MgLevel& lev : levels_) {
-    resolve_level_kernels(opts_, lev);
-    switch (opts_.smoother) {
-      case Smoother::kPointJacobi:
-      case Smoother::kWeightedJacobi:
-        lev.plan.sweep = &GmgSolver::jacobi_sweeps;
-        break;
-      case Smoother::kChebyshev:
-        lev.plan.sweep = &GmgSolver::chebyshev_sweeps;
-        break;
-      case Smoother::kRedBlackGS:
-        lev.plan.sweep = &GmgSolver::gs_sweeps;
-        break;
-    }
-  }
+  for (MgLevel& lev : levels_) resolve_level_kernels(opts_, lev);
 }
 
 void GmgSolver::set_rhs(
@@ -215,14 +321,11 @@ void GmgSolver::set_rhs(
     fine.b(i, j, k) = f(px, py, pz);
   });
   init_zero(fine.x);
-  fine.margin = fine.shape.bx;  // zero ghosts are valid for a zero x
-  fine.b_ghosts_valid = false;
   for (std::size_t l = 1; l < levels_.size(); ++l) {
     init_zero(levels_[l].x);
     init_zero(levels_[l].b);
-    levels_[l].margin = 0;
-    levels_[l].b_ghosts_valid = false;
   }
+  cycle_.after_set_rhs(fine.shape.bx);
   // Back-to-back-solve state audit: p is the one field the first sweep
   // reads before writing (cheby_p_update computes p = r/D + beta*p even
   // when beta == 0), so a value left by the previous solve — or an Inf
@@ -256,11 +359,10 @@ void GmgSolver::attach_field_storage(BrickArena& arena) {
     lev.Ax = arena.acquire(lev.grid, lev.shape);
     lev.r = arena.acquire(lev.grid, lev.shape);
     if (needs_p()) lev.p = arena.acquire(lev.grid, lev.shape);
-    // Everything is zero again; mirror the constructor's conservative
-    // margin so the CA exchange schedule matches a fresh solver's.
-    lev.margin = 0;
-    lev.b_ghosts_valid = false;
   }
+  // Everything is zero again; mirror the constructor's conservative
+  // ghost state so the CA exchange schedule matches a fresh solver's.
+  for (GhostState& g : cycle_.ghosts) g = GhostState{};
   storage_detached_ = false;
 }
 
@@ -284,17 +386,19 @@ void GmgSolver::set_coefficient(
     levels_[l].coef = BrickedArray(levels_[l].grid, levels_[l].shape);
     restriction(levels_[l].coef, levels_[l - 1].coef);
   }
+  SoloRun ex(levels_, profiler_, overlap_, comm);
   for (MgLevel& lev : levels_) {
     lev.varcoef = true;
-    exchange_now(comm, lev, lev.coef);
+    ex.exchange(lev.level, lev.coef);
     lev.diag = BrickedArray(lev.grid, lev.shape);
     // The CA redundant sweeps read the diagonal in the ghost shell;
     // compute it everywhere the taps stay within the ghost bricks.
     varcoef_diagonal(lev.diag, lev.coef, opts_.identity_coef, lev.h,
                      lev.grid->grow_unwrapped(lev.interior(),
                                               lev.shape.bx - 1));
-    lev.margin = 0;  // ghosts of x are unrelated to the new operator
   }
+  // Ghosts of x are unrelated to the new operator.
+  for (GhostState& g : cycle_.ghosts) g.margin = 0;
   // The varcoef flip invalidates every const-coefficient kernel
   // binding; re-resolve the plans against the new operator — and
   // re-prove the schedule against the rebound plans (the varcoef
@@ -303,539 +407,31 @@ void GmgSolver::set_coefficient(
   if (check::verify_schedule_enabled()) verify_solver_schedule(*this);
 }
 
-void GmgSolver::exchange_now(comm::Communicator& comm, MgLevel& lev,
-                             BrickedArray& field) {
-  lev.exchange->exchange(comm, field);
-}
-
-void GmgSolver::apply_operator(MgLevel& lev, BrickedArray& out,
-                               const BrickedArray& in, const Box& active) {
-  // The variant branch chain (varcoef / generated / radius) lives in
-  // resolve_level_kernels now; per sweep this is one indirect call.
-  lev.plan.apply(out, in, active);
-}
-
-void GmgSolver::exchange_for_smooth(comm::Communicator& comm, MgLevel& lev) {
-  const bool with_p = opts_.smoother == Smoother::kChebyshev &&
-                      lev.p.size() != 0;
-  profiler_.timed(lev.level, perf::Phase::kExchange, [&] {
-    std::vector<BrickedArray*> fields{&lev.x};
-    // Aggregate everything the redundant ghost sweeps will read into
-    // one message round (the paper's message aggregation across
-    // fields).
-    if (opts_.communication_avoiding && !lev.b_ghosts_valid) {
-      fields.push_back(&lev.b);
-      lev.b_ghosts_valid = true;
-    }
-    if (with_p && opts_.communication_avoiding) fields.push_back(&lev.p);
-    lev.exchange->exchange(comm, fields);
-  });
-  lev.margin = lev.shape.bx;
-}
-
-bool GmgSolver::use_overlap(const MgLevel& lev) const {
-  if (!(opts_.overlap && lev.has_remote &&
-        static_cast<int>(lev.part.interior.size()) >=
-            opts_.overlap_min_interior_bricks)) {
-    return false;
-  }
-  // Work-vs-traffic cutoff: split-phase only pays off when the interior
-  // compute hidden behind the messages outweighs the per-exchange
-  // split/submit/wait overhead, which scales with the remote payload.
-  // Value-neutral either way (DESIGN.md §10).
-  if (opts_.overlap_min_compute_bytes_ratio > 0.0) {
-    const double interior_bytes =
-        static_cast<double>(lev.part.interior.size()) *
-        static_cast<double>(lev.shape.volume()) * sizeof(real_t);
-    const double remote_bytes =
-        static_cast<double>(lev.exchange->remote_bytes_per_exchange());
-    if (interior_bytes <
-        opts_.overlap_min_compute_bytes_ratio * remote_bytes) {
-      return false;
-    }
-  }
-  return true;
-}
-
-exec::Engine& GmgSolver::engine() {
-  exec::Engine& eng = exec::default_engine();
-  const std::uint64_t gen = exec::default_engine_generation();
-  if (gen != engine_generation_) {
-    compute_stream_ = eng.create_stream("gmg.compute");
-    engine_generation_ = gen;
-  }
-  return eng;
-}
-
-void GmgSolver::begin_exchange_for_smooth(comm::Communicator& comm,
-                                          MgLevel& lev) {
-  const bool with_p = opts_.smoother == Smoother::kChebyshev &&
-                      lev.p.size() != 0;
-  profiler_.timed(lev.level, perf::Phase::kExchange, [&] {
-    std::vector<BrickedArray*> fields{&lev.x};
-    if (opts_.communication_avoiding && !lev.b_ghosts_valid) {
-      fields.push_back(&lev.b);
-      lev.b_ghosts_valid = true;
-    }
-    if (with_p && opts_.communication_avoiding) fields.push_back(&lev.p);
-    lev.exchange->begin(comm, std::move(fields));
-  });
-  // The margin is claimed at begin time: every consumer of the ghost
-  // layers runs after finish_exchange_overlapped() completes them.
-  lev.margin = lev.shape.bx;
-}
-
-Box GmgSolver::overlap_safe_box(const MgLevel& lev, const Box& active) const {
-  if (lev.part.interior_box.empty()) return Box{};
-  // Clamp to the interior-partition cells on sides with a remote
-  // neighbor (their ghost bricks are in-flight receive targets; one
-  // brick of owned surface keeps the stencil taps clear of them).
-  // Self-periodic axes wrap onto owned bricks and never grow the
-  // active region, so nothing there is in flight.
-  Box safe = active;
-  for (int d = 0; d < 3; ++d) {
-    int off[3] = {0, 0, 0};
-    off[d] = -1;
-    if (lev.remote[static_cast<std::size_t>(
-            direction_index(off[0], off[1], off[2]))])
-      safe.lo[d] = std::max(safe.lo[d], lev.part_cells.lo[d]);
-    off[d] = 1;
-    if (lev.remote[static_cast<std::size_t>(
-            direction_index(off[0], off[1], off[2]))])
-      safe.hi[d] = std::min(safe.hi[d], lev.part_cells.hi[d]);
-  }
-  return safe.empty() ? Box{} : safe;
-}
-
-void GmgSolver::finish_exchange_overlapped(
-    comm::Communicator& comm, MgLevel& lev, const Box& active,
-    perf::Phase phase, const std::function<void(const Box&)>& kernel) {
-  const Box safe = overlap_safe_box(lev, active);
-  exec::Event done;
-  double interior_seconds = 0.0;
-  if (!safe.empty()) {
-    // The worker records the phase span itself (it owns the timing);
-    // the aggregate is updated from this thread after done.wait(),
-    // because Profiler::stats_ is not thread-safe.
-    exec::Engine& eng = engine();
-    eng.submit(compute_stream_, "overlap.interior", [&, safe] {
-      trace::TraceSpan span(perf::phase_name(phase),
-                            perf::phase_category(phase), lev.level);
-      kernel(safe);
-      interior_seconds = span.close();
-    });
-    done = eng.record(compute_stream_);
-  }
-  profiler_.timed(lev.level, perf::Phase::kExchange,
-                  [&] { lev.exchange->finish(comm); });
-  // Shell sweeps run on this thread while the interior task drains on
-  // the stream worker: the shell boxes and the safe box are disjoint
-  // cell regions writing disjoint storage (DESIGN.md §10), so the only
-  // ordering needed is done.wait() before anyone reads the result.
-  const std::vector<Box> shell = shell_boxes(active, safe);
-  if (!shell.empty()) {
-    profiler_.timed(lev.level, phase, [&] {
-      for (const Box& s : shell) kernel(s);
-    });
-  }
-  {
-    trace::TraceSpan wait_span("exec.wait_overlap", trace::Category::kWait);
-    done.wait();
-  }
-  if (!safe.empty()) profiler_.record(lev.level, phase, interior_seconds);
-}
-
-void GmgSolver::smooth_level(comm::Communicator& comm, MgLevel& lev,
-                             int iterations, bool with_residual,
-                             BrickedArray* restrict_to) {
-  // The former per-call smoother switch, resolved once at setup into
-  // the level's plan (kernel_plan.hpp).
-  (this->*lev.plan.sweep)(comm, lev, iterations, with_residual, restrict_to);
-}
-
-void GmgSolver::gs_sweeps(comm::Communicator& comm, MgLevel& lev,
-                          int iterations, bool with_residual,
-                          BrickedArray* restrict_to) {
-  GMG_REQUIRE(lev.radius == 1 && !lev.varcoef,
-              "red-black Gauss-Seidel supports the constant-coefficient "
-              "7-point operator only");
-  const Box interior = lev.interior();
-  const Vec3 origin = lev.rank_box.lo;
-  for (int it = 0; it < iterations; ++it) {
-    if (opts_.communication_avoiding) {
-      // A full red+black iteration consumes two ghost layers.
-      bool split = false;
-      if (lev.margin < 2 || !lev.b_ghosts_valid) {
-        split = use_overlap(lev);
-        if (split)
-          begin_exchange_for_smooth(comm, lev);
-        else
-          exchange_for_smooth(comm, lev);
-      }
-      const Box red_box = lev.grid->grow_unwrapped(interior, lev.margin - 1);
-      const Box black_box =
-          lev.grid->grow_unwrapped(interior, lev.margin - 2);
-      if (split) {
-        // A red cell reads only black-parity neighbors, which the red
-        // half-sweep never writes — so splitting red by region changes
-        // no value. Black needs the red updates everywhere and runs
-        // whole, after finish.
-        finish_exchange_overlapped(
-            comm, lev, red_box, perf::Phase::kSmooth,
-            [&](const Box& region) {
-              gs_color_sweep(lev.x, lev.b, lev.alpha, lev.beta, 0, origin,
-                             region);
-            });
-        profiler_.timed(lev.level, perf::Phase::kSmooth, [&] {
-          gs_color_sweep(lev.x, lev.b, lev.alpha, lev.beta, 1, origin,
-                         black_box);
-        });
-      } else {
-        profiler_.timed(lev.level, perf::Phase::kSmooth, [&] {
-          gs_color_sweep(lev.x, lev.b, lev.alpha, lev.beta, 0, origin,
-                         red_box);
-          gs_color_sweep(lev.x, lev.b, lev.alpha, lev.beta, 1, origin,
-                         black_box);
-        });
-      }
-      lev.margin -= 2;
-    } else {
-      // Without deep ghosts, the black half-sweep needs the red-updated
-      // neighbor values: exchange before each half-sweep. Either half
-      // splits cleanly by region (a cell never reads its own parity).
-      for (int color = 0; color < 2; ++color) {
-        if (use_overlap(lev)) {
-          begin_exchange_for_smooth(comm, lev);
-          finish_exchange_overlapped(
-              comm, lev, interior, perf::Phase::kSmooth,
-              [&](const Box& region) {
-                gs_color_sweep(lev.x, lev.b, lev.alpha, lev.beta, color,
-                               origin, region);
-              });
-        } else {
-          exchange_for_smooth(comm, lev);
-          profiler_.timed(lev.level, perf::Phase::kSmooth, [&] {
-            gs_color_sweep(lev.x, lev.b, lev.alpha, lev.beta, color, origin,
-                           interior);
-          });
-        }
-      }
-      lev.margin = 0;
-    }
-  }
-  if (with_residual) {
-    // GS updates in place and leaves no fused residual; compute it for
-    // the restriction that follows.
-    if (lev.margin < 1) {
-      if (use_overlap(lev)) {
-        begin_exchange_for_smooth(comm, lev);
-        finish_exchange_overlapped(
-            comm, lev, interior, perf::Phase::kApplyOp,
-            [&](const Box& region) {
-              apply_operator(lev, lev.Ax, lev.x, region);
-            });
-      } else {
-        exchange_for_smooth(comm, lev);
-        profiler_.timed(lev.level, perf::Phase::kApplyOp, [&] {
-          apply_operator(lev, lev.Ax, lev.x, interior);
-        });
-      }
-    } else {
-      profiler_.timed(lev.level, perf::Phase::kApplyOp, [&] {
-        apply_operator(lev, lev.Ax, lev.x, interior);
-      });
-    }
-    if (restrict_to != nullptr && lev.plan.fuse_gs_tail) {
-      // Fused tail (the former separate-full-pass small fix): r and
-      // its restriction into the coarse RHS in one pass per brick.
-      profiler_.timed(lev.level, perf::Phase::kFusedDescent, [&] {
-        lev.plan.residual_restrict(*restrict_to);
-      });
-    } else {
-      profiler_.timed(lev.level, perf::Phase::kResidual, [&] {
-        residual(lev.r, lev.b, lev.Ax, interior);
-      });
-    }
-  }
-}
-
-void GmgSolver::jacobi_sweeps(comm::Communicator& comm, MgLevel& lev,
-                              int iterations, bool with_residual,
-                              BrickedArray* restrict_to) {
-  const Box interior = lev.interior();
-  const index_t radius = lev.radius;
-  for (int it = 0; it < iterations; ++it) {
-    Box active = interior;
-    bool split = false;  // exchange begun, to finish around the sweep
-    if (opts_.communication_avoiding) {
-      // Exchange when the ghost margin is spent — or when b's ghosts
-      // are stale, since the redundant sweep reads b there too.
-      if (lev.margin < radius || !lev.b_ghosts_valid) {
-        split = use_overlap(lev);
-        if (split)
-          begin_exchange_for_smooth(comm, lev);
-        else
-          exchange_for_smooth(comm, lev);
-      }
-      active = lev.grid->grow_unwrapped(interior, lev.margin - radius);
-    } else {
-      split = use_overlap(lev);
-      if (split)
-        begin_exchange_for_smooth(comm, lev);
-      else
-        exchange_for_smooth(comm, lev);
-      lev.margin = 0;
-    }
-    // One pass per brick (DESIGN.md §16): x' lands in the spare buffer
-    // (Ax's storage), so the sweep never writes what it reads and splits
-    // by region as a whole — interior-then-surface order cannot change
-    // a value (DESIGN.md §10). Only the block's last sweep writes r, and
-    // on the descent it also folds the restriction of r into the coarse
-    // RHS: nothing reads an earlier sweep's residual.
-    const bool residual = with_residual && it == iterations - 1;
-    BrickedArray* coarse_b = residual ? restrict_to : nullptr;
-    const perf::Phase phase = coarse_b != nullptr ? perf::Phase::kFusedDescent
-                                                  : perf::Phase::kJacobiSweep;
-    const auto sweep = [&](const Box& region) {
-      lev.plan.jacobi(region, residual, coarse_b);
-    };
-    if (split) {
-      finish_exchange_overlapped(comm, lev, active, phase, sweep);
-    } else {
-      profiler_.timed(lev.level, phase, [&] { sweep(active); });
-    }
-    std::swap(lev.x, lev.Ax);
-    if (opts_.communication_avoiding) lev.margin -= radius;
-  }
-}
-
-void GmgSolver::chebyshev_sweeps(comm::Communicator& comm, MgLevel& lev,
-                                 int iterations, bool with_residual,
-                                 BrickedArray* restrict_to) {
-  (void)with_residual;  // r = b - Ax is produced every sweep anyway
-  // Chebyshev cannot fuse the descent: the recurrence consumes r on
-  // EVERY sweep and updates x after it, so there is no final pointwise
-  // pass to glue the restriction onto. The plan's capability predicate
-  // (fuse_descent = false) makes cycle_at keep the split restriction.
-  (void)restrict_to;
-  const Box interior = lev.interior();
-  const index_t radius = lev.radius;
-  const real_t lambda_max = opts_.cheby_lambda_max;
-  const real_t lambda_min = lambda_max * opts_.cheby_min_frac;
-  const real_t theta = 0.5 * (lambda_max + lambda_min);
-  const real_t delta = 0.5 * (lambda_max - lambda_min);
-  const real_t inv_diag = 1.0 / lev.alpha;
-
-  real_t alpha_ch = 0.0;
-  for (int it = 0; it < iterations; ++it) {
-    Box active = interior;
-    bool split = false;
-    if (opts_.communication_avoiding) {
-      if (lev.margin < radius || !lev.b_ghosts_valid) {
-        split = use_overlap(lev);
-        if (split)
-          begin_exchange_for_smooth(comm, lev);
-        else
-          exchange_for_smooth(comm, lev);
-      }
-      active = lev.grid->grow_unwrapped(interior, lev.margin - radius);
-    } else {
-      split = use_overlap(lev);
-      if (split)
-        begin_exchange_for_smooth(comm, lev);
-      else
-        exchange_for_smooth(comm, lev);
-      lev.margin = 0;
-    }
-    // Split only the applyOp (DESIGN.md §10); the Chebyshev recurrence
-    // below reads Ax and runs once over the full region.
-    if (split) {
-      finish_exchange_overlapped(
-          comm, lev, active, perf::Phase::kApplyOp,
-          [&](const Box& region) {
-            apply_operator(lev, lev.Ax, lev.x, region);
-          });
-    } else {
-      profiler_.timed(lev.level, perf::Phase::kApplyOp,
-                      [&] { apply_operator(lev, lev.Ax, lev.x, active); });
-    }
-    profiler_.timed(lev.level, perf::Phase::kSmoothResidual, [&] {
-      residual(lev.r, lev.b, lev.Ax, active);
-      // Chebyshev recurrence on the diagonally preconditioned
-      // residual (D^-1 A has spectrum in [lambda_min, lambda_max]).
-      real_t beta_ch;
-      if (it == 0) {
-        beta_ch = 0.0;
-        alpha_ch = 1.0 / theta;
-      } else {
-        beta_ch = 0.25 * (delta * alpha_ch) * (delta * alpha_ch);
-        alpha_ch = 1.0 / (theta - beta_ch / alpha_ch);
-      }
-      if (lev.varcoef) {
-        cheby_p_update_varcoef(lev.p, lev.r, lev.diag, beta_ch, active);
-      } else {
-        cheby_p_update(lev.p, lev.r, inv_diag, beta_ch, active);
-      }
-      axpy(lev.x, alpha_ch, lev.p, active);
-    });
-    if (opts_.communication_avoiding) lev.margin -= radius;
-  }
-}
-
-void GmgSolver::bottom_solve(comm::Communicator& comm) {
-  MgLevel& lev = levels_[static_cast<std::size_t>(bottom_level())];
-  if (opts_.bottom == BottomSolverType::kSmooth) {
-    smooth_level(comm, lev, opts_.bottom_smooths, /*with_residual=*/false);
-  } else {
-    profiler_.timed(lev.level, perf::Phase::kBottomSolve,
-                    [&] { bottom_cg(comm, lev); });
-  }
-}
-
-void GmgSolver::bottom_cg(comm::Communicator& comm, MgLevel& lev) {
-  // Matrix-free conjugate gradient on the coarsest grid. The periodic
-  // operator is singular with a constant null space; the RHS reaching
-  // the bottom is a restricted residual (mean zero), so the Krylov
-  // iteration stays in range(A).
-  const Box interior = lev.interior();
-
-  // r = b - A x (x may be nonzero on the second visit of a W-cycle).
-  if (lev.margin < lev.radius) {
-    exchange_now(comm, lev, lev.x);
-    lev.margin = lev.shape.bx;
-  }
-  apply_operator(lev, lev.Ax, lev.x, interior);
-  residual(lev.r, lev.b, lev.Ax, interior);
-  copy_interior(lev.p, lev.r);
-
-  real_t rr = comm.allreduce_sum(dot_interior(lev.r, lev.r));
-  const real_t stop = opts_.bottom_cg_tolerance * opts_.bottom_cg_tolerance;
-  for (int it = 0; it < opts_.bottom_smooths && rr > stop; ++it) {
-    exchange_now(comm, lev, lev.p);
-    apply_operator(lev, lev.Ax, lev.p, interior);  // Ax := A p
-    const real_t pAp = comm.allreduce_sum(dot_interior(lev.p, lev.Ax));
-    if (pAp == 0.0) break;
-    const real_t a = rr / pAp;
-    axpy_interior(lev.x, a, lev.p);
-    axpy_interior(lev.r, -a, lev.Ax);
-    const real_t rr_new = comm.allreduce_sum(dot_interior(lev.r, lev.r));
-    xpay_interior(lev.p, lev.r, rr_new / rr);
-    rr = rr_new;
-  }
-  lev.margin = 0;  // x changed; ghosts are stale
-}
-
-void GmgSolver::cycle_at(comm::Communicator& comm, int l) {
-  if (l == bottom_level()) {
-    bottom_solve(comm);
-    return;
-  }
-  MgLevel& lev = levels_[static_cast<std::size_t>(l)];
-  MgLevel& coarse = levels_[static_cast<std::size_t>(l + 1)];
-
-  // Descent: where the plan fuses, the final smoothing sweep also
-  // restricts r into the coarse RHS (one pass instead of three stages
-  // — DESIGN.md §16); otherwise restriction runs as its own pass.
-  BrickedArray* restrict_to =
-      lev.plan.fuses_restriction() ? &coarse.b : nullptr;
-  smooth_level(comm, lev, opts_.smooths, /*with_residual=*/true, restrict_to);
-  if (restrict_to == nullptr) {
-    profiler_.timed(l, perf::Phase::kRestriction,
-                    [&] { restriction(coarse.b, lev.r); });
-  }
-  coarse.b_ghosts_valid = false;
-  profiler_.timed(l + 1, perf::Phase::kInitZero, [&] { init_zero(coarse.x); });
-  coarse.margin = coarse.shape.bx;  // zero ghosts are valid
-
-  cycle_at(comm, l + 1);
-  if (opts_.cycle == CycleType::kW) cycle_at(comm, l + 1);
-
-  profiler_.timed(l, perf::Phase::kInterpIncrement,
-                  [&] { interpolation_increment(lev.x, coarse.x); });
-  lev.margin = 0;  // interior changed; ghosts are stale
-  // The ascent leaves no residual: the next descent or residual_norm
-  // rewrites r before anything reads it.
-  smooth_level(comm, lev, opts_.smooths, /*with_residual=*/false);
-}
-
 void GmgSolver::vcycle(comm::Communicator& comm) {
   // Umbrella span so the timeline shows cycle boundaries around the
   // per-phase spans Profiler::timed emits.
   trace::TraceSpan span("gmg.vcycle");
-  cycle_at(comm, 0);
+  SoloRun ex(levels_, profiler_, overlap_, comm);
+  Cycle<SoloRun>(*this, ex, cycle_).vcycle();
 }
 
 void GmgSolver::fmg(comm::Communicator& comm) {
   trace::TraceSpan span("gmg.fmg");
-  const int bottom = bottom_level();
-  // Restrict the RHS itself down the hierarchy.
-  for (int l = 0; l < bottom; ++l) {
-    MgLevel& lev = levels_[static_cast<std::size_t>(l)];
-    MgLevel& coarse = levels_[static_cast<std::size_t>(l + 1)];
-    profiler_.timed(l, perf::Phase::kRestriction,
-                    [&] { restriction(coarse.b, lev.b); });
-    coarse.b_ghosts_valid = false;
-  }
-  // Solve the coarsest, then work upward: prolong as initial guess,
-  // one cycle per level.
-  MgLevel& coarsest = levels_[static_cast<std::size_t>(bottom)];
-  init_zero(coarsest.x);
-  coarsest.margin = coarsest.shape.bx;
-  bottom_solve(comm);
-  for (int l = bottom - 1; l >= 0; --l) {
-    MgLevel& lev = levels_[static_cast<std::size_t>(l)];
-    MgLevel& coarse = levels_[static_cast<std::size_t>(l + 1)];
-    // FMG needs a higher-order prolongation for its initial guesses;
-    // trilinear reads one coarse ghost layer.
-    if (coarse.margin < 1) {
-      profiler_.timed(l + 1, perf::Phase::kExchange,
-                      [&] { exchange_now(comm, coarse, coarse.x); });
-      coarse.margin = coarse.shape.bx;
-    }
-    profiler_.timed(l, perf::Phase::kInterpIncrement,
-                    [&] { interpolation_trilinear_assign(lev.x, coarse.x); });
-    lev.margin = 0;
-    cycle_at(comm, l);
-  }
+  SoloRun ex(levels_, profiler_, overlap_, comm);
+  Cycle<SoloRun>(*this, ex, cycle_).fmg();
 }
 
 real_t GmgSolver::residual_norm(comm::Communicator& comm) {
-  MgLevel& fine = levels_.front();
-  if (fine.margin < fine.radius && use_overlap(fine)) {
-    begin_exchange_for_smooth(comm, fine);
-    finish_exchange_overlapped(comm, fine, fine.interior(),
-                               perf::Phase::kApplyOp, [&](const Box& region) {
-                                 apply_operator(fine, fine.Ax, fine.x, region);
-                               });
-  } else {
-    if (fine.margin < fine.radius) exchange_for_smooth(comm, fine);
-    profiler_.timed(0, perf::Phase::kApplyOp, [&] {
-      apply_operator(fine, fine.Ax, fine.x, fine.interior());
-    });
-  }
-  real_t local = 0;
-  if (fine.plan.fuse_norm) {
-    // Fused residual + max-norm: one pass instead of two, bitwise
-    // identical to the split pair (fused_kernels.hpp).
-    profiler_.timed(0, perf::Phase::kMaxNorm,
-                    [&] { local = fine.plan.residual_max_norm(); });
-  } else {
-    profiler_.timed(0, perf::Phase::kResidual, [&] {
-      residual(fine.r, fine.b, fine.Ax, fine.interior());
-    });
-    profiler_.timed(0, perf::Phase::kMaxNorm,
-                    [&] { local = max_norm(fine.r); });
-  }
-  return comm.allreduce_max(local);
+  SoloRun ex(levels_, profiler_, overlap_, comm);
+  const std::uint8_t active = 1;
+  real_t res = 0;
+  Cycle<SoloRun>(*this, ex, cycle_).residual_norms(&active, &res);
+  return res;
 }
 
 real_t GmgSolver::residual_norm_l2(comm::Communicator& comm) {
-  MgLevel& fine = levels_.front();
-  if (fine.margin < fine.radius) exchange_for_smooth(comm, fine);
-  apply_operator(fine, fine.Ax, fine.x, fine.interior());
-  residual(fine.r, fine.b, fine.Ax, fine.interior());
-  const real_t global_sq = comm.allreduce_sum(norm2_sq(fine.r));
-  return std::sqrt(global_sq);
+  SoloRun ex(levels_, profiler_, overlap_, comm);
+  return std::sqrt(Cycle<SoloRun>(*this, ex, cycle_).residual_norm_l2());
 }
 
 SolveResult GmgSolver::solve(comm::Communicator& comm,

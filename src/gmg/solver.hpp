@@ -13,6 +13,7 @@
 #include "comm/simmpi.hpp"
 #include "exec/engine.hpp"
 #include "exec/runtime.hpp"
+#include "gmg/cycle_state.hpp"
 #include "gmg/level.hpp"
 #include "perf/profiler.hpp"
 
@@ -249,6 +250,12 @@ class GmgSolver {
   /// Recomputes Ax; call after residual_norm or a cycle.
   real_t residual_norm_l2(comm::Communicator& comm);
 
+  /// Tell the cycle that the caller wrote the finest level's x and/or b
+  /// directly (between set_rhs and solve, or between solves): their
+  /// ghosts are stale, so the next sweep or convergence check exchanges
+  /// first.
+  void fine_fields_written() { cycle_.fine_written(); }
+
   const BrickedArray& solution() const { return levels_.front().x; }
   BrickedArray& solution() { return levels_.front().x; }
 
@@ -256,70 +263,10 @@ class GmgSolver {
   const perf::Profiler& profiler() const { return profiler_; }
 
  private:
-  /// Apply this level's operator over `active` — dispatches through
-  /// the level's resolved KernelPlan binding.
-  void apply_operator(MgLevel& lev, BrickedArray& out, const BrickedArray& in,
-                      const Box& active);
-
   /// Resolve every level's KernelPlan (kernel bindings + fusion
-  /// predicate + sweep routine). Called from the constructor and again
-  /// from set_coefficient.
+  /// predicate). Called from the constructor and again from
+  /// set_coefficient.
   void resolve_kernel_plans();
-
-  /// One smoothing block at `lev`: `iterations` sweeps of the selected
-  /// smoother with CA-scheduled exchanges, dispatched through the
-  /// level's resolved plan. A non-null `restrict_to` asks the sweep to
-  /// fuse the descent restriction of r into it where the plan permits
-  /// (cycle_at checks plan.fuses_restriction() to know whether the
-  /// separate restriction pass is still needed).
-  void smooth_level(comm::Communicator& comm, MgLevel& lev, int iterations,
-                    bool with_residual, BrickedArray* restrict_to = nullptr);
-  void jacobi_sweeps(comm::Communicator& comm, MgLevel& lev, int iterations,
-                     bool with_residual, BrickedArray* restrict_to);
-  void chebyshev_sweeps(comm::Communicator& comm, MgLevel& lev,
-                        int iterations, bool with_residual,
-                        BrickedArray* restrict_to);
-  void gs_sweeps(comm::Communicator& comm, MgLevel& lev, int iterations,
-                 bool with_residual, BrickedArray* restrict_to);
-
-  void bottom_solve(comm::Communicator& comm);
-  void bottom_cg(comm::Communicator& comm, MgLevel& lev);
-
-  /// The single sanctioned direct-exchange entry point outside the
-  /// exchange_for_smooth family (gmg_lint rule exchange-in-schedule-fn
-  /// forbids bare `lev.exchange->exchange(...)` calls in schedule
-  /// code): one blocking round on `field`. Margin bookkeeping stays at
-  /// the call sites — the callers' margin algebra is what the schedule
-  /// verifier proves.
-  void exchange_now(comm::Communicator& comm, MgLevel& lev,
-                    BrickedArray& field);
-
-  /// Recursive cycle body rooted at level l.
-  void cycle_at(comm::Communicator& comm, int l);
-
-  void exchange_for_smooth(comm::Communicator& comm, MgLevel& lev);
-
-  // Split-phase overlap machinery (DESIGN.md §10).
-  /// Whether this level's exchanges should run split-phase.
-  bool use_overlap(const MgLevel& lev) const;
-  /// begin() half of exchange_for_smooth: same field aggregation and
-  /// margin bookkeeping, but returns with the messages still in
-  /// flight.
-  void begin_exchange_for_smooth(comm::Communicator& comm, MgLevel& lev);
-  /// The subregion of `active` whose stencil taps touch no remote
-  /// ghost brick — safe to compute while the exchange is in flight.
-  Box overlap_safe_box(const MgLevel& lev, const Box& active) const;
-  /// Complete a begun exchange while `kernel` runs over the safe
-  /// subregion of `active` on an engine stream; after finish(), run
-  /// `kernel` over the remaining surface shell on this thread while
-  /// the interior task drains. Both parts are profiled under `phase`.
-  void finish_exchange_overlapped(
-      comm::Communicator& comm, MgLevel& lev, const Box& active,
-      perf::Phase phase, const std::function<void(const Box&)>& kernel);
-  /// The process-wide runtime engine (exec::default_engine()), with
-  /// this solver's compute stream recreated whenever
-  /// configure_default_engine() has replaced the pool.
-  exec::Engine& engine();
 
   /// Whether the configured smoother/bottom solver needs the p field.
   bool needs_p() const {
@@ -327,21 +274,15 @@ class GmgSolver {
            opts_.bottom == BottomSolverType::kConjugateGradient;
   }
 
-  /// The dry-run schedule walker (schedule_audit.cpp) replicates the
-  /// sweep routines' margin algebra and overlap decisions; it needs
-  /// use_overlap/needs_p but must not mutate anything.
-  friend class ScheduleWalker;
-
   GmgOptions opts_;
   CartDecomp decomp_;
   int rank_;
   bool storage_detached_ = false;
   std::vector<MgLevel> levels_;
   perf::Profiler profiler_;
-  /// Generation of exec::default_engine() that compute_stream_ was
-  /// created on; 0 = not yet created (generations start at 1).
-  std::uint64_t engine_generation_ = 0;
-  exec::Stream compute_stream_;
+  /// The cycle's ghost bookkeeping and bottom-CG scratch (gmg/cycle.hpp).
+  CycleState cycle_;
+  OverlapStream overlap_{"gmg.compute"};
 };
 
 }  // namespace gmg

@@ -14,18 +14,19 @@
 #include <cmath>
 #include <cstdlib>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
-#include "amr/composite_audit.hpp"
 #include "amr/composite_solver.hpp"
 #include "amr/hierarchy.hpp"
-#include "batch/batched_audit.hpp"
 #include "batch/batched_solver.hpp"
 #include "check/schedule.hpp"
 #include "check/shadow.hpp"
 #include "gmg/schedule_audit.hpp"
 #include "gmg/solver.hpp"
+#include "trace/trace.hpp"
 
 namespace gmg {
 namespace {
@@ -171,6 +172,146 @@ TEST(ScheduleParity, CompositeAmrScheduleProvesCleanAndRunsClean) {
       amr::CompositeSolver(h).solve(c);
     });
   }
+}
+
+// ---- the proof covers what runs ----------------------------------------
+
+struct StepCounts {
+  std::uint64_t exchanges = 0;
+  std::uint64_t reductions = 0;
+};
+
+StepCounts count_steps(const check::Schedule& sched) {
+  StepCounts n;
+  for (const check::ScheduleStep& st : sched.steps) {
+    if (st.kind == check::StepKind::kExchange ||
+        st.kind == check::StepKind::kExchangeBegin)
+      ++n.exchanges;
+    if (st.kind == check::StepKind::kReduction) ++n.reductions;
+  }
+  return n;
+}
+
+/// `setup` builds each rank's solver and returns the schedule its
+/// record_* function records; `solve` then runs exactly that sequence.
+/// The exchange.calls and mpi.allreduce_calls trace counters must
+/// advance by the recorded exchange and reduction steps, summed over
+/// ranks — the schedule the verifier proved is the one that ran.
+void expect_run_matches_recording(
+    const CartDecomp& decomp,
+    const std::function<check::Schedule(comm::Communicator&)>& setup,
+    const std::function<void(comm::Communicator&)>& solve) {
+  std::mutex mu;
+  StepCounts want;
+  comm::World world(decomp.num_ranks());
+  world.run([&](comm::Communicator& c) {
+    const StepCounts n = count_steps(setup(c));
+    const std::lock_guard<std::mutex> lock(mu);
+    want.exchanges += n.exchanges;
+    want.reductions += n.reductions;
+  });
+  ASSERT_GT(want.exchanges, 0u);
+  const bool was = trace::enabled();
+  trace::set_enabled(true);
+  trace::clear();
+  world.run(solve);
+  const trace::Snapshot snap = trace::collect();
+  trace::set_enabled(was);
+  EXPECT_EQ(snap.counter_total("exchange.calls"), want.exchanges);
+  EXPECT_EQ(snap.counter_total("mpi.allreduce_calls"), want.reductions);
+}
+
+// A 2x2x1 grid: remote neighbors along x and y, a wrapped z axis, and
+// every rank owning part of the AMR patch.
+const CartDecomp kCoverageDecomp({32, 32, 32}, {2, 2, 1});
+
+TEST(ScheduleCoverage, SoloSolveIssuesTheRecordedSchedule) {
+  const int n = kCoverageDecomp.num_ranks();
+  for (const Smoother sm : kSmoothers) {
+    for (const BottomSolverType bottom :
+         {BottomSolverType::kSmooth, BottomSolverType::kConjugateGradient}) {
+      SCOPED_TRACE(std::string(smoother_tag(sm)) +
+                   (bottom == BottomSolverType::kSmooth ? " smooth" : " cg"));
+      GmgOptions o = matrix_options(sm, true);
+      o.bottom = bottom;
+      if (bottom == BottomSolverType::kConjugateGradient) {
+        o.bottom_smooths = 2;  // the recorded bottom-CG iteration count
+        o.bottom_cg_tolerance = 0;
+      }
+      std::vector<std::unique_ptr<GmgSolver>> solvers(
+          static_cast<std::size_t>(n));
+      expect_run_matches_recording(
+          kCoverageDecomp,
+          [&](comm::Communicator& c) {
+            auto& s = solvers[static_cast<std::size_t>(c.rank())];
+            s = std::make_unique<GmgSolver>(o, kCoverageDecomp, c.rank());
+            s->set_rhs(sine_rhs);
+            return record_solver_schedule(*s, o.max_vcycles);
+          },
+          [&](comm::Communicator& c) {
+            solvers[static_cast<std::size_t>(c.rank())]->solve(c);
+          });
+    }
+  }
+}
+
+TEST(ScheduleCoverage, BatchedSolveIssuesTheRecordedSchedule) {
+  const int n = kCoverageDecomp.num_ranks();
+  GmgOptions o = matrix_options(Smoother::kPointJacobi, true);
+  o.bottom = BottomSolverType::kConjugateGradient;
+  o.bottom_smooths = 2;
+  o.bottom_cg_tolerance = 0;
+  o.max_batch = 3;
+  std::vector<std::unique_ptr<GmgSolver>> bases(static_cast<std::size_t>(n));
+  std::vector<std::unique_ptr<batch::BatchedSolver>> batched(
+      static_cast<std::size_t>(n));
+  expect_run_matches_recording(
+      kCoverageDecomp,
+      [&](comm::Communicator& c) {
+        const std::size_t r = static_cast<std::size_t>(c.rank());
+        bases[r] = std::make_unique<GmgSolver>(o, kCoverageDecomp, c.rank());
+        batched[r] = std::make_unique<batch::BatchedSolver>(*bases[r], 3);
+        batched[r]->set_rhs({sine_rhs, bump_rhs, sine_rhs});
+        return batch::record_batched_schedule(*batched[r]);
+      },
+      [&](comm::Communicator& c) {
+        // The recording retires component 0 after the first cycle and
+        // the rest after the second.
+        std::vector<batch::BatchSolveSpec> specs(3);
+        for (auto& s : specs) {
+          s.tolerance = 0;
+          s.max_vcycles = 2;
+        }
+        specs[0].max_vcycles = 1;
+        batched[static_cast<std::size_t>(c.rank())]->solve(c, specs);
+      });
+}
+
+TEST(ScheduleCoverage, CompositeSolveIssuesTheRecordedSchedule) {
+  const int n = kCoverageDecomp.num_ranks();
+  amr::AmrOptions ao;
+  ao.gmg = matrix_options(Smoother::kPointJacobi, true);
+  ao.gmg.levels = 4;
+  ao.patch = Box{{8, 8, 8}, {24, 24, 24}};
+  ao.patch_smooths = 4;
+  ao.correction_vcycles = 2;
+  ao.tolerance = 0;
+  ao.max_cycles = 1;  // the recording covers one composite cycle
+  std::vector<std::unique_ptr<amr::AmrHierarchy>> hs(
+      static_cast<std::size_t>(n));
+  expect_run_matches_recording(
+      kCoverageDecomp,
+      [&](comm::Communicator& c) {
+        auto& h = hs[static_cast<std::size_t>(c.rank())];
+        h = std::make_unique<amr::AmrHierarchy>(ao, kCoverageDecomp,
+                                                c.rank());
+        h->set_rhs(bump_rhs);
+        return amr::record_composite_schedule(*h);
+      },
+      [&](comm::Communicator& c) {
+        amr::CompositeSolver(*hs[static_cast<std::size_t>(c.rank())])
+            .solve(c);
+      });
 }
 
 // ---- seeded hazards: each class rejected with a sourced diagnostic -----
@@ -346,7 +487,7 @@ TEST(ScheduleSeededBug, ReorderedReductionGroupRejected) {
 
 // Hazard class 7: a split-phase exchange that never finishes, with a
 // deep ghost read on a remote face while the receives are in flight.
-// Hand-built: the walker never emits this shape, which is the point.
+// Hand-built: the recording never emits this shape, which is the point.
 TEST(ScheduleSeededBug, UnfinishedSplitExchangeRejected) {
   check::ScheduleRecorder rec("seeded.split");
   check::LevelInfo L;

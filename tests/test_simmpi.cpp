@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <chrono>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "comm/simmpi.hpp"
@@ -158,6 +162,39 @@ TEST(SimMpi, RepeatedCollectivesKeepGenerationsStraight) {
       EXPECT_DOUBLE_EQ(c.allreduce_sum(round), 4.0 * round);
     }
   });
+}
+
+TEST(SimMpi, AllreduceSumCombinesInRankOrder) {
+  // The values make the fold order visible: ((1e16 + 1) - 1e16) == 0,
+  // while an arrival order starting (2, 0, ...) folds to 1. Each rank
+  // enters the collective only after a message from its predecessor in
+  // the arrival order (plus a pause so the predecessor gets there
+  // first); every one of the six orders must return the rank-order
+  // sum.
+  const std::array<double, 3> values{1e16, 1.0, -1e16};
+  std::array<int, 3> order{0, 1, 2};
+  World world(3);
+  do {
+    world.run([&](Communicator& c) {
+      const int pos = static_cast<int>(
+          std::find(order.begin(), order.end(), c.rank()) - order.begin());
+      char token = 0;
+      if (pos > 0) {
+        Request r = c.irecv(&token, 1, order[static_cast<size_t>(pos - 1)], 5);
+        c.wait(r);
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      }
+      if (pos < 2) {
+        Request s = c.isend(&token, 1, order[static_cast<size_t>(pos + 1)], 5);
+        c.wait(s);
+      }
+      const double sum =
+          c.allreduce_sum(values[static_cast<size_t>(c.rank())]);
+      EXPECT_EQ(sum, (values[0] + values[1]) + values[2])
+          << "arrival order " << order[0] << order[1] << order[2];
+      EXPECT_EQ(sum, 0.0);
+    });
+  } while (std::next_permutation(order.begin(), order.end()));
 }
 
 TEST(SimMpi, AllToAllStress) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "baseline/solver_array.hpp"
 #include "gmg/operators.hpp"
@@ -184,6 +185,36 @@ INSTANTIATE_TEST_SUITE_P(RankGrids, MultiRankSolve,
                                            Vec3{2, 2, 1}, Vec3{2, 2, 2},
                                            Vec3{1, 1, 2}, Vec3{1, 2, 2},
                                            Vec3{4, 1, 1}));
+
+TEST(GmgSolver, MultiRankBottomCgIsReproducible) {
+  // The bottom CG's dot products are summed across the four ranks of a
+  // 2x2x1 grid; the reductions combine in rank order, so two runs give
+  // identical residual histories whichever rank reaches each collective
+  // first.
+  const CartDecomp decomp({32, 32, 32}, {2, 2, 1});
+  GmgOptions o = small_options(4, 3);
+  o.bottom = BottomSolverType::kConjugateGradient;
+  o.bottom_cg_tolerance = 1e-30;  // run the whole iteration budget
+  o.bottom_smooths = 12;
+  o.max_vcycles = 6;
+  o.tolerance = 0;
+  const auto run = [&] {
+    std::vector<real_t> history;
+    comm::World world(decomp.num_ranks());
+    world.run([&](comm::Communicator& c) {
+      GmgSolver solver(o, decomp, c.rank());
+      solver.set_rhs(sine_rhs);
+      const SolveResult r = solver.solve(c);
+      if (c.rank() == 0) history = r.history;
+    });
+    return history;
+  };
+  const std::vector<real_t> first = run();
+  const std::vector<real_t> second = run();
+  ASSERT_EQ(first.size(), 7u);
+  for (std::size_t i = 0; i < first.size(); ++i)
+    EXPECT_EQ(first[i], second[i]) << "cycle " << i;
+}
 
 TEST(ArrayBaseline, ConvergesToSameSolutionAsBricks) {
   const Vec3 global{32, 32, 32};

@@ -224,7 +224,7 @@ TEST(FourthOrderOperator, EigenfunctionOfRadiusTwoStar) {
       });
       return tmp;
     }());
-    fine.margin = 0;
+    solver.fine_fields_written();
     const real_t res = solver.residual_norm(c);
     (void)res;
     // Ax (computed by residual_norm) must equal lambda * x.

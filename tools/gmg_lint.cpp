@@ -42,13 +42,17 @@
 //                       register its access boxes with the hazard
 //                       detector (check::scope_if_enabled /
 //                       KernelScope).
-//   plan-bindings       6. In src/gmg/solver.cpp the per-stage
-//                       kernels (smooth, smooth_residual, apply_op,
-//                       the jacobi_sweep family, their varcoef twins)
-//                       may only be invoked through KernelPlan
-//                       bindings ('.' or '->'):
-//                       a bare call bypasses the specializer registry
-//                       and silently forks the solo/batched schedules.
+//   plan-bindings       6. In the schedule files of src/gmg, src/batch
+//                       and src/amr (all but the kernel sources and
+//                       the KernelPlan registry, kernel_plan.cpp), the
+//                       per-stage kernels (smooth, smooth_residual,
+//                       apply_op, the jacobi_sweep family, their
+//                       varcoef twins) may only be called bare inside
+//                       a run executor — a member of a class whose
+//                       name ends in "Run" — or through KernelPlan
+//                       bindings ('.' or '->'): a bare call in the
+//                       cycle bypasses its executors and the
+//                       specializer registry.
 //   effect-summary      7. Every kernel in src/gmg, src/dsl,
 //                       src/batch, src/amr — a namespace-scope
 //                       non-template function that launches a
@@ -66,10 +70,12 @@
 //                       ghost-exchange engine calls
 //                       (`*.exchange->exchange/begin/finish(...)`,
 //                       `patch_exchange().exchange(...)`) may only
-//                       appear inside functions whose name contains
-//                       "exchange" — the audited scheduling routines.
-//                       Anywhere else they bypass the recorded
-//                       schedule that setup-time verification proved.
+//                       appear inside the executors' exchange
+//                       primitives — member functions named exchange,
+//                       begin or finish — and the shared
+//                       finish_exchange_overlapped. Anywhere else they
+//                       bypass the cycle whose recorded schedule
+//                       setup-time verification proved.
 //
 // Exit status 0 = clean, 1 = violations (one per line,
 // `file:line: [rule] message`), 2 = usage/IO error.
@@ -256,6 +262,7 @@ struct FnInfo {
   bool is_template = false;
   bool qualified = false;  // Class::method — a member definition
   bool anon_ns = false;    // inside an anonymous namespace
+  std::string member_of;   // enclosing class, for in-class definitions
   std::size_t body_begin = 0;
   std::size_t body_end = 0;
 };
@@ -276,6 +283,7 @@ std::vector<FnInfo> extract_functions(const TokenizedFile& tf) {
   const std::vector<Tok>& t = tf.toks;
   std::vector<FnInfo> fns;
   std::vector<ScopeKind> scopes;
+  std::vector<std::string> classes;  // names of the open class scopes
   // Tokens since the last statement/brace delimiter at the current
   // scope — the "head" a '{' is classified by.
   std::size_t head = 0;
@@ -285,7 +293,10 @@ std::vector<FnInfo> extract_functions(const TokenizedFile& tf) {
     }
     const bool punct = t[i].kind == Tok::kPunct;
     if (punct && (t[i].text == ";" || t[i].text == "}")) {
-      if (t[i].text == "}" && !scopes.empty()) scopes.pop_back();
+      if (t[i].text == "}" && !scopes.empty()) {
+        if (scopes.back() == ScopeKind::kClass) classes.pop_back();
+        scopes.pop_back();
+      }
       head = i + 1;
       continue;
     }
@@ -295,6 +306,8 @@ std::vector<FnInfo> extract_functions(const TokenizedFile& tf) {
     bool saw_namespace = false, saw_class = false, saw_assign = false;
     bool anon = true;
     std::size_t open_paren = t.size();
+    std::string class_name;
+    bool naming = false;  // between a class-key and its name
     for (std::size_t h = head; h < i; ++h) {
       if (t[h].kind == Tok::kIdent) {
         const std::string& w = t[h].text;
@@ -302,26 +315,37 @@ std::vector<FnInfo> extract_functions(const TokenizedFile& tf) {
           saw_namespace = true;
           continue;
         }
-        if (w == "class" || w == "struct" || w == "union" || w == "enum")
-          saw_class = true;
+        if (w == "class" || w == "struct" || w == "union" || w == "enum") {
+          saw_class = naming = true;  // the last class-key names the body
+        } else if (naming && (h + 1 == i || t[h + 1].text != "::")) {
+          class_name = w;  // `class Outer::Name` -> Name
+          naming = false;
+        }
         if (saw_namespace) anon = false;
       } else if (t[h].kind == Tok::kPunct) {
         if (t[h].text == "=") saw_assign = true;
         if (t[h].text == "(" && open_paren == t.size()) open_paren = h;
       }
     }
-    const bool at_ns_scope =
+    const bool at_decl_scope =
         std::all_of(scopes.begin(), scopes.end(), [](ScopeKind k) {
-          return k == ScopeKind::kNamespace || k == ScopeKind::kAnonNamespace;
+          return k == ScopeKind::kNamespace ||
+                 k == ScopeKind::kAnonNamespace || k == ScopeKind::kClass;
         });
     if (saw_namespace) {
       scopes.push_back(anon ? ScopeKind::kAnonNamespace
                             : ScopeKind::kNamespace);
+    } else if (saw_class && !saw_assign && open_paren == t.size() &&
+               at_decl_scope) {
+      // A class body: descend, so in-class member definitions are
+      // recovered too.
+      scopes.push_back(ScopeKind::kClass);
+      classes.push_back(class_name);
     } else if (saw_assign || saw_class || open_paren == t.size() ||
-               !at_ns_scope) {
-      // Initializer list, class body, or anything not at namespace
-      // scope: skip the whole brace group so its internal braces
-      // (lambdas, nested classes) can't confuse scope tracking.
+               !at_decl_scope) {
+      // Initializer list, or anything not at namespace/class scope:
+      // skip the whole brace group so its internal braces (lambdas,
+      // nested blocks) can't confuse scope tracking.
       const std::size_t close = matching_close_brace(t, i);
       i = close;
       head = i + 1;
@@ -342,6 +366,7 @@ std::vector<FnInfo> extract_functions(const TokenizedFile& tf) {
       fn.anon_ns = std::any_of(scopes.begin(), scopes.end(), [](ScopeKind k) {
         return k == ScopeKind::kAnonNamespace;
       });
+      if (!classes.empty()) fn.member_of = classes.back();
       const std::size_t close = matching_close_brace(t, i);
       fn.body_begin = i + 1;
       fn.body_end = close;
@@ -396,7 +421,7 @@ struct FileClass {
   bool in_rng = false;           // rule 3 exemption
   bool in_clock_wrapper = false; // rule 3 exemption
   bool rule5_scope = false;      // fused files + src/amr
-  bool is_solver_cpp = false;    // rule 6
+  bool plan_scope = false;       // rule 6: schedule files
   bool in_effect_dirs = false;   // rule 7
   bool in_exchange_dirs = false; // rule 8
 };
@@ -420,7 +445,15 @@ FileClass classify(const std::string& rel) {
   fc.rule5_scope = starts_with(rel, "src/amr/") ||
                    (starts_with(rel, "src/") &&
                     base.find("fused") != std::string::npos);
-  fc.is_solver_cpp = rel == "src/gmg/solver.cpp";
+  // Rule 6 covers the schedule code: everything in src/gmg, src/batch
+  // and src/amr except the kernel sources and the specializer registry.
+  for (const char* d : {"src/gmg/", "src/batch/", "src/amr/"}) {
+    if (!starts_with(rel, d)) continue;
+    fc.plan_scope = rel != "src/gmg/kernel_plan.cpp";
+    for (const char* k : {"operators", "fused", "kernels", "apply_batch",
+                          "stencil_rows"})
+      if (base.find(k) != std::string::npos) fc.plan_scope = false;
+  }
   for (const char* d : {"src/gmg/", "src/dsl/", "src/batch/", "src/amr/"})
     if (starts_with(rel, d)) fc.in_effect_dirs = true;
   for (const char* d : {"src/gmg/", "src/batch/", "src/amr/"})
@@ -481,7 +514,7 @@ class Linter {
     rule_no_fma(fc, tf);
     rule_no_nondeterminism(fc, tf);
     rule_kernel_scope(fc, tf, fns);
-    rule_plan_bindings(fc, tf);
+    rule_plan_bindings(fc, tf, fns);
     rule_effect_summary(fc, tf, fns);
     rule_exchange_call(fc, tf, fns);
   }
@@ -536,7 +569,7 @@ class Linter {
                          const std::vector<FnInfo>& fns) {
     if (!fc.rule5_scope) return;
     for (const FnInfo& fn : fns) {
-      if (fn.is_template || fn.anon_ns) continue;
+      if (fn.is_template || fn.anon_ns || !fn.member_of.empty()) continue;
       if (!body_launches(tf, fn)) continue;
       if (body_has_ident(tf, fn, {"scope_if_enabled", "KernelScope"}))
         continue;
@@ -548,23 +581,34 @@ class Linter {
     }
   }
 
-  void rule_plan_bindings(const FileClass& fc, const TokenizedFile& tf) {
-    if (!fc.is_solver_cpp) return;
+  static bool ends_with(const std::string& s, const std::string& suffix) {
+    return s.size() >= suffix.size() &&
+           s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+  }
+
+  void rule_plan_bindings(const FileClass& fc, const TokenizedFile& tf,
+                          const std::vector<FnInfo>& fns) {
+    if (!fc.plan_scope) return;
     static const std::set<std::string> kStage = {
         "smooth",        "smooth_residual",  "smooth_varcoef",
         "apply_op",      "apply_op_varcoef", "smooth_residual_varcoef",
         "jacobi_sweep",  "jacobi_update",    "jacobi_sweep_varcoef"};
     const std::vector<Tok>& t = tf.toks;
-    for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-      if (t[i].kind != Tok::kIdent || kStage.count(t[i].text) == 0) continue;
-      if (t[i + 1].text != "(") continue;
-      const bool via_member =
-          i > 0 && (t[i - 1].text == "." || t[i - 1].text == "->");
-      if (via_member) continue;
-      report(fc, tf, t[i].line, "plan-bindings",
-             "bare per-stage kernel call '" + t[i].text +
-                 "' in solver.cpp bypasses the KernelPlan specializer "
-                 "registry; invoke it through the plan bindings");
+    for (const FnInfo& fn : fns) {
+      if (ends_with(fn.member_of, "Run")) continue;  // a run executor
+      for (std::size_t i = fn.body_begin; i + 1 < fn.body_end; ++i) {
+        if (t[i].kind != Tok::kIdent || kStage.count(t[i].text) == 0)
+          continue;
+        if (t[i + 1].text != "(") continue;
+        const bool via_member =
+            i > 0 && (t[i - 1].text == "." || t[i - 1].text == "->");
+        if (via_member) continue;
+        report(fc, tf, t[i].line, "plan-bindings",
+               "bare per-stage kernel call '" + t[i].text + "' in '" +
+                   fn.name +
+                   "' bypasses the cycle's run executors and the KernelPlan "
+                   "specializer registry; launch it through an executor");
+      }
     }
   }
 
@@ -572,7 +616,9 @@ class Linter {
                            const std::vector<FnInfo>& fns) {
     if (!fc.in_effect_dirs) return;
     for (const FnInfo& fn : fns) {
-      if (fn.is_template || fn.anon_ns || fn.qualified) continue;
+      if (fn.is_template || fn.anon_ns || fn.qualified ||
+          !fn.member_of.empty())
+        continue;
       if (fn.name.size() > 8 &&
           fn.name.rfind("_effects") == fn.name.size() - 8)
         continue;
@@ -599,7 +645,14 @@ class Linter {
     if (!fc.in_exchange_dirs) return;
     const std::vector<Tok>& t = tf.toks;
     for (const FnInfo& fn : fns) {
-      if (fn.name.find("exchange") != std::string::npos) continue;
+      // The executors' exchange primitives, and the split-phase finish
+      // the run executors share.
+      const bool primitive =
+          (!fn.member_of.empty() &&
+           (fn.name == "exchange" || fn.name == "begin" ||
+            fn.name == "finish")) ||
+          fn.name == "finish_exchange_overlapped";
+      if (primitive) continue;
       for (std::size_t i = fn.body_begin; i + 1 < fn.body_end; ++i) {
         if (t[i].kind != Tok::kIdent ||
             (t[i].text != "exchange" && t[i].text != "begin" &&
@@ -634,9 +687,9 @@ class Linter {
         report(fc, tf, t[i].line, "exchange-call",
                "direct ghost-exchange call '" + recv + "." + t[i].text +
                    "(...)' inside '" + fn.name +
-                   "' bypasses the recorded schedule; route it through an "
-                   "exchange_* scheduling routine (setup-time verification "
-                   "proves those, and only those)");
+                   "' bypasses the cycle's recorded schedule; route it "
+                   "through an executor's exchange primitive (setup-time "
+                   "verification proves the schedule the cycle issues)");
       }
     }
   }
@@ -722,13 +775,34 @@ const SelfTest kSelfTests[] = {
      "namespace gmg {\nnamespace {\nvoid helper() { "
      "exec::parallel_for(plan, body); }\n}\n}\n",
      nullptr},
-    {"bare stage call flagged", "src/gmg/solver.cpp",
-     "namespace gmg {\nvoid GmgSolver::sweep(MgLevel& lev) {\n"
-     "  smooth(lev.x, lev.Ax, lev.b, active);\n}\n}\n",
+    {"bare stage call in the cycle flagged", "src/gmg/cycle.hpp",
+     "namespace gmg {\ntemplate <class Exec>\nclass Cycle {\n"
+     "  void sweep(int l) {\n    apply_op(ax, x, alpha, beta, active);\n"
+     "  }\n};\n}\n",
      "plan-bindings"},
-    {"plan binding clean", "src/gmg/solver.cpp",
-     "namespace gmg {\nvoid GmgSolver::sweep(MgLevel& lev) {\n"
-     "  lev.plan.jacobi(active, false, nullptr);\n}\n}\n",
+    {"template parameter does not name the class", "src/gmg/cycle.hpp",
+     "namespace gmg {\ntemplate <class Run>\nclass Cycle {\n"
+     "  void sweep(int l) {\n    apply_op(ax, x, alpha, beta, active);\n"
+     "  }\n};\n}\n",
+     "plan-bindings"},
+    {"bare stage call in a run executor clean", "src/gmg/solver.cpp",
+     "namespace gmg {\nnamespace {\nclass SoloRun {\n public:\n"
+     "  void apply(int l) { apply_op(ax, x, alpha, beta, active); }\n};\n"
+     "}\n}\n",
+     nullptr},
+    {"bare stage call outside an executor flagged", "src/batch/foo.cpp",
+     "namespace gmg::batch {\nvoid BatchedSolver::sweep(int l) {\n"
+     "  jacobi_update(ax, nullptr, nullptr, x, b, w, nullptr, active);\n"
+     "}\n}\n",
+     "plan-bindings"},
+    {"plan binding clean", "src/gmg/cycle.hpp",
+     "namespace gmg {\ntemplate <class Exec>\nclass Cycle {\n"
+     "  void sweep(MgLevel& lev) {\n"
+     "    lev.plan.jacobi(active, false, nullptr);\n  }\n};\n}\n",
+     nullptr},
+    {"specializer registry clean", "src/gmg/kernel_plan.cpp",
+     "namespace gmg {\nvoid resolve_level_kernels(MgLevel& lev) {\n"
+     "  apply_op(out, in, a, b, active);\n}\n}\n",
      nullptr},
     {"kernel without effects flagged", "src/batch/foo_kernels.cpp",
      "namespace gmg::batch {\nvoid my_kernel(BrickedArray& out) {\n"
@@ -745,18 +819,24 @@ const SelfTest kSelfTests[] = {
      "namespace gmg::dsl {\ntemplate <typename BD>\nvoid run_all(BD bd) {\n"
      "  for_each_plan_brick(bd);\n}\n}\n",
      nullptr},
-    {"direct exchange outside schedule fn flagged", "src/gmg/foo.cpp",
+    {"direct exchange outside an executor flagged", "src/gmg/foo.cpp",
      "namespace gmg {\nvoid GmgSolver::sneaky(comm::Communicator& c, "
      "MgLevel& lev) {\n  lev.exchange->exchange(c, lev.x);\n}\n}\n",
      "exchange-call"},
-    {"exchange inside exchange_* fn clean", "src/gmg/foo.cpp",
-     "namespace gmg {\nvoid GmgSolver::exchange_now(comm::Communicator& c, "
-     "MgLevel& lev) {\n  lev.exchange->exchange(c, lev.x);\n}\n}\n",
+    {"direct exchange in the cycle flagged", "src/gmg/cycle.hpp",
+     "namespace gmg {\ntemplate <class Exec>\nclass Cycle {\n"
+     "  void exchange_for_smooth(int l) {\n"
+     "    lev(l).exchange->begin(comm, fields);\n  }\n};\n}\n",
+     "exchange-call"},
+    {"exchange inside an executor primitive clean", "src/gmg/foo.cpp",
+     "namespace gmg {\nclass SoloRun {\n public:\n"
+     "  void begin(int l, const FieldSet& fs) {\n"
+     "    lev(l).exchange->begin(comm_, fields(l, fs));\n  }\n};\n}\n",
      nullptr},
     {"patch_exchange() receiver flagged", "src/amr/foo.cpp",
-     "namespace gmg::amr {\nvoid CompositeSolver::smooth_stage("
-     "comm::Communicator& c) {\n  h_.patch_exchange().exchange(c, "
-     "h_.patch().x);\n}\n}\n",
+     "namespace gmg::amr {\nclass CompositeRun {\n"
+     "  void patch_smooth(comm::Communicator& c) {\n"
+     "    h_.patch_exchange().exchange(c, h_.patch().x);\n  }\n};\n}\n",
      "exchange-call"},
     {"vector begin not an exchange call", "src/gmg/foo.cpp",
      "namespace gmg {\nvoid GmgSolver::sort_stuff(std::vector<int>& v) {\n"

@@ -8,8 +8,8 @@
 // For each configuration (4 smoothers, both bottom solvers on Jacobi,
 // W-cycle, FMG is folded into every entry since verify_solver_schedule
 // proves both the V-cycle and FMG schedules) the tool records the
-// planned launch/exchange sequence with the ScheduleWalker and runs
-// check::ScheduleVerifier over it, printing step counts and proof
+// planned launch/exchange sequence through the solvers' own cycle and
+// runs check::ScheduleVerifier over it, printing step counts and proof
 // time. Every configuration is proven for rank 0 of three rank grids,
 // each rank owning an N^3 subdomain (--extent N): 1x1x1 (every axis
 // wraps, so no ghost zone and no CA growth), 2x2x1 and 2x2x2 (CA
@@ -30,9 +30,8 @@
 #include <string>
 #include <vector>
 
-#include "amr/composite_audit.hpp"
+#include "amr/composite_solver.hpp"
 #include "amr/hierarchy.hpp"
-#include "batch/batched_audit.hpp"
 #include "batch/batched_solver.hpp"
 #include "check/schedule.hpp"
 #include "common/timer.hpp"
