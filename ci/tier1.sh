@@ -7,7 +7,10 @@
 #   2. A separate ASan+UBSan tree (./build-asan, bench/examples off)
 #      running the trace recorder and simmpi/exchange tests — the
 #      multi-threaded code where a data race or lifetime bug in the
-#      per-thread ring buffers would hide.
+#      per-thread ring buffers would hide — and the kernel suites
+#      (operators, fused, batch): one kernel set serves every batch
+#      width, so an off-by-one in a lane-strided (K-lane) offset is an
+#      out-of-bounds access ASan reports.
 #   3. A TSan tree (./build-tsan, OpenMP off — see GMG_SANITIZE_THREAD)
 #      running the exec engine, kernel-runtime parallel_for, simmpi,
 #      split-phase exchange, overlapped smoothing (the solo and batched
@@ -117,15 +120,17 @@ done
 if [[ "${SKIP_ASAN}" == 1 ]]; then
   echo "== skipping ASan+UBSan pass =="
 else
-  echo "== ASan+UBSan: trace + comm tests =="
+  echo "== ASan+UBSan: trace + comm + kernel tests =="
   cmake -B build-asan -S . \
     -DGMG_SANITIZE=ON \
     -DGMG_ENABLE_BENCH=OFF \
     -DGMG_ENABLE_EXAMPLES=OFF \
     -DGMG_NATIVE_ARCH=OFF >/dev/null
   cmake --build build-asan -j"${JOBS}" \
-    --target test_trace test_simmpi test_exchange
-  for t in test_trace test_simmpi test_exchange; do
+    --target test_trace test_simmpi test_exchange test_operators \
+             test_fused test_batch
+  for t in test_trace test_simmpi test_exchange test_operators test_fused \
+           test_batch; do
     echo "-- ${t} (sanitized)"
     "./build-asan/tests/${t}"
   done

@@ -92,9 +92,9 @@ real_t composite_cycle(X& x, const AmrHierarchy& h) {
 }
 
 /// The composite run executor: the hierarchy's composite, solver and
-/// patch fields through the interface kernels and the patch's
-/// KernelPlan bindings; the correction V-cycles through the solver's
-/// own (solo run) cycle.
+/// patch fields through the interface kernels and the patch's resolved
+/// KernelPlan; the correction V-cycles through the solver's own (solo
+/// run) cycle.
 class CompositeRun {
  public:
   CompositeRun(AmrHierarchy& h, comm::Communicator& comm)
@@ -119,7 +119,7 @@ class CompositeRun {
                              h_.geometry());
   }
   void patch_residual() {
-    P_.plan.apply(P_.Ax, P_.x, P_.interior());
+    level_apply(P_, P_.Ax, P_.x, P_.interior());
     residual(P_.r, P_.b, P_.Ax, P_.interior());
   }
   void masked_residual() {
@@ -143,7 +143,7 @@ class CompositeRun {
   void correct_coarse() { axpy_interior(h_.xH(), real_t{1}, L0_.x); }
   void correct_patch() { amr::correct_patch(P_.x, L0_.x, h_.geometry()); }
   void patch_sweep() {
-    P_.plan.jacobi(P_.interior(), /*residual=*/false, nullptr);
+    level_jacobi(P_, P_.Ax, nullptr, nullptr, P_.x, P_.b, P_.interior());
     std::swap(P_.x, P_.Ax);
   }
   void restrict_solution() { restrict_patch(h_.xH(), P_.x, h_.geometry()); }
@@ -285,7 +285,7 @@ class CompositeRecord {
   }
   void patch_sweep() {
     const Box& in = interior_p_;
-    if (jacobi_is_one_pass(h_.options().gmg, h_.patch())) {
+    if (jacobi_is_one_pass(h_.patch())) {
       ex_.launch("kernel.jacobiSweep", pl_, fused::jacobi_sweep_effects(),
                  {write_access("Ax", pl_, in, "out"),
                   read_access("x", pl_, in, 1, "x"),

@@ -1,143 +1,15 @@
 #include "batch/batched_solver.hpp"
 
-#include <array>
 #include <cmath>
 
-#include "batch/apply_batch.hpp"
-#include "batch/batched_kernels.hpp"
 #include "common/timer.hpp"
-#include "dsl/stencils.hpp"
 #include "gmg/cycle.hpp"
+#include "gmg/level_run.hpp"
+#include "gmg/operators.hpp"
 #include "gmg/schedule_audit.hpp"
 #include "trace/trace.hpp"
 
 namespace gmg::batch {
-
-/// The batched run executor of the cycle (gmg/cycle.hpp): the
-/// K-component fields and the batched kernels, one stretched exchange
-/// round per aggregated exchange. Untimed — the batched path keeps no
-/// profiler — and without the fused residual+max-norm: the convergence
-/// norms are per component with retirement masking, so one residual
-/// pass feeds up to K strided reduces (value-identical to the solo
-/// fused kernel anyway).
-class BatchedSolver::Run {
- public:
-  Run(BatchedSolver& bs, comm::Communicator& comm) : bs_(bs), comm_(comm) {}
-
-  int k() const { return bs_.k_; }
-  template <class Fn>
-  void timed(int, perf::Phase, Fn&& fn) {
-    fn();
-  }
-
-  // Exchange primitives: the only direct exchange-engine calls of the
-  // batched path.
-  void exchange(int l, const FieldSet& fs) {
-    bl(l).exchange->exchange(comm_, fields(l, fs));
-  }
-  void begin(int l, const FieldSet& fs) {
-    bl(l).exchange->begin(comm_, fields(l, fs));
-  }
-  template <class Kernel>
-  void finish(int l, const Box& active, const Box& safe, perf::Phase phase,
-              Kernel& kernel) {
-    finish_exchange_overlapped(
-        comm_, *bl(l).exchange, bs_.overlap_, nullptr, l, active, safe, phase,
-        [&](const Box& region) { kernel(region, false); });
-  }
-
-  void apply(int l, Fld out, Fld in, const Box& box, bool) {
-    apply_operator(l, f(l, out), f(l, in), box);
-  }
-  /// The solo two-stage body: A*x into the spare buffer, then the
-  /// pointwise update over it; the cycle swaps x and Ax afterwards.
-  void jacobi(int l, const Box& box, bool residual, bool restrict, bool) {
-    const MgLevel& L = base(l);
-    BatchLevel& B = bl(l);
-    apply_operator(l, B.Ax, B.x, box);
-    jacobi_update(B.Ax, residual ? &B.r : nullptr,
-                  restrict ? &bl(l + 1).b : nullptr, B.x, B.b,
-                  L.varcoef ? L.plan.weight : -L.plan.weight / L.alpha,
-                  L.varcoef ? &L.diag : nullptr, box);
-  }
-  void swap(int l) { std::swap(bl(l).x, bl(l).Ax); }
-  void gs_color(int l, int color, const Box& box, bool) {
-    const MgLevel& L = base(l);
-    gs_color_sweep(bl(l).x, bl(l).b, L.alpha, L.beta, color, L.rank_box.lo,
-                   box);
-  }
-  void residual(int l, const Box& box) {
-    batch::residual(bl(l).r, bl(l).b, bl(l).Ax, box);
-  }
-  void residual_restrict(int l) {
-    batch::residual_restrict(bl(l).r, bl(l + 1).b, bl(l).b, bl(l).Ax);
-  }
-  void restriction(int l, Fld fine) {
-    batch::restriction(bl(l + 1).b, f(l, fine));
-  }
-  void init_zero_x(int l, const Box&) { init_zero(bl(l).x); }
-  void interp_increment(int l) {
-    interpolation_increment(bl(l).x, bl(l + 1).x);
-  }
-  void cheby_p(int l, const Box& box, real_t beta) {
-    const MgLevel& L = base(l);
-    if (L.varcoef) {
-      cheby_p_update_varcoef(bl(l).p, bl(l).r, L.diag, beta, box);
-    } else {
-      cheby_p_update(bl(l).p, bl(l).r, 1.0 / L.alpha, beta, box);
-    }
-  }
-  void axpy_p(int l, real_t alpha, const Box& box) {
-    axpy(bl(l).x, alpha, bl(l).p, box);
-  }
-  void copy(int l, Fld dst, Fld src) { copy_interior(f(l, dst), f(l, src)); }
-  real_t dot(int l, Fld a, Fld b, int c) {
-    return dot_interior(f(l, a), f(l, b), c);
-  }
-  void axpy_interior(int l, Fld y, real_t a, Fld x, int c) {
-    batch::axpy_interior(f(l, y), a, f(l, x), c);
-  }
-  void xpay_interior(int l, Fld y, Fld x, real_t beta, int c) {
-    batch::xpay_interior(f(l, y), f(l, x), beta, c);
-  }
-  real_t max_norm(int c) { return batch::max_norm(bl(0).r, c); }
-  int next_group() { return 0; }
-  real_t allreduce_sum(real_t v, const char*, int, int, int, bool) {
-    return comm_.allreduce_sum(v);
-  }
-  real_t allreduce_max(real_t v, const char*, int, int, int, bool) {
-    return comm_.allreduce_max(v);
-  }
-  int cg_iterations(int budget) const { return budget; }
-
- private:
-  const MgLevel& base(int l) const { return bs_.base_.level(l); }
-  BatchLevel& bl(int l) { return bs_.levels_[static_cast<std::size_t>(l)]; }
-  BatchedBrickedArray& f(int l, Fld fld) { return field(bl(l), fld); }
-  std::vector<BrickedArray*> fields(int l, const FieldSet& fs) {
-    std::vector<BrickedArray*> out(static_cast<std::size_t>(fs.n));
-    for (std::size_t i = 0; i < out.size(); ++i)
-      out[i] = &f(l, fs.f[i]).inner();
-    return out;
-  }
-  void apply_operator(int l, BatchedBrickedArray& out,
-                      const BatchedBrickedArray& in, const Box& active) {
-    const MgLevel& L = base(l);
-    if (L.varcoef) {
-      apply_op_varcoef(out, in, L.coef, bs_.base_.options().identity_coef,
-                       L.h, active);
-    } else if (L.radius == 1) {
-      apply_op(out, in, L.alpha, L.beta, active);
-    } else {
-      const auto expr = dsl::star_stencil<2, 0>(
-          std::array<real_t, 3>{L.alpha, L.beta, L.beta2});
-      batch::apply(expr, out, active, in);
-    }
-  }
-
-  BatchedSolver& bs_;
-  comm::Communicator& comm_;
-};
 
 BatchedSolver::BatchedSolver(GmgSolver& base, int k, BrickArena* arena)
     : base_(base), k_(k), arena_(arena) {
@@ -202,16 +74,16 @@ void BatchedSolver::set_rhs(
       bf.b.at(i, j, k, c) = fs[static_cast<std::size_t>(c)](px, py, pz);
     }
   });
-  init_zero(bf.x);
+  init_zero(bf.x.inner());
   for (std::size_t l = 1; l < levels_.size(); ++l) {
-    init_zero(levels_[l].x);
-    init_zero(levels_[l].b);
+    init_zero(levels_[l].x.inner());
+    init_zero(levels_[l].b.inner());
   }
   cycle_.after_set_rhs(fine.shape.bx);
   // Same back-to-back-solve audit as GmgSolver::set_rhs: p is read
   // before written by the first Chebyshev sweep.
   for (BatchLevel& bl : levels_) {
-    if (bl.p.size() != 0) init_zero(bl.p);
+    if (bl.p.size() != 0) init_zero(bl.p.inner());
   }
 }
 
@@ -241,8 +113,10 @@ std::vector<SolveResult> BatchedSolver::solve(
   std::vector<std::uint8_t> active(static_cast<std::size_t>(k_), 1);
   std::vector<real_t> res(static_cast<std::size_t>(k_), 0.0);
   int live = k_;
-  Run ex(*this, comm);
-  Cycle<Run> cycle(base_, ex, cycle_);
+  // The solo cycle's executor over the K-lane fields; untimed (the
+  // batched path keeps no profiler).
+  LevelRun<BatchLevel> ex(base_, levels_, nullptr, overlap_, comm);
+  Cycle<LevelRun<BatchLevel>> cycle(base_, ex, cycle_);
 
   const auto retire = [&](int c) {
     const std::size_t cc = static_cast<std::size_t>(c);
@@ -314,7 +188,7 @@ check::Schedule record_batched_schedule(const BatchedSolver& bs) {
   const GmgSolver& base = bs.base();
   const int k = bs.batch();
   check::ScheduleRecorder rec("batch.solve");
-  Record ex(rec, base, k, /*batched=*/true);
+  Record ex(rec, base, k);
   ex.add_levels();
   CycleState st(base.num_levels(), k);
   st.after_set_rhs(base.level(0).shape.bx);

@@ -1,18 +1,20 @@
 // Multi-RHS batched geometric multigrid (DESIGN.md §15): one V-cycle
 // schedule driven over K independent systems that share a hierarchy's
 // geometry and operator. The schedule is the solo solver's own cycle
-// (gmg/cycle.hpp) run over K components; fields live in AoSoA batched
-// storage (batched_array.hpp), every kernel is the K-systems twin of
-// the solo one (batched_kernels.hpp), and ONE stretched-shape ghost
-// exchange round per sweep moves all K components of every aggregated
-// field.
+// (gmg/cycle.hpp) run by the solo run executor (gmg/level_run.hpp) over
+// K components; fields live in AoSoA batched storage
+// (brick/batched_array.hpp), every launch is the solo kernel
+// instantiated for K lanes per cell (gmg/operators.hpp), and ONE
+// stretched-shape ghost exchange round per sweep moves all K components
+// of every aggregated field.
 //
 // Correctness bar: a K-way batched solve is BITWISE identical to K
 // solo GmgSolver::solve runs with the same hierarchy and inputs —
-// same iterates, same residual histories, same cycle counts. The
-// schedule is value-neutral by construction (see batched_kernels.hpp);
-// per-component divergence (one system converging first, a deadline
-// hitting one request) is handled by *retiring* components — capturing
+// same iterates, same residual histories, same cycle counts. Every lane
+// gets the solo per-element arithmetic, and the '+'-reductions run the
+// solo chunk plan over each lane's gathered slice. Per-component
+// divergence (one system converging first, a deadline hitting one
+// request) is handled by *retiring* components — capturing
 // their solution snapshot the moment their solo twin's cycle loop
 // would have exited — while the shared schedule keeps running for the
 // rest. Retired components keep being smoothed (masking the main
@@ -25,7 +27,7 @@
 #include <memory>
 #include <vector>
 
-#include "batch/batched_array.hpp"
+#include "brick/batched_array.hpp"
 #include "brick/brick_arena.hpp"
 #include "check/schedule.hpp"
 #include "comm/exchange.hpp"
@@ -104,8 +106,6 @@ class BatchedSolver {
     BatchedBrickedArray x, b, Ax, r, p;
     std::unique_ptr<comm::BrickExchange> exchange;
   };
-  /// The batched run executor of the cycle (defined in the .cpp).
-  class Run;
 
   /// Capture component c's fine-level solution into solutions_[c].
   void snapshot_solution(int c);

@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "brick/batched_array.hpp"
 #include "brick/brick_grid.hpp"
 #include "brick/bricked_array.hpp"
 #include "mesh/box.hpp"
@@ -73,6 +74,12 @@ struct Access {
 
 inline Access access(const BrickedArray& f, const Box& box) {
   return Access{f.data(), &f.grid(), f.shape().dims(), box};
+}
+
+/// A batched field's cell box covers every lane of its cells: the box
+/// stretched onto the storage's x axis.
+inline Access access(const BatchedBrickedArray& f, const Box& box) {
+  return access(f.inner(), stretch_box(box, f.batch()));
 }
 
 /// RAII declaration of one kernel launch's reads and writes. All

@@ -17,7 +17,9 @@
 #include <array>
 #include <optional>
 #include <tuple>
+#include <utility>
 
+#include "brick/batched_array.hpp"
 #include "brick/brick_plan.hpp"
 #include "brick/bricked_array.hpp"
 #include "check/footprint.hpp"
@@ -31,12 +33,16 @@ namespace detail {
 /// Accessor for one brick: resolves local coordinates that step out of
 /// [0,B)^3 through the adjacency table. |tap| must be <= B, i.e. the
 /// stencil radius may not exceed the brick dimension (true for every
-/// operator in the paper: radius 1, bricks 4 or 8).
-template <typename BD, int NSlots>
+/// operator in the paper: radius 1, bricks 4 or 8). Slot s reads cell e
+/// at field[s][e * stride_s]: a lane of a batched field (its base
+/// offset to the lane, stride K) or a BrickedArray (the compile-time
+/// stride 1 — solo storage, or a field shared by every lane).
+template <typename BD, typename... Strides>
 struct BrickAccessor {
-  std::array<const real_t*, NSlots> field;  // storage base per slot
-  const std::int32_t* adj;                  // 27 adjacency entries
-  std::int32_t id;                          // current brick
+  std::array<const real_t*, sizeof...(Strides)> field;  // base per slot
+  std::tuple<Strides...> stride;
+  const std::int32_t* adj;  // 27 adjacency entries
+  std::int32_t id;          // current brick
 
   template <int Slot>
   real_t load(index_t li, index_t lj, index_t lk) const {
@@ -51,22 +57,25 @@ struct BrickAccessor {
       lj -= sy * BD::by;
       lk -= sz * BD::bz;
     }
-    return field[Slot][static_cast<std::size_t>(b) * BD::volume +
-                       static_cast<std::size_t>((lk * BD::by + lj) * BD::bx +
-                                                li)];
+    return field[Slot][(static_cast<std::size_t>(b) * BD::volume +
+                        static_cast<std::size_t>((lk * BD::by + lj) * BD::bx +
+                                                 li)) *
+                       std::get<Slot>(stride)];
   }
 };
 
 /// Accessor for rows whose taps provably stay inside the brick: plain
-/// contiguous loads, vectorizable.
-template <typename BD, int NSlots>
+/// in-brick loads, vectorizable.
+template <typename BD, typename... Strides>
 struct FastAccessor {
-  std::array<const real_t*, NSlots> brick;  // base pointer of this brick
+  std::array<const real_t*, sizeof...(Strides)> brick;  // this brick
+  std::tuple<Strides...> stride;
 
   template <int Slot>
   real_t load(index_t li, index_t lj, index_t lk) const {
     return brick[Slot][static_cast<std::size_t>((lk * BD::by + lj) * BD::bx +
-                                                li)];
+                                                li) *
+                       std::get<Slot>(stride)];
   }
 };
 
@@ -77,11 +86,11 @@ struct FastAccessor {
 /// fused variable-coefficient Jacobi sweep (gmg/fused_kernels.cpp)
 /// evaluates its A*x rows through this same body, so its per-element
 /// arithmetic is the apply's by construction.
-template <typename BD, int NSlots, typename Expr, typename Emit>
-inline void eval_row(const Expr& expr, const Extents& ext,
-                     const BrickAccessor<BD, NSlots>& slow,
-                     const FastAccessor<BD, NSlots>& fast, index_t lj,
-                     index_t lk, index_t ilo, index_t ihi, Emit&& emit) {
+template <typename BD, typename Expr, typename Slow, typename Fast,
+          typename Emit>
+inline void eval_row(const Expr& expr, const Extents& ext, const Slow& slow,
+                     const Fast& fast, index_t lj, index_t lk, index_t ilo,
+                     index_t ihi, Emit&& emit) {
   const bool zin = (lk + ext.lo[2] >= 0) && (lk + ext.hi[2] < BD::bz);
   const bool yin = (lj + ext.lo[1] >= 0) && (lj + ext.hi[1] < BD::by);
   if (zin && yin) {
@@ -105,31 +114,53 @@ inline void eval_row(const Expr& expr, const Extents& ext,
 }
 
 /// The slow (adjacency-resolving) and fast (in-brick) accessors of plan
-/// brick `id` over the slot storage bases.
-template <typename BD, int NSlots>
+/// brick `id` over the slot bases of one lane.
+template <typename BD, typename... Strides>
 struct BrickAccessors {
-  BrickAccessor<BD, NSlots> slow;
-  FastAccessor<BD, NSlots> fast;
+  BrickAccessor<BD, Strides...> slow;
+  FastAccessor<BD, Strides...> fast;
 
-  BrickAccessors(const std::array<const real_t*, NSlots>& bases,
+  BrickAccessors(const std::array<const real_t*, sizeof...(Strides)>& bases,
+                 const std::tuple<Strides...>& strides,
                  const std::int32_t* adj, std::int32_t id)
-      : slow{bases, adj, id}, fast{} {
-    for (int s = 0; s < NSlots; ++s)
-      fast.brick[static_cast<std::size_t>(s)] =
-          bases[static_cast<std::size_t>(s)] +
-          static_cast<std::size_t>(id) * BD::volume;
+      : slow{bases, strides, adj, id},
+        fast{brick_bases(bases, strides, id,
+                         std::index_sequence_for<Strides...>{}),
+             strides} {}
+
+ private:
+  template <std::size_t... S>
+  static std::array<const real_t*, sizeof...(S)> brick_bases(
+      const std::array<const real_t*, sizeof...(S)>& bases,
+      const std::tuple<Strides...>& strides, std::int32_t id,
+      std::index_sequence<S...>) {
+    return {(bases[S] + static_cast<std::size_t>(id) * BD::volume *
+                            std::get<S>(strides))...};
   }
 };
 
-template <bool Increment, typename BD, typename Expr, typename... Fields>
-void apply_bricks_impl(BD, const Expr& expr, BrickedArray& out,
-                       const Box& active, const Fields&... inputs) {
+/// Slot base of lane c: a batched field's lane sits at offset c; a
+/// BrickedArray is read by every lane.
+inline const real_t* lane_base(const BrickedArray& f, index_t) {
+  return f.data();
+}
+inline const real_t* lane_base(const BatchedBrickedArray& f, index_t c) {
+  return f.data() + c;
+}
+
+template <bool Increment, typename BD, typename Expr, class Out,
+          typename... Fields>
+void apply_bricks_impl(BD, const Expr& expr, Out& out, const Box& active,
+                       const Fields&... inputs) {
   const BrickGrid& grid = out.grid();
-  const auto check_grid = [&](const BrickedArray& f) {
+  const auto K = lanes(out);
+  const auto check_slot = [&](const auto& f) {
     GMG_REQUIRE(&f.grid() == &grid,
                 "all fields of one apply must share a brick grid");
+    GMG_REQUIRE(lanes(f) == 1 || lanes(f) == K,
+                "an apply input is the output's batch or shared by it");
   };
-  (check_grid(inputs), ...);
+  (check_slot(inputs), ...);
 
   // Footprint-vs-ghost-depth check (src/check): an undersized ghost
   // depth is a setup failure here, not a silent out-of-ghost read in
@@ -139,7 +170,7 @@ void apply_bricks_impl(BD, const Expr& expr, BrickedArray& out,
                                 ext, BrickShape{BD::bx, BD::by, BD::bz});
 
   constexpr int kSlots = sizeof...(Fields);
-  const std::array<const real_t*, kSlots> bases{inputs.data()...};
+  const std::tuple strides{lanes(inputs)...};
 
   // Access-hazard scope: out is written over `active`; each input is
   // read over `active` grown by its own slot's tap reach.
@@ -149,7 +180,7 @@ void apply_bricks_impl(BD, const Expr& expr, BrickedArray& out,
     std::vector<check::Access> reads;
     reads.reserve(kSlots);
     int slot = 0;
-    const auto add_read = [&](const BrickedArray& f) {
+    const auto add_read = [&](const auto& f) {
       const Extents se = offs.slot_extents(slot++);
       const Box reach{{active.lo.x + se.lo[0], active.lo.y + se.lo[1],
                        active.lo.z + se.lo[2]},
@@ -184,7 +215,7 @@ void apply_bricks_impl(BD, const Expr& expr, BrickedArray& out,
         constexpr bool kFull = decltype(full)::value;
         const std::int32_t id = it.id;
         real_t* __restrict ob =
-            out_base + static_cast<std::size_t>(id) * BD::volume;
+            out_base + static_cast<std::size_t>(id * BD::volume * K);
 
         // Active cell region clipped to this brick (local coords) —
         // whole-brick constants for the plan's full bricks.
@@ -195,17 +226,23 @@ void apply_bricks_impl(BD, const Expr& expr, BrickedArray& out,
         const index_t klo = kFull ? 0 : it.klo;
         const index_t khi = kFull ? BD::bz : it.khi;
 
-        const BrickAccessors<BD, kSlots> acc(bases, it.adj, id);
-        for (index_t lk = klo; lk < khi; ++lk) {
-          for (index_t lj = jlo; lj < jhi; ++lj) {
-            real_t* __restrict orow = ob + (lk * BD::by + lj) * BD::bx;
-            eval_row(expr, ext, acc.slow, acc.fast, lj, lk, ilo, ihi,
-                     [&](index_t li, real_t v) {
-                       if constexpr (Increment)
-                         orow[li] += v;
-                       else
-                         orow[li] = v;
-                     });
+        for (index_t c = 0; c < K; ++c) {
+          const std::array<const real_t*, kSlots> bases{
+              lane_base(inputs, c)...};
+          const BrickAccessors<BD, decltype(lanes(inputs))...> acc(
+              bases, strides, it.adj, id);
+          for (index_t lk = klo; lk < khi; ++lk) {
+            for (index_t lj = jlo; lj < jhi; ++lj) {
+              real_t* __restrict orow =
+                  ob + (lk * BD::by + lj) * BD::bx * K + c;
+              eval_row<BD>(expr, ext, acc.slow, acc.fast, lj, lk, ilo, ihi,
+                           [&](index_t li, real_t v) {
+                             if constexpr (Increment)
+                               orow[li * K] += v;
+                             else
+                               orow[li * K] = v;
+                           });
+            }
           }
         }
       });
@@ -214,11 +251,13 @@ void apply_bricks_impl(BD, const Expr& expr, BrickedArray& out,
 }  // namespace detail
 
 /// out(i,j,k) = expr over `active` (cell coordinates; may extend into
-/// the ghost bricks for communication-avoiding sweeps).
-template <typename Expr, typename... Fields>
-void apply(const Expr& expr, BrickedArray& out, const Box& active,
+/// the ghost bricks for communication-avoiding sweeps), every lane of a
+/// batched `out`; each input is out's batch or one field shared by
+/// every lane.
+template <typename Expr, BrickField Out, typename... Fields>
+void apply(const Expr& expr, Out& out, const Box& active,
            const Fields&... inputs) {
-  const auto check_shape = [&](const BrickedArray& f) {
+  const auto check_shape = [&](const auto& f) {
     GMG_REQUIRE(f.shape() == out.shape(), "brick shape mismatch");
   };
   (check_shape(inputs), ...);
@@ -228,10 +267,10 @@ void apply(const Expr& expr, BrickedArray& out, const Box& active,
 }
 
 /// out(i,j,k) += expr over `active`.
-template <typename Expr, typename... Fields>
-void apply_increment(const Expr& expr, BrickedArray& out, const Box& active,
+template <typename Expr, BrickField Out, typename... Fields>
+void apply_increment(const Expr& expr, Out& out, const Box& active,
                      const Fields&... inputs) {
-  const auto check_shape = [&](const BrickedArray& f) {
+  const auto check_shape = [&](const auto& f) {
     GMG_REQUIRE(f.shape() == out.shape(), "brick shape mismatch");
   };
   (check_shape(inputs), ...);

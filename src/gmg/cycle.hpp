@@ -4,12 +4,12 @@
 // safe box, the Jacobi, Chebyshev and red-black Gauss-Seidel sweeps,
 // the bottom smoother and the masked bottom CG, the V/W cycle, FMG and
 // the convergence norm. It issues each launch, exchange and reduction
-// through an executor, of which there are three:
+// through an executor, of which there are two:
 //
-//   * SoloRun (solver.cpp): GmgSolver's fields through the level's
-//     KernelPlan bindings, timed by the solver's profiler;
-//   * BatchedRun (batch/batched_solver.cpp): the K-component fields and
-//     the batched kernels;
+//   * LevelRun<Level> (level_run.hpp): runs it over a field set — the
+//     GmgSolver's own levels (timed by the solver's profiler) or a
+//     batched solve's K-lane levels — through each level's KernelPlan
+//     and the one K-generic kernel set;
 //   * Record (schedule_audit.hpp): emits a check::ScheduleStep per
 //     launch instead of running it, so the §18 verifier proves the
 //     schedule the solvers issue.

@@ -3,6 +3,7 @@
 #include <array>
 #include <cmath>
 #include <optional>
+#include <tuple>
 #include <type_traits>
 #include <vector>
 
@@ -22,8 +23,9 @@ inline void count_flops(std::uint64_t pts, std::uint64_t flops_per_pt) {
   trace::counter_add("gmg.flops", pts * flops_per_pt);
 }
 
-inline std::uint64_t box_points(const Box& b) {
-  return static_cast<std::uint64_t>(b.volume());
+/// Cell-lane points of `b` for a field with `lanes` lanes.
+inline std::uint64_t box_points(const Box& b, index_t lanes = 1) {
+  return static_cast<std::uint64_t>(b.volume() * lanes);
 }
 
 /// brick_pass stage that does nothing (a kernel with no per-row A*x
@@ -33,20 +35,21 @@ struct NoStage {
   void operator()(Args&&...) const {}
 };
 
-/// One pass over the bricks of `active`. `row(it, full, lj, lk, ilo,
-/// ihi, o)` runs per row, `o` being the row's flat storage offset (the
-/// one-pass sweeps: A*x and the x update, in registers); `flat(o, ilo,
-/// ihi)` runs a pointwise stage over the row's cells — full bricks
-/// collapse their rows into one whole-brick call, exactly as
-/// for_each_row chunks them. With a coarse grid `cg`, every INTERIOR
-/// brick then restricts its just-written residual `rp` into `cp`.
-/// Interior bricks are always full plan items here (the caller's region
-/// cuts the interior only at brick boundaries); clipped items are
-/// ghost-shell bricks, which contribute no restriction.
-template <typename BD, typename Row, typename Flat>
-void brick_pass(BD, const char* name, const BrickGrid& fg, const Box& active,
-                Row&& row, Flat&& flat, const BrickGrid* cg, const real_t* rp,
-                real_t* cp) {
+/// One pass over the bricks of `active`, K lanes per cell. `row(it,
+/// full, lj, lk, ilo, ihi, o)` runs per row, `o` being the row's flat
+/// CELL offset (the one-pass sweeps: A*x and the x update, in
+/// registers); `flat(o, lo, hi)` runs a pointwise stage over the row's
+/// storage elements [o + lo, o + hi) — full bricks collapse their rows
+/// into one whole-brick call, exactly as the row visitor chunks them.
+/// With a coarse grid `cg`, every INTERIOR brick then restricts its
+/// just-written residual `rp` into `cp`. Interior bricks are always
+/// full plan items here (the caller's region cuts the interior only at
+/// brick boundaries); clipped items are ghost-shell bricks, which
+/// contribute no restriction.
+template <typename BD, typename KT, typename Row, typename Flat>
+void brick_pass(BD, KT K, const char* name, const BrickGrid& fg,
+                const Box& active, Row&& row, Flat&& flat,
+                const BrickGrid* cg, const real_t* rp, real_t* cp) {
   const std::int64_t ni = fg.num_interior();
   const auto plan = fg.iteration_plan(active, Vec3{BD::bx, BD::by, BD::bz});
   for_each_plan_brick<BD>(name, *plan, [&](const BrickPlanItem& it,
@@ -64,13 +67,13 @@ void brick_pass(BD, const char* name, const BrickGrid& fg, const Box& active,
         const std::size_t o =
             base + static_cast<std::size_t>((lk * BD::by + lj) * BD::bx);
         row(it, full, lj, lk, ilo, ihi, o);
-        if constexpr (!kFull) flat(o, ilo, ihi);
+        if constexpr (!kFull) flat(o * K, ilo * K, ihi * K);
       }
     }
     if constexpr (kFull) {
-      flat(base, index_t{0}, static_cast<index_t>(BD::volume));
+      flat(base * K, index_t{0}, static_cast<index_t>(BD::volume * K));
       if (cp != nullptr && it.id < ni)
-        detail::restrict_brick<BD>(it.coord, *cg, rp + base, cp);
+        detail::restrict_brick<BD>(K, it.coord, *cg, rp + base * K, cp);
     } else {
       GMG_ASSERT(cp == nullptr || it.id >= ni);
     }
@@ -80,7 +83,7 @@ void brick_pass(BD, const char* name, const BrickGrid& fg, const Box& active,
 /// Calls fn(std::true_type{}) when the sweep writes r, fn(false_type{})
 /// otherwise — the residual store is resolved at compile time.
 template <typename Fn>
-void with_residual(const BrickedArray* r, Fn&& fn) {
+void with_residual(const void* r, Fn&& fn) {
   if (r != nullptr)
     fn(std::true_type{});
   else
@@ -102,8 +105,8 @@ inline void jacobi_update_cell(real_t* __restrict xn, real_t* __restrict rp,
 
 /// A fused restriction folds `fine` bricks into `coarse` octants: the
 /// fine extent is twice the coarse one and both share the brick shape.
-void require_coarse_image(const BrickedArray& fine,
-                          const BrickedArray& coarse) {
+template <class F>
+void require_coarse_image(const F& fine, const F& coarse) {
   const Vec3 fe = fine.extent(), ce = coarse.extent();
   GMG_REQUIRE(fe.x == 2 * ce.x && fe.y == 2 * ce.y && fe.z == 2 * ce.z,
               "fine extent must be twice the coarse extent");
@@ -114,9 +117,9 @@ void require_coarse_image(const BrickedArray& fine,
 /// Shared argument checks of the sweep family. Returns the interior
 /// part of `active` a restricting sweep folds into the coarse RHS
 /// (empty otherwise).
-Box require_sweep_args(const BrickedArray& x_next, const BrickedArray* r,
-                       const BrickedArray* coarse_b, const BrickedArray& x,
-                       const Box& active) {
+template <class F>
+Box require_sweep_args(const F& x_next, const F* r, const F* coarse_b,
+                       const F& x, const Box& active) {
   GMG_REQUIRE(x_next.data() != x.data(),
               "jacobi sweep output aliases its input x: an in-place "
               "stencil update races read-after-write across bricks");
@@ -140,11 +143,12 @@ Box require_sweep_args(const BrickedArray& x_next, const BrickedArray* r,
 /// `active`, the coarse image of the restricted interior bricks, and
 /// the residual those bricks re-read; `reads()` lists the kernel's own
 /// inputs. Nothing is built while the detector is off.
-template <typename Reads>
-std::optional<check::KernelScope> sweep_scope(
-    const char* name, const Box& active, const BrickedArray& x_next,
-    const BrickedArray* r, const BrickedArray* coarse_b, const Box& fine,
-    Reads&& reads) {
+template <class F, typename Reads>
+std::optional<check::KernelScope> sweep_scope(const char* name,
+                                              const Box& active,
+                                              const F& x_next, const F* r,
+                                              const F* coarse_b,
+                                              const Box& fine, Reads&& reads) {
   std::optional<check::KernelScope> scope;
   if (!check::enabled()) return scope;
   std::vector<check::Access> writes{check::access(x_next, active)};
@@ -176,17 +180,18 @@ void require_fused_fits(const BrickShape& shape) {
               "(per-brick 8->1 octant restriction)");
 }
 
-void jacobi_sweep(BrickedArray& x_next, BrickedArray* r,
-                  BrickedArray* coarse_b, const BrickedArray& x,
-                  const BrickedArray& b, real_t alpha, real_t beta,
-                  real_t gamma, const Box& active) {
-  const Box fine = require_sweep_args(x_next, r, coarse_b, x, active);
+template <class F>
+void jacobi_sweep(F& x_next, std::type_identity_t<F>* r,
+                  std::type_identity_t<F>* coarse_b, const F& x, const F& b,
+                  real_t alpha, real_t beta, real_t gamma, const Box& active) {
+  const Box fine = require_sweep_args<F>(x_next, r, coarse_b, x, active);
+  const auto K = lanes(x);
   trace::TraceSpan span("kernel.jacobiSweep");
   // A*x (8) + the x update (3) + the residual (1) per point; 8 per
   // coarse point for the restriction.
-  count_flops(box_points(active), r != nullptr ? 12 : 11);
-  if (coarse_b != nullptr) count_flops(box_points(fine) / 8, 8);
-  const std::optional<check::KernelScope> scope = sweep_scope(
+  count_flops(box_points(active, K), r != nullptr ? 12 : 11);
+  if (coarse_b != nullptr) count_flops(box_points(fine, K) / 8, 8);
+  const std::optional<check::KernelScope> scope = sweep_scope<F>(
       "kernel.jacobiSweep", active, x_next, r, coarse_b, fine, [&] {
         return std::vector<check::Access>{check::access(x, grow(active, 1)),
                                           check::access(b, active)};
@@ -200,17 +205,17 @@ void jacobi_sweep(BrickedArray& x_next, BrickedArray* r,
     const real_t* __restrict bp = b.data();
     with_residual(r, [&](auto res) {
       brick_pass(
-          bd, "kernel.jacobiSweep", x.grid(), active,
+          bd, K, "kernel.jacobiSweep", x.grid(), active,
           [&](const BrickPlanItem& it, auto full, index_t lj, index_t lk,
               index_t ilo, index_t ihi, std::size_t o) {
             // A*x stays in a register: each cell's ax goes straight into
             // its update.
             detail::star7_row<BD, decltype(full)::value>(
-                it, xp, lj, lk, ilo, ihi, alpha, beta,
-                [&](index_t li, real_t ax) {
+                it, K, xp, lj, lk, ilo, ihi, alpha, beta,
+                [&](index_t s, real_t ax) {
                   jacobi_update_cell<decltype(res)::value>(
-                      xn, rp, xp, bp, gamma, o + static_cast<std::size_t>(li),
-                      ax);
+                      xn, rp, xp, bp, gamma,
+                      o * K + static_cast<std::size_t>(s), ax);
                 });
           },
           NoStage{}, coarse_b != nullptr ? &coarse_b->grid() : nullptr, rp,
@@ -219,16 +224,18 @@ void jacobi_sweep(BrickedArray& x_next, BrickedArray* r,
   });
 }
 
-void jacobi_sweep_varcoef(BrickedArray& x_next, BrickedArray* r,
-                          BrickedArray* coarse_b, const BrickedArray& x,
-                          const BrickedArray& b, const BrickedArray& coef,
+template <class F>
+void jacobi_sweep_varcoef(F& x_next, std::type_identity_t<F>* r,
+                          std::type_identity_t<F>* coarse_b, const F& x,
+                          const F& b, const BrickedArray& coef,
                           const BrickedArray& diag, real_t identity_coef,
                           real_t h, real_t omega, const Box& active) {
-  const Box fine = require_sweep_args(x_next, r, coarse_b, x, active);
+  const Box fine = require_sweep_args<F>(x_next, r, coarse_b, x, active);
+  const auto K = lanes(x);
   trace::TraceSpan span("kernel.jacobiSweepVarCoef");
-  count_flops(box_points(active), r != nullptr ? 32 : 31);
-  if (coarse_b != nullptr) count_flops(box_points(fine) / 8, 8);
-  const std::optional<check::KernelScope> scope = sweep_scope(
+  count_flops(box_points(active, K), r != nullptr ? 32 : 31);
+  if (coarse_b != nullptr) count_flops(box_points(fine, K) / 8, 8);
+  const std::optional<check::KernelScope> scope = sweep_scope<F>(
       "kernel.jacobiSweepVarCoef", active, x_next, r, coarse_b, fine, [&] {
         return std::vector<check::Access>{
             check::access(x, grow(active, 1)),
@@ -236,10 +243,10 @@ void jacobi_sweep_varcoef(BrickedArray& x_next, BrickedArray* r,
             check::access(diag, active)};
       });
   // The operator is apply_op_varcoef's expression, evaluated through the
-  // DSL engine's own row body.
+  // DSL engine's own row body — lane by lane, the coefficient shared.
   const auto expr = vc::apply_expr(identity_coef, 0.5 / (h * h));
   const dsl::Extents ext = expr.extents();
-  const std::array<const real_t*, 2> bases{x.data(), coef.data()};
+  const std::tuple strides{K, lanes(coef)};
   with_brick_dims(x.shape(), [&](auto bd) {
     using BD = decltype(bd);
     detail::require_taps_in_grid(bd, x.grid(), active, 1);
@@ -250,18 +257,21 @@ void jacobi_sweep_varcoef(BrickedArray& x_next, BrickedArray* r,
     const real_t* __restrict dp = diag.data();
     with_residual(r, [&](auto res) {
       brick_pass(
-          bd, "kernel.jacobiSweepVarCoef", x.grid(), active,
+          bd, K, "kernel.jacobiSweepVarCoef", x.grid(), active,
           [&](const BrickPlanItem& it, auto, index_t lj, index_t lk,
               index_t ilo, index_t ihi, std::size_t o) {
-            const dsl::detail::BrickAccessors<BD, 2> acc(bases, it.adj,
-                                                         it.id);
-            dsl::detail::eval_row(
-                expr, ext, acc.slow, acc.fast, lj, lk, ilo, ihi,
-                [&](index_t li, real_t ax) {
-                  const std::size_t i = o + static_cast<std::size_t>(li);
-                  jacobi_update_cell<decltype(res)::value>(
-                      xn, rp, xp, bp, -omega / dp[i], i, ax);
-                });
+            for (index_t c = 0; c < K; ++c) {
+              const dsl::detail::BrickAccessors<BD, decltype(K), OneLane> acc(
+                  {xp + c, coef.data()}, strides, it.adj, it.id);
+              dsl::detail::eval_row<BD>(
+                  expr, ext, acc.slow, acc.fast, lj, lk, ilo, ihi,
+                  [&](index_t li, real_t ax) {
+                    const std::size_t cell = o + static_cast<std::size_t>(li);
+                    jacobi_update_cell<decltype(res)::value>(
+                        xn, rp, xp, bp, -omega / dp[cell],
+                        cell * K + static_cast<std::size_t>(c), ax);
+                  });
+            }
           },
           NoStage{}, coarse_b != nullptr ? &coarse_b->grid() : nullptr, rp,
           coarse_b != nullptr ? coarse_b->data() : nullptr);
@@ -269,14 +279,16 @@ void jacobi_sweep_varcoef(BrickedArray& x_next, BrickedArray* r,
   });
 }
 
-void jacobi_update(BrickedArray& x_next, BrickedArray* r,
-                   BrickedArray* coarse_b, const BrickedArray& x,
-                   const BrickedArray& b, real_t gamma, const Box& active) {
-  const Box fine = require_sweep_args(x_next, r, coarse_b, x, active);
+template <class F>
+void jacobi_update(F& x_next, std::type_identity_t<F>* r,
+                   std::type_identity_t<F>* coarse_b, const F& x, const F& b,
+                   real_t gamma, const Box& active) {
+  const Box fine = require_sweep_args<F>(x_next, r, coarse_b, x, active);
+  const auto K = lanes(x);
   trace::TraceSpan span("kernel.jacobiUpdate");
-  count_flops(box_points(active), r != nullptr ? 4 : 3);
-  if (coarse_b != nullptr) count_flops(box_points(fine) / 8, 8);
-  const std::optional<check::KernelScope> scope = sweep_scope(
+  count_flops(box_points(active, K), r != nullptr ? 4 : 3);
+  if (coarse_b != nullptr) count_flops(box_points(fine, K) / 8, 8);
+  const std::optional<check::KernelScope> scope = sweep_scope<F>(
       "kernel.jacobiUpdate", active, x_next, r, coarse_b, fine, [&] {
         return std::vector<check::Access>{check::access(x_next, active),
                                           check::access(x, active),
@@ -289,7 +301,7 @@ void jacobi_update(BrickedArray& x_next, BrickedArray* r,
     const real_t* __restrict bp = b.data();
     with_residual(r, [&](auto res) {
       brick_pass(
-          bd, "kernel.jacobiUpdate", x.grid(), active, NoStage{},
+          bd, K, "kernel.jacobiUpdate", x.grid(), active, NoStage{},
           [&](std::size_t o, index_t ilo, index_t ihi) {
 #pragma omp simd
             for (index_t i = ilo; i < ihi; ++i) {
@@ -333,7 +345,8 @@ void smooth_residual_restrict(BrickedArray& x, BrickedArray& r,
     const real_t* __restrict axp = Ax.data();
     const real_t* __restrict bp = b.data();
     brick_pass(
-        bd, "kernel.smoothResidualRestrict", x.grid(), active, NoStage{},
+        bd, lanes(x), "kernel.smoothResidualRestrict", x.grid(), active,
+        NoStage{},
         [&](std::size_t o, index_t ilo, index_t ihi) {
 #pragma omp simd
           for (index_t i = ilo; i < ihi; ++i) {
@@ -376,8 +389,8 @@ void smooth_residual_restrict_varcoef(BrickedArray& x, BrickedArray& r,
     const real_t* __restrict bp = b.data();
     const real_t* __restrict dp = diag.data();
     brick_pass(
-        bd, "kernel.smoothResidualRestrictVarCoef", x.grid(), active,
-        NoStage{},
+        bd, lanes(x), "kernel.smoothResidualRestrictVarCoef", x.grid(),
+        active, NoStage{},
         [&](std::size_t o, index_t ilo, index_t ihi) {
 #pragma omp simd
           for (index_t i = ilo; i < ihi; ++i) {
@@ -391,14 +404,15 @@ void smooth_residual_restrict_varcoef(BrickedArray& x, BrickedArray& r,
   });
 }
 
-void residual_restrict(BrickedArray& r, BrickedArray& coarse_b,
-                       const BrickedArray& b, const BrickedArray& Ax) {
+template <class F>
+void residual_restrict(F& r, F& coarse_b, const F& b, const F& Ax) {
   require_coarse_image(r, coarse_b);
   const Vec3 fe = r.extent(), ce = coarse_b.extent();
+  const auto K = lanes(r);
   trace::TraceSpan span("kernel.residualRestrict");
   const Box interior = Box::from_extent(fe);
-  count_flops(box_points(interior), 1);
-  count_flops(static_cast<std::uint64_t>(ce.x) * ce.y * ce.z, 8);
+  count_flops(box_points(interior, K), 1);
+  count_flops(box_points(Box::from_extent(ce), K), 8);
   const auto scope = check::scope_if_enabled(
       "kernel.residualRestrict",
       {check::access(r, interior),
@@ -423,23 +437,25 @@ void residual_restrict(BrickedArray& r, BrickedArray& coarse_b,
         exec::brick_grain(BD::volume), [&](std::int64_t lo, std::int64_t hi) {
           for (std::int64_t fid = lo; fid < hi; ++fid) {
             const std::size_t base =
-                static_cast<std::size_t>(fid) * BD::volume;
+                static_cast<std::size_t>(fid * BD::volume * K);
 #pragma omp simd
-            for (index_t i = 0; i < static_cast<index_t>(BD::volume); ++i) {
+            for (index_t i = 0; i < BD::volume * K; ++i) {
               rp[base + i] = bp[base + i] - axp[base + i];
             }
             detail::restrict_brick<BD>(
-                fg.coord_of(static_cast<std::int32_t>(fid)), cg, rp + base, cp);
+                K, fg.coord_of(static_cast<std::int32_t>(fid)), cg, rp + base,
+                cp);
           }
         });
   });
 }
 
-real_t residual_max_norm(BrickedArray& r, const BrickedArray& b,
-                         const BrickedArray& Ax) {
+template <class F>
+real_t residual_max_norm(F& r, const F& b, const F& Ax) {
   trace::TraceSpan span("kernel.residualMaxNorm");
+  const auto K = lanes(r);
   const Box interior = Box::from_extent(r.extent());
-  count_flops(box_points(interior), 2);
+  count_flops(box_points(interior, K), 2);
   const auto scope = check::scope_if_enabled(
       "kernel.residualMaxNorm", {check::access(r, interior)},
       {check::access(b, interior), check::access(Ax, interior)});
@@ -455,7 +471,7 @@ real_t residual_max_norm(BrickedArray& r, const BrickedArray& b,
     // equal to residual() followed by max_norm() (fp max is exactly
     // associative; the residual write is elementwise identical).
     const std::int64_t n =
-        static_cast<std::int64_t>(r.grid().num_interior()) * BD::volume;
+        static_cast<std::int64_t>(r.grid().num_interior()) * BD::volume * K;
     m = exec::parallel_reduce_max<real_t>(
         "kernel.residualMaxNorm", n, exec::kElementGrain,
         [&](std::int64_t lo, std::int64_t hi) {
@@ -471,5 +487,21 @@ real_t residual_max_norm(BrickedArray& r, const BrickedArray& b,
   });
   return m;
 }
+
+// The one kernel set, instantiated for both field types.
+#define GMG_FUSED_KERNELS(F)                                                \
+  template void jacobi_sweep<F>(F&, F*, F*, const F&, const F&, real_t,      \
+                                real_t, real_t, const Box&);                 \
+  template void jacobi_sweep_varcoef<F>(F&, F*, F*, const F&, const F&,      \
+                                        const BrickedArray&,                 \
+                                        const BrickedArray&, real_t, real_t, \
+                                        real_t, const Box&);                 \
+  template void jacobi_update<F>(F&, F*, F*, const F&, const F&, real_t,     \
+                                 const Box&);                                \
+  template void residual_restrict(F&, F&, const F&, const F&);               \
+  template real_t residual_max_norm(F&, const F&, const F&);
+GMG_FUSED_KERNELS(BrickedArray)
+GMG_FUSED_KERNELS(BatchedBrickedArray)
+#undef GMG_FUSED_KERNELS
 
 }  // namespace gmg::fused

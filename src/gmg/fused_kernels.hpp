@@ -15,6 +15,9 @@
 //     of the split pair's seven streams.
 //   * jacobi_update: the pointwise half of the same sweep for the
 //     operators that keep a separate A*x pass (13-point, stencilgen).
+//
+// The kernels templated on the field type F serve every batch width
+// (operators.hpp): a batched solve issues exactly the solo launches.
 //   * smooth_residual_restrict[_varcoef]: the post-applyOp descent
 //     stages in place on x — kept as the two-pass reference the sweep
 //     is tested against bit for bit.
@@ -37,6 +40,9 @@
 // brick reads only the residual it just wrote.
 #pragma once
 
+#include <type_traits>
+
+#include "brick/batched_array.hpp"
 #include "brick/bricked_array.hpp"
 #include "check/effects.hpp"
 #include "check/footprint.hpp"
@@ -81,16 +87,18 @@ void require_fused_fits(const BrickShape& shape);
 /// must not alias `x` (GMG_REQUIRE: an in-place stencil update races
 /// read-after-write across bricks). With `coarse_b`, `active` must cut
 /// the interior only at brick boundaries.
-void jacobi_sweep(BrickedArray& x_next, BrickedArray* r,
-                  BrickedArray* coarse_b, const BrickedArray& x,
-                  const BrickedArray& b, real_t alpha, real_t beta,
-                  real_t gamma, const Box& active);
+template <class F>
+void jacobi_sweep(F& x_next, std::type_identity_t<F>* r,
+                  std::type_identity_t<F>* coarse_b, const F& x, const F& b,
+                  real_t alpha, real_t beta, real_t gamma, const Box& active);
 
 /// Variable-coefficient twin: ax = apply_op_varcoef's DSL expression,
-/// x_next = x + (-omega / diag) * (ax - b).
-void jacobi_sweep_varcoef(BrickedArray& x_next, BrickedArray* r,
-                          BrickedArray* coarse_b, const BrickedArray& x,
-                          const BrickedArray& b, const BrickedArray& coef,
+/// x_next = x + (-omega / diag) * (ax - b); coef and diag are shared by
+/// every lane.
+template <class F>
+void jacobi_sweep_varcoef(F& x_next, std::type_identity_t<F>* r,
+                          std::type_identity_t<F>* coarse_b, const F& x,
+                          const F& b, const BrickedArray& coef,
                           const BrickedArray& diag, real_t identity_coef,
                           real_t h, real_t omega, const Box& active);
 
@@ -98,9 +106,10 @@ void jacobi_sweep_varcoef(BrickedArray& x_next, BrickedArray* r,
 /// stencilgen operators): `x_next` holds A*x over `active` on entry and
 /// is turned into x + gamma*(A*x - b) in place, with the same optional
 /// residual and restriction as jacobi_sweep.
-void jacobi_update(BrickedArray& x_next, BrickedArray* r,
-                   BrickedArray* coarse_b, const BrickedArray& x,
-                   const BrickedArray& b, real_t gamma, const Box& active);
+template <class F>
+void jacobi_update(F& x_next, std::type_identity_t<F>* r,
+                   std::type_identity_t<F>* coarse_b, const F& x, const F& b,
+                   real_t gamma, const Box& active);
 
 /// Post-applyOp descent stages in place on x (the two-pass reference
 /// the one-pass sweep is tested against): per brick of `active`,
@@ -123,15 +132,16 @@ void smooth_residual_restrict_varcoef(BrickedArray& x, BrickedArray& r,
 
 /// Fused GS descent tail: r = b - Ax over the full interior plus the
 /// per-brick restriction into `coarse_b`, one pass per fine brick.
-void residual_restrict(BrickedArray& r, BrickedArray& coarse_b,
-                       const BrickedArray& b, const BrickedArray& Ax);
+template <class F>
+void residual_restrict(F& r, F& coarse_b, const F& b, const F& Ax);
 
 /// Fused convergence check: r = b - Ax over the interior and the local
-/// max|r| in the same pass. Uses the identical flat range and chunk
-/// grain as the split max_norm, so the fixed reduction tree — and with
-/// it the solve history — is bitwise identical to residual()+max_norm().
-real_t residual_max_norm(BrickedArray& r, const BrickedArray& b,
-                         const BrickedArray& Ax);
+/// max|r| over every lane in the same pass (the norm of the one
+/// component at K = 1). Uses the identical flat range and chunk grain
+/// as the split max_norm, so the fixed reduction tree — and with it the
+/// solve history — is bitwise identical to residual()+max_norm().
+template <class F>
+real_t residual_max_norm(F& r, const F& b, const F& Ax);
 
 // Static effect summaries (check/effects.hpp, DESIGN.md §18): the
 // fused stages' write sets are the union of the split kernels they
@@ -193,20 +203,6 @@ constexpr check::EffectSummary jacobi_update_effects() {
       .reads("out")
       .reads("x")
       .reads("b");
-}
-
-/// The batched variable-coefficient twin of jacobi_update
-/// (batch::jacobi_update with a diagonal): the update factor is
-/// -omega/diag, read pointwise.
-constexpr check::EffectSummary jacobi_update_varcoef_effects() {
-  return check::EffectSummary("kernel.jacobiUpdate")
-      .writes("out")
-      .writes("r")
-      .writes("coarse")
-      .reads("out")
-      .reads("x")
-      .reads("b")
-      .reads("diag");
 }
 
 constexpr check::EffectSummary residual_restrict_effects() {

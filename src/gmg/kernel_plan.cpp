@@ -14,14 +14,14 @@
 
 namespace gmg {
 
-bool jacobi_is_one_pass(const GmgOptions& opts, const MgLevel& lev) {
-  return lev.varcoef || (lev.radius == 1 && !opts.use_generated_kernels);
+bool jacobi_is_one_pass(const MgLevel& lev) {
+  return lev.plan.op == OpKind::kStar7 || lev.plan.op == OpKind::kVarCoef;
 }
 
-// This file IS the specializer registry: the only place in src/gmg
-// that names the per-stage kernels directly. The solo cycle's run
-// executor (solver.cpp) calls through the bound functors — tools/gmg_lint
-// enforces that no bare per-stage kernel call creeps back into it.
+// This file IS the specializer registry: with the run executors, the
+// only place in src/gmg that names the per-stage kernels directly.
+// tools/gmg_lint enforces that no bare per-stage kernel call creeps
+// into the cycle.
 void resolve_level_kernels(const GmgOptions& opts, MgLevel& lev) {
   KernelPlan plan;
 
@@ -40,85 +40,75 @@ void resolve_level_kernels(const GmgOptions& opts, MgLevel& lev) {
       opts.fuse_stages && opts.smoother == Smoother::kRedBlackGS;
   plan.fuse_norm = opts.fuse_stages;
 
-  // The functors capture the LEVEL pointer plus scalars by value:
-  // detach/attach_field_storage reassigns the field BrickedArrays, so
-  // bindings dereference through the level at call time. MgLevel
-  // addresses are stable (levels_ is sized once at construction).
-  MgLevel* L = &lev;
-
-  // applyOp variant, resolved once per level instead of per sweep.
   if (lev.varcoef) {
-    const real_t s = opts.identity_coef;
-    plan.apply = [L, s](BrickedArray& out, const BrickedArray& in,
-                        const Box& active) {
-      apply_op_varcoef(out, in, L->coef, s, L->h, active);
-    };
+    plan.op = OpKind::kVarCoef;
   } else if (opts.use_generated_kernels) {
-    if (lev.radius == 1) {
-      plan.apply = [L](BrickedArray& out, const BrickedArray& in,
-                       const Box& active) {
-        dsl::generated::laplacian_7pt(out, in, L->alpha, L->beta, active);
-      };
-    } else {
-      plan.apply = [L](BrickedArray& out, const BrickedArray& in,
-                       const Box& active) {
-        dsl::generated::star_13pt(out, in, L->alpha, L->beta, L->beta2,
-                                  active);
-      };
-    }
-  } else if (lev.radius == 1) {
-    plan.apply = [L](BrickedArray& out, const BrickedArray& in,
-                     const Box& active) {
-      apply_op(out, in, L->alpha, L->beta, active);
-    };
+    plan.op = lev.radius == 1 ? OpKind::kGenerated7 : OpKind::kGenerated13;
   } else {
-    plan.apply = [L](BrickedArray& out, const BrickedArray& in,
-                     const Box& active) {
-      const auto expr = dsl::star_stencil<2, 0>(
-          std::array<real_t, 3>{L->alpha, L->beta, L->beta2});
-      dsl::apply(expr, out, active, in);
-    };
+    plan.op = lev.radius == 1 ? OpKind::kStar7 : OpKind::kStar13;
   }
-
-  // The Jacobi sweep. Every variant writes x' into the spare buffer
-  // L->Ax; `r` is bound only when the sweep is asked for the residual.
-  const real_t weight = plan.weight;
-  if (lev.varcoef) {
-    const real_t s = opts.identity_coef;
-    plan.jacobi = [L, s, weight](const Box& active, bool residual,
-                                 BrickedArray* coarse_b) {
-      fused::jacobi_sweep_varcoef(L->Ax, residual ? &L->r : nullptr, coarse_b,
-                                  L->x, L->b, L->coef, L->diag, s, L->h,
-                                  weight, active);
-    };
-  } else if (jacobi_is_one_pass(opts, lev)) {
-    const real_t gamma = -weight / lev.alpha;
-    plan.jacobi = [L, gamma](const Box& active, bool residual,
-                             BrickedArray* coarse_b) {
-      fused::jacobi_sweep(L->Ax, residual ? &L->r : nullptr, coarse_b, L->x,
-                          L->b, L->alpha, L->beta, gamma, active);
-    };
-  } else {
-    // Two-stage body: A*x into the spare buffer through the level's
-    // apply binding, then the pointwise update over it.
-    const real_t gamma = -weight / lev.alpha;
-    plan.jacobi = [L, gamma, apply = plan.apply](
-                      const Box& active, bool residual,
-                      BrickedArray* coarse_b) {
-      apply(L->Ax, L->x, active);
-      fused::jacobi_update(L->Ax, residual ? &L->r : nullptr, coarse_b, L->x,
-                           L->b, gamma, active);
-    };
-  }
-
-  plan.residual_restrict = [L](BrickedArray& coarse_b) {
-    fused::residual_restrict(L->r, coarse_b, L->b, L->Ax);
-  };
-  plan.residual_max_norm = [L]() {
-    return fused::residual_max_norm(L->r, L->b, L->Ax);
-  };
-
-  lev.plan = std::move(plan);
+  plan.identity_coef = opts.identity_coef;
+  lev.plan = plan;
 }
+
+template <BrickField F>
+void level_apply(const MgLevel& L, F& out, const F& in, const Box& active) {
+  switch (L.plan.op) {
+    case OpKind::kStar7:
+      apply_op(out, in, L.alpha, L.beta, active);
+      return;
+    case OpKind::kStar13:
+      dsl::apply(dsl::star_stencil<2, 0>(
+                     std::array<real_t, 3>{L.alpha, L.beta, L.beta2}),
+                 out, active, in);
+      return;
+    case OpKind::kVarCoef:
+      apply_op_varcoef(out, in, L.coef, L.plan.identity_coef, L.h, active);
+      return;
+    case OpKind::kGenerated7:
+    case OpKind::kGenerated13:
+      if constexpr (std::is_same_v<F, BrickedArray>) {
+        if (L.plan.op == OpKind::kGenerated7) {
+          dsl::generated::laplacian_7pt(out, in, L.alpha, L.beta, active);
+        } else {
+          dsl::generated::star_13pt(out, in, L.alpha, L.beta, L.beta2,
+                                    active);
+        }
+        return;
+      }
+      break;
+  }
+  GMG_REQUIRE(false, "stencilgen kernels are emitted for solo layout only");
+}
+
+template <BrickField F>
+void level_jacobi(const MgLevel& L, F& x_next, std::type_identity_t<F>* r,
+                  std::type_identity_t<F>* coarse_b, const F& x, const F& b,
+                  const Box& active) {
+  if (L.plan.op == OpKind::kVarCoef) {
+    fused::jacobi_sweep_varcoef(x_next, r, coarse_b, x, b, L.coef, L.diag,
+                                L.plan.identity_coef, L.h, L.plan.weight,
+                                active);
+    return;
+  }
+  const real_t gamma = -L.plan.weight / L.alpha;
+  if (jacobi_is_one_pass(L)) {
+    fused::jacobi_sweep(x_next, r, coarse_b, x, b, L.alpha, L.beta, gamma,
+                        active);
+  } else {
+    // Two-stage body: A*x into the spare buffer, then the pointwise
+    // update over it.
+    level_apply(L, x_next, x, active);
+    fused::jacobi_update(x_next, r, coarse_b, x, b, gamma, active);
+  }
+}
+
+#define GMG_LEVEL_KERNELS(F)                                               \
+  template void level_apply(const MgLevel&, F&, const F&, const Box&);    \
+  template void level_jacobi<F>(const MgLevel&, F&, F*, F*, const F&,     \
+                                const F&, const Box&);
+GMG_LEVEL_KERNELS(BrickedArray)
+GMG_LEVEL_KERNELS(BatchedBrickedArray)
+#undef GMG_LEVEL_KERNELS
 
 }  // namespace gmg

@@ -1,18 +1,22 @@
 // Runtime kernel specialization for the V-cycle hot path (DESIGN.md
 // §16): a KernelPlan is resolved ONCE at solver setup (and again when
 // set_coefficient flips a level to the variable-coefficient operator)
-// and cached in the MgLevel. It binds the exact kernel variant for
-// this level's (brick dims, const/var coefficient, smoother,
-// fused-vs-split) configuration, so no sweep re-derives its kernel:
-// every launch goes through a handful of pre-bound functors.
+// and cached in the MgLevel. It records the choice for this level's
+// (brick dims, const/var coefficient, smoother, fused-vs-split)
+// configuration — the operator variant, which fixes the shape of the
+// Jacobi sweep, and the fusion flags — so no sweep re-derives it.
+// level_apply and level_jacobi dispatch on that choice for any field
+// set: the solo fields of the MgLevel itself, or a batched solve's
+// K-lane fields (operators.hpp), which therefore issue exactly the solo
+// launches.
 //
-// Every Jacobi sweep goes through ONE binding, `jacobi`: one pass per
-// brick computing A*x in registers and writing x' into the level's
-// spare buffer (Ax's storage; the caller swaps x and Ax afterwards) —
-// plus r on the last sweep of a residual-producing block, and the
-// descent restriction when fusion is on. The 13-point and stencilgen
-// operators keep a two-stage body (A*x into the spare buffer, then the
-// pointwise update over it) behind the same call.
+// Every Jacobi sweep goes through level_jacobi: one pass per brick
+// computing A*x in registers and writing x' into a spare buffer (the
+// level's Ax storage; the caller swaps x and Ax afterwards) — plus r on
+// the last sweep of a residual-producing block, and the descent
+// restriction when fusion is on. The 13-point and stencilgen operators
+// keep a two-stage body (A*x into the spare buffer, then the pointwise
+// update over it) behind the same call.
 //
 // The plan also carries the fusion capability predicate. Cross-stage
 // fusion of the descent restriction is legal only where the last
@@ -28,15 +32,25 @@
 // fused_kernels.hpp).
 #pragma once
 
-#include <functional>
+#include <cstdint>
+#include <type_traits>
 
-#include "brick/bricked_array.hpp"
+#include "brick/batched_array.hpp"
 #include "common/types.hpp"
 
 namespace gmg {
 
 struct MgLevel;
 struct GmgOptions;
+
+/// A level's operator A, resolved once.
+enum class OpKind : std::uint8_t {
+  kStar7,        // hand-written 7-point star (apply_op)
+  kStar13,       // 13-point star through the DSL engine
+  kVarCoef,      // variable coefficient (apply_op_varcoef)
+  kGenerated7,   // stencilgen 7-point (solo layout only)
+  kGenerated13,  // stencilgen 13-point (solo layout only)
+};
 
 struct KernelPlan {
   /// Final descent smooth+residual+restriction runs as one fused pass
@@ -54,43 +68,38 @@ struct KernelPlan {
   /// kWeightedJacobi (resolved once; sweeps stop re-deriving it).
   real_t weight = 0.5;
 
+  /// The operator, which fixes the sweep shape (jacobi_is_one_pass).
+  OpKind op = OpKind::kStar7;
+  /// The variable-coefficient operator's identity term s.
+  real_t identity_coef = 0;
+
   /// Whether the descent smoothing block consumes the restriction
   /// itself (the cycle skips the separate restriction pass).
   bool fuses_restriction() const { return fuse_descent || fuse_gs_tail; }
-
-  // Pre-bound kernel functors. Each captures the MgLevel POINTER plus
-  // scalar coefficients by value — the field BrickedArrays are
-  // reassigned by detach/attach_field_storage and swapped by every
-  // Jacobi sweep, so the bindings must dereference through the level at
-  // call time.
-  /// out = A in over `active` (varcoef / generated / radius-specific
-  /// variant chosen at resolve time).
-  std::function<void(BrickedArray& out, const BrickedArray& in,
-                     const Box& active)>
-      apply;
-  /// One Jacobi sweep over `active`: x' = x + w(Ax - b) into the spare
-  /// buffer lev.Ax, read from lev.x. With `residual` it also writes
-  /// lev.r = b - Ax; a non-null `coarse_b` (needs `residual`) folds the
-  /// restriction of r into it. The caller swaps lev.x and lev.Ax once
-  /// every region of the sweep has run.
-  std::function<void(const Box& active, bool residual,
-                     BrickedArray* coarse_b)>
-      jacobi;
-  /// Fused GS tail: r = b - Ax + restriction, one pass per fine brick.
-  std::function<void(BrickedArray& coarse_b)> residual_restrict;
-  /// Fused convergence check: r = b - Ax and local max|r| in one pass.
-  std::function<real_t()> residual_max_norm;
 };
 
-/// Whether `jacobi` runs as one pass per brick (the 7-point operators,
-/// constant and variable coefficient) or as the two-stage body (apply
-/// into the spare buffer, then fused::jacobi_update over it). The
-/// schedule recording records whichever the binding issues.
-bool jacobi_is_one_pass(const GmgOptions& opts, const MgLevel& lev);
+/// Whether level `lev`'s Jacobi sweep runs as one pass per brick (the
+/// 7-point operators, constant and variable coefficient) or as the
+/// two-stage body (apply into the spare buffer, then
+/// fused::jacobi_update over it). The schedule recording records
+/// whichever the sweep issues, for every batch width.
+bool jacobi_is_one_pass(const MgLevel& lev);
 
-/// Resolve the kernel bindings and fusion predicate for one level.
+/// Resolve the kernel choice and fusion predicate for one level.
 /// Called from GmgSolver's constructor and again from set_coefficient
-/// (the varcoef flip invalidates the const-coefficient bindings).
+/// (the varcoef flip changes the operator).
 void resolve_level_kernels(const GmgOptions& opts, MgLevel& lev);
+
+/// out = A in over `active` with level L's operator, every lane.
+template <BrickField F>
+void level_apply(const MgLevel& L, F& out, const F& in, const Box& active);
+
+/// One Jacobi sweep of level L over `active`: x_next = x + w(A x - b)
+/// (x_next must not alias x). With `r` it also writes r = b - A x; a
+/// non-null `coarse_b` (needs `r`) folds the restriction of r into it.
+template <BrickField F>
+void level_jacobi(const MgLevel& L, F& x_next, std::type_identity_t<F>* r,
+                  std::type_identity_t<F>* coarse_b, const F& x, const F& b,
+                  const Box& active);
 
 }  // namespace gmg

@@ -7,6 +7,7 @@
 #include "brick/brick_mask.hpp"
 #include "brick/brick_plan.hpp"
 #include "check/shadow.hpp"
+#include "common/aligned.hpp"
 #include "dsl/apply_brick.hpp"
 #include "dsl/stencils.hpp"
 #include "exec/runtime.hpp"
@@ -17,47 +18,17 @@ namespace gmg {
 
 namespace {
 
+using detail::for_each_row;
+
 /// Tally a kernel's floating-point work so the trace metrics sink can
 /// report achieved flop counts next to the measured span durations.
 inline void count_flops(std::uint64_t pts, std::uint64_t flops_per_pt) {
   trace::counter_add("gmg.flops", pts * flops_per_pt);
 }
 
-inline std::uint64_t box_points(const Box& b) {
-  return static_cast<std::uint64_t>(b.volume());
-}
-
-/// Visit the contiguous rows of `active` clipped to each brick:
-/// fn(flat_base_index, ilo, ihi) where the row occupies
-/// [flat_base_index + ilo, flat_base_index + ihi). Full bricks of the
-/// cached iteration plan collapse to ONE call covering the whole brick
-/// (base, 0, BD::volume) — element-wise kernels don't care about row
-/// structure, so the straight-line loop replaces bz*by row calls.
-template <typename BD, typename Fn>
-void for_each_row_plan(BD, const char* name, const BrickIterPlan& plan,
-                       Fn&& fn) {
-  for_each_plan_brick<BD>(name, plan, [&](const BrickPlanItem& it,
-                                          auto full) {
-    const std::size_t brick_base = static_cast<std::size_t>(it.id) * BD::volume;
-    if constexpr (decltype(full)::value) {
-      fn(brick_base, index_t{0}, static_cast<index_t>(BD::volume));
-    } else {
-      for (index_t lk = it.klo; lk < it.khi; ++lk) {
-        for (index_t lj = it.jlo; lj < it.jhi; ++lj) {
-          fn(brick_base +
-                 static_cast<std::size_t>((lk * BD::by + lj) * BD::bx),
-             static_cast<index_t>(it.ilo), static_cast<index_t>(it.ihi));
-        }
-      }
-    }
-  });
-}
-
-template <typename BD, typename Fn>
-void for_each_row(BD, const char* name, const BrickGrid& grid,
-                  const Box& active, Fn&& fn) {
-  const auto plan = grid.iteration_plan(active, Vec3{BD::bx, BD::by, BD::bz});
-  for_each_row_plan(BD{}, name, *plan, fn);
+/// Cell-lane points of `b` for a field with `lanes` lanes.
+inline std::uint64_t box_points(const Box& b, index_t lanes = 1) {
+  return static_cast<std::uint64_t>(b.volume() * lanes);
 }
 
 /// Specialized 7-point star kernel: one detail::star7_row call per
@@ -65,12 +36,12 @@ void for_each_row(BD, const char* name, const BrickGrid& grid,
 /// generic DSL engine (dsl::apply) remains the fallback for arbitrary
 /// stencils. Full bricks of the iteration plan instantiate the row
 /// body with compile-time whole-brick bounds.
-template <typename BD>
-void apply_op_7pt(BD, BrickedArray& Ax, const BrickedArray& x, real_t alpha,
-                  real_t beta, const Box& active,
-                  const BrickMask* mask = nullptr) {
+template <typename BD, class F>
+void apply_op_7pt(BD, F& Ax, const F& x, real_t alpha, real_t beta,
+                  const Box& active, const BrickMask* mask = nullptr) {
   const BrickGrid& grid = x.grid();
   GMG_REQUIRE(&Ax.grid() == &grid, "fields must share a brick grid");
+  const auto K = lanes(x);
   const real_t* __restrict xp = x.data();
   real_t* __restrict op = Ax.data();
 
@@ -81,7 +52,8 @@ void apply_op_7pt(BD, BrickedArray& Ax, const BrickedArray& x, real_t alpha,
   for_each_plan_brick<BD>("kernel.applyOp", *plan, [&](const BrickPlanItem& it,
                                                        auto full) {
     constexpr bool kFull = decltype(full)::value;
-    real_t* __restrict ob = op + static_cast<std::size_t>(it.id) * BD::volume;
+    real_t* __restrict ob =
+        op + static_cast<std::size_t>(it.id * BD::volume * K);
     const index_t ilo = kFull ? 0 : it.ilo;
     const index_t ihi = kFull ? BD::bx : it.ihi;
     const index_t jlo = kFull ? 0 : it.jlo;
@@ -90,22 +62,71 @@ void apply_op_7pt(BD, BrickedArray& Ax, const BrickedArray& x, real_t alpha,
     const index_t khi = kFull ? BD::bz : it.khi;
     for (index_t lk = klo; lk < khi; ++lk) {
       for (index_t lj = jlo; lj < jhi; ++lj) {
-        real_t* __restrict orow = ob + (lk * BD::by + lj) * BD::bx;
+        real_t* __restrict orow = ob + (lk * BD::by + lj) * BD::bx * K;
         detail::star7_row<BD, kFull>(
-            it, xp, lj, lk, ilo, ihi, alpha, beta,
-            [&](index_t li, real_t ax) { orow[li] = ax; });
+            it, K, xp, lj, lk, ilo, ihi, alpha, beta,
+            [&](index_t s, real_t ax) { orow[s] = ax; });
       }
     }
   });
 }
 
+/// Contiguous interior storage range in cells (interior bricks are ids
+/// [0, num_interior), each brick one dense block).
+template <class F>
+std::int64_t interior_cells(const F& a) {
+  return static_cast<std::int64_t>(a.grid().num_interior()) *
+         static_cast<std::int64_t>(a.shape().volume());
+}
+
+// Per-chunk reduction bodies. noinline so every reduction runs the
+// exact same compiled loop: a batched lane's gathered chunk handed to
+// the same function over the same chunk plan yields partial sums — and
+// therefore a fixed reduction tree — bitwise identical to solo.
+[[gnu::noinline]] real_t sum_sq_range(const real_t* p, std::int64_t n) {
+  real_t sum = 0.0;
+#pragma omp simd reduction(+ : sum)
+  for (std::int64_t i = 0; i < n; ++i) sum += p[i] * p[i];
+  return sum;
+}
+
+[[gnu::noinline]] real_t dot_range(const real_t* a, const real_t* b,
+                                   std::int64_t n) {
+  real_t sum = 0.0;
+#pragma omp simd reduction(+ : sum)
+  for (std::int64_t i = 0; i < n; ++i) sum += a[i] * b[i];
+  return sum;
+}
+
+/// Lane c of the cells [lo, lo + n) as a contiguous span: the field's
+/// own storage at the compile-time K = 1, else a gather into per-thread
+/// scratch `slot`. The scratch is 64-byte aligned like the field
+/// buffer, whose chunks start at multiples of the element grain, so
+/// the shared reduction loop takes the same vector path either way.
+template <class KT>
+const real_t* lane_span(const real_t* p, KT K, int c, std::int64_t lo,
+                        std::int64_t n, int slot) {
+  if constexpr (kOneLane<KT>) {
+    return p + lo;
+  } else {
+    static thread_local AlignedBuffer<real_t> scratch[2];
+    AlignedBuffer<real_t>& s = scratch[slot];
+    if (static_cast<std::int64_t>(s.size()) < n)
+      s.reset(static_cast<std::size_t>(n), /*zero=*/false);
+    for (std::int64_t i = 0; i < n; ++i)
+      s[static_cast<std::size_t>(i)] = p[(lo + i) * K + c];
+    return s.data();
+  }
+}
+
 }  // namespace
 
-void apply_op(BrickedArray& Ax, const BrickedArray& x, real_t alpha,
-              real_t beta, const Box& active) {
+template <class F>
+void apply_op(F& Ax, const F& x, real_t alpha, real_t beta,
+              const Box& active) {
   // 7-point star: 2 multiplies + 6 adds per output cell.
   trace::TraceSpan span("kernel.applyOp");
-  count_flops(box_points(active), 8);
+  count_flops(box_points(active, lanes(x)), 8);
   const auto scope = check::scope_if_enabled(
       "kernel.applyOp", {check::access(Ax, active)},
       {check::access(x, grow(active, 1))});
@@ -142,7 +163,7 @@ void smooth(BrickedArray& x, const BrickedArray& Ax, const BrickedArray& b,
     real_t* __restrict xp = x.data();
     const real_t* __restrict axp = Ax.data();
     const real_t* __restrict bp = b.data();
-    for_each_row(bd, "kernel.smooth", x.grid(), active,
+    for_each_row(bd, lanes(x), "kernel.smooth", x.grid(), active,
                  [&](std::size_t o, index_t ilo, index_t ihi) {
 #pragma omp simd
                    for (index_t i = ilo; i < ihi; ++i) {
@@ -165,7 +186,7 @@ void smooth_residual(BrickedArray& x, BrickedArray& r, const BrickedArray& Ax,
     real_t* __restrict rp = r.data();
     const real_t* __restrict axp = Ax.data();
     const real_t* __restrict bp = b.data();
-    for_each_row(bd, "kernel.smoothResidual", x.grid(), active,
+    for_each_row(bd, lanes(x), "kernel.smoothResidual", x.grid(), active,
                  [&](std::size_t o, index_t ilo, index_t ihi) {
 #pragma omp simd
                    for (index_t i = ilo; i < ihi; ++i) {
@@ -178,10 +199,10 @@ void smooth_residual(BrickedArray& x, BrickedArray& r, const BrickedArray& Ax,
   });
 }
 
-void residual(BrickedArray& r, const BrickedArray& b, const BrickedArray& Ax,
-              const Box& active) {
+template <class F>
+void residual(F& r, const F& b, const F& Ax, const Box& active) {
   trace::TraceSpan span("kernel.residual");
-  count_flops(box_points(active), 1);
+  count_flops(box_points(active, lanes(r)), 1);
   const auto scope = check::scope_if_enabled(
       "kernel.residual", {check::access(r, active)},
       {check::access(b, active), check::access(Ax, active)});
@@ -189,7 +210,7 @@ void residual(BrickedArray& r, const BrickedArray& b, const BrickedArray& Ax,
     real_t* __restrict rp = r.data();
     const real_t* __restrict axp = Ax.data();
     const real_t* __restrict bp = b.data();
-    for_each_row(bd, "kernel.residual", r.grid(), active,
+    for_each_row(bd, lanes(r), "kernel.residual", r.grid(), active,
                  [&](std::size_t o, index_t ilo, index_t ihi) {
 #pragma omp simd
                    for (index_t i = ilo; i < ihi; ++i) {
@@ -211,25 +232,27 @@ void residual(BrickedArray& r, const BrickedArray& b, const BrickedArray& Ax,
     real_t* __restrict rp = r.data();
     const real_t* __restrict axp = Ax.data();
     const real_t* __restrict bp = b.data();
-    const auto plan =
-        r.grid().iteration_plan(active, Vec3{BD::bx, BD::by, BD::bz}, &mask);
-    for_each_row_plan(bd, "kernel.residualMasked", *plan,
-                      [&](std::size_t o, index_t ilo, index_t ihi) {
+    for_each_row(bd, lanes(r), "kernel.residualMasked",
+                 *r.grid().iteration_plan(
+                     active, Vec3{BD::bx, BD::by, BD::bz}, &mask),
+                 [&](std::size_t o, index_t ilo, index_t ihi) {
 #pragma omp simd
-                        for (index_t i = ilo; i < ihi; ++i) {
-                          rp[o + i] = bp[o + i] - axp[o + i];
-                        }
-                      });
+                   for (index_t i = ilo; i < ihi; ++i) {
+                     rp[o + i] = bp[o + i] - axp[o + i];
+                   }
+                 });
   });
 }
 
-void restriction(BrickedArray& coarse, const BrickedArray& fine) {
+template <class F>
+void restriction(F& coarse, const F& fine) {
   const Vec3 fe = fine.extent(), ce = coarse.extent();
   GMG_REQUIRE(fe.x == 2 * ce.x && fe.y == 2 * ce.y && fe.z == 2 * ce.z,
               "fine extent must be twice the coarse extent");
+  const auto K = lanes(fine);
   // Full-weighting of a 2x2x2 cell block: 7 adds + 1 multiply.
   trace::TraceSpan span("kernel.restriction");
-  count_flops(static_cast<std::uint64_t>(ce.x) * ce.y * ce.z, 8);
+  count_flops(box_points(Box::from_extent(ce), K), 8);
   GMG_REQUIRE(fine.shape() == coarse.shape(),
               "restriction assumes equal brick shapes on both levels");
   const auto scope = check::scope_if_enabled(
@@ -250,19 +273,21 @@ void restriction(BrickedArray& coarse, const BrickedArray& fine) {
         [&](std::int64_t lo, std::int64_t hi) {
           for (std::int64_t fid = lo; fid < hi; ++fid) {
             detail::restrict_brick<BD>(
-                fg.coord_of(static_cast<std::int32_t>(fid)), cg,
-                fp + static_cast<std::size_t>(fid) * BD::volume, cp);
+                K, fg.coord_of(static_cast<std::int32_t>(fid)), cg,
+                fp + static_cast<std::size_t>(fid * BD::volume * K), cp);
           }
         });
   });
 }
 
-void interpolation_increment(BrickedArray& fine, const BrickedArray& coarse) {
+template <class F>
+void interpolation_increment(F& fine, const F& coarse) {
   const Vec3 fe = fine.extent(), ce = coarse.extent();
   GMG_REQUIRE(fe.x == 2 * ce.x && fe.y == 2 * ce.y && fe.z == 2 * ce.z,
               "fine extent must be twice the coarse extent");
+  const auto K = lanes(fine);
   trace::TraceSpan span("kernel.interpIncrement");
-  count_flops(static_cast<std::uint64_t>(fe.x) * fe.y * fe.z, 1);
+  count_flops(box_points(Box::from_extent(fe), K), 1);
   GMG_REQUIRE(fine.shape() == coarse.shape(),
               "interpolation assumes equal brick shapes on both levels");
   const auto scope = check::scope_if_enabled(
@@ -274,6 +299,7 @@ void interpolation_increment(BrickedArray& fine, const BrickedArray& coarse) {
     const BrickGrid& cg = coarse.grid();
     real_t* __restrict fp = fine.data();
     const real_t* __restrict cp = coarse.data();
+    const index_t row = BD::bx * K;
     exec::parallel_for(
         "kernel.interpIncrement", fg.num_interior(),
         exec::brick_grain(BD::volume), [&](std::int64_t lo, std::int64_t hi) {
@@ -285,18 +311,19 @@ void interpolation_increment(BrickedArray& fine, const BrickedArray& coarse) {
             const index_t ox = (bx % 2) * (BD::bx / 2);
             const index_t oy = (by % 2) * (BD::by / 2);
             const index_t oz = (bz % 2) * (BD::bz / 2);
-            real_t* fb = fp + static_cast<std::size_t>(fid) * BD::volume;
-            const real_t* cb = cp + static_cast<std::size_t>(cid) * BD::volume;
+            real_t* fb = fp + static_cast<std::size_t>(fid * BD::volume * K);
+            const real_t* cb =
+                cp + static_cast<std::size_t>(cid * BD::volume * K);
             for (index_t lk = 0; lk < BD::bz; ++lk) {
               for (index_t lj = 0; lj < BD::by; ++lj) {
-                real_t* frow = fb + (lk * BD::by + lj) * BD::bx;
+                real_t* frow = fb + (lk * BD::by + lj) * row;
                 const real_t* crow =
-                    cb +
-                    ((oz + lk / 2) * BD::by + (oy + lj / 2)) * BD::bx + ox;
-#pragma omp simd
-                for (index_t li = 0; li < BD::bx; ++li) {
-                  frow[li] += crow[li / 2];
-                }
+                    cb + ((oz + lk / 2) * BD::by + (oy + lj / 2)) * row +
+                    ox * K;
+                detail::for_each_cell_lane(
+                    BD::bx, K, [&](index_t li, index_t c) {
+                      frow[li * K + c] += crow[(li / 2) * K + c];
+                    });
               }
             }
           }
@@ -304,13 +331,15 @@ void interpolation_increment(BrickedArray& fine, const BrickedArray& coarse) {
   });
 }
 
-void gs_color_sweep(BrickedArray& x, const BrickedArray& b, real_t alpha,
-                    real_t beta, int color, Vec3 origin, const Box& active) {
+template <class F>
+void gs_color_sweep(F& x, const F& b, real_t alpha, real_t beta, int color,
+                    Vec3 origin, const Box& active) {
   GMG_REQUIRE(color == 0 || color == 1, "color must be 0 (red) or 1 (black)");
+  const auto K = lanes(x);
   // One checkerboard color updates half the cells; ~9 flops each
   // (6 adds, 1 multiply, 1 subtract, 1 divide).
   trace::TraceSpan span("kernel.gsColorSweep");
-  count_flops(box_points(active) / 2, 9);
+  count_flops(box_points(active, K) / 2, 9);
   const auto scope = check::scope_if_enabled(
       "kernel.gsColorSweep", {check::access(x, active)},
       {check::access(x, grow(active, 1)), check::access(b, active)});
@@ -320,6 +349,7 @@ void gs_color_sweep(BrickedArray& x, const BrickedArray& b, real_t alpha,
     GMG_REQUIRE(&b.grid() == &grid, "fields must share a brick grid");
     real_t* __restrict xp = x.data();
     const real_t* __restrict bp = b.data();
+    const std::size_t bvol = static_cast<std::size_t>(BD::volume * K);
 
     detail::require_taps_in_grid(bd, grid, active, 1);
     const auto plan =
@@ -334,16 +364,15 @@ void gs_color_sweep(BrickedArray& x, const BrickedArray& b, real_t alpha,
           const auto brick_of = [&](int dx, int dy, int dz) {
             const std::int32_t nb = adj[direction_index(dx, dy, dz)];
             GMG_ASSERT(nb >= 0);
-            return xp + static_cast<std::size_t>(nb) * BD::volume;
+            return xp + static_cast<std::size_t>(nb) * bvol;
           };
-          real_t* __restrict xb =
-              xp + static_cast<std::size_t>(it.id) * BD::volume;
+          real_t* __restrict xb = xp + static_cast<std::size_t>(it.id) * bvol;
           const real_t* __restrict bb =
-              bp + static_cast<std::size_t>(it.id) * BD::volume;
+              bp + static_cast<std::size_t>(it.id) * bvol;
 
-          const Vec3 c = it.coord;
-          const index_t cx = c.x * BD::bx, cy = c.y * BD::by,
-                        cz = c.z * BD::bz;
+          const Vec3 c3 = it.coord;
+          const index_t cx = c3.x * BD::bx, cy = c3.y * BD::by,
+                        cz = c3.z * BD::bz;
           const index_t ilo = kFull ? 0 : it.ilo;
           const index_t ihi = kFull ? BD::bx : it.ihi;
           const index_t jlo = kFull ? 0 : it.jlo;
@@ -351,17 +380,14 @@ void gs_color_sweep(BrickedArray& x, const BrickedArray& b, real_t alpha,
           const index_t klo = kFull ? 0 : it.klo;
           const index_t khi = kFull ? BD::bz : it.khi;
 
-          constexpr index_t kRow = BD::bx;
-          constexpr index_t kPlane = BD::bx * BD::by;
-          const auto row_at = [&](const real_t* brick, index_t lj,
-                                  index_t lk) {
-            return brick + lk * kPlane + lj * kRow;
+          const auto row_at = [&](auto* brick, index_t lj, index_t lk) {
+            return brick + (lk * BD::by + lj) * BD::bx * K;
           };
 
           for (index_t lk = klo; lk < khi; ++lk) {
             for (index_t lj = jlo; lj < jhi; ++lj) {
-              real_t* __restrict xr = xb + lk * kPlane + lj * kRow;
-              const real_t* __restrict br = bb + lk * kPlane + lj * kRow;
+              real_t* __restrict xr = row_at(xb, lj, lk);
+              const real_t* __restrict br = row_at(bb, lj, lk);
               const real_t* __restrict ym =
                   lj > 0 ? row_at(xb, lj - 1, lk)
                          : row_at(brick_of(0, -1, 0), BD::by - 1, lk);
@@ -380,15 +406,19 @@ void gs_color_sweep(BrickedArray& x, const BrickedArray& b, real_t alpha,
                   1;
               index_t first = ilo + (((color - row_parity - ilo) % 2) + 2) % 2;
               for (index_t li = first; li < ihi; li += 2) {
-                const real_t xm =
-                    li > 0 ? xr[li - 1]
-                           : row_at(brick_of(-1, 0, 0), lj, lk)[BD::bx - 1];
-                const real_t xpv =
-                    li < BD::bx - 1 ? xr[li + 1]
-                                    : row_at(brick_of(1, 0, 0), lj, lk)[0];
-                xr[li] = (br[li] - beta * (xm + xpv + ym[li] + yprow[li] +
-                                           zm[li] + zprow[li])) /
-                         alpha;
+                for (index_t c = 0; c < K; ++c) {
+                  const index_t s = li * K + c;
+                  const real_t xm =
+                      li > 0 ? xr[s - K]
+                             : row_at(brick_of(-1, 0, 0), lj,
+                                      lk)[(BD::bx - 1) * K + c];
+                  const real_t xpv =
+                      li < BD::bx - 1 ? xr[s + K]
+                                      : row_at(brick_of(1, 0, 0), lj, lk)[c];
+                  xr[s] = (br[s] - beta * (xm + xpv + ym[s] + yprow[s] +
+                                           zm[s] + zprow[s])) /
+                          alpha;
+                }
               }
             }
           }
@@ -417,88 +447,69 @@ void init_zero(BrickedArray& a) {
                      });
 }
 
-namespace {
-
-/// Contiguous interior storage range (interior bricks are ids
-/// [0, num_interior), each brick one dense block).
-std::int64_t interior_span(const BrickedArray& a) {
-  return static_cast<std::int64_t>(a.grid().num_interior()) *
-         static_cast<std::int64_t>(a.shape().volume());
-}
-
-}  // namespace
-
-namespace detail {
-
-real_t sum_sq_range(const real_t* p, std::int64_t n) {
-  real_t sum = 0.0;
-#pragma omp simd reduction(+ : sum)
-  for (std::int64_t i = 0; i < n; ++i) sum += p[i] * p[i];
-  return sum;
-}
-
-real_t dot_range(const real_t* a, const real_t* b, std::int64_t n) {
-  real_t sum = 0.0;
-#pragma omp simd reduction(+ : sum)
-  for (std::int64_t i = 0; i < n; ++i) sum += a[i] * b[i];
-  return sum;
-}
-
-}  // namespace detail
-
-real_t norm2_sq(const BrickedArray& a) {
+template <class F>
+real_t norm2_sq(const F& a, int c) {
+  const auto K = lanes(a);
   const real_t* __restrict p = a.data();
-  // Chunked tree reduction: per-chunk partial sums combined in fixed
-  // chunk order — bitwise reproducible at any worker count. The chunk
-  // body lives in detail:: so the batched per-component reduction can
-  // run the identical compiled loop.
+  // Chunked tree reduction over lane c: per-chunk partial sums combined
+  // in fixed chunk order — bitwise reproducible at any worker count and
+  // any lane count.
   return exec::parallel_reduce_sum<real_t>(
-      "kernel.norm2", interior_span(a), exec::kElementGrain,
+      "kernel.norm2", interior_cells(a), exec::kElementGrain,
       [&](std::int64_t lo, std::int64_t hi) {
-        return detail::sum_sq_range(p + lo, hi - lo);
+        return sum_sq_range(lane_span(p, K, c, lo, hi - lo, 0), hi - lo);
       });
 }
 
-real_t dot_interior(const BrickedArray& a, const BrickedArray& b) {
+template <class F>
+real_t dot_interior(const F& a, const F& b, int c) {
   GMG_REQUIRE(&a.grid() == &b.grid(), "fields must share a brick grid");
+  const auto K = lanes(a);
   const real_t* __restrict pa = a.data();
   const real_t* __restrict pb = b.data();
   return exec::parallel_reduce_sum<real_t>(
-      "kernel.dot", interior_span(a), exec::kElementGrain,
+      "kernel.dot", interior_cells(a), exec::kElementGrain,
       [&](std::int64_t lo, std::int64_t hi) {
-        return detail::dot_range(pa + lo, pb + lo, hi - lo);
+        return dot_range(lane_span(pa, K, c, lo, hi - lo, 0),
+                         lane_span(pb, K, c, lo, hi - lo, 1), hi - lo);
       });
 }
 
-void axpy_interior(BrickedArray& y, real_t alpha, const BrickedArray& x) {
+template <class F>
+void axpy_interior(F& y, real_t alpha, const F& x, int c) {
   GMG_REQUIRE(&y.grid() == &x.grid(), "fields must share a brick grid");
-  real_t* __restrict py = y.data();
-  const real_t* __restrict px = x.data();
-  exec::parallel_for("kernel.axpy", interior_span(y), exec::kElementGrain,
+  const auto K = lanes(y);
+  real_t* __restrict py = y.data() + c;
+  const real_t* __restrict px = x.data() + c;
+  exec::parallel_for("kernel.axpy", interior_cells(y), exec::kElementGrain,
                      [&](std::int64_t lo, std::int64_t hi) {
 #pragma omp simd
                        for (std::int64_t i = lo; i < hi; ++i)
-                         py[i] += alpha * px[i];
+                         py[i * K] += alpha * px[i * K];
                      });
 }
 
-void xpay_interior(BrickedArray& y, const BrickedArray& x, real_t beta) {
+template <class F>
+void xpay_interior(F& y, const F& x, real_t beta, int c) {
   GMG_REQUIRE(&y.grid() == &x.grid(), "fields must share a brick grid");
-  real_t* __restrict py = y.data();
-  const real_t* __restrict px = x.data();
-  exec::parallel_for("kernel.xpay", interior_span(y), exec::kElementGrain,
+  const auto K = lanes(y);
+  real_t* __restrict py = y.data() + c;
+  const real_t* __restrict px = x.data() + c;
+  exec::parallel_for("kernel.xpay", interior_cells(y), exec::kElementGrain,
                      [&](std::int64_t lo, std::int64_t hi) {
 #pragma omp simd
                        for (std::int64_t i = lo; i < hi; ++i)
-                         py[i] = px[i] + beta * py[i];
+                         py[i * K] = px[i * K] + beta * py[i * K];
                      });
 }
 
-void copy_interior(BrickedArray& dst, const BrickedArray& src) {
+template <class F>
+void copy_interior(F& dst, const F& src) {
   GMG_REQUIRE(&dst.grid() == &src.grid(), "fields must share a brick grid");
   real_t* __restrict pd = dst.data();
   const real_t* __restrict ps = src.data();
-  exec::parallel_for("kernel.copy", interior_span(dst), exec::kElementGrain,
+  exec::parallel_for("kernel.copy", interior_cells(dst) * lanes(dst),
+                     exec::kElementGrain,
                      [&](std::int64_t lo, std::int64_t hi) {
                        std::memcpy(pd + lo, ps + lo,
                                    static_cast<std::size_t>(hi - lo) *
@@ -506,15 +517,15 @@ void copy_interior(BrickedArray& dst, const BrickedArray& src) {
                      });
 }
 
-void axpy(BrickedArray& y, real_t alpha, const BrickedArray& x,
-          const Box& active) {
+template <class F>
+void axpy(F& y, real_t alpha, const F& x, const Box& active) {
   const auto scope = check::scope_if_enabled("kernel.axpyActive",
                                              {check::access(y, active)},
                                              {check::access(x, active)});
   with_brick_dims(y.shape(), [&](auto bd) {
     real_t* __restrict py = y.data();
     const real_t* __restrict px = x.data();
-    for_each_row(bd, "kernel.axpyActive", y.grid(), active,
+    for_each_row(bd, lanes(y), "kernel.axpyActive", y.grid(), active,
                  [&](std::size_t o, index_t ilo, index_t ihi) {
 #pragma omp simd
                    for (index_t i = ilo; i < ihi; ++i) {
@@ -524,66 +535,22 @@ void axpy(BrickedArray& y, real_t alpha, const BrickedArray& x,
   });
 }
 
-void cheby_p_update(BrickedArray& p, const BrickedArray& r, real_t inv_diag,
-                    real_t beta, const Box& active) {
+template <class F>
+void cheby_p_update(F& p, const F& r, real_t inv_diag, real_t beta,
+                    const Box& active) {
   const auto scope = check::scope_if_enabled("kernel.chebyP",
                                              {check::access(p, active)},
                                              {check::access(r, active)});
   with_brick_dims(p.shape(), [&](auto bd) {
     real_t* __restrict pp = p.data();
     const real_t* __restrict pr = r.data();
-    for_each_row(bd, "kernel.chebyP", p.grid(), active,
+    for_each_row(bd, lanes(p), "kernel.chebyP", p.grid(), active,
                  [&](std::size_t o, index_t ilo, index_t ihi) {
 #pragma omp simd
                    for (index_t i = ilo; i < ihi; ++i) {
                      pp[o + i] = inv_diag * pr[o + i] + beta * pp[o + i];
                    }
                  });
-  });
-}
-
-void interpolation_assign(BrickedArray& fine, const BrickedArray& coarse) {
-  const Vec3 fe = fine.extent(), ce = coarse.extent();
-  GMG_REQUIRE(fe.x == 2 * ce.x && fe.y == 2 * ce.y && fe.z == 2 * ce.z,
-              "fine extent must be twice the coarse extent");
-  GMG_REQUIRE(fine.shape() == coarse.shape(),
-              "interpolation assumes equal brick shapes on both levels");
-  const auto scope = check::scope_if_enabled(
-      "kernel.interpAssign", {check::access(fine, Box::from_extent(fe))},
-      {check::access(coarse, Box::from_extent(ce))});
-  with_brick_dims(fine.shape(), [&](auto bd) {
-    using BD = decltype(bd);
-    const BrickGrid& fg = fine.grid();
-    const BrickGrid& cg = coarse.grid();
-    real_t* __restrict fp = fine.data();
-    const real_t* __restrict cp = coarse.data();
-    exec::parallel_for(
-        "kernel.interpAssign", fg.num_interior(),
-        exec::brick_grain(BD::volume), [&](std::int64_t lo, std::int64_t hi) {
-          for (std::int64_t fid = lo; fid < hi; ++fid) {
-            const Vec3 bc = fg.coord_of(static_cast<std::int32_t>(fid));
-            const index_t bx = bc.x, by = bc.y, bz = bc.z;
-            const std::int32_t cid = cg.storage_id({bx / 2, by / 2, bz / 2});
-            GMG_ASSERT(cid >= 0);
-            const index_t ox = (bx % 2) * (BD::bx / 2);
-            const index_t oy = (by % 2) * (BD::by / 2);
-            const index_t oz = (bz % 2) * (BD::bz / 2);
-            real_t* fb = fp + static_cast<std::size_t>(fid) * BD::volume;
-            const real_t* cb = cp + static_cast<std::size_t>(cid) * BD::volume;
-            for (index_t lk = 0; lk < BD::bz; ++lk) {
-              for (index_t lj = 0; lj < BD::by; ++lj) {
-                real_t* frow = fb + (lk * BD::by + lj) * BD::bx;
-                const real_t* crow =
-                    cb +
-                    ((oz + lk / 2) * BD::by + (oy + lj / 2)) * BD::bx + ox;
-#pragma omp simd
-                for (index_t li = 0; li < BD::bx; ++li) {
-                  frow[li] = crow[li / 2];
-                }
-              }
-            }
-          }
-        });
   });
 }
 
@@ -630,28 +597,50 @@ void interpolation_trilinear_assign(BrickedArray& fine,
       });
 }
 
-real_t max_norm(const BrickedArray& a) {
+template <class F>
+real_t max_norm(const F& a, int c) {
+  const auto K = lanes(a);
   real_t m = 0.0;
   with_brick_dims(a.shape(), [&](auto bd) {
     using BD = decltype(bd);
-    const BrickGrid& grid = a.grid();
-    const real_t* __restrict p = a.data();
-    // Interior bricks occupy storage ids [0, num_interior) — scan them
-    // as one flat range.
+    const real_t* __restrict p = a.data() + c;
+    // Interior bricks occupy storage ids [0, num_interior) — scan lane
+    // c of them as one flat range (fp max is exact under any
+    // association, so the strided lanes need no gather).
     const std::int64_t n =
-        static_cast<std::int64_t>(grid.num_interior()) * BD::volume;
+        static_cast<std::int64_t>(a.grid().num_interior()) * BD::volume;
     m = exec::parallel_reduce_max<real_t>(
         "kernel.maxNorm", n, exec::kElementGrain,
         [&](std::int64_t lo, std::int64_t hi) {
           real_t local = 0.0;
 #pragma omp simd reduction(max : local)
           for (std::int64_t i = lo; i < hi; ++i) {
-            local = std::max(local, std::abs(p[i]));
+            local = std::max(local, std::abs(p[i * K]));
           }
           return local;
         });
   });
   return m;
 }
+
+// The one kernel set, instantiated for both field types.
+#define GMG_OPERATORS(F)                                                    \
+  template void apply_op(F&, const F&, real_t, real_t, const Box&);        \
+  template void residual(F&, const F&, const F&, const Box&);              \
+  template void restriction(F&, const F&);                                  \
+  template void interpolation_increment(F&, const F&);                      \
+  template void gs_color_sweep(F&, const F&, real_t, real_t, int, Vec3,     \
+                               const Box&);                                 \
+  template real_t max_norm(const F&, int);                                  \
+  template real_t norm2_sq(const F&, int);                                  \
+  template real_t dot_interior(const F&, const F&, int);                    \
+  template void axpy_interior(F&, real_t, const F&, int);                   \
+  template void xpay_interior(F&, const F&, real_t, int);                   \
+  template void copy_interior(F&, const F&);                                \
+  template void axpy(F&, real_t, const F&, const Box&);                     \
+  template void cheby_p_update(F&, const F&, real_t, real_t, const Box&);
+GMG_OPERATORS(BrickedArray)
+GMG_OPERATORS(BatchedBrickedArray)
+#undef GMG_OPERATORS
 
 }  // namespace gmg

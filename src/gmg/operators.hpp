@@ -8,9 +8,16 @@
 //
 // Every cell-space operator takes an *active region* that may extend
 // into the ghost bricks; the communication-avoiding scheduler (see
-// vcycle.hpp) shrinks it by one cell per sweep between exchanges.
+// cycle.hpp) shrinks it by one cell per sweep between exchanges.
+//
+// The kernels templated on the field type F are one kernel set for
+// every batch width: instantiated for BrickedArray (the compile-time
+// one lane, i.e. the solo code) and for BatchedBrickedArray (K lanes
+// per cell, DESIGN.md §15), where they apply the solo per-element
+// arithmetic to every lane. The per-component forms take the lane `c`.
 #pragma once
 
+#include "brick/batched_array.hpp"
 #include "brick/bricked_array.hpp"
 #include "check/effects.hpp"
 #include "common/types.hpp"
@@ -20,8 +27,8 @@ namespace gmg {
 class BrickMask;
 
 /// Ax = alpha*x + beta * (6-point neighbor sum) over `active`.
-void apply_op(BrickedArray& Ax, const BrickedArray& x, real_t alpha,
-              real_t beta, const Box& active);
+template <class F>
+void apply_op(F& Ax, const F& x, real_t alpha, real_t beta, const Box& active);
 
 /// Masked applyOp (AMR composite levels, DESIGN.md §17): computes only
 /// the bricks selected by `mask`; taps may read de-selected neighbors
@@ -39,8 +46,8 @@ void smooth_residual(BrickedArray& x, BrickedArray& r, const BrickedArray& Ax,
                      const BrickedArray& b, real_t gamma, const Box& active);
 
 /// r = b - Ax over `active`.
-void residual(BrickedArray& r, const BrickedArray& b, const BrickedArray& Ax,
-              const Box& active);
+template <class F>
+void residual(F& r, const F& b, const F& Ax, const Box& active);
 
 /// Masked residual: r = b - Ax on the bricks selected by `mask` only.
 void residual(BrickedArray& r, const BrickedArray& b, const BrickedArray& Ax,
@@ -49,23 +56,27 @@ void residual(BrickedArray& r, const BrickedArray& b, const BrickedArray& Ax,
 /// coarse(i,j,k) = average of the 8 fine cells it covers. Operates on
 /// the full interiors; the grids must satisfy fine extent == 2x coarse
 /// extent and share the same (cubic, even) brick shape.
-void restriction(BrickedArray& coarse, const BrickedArray& fine);
+template <class F>
+void restriction(F& coarse, const F& fine);
 
 /// fine(i,j,k) += coarse(i/2, j/2, k/2) over the full fine interior.
-void interpolation_increment(BrickedArray& fine, const BrickedArray& coarse);
+template <class F>
+void interpolation_increment(F& fine, const F& coarse);
 
 /// Zero the entire storage (interior and ghost bricks — ghost zeros
 /// are valid periodic data for a zero field, saving one exchange after
 /// initZero in the downsweep).
 void init_zero(BrickedArray& a);
 
-/// max |a| over the subdomain interior (this rank's part of the
+/// max |a_c| over the subdomain interior (this rank's part of the
 /// convergence norm; reduce across ranks with allreduce_max).
-real_t max_norm(const BrickedArray& a);
+template <class F>
+real_t max_norm(const F& a, int c = 0);
 
-/// Sum of a(i)^2 over the interior (combine across ranks with
+/// Sum of a_c(i)^2 over the interior (combine across ranks with
 /// allreduce_sum, then sqrt, for the global L2 norm).
-real_t norm2_sq(const BrickedArray& a);
+template <class F>
+real_t norm2_sq(const F& a, int c = 0);
 
 // ---------------------------------------------------------------------------
 // BLAS-1-style kernels. The *_interior forms scan the contiguous
@@ -74,52 +85,40 @@ real_t norm2_sq(const BrickedArray& a);
 // (used by the Chebyshev smoother).
 // ---------------------------------------------------------------------------
 
-/// Local <a, b> over the interior.
-real_t dot_interior(const BrickedArray& a, const BrickedArray& b);
+/// Local <a_c, b_c> over the interior.
+template <class F>
+real_t dot_interior(const F& a, const F& b, int c = 0);
 
-/// y += alpha * x over the interior.
-void axpy_interior(BrickedArray& y, real_t alpha, const BrickedArray& x);
+/// y_c += alpha * x_c over the interior.
+template <class F>
+void axpy_interior(F& y, real_t alpha, const F& x, int c = 0);
 
-/// y = x + beta * y over the interior (CG direction update).
-void xpay_interior(BrickedArray& y, const BrickedArray& x, real_t beta);
+/// y_c = x_c + beta * y_c over the interior (CG direction update).
+template <class F>
+void xpay_interior(F& y, const F& x, real_t beta, int c = 0);
 
 /// dst = src over the interior.
-void copy_interior(BrickedArray& dst, const BrickedArray& src);
+template <class F>
+void copy_interior(F& dst, const F& src);
 
 /// y += alpha * x over `active`.
-void axpy(BrickedArray& y, real_t alpha, const BrickedArray& x,
-          const Box& active);
+template <class F>
+void axpy(F& y, real_t alpha, const F& x, const Box& active);
 
 /// Chebyshev direction update: p = inv_diag * r + beta * p over
 /// `active` (the preconditioned residual folded into the recurrence).
-void cheby_p_update(BrickedArray& p, const BrickedArray& r, real_t inv_diag,
-                    real_t beta, const Box& active);
+template <class F>
+void cheby_p_update(F& p, const F& r, real_t inv_diag, real_t beta,
+                    const Box& active);
 
 /// One Gauss-Seidel half-sweep over the cells of one red-black color
 /// (global parity of i+j+k, so the coloring is decomposition-
 /// independent): x_i = (b_i - beta * sum of 6 neighbors) / alpha.
 /// `origin` is this rank's global offset (rank_box.lo) so local cells
 /// map to the global checkerboard. Radius-1 operator only.
-void gs_color_sweep(BrickedArray& x, const BrickedArray& b, real_t alpha,
-                    real_t beta, int color, Vec3 origin, const Box& active);
-
-namespace detail {
-
-// Per-chunk reduction bodies, shared between the solo reductions above
-// and the per-component batched reductions (src/batch). noinline so
-// both callers run the exact same compiled loop — hand a batched
-// component's gathered chunk to the same function over the same chunk
-// plan and the partial sums (and therefore the fixed reduction tree)
-// are bitwise identical to solo.
-[[gnu::noinline]] real_t sum_sq_range(const real_t* p, std::int64_t n);
-[[gnu::noinline]] real_t dot_range(const real_t* a, const real_t* b,
-                                   std::int64_t n);
-
-}  // namespace detail
-
-/// fine(i,j,k) = coarse(i/2,j/2,k/2) (piecewise-constant prolongation;
-/// the increment form is the V-cycle's correction transfer).
-void interpolation_assign(BrickedArray& fine, const BrickedArray& coarse);
+template <class F>
+void gs_color_sweep(F& x, const F& b, real_t alpha, real_t beta, int color,
+                    Vec3 origin, const Box& active);
 
 /// Cell-centered trilinear prolongation (per-axis weights 3/4, 1/4) —
 /// the higher-order transfer classic FMG requires for its initial
@@ -178,12 +177,6 @@ constexpr check::EffectSummary interpolation_increment_effects() {
   return check::EffectSummary("kernel.interpIncrement")
       .writes("fine")
       .reads("fine")
-      .reads("coarse");
-}
-
-constexpr check::EffectSummary interpolation_assign_effects() {
-  return check::EffectSummary("kernel.interpAssign")
-      .writes("fine")
       .reads("coarse");
 }
 

@@ -17,11 +17,10 @@ namespace gmg {
 
 namespace vc {
 
-// The variable-coefficient expression trees, shared between the solo
-// kernels below and the batched engine (src/batch): both sides apply
-// literally the same expression object, so per-element arithmetic —
-// and with it the bitwise-identity contract of batched solves — cannot
-// drift between the two paths.
+// The variable-coefficient expression trees, shared by the operator
+// below and the one-pass Jacobi sweep (fused_kernels.cpp): both apply
+// literally the same expression object, so per-element arithmetic
+// cannot drift between the two.
 
 /// A x = s*x + (1/h^2) sum_faces 0.5*(beta_i + beta_nbr)*(x_nbr - x_i)
 /// with x on slot 0, beta on slot 1, and f = 0.5/h^2.
@@ -52,11 +51,13 @@ inline auto diagonal_expr(real_t identity_coef, real_t f) {
 
 }  // namespace vc
 
-/// Ax = s*x + div(beta grad x) over `active`. Requires valid x and
-/// beta ghosts covering the active region grown by one cell.
-void apply_op_varcoef(BrickedArray& Ax, const BrickedArray& x,
-                      const BrickedArray& beta, real_t identity_coef,
-                      real_t h, const Box& active);
+/// Ax = s*x + div(beta grad x) over `active`, every lane of x and Ax
+/// (F as in operators.hpp); the coefficient is one field shared by
+/// every lane. Requires valid x and beta ghosts covering the active
+/// region grown by one cell.
+template <class F>
+void apply_op_varcoef(F& Ax, const F& x, const BrickedArray& beta,
+                      real_t identity_coef, real_t h, const Box& active);
 
 /// diag(i) = s - (1/h^2) * sum_faces 0.5*(beta_i + beta_nbr) — the
 /// operator diagonal, needed by the point smoothers. Same ghost
@@ -76,11 +77,11 @@ void smooth_varcoef(BrickedArray& x, const BrickedArray& Ax,
                     const BrickedArray& b, const BrickedArray& diag,
                     real_t omega, const Box& active);
 
-/// Chebyshev direction update with a per-cell diagonal:
-/// p = r/diag + beta_ch * p.
-void cheby_p_update_varcoef(BrickedArray& p, const BrickedArray& r,
-                            const BrickedArray& diag, real_t beta_ch,
-                            const Box& active);
+/// Chebyshev direction update with a per-cell diagonal shared by
+/// every lane: p = r/diag + beta_ch * p.
+template <class F>
+void cheby_p_update_varcoef(F& p, const F& r, const BrickedArray& diag,
+                            real_t beta_ch, const Box& active);
 
 // Static effect summaries (check/effects.hpp, DESIGN.md §18). The
 // variable-coefficient operator taps x and beta at face neighbors:

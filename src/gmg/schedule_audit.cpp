@@ -11,9 +11,8 @@ namespace gmg {
 using check::read_access;
 using check::write_access;
 
-Record::Record(check::ScheduleRecorder& rec, const GmgSolver& s, int k,
-               bool batched)
-    : rec_(rec), s_(s), k_(k), batched_(batched) {
+Record::Record(check::ScheduleRecorder& rec, const GmgSolver& s, int k)
+    : rec_(rec), s_(s), k_(k) {
   rec_.set_num_components(k);
 }
 
@@ -115,15 +114,14 @@ void Record::add_chunk_writes(check::ScheduleStep& step, int l,
 void Record::jacobi(int l, const Box& box, bool residual, bool restrict,
                     bool partial) {
   const MgLevel& L = lev(l);
-  // The two-stage body (13-point / stencilgen operators, and every
-  // batched sweep) issues its applyOp into the spare buffer first, then
-  // the pointwise update over it.
-  const bool one_pass = !batched_ && jacobi_is_one_pass(s_.options(), L);
+  // The two-stage body (13-point / stencilgen operators) issues its
+  // applyOp into the spare buffer first, then the pointwise update over
+  // it — at every batch width.
+  const bool one_pass = jacobi_is_one_pass(L);
   if (!one_pass) apply(l, Fld::kAx, Fld::kX, box, partial);
   check::ScheduleStep& step =
       !one_pass ? launch("kernel.jacobiUpdate", l,
-                         L.varcoef ? fused::jacobi_update_varcoef_effects()
-                                   : fused::jacobi_update_effects(),
+                         fused::jacobi_update_effects(),
                          {read_access("Ax", l, box, 0, "out"),
                           read_access("x", l, box, 0, "x")})
       : L.varcoef ? launch("kernel.jacobiSweepVarCoef", l,

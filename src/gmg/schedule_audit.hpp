@@ -18,14 +18,12 @@
 
 namespace gmg {
 
-/// Records the cycle's launches against `s`'s levels. With `batched`,
-/// it records what the batched run issues instead of the solo one: the
-/// two-stage Jacobi body and the split convergence norm, over `k`
-/// components.
+/// Records the cycle's launches against `s`'s levels, over `k`
+/// components: what the run executor (level_run.hpp) issues for a solve
+/// of that batch width.
 class Record {
  public:
-  Record(check::ScheduleRecorder& rec, const GmgSolver& s, int k = 1,
-         bool batched = false);
+  Record(check::ScheduleRecorder& rec, const GmgSolver& s, int k = 1);
 
   /// Register every solver level's LevelInfo, and the field validity
   /// set_rhs leaves (CycleState::after_set_rhs is the matching ghost
@@ -43,7 +41,7 @@ class Record {
 
   // ---- the executor contract (gmg/cycle.hpp) ----
   int k() const { return k_; }
-  bool fuses_norm() const { return !batched_; }
+  bool fuses_norm() const { return k_ == 1; }
   template <class Fn>
   void timed(int, perf::Phase, Fn&& fn) {
     fn();
@@ -108,7 +106,6 @@ class Record {
   check::ScheduleRecorder& rec_;
   const GmgSolver& s_;
   int k_;
-  bool batched_;
 };
 
 /// Record the planned schedule of `cycles` V-cycles (with the

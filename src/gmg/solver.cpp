@@ -12,6 +12,7 @@
 #include "dsl/stencils.hpp"
 #include "gmg/cycle.hpp"
 #include "gmg/fused_kernels.hpp"
+#include "gmg/level_run.hpp"
 #include "gmg/operators.hpp"
 #include "gmg/operators_varcoef.hpp"
 #include "gmg/schedule_audit.hpp"
@@ -39,119 +40,9 @@ static_assert(check::interpolation_trilinear_shape().num_taps() == 27,
 
 namespace {
 
-/// The solo run executor of the cycle (gmg/cycle.hpp): GmgSolver's
-/// fields through each level's KernelPlan bindings, every phase timed
-/// by the solver's profiler.
-class SoloRun {
- public:
-  SoloRun(std::vector<MgLevel>& levels, perf::Profiler& prof,
-          OverlapStream& os, comm::Communicator& comm)
-      : levels_(levels), prof_(prof), os_(os), comm_(comm) {}
-
-  int k() const { return 1; }
-  bool fuses_norm() const { return true; }
-  template <class Fn>
-  void timed(int l, perf::Phase phase, Fn&& fn) {
-    prof_.timed(l, phase, std::forward<Fn>(fn));
-  }
-
-  // Exchange primitives: the only direct exchange-engine calls of the
-  // solo path.
-  void exchange(int l, const FieldSet& fs) {
-    lev(l).exchange->exchange(comm_, fields(l, fs));
-  }
-  void exchange(int l, BrickedArray& field) {
-    lev(l).exchange->exchange(comm_, field);
-  }
-  void begin(int l, const FieldSet& fs) {
-    lev(l).exchange->begin(comm_, fields(l, fs));
-  }
-  template <class Kernel>
-  void finish(int l, const Box& active, const Box& safe, perf::Phase phase,
-              Kernel& kernel) {
-    finish_exchange_overlapped(
-        comm_, *lev(l).exchange, os_, &prof_, l, active, safe, phase,
-        [&](const Box& region) { kernel(region, false); });
-  }
-
-  void apply(int l, Fld out, Fld in, const Box& box, bool) {
-    MgLevel& L = lev(l);
-    L.plan.apply(field(L, out), field(L, in), box);
-  }
-  void jacobi(int l, const Box& box, bool residual, bool restrict, bool) {
-    lev(l).plan.jacobi(box, residual, restrict ? &lev(l + 1).b : nullptr);
-  }
-  void swap(int l) { std::swap(lev(l).x, lev(l).Ax); }
-  void gs_color(int l, int color, const Box& box, bool) {
-    MgLevel& L = lev(l);
-    gs_color_sweep(L.x, L.b, L.alpha, L.beta, color, L.rank_box.lo, box);
-  }
-  void residual(int l, const Box& box) {
-    MgLevel& L = lev(l);
-    gmg::residual(L.r, L.b, L.Ax, box);
-  }
-  void residual_restrict(int l) {
-    lev(l).plan.residual_restrict(lev(l + 1).b);
-  }
-  void restriction(int l, Fld fine) {
-    gmg::restriction(lev(l + 1).b, field(lev(l), fine));
-  }
-  void init_zero_x(int l, const Box&) { init_zero(lev(l).x); }
-  void interp_increment(int l) {
-    interpolation_increment(lev(l).x, lev(l + 1).x);
-  }
-  void interp_trilinear(int l) {
-    interpolation_trilinear_assign(lev(l).x, lev(l + 1).x);
-  }
-  void cheby_p(int l, const Box& box, real_t beta) {
-    MgLevel& L = lev(l);
-    if (L.varcoef) {
-      cheby_p_update_varcoef(L.p, L.r, L.diag, beta, box);
-    } else {
-      cheby_p_update(L.p, L.r, 1.0 / L.alpha, beta, box);
-    }
-  }
-  void axpy_p(int l, real_t alpha, const Box& box) {
-    axpy(lev(l).x, alpha, lev(l).p, box);
-  }
-  void copy(int l, Fld dst, Fld src) {
-    copy_interior(field(lev(l), dst), field(lev(l), src));
-  }
-  real_t dot(int l, Fld a, Fld b, int) {
-    return dot_interior(field(lev(l), a), field(lev(l), b));
-  }
-  void axpy_interior(int l, Fld y, real_t a, Fld x, int) {
-    gmg::axpy_interior(field(lev(l), y), a, field(lev(l), x));
-  }
-  void xpay_interior(int l, Fld y, Fld x, real_t beta, int) {
-    gmg::xpay_interior(field(lev(l), y), field(lev(l), x), beta);
-  }
-  real_t residual_max_norm() { return lev(0).plan.residual_max_norm(); }
-  real_t max_norm(int) { return gmg::max_norm(lev(0).r); }
-  real_t norm2_sq() { return gmg::norm2_sq(lev(0).r); }
-  int next_group() { return 0; }
-  real_t allreduce_sum(real_t v, const char*, int, int, int, bool) {
-    return comm_.allreduce_sum(v);
-  }
-  real_t allreduce_max(real_t v, const char*, int, int, int, bool) {
-    return comm_.allreduce_max(v);
-  }
-  int cg_iterations(int budget) const { return budget; }
-
- private:
-  MgLevel& lev(int l) { return levels_[static_cast<std::size_t>(l)]; }
-  std::vector<BrickedArray*> fields(int l, const FieldSet& fs) {
-    std::vector<BrickedArray*> out(static_cast<std::size_t>(fs.n));
-    for (std::size_t i = 0; i < out.size(); ++i)
-      out[i] = &field(lev(l), fs.f[i]);
-    return out;
-  }
-
-  std::vector<MgLevel>& levels_;
-  perf::Profiler& prof_;
-  OverlapStream& os_;
-  comm::Communicator& comm_;
-};
+/// The solo solve's executor: the hierarchy's own fields, every phase
+/// timed by the solver's profiler.
+using Run = LevelRun<MgLevel>;
 
 }  // namespace
 
@@ -386,7 +277,7 @@ void GmgSolver::set_coefficient(
     levels_[l].coef = BrickedArray(levels_[l].grid, levels_[l].shape);
     restriction(levels_[l].coef, levels_[l - 1].coef);
   }
-  SoloRun ex(levels_, profiler_, overlap_, comm);
+  Run ex(*this, levels_, &profiler_, overlap_, comm);
   for (MgLevel& lev : levels_) {
     lev.varcoef = true;
     ex.exchange(lev.level, lev.coef);
@@ -399,10 +290,9 @@ void GmgSolver::set_coefficient(
   }
   // Ghosts of x are unrelated to the new operator.
   for (GhostState& g : cycle_.ghosts) g.margin = 0;
-  // The varcoef flip invalidates every const-coefficient kernel
-  // binding; re-resolve the plans against the new operator — and
-  // re-prove the schedule against the rebound plans (the varcoef
-  // kernels have their own effect summaries).
+  // The varcoef flip changes every level's operator; re-resolve the
+  // plans against it — and re-prove the schedule against the new plans
+  // (the varcoef kernels have their own effect summaries).
   resolve_kernel_plans();
   if (check::verify_schedule_enabled()) verify_solver_schedule(*this);
 }
@@ -411,27 +301,27 @@ void GmgSolver::vcycle(comm::Communicator& comm) {
   // Umbrella span so the timeline shows cycle boundaries around the
   // per-phase spans Profiler::timed emits.
   trace::TraceSpan span("gmg.vcycle");
-  SoloRun ex(levels_, profiler_, overlap_, comm);
-  Cycle<SoloRun>(*this, ex, cycle_).vcycle();
+  Run ex(*this, levels_, &profiler_, overlap_, comm);
+  Cycle<Run>(*this, ex, cycle_).vcycle();
 }
 
 void GmgSolver::fmg(comm::Communicator& comm) {
   trace::TraceSpan span("gmg.fmg");
-  SoloRun ex(levels_, profiler_, overlap_, comm);
-  Cycle<SoloRun>(*this, ex, cycle_).fmg();
+  Run ex(*this, levels_, &profiler_, overlap_, comm);
+  Cycle<Run>(*this, ex, cycle_).fmg();
 }
 
 real_t GmgSolver::residual_norm(comm::Communicator& comm) {
-  SoloRun ex(levels_, profiler_, overlap_, comm);
+  Run ex(*this, levels_, &profiler_, overlap_, comm);
   const std::uint8_t active = 1;
   real_t res = 0;
-  Cycle<SoloRun>(*this, ex, cycle_).residual_norms(&active, &res);
+  Cycle<Run>(*this, ex, cycle_).residual_norms(&active, &res);
   return res;
 }
 
 real_t GmgSolver::residual_norm_l2(comm::Communicator& comm) {
-  SoloRun ex(levels_, profiler_, overlap_, comm);
-  return std::sqrt(Cycle<SoloRun>(*this, ex, cycle_).residual_norm_l2());
+  Run ex(*this, levels_, &profiler_, overlap_, comm);
+  return std::sqrt(Cycle<Run>(*this, ex, cycle_).residual_norm_l2());
 }
 
 SolveResult GmgSolver::solve(comm::Communicator& comm,

@@ -1,16 +1,20 @@
-// Per-brick building blocks shared by the split operators
-// (operators.cpp) and the fused passes (fused_kernels.cpp): the
-// 7-point row body and the per-brick 8->1 restriction. One definition
-// of each, so the one-pass Jacobi sweep and the two-pass reference it
-// replaces apply literally the same per-element arithmetic (DESIGN.md
-// §16) — the bitwise contract holds by construction, not by keeping
-// two copies in step.
+// Per-brick building blocks shared by every kernel over bricked
+// storage, each written once for any lane count K (component c of cell
+// e at flat e*K + c — brick/batched_array.hpp; K is the compile-time 1
+// for a BrickedArray): the row visitor, the 7-point row body and the
+// per-brick 8->1 restriction. The split operators (operators*.cpp) and
+// the fused passes (fused_kernels.cpp) share one definition of each, so
+// the one-pass Jacobi sweep and the two-pass reference it replaces
+// apply literally the same per-element arithmetic (DESIGN.md §16), and
+// every lane of a batched field gets the solo arithmetic (§15) — the
+// bitwise contracts hold by construction, not by keeping copies in
+// step.
 #pragma once
 
 #include <algorithm>
 
+#include "brick/batched_array.hpp"
 #include "brick/brick_plan.hpp"
-#include "brick/bricked_array.hpp"
 #include "common/types.hpp"
 
 namespace gmg::detail {
@@ -31,31 +35,81 @@ void require_taps_in_grid(BD, const BrickGrid& grid, const Box& active,
               "stencil taps reach beyond the ghost bricks");
 }
 
-/// ax = alpha*x + beta*(6 face neighbors) for li in [ilo, ihi) of row
-/// (lj, lk) of plan brick `it`, handed to `emit(li, ax)` — the code
+/// Visit the contiguous rows of `plan` in flat storage elements:
+/// fn(o, lo, hi) where the row occupies [o + lo, o + hi), K lanes per
+/// cell. Full bricks collapse to ONE call covering the whole brick
+/// (base, 0, BD::volume*K) — element-wise kernels don't care about row
+/// structure, so the straight-line loop replaces bz*by row calls.
+template <typename BD, typename KT, typename Fn>
+void for_each_row(BD, KT K, const char* name, const BrickIterPlan& plan,
+                  Fn&& fn) {
+  for_each_plan_brick<BD>(name, plan, [&](const BrickPlanItem& it,
+                                          auto full) {
+    const std::size_t base = static_cast<std::size_t>(it.id * BD::volume * K);
+    if constexpr (decltype(full)::value) {
+      fn(base, index_t{0}, static_cast<index_t>(BD::volume * K));
+    } else {
+      for (index_t lk = it.klo; lk < it.khi; ++lk) {
+        for (index_t lj = it.jlo; lj < it.jhi; ++lj) {
+          fn(base + static_cast<std::size_t>((lk * BD::by + lj) * BD::bx * K),
+             static_cast<index_t>(it.ilo * K),
+             static_cast<index_t>(it.ihi * K));
+        }
+      }
+    }
+  });
+}
+
+/// The row visitor over the cached iteration plan of `active`.
+template <typename BD, typename KT, typename Fn>
+void for_each_row(BD bd, KT K, const char* name, const BrickGrid& grid,
+                  const Box& active, Fn&& fn) {
+  for_each_row(bd, K, name,
+               *grid.iteration_plan(active, Vec3{BD::bx, BD::by, BD::bz}),
+               fn);
+}
+
+/// cell(i, c) for i in [0, n) and every lane c, vectorizing the loop
+/// that carries unit stride: the cell loop at the compile-time K = 1
+/// (the solo loop), the lane loop otherwise.
+template <typename KT, typename Cell>
+inline void for_each_cell_lane(index_t n, KT K, Cell&& cell) {
+  if constexpr (kOneLane<KT>) {
+#pragma omp simd
+    for (index_t i = 0; i < n; ++i) cell(i, index_t{0});
+  } else {
+    for (index_t i = 0; i < n; ++i) {
+#pragma omp simd
+      for (index_t c = 0; c < K; ++c) cell(i, c);
+    }
+  }
+}
+
+/// ax = alpha*x + beta*(6 face neighbors) for the cells [ilo, ihi) of
+/// row (lj, lk) of plan brick `it`, every lane, handed to `emit(s, ax)`
+/// with s the row-relative flat index (cell*K + lane) — the code
 /// BrickLib's vector code generator would emit for Fig. 1's DSL input.
 /// The six neighbor rows resolve to direct pointers once (crossing into
 /// adjacent bricks where needed); the row body is then a pure
-/// unit-stride SIMD loop with scalar patch-ups only at the two
-/// x-boundary cells. kFull instantiates whole-row bounds as
+/// unit-stride SIMD loop (x taps at +-K) with scalar patch-ups only at
+/// the two x-boundary cells. kFull instantiates whole-row bounds as
 /// compile-time constants. applyOp's `emit` stores ax; the one-pass
 /// Jacobi sweep's consumes it in registers.
-template <typename BD, bool kFull, typename Emit>
-inline void star7_row(const BrickPlanItem& it, const real_t* __restrict xp,
-                      index_t lj, index_t lk, index_t ilo, index_t ihi,
-                      real_t alpha, real_t beta, Emit&& emit) {
-  constexpr index_t kRow = BD::bx;
-  constexpr index_t kPlane = BD::bx * BD::by;
+template <typename BD, bool kFull, typename KT, typename Emit>
+inline void star7_row(const BrickPlanItem& it, KT K,
+                      const real_t* __restrict xp, index_t lj, index_t lk,
+                      index_t ilo, index_t ihi, real_t alpha, real_t beta,
+                      Emit&& emit) {
+  const std::size_t bvol = static_cast<std::size_t>(BD::volume * K);
   const auto brick_of = [&](int dx, int dy, int dz) {
     const std::int32_t b = it.adj[direction_index(dx, dy, dz)];
     GMG_ASSERT(b >= 0);
-    return xp + static_cast<std::size_t>(b) * BD::volume;
+    return xp + static_cast<std::size_t>(b) * bvol;
   };
-  const auto row_at = [](const real_t* brick, index_t j, index_t k) {
-    return brick + k * kPlane + j * kRow;
+  const auto row_at = [K](const real_t* brick, index_t j, index_t k) {
+    return brick + (k * BD::by + j) * BD::bx * K;
   };
-  const real_t* __restrict xb =
-      xp + static_cast<std::size_t>(it.id) * BD::volume;
+  const real_t* __restrict xb = xp + static_cast<std::size_t>(it.id) * bvol;
   const real_t* __restrict xr = row_at(xb, lj, lk);
   const real_t* __restrict ym = lj > 0
                                     ? row_at(xb, lj - 1, lk)
@@ -70,39 +124,46 @@ inline void star7_row(const BrickPlanItem& it, const real_t* __restrict xp,
                                     ? row_at(xb, lj, lk + 1)
                                     : row_at(brick_of(0, 0, 1), lj, 0);
 
-  // One SIMD core over [max(ilo,1), min(ihi,B-1)) plus scalar patch-ups
-  // at the two x-boundary cells. The tap summation order (xm + xp + ym
-  // + yp + zm + zp) is IDENTICAL between core and patches so that cells
-  // computed redundantly in ghost bricks (communication-avoiding
-  // sweeps) are bitwise equal to the owning rank's interior
+  // One SIMD core over cells [max(ilo,1), min(ihi,B-1)) plus scalar
+  // patch-ups at the two x-boundary cells. The tap summation order (xm
+  // + xp + ym + yp + zm + zp) is IDENTICAL between core and patches so
+  // that cells computed redundantly in ghost bricks (communication-
+  // avoiding sweeps) are bitwise equal to the owning rank's interior
   // computation.
   const index_t core_lo = kFull ? 1 : std::max<index_t>(ilo, 1);
   const index_t core_hi =
       kFull ? BD::bx - 1 : std::min<index_t>(ihi, BD::bx - 1);
 #pragma omp simd
-  for (index_t li = core_lo; li < core_hi; ++li) {
-    emit(li, alpha * xr[li] + beta * (xr[li - 1] + xr[li + 1] + ym[li] +
-                                      yp[li] + zm[li] + zp[li]));
+  for (index_t s = core_lo * K; s < core_hi * K; ++s) {
+    emit(s, alpha * xr[s] + beta * (xr[s - K] + xr[s + K] + ym[s] + yp[s] +
+                                    zm[s] + zp[s]));
   }
   if (kFull || ilo == 0) {
-    const real_t xm = row_at(brick_of(-1, 0, 0), lj, lk)[BD::bx - 1];
-    emit(index_t{0}, alpha * xr[0] + beta * (xm + xr[1] + ym[0] + yp[0] +
-                                             zm[0] + zp[0]));
+    const real_t* __restrict xm =
+        row_at(brick_of(-1, 0, 0), lj, lk) + (BD::bx - 1) * K;
+    for (index_t c = 0; c < K; ++c) {
+      emit(c, alpha * xr[c] + beta * (xm[c] + xr[c + K] + ym[c] + yp[c] +
+                                      zm[c] + zp[c]));
+    }
   }
   if (kFull || ihi == BD::bx) {
-    constexpr index_t e = BD::bx - 1;
-    const real_t xpv = row_at(brick_of(1, 0, 0), lj, lk)[0];
-    emit(e, alpha * xr[e] + beta * (xr[e - 1] + xpv + ym[e] + yp[e] +
-                                    zm[e] + zp[e]));
+    const index_t e = (BD::bx - 1) * K;
+    const real_t* __restrict xpn = row_at(brick_of(1, 0, 0), lj, lk);
+    for (index_t c = 0; c < K; ++c) {
+      const index_t s = e + c;
+      emit(s, alpha * xr[s] + beta * (xr[s - K] + xpn[c] + ym[s] + yp[s] +
+                                      zm[s] + zp[s]));
+    }
   }
 }
 
-/// 8->1 full weighting of ONE fine brick into its coarse octant: 0.125
-/// times the 8-term sum, in a fixed order. `bc` is the fine brick's
-/// grid coordinate and `fb` its storage; eight fine bricks write
-/// disjoint octants of one coarse brick, so any chunking is race-free.
-template <typename BD>
-inline void restrict_brick(const Vec3& bc, const BrickGrid& cg,
+/// 8->1 full weighting of ONE fine brick into its coarse octant, every
+/// lane: 0.125 times the 8-term sum, in a fixed order. `bc` is the fine
+/// brick's grid coordinate and `fb` its storage; eight fine bricks
+/// write disjoint octants of one coarse brick, so any chunking is
+/// race-free.
+template <typename BD, typename KT>
+inline void restrict_brick(KT K, const Vec3& bc, const BrickGrid& cg,
                            const real_t* __restrict fb,
                            real_t* __restrict cp) {
   const std::int32_t cid = cg.storage_id({bc.x / 2, bc.y / 2, bc.z / 2});
@@ -111,21 +172,21 @@ inline void restrict_brick(const Vec3& bc, const BrickGrid& cg,
   const index_t ox = (bc.x % 2) * (BD::bx / 2);
   const index_t oy = (bc.y % 2) * (BD::by / 2);
   const index_t oz = (bc.z % 2) * (BD::bz / 2);
-  real_t* cb = cp + static_cast<std::size_t>(cid) * BD::volume;
+  const index_t row = BD::bx * K;
+  real_t* cb = cp + static_cast<std::size_t>(cid * BD::volume * K);
   for (index_t lk = 0; lk < BD::bz; lk += 2) {
     for (index_t lj = 0; lj < BD::by; lj += 2) {
-      const real_t* r0 = fb + (lk * BD::by + lj) * BD::bx;
-      const real_t* r1 = r0 + BD::bx;           // j+1
-      const real_t* r2 = r0 + BD::by * BD::bx;  // k+1
-      const real_t* r3 = r2 + BD::bx;           // j+1, k+1
-      real_t* crow =
-          cb + ((oz + lk / 2) * BD::by + (oy + lj / 2)) * BD::bx + ox;
-#pragma omp simd
-      for (index_t li = 0; li < BD::bx / 2; ++li) {
-        const index_t f = 2 * li;
-        crow[li] = 0.125 * (r0[f] + r0[f + 1] + r1[f] + r1[f + 1] + r2[f] +
-                            r2[f + 1] + r3[f] + r3[f + 1]);
-      }
+      const real_t* r0 = fb + (lk * BD::by + lj) * row;
+      const real_t* r1 = r0 + row;           // j+1
+      const real_t* r2 = r0 + BD::by * row;  // k+1
+      const real_t* r3 = r2 + row;           // j+1, k+1
+      real_t* crow = cb + ((oz + lk / 2) * BD::by + (oy + lj / 2)) * row +
+                     ox * K;
+      for_each_cell_lane(BD::bx / 2, K, [&](index_t li, index_t c) {
+        const index_t f = 2 * li * K + c;
+        crow[li * K + c] = 0.125 * (r0[f] + r0[f + K] + r1[f] + r1[f + K] +
+                                    r2[f] + r2[f + K] + r3[f] + r3[f + K]);
+      });
     }
   }
 }

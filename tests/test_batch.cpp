@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "batch/batched_solver.hpp"
@@ -29,6 +30,20 @@ real_t rhs_b(real_t x, real_t y, real_t z) {
 
 real_t rhs_c(real_t x, real_t y, real_t z) {
   return x * (1 - x) + 0.25 * std::sin(2 * M_PI * (y + z));
+}
+
+/// The RHS of batch component c: rhs_a, rhs_b, rhs_c, then sine modes
+/// of rising frequency.
+std::function<real_t(real_t, real_t, real_t)> rhs_of(int c) {
+  switch (c) {
+    case 0: return rhs_a;
+    case 1: return rhs_b;
+    case 2: return rhs_c;
+  }
+  const real_t m = static_cast<real_t>(c - 1);
+  return [m](real_t x, real_t y, real_t z) {
+    return std::sin(2 * M_PI * m * x) * std::cos(2 * M_PI * y) + 0.1 * m * z;
+  };
 }
 
 real_t wavy_coef(real_t x, real_t y, real_t z) {
@@ -97,13 +112,16 @@ void expect_component_matches_solo(const SoloRef& solo,
 }
 
 // ---------------------------------------------------------------------
-// The bitwise matrix: smoother x CA x overlap x varcoef, 2 ranks, K=2.
+// The bitwise matrix: smoother x CA x overlap x varcoef, 2 ranks, K=2;
+// plus wider batches and the 13-point operator.
 
 struct MatrixCase {
   Smoother smoother;
   bool ca;
   bool overlap;
   bool varcoef;
+  int k = 2;       // batch width
+  int radius = 1;  // operator radius (2: the 13-point star)
 };
 
 std::string case_name(const ::testing::TestParamInfo<MatrixCase>& info) {
@@ -118,15 +136,19 @@ std::string case_name(const ::testing::TestParamInfo<MatrixCase>& info) {
   s += p.ca ? "_Ca" : "_NoCa";
   s += p.overlap ? "_Overlap" : "_Blocking";
   s += p.varcoef ? "_VarCoef" : "_ConstCoef";
+  if (p.k != 2) s += "_K" + std::to_string(p.k);
+  if (p.radius != 1) s += "_Radius" + std::to_string(p.radius);
   return s;
 }
 
 class BatchedBitwise : public ::testing::TestWithParam<MatrixCase> {};
 
+// A K-way batch (K = 2 across the matrix) against K solo solves.
 TEST_P(BatchedBitwise, TwoWayMatchesTwoSoloSolves) {
   const MatrixCase& p = GetParam();
   GmgOptions o = small_options();
   o.smoother = p.smoother;
+  o.operator_radius = p.radius;
   o.communication_avoiding = p.ca;
   o.overlap = p.overlap;
   if (p.overlap) {
@@ -141,17 +163,27 @@ TEST_P(BatchedBitwise, TwoWayMatchesTwoSoloSolves) {
   world.run([&](comm::Communicator& c) {
     GmgSolver solver(o, decomp, c.rank());
     if (p.varcoef) solver.set_coefficient(c, wavy_coef);
-    const SoloRef ra = run_solo(c, solver, sub, rhs_a, o.tolerance, o.max_vcycles);
-    const SoloRef rb = run_solo(c, solver, sub, rhs_b, o.tolerance, o.max_vcycles);
+    std::vector<std::function<real_t(real_t, real_t, real_t)>> rhs;
+    std::vector<SoloRef> refs;
+    for (int i = 0; i < p.k; ++i) {
+      rhs.push_back(rhs_of(i));
+      refs.push_back(
+          run_solo(c, solver, sub, rhs.back(), o.tolerance, o.max_vcycles));
+    }
 
-    batch::BatchedSolver bs(solver, 2);
-    bs.set_rhs({rhs_a, rhs_b});
-    std::vector<batch::BatchSolveSpec> specs(2);
-    specs[0].tolerance = specs[1].tolerance = o.tolerance;
-    specs[0].max_vcycles = specs[1].max_vcycles = o.max_vcycles;
+    batch::BatchedSolver bs(solver, p.k);
+    bs.set_rhs(rhs);
+    std::vector<batch::BatchSolveSpec> specs(static_cast<std::size_t>(p.k));
+    for (auto& spec : specs) {
+      spec.tolerance = o.tolerance;
+      spec.max_vcycles = o.max_vcycles;
+    }
     const std::vector<SolveResult> got = bs.solve(c, specs);
-    expect_component_matches_solo(ra, got[0], bs, 0, c.rank());
-    expect_component_matches_solo(rb, got[1], bs, 1, c.rank());
+    for (int i = 0; i < p.k; ++i) {
+      expect_component_matches_solo(refs[static_cast<std::size_t>(i)],
+                                    got[static_cast<std::size_t>(i)], bs, i,
+                                    c.rank());
+    }
   });
 }
 
@@ -173,6 +205,19 @@ std::vector<MatrixCase> matrix_cases() {
 
 INSTANTIATE_TEST_SUITE_P(Matrix, BatchedBitwise,
                          ::testing::ValuesIn(matrix_cases()), case_name);
+
+// Wider batches through the one-pass sweep (K = 3 and 8, point Jacobi,
+// with CA and split-phase overlap; K = 8 also with variable
+// coefficients) and the 13-point operator's two-stage body at K = 2.
+INSTANTIATE_TEST_SUITE_P(
+    Widths, BatchedBitwise,
+    ::testing::Values(
+        MatrixCase{Smoother::kPointJacobi, true, true, false, 3, 1},
+        MatrixCase{Smoother::kPointJacobi, true, true, false, 8, 1},
+        MatrixCase{Smoother::kPointJacobi, true, true, true, 8, 1},
+        MatrixCase{Smoother::kPointJacobi, true, true, false, 2, 2},
+        MatrixCase{Smoother::kPointJacobi, false, false, false, 2, 2}),
+    case_name);
 
 // ---------------------------------------------------------------------
 // Masked bottom CG: components freeze at their solo exit iterations.
@@ -379,7 +424,7 @@ TEST(BatchedArray, LayoutIsRhsInnermost) {
   // (i*K + c, j, k) — component index innermost within a brick row.
   auto grid_arr =
       BrickedArray::create({8, 8, 8}, BrickShape::cube(4));
-  batch::BatchedBrickedArray a(grid_arr.grid_ptr(), BrickShape::cube(4), 2);
+  BatchedBrickedArray a(grid_arr.grid_ptr(), BrickShape::cube(4), 2);
   a.at(3, 1, 2, 0) = 10.0;
   a.at(3, 1, 2, 1) = 20.0;
   EXPECT_EQ(a.inner()(6, 1, 2), 10.0);

@@ -289,7 +289,7 @@ void PrintTo(const SweepCase& c, std::ostream* os) { *os << c.name; }
 
 class OnePassSweep : public ::testing::TestWithParam<SweepCase> {};
 
-// Rank 0's half of OnePassSweep: each binding call against its
+// Rank 0's half of OnePassSweep: each level_jacobi call against its
 // two-pass reference, at 1 and 4 workers, over every sweep region.
 void compare_sweeps(const SweepCase& sc, const GmgOptions& o,
                     GmgSolver& solver) {
@@ -315,7 +315,7 @@ void compare_sweeps(const SweepCase& sc, const GmgOptions& o,
         } else if (sc.radius == 1 && !sc.generated) {
           apply_op(ax, xref, lev.alpha, lev.beta, act);
         } else {
-          lev.plan.apply(ax, xref, act);
+          level_apply(lev, ax, xref, act);
         }
         if (stage == 0) {
           if (sc.varcoef)
@@ -337,10 +337,10 @@ void compare_sweeps(const SweepCase& sc, const GmgOptions& o,
                                           gamma, act);
         }
         for (const Box& part : reg.parts) {
-          lev.plan.jacobi(part, stage >= 1,
-                          stage == 2 ? &coarse.b : nullptr);
+          level_jacobi(lev, lev.Ax, stage >= 1 ? &lev.r : nullptr,
+                       stage == 2 ? &coarse.b : nullptr, lev.x, lev.b, part);
         }
-        // The binding wrote x' into the spare buffer and left x alone.
+        // The sweep wrote x' into the spare buffer and left x alone.
         expect_same_bits(lev.Ax, xref, act, what + ": x'");
         if (stage >= 1) expect_same_bits(lev.r, rref, act, what + ": r");
         if (stage == 2) {
@@ -352,7 +352,7 @@ void compare_sweeps(const SweepCase& sc, const GmgOptions& o,
   }
 }
 
-// One call of the level's Jacobi binding (over each part of a region)
+// One level_jacobi call (over each part of a region)
 // must equal applyOp followed by smooth / smooth_residual /
 // fused::smooth_residual_restrict over the whole region, bit for bit:
 // the new iterate, the residual, and the restricted coarse RHS. The
@@ -485,9 +485,9 @@ real_t rhs_c(real_t x, real_t y, real_t z) {
 }
 
 TEST(FusedBatched, FusedVsSplitBitwiseAtK1AndK4) {
-  // The batched K-inner fused kernels follow the base level's
-  // KernelPlan; a batched solve with fusion on must match one with
-  // fusion off bitwise for every component.
+  // A batched solve's kernels follow the base level's KernelPlan; with
+  // fusion on it must match one with fusion off bitwise for every
+  // component.
   const CartDecomp decomp({32, 32, 32}, {1, 1, 1});
   for (int k : {1, 4}) {
     comm::World world(1);

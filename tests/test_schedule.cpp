@@ -150,6 +150,51 @@ TEST(ScheduleParity, BatchedScheduleProvesCleanAndRunsClean) {
   }
 }
 
+// A batched solve issues the solo launches: at K = 4 every 7-point
+// Jacobi sweep is one pass per brick, with constant and with variable
+// coefficients — no applyOp + jacobiUpdate pair — while the 13-point
+// operator keeps its two-stage body at every batch width.
+TEST(ScheduleParity, BatchedJacobiSweepIsTheSoloSweep) {
+  const CartDecomp decomp({32, 32, 32}, {1, 1, 1});
+  const auto count = [](const check::Schedule& s, const std::string& kernel) {
+    return std::count_if(
+        s.steps.begin(), s.steps.end(),
+        [&](const check::ScheduleStep& st) { return st.kernel == kernel; });
+  };
+  for (const bool varcoef : {false, true}) {
+    SCOPED_TRACE(varcoef ? "varcoef" : "const");
+    comm::World world(1);
+    world.run([&](comm::Communicator& c) {
+      GmgSolver base(matrix_options(Smoother::kPointJacobi, true), decomp, 0);
+      if (varcoef) {
+        base.set_coefficient(c, [](real_t x, real_t y, real_t) {
+          return 1.5 + std::sin(2 * M_PI * x) * std::cos(2 * M_PI * y);
+        });
+      }
+      batch::BatchedSolver bs(base, 4);
+      const check::Schedule sched = batch::record_batched_schedule(bs);
+      EXPECT_GT(count(sched, varcoef ? "kernel.jacobiSweepVarCoef"
+                                     : "kernel.jacobiSweep"),
+                0);
+      EXPECT_EQ(count(sched, "kernel.jacobiUpdate"), 0);
+    });
+  }
+
+  GmgOptions o = matrix_options(Smoother::kPointJacobi, true);
+  o.operator_radius = 2;
+  GmgSolver base(o, decomp, 0);
+  batch::BatchedSolver bs(base, 4);
+  const check::Schedule sched = batch::record_batched_schedule(bs);
+  int updates = 0;
+  for (std::size_t i = 1; i < sched.steps.size(); ++i) {
+    if (sched.steps[i].kernel != "kernel.jacobiUpdate") continue;
+    EXPECT_EQ(sched.steps[i - 1].kernel, "kernel.applyOp");
+    ++updates;
+  }
+  EXPECT_GT(updates, 0);
+  EXPECT_EQ(count(sched, "kernel.jacobiSweep"), 0);
+}
+
 TEST(ScheduleParity, CompositeAmrScheduleProvesCleanAndRunsClean) {
   amr::AmrOptions ao;
   ao.gmg = matrix_options(Smoother::kPointJacobi, true);

@@ -37,25 +37,28 @@
 //   fp-contract         4. The top-level CMakeLists.txt must keep
 //                       -ffp-contract=off.
 //   kernel-scope        5. In fused-kernel files (src/ *fused*) and
-//                       src/amr, every namespace-scope non-template
-//                       kernel that launches a parallel loop must
+//                       src/amr, every namespace-scope kernel (a
+//                       non-template function, or a function template
+//                       defined in a .cpp — one kernel set explicitly
+//                       instantiated per field type) that launches a
+//                       parallel loop must
 //                       register its access boxes with the hazard
 //                       detector (check::scope_if_enabled /
 //                       KernelScope).
 //   plan-bindings       6. In the schedule files of src/gmg, src/batch
 //                       and src/amr (all but the kernel sources and
-//                       the KernelPlan registry, kernel_plan.cpp), the
-//                       per-stage kernels (smooth, smooth_residual,
-//                       apply_op, the jacobi_sweep family, their
-//                       varcoef twins) may only be called bare inside
-//                       a run executor — a member of a class whose
-//                       name ends in "Run" — or through KernelPlan
-//                       bindings ('.' or '->'): a bare call in the
-//                       cycle bypasses its executors and the
+//                       the KernelPlan registry, kernel_plan.cpp, where
+//                       the kernel choice is made), the per-stage
+//                       kernels (smooth, smooth_residual, apply_op, the
+//                       jacobi_sweep family, their varcoef twins, and
+//                       the level_apply / level_jacobi dispatchers) may
+//                       only be called inside a run executor — a member
+//                       of a class whose name ends in "Run": a call in
+//                       the cycle bypasses its executors and the
 //                       specializer registry.
 //   effect-summary      7. Every kernel in src/gmg, src/dsl,
 //                       src/batch, src/amr — a namespace-scope
-//                       non-template function that launches a
+//                       function (as for rule 5) that launches a
 //                       parallel loop (parallel_for, for_each_row,
 //                       for_each_plan_brick, sweep_rows, run_plan,
 //                       parallel_reduce, the fused brick_pass) — must
@@ -309,6 +312,17 @@ std::vector<FnInfo> extract_functions(const TokenizedFile& tf) {
     std::string class_name;
     bool naming = false;  // between a class-key and its name
     for (std::size_t h = head; h < i; ++h) {
+      if (t[h].kind == Tok::kIdent && t[h].text == "template" &&
+          h + 1 < i && t[h + 1].text == "<") {
+        // A template parameter list: its `class`/`typename` keys name
+        // no class body.
+        int depth = 0;
+        for (++h; h < i; ++h) {
+          if (t[h].text == "<") ++depth;
+          if (t[h].text == ">" && --depth == 0) break;
+        }
+        continue;
+      }
       if (t[h].kind == Tok::kIdent) {
         const std::string& w = t[h].text;
         if (w == "namespace") {
@@ -450,8 +464,7 @@ FileClass classify(const std::string& rel) {
   for (const char* d : {"src/gmg/", "src/batch/", "src/amr/"}) {
     if (!starts_with(rel, d)) continue;
     fc.plan_scope = rel != "src/gmg/kernel_plan.cpp";
-    for (const char* k : {"operators", "fused", "kernels", "apply_batch",
-                          "stencil_rows"})
+    for (const char* k : {"operators", "fused", "kernels", "stencil_rows"})
       if (base.find(k) != std::string::npos) fc.plan_scope = false;
   }
   for (const char* d : {"src/gmg/", "src/dsl/", "src/batch/", "src/amr/"})
@@ -565,11 +578,18 @@ class Linter {
     }
   }
 
+  /// A function template defined in a .cpp is explicitly instantiated
+  /// there — a kernel like any other; header templates are helpers.
+  static bool header_template(const FileClass& fc, const FnInfo& fn) {
+    return fn.is_template && !ends_with(fc.rel, ".cpp");
+  }
+
   void rule_kernel_scope(const FileClass& fc, const TokenizedFile& tf,
                          const std::vector<FnInfo>& fns) {
     if (!fc.rule5_scope) return;
     for (const FnInfo& fn : fns) {
-      if (fn.is_template || fn.anon_ns || !fn.member_of.empty()) continue;
+      if (header_template(fc, fn) || fn.anon_ns || !fn.member_of.empty())
+        continue;
       if (!body_launches(tf, fn)) continue;
       if (body_has_ident(tf, fn, {"scope_if_enabled", "KernelScope"}))
         continue;
@@ -590,22 +610,19 @@ class Linter {
                           const std::vector<FnInfo>& fns) {
     if (!fc.plan_scope) return;
     static const std::set<std::string> kStage = {
-        "smooth",        "smooth_residual",  "smooth_varcoef",
-        "apply_op",      "apply_op_varcoef", "smooth_residual_varcoef",
-        "jacobi_sweep",  "jacobi_update",    "jacobi_sweep_varcoef"};
+        "smooth",           "smooth_residual",  "smooth_varcoef",
+        "apply_op",         "apply_op_varcoef", "smooth_residual_varcoef",
+        "jacobi_sweep",     "jacobi_update",    "jacobi_sweep_varcoef",
+        "level_apply",      "level_jacobi"};
     const std::vector<Tok>& t = tf.toks;
     for (const FnInfo& fn : fns) {
       if (ends_with(fn.member_of, "Run")) continue;  // a run executor
       for (std::size_t i = fn.body_begin; i + 1 < fn.body_end; ++i) {
         if (t[i].kind != Tok::kIdent || kStage.count(t[i].text) == 0)
           continue;
-        if (t[i + 1].text != "(") continue;
-        const bool via_member =
-            i > 0 && (t[i - 1].text == "." || t[i - 1].text == "->");
-        if (via_member) continue;
+        if (t[i + 1].text != "(" && t[i + 1].text != "<") continue;
         report(fc, tf, t[i].line, "plan-bindings",
-               "bare per-stage kernel call '" + t[i].text + "' in '" +
-                   fn.name +
+               "per-stage kernel call '" + t[i].text + "' in '" + fn.name +
                    "' bypasses the cycle's run executors and the KernelPlan "
                    "specializer registry; launch it through an executor");
       }
@@ -616,7 +633,7 @@ class Linter {
                            const std::vector<FnInfo>& fns) {
     if (!fc.in_effect_dirs) return;
     for (const FnInfo& fn : fns) {
-      if (fn.is_template || fn.anon_ns || fn.qualified ||
+      if (header_template(fc, fn) || fn.anon_ns || fn.qualified ||
           !fn.member_of.empty())
         continue;
       if (fn.name.size() > 8 &&
@@ -795,15 +812,42 @@ const SelfTest kSelfTests[] = {
      "  jacobi_update(ax, nullptr, nullptr, x, b, w, nullptr, active);\n"
      "}\n}\n",
      "plan-bindings"},
-    {"plan binding clean", "src/gmg/cycle.hpp",
+    {"executor call in the cycle clean", "src/gmg/cycle.hpp",
      "namespace gmg {\ntemplate <class Exec>\nclass Cycle {\n"
-     "  void sweep(MgLevel& lev) {\n"
-     "    lev.plan.jacobi(active, false, nullptr);\n  }\n};\n}\n",
+     "  void sweep(int l) {\n"
+     "    ex_.jacobi(l, active, false, false, false);\n  }\n};\n}\n",
+     nullptr},
+    {"level dispatcher in the cycle flagged", "src/gmg/cycle.hpp",
+     "namespace gmg {\ntemplate <class Exec>\nclass Cycle {\n"
+     "  void sweep(const MgLevel& lev) {\n"
+     "    level_jacobi(lev, ax, nullptr, nullptr, x, b, active);\n"
+     "  }\n};\n}\n",
+     "plan-bindings"},
+    {"member-call stage kernel flagged", "src/batch/foo.cpp",
+     "namespace gmg::batch {\nvoid BatchedSolver::sweep(Plan& plan) {\n"
+     "  plan.apply_op(ax, x, alpha, beta, active);\n}\n}\n",
+     "plan-bindings"},
+    {"dispatcher in a run executor clean", "src/amr/foo.cpp",
+     "namespace gmg::amr {\nclass CompositeRun {\n"
+     "  void patch_sweep() {\n"
+     "    level_jacobi(P_, P_.Ax, nullptr, nullptr, P_.x, P_.b, in);\n"
+     "  }\n};\n}\n",
      nullptr},
     {"specializer registry clean", "src/gmg/kernel_plan.cpp",
      "namespace gmg {\nvoid resolve_level_kernels(MgLevel& lev) {\n"
      "  apply_op(out, in, a, b, active);\n}\n}\n",
      nullptr},
+    {"kernel template in a .cpp without effects flagged",
+     "src/gmg/foo_ops.cpp",
+     "namespace gmg {\ntemplate <class F>\nvoid my_kernel(F& out) {\n"
+     "  exec::parallel_for(plan, body);\n}\n}\n",
+     "effect-summary"},
+    {"fused kernel template without scope flagged", "src/gmg/my_fused.cpp",
+     "namespace gmg::fused {\ntemplate <class F>\nvoid fused_pass(F& out) "
+     "{\n  brick_pass(bd, k, \"k\", grid, active, row, flat, cg, rp, cp);\n"
+     "}\n}\nnamespace gmg::fused {\nconstexpr int fused_pass_effects() { "
+     "return 0; }\n}\n",
+     "kernel-scope"},
     {"kernel without effects flagged", "src/batch/foo_kernels.cpp",
      "namespace gmg::batch {\nvoid my_kernel(BrickedArray& out) {\n"
      "  exec::parallel_for(plan, body);\n}\n}\n",
