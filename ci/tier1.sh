@@ -10,7 +10,10 @@
 #      per-thread ring buffers would hide — and the kernel suites
 #      (operators, fused, batch): one kernel set serves every batch
 #      width, so an off-by-one in a lane-strided (K-lane) offset is an
-#      out-of-bounds access ASan reports.
+#      out-of-bounds access ASan reports. The check, schedule and AMR
+#      suites ride along: they drive the scopes and recorded steps
+#      derived from the kernels' effect summaries, and test_check
+#      replaces the global operator new to count allocations.
 #   3. A TSan tree (./build-tsan, OpenMP off — see GMG_SANITIZE_THREAD)
 #      running the exec engine, kernel-runtime parallel_for, simmpi,
 #      split-phase exchange, overlapped smoothing (the solo and batched
@@ -128,9 +131,9 @@ else
     -DGMG_NATIVE_ARCH=OFF >/dev/null
   cmake --build build-asan -j"${JOBS}" \
     --target test_trace test_simmpi test_exchange test_operators \
-             test_fused test_batch
+             test_fused test_batch test_check test_schedule test_amr
   for t in test_trace test_simmpi test_exchange test_operators test_fused \
-           test_batch; do
+           test_batch test_check test_schedule test_amr; do
     echo "-- ${t} (sanitized)"
     "./build-asan/tests/${t}"
   done

@@ -6,7 +6,6 @@
 
 #include "common/timer.hpp"
 #include "gmg/cycle.hpp"
-#include "gmg/fused_kernels.hpp"
 #include "gmg/operators.hpp"
 #include "gmg/schedule_audit.hpp"
 #include "trace/trace.hpp"
@@ -14,9 +13,6 @@
 namespace gmg::amr {
 
 namespace {
-
-using check::read_access;
-using check::write_access;
 
 /// Which ghost round: the coarse engine's over the composite solution,
 /// or the masked fine–fine patch round.
@@ -217,46 +213,33 @@ class CompositeRecord {
       rec_.exchange(pl_, {"x"}, 1);
   }
   void prolong_ghosts(Fld f) {
-    ex_.launch("amr.prolongGhosts", pl_, prolong_interface_ghosts_effects(),
-               {write_access(Record::name(f), pl_, grow(interior_p_, 1),
-                             "patch_x"),
-                read_access("xH", 0, part_coarse_, 1, "xH")});
+    rec_.launch(prolong_interface_ghosts_effects(), pl_, grow(interior_p_, 1),
+                {{"patch_x", Record::name(f)}, {"xH", "xH", 0, part_coarse_}});
   }
   void patch_residual() {
-    ex_.launch("kernel.applyOp", pl_, apply_op_effects(1),
-               {write_access("Ax", pl_, interior_p_, "Ax"),
-                read_access("x", pl_, interior_p_, 1, "x")});
-    ex_.launch("kernel.residual", pl_, residual_effects(),
-               {write_access("r", pl_, interior_p_, "r"),
-                read_access("b", pl_, interior_p_, 0, "b"),
-                read_access("Ax", pl_, interior_p_, 0, "Ax")});
+    ex_.apply(h_.patch(), pl_, "Ax", "x", interior_p_);
+    rec_.launch(residual_effects(), pl_, interior_p_,
+                {{"r", "r"}, {"b", "b"}, {"Ax", "Ax"}});
   }
   void masked_residual() {
-    const int radius = static_cast<int>(h_.solver().level(0).radius);
-    mask_ids(ex_.launch("kernel.applyOp", 0, apply_op_effects(radius),
-                        {write_access("AxH", 0, interior0_, "Ax"),
-                         read_access("xH", 0, interior0_, radius, "x")}));
-    mask_ids(ex_.launch("kernel.residual", 0, residual_effects(),
-                        {write_access("rH", 0, interior0_, "r"),
-                         read_access("bH", 0, interior0_, 0, "b"),
-                         read_access("AxH", 0, interior0_, 0, "Ax")}));
+    mask_ids(rec_.launch(apply_op_effects(1), 0, interior0_,
+                         {{"Ax", "AxH"}, {"x", "xH"}}));
+    mask_ids(rec_.launch(residual_effects(), 0, interior0_,
+                         {{"r", "rH"}, {"b", "bH"}, {"Ax", "AxH"}}));
   }
   void reflux_and_inject() {
-    ex_.launch("amr.reflux", 0, reflux_residual_effects(),
-               {write_access("rH", 0, interior0_, "rH"),
-                read_access("rH", 0, interior0_, 0, "rH"),
-                read_access("xH", 0, interior0_, 1, "xH"),
-                read_access("x", pl_, interior_p_, 1, "patch_x")});
+    rec_.launch(reflux_residual_effects(), 0, interior0_,
+                {{"rH", "rH"},
+                 {"xH", "xH"},
+                 {"patch_x", "x", pl_, interior_p_}});
     restrict_patch_step("rH", "r");
   }
   real_t patch_norm() {
-    ex_.launch("kernel.maxNorm", pl_, max_norm_effects(),
-               {read_access("r", pl_, interior_p_, 0, "a")});
+    rec_.launch(max_norm_effects(), pl_, interior_p_, {{"a", "r"}});
     return 0;
   }
   real_t coarse_norm() {
-    ex_.launch("kernel.maxNorm", 0, max_norm_effects(),
-               {read_access("rH", 0, interior0_, 0, "a")});
+    rec_.launch(max_norm_effects(), 0, interior0_, {{"a", "rH"}});
     return 0;
   }
   real_t allreduce_max(real_t local) {
@@ -264,42 +247,22 @@ class CompositeRecord {
                              rec_.next_reduction_group(), false);
   }
   void reset_correction() {
-    ex_.launch("kernel.copy", 0, copy_interior_effects(),
-               {write_access("b", 0, interior0_, "dst"),
-                read_access("rH", 0, interior0_, 0, "src")});
+    rec_.launch(copy_interior_effects(), 0, interior0_,
+                {{"dst", "b"}, {"src", "rH"}});
     ex_.init_zero_x(0, cycle_.stored_cells(0));
     st_.fine_written();
   }
   void vcycle() { cycle_.vcycle(); }
   void correct_coarse() {
-    ex_.launch("kernel.axpy", 0, axpy_interior_effects(),
-               {write_access("xH", 0, interior0_, "y"),
-                read_access("xH", 0, interior0_, 0, "y"),
-                read_access("x", 0, interior0_, 0, "x")});
+    rec_.launch(axpy_interior_effects(), 0, interior0_,
+                {{"y", "xH"}, {"x", "x"}});
   }
   void correct_patch() {
-    ex_.launch("amr.correctPatch", pl_, correct_patch_effects(),
-               {write_access("x", pl_, interior_p_, "patch_x"),
-                read_access("x", pl_, interior_p_, 0, "patch_x"),
-                read_access("x", 0, part_coarse_, 0, "coarse")});
+    rec_.launch(correct_patch_effects(), pl_, interior_p_,
+                {{"patch_x", "x"}, {"coarse", "x", 0, part_coarse_}});
   }
   void patch_sweep() {
-    const Box& in = interior_p_;
-    if (jacobi_is_one_pass(h_.patch())) {
-      ex_.launch("kernel.jacobiSweep", pl_, fused::jacobi_sweep_effects(),
-                 {write_access("Ax", pl_, in, "out"),
-                  read_access("x", pl_, in, 1, "x"),
-                  read_access("b", pl_, in, 0, "b")});
-    } else {
-      ex_.launch("kernel.applyOp", pl_, apply_op_effects(1),
-                 {write_access("Ax", pl_, in, "Ax"),
-                  read_access("x", pl_, in, 1, "x")});
-      ex_.launch("kernel.jacobiUpdate", pl_, fused::jacobi_update_effects(),
-                 {write_access("Ax", pl_, in, "out"),
-                  read_access("Ax", pl_, in, 0, "out"),
-                  read_access("x", pl_, in, 0, "x"),
-                  read_access("b", pl_, in, 0, "b")});
-    }
+    ex_.sweep(h_.patch(), pl_, interior_p_, false, false, false);
     rec_.swap(pl_, "x", "Ax");
   }
   void restrict_solution() { restrict_patch_step("xH", "x"); }
@@ -314,9 +277,8 @@ class CompositeRecord {
       if (cov.test(id)) step.covered_bricks.push_back(id);
   }
   void restrict_patch_step(const char* coarse, const char* fine) {
-    ex_.launch("amr.restrictPatch", 0, restrict_patch_effects(),
-               {write_access(coarse, 0, part_coarse_, "coarse"),
-                read_access(fine, pl_, interior_p_, 0, "fine")});
+    rec_.launch(restrict_patch_effects(), 0, part_coarse_,
+                {{"coarse", coarse}, {"fine", fine, pl_, interior_p_}});
   }
 
   check::ScheduleRecorder& rec_;

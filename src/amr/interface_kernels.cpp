@@ -1,5 +1,8 @@
 #include "amr/interface_kernels.hpp"
 
+#include <array>
+#include <span>
+
 #include "brick/brick_grid.hpp"
 #include "check/footprint.hpp"
 #include "check/shadow.hpp"
@@ -50,6 +53,18 @@ static_assert(check::reflux_fine_shape(0).num_taps() == 8 &&
 static_assert(check::reflux_fine_shape(0).radius() == 1 &&
                   check::reflux_coarse_shape().radius() == 1,
               "reflux reach is one cell on both grids");
+// The summaries' reaches (interface_kernels.hpp) restate those
+// footprints; pin them, since GMG_CHECK and the schedule proof both
+// derive what these kernels read from the summaries alone.
+static_assert(prolong_interface_ghosts_effects().read_reach("xH") ==
+                  check::amr_interface_prolongation_shape().radius(),
+              "interface prolongation reach must be its footprint's");
+static_assert(reflux_residual_effects().read_reach("xH") ==
+                      check::reflux_coarse_shape().radius() &&
+                  reflux_residual_effects().read_reach("patch_x") ==
+                      check::reflux_fine_shape(0).radius(),
+              "reflux reaches must be its coarse and fine footprints'");
+
 /// Element accessor over a BrickedArray for DSL expression evaluation;
 /// ghost coordinates resolve through the grid's adjacency like any
 /// element access.
@@ -147,14 +162,14 @@ void prolong_interface_ghosts(BrickedArray& px, const BrickedArray& xH,
     if (!intersect(ghost_global, g.patch_fine).empty()) {
       continue;  // interior face: PatchExchange fills these ghosts
     }
-    // Local (part-relative) write box and the coarse cells it reads:
-    // the parent cover grown one cell for the far trilinear taps.
-    const Box ghost_local = shift(ghost_global, Vec3{} - fine_lo);
-    const Box read_local =
-        shift(grow(coarse_cover(ghost_global), 1), Vec3{} - coarse_lo);
-    const auto scope = check::scope_if_enabled(
-        "amr.prolongGhosts", {check::access(px, ghost_local)},
-        {check::access(xH, read_local)});
+    // Local (part-relative) write box and the parent cells it reads
+    // (the summary's reach adds the far trilinear taps).
+    const auto scope = check::scope(
+        prolong_interface_ghosts_effects(),
+        shift(ghost_global, Vec3{} - fine_lo),
+        {check::bind("patch_x", px),
+         check::bind("xH", xH,
+                     shift(coarse_cover(ghost_global), Vec3{} - coarse_lo))});
     sweep_rows("amr.prolongGhosts", ghost_global,
                [&](index_t gi, index_t gj, index_t gk) {
                  const index_t ci = floor_div(gi, 2), cj = floor_div(gj, 2),
@@ -178,27 +193,25 @@ void reflux_residual(BrickedArray& rH, const BrickedArray& xH,
   const Vec3 fine_lo = g.part_fine.lo;
   const Vec3 coarse_lo = g.rank_coarse.lo;
 
-  // Declare the exact union of per-face accesses up front: writes are
-  // the interface cell layers, coarse reads extend one cell toward the
-  // patch (the covered neighbor d), fine reads are the two-layer slab
-  // straddling each refined face.
-  std::vector<check::Access> writes, reads;
+  // One binding per face and role, each with the face's own box: the
+  // interface cell layer on the coarse fields (the reach adds the
+  // covered neighbor d) and the first fine layer inside the patch on
+  // the patch field (the reach adds the prolonged ghost across the
+  // face). No launch box is left for a binding to inherit.
+  std::array<check::FieldBinding, 3 * 6> binds;
+  std::size_t n = 0;
   for (const InterfaceFace& f : faces) {
     const Box face_local = shift(f.cells, Vec3{} - coarse_lo);
-    writes.push_back(check::access(rH, face_local));
-    reads.push_back(check::access(xH, grow(face_local, 1)));
-    Box fine_slab;
-    for (int d = 0; d < 3; ++d) {
-      fine_slab.lo[d] = 2 * f.cells.lo[d];
-      fine_slab.hi[d] = 2 * f.cells.hi[d];
-    }
-    fine_slab.lo[f.axis] = std::min(f.fine_in, f.fine_g);
-    fine_slab.hi[f.axis] = std::max(f.fine_in, f.fine_g) + 1;
-    reads.push_back(check::access(px, shift(fine_slab, Vec3{} - fine_lo)));
+    Box fine_layer = refine(f.cells, 2);
+    fine_layer.lo[f.axis] = f.fine_in;
+    fine_layer.hi[f.axis] = f.fine_in + 1;
+    binds[n++] = check::bind("rH", rH, face_local);
+    binds[n++] = check::bind("xH", xH, face_local);
+    binds[n++] =
+        check::bind("patch_x", px, shift(fine_layer, Vec3{} - fine_lo));
   }
-  const auto scope =
-      check::scope_if_enabled("amr.reflux", std::move(writes),
-                              std::move(reads));
+  const auto scope = check::scope(reflux_residual_effects(), Box{},
+                                  std::span(binds.data(), n));
 
   for (const InterfaceFace& f : faces) {
     const int a = f.axis, t1 = (a + 1) % 3, t2 = (a + 2) % 3;
@@ -240,9 +253,10 @@ void restrict_patch(BrickedArray& coarse, const BrickedArray& fine,
   const Vec3 fine_lo = g.part_fine.lo;
   const Vec3 coarse_lo = g.rank_coarse.lo;
   const Box covered_local = shift(covered, Vec3{} - coarse_lo);
-  const auto scope = check::scope_if_enabled(
-      "amr.restrictPatch", {check::access(coarse, covered_local)},
-      {check::access(fine, shift(refine(covered, 2), Vec3{} - fine_lo))});
+  const auto scope = check::scope(
+      restrict_patch_effects(), covered_local,
+      {check::bind("coarse", coarse),
+       check::bind("fine", fine, shift(refine(covered, 2), Vec3{} - fine_lo))});
   sweep_rows("amr.restrictPatch", covered,
              [&](index_t ci, index_t cj, index_t ck) {
                const index_t fi = 2 * ci - fine_lo.x;
@@ -272,9 +286,10 @@ void correct_patch(BrickedArray& px, const BrickedArray& e,
   const Box part_local = Box::from_extent(g.part_fine.extent());
   const Box covered_local =
       shift(coarse_cover(g.part_fine), Vec3{} - coarse_lo);
-  const auto scope = check::scope_if_enabled(
-      "amr.correctPatch", {check::access(px, part_local)},
-      {check::access(e, covered_local)});
+  const auto scope =
+      check::scope(correct_patch_effects(), part_local,
+                   {check::bind("patch_x", px),
+                    check::bind("coarse", e, covered_local)});
   sweep_rows("amr.correctPatch", g.part_fine,
              [&](index_t gi, index_t gj, index_t gk) {
                px(gi - fine_lo.x, gj - fine_lo.y, gk - fine_lo.z) +=

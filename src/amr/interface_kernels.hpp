@@ -66,8 +66,8 @@ void correct_patch(BrickedArray& px, const BrickedArray& e,
 
 // Static effect summaries (check/effects.hpp, DESIGN.md §18). Roles:
 // `patch_x` is the fine patch field, `xH`/`rH` the composite coarse
-// fields. Reaches restate the interface footprints pinned in
-// check/footprint.hpp.
+// fields. Reaches restate the interface footprints of
+// check/footprint.hpp; static_asserts in interface_kernels.cpp pin them.
 
 /// Writes the one-cell interface ghost layer of the patch (the
 /// recorded access box carries the ghost spill); trilinear coarse taps

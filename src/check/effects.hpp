@@ -1,27 +1,35 @@
 // Static kernel-effect summaries (DESIGN.md §18, layer 2 of the
 // verification ladder). An EffectSummary is a constexpr description of
-// what one kernel launch touches: which field *roles* it writes and
-// which it reads, and — for reads — how far beyond its active box the
-// stencil taps reach. The summaries are derived from the same numbers
-// the constexpr DSL footprints (footprint.hpp) encode, so a stencil
-// edit that widens a footprint shows up here as a static_assert
-// mismatch, and the schedule verifier (schedule.hpp) consumes them to
-// prove, at setup time, that every planned launch reads only ghost
-// layers some completed exchange or producing write actually filled.
+// what one kernel launch touches: its name, which field *roles* it
+// writes and which it reads, and — for reads — how far beyond its
+// active box the stencil taps reach. The reaches restate the constexpr
+// DSL footprints (footprint.hpp); static_asserts next to each kernel
+// pin them to each other.
 //
-// Every kernel in src/gmg, src/dsl (generated), src/batch and src/amr
-// exports one of these as a sibling `<kernel>_effects()` constexpr
-// function — enforced by gmg_lint rule effect-summary.
+// The summary is a kernel's one declaration of its accesses. Both
+// consumers derive from it through for_each_bound_effect below, given
+// a launch box and role->field bindings: the GMG_CHECK scope the kernel
+// opens (check::scope, shadow.hpp) and the step a schedule recorder
+// writes (ScheduleRecorder::launch, schedule.hpp), which the schedule
+// verifier proves hazard-free at setup time.
+//
+// Every kernel in src/gmg, src/dsl (stencilgen-emitted included) and
+// src/amr exports one as a sibling `<kernel>_effects()` constexpr
+// function and opens its scope from it — enforced by gmg_lint rule
+// effect-scope.
 //
 // Roles are positional names ("x", "b", "Ax", "coarse", "fine", ...),
-// not concrete field identities: the schedule recorder binds each role
-// to a (level, field) pair per recorded step, and the verifier
-// cross-checks that binding against the summary — a recorded write
-// with no declared write effect for its role is the "undeclared write
-// box" hazard.
+// not concrete field identities: each launch binds them to its fields,
+// and the verifier cross-checks a recorded step's accesses against the
+// summary — a recorded write with no declared write effect for its
+// role is the "undeclared write box" hazard.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <string>
+
+#include "common/error.hpp"
 
 namespace gmg::check {
 
@@ -47,9 +55,9 @@ struct FieldEffect {
 };
 
 /// The full effect set of one kernel. Built fluently:
-///   constexpr auto smooth_effects(int radius) {
-///     return EffectSummary("kernel.smooth")
-///         .writes("x").reads("x", 0).reads("b").reads("Ax");
+///   constexpr check::EffectSummary smooth_effects() {
+///     return check::EffectSummary("kernel.smooth")
+///         .writes("x").reads("x").reads("Ax").reads("b");
 ///   }
 struct EffectSummary {
   static constexpr int kMaxEffects = 12;
@@ -88,18 +96,6 @@ struct EffectSummary {
     return false;
   }
 
-  constexpr bool reads_role(const char* role) const {
-    return read_reach(role) >= 0;
-  }
-
-  constexpr int num_writes() const {
-    int n = 0;
-    for (int i = 0; i < count; ++i) {
-      if (effects[i].kind == EffectKind::kWrite) ++n;
-    }
-    return n;
-  }
-
   constexpr int max_read_reach() const {
     int m = 0;
     for (int i = 0; i < count; ++i) {
@@ -119,5 +115,43 @@ struct EffectSummary {
     return s;
   }
 };
+
+/// The one traversal of a summary that both consumers share: the
+/// GMG_CHECK scope of a launch (shadow.hpp) and its recorded schedule
+/// step (schedule.hpp). `binds[0, n)` map roles to the launch's fields
+/// (each Binding has a `role` and a `field`, null for an optional role
+/// this launch skips). Calls `fn(bind, write, reach)` once per effect
+/// and non-null binding of its role, in effect order; `reach` is the
+/// role's declared read reach, 0 for writes. A role may be bound more
+/// than once (one binding per face, say). A binding naming a role the
+/// summary lacks, or a summary role left unbound, is a GMG_REQUIRE
+/// failure.
+template <class Binding, class Fn>
+void for_each_bound_effect(const EffectSummary& s, const Binding* binds,
+                           std::size_t n, Fn&& fn) {
+  // One pass over effects x bindings: the recorders run this for every
+  // step of every schedule they record, in each solver constructor.
+  GMG_REQUIRE(n <= 64, "at most 64 bindings per launch");
+  std::uint64_t matched = 0;
+  for (int e = 0; e < s.count; ++e) {
+    const FieldEffect& fx = s.effects[e];
+    bool bound = false;
+    for (std::size_t b = 0; b < n; ++b) {
+      if (!streq(binds[b].role, fx.role)) continue;
+      bound = true;
+      matched |= std::uint64_t{1} << b;
+      if (binds[b].field == nullptr) continue;
+      const bool write = fx.kind == EffectKind::kWrite;
+      fn(binds[b], write, write ? 0 : fx.reach);
+    }
+    GMG_REQUIRE(bound, std::string(s.kernel) + " leaves role '" + fx.role +
+                           "' of its EffectSummary unbound");
+  }
+  for (std::size_t b = 0; b < n; ++b) {
+    GMG_REQUIRE((matched >> b) & 1,
+                std::string(s.kernel) + " binds role '" + binds[b].role +
+                    "', which its EffectSummary does not declare");
+  }
+}
 
 }  // namespace gmg::check

@@ -36,6 +36,23 @@ void note_schedule_verified() {
   g_verified_count.fetch_add(1, std::memory_order_relaxed);
 }
 
+ScheduleStep& ScheduleRecorder::launch(
+    const EffectSummary& summary, int level, const Box& box,
+    std::initializer_list<StepBinding> binds) {
+  ScheduleStep& step = kernel(summary, level);
+  // One up-front allocation for the handful of accesses instead of the
+  // vector's growth ladder.
+  step.accesses.reserve(6);
+  for_each_bound_effect(
+      summary, binds.begin(), binds.size(),
+      [&](const StepBinding& b, bool write, int reach) {
+        const bool own = b.level >= 0;
+        step.accesses.emplace_back(b.field, own ? b.level : level,
+                                   own ? b.box : box, reach, write, b.role);
+      });
+  return step;
+}
+
 namespace {
 
 // Per-(level, field) ghost-validity state: how many ghost layers hold

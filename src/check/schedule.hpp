@@ -40,6 +40,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -160,6 +161,23 @@ struct Schedule {
   int num_components = 1;  // batch width K (reduction components)
 };
 
+/// One role -> field binding of a recorded launch
+/// (ScheduleRecorder::launch): the schedule field name — null for an
+/// optional role this launch skips — and, for a role that lives off
+/// the launch's level and box (the coarse grid of a transfer, the patch
+/// of an interface kernel), its own level and box.
+struct StepBinding {
+  StepBinding(const char* role, const char* field)
+      : role(role), field(field) {}
+  StepBinding(const char* role, const char* field, int level, const Box& box)
+      : role(role), field(field), level(level), box(box) {}
+
+  const char* role;
+  const char* field;
+  int level = -1;  // -1: the launch's level and box
+  Box box;
+};
+
 /// Builder used by the recording executors. Thin: it owns the Schedule
 /// and hands out step construction helpers.
 class ScheduleRecorder {
@@ -189,22 +207,28 @@ class ScheduleRecorder {
     return sched_.steps.emplace_back();
   }
 
-  /// Kernel step with summary; append accesses via read()/write().
-  ScheduleStep& kernel(const char* name, int level,
-                       const EffectSummary& summary) {
+  /// Kernel step of `summary` on `level`, named by the summary, with no
+  /// accesses yet (hand-built schedules append their own).
+  ScheduleStep& kernel(const EffectSummary& summary, int level) {
     // Built in place — a schedule holds thousands of kernel steps and
-    // this runs in every solver constructor (see the overhead budget
-    // in ci/tier1.sh): no intermediate ScheduleStep to move, and one
-    // up-front allocation for the handful of accesses instead of the
-    // vector's growth ladder.
+    // this runs in every solver constructor (see the overhead budget in
+    // ci/tier1.sh): no intermediate ScheduleStep to move.
     ScheduleStep& out = emplace();
     out.kind = StepKind::kKernel;
-    out.kernel = name;
+    out.kernel = summary.kernel;
     out.level = level;
     out.summary = summary;
-    out.accesses.reserve(6);
     return out;
   }
+
+  /// A planned launch of the kernel `summary` describes, on `level`
+  /// over `box`: one access per effect and bound field
+  /// (for_each_bound_effect) — writes over the binding's box (the
+  /// launch box unless it carries its own), reads over it with the
+  /// role's declared reach.
+  ScheduleStep& launch(const EffectSummary& summary, int level,
+                       const Box& box,
+                       std::initializer_list<StepBinding> binds);
 
   void exchange(int level, std::vector<std::string> fields, index_t depth) {
     ScheduleStep s;
@@ -274,7 +298,8 @@ class ScheduleRecorder {
   int reduction_groups_ = 0;
 };
 
-/// Convenience access builders.
+/// Access builders for hand-built schedules (the recorders derive
+/// theirs through ScheduleRecorder::launch).
 inline StepAccess read_access(const std::string& field, int level,
                               const Box& box, int reach,
                               const std::string& role) {

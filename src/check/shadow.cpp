@@ -229,6 +229,22 @@ KernelScope::~KernelScope() {
   }
 }
 
+ScopeAccesses derive_accesses(const EffectSummary& s, const Box& box,
+                              std::span<const FieldBinding> binds) {
+  ScopeAccesses out;
+  for_each_bound_effect(
+      s, binds.data(), binds.size(),
+      [&](const FieldBinding& b, bool write, int reach) {
+        const Box& own = b.box ? *b.box : box;
+        if (write) {
+          out.writes.push_back(b.make_access(b.field, own));
+        } else {
+          out.reads.push_back(b.make_access(b.field, grow(own, reach)));
+        }
+      });
+  return out;
+}
+
 void on_exchange_begin(const void* key, const BrickGrid* grid,
                        const std::vector<BrickRange>& ghost_ranges) {
   if (!enabled()) return;

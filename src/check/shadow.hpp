@@ -7,8 +7,10 @@
 // region-disjointness invariants directly instead of waiting for an
 // unlucky interleaving:
 //
-//   - every kernel launch opens a KernelScope declaring, per field,
-//     the cell box it writes and the (tap-grown) boxes it reads;
+//   - every kernel launch opens a scope declaring, per field, the cell
+//     box it writes and the (tap-grown) boxes it reads — derived by
+//     check::scope from the kernel's constexpr EffectSummary
+//     (effects.hpp), its launch box and its role->field bindings;
 //   - BrickExchange begin()/finish() mark the receive ghost-brick
 //     ranges of each in-flight field (sends are buffered at post time,
 //     so only receives matter);
@@ -20,21 +22,27 @@
 //     (a kernel would write bricks outside its declared footprint).
 //
 // Enabled via GMG_CHECK=1 (or the GMG_CHECK CMake option, which flips
-// the default); disabled, every hook is a single early-out call per
-// kernel *launch* — nothing per brick or cell — so release solve time
-// is unaffected. Hazards are recorded, not thrown (kernels run on
-// engine workers where an exception would terminate the process);
-// tests and CI drain them via hazards()/require_clean().
+// the default). Disabled, a launch pays one enabled() call — an atomic
+// load — and the stack stores of its bindings: no access is derived,
+// nothing is heap-allocated and nothing runs per brick or cell, so
+// release solve time is unaffected. Hazards are recorded, not thrown
+// (kernels run on engine workers where an exception would terminate
+// the process); tests and CI drain them via hazards()/require_clean().
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "brick/batched_array.hpp"
 #include "brick/brick_grid.hpp"
 #include "brick/bricked_array.hpp"
+#include "check/effects.hpp"
 #include "mesh/box.hpp"
 
 namespace gmg::check {
@@ -84,10 +92,12 @@ inline Access access(const BatchedBrickedArray& f, const Box& box) {
 
 /// RAII declaration of one kernel launch's reads and writes. All
 /// hazard checks run in the constructor; the destructor closes the
-/// scope and bumps the write epoch of every written field. No-op when
-/// the detector is disabled.
+/// scope and bumps the write epoch of every written field. Kernels
+/// open theirs through check::scope below; a default-constructed scope
+/// is inert.
 class KernelScope {
  public:
+  KernelScope() = default;
   KernelScope(const char* name, std::vector<Access> writes,
               std::vector<Access> reads);
   ~KernelScope();
@@ -102,14 +112,58 @@ class KernelScope {
   std::uint64_t token_ = 0;  // 0: detector was off at construction
 };
 
-/// Convenience wrapper for kernel call sites: a live scope only when
-/// the detector is on. Costs one atomic load per launch when off.
-inline std::optional<KernelScope> scope_if_enabled(const char* name,
-                                                   std::vector<Access> writes,
-                                                   std::vector<Access> reads) {
-  std::optional<KernelScope> s;
-  if (enabled()) s.emplace(name, std::move(writes), std::move(reads));
-  return s;
+/// One role -> field binding of a kernel launch (check::scope): the
+/// field, and — for a role that lives on another grid or covers only
+/// part of the launch, one face of several — its own box. A null field
+/// is an optional role this launch skips.
+struct FieldBinding {
+  const char* role = "";
+  const void* field = nullptr;
+  Access (*make_access)(const void* field, const Box& box) = nullptr;
+  std::optional<Box> box;
+};
+
+template <BrickField F>
+FieldBinding bind(const char* role, const F* field,
+                  std::optional<Box> box = std::nullopt) {
+  return FieldBinding{role, field,
+                      [](const void* f, const Box& b) {
+                        return access(*static_cast<const F*>(f), b);
+                      },
+                      box};
+}
+template <BrickField F>
+FieldBinding bind(const char* role, const F& field,
+                  std::optional<Box> box = std::nullopt) {
+  return bind<F>(role, &field, box);
+}
+
+/// The accesses of one launch, derived from its kernel's summary: the
+/// body of check::scope, which calls it only while the detector is on.
+struct ScopeAccesses {
+  std::vector<Access> writes;
+  std::vector<Access> reads;
+};
+ScopeAccesses derive_accesses(const EffectSummary& s, const Box& box,
+                              std::span<const FieldBinding> binds);
+
+/// The GMG_CHECK scope of one launch of the kernel `s` summarises, over
+/// `box`: each effect's role is looked up in `binds`
+/// (for_each_bound_effect); writes cover the binding's box — the launch
+/// box unless it carries its own — and reads that box grown by the
+/// role's declared reach. While the detector is off it returns an inert
+/// scope and derives nothing.
+[[nodiscard]] inline KernelScope scope(const EffectSummary& s,
+                                       const Box& box,
+                                       std::span<const FieldBinding> binds) {
+  if (!enabled()) return KernelScope();
+  ScopeAccesses a = derive_accesses(s, box, binds);
+  return KernelScope(s.kernel, std::move(a.writes), std::move(a.reads));
+}
+[[nodiscard]] inline KernelScope scope(
+    const EffectSummary& s, const Box& box,
+    std::initializer_list<FieldBinding> binds) {
+  return scope(s, box, std::span(binds.begin(), binds.size()));
 }
 
 /// Exchange hooks (called by comm::BrickExchange). `ghost_ranges` are

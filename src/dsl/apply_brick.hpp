@@ -15,7 +15,7 @@
 #pragma once
 
 #include <array>
-#include <optional>
+#include <iterator>
 #include <tuple>
 #include <utility>
 
@@ -27,6 +27,21 @@
 #include "dsl/expr.hpp"
 
 namespace gmg::dsl {
+
+/// Roles of an apply's input slots, in slot order.
+inline constexpr const char* kSlotRoles[] = {"in0", "in1", "in2", "in3",
+                                             "in4", "in5", "in6", "in7"};
+
+/// dsl::apply's effect summary over `slots` inputs: `out` written (and
+/// read, for an increment), input slot s read under kSlotRoles[s]. The
+/// slot reads carry no reach of their own: each binding brings its own
+/// box, grown by exactly that slot's tap extents in the expression.
+constexpr check::EffectSummary apply_effects(int slots, bool increment) {
+  check::EffectSummary s = check::EffectSummary("dsl.apply").writes("out");
+  if (increment) s = s.reads("out");
+  for (int i = 0; i < slots; ++i) s = s.reads(kSlotRoles[i]);
+  return s;
+}
 
 namespace detail {
 
@@ -170,29 +185,33 @@ void apply_bricks_impl(BD, const Expr& expr, Out& out, const Box& active,
                                 ext, BrickShape{BD::bx, BD::by, BD::bz});
 
   constexpr int kSlots = sizeof...(Fields);
+  static_assert(kSlots <= static_cast<int>(std::size(kSlotRoles)),
+                "one role per input slot");
   const std::tuple strides{lanes(inputs)...};
 
-  // Access-hazard scope: out is written over `active`; each input is
-  // read over `active` grown by its own slot's tap reach.
-  std::optional<check::KernelScope> scope;
+  // Access-hazard scope: out is written over `active` (and read, for an
+  // increment); each input is read over `active` grown by its own
+  // slot's tap extents. The expression is this kernel's one
+  // declaration, so the slot boxes are derived from it — walking its
+  // tap set only while the detector is on.
+  std::array<Box, kSlots> slot_box{};
   if (check::enabled()) {
     const OffsetSet offs = expr.offsets();
-    std::vector<check::Access> reads;
-    reads.reserve(kSlots);
-    int slot = 0;
-    const auto add_read = [&](const auto& f) {
-      const Extents se = offs.slot_extents(slot++);
-      const Box reach{{active.lo.x + se.lo[0], active.lo.y + se.lo[1],
-                       active.lo.z + se.lo[2]},
-                      {active.hi.x + se.hi[0], active.hi.y + se.hi[1],
-                       active.hi.z + se.hi[2]}};
-      reads.push_back(check::access(f, reach));
-    };
-    (add_read(inputs), ...);
-    scope.emplace("dsl.apply",
-                  std::vector<check::Access>{check::access(out, active)},
-                  std::move(reads));
+    for (int s = 0; s < kSlots; ++s) {
+      const Extents se = offs.slot_extents(s);
+      slot_box[static_cast<std::size_t>(s)] =
+          Box{{active.lo.x + se.lo[0], active.lo.y + se.lo[1],
+               active.lo.z + se.lo[2]},
+              {active.hi.x + se.hi[0], active.hi.y + se.hi[1],
+               active.hi.z + se.hi[2]}};
+    }
   }
+  const auto scope = [&]<std::size_t... S>(std::index_sequence<S...>) {
+    return check::scope(
+        apply_effects(kSlots, Increment), active,
+        {check::bind("out", out),
+         check::bind(kSlotRoles[S], inputs, slot_box[S])...});
+  }(std::index_sequence_for<Fields...>{});
 
   // Taps of the outermost active cells must still hit existing bricks
   // (the plan itself validates the active region's own brick cover).

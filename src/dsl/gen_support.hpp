@@ -5,10 +5,9 @@
 // emitted code is just the unrolled, coefficient-factored loop body.
 #pragma once
 
-#include <optional>
-
 #include "brick/brick_plan.hpp"
 #include "brick/bricked_array.hpp"
+#include "check/effects.hpp"
 #include "check/footprint.hpp"
 #include "check/shadow.hpp"
 
@@ -69,21 +68,6 @@ void require_tap_reach(const BrickGrid& grid, const Box& active, int radius) {
               "stencil taps reach beyond the ghost bricks");
 }
 
-/// Brick range covered by an active cell region, with the tap-reach
-/// check shared by all generated kernels.
-template <typename BD>
-Box generated_brick_region(const BrickGrid& grid, const Box& active,
-                           int radius) {
-  const Box brick_region{
-      {floor_div(active.lo.x, BD::bx), floor_div(active.lo.y, BD::by),
-       floor_div(active.lo.z, BD::bz)},
-      {floor_div(active.hi.x - 1, BD::bx) + 1,
-       floor_div(active.hi.y - 1, BD::by) + 1,
-       floor_div(active.hi.z - 1, BD::bz) + 1}};
-  require_tap_reach<BD>(grid, active, radius);
-  return brick_region;
-}
-
 /// Run a generated per-brick body over the grid's cached iteration
 /// plan on the kernel runtime. `body(item, is_full)` is invoked for
 /// every brick covering `active` (is_full as in for_each_plan_brick).
@@ -95,29 +79,28 @@ void run_plan(const BrickGrid& grid, const Box& active, int radius,
   for_each_plan_brick<BD>(name, *plan, body);
 }
 
-/// As above, but with the kernel's fields declared for the src/check
-/// access-hazard detector: `out` is written over `active`, `in` read
-/// over `active` grown by the stencil radius. stencilgen emits calls
-/// to this overload; the footprint-vs-ghost-depth check runs here too.
+/// As above, for a kernel writing `out` from the stencil taps of `in`,
+/// described by its emitted `<name>_effects()` summary. The summary
+/// names the launch; its read reach is the stencil radius the tap-reach
+/// and footprint-vs-ghost-depth checks use; and it opens the GMG_CHECK
+/// scope, with `out` bound to the written role and `in` to the read
+/// one. stencilgen emits calls to this overload.
 template <typename BD, typename Fn>
 void run_plan(BrickedArray& out, const BrickedArray& in, const Box& active,
-              int radius, const char* name, Fn&& body) {
+              const check::EffectSummary& effects, Fn&& body) {
+  const int radius = effects.read_reach("x");
   {
     Extents ext;
     for (int d = 0; d < 3; ++d) {
       ext.lo[d] = -radius;
       ext.hi[d] = radius;
     }
-    check::require_footprint_fits(name, ext,
+    check::require_footprint_fits(effects.kernel, ext,
                                   BrickShape{BD::bx, BD::by, BD::bz});
   }
-  std::optional<check::KernelScope> scope;
-  if (check::enabled()) {
-    scope.emplace(
-        name, std::vector<check::Access>{check::access(out, active)},
-        std::vector<check::Access>{check::access(in, grow(active, radius))});
-  }
-  run_plan<BD>(out.grid(), active, radius, name, body);
+  const auto scope = check::scope(
+      effects, active, {check::bind("Ax", out), check::bind("x", in)});
+  run_plan<BD>(out.grid(), active, radius, effects.kernel, body);
 }
 
 }  // namespace gmg::dsl::gen

@@ -2,10 +2,8 @@
 
 #include <array>
 #include <cmath>
-#include <optional>
 #include <tuple>
 #include <type_traits>
-#include <vector>
 
 #include "brick/brick_plan.hpp"
 #include "check/shadow.hpp"
@@ -16,6 +14,19 @@
 #include "trace/trace.hpp"
 
 namespace gmg::fused {
+
+// The one-pass sweeps' x reach is applyOp's 7-point star, and the
+// variable-coefficient sweep reads x and the coefficient through
+// apply_op_varcoef's own expression: pin the summaries' reaches to
+// those footprints.
+static_assert(jacobi_sweep_effects().read_reach("x") ==
+                  check::star_shape(1).radius(),
+              "jacobi sweep x reach must be the 7-point star's");
+static_assert(jacobi_sweep_varcoef_effects().read_reach("x") ==
+                      vc::apply_expr(0, 1).offsets().slot_extents(0).radius() &&
+                  jacobi_sweep_varcoef_effects().read_reach("coef") ==
+                      vc::apply_expr(0, 1).offsets().slot_extents(1).radius(),
+              "varcoef sweep reaches must be the operator expression's");
 
 namespace {
 
@@ -139,29 +150,6 @@ Box require_sweep_args(const F& x_next, const F* r, const F* coarse_b,
   return fine;
 }
 
-/// GMG_CHECK declaration of one sweep launch: x' (and r) written over
-/// `active`, the coarse image of the restricted interior bricks, and
-/// the residual those bricks re-read; `reads()` lists the kernel's own
-/// inputs. Nothing is built while the detector is off.
-template <class F, typename Reads>
-std::optional<check::KernelScope> sweep_scope(const char* name,
-                                              const Box& active,
-                                              const F& x_next, const F* r,
-                                              const F* coarse_b,
-                                              const Box& fine, Reads&& reads) {
-  std::optional<check::KernelScope> scope;
-  if (!check::enabled()) return scope;
-  std::vector<check::Access> writes{check::access(x_next, active)};
-  std::vector<check::Access> in = reads();
-  if (r != nullptr) writes.push_back(check::access(*r, active));
-  if (coarse_b != nullptr) {
-    writes.push_back(check::access(*coarse_b, coarsen(fine, 2)));
-    in.push_back(check::access(*r, fine));
-  }
-  scope.emplace(name, std::move(writes), std::move(in));
-  return scope;
-}
-
 /// Shared argument checks for the in-place fused descent kernels.
 void require_descent_args(const BrickedArray& r, const BrickedArray& coarse_b,
                           const Box& active) {
@@ -191,11 +179,11 @@ void jacobi_sweep(F& x_next, std::type_identity_t<F>* r,
   // coarse point for the restriction.
   count_flops(box_points(active, K), r != nullptr ? 12 : 11);
   if (coarse_b != nullptr) count_flops(box_points(fine, K) / 8, 8);
-  const std::optional<check::KernelScope> scope = sweep_scope<F>(
-      "kernel.jacobiSweep", active, x_next, r, coarse_b, fine, [&] {
-        return std::vector<check::Access>{check::access(x, grow(active, 1)),
-                                          check::access(b, active)};
-      });
+  const auto scope = check::scope(
+      jacobi_sweep_effects(), active,
+      {check::bind("out", x_next), check::bind("r", r),
+       check::bind("coarse", coarse_b, coarsen(fine, 2)),
+       check::bind("x", x), check::bind("b", b)});
   with_brick_dims(x.shape(), [&](auto bd) {
     using BD = decltype(bd);
     detail::require_taps_in_grid(bd, x.grid(), active, 1);
@@ -235,13 +223,12 @@ void jacobi_sweep_varcoef(F& x_next, std::type_identity_t<F>* r,
   trace::TraceSpan span("kernel.jacobiSweepVarCoef");
   count_flops(box_points(active, K), r != nullptr ? 32 : 31);
   if (coarse_b != nullptr) count_flops(box_points(fine, K) / 8, 8);
-  const std::optional<check::KernelScope> scope = sweep_scope<F>(
-      "kernel.jacobiSweepVarCoef", active, x_next, r, coarse_b, fine, [&] {
-        return std::vector<check::Access>{
-            check::access(x, grow(active, 1)),
-            check::access(coef, grow(active, 1)), check::access(b, active),
-            check::access(diag, active)};
-      });
+  const auto scope = check::scope(
+      jacobi_sweep_varcoef_effects(), active,
+      {check::bind("out", x_next), check::bind("r", r),
+       check::bind("coarse", coarse_b, coarsen(fine, 2)),
+       check::bind("x", x), check::bind("coef", coef), check::bind("b", b),
+       check::bind("diag", diag)});
   // The operator is apply_op_varcoef's expression, evaluated through the
   // DSL engine's own row body — lane by lane, the coefficient shared.
   const auto expr = vc::apply_expr(identity_coef, 0.5 / (h * h));
@@ -288,12 +275,11 @@ void jacobi_update(F& x_next, std::type_identity_t<F>* r,
   trace::TraceSpan span("kernel.jacobiUpdate");
   count_flops(box_points(active, K), r != nullptr ? 4 : 3);
   if (coarse_b != nullptr) count_flops(box_points(fine, K) / 8, 8);
-  const std::optional<check::KernelScope> scope = sweep_scope<F>(
-      "kernel.jacobiUpdate", active, x_next, r, coarse_b, fine, [&] {
-        return std::vector<check::Access>{check::access(x_next, active),
-                                          check::access(x, active),
-                                          check::access(b, active)};
-      });
+  const auto scope = check::scope(
+      jacobi_update_effects(), active,
+      {check::bind("out", x_next), check::bind("r", r),
+       check::bind("coarse", coarse_b, coarsen(fine, 2)),
+       check::bind("x", x), check::bind("b", b)});
   with_brick_dims(x.shape(), [&](auto bd) {
     real_t* __restrict xn = x_next.data();
     real_t* __restrict rp = r != nullptr ? r->data() : nullptr;
@@ -326,16 +312,11 @@ void smooth_residual_restrict(BrickedArray& x, BrickedArray& r,
   count_flops(static_cast<std::uint64_t>(coarse_b.extent().x) *
                   coarse_b.extent().y * coarse_b.extent().z,
               8);
-  // r appears in both lists: this scope's own restriction stage reads
-  // the residual the pointwise stage just wrote (same-brick
-  // read-after-write, ordered within one chunk); cross-scope hazard
-  // tracking still sees the full write set.
-  const auto scope = check::scope_if_enabled(
-      "kernel.smoothResidualRestrict",
-      {check::access(x, active), check::access(r, active),
-       check::access(coarse_b, Box::from_extent(coarse_b.extent()))},
-      {check::access(Ax, active), check::access(b, active),
-       check::access(r, Box::from_extent(r.extent()))});
+  const auto scope = check::scope(
+      smooth_residual_restrict_effects(), active,
+      {check::bind("x", x), check::bind("r", r),
+       check::bind("coarse", coarse_b, Box::from_extent(coarse_b.extent())),
+       check::bind("Ax", Ax), check::bind("b", b)});
   with_brick_dims(x.shape(), [&](auto bd) {
     using BD = decltype(bd);
     static_assert(BD::bx % 2 == 0 && BD::by % 2 == 0 && BD::bz % 2 == 0);
@@ -372,13 +353,11 @@ void smooth_residual_restrict_varcoef(BrickedArray& x, BrickedArray& r,
   count_flops(static_cast<std::uint64_t>(coarse_b.extent().x) *
                   coarse_b.extent().y * coarse_b.extent().z,
               8);
-  const auto scope = check::scope_if_enabled(
-      "kernel.smoothResidualRestrictVarCoef",
-      {check::access(x, active), check::access(r, active),
-       check::access(coarse_b, Box::from_extent(coarse_b.extent()))},
-      {check::access(Ax, active), check::access(b, active),
-       check::access(diag, active),
-       check::access(r, Box::from_extent(r.extent()))});
+  const auto scope = check::scope(
+      smooth_residual_restrict_varcoef_effects(), active,
+      {check::bind("x", x), check::bind("r", r),
+       check::bind("coarse", coarse_b, Box::from_extent(coarse_b.extent())),
+       check::bind("Ax", Ax), check::bind("b", b), check::bind("diag", diag)});
   with_brick_dims(x.shape(), [&](auto bd) {
     using BD = decltype(bd);
     static_assert(BD::bx % 2 == 0 && BD::by % 2 == 0 && BD::bz % 2 == 0);
@@ -413,12 +392,11 @@ void residual_restrict(F& r, F& coarse_b, const F& b, const F& Ax) {
   const Box interior = Box::from_extent(fe);
   count_flops(box_points(interior, K), 1);
   count_flops(box_points(Box::from_extent(ce), K), 8);
-  const auto scope = check::scope_if_enabled(
-      "kernel.residualRestrict",
-      {check::access(r, interior),
-       check::access(coarse_b, Box::from_extent(ce))},
-      {check::access(b, interior), check::access(Ax, interior),
-       check::access(r, interior)});
+  const auto scope = check::scope(
+      residual_restrict_effects(), interior,
+      {check::bind("r", r),
+       check::bind("coarse", coarse_b, Box::from_extent(ce)),
+       check::bind("b", b), check::bind("Ax", Ax)});
   with_brick_dims(r.shape(), [&](auto bd) {
     using BD = decltype(bd);
     static_assert(BD::bx % 2 == 0 && BD::by % 2 == 0 && BD::bz % 2 == 0);
@@ -456,9 +434,9 @@ real_t residual_max_norm(F& r, const F& b, const F& Ax) {
   const auto K = lanes(r);
   const Box interior = Box::from_extent(r.extent());
   count_flops(box_points(interior, K), 2);
-  const auto scope = check::scope_if_enabled(
-      "kernel.residualMaxNorm", {check::access(r, interior)},
-      {check::access(b, interior), check::access(Ax, interior)});
+  const auto scope = check::scope(
+      residual_max_norm_effects(), interior,
+      {check::bind("r", r), check::bind("b", b), check::bind("Ax", Ax)});
   real_t m = 0.0;
   with_brick_dims(r.shape(), [&](auto bd) {
     using BD = decltype(bd);

@@ -51,6 +51,30 @@ void resolve_level_kernels(const GmgOptions& opts, MgLevel& lev) {
   lev.plan = plan;
 }
 
+check::EffectSummary level_apply_effects(const MgLevel& L) {
+  switch (L.plan.op) {
+    case OpKind::kStar7:
+      return apply_op_effects(1);
+    case OpKind::kStar13:
+      return apply_op_effects(2);
+    case OpKind::kVarCoef:
+      return apply_op_varcoef_effects();
+    case OpKind::kGenerated7:
+      return dsl::generated::laplacian_7pt_effects();
+    case OpKind::kGenerated13:
+      return dsl::generated::star_13pt_effects();
+  }
+  GMG_REQUIRE(false, "unknown operator kind");
+  return {};
+}
+
+check::EffectSummary level_jacobi_effects(const MgLevel& L) {
+  if (L.plan.op == OpKind::kVarCoef)
+    return fused::jacobi_sweep_varcoef_effects();
+  return jacobi_is_one_pass(L) ? fused::jacobi_sweep_effects()
+                               : fused::jacobi_update_effects();
+}
+
 template <BrickField F>
 void level_apply(const MgLevel& L, F& out, const F& in, const Box& active) {
   switch (L.plan.op) {

@@ -36,6 +36,7 @@
 #include <type_traits>
 
 #include "brick/batched_array.hpp"
+#include "check/effects.hpp"
 #include "common/types.hpp"
 
 namespace gmg {
@@ -89,6 +90,16 @@ bool jacobi_is_one_pass(const MgLevel& lev);
 /// Called from GmgSolver's constructor and again from set_coefficient
 /// (the varcoef flip changes the operator).
 void resolve_level_kernels(const GmgOptions& opts, MgLevel& lev);
+
+/// The effect summary of the kernel level_apply runs for level L (the
+/// schedule recorders record what the plan runs, so a stencilgen
+/// operator is recorded as its emitted gen.* summary).
+check::EffectSummary level_apply_effects(const MgLevel& L);
+
+/// The effect summary of the one-pass sweep or, for the two-stage
+/// body, of the pointwise update that level_jacobi runs after its
+/// level_apply.
+check::EffectSummary level_jacobi_effects(const MgLevel& L);
 
 /// out = A in over `active` with level L's operator, every lane.
 template <BrickField F>

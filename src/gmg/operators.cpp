@@ -1,11 +1,12 @@
 #include "gmg/operators.hpp"
 
+#include <array>
 #include <cmath>
 #include <cstring>
-#include <optional>
 
 #include "brick/brick_mask.hpp"
 #include "brick/brick_plan.hpp"
+#include "check/footprint.hpp"
 #include "check/shadow.hpp"
 #include "common/aligned.hpp"
 #include "dsl/apply_brick.hpp"
@@ -15,6 +16,24 @@
 #include "trace/trace.hpp"
 
 namespace gmg {
+
+// The summaries' read reaches (operators.hpp) restate the stencil
+// footprints. A wrong reach would mislead both GMG_CHECK and the
+// schedule proof, so each is pinned to its source here.
+static_assert(apply_op_effects(1).read_reach("x") ==
+                  dsl::laplacian_7pt<0>(1.0, 1.0).offsets().radius(),
+              "applyOp reach must be the 7-point Laplacian's");
+static_assert(apply_op_effects(2).read_reach("x") ==
+                  dsl::star_stencil<2, 0>(std::array<real_t, 3>{1.0, 1.0, 1.0})
+                      .offsets()
+                      .radius(),
+              "13-point applyOp reach must be star_stencil<2>'s");
+static_assert(gs_color_sweep_effects().read_reach("x") ==
+                  check::star_shape(1).radius(),
+              "GS half-sweep x reach must be the 7-point star's");
+static_assert(interpolation_trilinear_assign_effects().read_reach("coarse") ==
+                  check::interpolation_trilinear_shape().radius(),
+              "trilinear prolongation reach must be its coarse footprint's");
 
 namespace {
 
@@ -127,9 +146,8 @@ void apply_op(F& Ax, const F& x, real_t alpha, real_t beta,
   // 7-point star: 2 multiplies + 6 adds per output cell.
   trace::TraceSpan span("kernel.applyOp");
   count_flops(box_points(active, lanes(x)), 8);
-  const auto scope = check::scope_if_enabled(
-      "kernel.applyOp", {check::access(Ax, active)},
-      {check::access(x, grow(active, 1))});
+  const auto scope = check::scope(apply_op_effects(1), active,
+                                  {check::bind("Ax", Ax), check::bind("x", x)});
   with_brick_dims(x.shape(), [&](auto bd) {
     apply_op_7pt(bd, Ax, x, alpha, beta, active);
   });
@@ -140,13 +158,12 @@ void apply_op(BrickedArray& Ax, const BrickedArray& x, real_t alpha,
   // Masked variant (AMR composite levels): only bricks selected by
   // `mask` are computed; taps may still read de-selected neighbor
   // bricks, which on a composite level hold the restricted fine
-  // solution. Write/read declarations stay the conservative active
-  // box — the shadow tracker needs no mask awareness.
+  // solution. The scope stays the conservative active box — the
+  // shadow tracker needs no mask awareness.
   trace::TraceSpan span("kernel.applyOpMasked");
   count_flops(box_points(active), 8);
-  const auto scope = check::scope_if_enabled(
-      "kernel.applyOpMasked", {check::access(Ax, active)},
-      {check::access(x, grow(active, 1))});
+  const auto scope = check::scope(apply_op_effects(1), active,
+                                  {check::bind("Ax", Ax), check::bind("x", x)});
   with_brick_dims(x.shape(), [&](auto bd) {
     apply_op_7pt(bd, Ax, x, alpha, beta, active, &mask);
   });
@@ -156,9 +173,10 @@ void smooth(BrickedArray& x, const BrickedArray& Ax, const BrickedArray& b,
             real_t gamma, const Box& active) {
   trace::TraceSpan span("kernel.smooth");
   count_flops(box_points(active), 3);
-  const auto scope = check::scope_if_enabled(
-      "kernel.smooth", {check::access(x, active)},
-      {check::access(Ax, active), check::access(b, active)});
+  const auto scope =
+      check::scope(smooth_effects(), active,
+                   {check::bind("x", x), check::bind("Ax", Ax),
+                    check::bind("b", b)});
   with_brick_dims(x.shape(), [&](auto bd) {
     real_t* __restrict xp = x.data();
     const real_t* __restrict axp = Ax.data();
@@ -177,10 +195,10 @@ void smooth_residual(BrickedArray& x, BrickedArray& r, const BrickedArray& Ax,
                      const BrickedArray& b, real_t gamma, const Box& active) {
   trace::TraceSpan span("kernel.smoothResidual");
   count_flops(box_points(active), 4);
-  const auto scope = check::scope_if_enabled(
-      "kernel.smoothResidual",
-      {check::access(x, active), check::access(r, active)},
-      {check::access(Ax, active), check::access(b, active)});
+  const auto scope =
+      check::scope(smooth_residual_effects(), active,
+                   {check::bind("x", x), check::bind("r", r),
+                    check::bind("Ax", Ax), check::bind("b", b)});
   with_brick_dims(x.shape(), [&](auto bd) {
     real_t* __restrict xp = x.data();
     real_t* __restrict rp = r.data();
@@ -203,9 +221,10 @@ template <class F>
 void residual(F& r, const F& b, const F& Ax, const Box& active) {
   trace::TraceSpan span("kernel.residual");
   count_flops(box_points(active, lanes(r)), 1);
-  const auto scope = check::scope_if_enabled(
-      "kernel.residual", {check::access(r, active)},
-      {check::access(b, active), check::access(Ax, active)});
+  const auto scope =
+      check::scope(residual_effects(), active,
+                   {check::bind("r", r), check::bind("b", b),
+                    check::bind("Ax", Ax)});
   with_brick_dims(r.shape(), [&](auto bd) {
     real_t* __restrict rp = r.data();
     const real_t* __restrict axp = Ax.data();
@@ -224,9 +243,10 @@ void residual(BrickedArray& r, const BrickedArray& b, const BrickedArray& Ax,
               const Box& active, const BrickMask& mask) {
   trace::TraceSpan span("kernel.residualMasked");
   count_flops(box_points(active), 1);
-  const auto scope = check::scope_if_enabled(
-      "kernel.residualMasked", {check::access(r, active)},
-      {check::access(b, active), check::access(Ax, active)});
+  const auto scope =
+      check::scope(residual_effects(), active,
+                   {check::bind("r", r), check::bind("b", b),
+                    check::bind("Ax", Ax)});
   with_brick_dims(r.shape(), [&](auto bd) {
     using BD = decltype(bd);
     real_t* __restrict rp = r.data();
@@ -255,9 +275,10 @@ void restriction(F& coarse, const F& fine) {
   count_flops(box_points(Box::from_extent(ce), K), 8);
   GMG_REQUIRE(fine.shape() == coarse.shape(),
               "restriction assumes equal brick shapes on both levels");
-  const auto scope = check::scope_if_enabled(
-      "kernel.restriction", {check::access(coarse, Box::from_extent(ce))},
-      {check::access(fine, Box::from_extent(fe))});
+  const auto scope = check::scope(
+      restriction_effects(), Box::from_extent(fe),
+      {check::bind("coarse", coarse, Box::from_extent(ce)),
+       check::bind("fine", fine)});
   with_brick_dims(fine.shape(), [&](auto bd) {
     using BD = decltype(bd);
     static_assert(BD::bx % 2 == 0 && BD::by % 2 == 0 && BD::bz % 2 == 0);
@@ -290,9 +311,10 @@ void interpolation_increment(F& fine, const F& coarse) {
   count_flops(box_points(Box::from_extent(fe), K), 1);
   GMG_REQUIRE(fine.shape() == coarse.shape(),
               "interpolation assumes equal brick shapes on both levels");
-  const auto scope = check::scope_if_enabled(
-      "kernel.interpIncrement", {check::access(fine, Box::from_extent(fe))},
-      {check::access(coarse, Box::from_extent(ce))});
+  const auto scope = check::scope(
+      interpolation_increment_effects(), Box::from_extent(fe),
+      {check::bind("fine", fine),
+       check::bind("coarse", coarse, Box::from_extent(ce))});
   with_brick_dims(fine.shape(), [&](auto bd) {
     using BD = decltype(bd);
     const BrickGrid& fg = fine.grid();
@@ -340,9 +362,8 @@ void gs_color_sweep(F& x, const F& b, real_t alpha, real_t beta, int color,
   // (6 adds, 1 multiply, 1 subtract, 1 divide).
   trace::TraceSpan span("kernel.gsColorSweep");
   count_flops(box_points(active, K) / 2, 9);
-  const auto scope = check::scope_if_enabled(
-      "kernel.gsColorSweep", {check::access(x, active)},
-      {check::access(x, grow(active, 1)), check::access(b, active)});
+  const auto scope = check::scope(gs_color_sweep_effects(), active,
+                                  {check::bind("x", x), check::bind("b", b)});
   with_brick_dims(x.shape(), [&](auto bd) {
     using BD = decltype(bd);
     const BrickGrid& grid = x.grid();
@@ -428,16 +449,13 @@ void gs_color_sweep(F& x, const F& b, real_t alpha, real_t beta, int color,
 
 void init_zero(BrickedArray& a) {
   // Writes every brick of the storage, ghosts included.
-  std::optional<check::KernelScope> scope;
-  if (check::enabled()) {
-    const Box bricks = a.grid().extended_box();
-    const Vec3 d = a.shape().dims();
-    const Box cells{{bricks.lo.x * d.x, bricks.lo.y * d.y, bricks.lo.z * d.z},
-                    {bricks.hi.x * d.x, bricks.hi.y * d.y, bricks.hi.z * d.z}};
-    scope.emplace("kernel.initZero",
-                  std::vector<check::Access>{check::access(a, cells)},
-                  std::vector<check::Access>{});
-  }
+  const Box bricks = a.grid().extended_box();
+  const Vec3 d = a.shape().dims();
+  const auto scope = check::scope(
+      init_zero_effects(),
+      Box{{bricks.lo.x * d.x, bricks.lo.y * d.y, bricks.lo.z * d.z},
+          {bricks.hi.x * d.x, bricks.hi.y * d.y, bricks.hi.z * d.z}},
+      {check::bind("a", a)});
   real_t* __restrict p = a.data();
   exec::parallel_for("kernel.initZero", static_cast<std::int64_t>(a.size()),
                      exec::kElementGrain, [&](std::int64_t lo, std::int64_t hi) {
@@ -450,6 +468,8 @@ void init_zero(BrickedArray& a) {
 template <class F>
 real_t norm2_sq(const F& a, int c) {
   const auto K = lanes(a);
+  const auto scope = check::scope(
+      norm2_sq_effects(), Box::from_extent(a.extent()), {check::bind("a", a)});
   const real_t* __restrict p = a.data();
   // Chunked tree reduction over lane c: per-chunk partial sums combined
   // in fixed chunk order — bitwise reproducible at any worker count and
@@ -465,6 +485,9 @@ template <class F>
 real_t dot_interior(const F& a, const F& b, int c) {
   GMG_REQUIRE(&a.grid() == &b.grid(), "fields must share a brick grid");
   const auto K = lanes(a);
+  const auto scope = check::scope(dot_interior_effects(),
+                                  Box::from_extent(a.extent()),
+                                  {check::bind("a", a), check::bind("b", b)});
   const real_t* __restrict pa = a.data();
   const real_t* __restrict pb = b.data();
   return exec::parallel_reduce_sum<real_t>(
@@ -479,6 +502,9 @@ template <class F>
 void axpy_interior(F& y, real_t alpha, const F& x, int c) {
   GMG_REQUIRE(&y.grid() == &x.grid(), "fields must share a brick grid");
   const auto K = lanes(y);
+  const auto scope = check::scope(axpy_interior_effects(),
+                                  Box::from_extent(y.extent()),
+                                  {check::bind("y", y), check::bind("x", x)});
   real_t* __restrict py = y.data() + c;
   const real_t* __restrict px = x.data() + c;
   exec::parallel_for("kernel.axpy", interior_cells(y), exec::kElementGrain,
@@ -493,6 +519,9 @@ template <class F>
 void xpay_interior(F& y, const F& x, real_t beta, int c) {
   GMG_REQUIRE(&y.grid() == &x.grid(), "fields must share a brick grid");
   const auto K = lanes(y);
+  const auto scope = check::scope(xpay_interior_effects(),
+                                  Box::from_extent(y.extent()),
+                                  {check::bind("y", y), check::bind("x", x)});
   real_t* __restrict py = y.data() + c;
   const real_t* __restrict px = x.data() + c;
   exec::parallel_for("kernel.xpay", interior_cells(y), exec::kElementGrain,
@@ -506,6 +535,9 @@ void xpay_interior(F& y, const F& x, real_t beta, int c) {
 template <class F>
 void copy_interior(F& dst, const F& src) {
   GMG_REQUIRE(&dst.grid() == &src.grid(), "fields must share a brick grid");
+  const auto scope = check::scope(
+      copy_interior_effects(), Box::from_extent(dst.extent()),
+      {check::bind("dst", dst), check::bind("src", src)});
   real_t* __restrict pd = dst.data();
   const real_t* __restrict ps = src.data();
   exec::parallel_for("kernel.copy", interior_cells(dst) * lanes(dst),
@@ -519,9 +551,8 @@ void copy_interior(F& dst, const F& src) {
 
 template <class F>
 void axpy(F& y, real_t alpha, const F& x, const Box& active) {
-  const auto scope = check::scope_if_enabled("kernel.axpyActive",
-                                             {check::access(y, active)},
-                                             {check::access(x, active)});
+  const auto scope = check::scope(axpy_effects(), active,
+                                  {check::bind("y", y), check::bind("x", x)});
   with_brick_dims(y.shape(), [&](auto bd) {
     real_t* __restrict py = y.data();
     const real_t* __restrict px = x.data();
@@ -538,9 +569,8 @@ void axpy(F& y, real_t alpha, const F& x, const Box& active) {
 template <class F>
 void cheby_p_update(F& p, const F& r, real_t inv_diag, real_t beta,
                     const Box& active) {
-  const auto scope = check::scope_if_enabled("kernel.chebyP",
-                                             {check::access(p, active)},
-                                             {check::access(r, active)});
+  const auto scope = check::scope(cheby_p_update_effects(), active,
+                                  {check::bind("p", p), check::bind("r", r)});
   with_brick_dims(p.shape(), [&](auto bd) {
     real_t* __restrict pp = p.data();
     const real_t* __restrict pr = r.data();
@@ -563,9 +593,10 @@ void interpolation_trilinear_assign(BrickedArray& fine,
   // level, not in the V-cycle hot path. Chunked over k-planes (each
   // fine cell writes only its own plane).
   const Box interior = Box::from_extent(fe);
-  const auto scope = check::scope_if_enabled(
-      "kernel.interpTrilinear", {check::access(fine, interior)},
-      {check::access(coarse, grow(Box::from_extent(ce), 1))});
+  const auto scope = check::scope(
+      interpolation_trilinear_assign_effects(), interior,
+      {check::bind("fine", fine),
+       check::bind("coarse", coarse, Box::from_extent(ce))});
   exec::parallel_for(
       "kernel.interpTrilinear", fe.z, 1, [&](std::int64_t klo, std::int64_t khi) {
         for (index_t k = static_cast<index_t>(klo);
@@ -600,6 +631,8 @@ void interpolation_trilinear_assign(BrickedArray& fine,
 template <class F>
 real_t max_norm(const F& a, int c) {
   const auto K = lanes(a);
+  const auto scope = check::scope(
+      max_norm_effects(), Box::from_extent(a.extent()), {check::bind("a", a)});
   real_t m = 0.0;
   with_brick_dims(a.shape(), [&](auto bd) {
     using BD = decltype(bd);

@@ -129,10 +129,11 @@ void interpolation_trilinear_assign(BrickedArray& fine,
 
 // ---------------------------------------------------------------------------
 // Static effect summaries (check/effects.hpp, DESIGN.md §18): one
-// constexpr EffectSummary per kernel above, consumed by the setup-time
-// schedule verifier and enforced by gmg_lint rule effect-summary. The
-// read reaches restate the constexpr DSL footprints — solver.cpp
-// static_asserts pin the two representations to each other.
+// constexpr EffectSummary per kernel above — the kernel's only
+// declaration of its accesses. Its GMG_CHECK scope and its recorded
+// schedule steps both derive from it (gmg_lint rule effect-scope). The
+// read reaches restate the constexpr DSL footprints; static_asserts in
+// operators.cpp pin the two representations to each other.
 // ---------------------------------------------------------------------------
 
 constexpr check::EffectSummary apply_op_effects(int radius) {

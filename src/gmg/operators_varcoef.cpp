@@ -9,6 +9,19 @@
 
 namespace gmg {
 
+// The summaries' read reaches restate the vc:: expressions' per-slot
+// footprints (slot 0 x, slot 1 the coefficient; the diagonal's slot 0
+// is the coefficient). A wrong reach would mislead both GMG_CHECK and
+// the schedule proof, so it fails to compile instead.
+static_assert(apply_op_varcoef_effects().read_reach("x") ==
+                      vc::apply_expr(0, 1).offsets().slot_extents(0).radius() &&
+                  apply_op_varcoef_effects().read_reach("coef") ==
+                      vc::apply_expr(0, 1).offsets().slot_extents(1).radius(),
+              "varcoef operator reaches must be its expression's");
+static_assert(varcoef_diagonal_effects().read_reach("coef") ==
+                  vc::diagonal_expr(0, 1).offsets().slot_extents(0).radius(),
+              "varcoef diagonal reach must be its expression's");
+
 namespace {
 
 using detail::for_each_row;
@@ -30,6 +43,9 @@ void apply_op_varcoef(F& Ax, const F& x, const BrickedArray& beta,
   trace::TraceSpan span("kernel.applyOpVarCoef");
   count_flops_vc(active, lanes(x), 26);
   const real_t f = 0.5 / (h * h);
+  const auto scope = check::scope(
+      apply_op_varcoef_effects(), active,
+      {check::bind("Ax", Ax), check::bind("x", x), check::bind("coef", beta)});
   // Face-averaged flux form, written directly in the stencil DSL with
   // the coefficient bound to grid slot 1 (Fig. 1's "non-constant
   // coefficients"). The tree itself lives in vc:: so the one-pass
@@ -40,6 +56,9 @@ void apply_op_varcoef(F& Ax, const F& x, const BrickedArray& beta,
 void varcoef_diagonal(BrickedArray& diag, const BrickedArray& beta,
                       real_t identity_coef, real_t h, const Box& active) {
   const real_t f = 0.5 / (h * h);
+  const auto scope = check::scope(
+      varcoef_diagonal_effects(), active,
+      {check::bind("diag", diag), check::bind("coef", beta)});
   dsl::apply(vc::diagonal_expr(identity_coef, f), diag, active, beta);
 }
 
@@ -49,11 +68,10 @@ void smooth_residual_varcoef(BrickedArray& x, BrickedArray& r,
                              const Box& active) {
   trace::TraceSpan span("kernel.smoothResidualVarCoef");
   count_flops_vc(active, 1, 6);
-  const auto scope = check::scope_if_enabled(
-      "kernel.smoothResidualVarCoef",
-      {check::access(x, active), check::access(r, active)},
-      {check::access(Ax, active), check::access(b, active),
-       check::access(diag, active)});
+  const auto scope = check::scope(
+      smooth_residual_varcoef_effects(), active,
+      {check::bind("x", x), check::bind("r", r), check::bind("Ax", Ax),
+       check::bind("b", b), check::bind("diag", diag)});
   with_brick_dims(x.shape(), [&](auto bd) {
     real_t* __restrict xp = x.data();
     real_t* __restrict rp = r.data();
@@ -78,10 +96,10 @@ void smooth_varcoef(BrickedArray& x, const BrickedArray& Ax,
                     real_t omega, const Box& active) {
   trace::TraceSpan span("kernel.smoothVarCoef");
   count_flops_vc(active, 1, 5);
-  const auto scope = check::scope_if_enabled(
-      "kernel.smoothVarCoef", {check::access(x, active)},
-      {check::access(Ax, active), check::access(b, active),
-       check::access(diag, active)});
+  const auto scope = check::scope(
+      smooth_varcoef_effects(), active,
+      {check::bind("x", x), check::bind("Ax", Ax), check::bind("b", b),
+       check::bind("diag", diag)});
   with_brick_dims(x.shape(), [&](auto bd) {
     real_t* __restrict xp = x.data();
     const real_t* __restrict axp = Ax.data();
@@ -101,9 +119,9 @@ void smooth_varcoef(BrickedArray& x, const BrickedArray& Ax,
 template <class F>
 void cheby_p_update_varcoef(F& p, const F& r, const BrickedArray& diag,
                             real_t beta_ch, const Box& active) {
-  const auto scope = check::scope_if_enabled(
-      "kernel.chebyPVarCoef", {check::access(p, active)},
-      {check::access(r, active), check::access(diag, active)});
+  const auto scope = check::scope(
+      cheby_p_update_varcoef_effects(), active,
+      {check::bind("p", p), check::bind("r", r), check::bind("diag", diag)});
   with_brick_dims(p.shape(), [&](auto bd) {
     const auto K = lanes(p);
     real_t* __restrict pp = p.data();

@@ -24,7 +24,7 @@ namespace vc {
 
 /// A x = s*x + (1/h^2) sum_faces 0.5*(beta_i + beta_nbr)*(x_nbr - x_i)
 /// with x on slot 0, beta on slot 1, and f = 0.5/h^2.
-inline auto apply_expr(real_t identity_coef, real_t f) {
+constexpr auto apply_expr(real_t identity_coef, real_t f) {
   using namespace dsl;
   Grid<0> X;
   Grid<1> B;
@@ -40,7 +40,7 @@ inline auto apply_expr(real_t identity_coef, real_t f) {
 
 /// diag = s - f*(6*beta_i + sum of the 6 face neighbors), beta on
 /// slot 0.
-inline auto diagonal_expr(real_t identity_coef, real_t f) {
+constexpr auto diagonal_expr(real_t identity_coef, real_t f) {
   using namespace dsl;
   Grid<0> B;
   return Coef(identity_coef) -
@@ -85,7 +85,8 @@ void cheby_p_update_varcoef(F& p, const F& r, const BrickedArray& diag,
 
 // Static effect summaries (check/effects.hpp, DESIGN.md §18). The
 // variable-coefficient operator taps x and beta at face neighbors:
-// reach 1 on both.
+// reach 1 on both — static_asserts in operators_varcoef.cpp pin the
+// reaches to the vc:: expressions' slot footprints.
 
 constexpr check::EffectSummary apply_op_varcoef_effects() {
   return check::EffectSummary("kernel.applyOpVarCoef")

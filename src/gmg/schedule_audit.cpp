@@ -3,13 +3,38 @@
 #include <vector>
 
 #include "gmg/fused_kernels.hpp"
+#include "gmg/kernel_plan.hpp"
 #include "gmg/operators.hpp"
 #include "gmg/operators_varcoef.hpp"
 
 namespace gmg {
 
-using check::read_access;
-using check::write_access;
+namespace {
+
+void add_chunk_writes(check::ScheduleStep& step, const BrickShape& sh,
+                      const Box& active) {
+  // The cached iteration plan's chunking: one chunk per brick
+  // intersecting `active`, clipped to it — the per-brick write region
+  // of a fused launch (interior bricks plus the CA redundant ghost-brick
+  // slabs).
+  const Vec3 pitch{sh.bx, sh.by, sh.bz};
+  Box bricks;
+  for (int d = 0; d < 3; ++d) {
+    bricks.lo[d] = floor_div(active.lo[d], pitch[d]);
+    bricks.hi[d] = floor_div(active.hi[d] - 1, pitch[d]) + 1;
+  }
+  step.chunk_pitch = pitch;
+  step.chunk_writes.reserve(static_cast<std::size_t>(bricks.volume()));
+  for_each(bricks, [&](index_t bi, index_t bj, index_t bk) {
+    const Box brick{{bi * pitch.x, bj * pitch.y, bk * pitch.z},
+                    {(bi + 1) * pitch.x, (bj + 1) * pitch.y,
+                     (bk + 1) * pitch.z}};
+    const Box clip = intersect(brick, active);
+    if (!clip.empty()) step.chunk_writes.push_back(clip);
+  });
+}
+
+}  // namespace
 
 Record::Record(check::ScheduleRecorder& rec, const GmgSolver& s, int k)
     : rec_(rec), s_(s), k_(k) {
@@ -66,183 +91,123 @@ void Record::begin(int l, const FieldSet& fs) {
   rec_.exchange_begin(l, std::move(fields), lev(l).shape.bx);
 }
 
-check::ScheduleStep& Record::launch(
-    const char* kernel, int l, const check::EffectSummary& summary,
-    std::initializer_list<check::StepAccess> accesses) {
-  check::ScheduleStep& step = rec_.kernel(kernel, l, summary);
-  step.accesses.insert(step.accesses.end(), accesses);
-  return step;
+check::ScheduleStep& Record::apply(const MgLevel& L, int l, const char* out,
+                                   const char* in, const Box& box) {
+  const check::EffectSummary s = level_apply_effects(L);
+  if (L.plan.op == OpKind::kVarCoef)
+    return rec_.launch(s, l, box, {{"Ax", out}, {"x", in}, {"coef", "coef"}});
+  return rec_.launch(s, l, box, {{"Ax", out}, {"x", in}});
 }
 
 void Record::apply(int l, Fld out, Fld in, const Box& box, bool partial) {
-  const MgLevel& L = lev(l);
-  const int radius = static_cast<int>(L.radius);
-  check::ScheduleStep& step =
-      L.varcoef ? launch("kernel.applyOpVarCoef", l,
-                         apply_op_varcoef_effects(),
-                         {read_access("coef", l, box, 1, "coef")})
-                : launch("kernel.applyOp", l, apply_op_effects(radius), {});
-  step.partial = partial;
-  step.accesses.push_back(write_access(name(out), l, box, "Ax"));
-  step.accesses.push_back(read_access(name(in), l, box, radius, "x"));
+  apply(lev(l), l, name(out), name(in), box).partial = partial;
 }
 
-void Record::add_chunk_writes(check::ScheduleStep& step, int l,
-                              const Box& active) {
-  // The cached iteration plan's chunking: one chunk per brick
-  // intersecting `active`, clipped to it — the per-brick write region
-  // of a fused launch (interior bricks plus the CA redundant ghost-brick
-  // slabs).
-  const BrickShape& sh = lev(l).shape;
-  const Vec3 pitch{sh.bx, sh.by, sh.bz};
-  Box bricks;
-  for (int d = 0; d < 3; ++d) {
-    bricks.lo[d] = floor_div(active.lo[d], pitch[d]);
-    bricks.hi[d] = floor_div(active.hi[d] - 1, pitch[d]) + 1;
-  }
-  step.chunk_pitch = pitch;
-  step.chunk_writes.reserve(static_cast<std::size_t>(bricks.volume()));
-  for_each(bricks, [&](index_t bi, index_t bj, index_t bk) {
-    const Box brick{{bi * pitch.x, bj * pitch.y, bk * pitch.z},
-                    {(bi + 1) * pitch.x, (bj + 1) * pitch.y,
-                     (bk + 1) * pitch.z}};
-    const Box clip = intersect(brick, active);
-    if (!clip.empty()) step.chunk_writes.push_back(clip);
-  });
+void Record::sweep(const MgLevel& L, int l, const Box& box, bool residual,
+                   bool restrict, bool partial) {
+  // The two-stage body (13-point / stencilgen operators) issues its
+  // applyOp into the spare buffer first, then the pointwise update over
+  // it — at every batch width.
+  if (!jacobi_is_one_pass(L)) apply(L, l, "Ax", "x", box).partial = partial;
+  const Box fine = intersect(box, L.interior());
+  const bool coarse = restrict && !fine.empty();
+  const check::StepBinding r{"r", residual ? "r" : nullptr};
+  const check::StepBinding c{"coarse", coarse ? "b" : nullptr, l + 1,
+                             coarsen(fine, 2)};
+  const check::EffectSummary s = level_jacobi_effects(L);
+  check::ScheduleStep& step =
+      L.plan.op == OpKind::kVarCoef
+          ? rec_.launch(s, l, box,
+                        {{"out", "Ax"}, r, c, {"x", "x"}, {"coef", "coef"},
+                         {"b", "b"}, {"diag", "diag"}})
+          : rec_.launch(s, l, box,
+                        {{"out", "Ax"}, r, c, {"x", "x"}, {"b", "b"}});
+  step.partial = partial;
+  if (coarse && !partial) add_chunk_writes(step, L.shape, box);
 }
 
 void Record::jacobi(int l, const Box& box, bool residual, bool restrict,
                     bool partial) {
-  const MgLevel& L = lev(l);
-  // The two-stage body (13-point / stencilgen operators) issues its
-  // applyOp into the spare buffer first, then the pointwise update over
-  // it — at every batch width.
-  const bool one_pass = jacobi_is_one_pass(L);
-  if (!one_pass) apply(l, Fld::kAx, Fld::kX, box, partial);
-  check::ScheduleStep& step =
-      !one_pass ? launch("kernel.jacobiUpdate", l,
-                         fused::jacobi_update_effects(),
-                         {read_access("Ax", l, box, 0, "out"),
-                          read_access("x", l, box, 0, "x")})
-      : L.varcoef ? launch("kernel.jacobiSweepVarCoef", l,
-                           fused::jacobi_sweep_varcoef_effects(),
-                           {read_access("x", l, box, 1, "x"),
-                            read_access("coef", l, box, 1, "coef")})
-                  : launch("kernel.jacobiSweep", l,
-                           fused::jacobi_sweep_effects(),
-                           {read_access("x", l, box, 1, "x")});
-  step.partial = partial;
-  step.accesses.push_back(read_access("b", l, box, 0, "b"));
-  if (L.varcoef)
-    step.accesses.push_back(read_access("diag", l, box, 0, "diag"));
-  step.accesses.push_back(write_access("Ax", l, box, "out"));
-  if (residual) step.accesses.push_back(write_access("r", l, box, "r"));
-  const Box fine = intersect(box, L.interior());
-  if (restrict && !fine.empty()) {
-    step.accesses.push_back(
-        write_access("b", l + 1, coarsen(fine, 2), "coarse"));
-    if (!partial) add_chunk_writes(step, l, box);
-  }
+  sweep(lev(l), l, box, residual, restrict, partial);
 }
 
 void Record::gs_color(int l, int, const Box& box, bool partial) {
-  launch("kernel.gsColorSweep", l, gs_color_sweep_effects(),
-         {write_access("x", l, box, "x"), read_access("x", l, box, 1, "x"),
-          read_access("b", l, box, 0, "b")})
+  rec_.launch(gs_color_sweep_effects(), l, box, {{"x", "x"}, {"b", "b"}})
       .partial = partial;
 }
 
 void Record::residual(int l, const Box& box) {
-  launch("kernel.residual", l, residual_effects(),
-         {write_access("r", l, box, "r"), read_access("b", l, box, 0, "b"),
-          read_access("Ax", l, box, 0, "Ax")});
+  rec_.launch(residual_effects(), l, box,
+              {{"r", "r"}, {"b", "b"}, {"Ax", "Ax"}});
 }
 
 void Record::residual_restrict(int l) {
   const Box in = lev(l).interior();
   add_chunk_writes(
-      launch("kernel.fusedGsTail", l, fused::residual_restrict_effects(),
-             {write_access("r", l, in, "r"),
-              write_access("b", l + 1, lev(l + 1).interior(), "coarse"),
-              read_access("b", l, in, 0, "b"),
-              read_access("Ax", l, in, 0, "Ax")}),
-      l, in);
+      rec_.launch(fused::residual_restrict_effects(), l, in,
+                  {{"r", "r"},
+                   {"coarse", "b", l + 1, lev(l + 1).interior()},
+                   {"b", "b"},
+                   {"Ax", "Ax"}}),
+      lev(l).shape, in);
 }
 
 void Record::restriction(int l, Fld fine) {
-  launch("kernel.restriction", l, restriction_effects(),
-         {write_access("b", l + 1, lev(l + 1).interior(), "coarse"),
-          read_access(name(fine), l, lev(l).interior(), 0, "fine")});
+  rec_.launch(restriction_effects(), l, lev(l).interior(),
+              {{"coarse", "b", l + 1, lev(l + 1).interior()},
+               {"fine", name(fine)}});
 }
 
 void Record::init_zero_x(int l, const Box& stored) {
-  launch("kernel.initZero", l, init_zero_effects(),
-         {write_access("x", l, stored, "a")});
+  rec_.launch(init_zero_effects(), l, stored, {{"a", "x"}});
 }
 
 void Record::interp_increment(int l) {
-  const Box in = lev(l).interior();
-  launch("kernel.interpIncrement", l, interpolation_increment_effects(),
-         {write_access("x", l, in, "fine"), read_access("x", l, in, 0, "fine"),
-          read_access("x", l + 1, lev(l + 1).interior(), 0, "coarse")});
+  rec_.launch(interpolation_increment_effects(), l, lev(l).interior(),
+              {{"fine", "x"}, {"coarse", "x", l + 1, lev(l + 1).interior()}});
 }
 
 void Record::interp_trilinear(int l) {
-  launch("kernel.interpTrilinear", l, interpolation_trilinear_assign_effects(),
-         {write_access("x", l, lev(l).interior(), "fine"),
-          read_access("x", l + 1, lev(l + 1).interior(), 1, "coarse")});
+  rec_.launch(interpolation_trilinear_assign_effects(), l, lev(l).interior(),
+              {{"fine", "x"}, {"coarse", "x", l + 1, lev(l + 1).interior()}});
 }
 
 void Record::cheby_p(int l, const Box& box, real_t) {
-  const bool vc = lev(l).varcoef;
-  check::ScheduleStep& step = launch(
-      vc ? "kernel.chebyPVarCoef" : "kernel.chebyP", l,
-      vc ? cheby_p_update_varcoef_effects() : cheby_p_update_effects(),
-      {write_access("p", l, box, "p"), read_access("p", l, box, 0, "p"),
-       read_access("r", l, box, 0, "r")});
-  if (vc) step.accesses.push_back(read_access("diag", l, box, 0, "diag"));
+  if (lev(l).varcoef) {
+    rec_.launch(cheby_p_update_varcoef_effects(), l, box,
+                {{"p", "p"}, {"r", "r"}, {"diag", "diag"}});
+  } else {
+    rec_.launch(cheby_p_update_effects(), l, box, {{"p", "p"}, {"r", "r"}});
+  }
 }
 
 void Record::axpy_p(int l, real_t, const Box& box) {
-  launch("kernel.axpyActive", l, axpy_effects(),
-         {write_access("x", l, box, "y"), read_access("x", l, box, 0, "y"),
-          read_access("p", l, box, 0, "x")});
+  rec_.launch(axpy_effects(), l, box, {{"y", "x"}, {"x", "p"}});
 }
 
 void Record::copy(int l, Fld dst, Fld src) {
-  const Box in = lev(l).interior();
-  launch("kernel.copy", l, copy_interior_effects(),
-         {write_access(name(dst), l, in, "dst"),
-          read_access(name(src), l, in, 0, "src")});
+  rec_.launch(copy_interior_effects(), l, lev(l).interior(),
+              {{"dst", name(dst)}, {"src", name(src)}});
 }
 
 void Record::axpy_interior(int l, Fld y, real_t, Fld x, int) {
-  const Box in = lev(l).interior();
-  launch("kernel.axpy", l, axpy_interior_effects(),
-         {write_access(name(y), l, in, "y"),
-          read_access(name(y), l, in, 0, "y"),
-          read_access(name(x), l, in, 0, "x")});
+  rec_.launch(axpy_interior_effects(), l, lev(l).interior(),
+              {{"y", name(y)}, {"x", name(x)}});
 }
 
 void Record::xpay_interior(int l, Fld y, Fld x, real_t, int) {
-  const Box in = lev(l).interior();
-  launch("kernel.xpay", l, xpay_interior_effects(),
-         {write_access(name(y), l, in, "y"),
-          read_access(name(y), l, in, 0, "y"),
-          read_access(name(x), l, in, 0, "x")});
+  rec_.launch(xpay_interior_effects(), l, lev(l).interior(),
+              {{"y", name(y)}, {"x", name(x)}});
 }
 
 real_t Record::residual_max_norm() {
-  const Box in = lev(0).interior();
-  launch("kernel.fusedResidualNorm", 0, fused::residual_max_norm_effects(),
-         {write_access("r", 0, in, "r"), read_access("b", 0, in, 0, "b"),
-          read_access("Ax", 0, in, 0, "Ax")});
+  rec_.launch(fused::residual_max_norm_effects(), 0, lev(0).interior(),
+              {{"r", "r"}, {"b", "b"}, {"Ax", "Ax"}});
   return 0;
 }
 
 real_t Record::max_norm(int) {
-  launch("kernel.maxNorm", 0, max_norm_effects(),
-         {read_access("r", 0, lev(0).interior(), 0, "a")});
+  rec_.launch(max_norm_effects(), 0, lev(0).interior(), {{"a", "r"}});
   return 0;
 }
 

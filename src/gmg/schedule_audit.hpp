@@ -10,8 +10,6 @@
 // runs verify_solver_schedule before returning).
 #pragma once
 
-#include <initializer_list>
-
 #include "check/schedule.hpp"
 #include "gmg/cycle.hpp"
 #include "gmg/solver.hpp"
@@ -33,11 +31,13 @@ class Record {
   /// set_coefficient time.
   void add_levels();
 
-  /// Record one kernel launch with its effect summary and accesses
-  /// (more can be appended to the returned step).
-  check::ScheduleStep& launch(
-      const char* kernel, int l, const check::EffectSummary& summary,
-      std::initializer_list<check::StepAccess> accesses);
+  /// Level L's operator, out = A in, and its Jacobi sweep (the kernels
+  /// its KernelPlan runs), recorded as level l — the AMR composite
+  /// records its patch, a level outside the solver's, through these.
+  check::ScheduleStep& apply(const MgLevel& L, int l, const char* out,
+                             const char* in, const Box& box);
+  void sweep(const MgLevel& L, int l, const Box& box, bool residual,
+             bool restrict, bool partial);
 
   // ---- the executor contract (gmg/cycle.hpp) ----
   int k() const { return k_; }
@@ -101,7 +101,6 @@ class Record {
 
  private:
   const MgLevel& lev(int l) const { return s_.level(l); }
-  void add_chunk_writes(check::ScheduleStep& step, int l, const Box& active);
 
   check::ScheduleRecorder& rec_;
   const GmgSolver& s_;

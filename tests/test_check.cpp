@@ -7,23 +7,57 @@
 //      exchange begin() and finish()) — recorded by the runtime
 //      detector, which TSan misses under deterministic chunk plans.
 // Plus: write-write overlap across engine workers, corrupt iteration
-// plans, the disabled-path no-op guarantee, and a full checker-enabled
-// multi-rank V-cycle over every smoother that must come out clean.
+// plans, the scopes the kernels derive from their effect summaries, the
+// disabled-path guarantee (no hazard recorded, no heap allocation per
+// launch), and a full checker-enabled multi-rank V-cycle over every
+// smoother, with split-phase exchanges, that must come out clean.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <functional>
+#include <new>
 #include <thread>
 #include <vector>
 
+#include "amr/interface_kernels.hpp"
 #include "check/footprint.hpp"
 #include "check/shadow.hpp"
 #include "comm/exchange.hpp"
 #include "comm/simmpi.hpp"
 #include "dsl/apply_brick.hpp"
 #include "dsl/stencils.hpp"
+#include "gmg/fused_kernels.hpp"
 #include "gmg/operators.hpp"
+#include "gmg/schedule_audit.hpp"
 #include "gmg/solver.hpp"
+
+namespace gmg {
+namespace {
+
+// Heap allocations counted by the replaced global operator new below,
+// while g_count_allocs is set.
+std::atomic<bool> g_count_allocs{false};
+std::atomic<long> g_allocs{0};
+
+}  // namespace
+}  // namespace gmg
+
+// Out of line, so no call site sees the malloc/free pair behind a
+// new/delete pair.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  if (gmg::g_count_allocs.load(std::memory_order_relaxed))
+    gmg::g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace gmg {
 namespace {
@@ -198,6 +232,126 @@ TEST_F(CheckDetector, WellFormedPlanIsClean) {
   EXPECT_EQ(check::hazard_count(), 0u);
 }
 
+// ---- scopes derived from the effect summaries -----------------------------
+
+bool has_access(const std::vector<check::Access>& list, const void* key,
+                const Box& box) {
+  for (const check::Access& a : list) {
+    if (a.key == key && a.box == box) return true;
+  }
+  return false;
+}
+
+TEST_F(CheckDetector, DerivedScopeGrowsReadsByTheSummaryReach) {
+  BrickedArray x = BrickedArray::create({8, 8, 8}, BrickShape::cube(4));
+  BrickedArray b(x.grid_ptr(), x.shape());
+  const Box active{{1, 1, 1}, {7, 7, 7}};
+  const check::ScopeAccesses a = check::derive_accesses(
+      gs_color_sweep_effects(), active,
+      std::initializer_list<check::FieldBinding>{check::bind("x", x),
+                                                 check::bind("b", b)});
+  ASSERT_EQ(a.writes.size(), 1u);
+  EXPECT_TRUE(has_access(a.writes, x.data(), active));
+  ASSERT_EQ(a.reads.size(), 2u);
+  EXPECT_TRUE(has_access(a.reads, x.data(), grow(active, 1)));
+  EXPECT_TRUE(has_access(a.reads, b.data(), active));
+}
+
+TEST_F(CheckDetector, DerivedScopeUsesPerBindingBoxes) {
+  BrickedArray fine = BrickedArray::create({8, 8, 8}, BrickShape::cube(4));
+  BrickedArray coarse = BrickedArray::create({4, 4, 4}, BrickShape::cube(4));
+  const Box fine_box = Box::from_extent({8, 8, 8});
+  const Box coarse_box = Box::from_extent({4, 4, 4});
+  const check::ScopeAccesses a = check::derive_accesses(
+      interpolation_trilinear_assign_effects(), fine_box,
+      std::initializer_list<check::FieldBinding>{
+          check::bind("fine", fine),
+          check::bind("coarse", coarse, coarse_box)});
+  EXPECT_TRUE(has_access(a.writes, fine.data(), fine_box));
+  // The binding's own box, grown by the coarse role's reach of 1.
+  ASSERT_EQ(a.reads.size(), 1u);
+  EXPECT_TRUE(has_access(a.reads, coarse.data(), grow(coarse_box, 1)));
+}
+
+TEST_F(CheckDetector, DerivedScopeSkipsANullOptionalRole) {
+  BrickedArray x = BrickedArray::create({8, 8, 8}, BrickShape::cube(4));
+  BrickedArray out(x.grid_ptr(), x.shape());
+  BrickedArray b(x.grid_ptr(), x.shape());
+  const BrickedArray* none = nullptr;
+  const Box active = Box::from_extent({8, 8, 8});
+  const check::ScopeAccesses a = check::derive_accesses(
+      fused::jacobi_sweep_effects(), active,
+      std::initializer_list<check::FieldBinding>{
+          check::bind("out", out), check::bind("r", none),
+          check::bind("coarse", none, Box{{0, 0, 0}, {4, 4, 4}}),
+          check::bind("x", x), check::bind("b", b)});
+  ASSERT_EQ(a.writes.size(), 1u);
+  EXPECT_TRUE(has_access(a.writes, out.data(), active));
+  EXPECT_EQ(a.reads.size(), 2u);
+}
+
+TEST_F(CheckDetector, DerivedScopeGivesOneAccessPerRepeatedBinding) {
+  BrickedArray rH = BrickedArray::create({8, 8, 8}, BrickShape::cube(4));
+  BrickedArray xH(rH.grid_ptr(), rH.shape());
+  BrickedArray px = BrickedArray::create({8, 8, 8}, BrickShape::cube(4));
+  const Box lo_face{{1, 2, 2}, {2, 6, 6}};
+  const Box hi_face{{6, 2, 2}, {7, 6, 6}};
+  const check::ScopeAccesses a = check::derive_accesses(
+      amr::reflux_residual_effects(), Box{},
+      std::initializer_list<check::FieldBinding>{
+          check::bind("rH", rH, lo_face), check::bind("xH", xH, lo_face),
+          check::bind("patch_x", px, lo_face),
+          check::bind("rH", rH, hi_face), check::bind("xH", xH, hi_face),
+          check::bind("patch_x", px, hi_face)});
+  ASSERT_EQ(a.writes.size(), 2u);
+  EXPECT_TRUE(has_access(a.writes, rH.data(), lo_face));
+  EXPECT_TRUE(has_access(a.writes, rH.data(), hi_face));
+  // rH is read in place, xH and the patch one cell beyond each face.
+  ASSERT_EQ(a.reads.size(), 6u);
+  EXPECT_TRUE(has_access(a.reads, rH.data(), hi_face));
+  EXPECT_TRUE(has_access(a.reads, xH.data(), grow(lo_face, 1)));
+  EXPECT_TRUE(has_access(a.reads, px.data(), grow(hi_face, 1)));
+}
+
+TEST_F(CheckDetector, DerivedScopeStretchesABatchedFieldsBox) {
+  BrickedArray shape_src = BrickedArray::create({8, 8, 8}, BrickShape::cube(4));
+  BatchedBrickedArray Ax(shape_src.grid_ptr(), BrickShape::cube(4), 3);
+  BatchedBrickedArray x(shape_src.grid_ptr(), BrickShape::cube(4), 3);
+  const Box active{{0, 0, 0}, {4, 8, 8}};
+  const check::ScopeAccesses a = check::derive_accesses(
+      apply_op_effects(1), active,
+      std::initializer_list<check::FieldBinding>{check::bind("Ax", Ax),
+                                                 check::bind("x", x)});
+  EXPECT_TRUE(has_access(a.writes, Ax.data(), stretch_box(active, 3)));
+  EXPECT_TRUE(has_access(a.reads, x.data(), stretch_box(grow(active, 1), 3)));
+}
+
+TEST_F(CheckDetector, DerivedScopeRejectsUnknownAndUnboundRoles) {
+  BrickedArray r = BrickedArray::create({8, 8, 8}, BrickShape::cube(4));
+  BrickedArray b(r.grid_ptr(), r.shape());
+  const Box active = Box::from_extent({8, 8, 8});
+  // "x" is no role of the residual kernel.
+  EXPECT_THROW(check::derive_accesses(
+                   residual_effects(), active,
+                   std::initializer_list<check::FieldBinding>{
+                       check::bind("r", r), check::bind("b", b),
+                       check::bind("Ax", b), check::bind("x", b)}),
+               Error);
+  // Its "Ax" role is left unbound.
+  EXPECT_THROW(check::derive_accesses(
+                   residual_effects(), active,
+                   std::initializer_list<check::FieldBinding>{
+                       check::bind("r", r), check::bind("b", b)}),
+               Error);
+  // A launch rejects the same mistakes.
+  EXPECT_THROW(
+      {
+        const auto scope =
+            check::scope(residual_effects(), active, {check::bind("r", r)});
+      },
+      Error);
+}
+
 // ---- disabled path --------------------------------------------------------
 
 TEST_F(CheckDetector, DisabledDetectorRecordsNothing) {
@@ -210,9 +364,59 @@ TEST_F(CheckDetector, DisabledDetectorRecordsNothing) {
         [&] { check::KernelScope b("kernelB", {check::access(f, whole)}, {}); });
     other.join();
   }
-  auto scope = check::scope_if_enabled("kernelC", {check::access(f, whole)}, {});
-  EXPECT_FALSE(scope.has_value());
+  {
+    const auto a =
+        check::scope(init_zero_effects(), whole, {check::bind("a", f)});
+    std::thread other([&] {
+      const auto b =
+          check::scope(init_zero_effects(), whole, {check::bind("a", f)});
+    });
+    other.join();
+  }
   EXPECT_EQ(check::hazard_count(), 0u);
+}
+
+TEST_F(CheckDetector, DisabledDetectorLaunchesAllocateNothing) {
+  // With the detector off a scoped launch derives nothing: it makes no
+  // heap allocation of its own. Each kernel runs once to warm its plan
+  // cache and trace buffers, then three times counted; the fewest
+  // allocations of the three must be none (a one-off lazy
+  // initialization elsewhere may still land in one counted launch).
+  check::set_enabled(false);
+  const Vec3 n{16, 16, 16};
+  BrickedArray x = BrickedArray::create(n, BrickShape::cube(4));
+  BrickedArray Ax(x.grid_ptr(), x.shape()), b(x.grid_ptr(), x.shape()),
+      r(x.grid_ptr(), x.shape());
+  BrickedArray xc = BrickedArray::create({8, 8, 8}, BrickShape::cube(4));
+  BatchedBrickedArray xk(x.grid_ptr(), x.shape(), 2),
+      Axk(x.grid_ptr(), x.shape(), 2);
+  const Box in = Box::from_extent(n);
+  const std::vector<std::pair<const char*, std::function<void()>>> launches{
+      {"apply_op", [&] { apply_op(Ax, x, -6.0, 1.0, in); }},
+      {"residual", [&] { residual(r, b, Ax, in); }},
+      {"jacobi_sweep",
+       [&] {
+         fused::jacobi_sweep<BrickedArray>(Ax, &r, nullptr, x, b, -6.0, 1.0,
+                                           0.1, in);
+       }},
+      {"restriction", [&] { restriction(xc, r); }},
+      {"interpolation_increment", [&] { interpolation_increment(x, xc); }},
+      {"gs_color_sweep",
+       [&] { gs_color_sweep(x, b, -6.0, 1.0, 0, Vec3{0, 0, 0}, in); }},
+      {"apply_op batched", [&] { apply_op(Axk, xk, -6.0, 1.0, in); }},
+  };
+  for (const auto& [name, launch] : launches) {
+    launch();
+    long fewest = -1;
+    for (int rep = 0; rep < 3; ++rep) {
+      g_allocs = 0;
+      g_count_allocs = true;
+      launch();
+      g_count_allocs = false;
+      if (fewest < 0 || g_allocs.load() < fewest) fewest = g_allocs.load();
+    }
+    EXPECT_EQ(fewest, 0) << name;
+  }
 }
 
 // ---- full solves must come out clean --------------------------------------
@@ -220,8 +424,10 @@ TEST_F(CheckDetector, DisabledDetectorRecordsNothing) {
 TEST_F(CheckDetector, CheckerEnabledVcycleRunsCleanForEverySmoother) {
   // Multi-rank, overlap + communication-avoiding on: exercises the
   // split-phase exchange ordering, the CA deep-ghost sweeps, and every
-  // instrumented kernel. Any recorded hazard fails the test.
-  const CartDecomp decomp({16, 16, 16}, {2, 2, 2});
+  // instrumented kernel. Any recorded hazard fails the test. The
+  // overlap cutoff is forced off so the 16^3 subdomains take the
+  // split-phase path; the recorded schedule must show it does.
+  const CartDecomp decomp({32, 32, 32}, {2, 2, 2});
   const std::array<Smoother, 4> smoothers{
       Smoother::kPointJacobi, Smoother::kWeightedJacobi, Smoother::kChebyshev,
       Smoother::kRedBlackGS};
@@ -238,7 +444,18 @@ TEST_F(CheckDetector, CheckerEnabledVcycleRunsCleanForEverySmoother) {
       o.smoother = sm;
       o.communication_avoiding = true;
       o.overlap = true;
+      o.overlap_min_compute_bytes_ratio = 0;
       GmgSolver solver(o, decomp, c.rank());
+      if (c.rank() == 0) {
+        const check::Schedule sched = record_solver_schedule(solver);
+        EXPECT_GT(std::count_if(sched.steps.begin(), sched.steps.end(),
+                                [](const check::ScheduleStep& st) {
+                                  return st.kind ==
+                                         check::StepKind::kExchangeBegin;
+                                }),
+                  0)
+            << "no split-phase exchange for smoother " << static_cast<int>(sm);
+      }
       solver.set_rhs([](real_t x, real_t y, real_t z) {
         return std::sin(2 * M_PI * x) * std::sin(2 * M_PI * y) *
                std::sin(2 * M_PI * z);

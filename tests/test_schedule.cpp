@@ -24,6 +24,8 @@
 #include "batch/batched_solver.hpp"
 #include "check/schedule.hpp"
 #include "check/shadow.hpp"
+#include "gmg/fused_kernels.hpp"
+#include "gmg/operators.hpp"
 #include "gmg/schedule_audit.hpp"
 #include "gmg/solver.hpp"
 #include "trace/trace.hpp"
@@ -98,27 +100,45 @@ void expect_checked_run_clean(
 // instrumented solve leaves the hazard detector empty. The two layers
 // watch the same invariants from opposite ends; this pins them
 // together.
+// The multi-rank grids run once more with the overlap cutoff forced off,
+// so their sweeps take the split-phase path: its in-flight ghost rules
+// are checked from both ends too.
 TEST(ScheduleParity, StaticProofMatchesCheckedRunAcrossMatrix) {
   for (const Vec3& rg : kRankGrids) {
     const CartDecomp decomp({32, 32, 32}, rg);
-    for (const Smoother sm : kSmoothers) {
-      for (const bool fuse : {false, true}) {
-        SCOPED_TRACE(grid_tag(rg) + " " + smoother_tag(sm) +
-                     (fuse ? " fused" : " split"));
-        expect_checked_run_clean(decomp, [&](comm::Communicator& c) {
-          // The constructor already runs the static proof (it throws
-          // on any hazard); re-check explicitly so a clean run asserts
-          // an empty diagnostic list, not just the absence of a throw.
-          GmgSolver solver(matrix_options(sm, fuse), decomp, c.rank());
-          if (c.rank() == 0) {
-            const check::Schedule sched = record_solver_schedule(solver);
-            EXPECT_TRUE(check::ScheduleVerifier().check(sched).empty());
-            const check::Schedule fmg = record_fmg_schedule(solver);
-            EXPECT_TRUE(check::ScheduleVerifier().check(fmg).empty());
-          }
-          solver.set_rhs(sine_rhs);
-          solver.solve(c);
-        });
+    for (const bool forced : {false, true}) {
+      if (forced && decomp.num_ranks() == 1) continue;
+      for (const Smoother sm : kSmoothers) {
+        for (const bool fuse : {false, true}) {
+          SCOPED_TRACE(grid_tag(rg) + " " + smoother_tag(sm) +
+                       (fuse ? " fused" : " split") +
+                       (forced ? " forced-overlap" : ""));
+          GmgOptions o = matrix_options(sm, fuse);
+          if (forced) o.overlap_min_compute_bytes_ratio = 0;
+          expect_checked_run_clean(decomp, [&](comm::Communicator& c) {
+            // The constructor already runs the static proof (it throws
+            // on any hazard); re-check explicitly so a clean run asserts
+            // an empty diagnostic list, not just the absence of a throw.
+            GmgSolver solver(o, decomp, c.rank());
+            if (c.rank() == 0) {
+              const check::Schedule sched = record_solver_schedule(solver);
+              EXPECT_TRUE(check::ScheduleVerifier().check(sched).empty());
+              const check::Schedule fmg = record_fmg_schedule(solver);
+              EXPECT_TRUE(check::ScheduleVerifier().check(fmg).empty());
+              if (forced) {
+                EXPECT_GT(std::count_if(
+                              sched.steps.begin(), sched.steps.end(),
+                              [](const check::ScheduleStep& st) {
+                                return st.kind ==
+                                       check::StepKind::kExchangeBegin;
+                              }),
+                          0);
+              }
+            }
+            solver.set_rhs(sine_rhs);
+            solver.solve(c);
+          });
+        }
       }
     }
   }
@@ -359,6 +379,77 @@ TEST(ScheduleCoverage, CompositeSolveIssuesTheRecordedSchedule) {
       });
 }
 
+// ---- recorded accesses derived from the effect summaries ---------------
+
+bool has_step_access(const check::ScheduleStep& st, const char* field,
+                     int level, const Box& box, int reach, bool write,
+                     const char* role) {
+  return std::any_of(
+      st.accesses.begin(), st.accesses.end(), [&](const check::StepAccess& a) {
+        return a.field == field && a.level == level && a.box == box &&
+               a.reach == reach && a.write == write && a.role == role;
+      });
+}
+
+TEST(ScheduleDerived, StepIsNamedBySummaryAndReadsCarryTheReach) {
+  check::ScheduleRecorder rec("derived");
+  const Box box{{-1, -1, -1}, {9, 9, 9}};
+  const check::ScheduleStep& st =
+      rec.launch(gs_color_sweep_effects(), 2, box, {{"x", "x"}, {"b", "b"}});
+  EXPECT_EQ(st.kernel, "kernel.gsColorSweep");
+  EXPECT_EQ(st.level, 2);
+  ASSERT_EQ(st.accesses.size(), 3u);
+  EXPECT_TRUE(has_step_access(st, "x", 2, box, 0, true, "x"));
+  EXPECT_TRUE(has_step_access(st, "x", 2, box, 1, false, "x"));
+  EXPECT_TRUE(has_step_access(st, "b", 2, box, 0, false, "b"));
+}
+
+TEST(ScheduleDerived, BindingsCarryTheirOwnLevelAndBox) {
+  check::ScheduleRecorder rec("derived");
+  const Box fine = Box::from_extent({16, 16, 16});
+  const Box coarse = Box::from_extent({8, 8, 8});
+  const check::ScheduleStep& st =
+      rec.launch(interpolation_trilinear_assign_effects(), 0, fine,
+                 {{"fine", "x"}, {"coarse", "x", 1, coarse}});
+  ASSERT_EQ(st.accesses.size(), 2u);
+  EXPECT_TRUE(has_step_access(st, "x", 0, fine, 0, true, "fine"));
+  EXPECT_TRUE(has_step_access(st, "x", 1, coarse, 1, false, "coarse"));
+}
+
+TEST(ScheduleDerived, NullOptionalRoleIsSkipped) {
+  check::ScheduleRecorder rec("derived");
+  const Box box = Box::from_extent({8, 8, 8});
+  const check::ScheduleStep& st = rec.launch(
+      fused::jacobi_sweep_effects(), 0, box,
+      {{"out", "Ax"}, {"r", nullptr}, {"coarse", nullptr, 1, Box{}},
+       {"x", "x"}, {"b", "b"}});
+  ASSERT_EQ(st.accesses.size(), 3u);
+  EXPECT_TRUE(has_step_access(st, "Ax", 0, box, 0, true, "out"));
+  EXPECT_TRUE(has_step_access(st, "x", 0, box, 1, false, "x"));
+}
+
+TEST(ScheduleDerived, RepeatedRoleGivesOneAccessPerBinding) {
+  check::ScheduleRecorder rec("derived");
+  const Box a{{0, 0, 0}, {1, 8, 8}};
+  const Box b{{7, 0, 0}, {8, 8, 8}};
+  const check::ScheduleStep& st =
+      rec.launch(copy_interior_effects(), 0, Box{},
+                 {{"dst", "b", 0, a}, {"dst", "b", 0, b}, {"src", "r"}});
+  ASSERT_EQ(st.accesses.size(), 3u);
+  EXPECT_TRUE(has_step_access(st, "b", 0, a, 0, true, "dst"));
+  EXPECT_TRUE(has_step_access(st, "b", 0, b, 0, true, "dst"));
+}
+
+TEST(ScheduleDerived, UnknownAndUnboundRolesRejected) {
+  check::ScheduleRecorder rec("derived");
+  const Box box = Box::from_extent({8, 8, 8});
+  EXPECT_THROW(rec.launch(residual_effects(), 0, box,
+                          {{"r", "r"}, {"b", "b"}, {"Ax", "Ax"}, {"x", "x"}}),
+               Error);
+  EXPECT_THROW(rec.launch(residual_effects(), 0, box, {{"r", "r"}, {"b", "b"}}),
+               Error);
+}
+
 // ---- seeded hazards: each class rejected with a sourced diagnostic -----
 
 /// Lifts the GMG_FUSE_STAGES override for its lifetime. The seeded
@@ -543,11 +634,11 @@ TEST(ScheduleSeededBug, UnfinishedSplitExchangeRejected) {
   rec.add_level(L);
   rec.set_initial("b", 0, 4);
   rec.exchange_begin(0, {"x"}, 4);
-  auto& step = rec.kernel("kernel.smooth", 0,
-                          check::EffectSummary{"kernel.smooth"}
+  auto& step = rec.kernel(check::EffectSummary{"kernel.smooth"}
                               .writes("x")
                               .reads("x", 1)
-                              .reads("b", 0));
+                              .reads("b", 0),
+                          0);
   step.accesses.push_back(check::read_access(
       "x", 0, grow(L.interior, 3), 1, "x"));
   step.accesses.push_back(
