@@ -13,7 +13,10 @@
 #      out-of-bounds access ASan reports. The check, schedule and AMR
 #      suites ride along: they drive the scopes and recorded steps
 #      derived from the kernels' effect summaries, and test_check
-#      replaces the global operator new to count allocations.
+#      replaces the global operator new to count allocations. The
+#      solver, serve and front suites drive the one solve driver (the
+#      retirement loop, set_rhs and the serve execute path) at every
+#      group size, including the socket path.
 #   3. A TSan tree (./build-tsan, OpenMP off — see GMG_SANITIZE_THREAD)
 #      running the exec engine, kernel-runtime parallel_for, simmpi,
 #      split-phase exchange, overlapped smoothing (the solo and batched
@@ -131,9 +134,11 @@ else
     -DGMG_NATIVE_ARCH=OFF >/dev/null
   cmake --build build-asan -j"${JOBS}" \
     --target test_trace test_simmpi test_exchange test_operators \
-             test_fused test_batch test_check test_schedule test_amr
+             test_fused test_batch test_check test_schedule test_amr \
+             test_solver test_serve test_front
   for t in test_trace test_simmpi test_exchange test_operators test_fused \
-           test_batch test_check test_schedule test_amr; do
+           test_batch test_check test_schedule test_amr test_solver \
+           test_serve test_front; do
     echo "-- ${t} (sanitized)"
     "./build-asan/tests/${t}"
   done

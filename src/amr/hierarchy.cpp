@@ -116,28 +116,19 @@ void AmrHierarchy::set_rhs(
     const std::function<real_t(real_t, real_t, real_t)>& f) {
   GMG_REQUIRE(!detached_, "attach_field_storage() before set_rhs on a "
                           "parked hierarchy");
-  const MgLevel& L0 = solver_.level(0);
-  const real_t H = L0.h;
-  for_each(L0.interior(), [&](index_t i, index_t j, index_t k) {
-    const real_t px = (static_cast<real_t>(L0.rank_box.lo.x + i) + 0.5) * H;
-    const real_t py = (static_cast<real_t>(L0.rank_box.lo.y + j) + 0.5) * H;
-    const real_t pz = (static_cast<real_t>(L0.rank_box.lo.z + k) + 0.5) * H;
-    bH_(i, j, k) = f(px, py, pz);
-  });
+  solver_.level(0).for_each_cell_centre(
+      [&](index_t i, index_t j, index_t k, real_t px, real_t py, real_t pz) {
+        bH_(i, j, k) = f(px, py, pz);
+      });
   init_zero(xH_);
   init_zero(rH_);
   init_zero(AxH_);
   if (has_part()) {
-    const real_t h = patch_.h;
-    for_each(patch_.interior(), [&](index_t i, index_t j, index_t k) {
-      const real_t px =
-          (static_cast<real_t>(geom_.part_fine.lo.x + i) + 0.5) * h;
-      const real_t py =
-          (static_cast<real_t>(geom_.part_fine.lo.y + j) + 0.5) * h;
-      const real_t pz =
-          (static_cast<real_t>(geom_.part_fine.lo.z + k) + 0.5) * h;
-      patch_.b(i, j, k) = f(px, py, pz);
-    });
+    // The patch level's rank box is this rank's part of the refined
+    // patch, so its cell centres are the fine physical ones.
+    patch_.for_each_cell_centre(
+        [&](index_t i, index_t j, index_t k, real_t px, real_t py,
+            real_t pz) { patch_.b(i, j, k) = f(px, py, pz); });
     init_zero(patch_.x);
     init_zero(patch_.Ax);
     init_zero(patch_.r);

@@ -1,12 +1,15 @@
 // Multi-RHS batched geometric multigrid (DESIGN.md §15): one V-cycle
 // schedule driven over K independent systems that share a hierarchy's
-// geometry and operator. The schedule is the solo solver's own cycle
-// (gmg/cycle.hpp) run by the solo run executor (gmg/level_run.hpp) over
-// K components; fields live in AoSoA batched storage
-// (brick/batched_array.hpp), every launch is the solo kernel
-// instantiated for K lanes per cell (gmg/operators.hpp), and ONE
-// stretched-shape ghost exchange round per sweep moves all K components
-// of every aggregated field.
+// geometry and operator. Everything but the storage is the solo
+// solver's, at width K: the cycle (gmg/cycle.hpp) run by the solo run
+// executor (gmg/level_run.hpp), the set_rhs body, the solve loop with
+// its per-component retirement, and the recorded schedule
+// (record_solver_schedule at width K). This class keeps the K-lane
+// field set — AoSoA batched storage (brick/batched_array.hpp) that
+// stays attached, with ONE stretched-shape ghost exchange round per
+// sweep moving all K components of every aggregated field — and the
+// per-component solution snapshots. Every launch is the solo kernel
+// instantiated for K lanes per cell (gmg/operators.hpp).
 //
 // Correctness bar: a K-way batched solve is BITWISE identical to K
 // solo GmgSolver::solve runs with the same hierarchy and inputs —
@@ -14,13 +17,13 @@
 // gets the solo per-element arithmetic, and the '+'-reductions run the
 // solo chunk plan over each lane's gathered slice. Per-component
 // divergence (one system converging first, a deadline hitting one
-// request) is handled by *retiring* components — capturing
-// their solution snapshot the moment their solo twin's cycle loop
-// would have exited — while the shared schedule keeps running for the
-// rest. Retired components keep being smoothed (masking the main
-// kernels would change nothing for the live ones and cost extra
-// branches); only the masked bottom-CG updates freeze per component,
-// because the solo CG exits its own iteration loop mid-cycle.
+// request) is handled by *retiring* components — the solve loop
+// snapshots their solution the moment their solo twin's loop would
+// have exited — while the shared schedule keeps running for the rest.
+// Retired components keep being smoothed (masking the main kernels
+// would change nothing for the live ones and cost extra branches);
+// only the masked bottom-CG updates freeze per component, because the
+// solo CG exits its own iteration loop mid-cycle.
 #pragma once
 
 #include <functional>
@@ -29,7 +32,6 @@
 
 #include "brick/batched_array.hpp"
 #include "brick/brick_arena.hpp"
-#include "check/schedule.hpp"
 #include "comm/exchange.hpp"
 #include "comm/simmpi.hpp"
 #include "gmg/cycle_state.hpp"
@@ -37,16 +39,15 @@
 
 namespace gmg::batch {
 
-/// Per-component solve parameters — the batched counterpart of
-/// (GmgSolver::set_solve_params, SolveControl).
-struct BatchSolveSpec {
-  real_t tolerance = 1e-10;
-  int max_vcycles = 100;
-  /// Optional external cancel/deadline hook for this component; the
-  /// check is collective at cycle boundaries, exactly like the solo
-  /// solve loop's.
-  const SolveControl* control = nullptr;
-};
+/// Per-component solve parameters {tolerance, max_vcycles, control}:
+/// the solve loop's own spec.
+using BatchSolveSpec = SolveSpec;
+
+/// Whether solves with options `o` can ride a batched solve: the
+/// stencilgen kernels are emitted for solo layout only. The serve
+/// tier's coalescer asks this; the BatchedSolver constructor requires
+/// it.
+bool batchable(const GmgOptions& o);
 
 /// Drives K systems through one cycle schedule over a solo hierarchy.
 /// The base GmgSolver contributes everything per-level that is shared
@@ -59,8 +60,7 @@ class BatchedSolver {
   /// Build the K-component twin of `base`'s hierarchy. With `arena`,
   /// field storage is checked out of the pool (and returned on
   /// destruction) instead of allocated. Requires k >= 1 and
-  /// !base.options().use_generated_kernels (the generated kernels are
-  /// emitted for solo layout only).
+  /// batchable(base.options()).
   BatchedSolver(GmgSolver& base, int k, BrickArena* arena = nullptr);
   ~BatchedSolver();
 
@@ -71,16 +71,16 @@ class BatchedSolver {
   int num_levels() const { return static_cast<int>(levels_.size()); }
 
   /// Initialize component c's RHS on the finest level for every
-  /// component (fs.size() == batch()) and reset the whole field set,
-  /// mirroring GmgSolver::set_rhs state exactly per component.
+  /// component (fs.size() == batch()) and reset the whole field set:
+  /// GmgSolver::set_rhs's body (set_rhs_fields) at width K.
   void set_rhs(
       const std::vector<std::function<real_t(real_t, real_t, real_t)>>& fs);
 
-  /// Run the shared cycle schedule until every component has retired
-  /// (converged, exhausted its cycle budget, or been cancelled).
-  /// results[c] is bitwise what GmgSolver::solve would have returned
-  /// for component c alone, except `seconds`, which reports time from
-  /// batch start to that component's retirement.
+  /// Run the solve loop (solve_loop, gmg/cycle.hpp) until every
+  /// component has retired (converged, exhausted its cycle budget, or
+  /// been cancelled). results[c] is bitwise what GmgSolver::solve would
+  /// have returned for component c alone, except `seconds`, which
+  /// reports time from batch start to that component's retirement.
   std::vector<SolveResult> solve(comm::Communicator& comm,
                                  const std::vector<BatchSolveSpec>& specs);
 
@@ -110,11 +110,6 @@ class BatchedSolver {
   /// Capture component c's fine-level solution into solutions_[c].
   void snapshot_solution(int c);
 
-  bool needs_p() const {
-    return base_.options().smoother == Smoother::kChebyshev ||
-           base_.options().bottom == BottomSolverType::kConjugateGradient;
-  }
-
   GmgSolver& base_;
   int k_;
   BrickArena* arena_;
@@ -124,18 +119,5 @@ class BatchedSolver {
   CycleState cycle_;
   OverlapStream overlap_{"batch.compute"};
 };
-
-/// Record the planned batched schedule through the batched run's own
-/// cycle (gmg/cycle.hpp, Record executor): an initial convergence
-/// check, one full cycle with every component active, the
-/// representative retirement of component 0, and a second cycle over
-/// the survivors — proving that shrinking the active set can never
-/// reorder or resurrect a collective.
-check::Schedule record_batched_schedule(const BatchedSolver& bs);
-
-/// Record and statically verify; throws gmg::Error naming the
-/// offending step pair. Called from the BatchedSolver constructor when
-/// check::verify_schedule_enabled().
-void verify_batched_schedule(const BatchedSolver& bs);
 
 }  // namespace gmg::batch

@@ -117,4 +117,15 @@ inline constexpr bool kOneLane = std::is_same_v<KT, OneLane>;
 inline BrickedArray& storage(BrickedArray& a) { return a; }
 inline BrickedArray& storage(BatchedBrickedArray& a) { return a.inner(); }
 
+/// Component c of base cell (i, j, k) (element access; kernels iterate
+/// bricks directly).
+inline real_t& component(BrickedArray& a, index_t i, index_t j, index_t k,
+                         int) {
+  return a(i, j, k);
+}
+inline real_t& component(BatchedBrickedArray& a, index_t i, index_t j,
+                         index_t k, int c) {
+  return a.at(i, j, k, c);
+}
+
 }  // namespace gmg

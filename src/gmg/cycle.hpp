@@ -51,9 +51,13 @@
 #include <utility>
 #include <vector>
 
+#include "brick/batched_array.hpp"
+#include "common/timer.hpp"
 #include "gmg/cycle_state.hpp"
+#include "gmg/operators.hpp"
 #include "gmg/solver.hpp"
 #include "perf/profiler.hpp"
+#include "trace/trace.hpp"
 
 namespace gmg {
 
@@ -169,6 +173,18 @@ class Cycle {
   /// writes.
   Box stored_cells(int l) const {
     return lev(l).grid->grow_unwrapped(lev(l).interior(), lev(l).shape.bx);
+  }
+
+  /// Whether `control` stops component c, decided collectively: every
+  /// rank reduces its local view (cancel flag set or deadline passed)
+  /// through one max-allreduce, so all ranks leave together and none
+  /// blocks in a cycle collective its peers never enter.
+  bool stop_requested(const SolveControl& control, int c) {
+    const bool local = control.cancel.load(std::memory_order_relaxed) ||
+                       (control.deadline_ns != 0 &&
+                        trace::now_ns() >= control.deadline_ns);
+    return ex_.allreduce_max(local ? 1.0 : 0.0, "allreduce.control", 0, c,
+                             ex_.next_group(), false) > 0.0;
   }
 
   /// Global L2 norm of the finest residual (one component; collective).
@@ -561,5 +577,121 @@ class Cycle {
   Exec& ex_;
   CycleState& st_;
 };
+
+// ---- the solve driver, written once for every batch width ------------
+//
+// GmgSolver (its MgLevels, K = 1 at compile time) and BatchedSolver
+// (K-lane levels riding a solo hierarchy) share these: the per-solve
+// field set, the set_rhs body and the convergence-and-retirement loop.
+
+/// Whether a solve with options `o` needs the p field (the Chebyshev
+/// recurrence or the bottom CG).
+inline bool needs_p(const GmgOptions& o) {
+  return o.smoother == Smoother::kChebyshev ||
+         o.bottom == BottomSolverType::kConjugateGradient;
+}
+
+/// Call fn(field) on each per-solve field of level L a solve with
+/// options `o` uses: x, b, Ax, r, and p when needs_p(o).
+template <class Level, class Fn>
+void for_each_solve_field(const GmgOptions& o, Level& L, Fn&& fn) {
+  for (const Fld f : {Fld::kX, Fld::kB, Fld::kAx, Fld::kR, Fld::kP}) {
+    if (f != Fld::kP || needs_p(o)) fn(field(L, f));
+  }
+}
+
+/// Set up a solve of `levels` (the solve fields of `s`'s hierarchy)
+/// for the RHS fs[c] of each component c: each fs[c] is evaluated at
+/// the fine level's cell centres, x is zeroed on every level and b
+/// below the fine one, and the ghost state is reset to match. p is
+/// zeroed too: the first Chebyshev sweep reads it before writing
+/// (cheby_p_update computes p = r/D + beta*p even when beta == 0), so a
+/// value left by the previous solve, or an Inf that 0*p turns into NaN,
+/// would leak in. Ax and r are always written before their first read.
+template <class Level>
+void set_rhs_fields(
+    const GmgSolver& s, std::vector<Level>& levels, CycleState& st,
+    const std::function<real_t(real_t, real_t, real_t)>* fs) {
+  Level& fine = levels.front();
+  const int width = static_cast<int>(lanes(fine.b));
+  s.level(0).for_each_cell_centre(
+      [&](index_t i, index_t j, index_t k, real_t px, real_t py, real_t pz) {
+        for (int c = 0; c < width; ++c)
+          component(fine.b, i, j, k, c) = fs[c](px, py, pz);
+      });
+  init_zero(storage(fine.x));
+  for (std::size_t l = 1; l < levels.size(); ++l) {
+    init_zero(storage(levels[l].x));
+    init_zero(storage(levels[l].b));
+  }
+  st.after_set_rhs(s.level(0).shape.bx);
+  if (needs_p(s.options())) {
+    for (Level& L : levels) init_zero(storage(L.p));
+  }
+}
+
+/// Algorithm 1 for specs.size() components riding one cycle schedule:
+/// cycle until each component's global residual max-norm is at most its
+/// tolerance or it has spent its cycle cap, or its SolveControl stops
+/// it. A component that stops *retires*: its result is final and
+/// retire(c) runs (the batched solver snapshots its solution there),
+/// while the schedule keeps running for the rest. Each component exits
+/// where a lone solve's loop would — the loop-condition check, then the
+/// collective control check, then the cycle and its norms — so a K-way
+/// solve is K lone solves, result for result, and the one-component
+/// call is GmgSolver::solve. `span` names each cycle's trace span.
+/// result.seconds runs to the component's retirement.
+template <class Exec, class Retire>
+std::vector<SolveResult> solve_loop(Cycle<Exec>& cycle,
+                                    const std::vector<SolveSpec>& specs,
+                                    const char* span, Retire&& retire) {
+  Timer timer;
+  const std::size_t k = specs.size();
+  std::vector<SolveResult> results(k);
+  std::vector<std::uint8_t> active(k, 1);
+  std::vector<real_t> res(k, 0.0);
+  std::size_t live = k;
+  const auto stop = [&](std::size_t c) {
+    SolveResult& r = results[c];
+    r.final_residual = res[c];
+    r.converged = !r.cancelled && res[c] <= specs[c].tolerance;
+    r.seconds = timer.elapsed();
+    active[c] = 0;
+    --live;
+    retire(static_cast<int>(c));
+  };
+  const auto retire_finished = [&] {
+    for (std::size_t c = 0; c < k; ++c) {
+      if (active[c] && !(res[c] > specs[c].tolerance &&
+                         results[c].vcycles < specs[c].max_vcycles))
+        stop(c);
+    }
+  };
+  cycle.residual_norms(active.data(), res.data());
+  for (std::size_t c = 0; c < k; ++c) results[c].history.push_back(res[c]);
+  retire_finished();
+  while (live > 0) {
+    for (std::size_t c = 0; c < k; ++c) {
+      if (!active[c] || specs[c].control == nullptr) continue;
+      if (cycle.stop_requested(*specs[c].control, static_cast<int>(c))) {
+        results[c].cancelled = true;
+        stop(c);
+      }
+    }
+    if (live == 0) break;
+    {
+      trace::TraceSpan cycle_span(span);
+      cycle.vcycle();
+    }
+    cycle.residual_norms(active.data(), res.data());
+    for (std::size_t c = 0; c < k; ++c) {
+      if (!active[c]) continue;
+      results[c].history.push_back(res[c]);
+      ++results[c].vcycles;
+    }
+    retire_finished();
+  }
+  return results;
+}
 
 }  // namespace gmg

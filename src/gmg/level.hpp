@@ -57,6 +57,17 @@ struct MgLevel {
   Box part_cells;
 
   Box interior() const { return Box::from_extent(cells); }
+
+  /// Visit every interior cell in for_each order with its physical
+  /// cell-centre coordinates in [0,1)^3: fn(i, j, k, px, py, pz).
+  template <class Fn>
+  void for_each_cell_centre(Fn&& fn) const {
+    for_each(interior(), [&](index_t i, index_t j, index_t k) {
+      fn(i, j, k, (static_cast<real_t>(rank_box.lo.x + i) + 0.5) * h,
+         (static_cast<real_t>(rank_box.lo.y + j) + 0.5) * h,
+         (static_cast<real_t>(rank_box.lo.z + k) + 0.5) * h);
+    });
+  }
 };
 
 }  // namespace gmg

@@ -211,19 +211,32 @@ real_t Record::max_norm(int) {
   return 0;
 }
 
-check::Schedule record_solver_schedule(const GmgSolver& s, int cycles) {
-  check::ScheduleRecorder rec("gmg.solve");
-  Record ex(rec, s);
+check::Schedule record_solver_schedule(const GmgSolver& s, int cycles,
+                                       int k) {
+  check::ScheduleRecorder rec(k == 1 ? "gmg.solve" : "batch.solve");
+  Record ex(rec, s, k);
   ex.add_levels();
-  CycleState st(s.num_levels(), 1);
+  CycleState st(s.num_levels(), k);
   st.after_set_rhs(s.level(0).shape.bx);
   Cycle<Record> cycle(s, ex, st);
-  const std::uint8_t active = 1;
-  real_t res = 0;
-  cycle.residual_norms(&active, &res);
+  // The solve loop's sequence (gmg/cycle.hpp): initial norms, then each
+  // cycle and its norms. At K > 1 component 0 retires after the first
+  // cycle; the masked norm groups after it cover only the survivors, in
+  // ascending order, while the bottom CG keeps the full width —
+  // shrinking the active set can never reorder or resurrect a
+  // collective. Written out rather than run through solve_loop, whose
+  // small per-call allocations interleaved with the recorder's raised
+  // the peak RSS of repeated solver setup (DESIGN.md §18).
+  std::vector<std::uint8_t> active(static_cast<std::size_t>(k), 1);
+  std::vector<real_t> res(static_cast<std::size_t>(k), 0.0);
+  cycle.residual_norms(active.data(), res.data());
   for (int c = 0; c < cycles; ++c) {
     cycle.vcycle();
-    cycle.residual_norms(&active, &res);
+    cycle.residual_norms(active.data(), res.data());
+    if (c == 0 && k > 1) {
+      rec.retire(0);
+      active[0] = 0;
+    }
   }
   return rec.take();
 }

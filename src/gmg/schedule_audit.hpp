@@ -107,10 +107,13 @@ class Record {
   int k_;
 };
 
-/// Record the planned schedule of `cycles` V-cycles (with the
-/// interleaved convergence checks solve() issues) from the canonical
-/// post-set_rhs state.
-check::Schedule record_solver_schedule(const GmgSolver& s, int cycles = 2);
+/// Record the planned schedule of a solve of width `k` from the
+/// canonical post-set_rhs state: `cycles` V-cycles with the interleaved
+/// convergence checks the solve loop issues — GmgSolver::solve at
+/// k = 1, a BatchedSolver of that width otherwise, where component 0
+/// retires after the first cycle.
+check::Schedule record_solver_schedule(const GmgSolver& s, int cycles = 2,
+                                       int k = 1);
 
 /// Record the planned FMG schedule.
 check::Schedule record_fmg_schedule(const GmgSolver& s);

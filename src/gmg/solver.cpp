@@ -8,7 +8,6 @@
 
 #include "check/footprint.hpp"
 #include "check/schedule.hpp"
-#include "common/timer.hpp"
 #include "dsl/stencils.hpp"
 #include "gmg/cycle.hpp"
 #include "gmg/fused_kernels.hpp"
@@ -176,11 +175,9 @@ GmgSolver::GmgSolver(const GmgOptions& opts, const CartDecomp& decomp,
             {lev.part.interior_box.hi.x * shape.bx,
              lev.part.interior_box.hi.y * shape.by,
              lev.part.interior_box.hi.z * shape.bz}};
-    lev.x = BrickedArray(lev.grid, shape);
-    lev.b = BrickedArray(lev.grid, shape);
-    lev.Ax = BrickedArray(lev.grid, shape);
-    lev.r = BrickedArray(lev.grid, shape);
-    if (needs_p()) lev.p = BrickedArray(lev.grid, shape);
+    for_each_solve_field(opts_, lev, [&](BrickedArray& a) {
+      a = BrickedArray(lev.grid, shape);
+    });
     lev.exchange = std::make_unique<comm::BrickExchange>(
         lev.grid, shape, decomp, rank, opts_.exchange_mode);
     levels_.push_back(std::move(lev));
@@ -203,39 +200,15 @@ void GmgSolver::set_rhs(
     const std::function<real_t(real_t, real_t, real_t)>& f) {
   GMG_REQUIRE(!storage_detached_,
               "attach_field_storage() before set_rhs on a parked hierarchy");
-  MgLevel& fine = levels_.front();
-  const real_t h = fine.h;
-  for_each(fine.interior(), [&](index_t i, index_t j, index_t k) {
-    const real_t px = (static_cast<real_t>(fine.rank_box.lo.x + i) + 0.5) * h;
-    const real_t py = (static_cast<real_t>(fine.rank_box.lo.y + j) + 0.5) * h;
-    const real_t pz = (static_cast<real_t>(fine.rank_box.lo.z + k) + 0.5) * h;
-    fine.b(i, j, k) = f(px, py, pz);
-  });
-  init_zero(fine.x);
-  for (std::size_t l = 1; l < levels_.size(); ++l) {
-    init_zero(levels_[l].x);
-    init_zero(levels_[l].b);
-  }
-  cycle_.after_set_rhs(fine.shape.bx);
-  // Back-to-back-solve state audit: p is the one field the first sweep
-  // reads before writing (cheby_p_update computes p = r/D + beta*p even
-  // when beta == 0), so a value left by the previous solve — or an Inf
-  // that 0*p turns into NaN — would leak in. Zero it so a reused
-  // hierarchy starts from exactly the constructor's state; Ax and r
-  // are always fully written before their first read.
-  for (MgLevel& lev : levels_) {
-    if (lev.p.size() != 0) init_zero(lev.p);
-  }
+  set_rhs_fields(*this, levels_, cycle_, &f);
 }
 
 void GmgSolver::detach_field_storage(BrickArena& arena) {
   if (storage_detached_) return;
   for (MgLevel& lev : levels_) {
-    arena.release(std::move(lev.x));
-    arena.release(std::move(lev.b));
-    arena.release(std::move(lev.Ax));
-    arena.release(std::move(lev.r));
-    if (lev.p.size() != 0) arena.release(std::move(lev.p));
+    for_each_solve_field(opts_, lev, [&](BrickedArray& a) {
+      arena.release(std::move(a));
+    });
     // coef/diag describe the operator, not one solve — they stay, like
     // the grids, exchange engines and iteration plans.
   }
@@ -245,11 +218,9 @@ void GmgSolver::detach_field_storage(BrickArena& arena) {
 void GmgSolver::attach_field_storage(BrickArena& arena) {
   if (!storage_detached_) return;
   for (MgLevel& lev : levels_) {
-    lev.x = arena.acquire(lev.grid, lev.shape);
-    lev.b = arena.acquire(lev.grid, lev.shape);
-    lev.Ax = arena.acquire(lev.grid, lev.shape);
-    lev.r = arena.acquire(lev.grid, lev.shape);
-    if (needs_p()) lev.p = arena.acquire(lev.grid, lev.shape);
+    for_each_solve_field(opts_, lev, [&](BrickedArray& a) {
+      a = arena.acquire(lev.grid, lev.shape);
+    });
   }
   // Everything is zero again; mirror the constructor's conservative
   // ghost state so the CA exchange schedule matches a fresh solver's.
@@ -264,15 +235,12 @@ void GmgSolver::set_coefficient(
               "variable coefficients support the 7-point operator only");
   MgLevel& fine = levels_.front();
   fine.coef = BrickedArray(fine.grid, fine.shape);
-  const real_t h = fine.h;
-  for_each(fine.interior(), [&](index_t i, index_t j, index_t k) {
-    const real_t px = (static_cast<real_t>(fine.rank_box.lo.x + i) + 0.5) * h;
-    const real_t py = (static_cast<real_t>(fine.rank_box.lo.y + j) + 0.5) * h;
-    const real_t pz = (static_cast<real_t>(fine.rank_box.lo.z + k) + 0.5) * h;
-    const real_t v = f(px, py, pz);
-    GMG_REQUIRE(v > 0, "coefficient must be positive");
-    fine.coef(i, j, k) = v;
-  });
+  fine.for_each_cell_centre(
+      [&](index_t i, index_t j, index_t k, real_t px, real_t py, real_t pz) {
+        const real_t v = f(px, py, pz);
+        GMG_REQUIRE(v > 0, "coefficient must be positive");
+        fine.coef(i, j, k) = v;
+      });
   for (std::size_t l = 1; l < levels_.size(); ++l) {
     levels_[l].coef = BrickedArray(levels_[l].grid, levels_[l].shape);
     restriction(levels_[l].coef, levels_[l - 1].coef);
@@ -328,34 +296,12 @@ SolveResult GmgSolver::solve(comm::Communicator& comm,
                              const SolveControl* control) {
   GMG_REQUIRE(!storage_detached_,
               "attach_field_storage() before solving a parked hierarchy");
-  Timer timer;
-  SolveResult result;
-  real_t res = residual_norm(comm);
-  result.history.push_back(res);
-  while (res > opts_.tolerance && result.vcycles < opts_.max_vcycles) {
-    if (control != nullptr) {
-      // The abort decision must be unanimous: a rank that left the
-      // loop while a peer entered vcycle() would deadlock the peer's
-      // collectives. Reduce the local view once per cycle — all ranks
-      // see the same max and exit together.
-      const bool local =
-          control->cancel.load(std::memory_order_relaxed) ||
-          (control->deadline_ns != 0 &&
-           trace::now_ns() >= control->deadline_ns);
-      if (comm.allreduce_max(local ? 1.0 : 0.0) > 0.0) {
-        result.cancelled = true;
-        break;
-      }
-    }
-    vcycle(comm);
-    res = residual_norm(comm);
-    result.history.push_back(res);
-    ++result.vcycles;
-  }
-  result.final_residual = res;
-  result.converged = !result.cancelled && res <= opts_.tolerance;
-  result.seconds = timer.elapsed();
-  return result;
+  Run ex(*this, levels_, &profiler_, overlap_, comm);
+  Cycle<Run> cycle(*this, ex, cycle_);
+  std::vector<SolveResult> results =
+      solve_loop(cycle, {{opts_.tolerance, opts_.max_vcycles, control}},
+                 "gmg.vcycle", [](int) {});
+  return std::move(results.front());
 }
 
 }  // namespace gmg

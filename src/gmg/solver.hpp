@@ -167,6 +167,17 @@ struct SolveControl {
   std::uint64_t deadline_ns = 0;
 };
 
+/// One component's solve parameters, as the solve loop
+/// (gmg/cycle.hpp) reads them: a lone solve has one, a K-way batched
+/// solve one per component.
+struct SolveSpec {
+  real_t tolerance = 1e-10;
+  int max_vcycles = 100;
+  /// Optional cancel/deadline hook, checked collectively at cycle
+  /// boundaries.
+  const SolveControl* control = nullptr;
+};
+
 class GmgSolver {
  public:
   /// Build the hierarchy for this rank of `decomp`. The physical
@@ -209,10 +220,11 @@ class GmgSolver {
                        const std::function<real_t(real_t, real_t, real_t)>& f);
 
   /// Algorithm 1: cycle until the global residual max-norm drops
-  /// below tolerance. With `control`, the loop additionally stops —
-  /// collectively, at a cycle boundary — once the cancel flag is set
-  /// or the deadline has passed on any rank (result.cancelled). The
-  /// solver is re-entrant across calls: set_rhs() + solve() on a
+  /// below tolerance — the one-component call of the solve loop
+  /// (solve_loop, gmg/cycle.hpp). With `control`, the loop additionally
+  /// stops — collectively, at a cycle boundary — once the cancel flag
+  /// is set or the deadline has passed on any rank (result.cancelled).
+  /// The solver is re-entrant across calls: set_rhs() + solve() on a
   /// once-built hierarchy is bitwise identical to a fresh solver.
   SolveResult solve(comm::Communicator& comm,
                     const SolveControl* control = nullptr);
@@ -267,12 +279,6 @@ class GmgSolver {
   /// predicate). Called from the constructor and again from
   /// set_coefficient.
   void resolve_kernel_plans();
-
-  /// Whether the configured smoother/bottom solver needs the p field.
-  bool needs_p() const {
-    return opts_.smoother == Smoother::kChebyshev ||
-           opts_.bottom == BottomSolverType::kConjugateGradient;
-  }
 
   GmgOptions opts_;
   CartDecomp decomp_;

@@ -202,11 +202,7 @@ void SolveService::executor_loop() {
     }
     trace::counter_add("serve.dequeued", group.size());
     space_cv_.notify_all();
-    if (group.size() == 1) {
-      execute(group.front());
-    } else {
-      execute_batch(std::move(group));
-    }
+    execute(std::move(group));
   }
 }
 
@@ -220,8 +216,7 @@ void SolveService::gather_batch(
   if (it == operators_.end()) return;
   const std::size_t max_batch =
       static_cast<std::size_t>(std::max(1, it->second.options.max_batch));
-  // The batched solver runs the interpreted kernels only.
-  if (max_batch <= 1 || it->second.options.use_generated_kernels) return;
+  if (max_batch <= 1 || !batch::batchable(it->second.options)) return;
 
   // Compatible = same hierarchy_key. Requests share the operator-id's
   // registered options, so the key reduces to (operator_id, domain);
@@ -268,120 +263,15 @@ void SolveService::gather_batch(
   }
 }
 
-void SolveService::execute(const std::shared_ptr<detail::RequestState>& rs) {
-  trace::TraceSpan request_span("serve.request", trace::Category::kOther);
-  const std::uint64_t start_ns = trace::now_ns();
-  rs->result.queue_seconds =
-      static_cast<double>(start_ns - rs->submit_ns) * 1e-9;
-
-  if (rs->control.cancel.load(std::memory_order_relaxed)) {
-    complete(rs, RequestStatus::kCancelled);
-    return;
-  }
-  if (rs->deadline_ns != 0 && start_ns >= rs->deadline_ns) {
-    complete(rs, RequestStatus::kExpired);
-    return;
-  }
-
-  OperatorSpec spec;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = operators_.find(rs->req.operator_id);
-    if (it != operators_.end()) {
-      spec = it->second;
-    } else {
-      rs->result.error = "unknown operator id: " + rs->req.operator_id;
-    }
-  }
-  if (!rs->result.error.empty()) {
-    complete(rs, RequestStatus::kFailed);
-    return;
-  }
-
-  const std::string key =
-      hierarchy_key(rs->req.domain, rs->req.operator_id, spec.options);
-  const int nranks = rs->req.domain.ranks();
-
-  std::unique_ptr<CachedHierarchy> entry;
-  try {
-    entry = cache_.acquire(key);
-    rs->result.cache_hit = entry != nullptr;
-    if (!entry) {
-      trace::counter_add("serve.cache_misses", 1);
-      trace::TraceSpan setup_span("serve.setup");
-      const CartDecomp decomp(rs->req.domain.global_extent,
-                              rs->req.domain.rank_grid);
-      entry = std::make_unique<CachedHierarchy>(key, decomp, spec.options);
-      entry->solvers.reserve(static_cast<std::size_t>(nranks));
-      for (int r = 0; r < nranks; ++r) {
-        entry->solvers.push_back(
-            std::make_unique<GmgSolver>(spec.options, decomp, r));
-      }
-      rs->result.setup_seconds = setup_span.elapsed();
-    } else {
-      trace::counter_add("serve.cache_hits", 1);
-    }
-
-    const bool needs_coefficient =
-        spec.coefficient != nullptr && !entry->coefficient_set;
-    std::vector<SolveResult> per_rank(static_cast<std::size_t>(nranks));
-    {
-      trace::TraceSpan solve_span("serve.solve");
-      comm::World world(nranks);
-      world.run([&](comm::Communicator& c) {
-        GmgSolver& s = *entry->solvers[static_cast<std::size_t>(c.rank())];
-        s.set_solve_params(rs->req.tolerance, rs->req.max_vcycles);
-        if (needs_coefficient) s.set_coefficient(c, spec.coefficient);
-        s.set_rhs(rs->req.rhs);
-        per_rank[static_cast<std::size_t>(c.rank())] =
-            s.solve(c, &rs->control);
-      });
-      rs->result.solve_seconds = solve_span.elapsed();
-    }
-    if (needs_coefficient) entry->coefficient_set = true;
-
-    rs->result.solve = per_rank.front();
-    if (rs->req.return_solution && !rs->result.solve.cancelled) {
-      const Vec3 g = rs->req.domain.global_extent;
-      rs->result.solution.reserve(
-          static_cast<std::size_t>(g.x) * static_cast<std::size_t>(g.y) *
-          static_cast<std::size_t>(g.z));
-      for (int r = 0; r < nranks; ++r) {
-        const BrickedArray& x = entry->solvers[static_cast<std::size_t>(r)]
-                                    ->solution();
-        for_each(Box::from_extent(x.extent()),
-                 [&](index_t i, index_t j, index_t k) {
-                   rs->result.solution.push_back(x(i, j, k));
-                 });
-      }
-    }
-    cache_.release(std::move(entry));
-  } catch (const std::exception& e) {
-    rs->result.error = e.what();
-    // The hierarchy may be mid-mutation — drop it rather than cache a
-    // possibly inconsistent entry (its detached pages, if any, are
-    // already pooled).
-    entry.reset();
-    complete(rs, RequestStatus::kFailed);
-    return;
-  }
-
-  if (rs->result.solve.cancelled) {
-    complete(rs, rs->control.cancel.load(std::memory_order_relaxed)
-                     ? RequestStatus::kCancelled
-                     : RequestStatus::kExpired);
-  } else {
-    complete(rs, RequestStatus::kDone);
-  }
-}
-
-void SolveService::execute_batch(
+void SolveService::execute(
     std::vector<std::shared_ptr<detail::RequestState>> group) {
-  trace::TraceSpan request_span("serve.batch", trace::Category::kOther);
+  trace::TraceSpan request_span(
+      group.size() == 1 ? "serve.request" : "serve.batch",
+      trace::Category::kOther);
   const std::uint64_t start_ns = trace::now_ns();
 
-  // Per-member admission checks; members that died in the queue drop
-  // out of the batch individually.
+  // Members cancelled or expired while queued drop out one by one; the
+  // rest run as one solve of width K.
   std::vector<std::shared_ptr<detail::RequestState>> live;
   live.reserve(group.size());
   for (auto& rs : group) {
@@ -396,37 +286,40 @@ void SolveService::execute_batch(
     }
   }
   if (live.empty()) return;
-  if (live.size() == 1) {
-    execute(live.front());
-    return;
-  }
-
-  const auto& lead = live.front();
   const auto fail_all = [&](const std::string& error) {
-    for (auto& rs : live) {
+    for (const auto& rs : live) {
       rs->result.error = error;
       complete(rs, RequestStatus::kFailed);
     }
   };
+
+  const SolveRequest& lead = live.front()->req;
   OperatorSpec spec;
   bool found = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = operators_.find(lead->req.operator_id);
+    const auto it = operators_.find(lead.operator_id);
     if (it != operators_.end()) {
       spec = it->second;
       found = true;
     }
   }
   if (!found) {
-    fail_all("unknown operator id: " + lead->req.operator_id);
+    fail_all("unknown operator id: " + lead.operator_id);
     return;
   }
 
   const std::string key =
-      hierarchy_key(lead->req.domain, lead->req.operator_id, spec.options);
-  const int nranks = lead->req.domain.ranks();
+      hierarchy_key(lead.domain, lead.operator_id, spec.options);
+  const int nranks = lead.domain.ranks();
   const int k = static_cast<int>(live.size());
+  std::vector<std::function<real_t(real_t, real_t, real_t)>> rhs;
+  std::vector<SolveSpec> specs;
+  for (const auto& rs : live) {
+    rhs.push_back(rs->req.rhs);
+    specs.push_back(
+        SolveSpec{rs->req.tolerance, rs->req.max_vcycles, &rs->control});
+  }
 
   std::unique_ptr<CachedHierarchy> entry;
   try {
@@ -436,8 +329,8 @@ void SolveService::execute_batch(
     if (!entry) {
       trace::counter_add("serve.cache_misses", 1);
       trace::TraceSpan setup_span("serve.setup");
-      const CartDecomp decomp(lead->req.domain.global_extent,
-                              lead->req.domain.rank_grid);
+      const CartDecomp decomp(lead.domain.global_extent,
+                              lead.domain.rank_grid);
       entry = std::make_unique<CachedHierarchy>(key, decomp, spec.options);
       entry->solvers.reserve(static_cast<std::size_t>(nranks));
       for (int r = 0; r < nranks; ++r) {
@@ -451,24 +344,13 @@ void SolveService::execute_batch(
 
     const bool needs_coefficient =
         spec.coefficient != nullptr && !entry->coefficient_set;
-
-    std::vector<std::function<real_t(real_t, real_t, real_t)>> rhs;
-    std::vector<batch::BatchSolveSpec> specs;
-    rhs.reserve(live.size());
-    specs.reserve(live.size());
-    for (const auto& rs : live) {
-      rhs.push_back(rs->req.rhs);
-      specs.push_back(batch::BatchSolveSpec{rs->req.tolerance,
-                                            rs->req.max_vcycles,
-                                            &rs->control});
+    // K >= 2 rides the hierarchy's cached K-way batched twins.
+    std::vector<std::unique_ptr<batch::BatchedSolver>>* batched = nullptr;
+    if (k > 1) {
+      batched = &entry->batched[k];
+      batched->resize(static_cast<std::size_t>(nranks));
     }
-
-    std::vector<std::vector<SolveResult>> per_rank(
-        static_cast<std::size_t>(nranks));
-    std::vector<std::vector<std::vector<real_t>>> per_rank_solution(
-        static_cast<std::size_t>(nranks));
-    auto& batched = entry->batched[k];
-    if (batched.empty()) batched.resize(static_cast<std::size_t>(nranks));
+    std::vector<SolveResult> results;  // rank 0's, one per member
     double solve_seconds = 0;
     {
       trace::TraceSpan solve_span("serve.solve");
@@ -477,61 +359,78 @@ void SolveService::execute_batch(
         const std::size_t r = static_cast<std::size_t>(c.rank());
         GmgSolver& s = *entry->solvers[r];
         if (needs_coefficient) s.set_coefficient(c, spec.coefficient);
-        if (!batched[r]) {
-          batched[r] = std::make_unique<batch::BatchedSolver>(s, k, &arena_);
+        std::vector<SolveResult> mine;
+        if (k == 1) {
+          s.set_solve_params(specs[0].tolerance, specs[0].max_vcycles);
+          s.set_rhs(rhs[0]);
+          mine.push_back(s.solve(c, specs[0].control));
+        } else {
+          auto& bs = (*batched)[r];
+          if (!bs) bs = std::make_unique<batch::BatchedSolver>(s, k, &arena_);
+          bs->set_rhs(rhs);
+          mine = bs->solve(c, specs);
         }
-        batch::BatchedSolver& bs = *batched[r];
-        bs.set_rhs(rhs);
-        per_rank[r] = bs.solve(c, specs);
-        per_rank_solution[r].reserve(static_cast<std::size_t>(k));
-        for (int c2 = 0; c2 < k; ++c2) {
-          per_rank_solution[r].push_back(bs.solution(c2));
-        }
+        if (r == 0) results = std::move(mine);
       });
       solve_seconds = solve_span.elapsed();
     }
     if (needs_coefficient) entry->coefficient_set = true;
-    cache_.release(std::move(entry));
 
+    // Scatter before release() parks the entry: each rank's interior in
+    // rank order, read straight from the solver at K = 1 and from the
+    // component's retirement snapshot otherwise.
+    for (int c = 0; c < k; ++c) {
+      detail::RequestState& rs = *live[static_cast<std::size_t>(c)];
+      RequestResult& out = rs.result;
+      out.cache_hit = cache_hit;
+      out.setup_seconds = setup_seconds;
+      out.solve_seconds = solve_seconds;
+      out.solve = std::move(results[static_cast<std::size_t>(c)]);
+      if (!rs.req.return_solution || out.solve.cancelled) continue;
+      const Vec3 g = rs.req.domain.global_extent;
+      out.solution.reserve(static_cast<std::size_t>(g.x) *
+                           static_cast<std::size_t>(g.y) *
+                           static_cast<std::size_t>(g.z));
+      for (std::size_t r = 0; r < static_cast<std::size_t>(nranks); ++r) {
+        if (k == 1) {
+          const BrickedArray& x = entry->solvers[r]->solution();
+          for_each(Box::from_extent(x.extent()),
+                   [&](index_t i, index_t j, index_t kk) {
+                     out.solution.push_back(x(i, j, kk));
+                   });
+        } else {
+          const std::vector<real_t>& sol = (*batched)[r]->solution(c);
+          out.solution.insert(out.solution.end(), sol.begin(), sol.end());
+        }
+      }
+    }
+    cache_.release(std::move(entry));
+  } catch (const std::exception& e) {
+    // The hierarchy may be mid-mutation — drop it rather than cache a
+    // possibly inconsistent entry (its detached pages, if any, are
+    // already pooled).
+    entry.reset();
+    fail_all(e.what());
+    return;
+  }
+
+  if (k > 1) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       batch_solves_ += 1;
       batch_requests_ += static_cast<std::uint64_t>(k);
     }
     trace::counter_add("serve.batch_solves", 1);
-    trace::counter_add("serve.batch_requests",
-                       static_cast<std::uint64_t>(k));
-
-    for (int c = 0; c < k; ++c) {
-      auto& rs = live[static_cast<std::size_t>(c)];
-      rs->result.cache_hit = cache_hit;
-      rs->result.setup_seconds = setup_seconds;
-      rs->result.solve_seconds = solve_seconds;
-      rs->result.solve = per_rank.front()[static_cast<std::size_t>(c)];
-      if (rs->req.return_solution && !rs->result.solve.cancelled) {
-        const Vec3 g = rs->req.domain.global_extent;
-        rs->result.solution.reserve(
-            static_cast<std::size_t>(g.x) * static_cast<std::size_t>(g.y) *
-            static_cast<std::size_t>(g.z));
-        for (int r = 0; r < nranks; ++r) {
-          const auto& sol =
-              per_rank_solution[static_cast<std::size_t>(r)]
-                               [static_cast<std::size_t>(c)];
-          rs->result.solution.insert(rs->result.solution.end(), sol.begin(),
-                                     sol.end());
-        }
-      }
-      if (rs->result.solve.cancelled) {
-        complete(rs, rs->control.cancel.load(std::memory_order_relaxed)
-                         ? RequestStatus::kCancelled
-                         : RequestStatus::kExpired);
-      } else {
-        complete(rs, RequestStatus::kDone);
-      }
+    trace::counter_add("serve.batch_requests", static_cast<std::uint64_t>(k));
+  }
+  for (const auto& rs : live) {
+    if (rs->result.solve.cancelled) {
+      complete(rs, rs->control.cancel.load(std::memory_order_relaxed)
+                       ? RequestStatus::kCancelled
+                       : RequestStatus::kExpired);
+    } else {
+      complete(rs, RequestStatus::kDone);
     }
-  } catch (const std::exception& e) {
-    entry.reset();
-    fail_all(e.what());
   }
 }
 

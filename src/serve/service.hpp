@@ -262,10 +262,11 @@ class SolveService {
   /// arrival rate warrants it.
   void gather_batch(std::unique_lock<std::mutex>& lock,
                     std::vector<std::shared_ptr<detail::RequestState>>& group);
-  void execute(const std::shared_ptr<detail::RequestState>& rs);
-  /// Run >= 2 coalesced requests as one K-way batched solve.
-  void execute_batch(
-      std::vector<std::shared_ptr<detail::RequestState>> group);
+  /// Run a popped group (one request, or a coalesced batch) as one
+  /// solve of width K, the members that are still live: GmgSolver::solve
+  /// on the cached hierarchy at K = 1, its cached K-way BatchedSolver
+  /// otherwise.
+  void execute(std::vector<std::shared_ptr<detail::RequestState>> group);
   void complete(const std::shared_ptr<detail::RequestState>& rs,
                 RequestStatus status);
 

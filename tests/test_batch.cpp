@@ -209,9 +209,16 @@ INSTANTIATE_TEST_SUITE_P(Matrix, BatchedBitwise,
 // Wider batches through the one-pass sweep (K = 3 and 8, point Jacobi,
 // with CA and split-phase overlap; K = 8 also with variable
 // coefficients) and the 13-point operator's two-stage body at K = 2.
+// One-lane batches pin the solve loop's K = 1 call through the
+// runtime-lane kernels to the solo solver: point Jacobi with CA and
+// split-phase overlap, Chebyshev with variable coefficients, red-black
+// GS.
 INSTANTIATE_TEST_SUITE_P(
     Widths, BatchedBitwise,
     ::testing::Values(
+        MatrixCase{Smoother::kPointJacobi, true, true, false, 1, 1},
+        MatrixCase{Smoother::kChebyshev, true, false, true, 1, 1},
+        MatrixCase{Smoother::kRedBlackGS, true, false, false, 1, 1},
         MatrixCase{Smoother::kPointJacobi, true, true, false, 3, 1},
         MatrixCase{Smoother::kPointJacobi, true, true, false, 8, 1},
         MatrixCase{Smoother::kPointJacobi, true, true, true, 8, 1},

@@ -155,7 +155,8 @@ TEST(ScheduleParity, BatchedScheduleProvesCleanAndRunsClean) {
       GmgSolver base(o, decomp, c.rank());
       batch::BatchedSolver bs(base, 4);
       if (c.rank() == 0) {
-        const check::Schedule sched = batch::record_batched_schedule(bs);
+        const check::Schedule sched =
+            record_solver_schedule(bs.base(), 2, bs.batch());
         EXPECT_EQ(sched.num_components, 4);
         EXPECT_TRUE(check::ScheduleVerifier().check(sched).empty());
       }
@@ -192,7 +193,8 @@ TEST(ScheduleParity, BatchedJacobiSweepIsTheSoloSweep) {
         });
       }
       batch::BatchedSolver bs(base, 4);
-      const check::Schedule sched = batch::record_batched_schedule(bs);
+      const check::Schedule sched =
+          record_solver_schedule(bs.base(), 2, bs.batch());
       EXPECT_GT(count(sched, varcoef ? "kernel.jacobiSweepVarCoef"
                                      : "kernel.jacobiSweep"),
                 0);
@@ -204,7 +206,8 @@ TEST(ScheduleParity, BatchedJacobiSweepIsTheSoloSweep) {
   o.operator_radius = 2;
   GmgSolver base(o, decomp, 0);
   batch::BatchedSolver bs(base, 4);
-  const check::Schedule sched = batch::record_batched_schedule(bs);
+  const check::Schedule sched =
+      record_solver_schedule(bs.base(), 2, bs.batch());
   int updates = 0;
   for (std::size_t i = 1; i < sched.steps.size(); ++i) {
     if (sched.steps[i].kernel != "kernel.jacobiUpdate") continue;
@@ -337,7 +340,7 @@ TEST(ScheduleCoverage, BatchedSolveIssuesTheRecordedSchedule) {
         bases[r] = std::make_unique<GmgSolver>(o, kCoverageDecomp, c.rank());
         batched[r] = std::make_unique<batch::BatchedSolver>(*bases[r], 3);
         batched[r]->set_rhs({sine_rhs, bump_rhs, sine_rhs});
-        return batch::record_batched_schedule(*batched[r]);
+        return record_solver_schedule(*bases[r], 2, batched[r]->batch());
       },
       [&](comm::Communicator& c) {
         // The recording retires component 0 after the first cycle and
@@ -571,7 +574,7 @@ check::Schedule batched_schedule() {
     base = new GmgSolver(o, decomp, 0);
     bs = new batch::BatchedSolver(*base, 4);
   }
-  return batch::record_batched_schedule(*bs);
+  return record_solver_schedule(bs->base(), 2, bs->batch());
 }
 
 // Hazard class 5: a retired component's retirement-masked collectives

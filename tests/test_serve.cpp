@@ -11,6 +11,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -525,58 +526,65 @@ GmgOptions batched_options(int max_batch) {
   return o;
 }
 
+// On one rank and on two: the multi-rank batch runs its collectives
+// and stretched exchanges across ranks and scatters every rank's slice.
 TEST(BatchCoalescer, CoalescedBatchBitwiseMatchesSoloService) {
-  ServeConfig cfg;
-  cfg.executors = 1;
-  cfg.queue_capacity = 8;
-  SolveService service(cfg);
-  service.register_operator("poisson", batched_options(4));
+  for (const Vec3 rank_grid : {Vec3{1, 1, 1}, Vec3{2, 1, 1}}) {
+    SCOPED_TRACE("rank grid " + std::to_string(rank_grid.x) + "x" +
+                 std::to_string(rank_grid.y) + "x" +
+                 std::to_string(rank_grid.z));
+    const DomainSpec domain{{16, 16, 16}, rank_grid};
+    ServeConfig cfg;
+    cfg.executors = 1;
+    cfg.queue_capacity = 8;
+    SolveService service(cfg);
+    service.register_operator("poisson", batched_options(4));
 
-  // Pin the lone executor so the three batchable requests pile up in
-  // the queue; on release the executor pops one leader and coalesces
-  // the other two into a K=3 batched solve.
-  Gate gate;
-  SolveRequest pinned = basic_request();
-  pinned.domain.global_extent = {16, 16, 16};
-  pinned.rhs = [&](real_t x, real_t y, real_t z) {
-    gate.wait();
-    return sine_rhs(x, y, z);
-  };
-  SolveFuture running = service.submit(pinned);
-  gate.await_entered();
+    // Pin the lone executor so the three batchable requests pile up in
+    // the queue; on release the executor pops one leader and coalesces
+    // the other two into a K=3 batched solve.
+    Gate gate;
+    SolveRequest pinned = basic_request();
+    pinned.domain = domain;
+    pinned.rhs = [&](real_t x, real_t y, real_t z) {
+      gate.wait();
+      return sine_rhs(x, y, z);
+    };
+    SolveFuture running = service.submit(pinned);
+    gate.await_entered();
 
-  const std::function<real_t(real_t, real_t, real_t)> rhses[3] = {
-      sine_rhs, cosine_rhs, poly_rhs};
-  std::vector<SolveFuture> futures;
-  for (const auto& f : rhses) {
-    SolveRequest req = basic_request();
-    req.domain.global_extent = {16, 16, 16};
-    req.rhs = f;
-    futures.push_back(service.submit(req));
+    const std::function<real_t(real_t, real_t, real_t)> rhses[3] = {
+        sine_rhs, cosine_rhs, poly_rhs};
+    std::vector<SolveFuture> futures;
+    for (const auto& f : rhses) {
+      SolveRequest req = basic_request();
+      req.domain = domain;
+      req.rhs = f;
+      futures.push_back(service.submit(req));
+    }
+    gate.release();
+
+    EXPECT_EQ(running.get().status, RequestStatus::kDone);
+    for (int i = 0; i < 3; ++i) {
+      const RequestResult res = futures[static_cast<std::size_t>(i)].get();
+      ASSERT_EQ(res.status, RequestStatus::kDone) << res.error;
+      const Reference ref =
+          solo_solve(batched_options(4), domain, rhses[i], 1e-8, 40);
+      EXPECT_EQ(res.solve.vcycles, ref.result.vcycles) << "rhs " << i;
+      EXPECT_EQ(res.solve.final_residual, ref.result.final_residual)
+          << "rhs " << i;
+      EXPECT_EQ(res.solve.history, ref.result.history) << "rhs " << i;
+      ASSERT_EQ(res.solution.size(), ref.solution.size());
+      EXPECT_EQ(res.solution, ref.solution) << "rhs " << i;
+    }
+
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.batch_solves, 1u);
+    EXPECT_EQ(stats.batch_requests, 3u);
+    const ServiceReport rep = service.report();
+    EXPECT_EQ(rep.batch_solves, 1u);
+    EXPECT_EQ(rep.batch_requests, 3u);
   }
-  gate.release();
-
-  EXPECT_EQ(running.get().status, RequestStatus::kDone);
-  for (int i = 0; i < 3; ++i) {
-    const RequestResult res = futures[static_cast<std::size_t>(i)].get();
-    ASSERT_EQ(res.status, RequestStatus::kDone) << res.error;
-    const Reference ref = solo_solve(
-        batched_options(4), DomainSpec{{16, 16, 16}, {1, 1, 1}}, rhses[i],
-        1e-8, 40);
-    EXPECT_EQ(res.solve.vcycles, ref.result.vcycles) << "rhs " << i;
-    EXPECT_EQ(res.solve.final_residual, ref.result.final_residual)
-        << "rhs " << i;
-    EXPECT_EQ(res.solve.history, ref.result.history) << "rhs " << i;
-    ASSERT_EQ(res.solution.size(), ref.solution.size());
-    EXPECT_EQ(res.solution, ref.solution) << "rhs " << i;
-  }
-
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.batch_solves, 1u);
-  EXPECT_EQ(stats.batch_requests, 3u);
-  const ServiceReport rep = service.report();
-  EXPECT_EQ(rep.batch_solves, 1u);
-  EXPECT_EQ(rep.batch_requests, 3u);
 }
 
 TEST(BatchCoalescer, FirstRequestOnIdleServiceRunsSoloImmediately) {
@@ -717,12 +725,19 @@ TEST(BatchCoalescer, QueueSideCancelAndDeadlineDropMembersIndividually) {
   gate.release();
 
   EXPECT_EQ(running.get().status, RequestStatus::kDone);
-  EXPECT_EQ(keeper.get().status, RequestStatus::kDone);
+  const RequestResult kept = keeper.get();
+  EXPECT_EQ(kept.status, RequestStatus::kDone);
   EXPECT_EQ(cancelled.get().status, RequestStatus::kCancelled);
   EXPECT_EQ(expired.get().status, RequestStatus::kExpired);
   // Two of the three coalesced members died in the queue; the batch
-  // degraded to a solo execute of the survivor.
+  // degraded to a solo solve of the survivor, bitwise a fresh solver's.
   EXPECT_EQ(service.stats().batch_solves, 0u);
+  const Reference ref = solo_solve(
+      batched_options(4), base.domain, base.rhs, base.tolerance,
+      base.max_vcycles);
+  EXPECT_EQ(kept.solve.vcycles, ref.result.vcycles);
+  EXPECT_EQ(kept.solve.history, ref.result.history);
+  EXPECT_EQ(kept.solution, ref.solution);
 }
 
 TEST(SolverControl, PreCancelledControlStopsBeforeFirstCycle) {

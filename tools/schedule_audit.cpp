@@ -198,7 +198,8 @@ int main(int argc, char** argv) {
       batch::BatchedSolver bs(base, args.batch);
       const double setup = t.elapsed();
       t.restart();
-      const check::Schedule sched = batch::record_batched_schedule(bs);
+      const check::Schedule sched =
+          record_solver_schedule(bs.base(), 2, bs.batch());
       bool ok = true;
       std::string diag;
       try {
