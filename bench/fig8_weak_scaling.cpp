@@ -178,8 +178,8 @@ void overlap_hidden_exchange() {
   const OverlapRun on = run_overlap_config(decomp, true, 0.0, vcycles);
   // The shipping default: the auto-cutoff decides per level. On this
   // problem it picks blocking everywhere (interior arithmetic cannot
-  // cover the split/submit/wait machinery at 32^3/rank), so this wall
-  // must track the blocking wall.
+  // cover the split-phase bookkeeping at 32^3/rank), so this wall must
+  // track the blocking wall.
   const GmgOptions defaults;
   const OverlapRun autorun = run_overlap_config(
       decomp, true, defaults.overlap_min_compute_bytes_ratio, vcycles);

@@ -18,18 +18,20 @@
 #      retirement loop, set_rhs and the serve execute path) at every
 #      group size, including the socket path.
 #   3. A TSan tree (./build-tsan, OpenMP off — see GMG_SANITIZE_THREAD)
-#      running the exec engine, kernel-runtime parallel_for, simmpi,
-#      split-phase exchange, overlapped smoothing (the solo and batched
-#      cycles' shared finish_exchange_overlapped runs its interior pass
-#      on an engine worker), and solve-service tests: the worker-pool
-#      handoffs of DESIGN.md §10–11 and the serve layer's executor
-#      pool / hierarchy cache / brick arena (§12) are exactly what a
-#      race detector must see scheduled live. The socket front's wire
-#      and server tests (§14: poll loop x executor completion
-#      callbacks x client threads) and the batched-solve suite (§15:
-#      the coalescer's hold-window handoff) ride in the same tree, as
-#      does the AMR composite suite (§17: patch smoothing and the
-#      interface kernels run through the same parallel_for engine).
+#      running the kernel-runtime parallel_for pool, simmpi,
+#      split-phase exchange, overlapped smoothing (the run executor's
+#      finish computes the interior pass on the rank thread while the
+#      round's buffered sends and posted receives are in flight, then
+#      its kernels fan out over the pool), and solve-service tests: the
+#      worker-pool and message handoffs of DESIGN.md §10–11 and the
+#      serve layer's executor pool / hierarchy cache / brick arena
+#      (§12) are exactly what a race detector must see scheduled live.
+#      The socket front's wire and server tests (§14: poll loop x
+#      executor completion callbacks x client threads) and the
+#      batched-solve suite (§15: the coalescer's hold-window handoff)
+#      ride in the same tree, as does the AMR composite suite (§17:
+#      patch smoothing and the interface kernels run through the same
+#      parallel_for engine).
 #
 #   4. A static stage: the gmg_lint invariant checker, clang-tidy over
 #      src/ when the binary is available (the CI image may only carry
@@ -147,19 +149,19 @@ fi
 if [[ "${SKIP_TSAN}" == 1 ]]; then
   echo "== skipping TSan pass =="
 else
-  echo "== TSan: exec engine + comm tests =="
+  echo "== TSan: exec pool + comm tests =="
   cmake -B build-tsan -S . \
     -DGMG_SANITIZE_THREAD=ON \
     -DGMG_ENABLE_BENCH=OFF \
     -DGMG_ENABLE_EXAMPLES=OFF \
     -DGMG_NATIVE_ARCH=OFF >/dev/null
   cmake --build build-tsan -j"${JOBS}" \
-    --target test_exec test_parallel_for test_simmpi test_exchange \
-             test_overlap test_batch test_serve test_wire test_front \
-             test_fused test_amr
-  for t in test_exec test_parallel_for test_simmpi test_exchange \
-           test_overlap test_batch test_serve test_wire test_front \
-           test_fused test_amr; do
+    --target test_parallel_for test_simmpi test_exchange test_overlap \
+             test_batch test_serve test_wire test_front test_fused \
+             test_amr
+  for t in test_parallel_for test_simmpi test_exchange test_overlap \
+           test_batch test_serve test_wire test_front test_fused \
+           test_amr; do
     echo "-- ${t} (tsan)"
     "./build-tsan/tests/${t}"
   done

@@ -80,7 +80,7 @@ std::vector<SolveResult> BatchedSolver::solve(
   // The solo cycle and solve loop over the K-lane fields; untimed (the
   // batched path keeps no profiler). A retiring component's solution
   // is snapshotted the moment its solo twin's loop would have exited.
-  LevelRun<BatchLevel> ex(base_, levels_, nullptr, overlap_, comm);
+  LevelRun<BatchLevel> ex(base_, levels_, nullptr, comm);
   Cycle<LevelRun<BatchLevel>> cycle(base_, ex, cycle_);
   return solve_loop(cycle, specs, "batch.vcycle",
                     [&](int c) { snapshot_solution(c); });

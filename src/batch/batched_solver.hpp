@@ -117,7 +117,6 @@ class BatchedSolver {
   std::vector<std::vector<real_t>> solutions_;
   /// The cycle's ghost bookkeeping (in base cells) and bottom-CG scratch.
   CycleState cycle_;
-  OverlapStream overlap_{"batch.compute"};
 };
 
 }  // namespace gmg::batch

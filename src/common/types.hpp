@@ -42,6 +42,14 @@ struct Vec3 {
 
   /// Product of components (e.g. cell count of an extent).
   constexpr index_t volume() const { return x * y * z; }
+
+  /// Whether volume() <= bound, for non-negative components and bound,
+  /// decided without forming a product above `bound` — safe on extents
+  /// read off the wire, whose full product can overflow.
+  constexpr bool volume_at_most(index_t bound) const {
+    if (x == 0 || y == 0 || z == 0) return true;
+    return x <= bound / y && x * y <= bound / z;
+  }
 };
 
 std::ostream& operator<<(std::ostream& os, const Vec3& v);

@@ -5,87 +5,13 @@
 #include <condition_variable>
 #include <deque>
 #include <mutex>
-#include <utility>
 
 #include "common/error.hpp"
 #include "trace/trace.hpp"
 
 namespace gmg::exec {
 
-namespace {
-thread_local Engine* tls_engine = nullptr;
-}  // namespace
-
-Engine* this_thread_engine() { return tls_engine; }
-
 namespace detail {
-
-/// Shared completion state behind an Event handle. Fires exactly once;
-/// engines whose streams are parked on the event register a one-shot
-/// callback so a cross-engine (or cross-thread) fire can requeue them.
-struct EventState {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  std::vector<std::function<void()>> on_fire;
-
-  bool ready() {
-    std::lock_guard<std::mutex> lock(mu);
-    return done;
-  }
-
-  void wait() {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return done; });
-  }
-
-  void fire() {
-    std::vector<std::function<void()>> callbacks;
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      if (done) return;
-      done = true;
-      callbacks.swap(on_fire);
-      cv.notify_all();
-    }
-    // Run outside the event lock: callbacks take an engine lock, and
-    // workers subscribe while holding that engine lock (engine -> event
-    // order). Releasing first keeps the lock graph acyclic.
-    for (auto& cb : callbacks) cb();
-  }
-
-  /// Register a callback to run at fire time; returns false (without
-  /// registering) when the event already fired.
-  bool subscribe(std::function<void()> cb) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (done) return false;
-    on_fire.push_back(std::move(cb));
-    return true;
-  }
-};
-
-namespace {
-
-/// One queue entry. Exactly one of {fn, fires, gate} is meaningful:
-/// a compute task, a record() marker that fires an event, or a
-/// wait_event() marker that stalls the stream until its gate fires.
-struct Task {
-  const char* name = nullptr;
-  std::function<void()> fn;
-  std::shared_ptr<EventState> fires;
-  std::shared_ptr<EventState> gate;
-  int rank = 0;
-};
-
-struct StreamState {
-  const char* name = nullptr;
-  std::deque<Task> queue;
-  bool running = false;  // a worker is draining this stream right now
-  bool queued = false;   // sitting in the engine ready list
-  std::shared_ptr<EventState> parked_on;  // head gate not yet fired
-};
-
-}  // namespace
 
 /// One in-flight parallel_for_chunks call. Chunks are claimed by an
 /// atomic ticket; the submitting thread and any free workers race for
@@ -107,47 +33,12 @@ struct ParallelJob {
 
 struct EngineState {
   std::mutex mu;
-  std::condition_variable work_cv;  // workers: ready stream, job or stop
-  std::condition_variable sync_cv;  // sync() callers: stream drained
-  std::vector<std::unique_ptr<StreamState>> streams;
-  std::deque<int> ready;
+  std::condition_variable work_cv;  // workers: a job or stop
   std::deque<std::shared_ptr<ParallelJob>> jobs;
   bool stop = false;
-  std::uint64_t tasks_run = 0;
-
-  /// Requires `mu` held. A stream is schedulable when it has work and
-  /// is neither queued, being drained, nor parked on a gate.
-  void make_ready(int sid) {
-    StreamState& s = *streams[static_cast<std::size_t>(sid)];
-    if (s.queue.empty() || s.queued || s.running || s.parked_on) return;
-    s.queued = true;
-    ready.push_back(sid);
-    work_cv.notify_one();
-  }
-
-  bool drained(const StreamState& s) const {
-    return s.queue.empty() && !s.running;
-  }
 };
 
 namespace {
-
-/// Fire-time callback for a parked stream: pop the gate marker and
-/// requeue the stream. The weak_ptr guards the (pathological) case of
-/// an event outliving its waiter's engine.
-void unpark_stream(const std::weak_ptr<EngineState>& weak, int sid,
-                   const std::shared_ptr<EventState>& gate) {
-  std::shared_ptr<EngineState> st = weak.lock();
-  if (!st) return;
-  std::lock_guard<std::mutex> lock(st->mu);
-  StreamState& s = *st->streams[static_cast<std::size_t>(sid)];
-  if (s.parked_on != gate) return;  // stale callback
-  s.parked_on.reset();
-  GMG_ASSERT(!s.queue.empty() && s.queue.front().gate == gate);
-  s.queue.pop_front();
-  st->make_ready(sid);
-  st->sync_cv.notify_all();
-}
 
 /// Claim and execute chunks of `job` until its ticket runs out. Runs
 /// with no engine lock held; the per-chunk work happens entirely on
@@ -171,96 +62,33 @@ void run_job_chunks(ParallelJob& job) {
   }
 }
 
-void run_task(const Task& task) {
-  // Attribute the span to the *submitting* thread's simulated rank, so
-  // overlapped compute lands on that rank's timeline row next to its
-  // exchange wait.
-  trace::set_rank(task.rank);
-  trace::TraceSpan span(task.name ? task.name : "exec.task",
-                        trace::Category::kExec);
-  task.fn();
-}
-
-void worker_loop(const std::shared_ptr<EngineState>& st) {
-  std::unique_lock<std::mutex> lock(st->mu);
+void worker_loop(EngineState& st) {
+  std::unique_lock<std::mutex> lock(st.mu);
   for (;;) {
-    st->work_cv.wait(lock, [&] {
-      return st->stop || !st->ready.empty() || !st->jobs.empty();
-    });
-    if (st->ready.empty() && st->jobs.empty()) return;  // stop && no work
-    // parallel_for jobs first: their submitter is blocked on them.
-    if (!st->jobs.empty()) {
-      std::shared_ptr<ParallelJob> job = st->jobs.front();
-      if (job->next.load(std::memory_order_relaxed) >= job->chunks) {
-        st->jobs.pop_front();  // exhausted; retire and look again
-        continue;
-      }
-      lock.unlock();
-      {
-        trace::set_rank(job->rank);
-        trace::TraceSpan span(job->name ? job->name : "exec.parallel_for",
-                              trace::Category::kExec);
-        run_job_chunks(*job);
-      }
-      lock.lock();
+    st.work_cv.wait(lock, [&] { return st.stop || !st.jobs.empty(); });
+    if (st.jobs.empty()) return;  // stop && no work
+    std::shared_ptr<ParallelJob> job = st.jobs.front();
+    if (job->next.load(std::memory_order_relaxed) >= job->chunks) {
+      st.jobs.pop_front();  // exhausted; retire and look again
       continue;
     }
-    const int sid = st->ready.front();
-    st->ready.pop_front();
-    StreamState& s = *st->streams[static_cast<std::size_t>(sid)];
-    s.queued = false;
-    s.running = true;
-
-    // Drain consecutive head tasks until the queue empties or the
-    // stream parks on an unfired gate.
-    while (!s.queue.empty()) {
-      if (s.queue.front().gate) {
-        std::shared_ptr<EventState> gate = s.queue.front().gate;
-        s.running = false;
-        s.parked_on = gate;
-        std::weak_ptr<EngineState> weak = st;
-        const bool parked = gate->subscribe(
-            [weak, sid, gate] { unpark_stream(weak, sid, gate); });
-        if (parked) break;  // unpark_stream resumes the stream later
-        s.parked_on.reset();
-        s.running = true;
-        s.queue.pop_front();
-        continue;
-      }
-      if (s.queue.front().fires) {
-        std::shared_ptr<EventState> ev = std::move(s.queue.front().fires);
-        s.queue.pop_front();
-        lock.unlock();  // fire() runs subscriber callbacks -> engine mu
-        ev->fire();
-        lock.lock();
-        continue;
-      }
-      Task task = std::move(s.queue.front());
-      s.queue.pop_front();
-      lock.unlock();
-      run_task(task);
-      lock.lock();
-      ++st->tasks_run;
+    lock.unlock();
+    {
+      trace::set_rank(job->rank);
+      trace::TraceSpan span(job->name ? job->name : "exec.parallel_for",
+                            trace::Category::kExec);
+      run_job_chunks(*job);
     }
-    if (s.running) s.running = false;
-    st->sync_cv.notify_all();
+    lock.lock();
   }
 }
 
 }  // namespace
 }  // namespace detail
 
-bool Event::ready() const { return !state_ || state_->ready(); }
-
-void Event::wait() const {
-  if (state_) state_->wait();
-}
-
-Event::Event(std::shared_ptr<detail::EventState> s) : state_(std::move(s)) {}
-
 Engine::Engine(int workers) {
   GMG_REQUIRE(workers >= 1, "exec::Engine needs at least one worker");
-  state_ = std::make_shared<detail::EngineState>();
+  state_ = std::make_unique<detail::EngineState>();
   // A lone worker on a single-CPU host cannot add parallelism to a
   // blocking parallel_for — the submitter would only trade chunks back
   // and forth with it through the scheduler. Run those chunk plans
@@ -268,94 +96,17 @@ Engine::Engine(int workers) {
   solo_ = workers == 1 && std::thread::hardware_concurrency() <= 1;
   workers_.reserve(static_cast<std::size_t>(workers));
   for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back([this, st = state_] {
-      tls_engine = this;
-      detail::worker_loop(st);
-    });
+    workers_.emplace_back([st = state_.get()] { detail::worker_loop(*st); });
   }
 }
 
 Engine::~Engine() {
-  sync();
   {
     std::lock_guard<std::mutex> lock(state_->mu);
     state_->stop = true;
   }
   state_->work_cv.notify_all();
   for (auto& w : workers_) w.join();
-}
-
-Stream Engine::create_stream(const char* name) {
-  std::lock_guard<std::mutex> lock(state_->mu);
-  auto s = std::make_unique<detail::StreamState>();
-  s->name = name;
-  state_->streams.push_back(std::move(s));
-  return Stream(static_cast<int>(state_->streams.size()) - 1);
-}
-
-void Engine::submit(Stream s, const char* name, std::function<void()> fn) {
-  GMG_REQUIRE(s.valid(), "submit to an invalid stream");
-  std::lock_guard<std::mutex> lock(state_->mu);
-  GMG_REQUIRE(static_cast<std::size_t>(s.id_) < state_->streams.size(),
-              "stream belongs to another engine");
-  detail::StreamState& ss = *state_->streams[static_cast<std::size_t>(s.id_)];
-  detail::Task task;
-  task.name = name;
-  task.fn = std::move(fn);
-  task.rank = trace::current_rank();
-  ss.queue.push_back(std::move(task));
-  state_->make_ready(s.id_);
-}
-
-Event Engine::record(Stream s) {
-  GMG_REQUIRE(s.valid(), "record on an invalid stream");
-  std::lock_guard<std::mutex> lock(state_->mu);
-  GMG_REQUIRE(static_cast<std::size_t>(s.id_) < state_->streams.size(),
-              "stream belongs to another engine");
-  detail::StreamState& ss = *state_->streams[static_cast<std::size_t>(s.id_)];
-  auto state = std::make_shared<detail::EventState>();
-  if (state_->drained(ss)) {
-    state->done = true;  // nothing pending: trivially ready
-    return Event(std::move(state));
-  }
-  detail::Task marker;
-  marker.fires = state;
-  ss.queue.push_back(std::move(marker));
-  state_->make_ready(s.id_);
-  return Event(std::move(state));
-}
-
-void Engine::wait_event(Stream s, Event e) {
-  GMG_REQUIRE(s.valid(), "wait_event on an invalid stream");
-  if (!e.state_) return;  // default event: trivially ready
-  std::lock_guard<std::mutex> lock(state_->mu);
-  GMG_REQUIRE(static_cast<std::size_t>(s.id_) < state_->streams.size(),
-              "stream belongs to another engine");
-  detail::StreamState& ss = *state_->streams[static_cast<std::size_t>(s.id_)];
-  detail::Task marker;
-  marker.gate = std::move(e.state_);
-  ss.queue.push_back(std::move(marker));
-  state_->make_ready(s.id_);
-}
-
-void Engine::sync(Stream s) {
-  GMG_REQUIRE(s.valid(), "sync on an invalid stream");
-  trace::TraceSpan span("exec.sync", trace::Category::kWait);
-  std::unique_lock<std::mutex> lock(state_->mu);
-  GMG_REQUIRE(static_cast<std::size_t>(s.id_) < state_->streams.size(),
-              "stream belongs to another engine");
-  detail::StreamState& ss = *state_->streams[static_cast<std::size_t>(s.id_)];
-  state_->sync_cv.wait(lock, [&] { return state_->drained(ss); });
-}
-
-void Engine::sync() {
-  trace::TraceSpan span("exec.sync_all", trace::Category::kWait);
-  std::unique_lock<std::mutex> lock(state_->mu);
-  state_->sync_cv.wait(lock, [&] {
-    for (const auto& s : state_->streams)
-      if (!state_->drained(*s)) return false;
-    return true;
-  });
 }
 
 int Engine::plan_chunks(std::int64_t n, std::int64_t grain) {
@@ -408,10 +159,5 @@ void Engine::parallel_for_chunks(
 }
 
 int Engine::workers() const { return static_cast<int>(workers_.size()); }
-
-std::uint64_t Engine::tasks_run() const {
-  std::lock_guard<std::mutex> lock(state_->mu);
-  return state_->tasks_run;
-}
 
 }  // namespace gmg::exec

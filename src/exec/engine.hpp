@@ -1,23 +1,11 @@
-// exec: a small stream/event-style asynchronous task engine — the
-// host-side analogue of the CUDA/HIP stream model the paper's GPU
-// mapping uses to hide halo-exchange latency behind stencil work.
-//
-// The engine owns a pool of worker threads draining a ready queue of
-// *streams*. Work submitted to one stream executes in submission order
-// (an ordered queue, like a CUDA stream); distinct streams may run
-// concurrently on different workers. *Events* mark points in a
-// stream's history: record() completes once all previously submitted
-// work on that stream has run, wait_event() stalls a stream until an
-// event (typically recorded on another stream) fires — the
-// cudaStreamWaitEvent cross-stream dependency.
-//
-// This layers on the thread-backed simmpi runtime: rank threads submit
-// interior compute to their engine, then block in the split-phase
-// exchange finish() while the worker executes — the compute–comm
-// overlap every scaling PR schedules through (DESIGN.md §10). Tasks
-// are traced under Category::kExec with the submitting rank's id, so
-// Chrome timelines show the overlapped compute span running
-// concurrently with the same rank's exchange wait.
+// exec: the persistent worker pool behind the kernel runtime
+// (exec/runtime.hpp). A parallel_for_chunks call splits [0, n) into a
+// chunk plan that depends only on the trip count and grain, then the
+// calling thread and the pool's workers claim chunks by an atomic
+// ticket until the plan runs out — no threads are created or joined per
+// kernel. Chunk spans are traced under Category::kExec with the
+// submitting thread's simulated rank, so a worker's share of a kernel
+// lands on that rank's timeline row.
 #pragma once
 
 #include <cstdint>
@@ -28,85 +16,22 @@
 
 namespace gmg::exec {
 
-class Engine;
 namespace detail {
-struct EventState;
 struct EngineState;
 }  // namespace detail
 
-/// Completion marker for a point in a stream's history. Default-
-/// constructed events are trivially ready. Copyable handles share one
-/// underlying state; an Event outlives the Engine that recorded it.
-class Event {
- public:
-  Event() = default;
-
-  /// True once every task submitted before the matching record() has
-  /// finished (always true for a default-constructed event).
-  bool ready() const;
-
-  /// Block the calling thread until ready.
-  void wait() const;
-
- private:
-  friend class Engine;
-  explicit Event(std::shared_ptr<detail::EventState> s);
-  std::shared_ptr<detail::EventState> state_;
-};
-
-/// Handle to one ordered work queue of an Engine.
-class Stream {
- public:
-  Stream() = default;
-  bool valid() const { return id_ >= 0; }
-
- private:
-  friend class Engine;
-  explicit Stream(int id) : id_(id) {}
-  int id_ = -1;
-};
-
 class Engine {
  public:
-  /// Spawn `workers` worker threads (>= 1). One worker still overlaps
-  /// with the submitting thread — the common solver configuration.
+  /// Spawn `workers` worker threads (>= 1).
   explicit Engine(int workers = 1);
 
-  /// Drains every stream, then joins the workers.
+  /// Joins the workers.
   ~Engine();
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Create a new stream. `name` must outlive the engine (pass a
-  /// string literal); it labels the stream's sync points in traces.
-  Stream create_stream(const char* name);
-
-  /// Enqueue `fn` on `s` after everything already submitted to `s`.
-  /// `name` must outlive the engine (string literal); the task runs
-  /// under a trace span of that name, Category::kExec, attributed to
-  /// the submitting thread's simulated rank.
-  void submit(Stream s, const char* name, std::function<void()> fn);
-
-  /// An event that fires once all work submitted to `s` so far has
-  /// completed.
-  Event record(Stream s);
-
-  /// Stall `s`: tasks submitted to `s` after this call run only once
-  /// `e` has fired. Events from another engine (or already-ready ones)
-  /// are honored too.
-  void wait_event(Stream s, Event e);
-
-  /// Block until all work submitted to `s` so far has completed.
-  void sync(Stream s);
-
-  /// Block until every stream is drained.
-  void sync();
-
   int workers() const;
-
-  /// Total tasks executed (record/wait markers excluded).
-  std::uint64_t tasks_run() const;
 
   /// Hard upper bound on chunks per parallel_for_chunks call. A fixed
   /// constant on purpose: chunk boundaries must never depend on the
@@ -126,25 +51,20 @@ class Engine {
   /// Data-parallel loop over [0, n): runs `fn(chunk, begin, end)` once
   /// per chunk of the (n, grain) chunk plan. The calling thread always
   /// participates (claiming chunks alongside the workers), so the call
-  /// cannot deadlock even when submitted from inside a stream task —
-  /// nested use shares this engine's pool. Blocking: returns once every
-  /// chunk has run. Chunks may execute in any order on any thread;
-  /// chunk *boundaries* are worker-count independent. If any chunk
-  /// throws, the first exception is rethrown here after all claimed
-  /// chunks finish. Single-chunk plans run inline with no pool traffic.
+  /// completes even when every worker is busy with another caller's
+  /// job. Blocking: returns once every chunk has run. Chunks may
+  /// execute in any order on any thread; chunk *boundaries* are
+  /// worker-count independent. If any chunk throws, the first exception
+  /// is rethrown here after all claimed chunks finish. Single-chunk
+  /// plans run inline with no pool traffic.
   void parallel_for_chunks(
       const char* name, std::int64_t n, std::int64_t grain,
       const std::function<void(int, std::int64_t, std::int64_t)>& fn);
 
  private:
-  std::shared_ptr<detail::EngineState> state_;
+  std::unique_ptr<detail::EngineState> state_;
   std::vector<std::thread> workers_;
   bool solo_ = false;  // 1 worker on a 1-CPU host: run chunks inline
 };
-
-/// The engine whose pool the current thread belongs to, or nullptr off
-/// the pool. Lets nested parallel_for calls from a stream task target
-/// the owning engine instead of the process default.
-Engine* this_thread_engine();
 
 }  // namespace gmg::exec

@@ -13,7 +13,6 @@ namespace {
 std::mutex g_engine_mu;
 std::unique_ptr<Engine> g_engine;               // guarded by g_engine_mu
 std::atomic<Engine*> g_engine_ptr{nullptr};     // fast path
-std::atomic<std::uint64_t> g_engine_gen{0};
 
 std::atomic<int> g_runtime_mode{-1};  // -1: unresolved, else KernelRuntime
 
@@ -46,14 +45,9 @@ Engine& default_engine() {
   std::lock_guard<std::mutex> lock(g_engine_mu);
   if (!g_engine) {
     g_engine = std::make_unique<Engine>(resolved_default_workers());
-    g_engine_gen.fetch_add(1, std::memory_order_relaxed);
     g_engine_ptr.store(g_engine.get(), std::memory_order_release);
   }
   return *g_engine;
-}
-
-std::uint64_t default_engine_generation() {
-  return g_engine_gen.load(std::memory_order_acquire);
 }
 
 void configure_default_engine(int workers) {
@@ -61,7 +55,6 @@ void configure_default_engine(int workers) {
   g_engine_ptr.store(nullptr, std::memory_order_release);
   g_engine.reset();  // joins the old pool before the new one spawns
   g_engine = std::make_unique<Engine>(workers < 1 ? 1 : workers);
-  g_engine_gen.fetch_add(1, std::memory_order_relaxed);
   g_engine_ptr.store(g_engine.get(), std::memory_order_release);
 }
 

@@ -7,10 +7,9 @@
 // grain, never on thread counts):
 //
 //   kEnginePool  (default) a persistent exec::Engine worker pool. The
-//                calling thread participates, nested calls from stream
-//                tasks reuse the owning engine's pool, and no threads
-//                are created or joined per kernel — the fork/join cost
-//                the paper's GPU runs never pay.
+//                calling thread participates, and no threads are
+//                created or joined per kernel — the fork/join cost the
+//                paper's GPU runs never pay.
 //   kOpenMP      the legacy fork/join path (one `omp parallel for`
 //                over the same chunks). Kept as the reference for the
 //                bitwise runtime-equivalence tests and the
@@ -40,11 +39,6 @@ enum class KernelRuntime {
 /// (default: max(1, hardware_concurrency - 1)).
 Engine& default_engine();
 
-/// Monotonic id of the current default engine; bumps whenever
-/// configure_default_engine rebuilds it. Holders of Streams created on
-/// the default engine must re-create them when this changes.
-std::uint64_t default_engine_generation();
-
 /// Rebuild the default engine with `workers` threads (test/bench hook).
 /// Callers must ensure no kernel is in flight on the old engine.
 void configure_default_engine(int workers);
@@ -69,14 +63,6 @@ constexpr std::int64_t brick_grain(std::int64_t brick_volume) {
 }
 
 namespace detail {
-
-/// The engine a kernel on this thread should use: the owning engine
-/// when already on a pool (nested parallel_for inside a stream task),
-/// else the process default.
-inline Engine& runtime_engine() {
-  Engine* own = this_thread_engine();
-  return own ? *own : default_engine();
-}
 
 /// The kOpenMP mode body: one fork/join team over the chunk ids
 /// (serial when built without OpenMP, e.g. under TSan).
@@ -109,7 +95,7 @@ void parallel_for(const char* name, std::int64_t n, std::int64_t grain,
   if (kernel_runtime() == KernelRuntime::kOpenMP) {
     detail::run_chunks_openmp(Engine::plan_chunks(n, grain), n, body);
   } else {
-    detail::runtime_engine().parallel_for_chunks(name, n, grain, body);
+    default_engine().parallel_for_chunks(name, n, grain, body);
   }
 }
 
@@ -129,7 +115,7 @@ T parallel_reduce_sum(const char* name, std::int64_t n, std::int64_t grain,
   if (kernel_runtime() == KernelRuntime::kOpenMP) {
     detail::run_chunks_openmp(chunks, n, body);
   } else {
-    detail::runtime_engine().parallel_for_chunks(name, n, grain, body);
+    default_engine().parallel_for_chunks(name, n, grain, body);
   }
   return detail::combine_chunk_tree(parts, chunks,
                                     [](T a, T b) { return a + b; });
@@ -149,7 +135,7 @@ T parallel_reduce_max(const char* name, std::int64_t n, std::int64_t grain,
   if (kernel_runtime() == KernelRuntime::kOpenMP) {
     detail::run_chunks_openmp(chunks, n, body);
   } else {
-    detail::runtime_engine().parallel_for_chunks(name, n, grain, body);
+    default_engine().parallel_for_chunks(name, n, grain, body);
   }
   return detail::combine_chunk_tree(
       parts, chunks, [](T a, T b) { return std::max(a, b); });

@@ -393,7 +393,7 @@ void FrontServer::handle_submit(const std::shared_ptr<Connection>& conn,
     }
     options = it->second;
   }
-  if (sf.rank_grid.volume() > 512) {
+  if (!sf.rank_grid.volume_at_most(512)) {
     bad_requests_.fetch_add(1, std::memory_order_relaxed);
     reject(conn, sf.request_id, wire::RejectReason::kBadRequest,
            "rank grid too large");

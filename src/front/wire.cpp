@@ -298,8 +298,9 @@ bool decode_submit(const std::vector<std::uint8_t>& payload, SubmitFrame* out,
   if (gx <= 0 || gy <= 0 || gz <= 0 || rx <= 0 || ry <= 0 || rz <= 0)
     return fail(error, "non-positive extent or rank grid");
   if (out->operator_id.empty()) return fail(error, "empty operator id");
-  if (out->rhs_samples.size() !=
-      static_cast<std::size_t>(out->global_extent.volume()))
+  const index_t samples = static_cast<index_t>(out->rhs_samples.size());
+  if (!out->global_extent.volume_at_most(samples) ||
+      out->global_extent.volume() != samples)
     return fail(error, "rhs sample count does not match global extent");
   if (!(out->tolerance >= 0) || !std::isfinite(out->tolerance))
     return fail(error, "bad tolerance");

@@ -87,19 +87,6 @@ struct FieldSet {
   void add(Fld a) { f[n++] = a; }
 };
 
-/// Complete a begun exchange on `ex` while `kernel` runs over `safe` on
-/// the overlap stream; after finish(), run `kernel` over the shell of
-/// `active` outside `safe` on this thread while the interior task
-/// drains (DESIGN.md §10). With a profiler, the finish is timed under
-/// kExchange and both kernel parts under `phase`. Shared by the run
-/// executors.
-void finish_exchange_overlapped(comm::Communicator& comm,
-                                comm::BrickExchange& ex, OverlapStream& os,
-                                perf::Profiler* prof, int level,
-                                const Box& active, const Box& safe,
-                                perf::Phase phase,
-                                const std::function<void(const Box&)>& kernel);
-
 template <class Exec>
 class Cycle {
  public:

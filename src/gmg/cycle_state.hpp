@@ -1,15 +1,14 @@
 // Per-solve state of the multigrid cycle (gmg/cycle.hpp): the
-// communication-avoiding ghost bookkeeping of every level, the bottom
-// CG's per-component scratch, and the split-phase overlap stream. The
-// solvers own one each; a recording (gmg/schedule_audit.hpp) builds its
-// own from the canonical post-set_rhs state.
+// communication-avoiding ghost bookkeeping of every level and the
+// bottom CG's per-component scratch. The solvers own one each; a
+// recording (gmg/schedule_audit.hpp) builds its own from the canonical
+// post-set_rhs state.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "common/types.hpp"
-#include "exec/engine.hpp"
 
 namespace gmg {
 
@@ -46,21 +45,6 @@ struct CycleState {
   /// The caller wrote the finest level's x and/or b directly: their
   /// ghosts are stale.
   void fine_written() { ghosts.front() = GhostState{}; }
-};
-
-/// The split-phase overlap's compute stream on the process-wide runtime
-/// engine, recreated whenever configure_default_engine() has replaced
-/// the pool.
-class OverlapStream {
- public:
-  explicit OverlapStream(const char* name) : name_(name) {}
-  exec::Engine& engine();
-  exec::Stream stream() const { return stream_; }
-
- private:
-  const char* name_;
-  std::uint64_t generation_ = 0;  // 0 = not yet created
-  exec::Stream stream_;
 };
 
 }  // namespace gmg

@@ -17,6 +17,7 @@
 #include "gmg/kernel_plan.hpp"
 #include "gmg/operators.hpp"
 #include "gmg/operators_varcoef.hpp"
+#include "trace/trace.hpp"
 
 namespace gmg {
 
@@ -28,8 +29,8 @@ class LevelRun {
   /// Runs over `levels`, the solve fields of `s`'s hierarchy; timed by
   /// `prof` when given.
   LevelRun(const GmgSolver& s, std::vector<Level>& levels,
-           perf::Profiler* prof, OverlapStream& os, comm::Communicator& comm)
-      : s_(s), levels_(levels), prof_(prof), os_(os), comm_(comm) {}
+           perf::Profiler* prof, comm::Communicator& comm)
+      : s_(s), levels_(levels), prof_(prof), comm_(comm) {}
 
   int k() const { return static_cast<int>(lanes(levels_.front().x)); }
   /// The fused residual + max-norm yields one norm: the one lane's.
@@ -53,12 +54,27 @@ class LevelRun {
   void begin(int l, const FieldSet& fs) {
     lev(l).exchange->begin(comm_, fields(l, fs));
   }
+  /// Complete a begun round in the usual MPI order, all on this rank
+  /// thread (DESIGN.md §10): kernel over `safe` while the messages are
+  /// in flight, then the finish, then kernel over the shell of `active`
+  /// outside `safe` — the order Record::finish records. The safe box
+  /// and the shell write disjoint cells and read only values fixed
+  /// before the sweep, so the split changes no value. Both kernel parts
+  /// are timed under `phase`, the finish under kExchange.
   template <class Kernel>
   void finish(int l, const Box& active, const Box& safe, perf::Phase phase,
               Kernel& kernel) {
-    finish_exchange_overlapped(
-        comm_, *lev(l).exchange, os_, prof_, l, active, safe, phase,
-        [&](const Box& region) { kernel(region, false); });
+    if (!safe.empty()) {
+      trace::TraceSpan span("overlap.interior");
+      timed(l, phase, [&] { kernel(safe, false); });
+    }
+    timed(l, perf::Phase::kExchange, [&] { lev(l).exchange->finish(comm_); });
+    const std::vector<Box> shell = shell_boxes(active, safe);
+    if (!shell.empty()) {
+      timed(l, phase, [&] {
+        for (const Box& b : shell) kernel(b, false);
+      });
+    }
   }
 
   void apply(int l, Fld out, Fld in, const Box& box, bool) {
@@ -144,7 +160,6 @@ class LevelRun {
   const GmgSolver& s_;
   std::vector<Level>& levels_;
   perf::Profiler* prof_;
-  OverlapStream& os_;
   comm::Communicator& comm_;
 };
 

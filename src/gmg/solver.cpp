@@ -245,7 +245,7 @@ void GmgSolver::set_coefficient(
     levels_[l].coef = BrickedArray(levels_[l].grid, levels_[l].shape);
     restriction(levels_[l].coef, levels_[l - 1].coef);
   }
-  Run ex(*this, levels_, &profiler_, overlap_, comm);
+  Run ex(*this, levels_, &profiler_, comm);
   for (MgLevel& lev : levels_) {
     lev.varcoef = true;
     ex.exchange(lev.level, lev.coef);
@@ -269,18 +269,18 @@ void GmgSolver::vcycle(comm::Communicator& comm) {
   // Umbrella span so the timeline shows cycle boundaries around the
   // per-phase spans Profiler::timed emits.
   trace::TraceSpan span("gmg.vcycle");
-  Run ex(*this, levels_, &profiler_, overlap_, comm);
+  Run ex(*this, levels_, &profiler_, comm);
   Cycle<Run>(*this, ex, cycle_).vcycle();
 }
 
 void GmgSolver::fmg(comm::Communicator& comm) {
   trace::TraceSpan span("gmg.fmg");
-  Run ex(*this, levels_, &profiler_, overlap_, comm);
+  Run ex(*this, levels_, &profiler_, comm);
   Cycle<Run>(*this, ex, cycle_).fmg();
 }
 
 real_t GmgSolver::residual_norm(comm::Communicator& comm) {
-  Run ex(*this, levels_, &profiler_, overlap_, comm);
+  Run ex(*this, levels_, &profiler_, comm);
   const std::uint8_t active = 1;
   real_t res = 0;
   Cycle<Run>(*this, ex, cycle_).residual_norms(&active, &res);
@@ -288,7 +288,7 @@ real_t GmgSolver::residual_norm(comm::Communicator& comm) {
 }
 
 real_t GmgSolver::residual_norm_l2(comm::Communicator& comm) {
-  Run ex(*this, levels_, &profiler_, overlap_, comm);
+  Run ex(*this, levels_, &profiler_, comm);
   return std::sqrt(Cycle<Run>(*this, ex, cycle_).residual_norm_l2());
 }
 
@@ -296,7 +296,7 @@ SolveResult GmgSolver::solve(comm::Communicator& comm,
                              const SolveControl* control) {
   GMG_REQUIRE(!storage_detached_,
               "attach_field_storage() before solving a parked hierarchy");
-  Run ex(*this, levels_, &profiler_, overlap_, comm);
+  Run ex(*this, levels_, &profiler_, comm);
   Cycle<Run> cycle(*this, ex, cycle_);
   std::vector<SolveResult> results =
       solve_loop(cycle, {{opts_.tolerance, opts_.max_vcycles, control}},

@@ -11,7 +11,6 @@
 
 #include "brick/brick_arena.hpp"
 #include "comm/simmpi.hpp"
-#include "exec/engine.hpp"
 #include "exec/runtime.hpp"
 #include "gmg/cycle_state.hpp"
 #include "gmg/level.hpp"
@@ -61,9 +60,10 @@ struct GmgOptions {
   comm::BrickExchangeMode exchange_mode = comm::BrickExchangeMode::kPackFree;
 
   /// Overlap compute with the ghost exchange (DESIGN.md §10): each
-  /// exchange runs split-phase, with the stencil applied over the
-  /// interior brick partition on an exec::Engine worker while the
-  /// messages fly, then over the surface shell once finish() returns.
+  /// exchange runs split-phase — begin() posts the round, the stencil
+  /// runs over the interior brick partition on the rank thread while
+  /// the messages fly, then finish() completes the round and the
+  /// stencil covers the surface shell.
   /// Bitwise identical to the blocking path: a region split only
   /// reorders work that never reads what it writes — the whole one-pass
   /// Jacobi sweep (x' goes to a separate buffer), Chebyshev's operator
@@ -81,22 +81,23 @@ struct GmgOptions {
   /// payload bytes one exchange round moves. The brick-count floor
   /// above catches tiny coarse grids; this ratio catches the
   /// surface-dominated shapes in between, where the safe interior is a
-  /// sliver and the split-phase machinery (stream submit, shell sweep
-  /// bookkeeping, event wait) costs more than the messages it hides.
+  /// sliver and the split-phase machinery (the extra kernel launches
+  /// over the shell boxes) costs more than the messages it hides.
   /// Overlap is value-neutral (DESIGN.md §10), so this is purely a
-  /// performance knob; 0 disables the ratio test. The default was set
-  /// by measurement on fig8's 8-rank 64^3 problem: its split-phase
-  /// levels sit at interior/payload ratios of 0.44 (L0) and 0.05 (L1)
-  /// and hide 35–53% of the *visible* exchange wait there, yet the
-  /// wall clock runs a consistent ~6–10% *slower* than blocking —
-  /// with host-parallelism oversubscribed, the hidden wait is cost
-  /// moved, not removed, and the split/submit/wait machinery is a
-  /// pure add. 8.0 keeps split-phase for the regime where interior
-  /// arithmetic genuinely dwarfs the traffic (roughly >=64^3 per rank
-  /// at brick 4^3), and turns small-subdomain solves — including
-  /// everything the serve tier batches — back into the cheaper
-  /// blocking exchange. Set to 0 to measure raw split-phase behavior
-  /// (what fig8 --overlap=on reports per level).
+  /// performance knob; 0 disables the ratio test. The default rests on
+  /// fig8's 8-rank 64^3 problem, whose split-phase levels sit at
+  /// interior/payload ratios of 0.44 (L0) and 0.05 (L1): on a 4-vCPU
+  /// VM the raw split hides a few percent of the visible exchange wait
+  /// at most, and its wall clock runs ~4% *slower* than blocking
+  /// (medians of 10 runs) — with host parallelism oversubscribed, the
+  /// hidden wait is cost moved, not removed, and the split-phase
+  /// bookkeeping is a pure add. 8.0 keeps split-phase
+  /// for the regime where interior arithmetic genuinely dwarfs the
+  /// traffic (roughly >=64^3 per rank at brick 4^3), and turns
+  /// small-subdomain solves — including everything the serve tier
+  /// batches — back into the cheaper blocking exchange. Set to 0 to
+  /// measure raw split-phase behavior (what fig8 --overlap=on reports
+  /// per level).
   double overlap_min_compute_bytes_ratio = 8.0;
   /// Upper bound on how many compatible requests the serve tier's
   /// coalescer may fuse into one batched solve through this hierarchy
@@ -288,7 +289,6 @@ class GmgSolver {
   perf::Profiler profiler_;
   /// The cycle's ghost bookkeeping and bottom-CG scratch (gmg/cycle.hpp).
   CycleState cycle_;
-  OverlapStream overlap_{"gmg.compute"};
 };
 
 }  // namespace gmg

@@ -9,7 +9,7 @@
 //   blocking backpressure) --> executor pool --> hierarchy cache
 //   (reuse full GmgLevel chains, skip setup) --> brick arena (recycle
 //   field storage, skip malloc/first-touch) --> simmpi World solve on
-//   the shared exec engine (one compute stream per cached solver) -->
+//   the shared exec engine (kernels fan out over its worker pool) -->
 //   completion future.
 //
 // Determinism contract: a request's result is bitwise identical to

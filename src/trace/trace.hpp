@@ -29,11 +29,9 @@ namespace gmg::trace {
 
 /// Coarse event classification, mapped to the Chrome trace "cat"
 /// field. kWait marks time blocked on another rank (exchange waits,
-/// barriers, reductions) — the per-rank skew signal. kExec marks work
-/// scheduled through the exec::Engine task engine (interior compute
-/// overlapped with an in-flight exchange); on the timeline these spans
-/// run concurrently with the same rank's exchange.finish wait, which
-/// is how compute–comm overlap is made visible.
+/// barriers, reductions) — the per-rank skew signal. kExec marks a
+/// pool worker's share of a parallel_for (exec::Engine), attributed to
+/// the submitting rank so it lands on that rank's timeline row.
 enum class Category : std::uint8_t {
   kCompute,
   kComm,

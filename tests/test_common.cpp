@@ -23,6 +23,18 @@ TEST(Vec3, Arithmetic) {
   EXPECT_EQ(a[2], 3);
 }
 
+TEST(Vec3, VolumeAtMostNeverOverflows) {
+  EXPECT_TRUE((Vec3{8, 8, 8}).volume_at_most(512));
+  EXPECT_FALSE((Vec3{8, 8, 9}).volume_at_most(512));
+  EXPECT_TRUE((Vec3{0, 1 << 30, 1 << 30}).volume_at_most(0));
+  // Products that wrap a 64-bit integer to 0 and to a negative value.
+  EXPECT_FALSE((Vec3{1 << 22, 1 << 21, 1 << 21}).volume_at_most(512));
+  EXPECT_FALSE((Vec3{1 << 22, 1 << 21, (1 << 21) - 1}).volume_at_most(512));
+  const index_t big = index_t{1} << 31;
+  EXPECT_FALSE((Vec3{big, big, big}).volume_at_most(index_t{1} << 62));
+  EXPECT_TRUE((Vec3{big, big, 1}).volume_at_most(index_t{1} << 62));
+}
+
 TEST(Directions, RoundTrip) {
   int seen = 0;
   for (int dz = -1; dz <= 1; ++dz)

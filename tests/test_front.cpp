@@ -395,6 +395,19 @@ TEST(FrontServerTest, BadRequestsAndUnknownOperatorsAreRejected) {
   ASSERT_TRUE(r.rejected);
   EXPECT_EQ(r.reject.reason, wire::RejectReason::kBadRequest);
 
+  // Rank-grid extents are int32s off the wire; their 64-bit product
+  // wraps to 0 or to a negative value.
+  sf.rhs_samples = wire::sample_rhs(sf.global_extent, sine_rhs);
+  for (const Vec3 grid : {Vec3{1 << 22, 1 << 21, 1 << 21},
+                          Vec3{1 << 22, 1 << 21, (1 << 21) - 1}}) {
+    ++sf.request_id;
+    sf.rank_grid = grid;
+    r = client.submit_and_wait(sf, 30000);
+    ASSERT_TRUE(r.rejected) << grid;
+    EXPECT_EQ(r.reject.reason, wire::RejectReason::kBadRequest) << grid;
+    EXPECT_EQ(r.reject.detail, "rank grid too large") << grid;
+  }
+
   wire::StatsFrame stats;
   ASSERT_TRUE(client.fetch_stats(&stats, 10000)) << client.last_error();
   EXPECT_EQ(stats.shards.size(), 1u);

@@ -415,9 +415,9 @@ TEST(JacobiSweep, AliasedOutputRejected) {
 
 TEST(JacobiSweep, RegionSplitEightRankSolveMatchesSingleRank) {
   // With the bytes-ratio cutoff off, the finest level runs split-phase,
-  // so each sweep executes by region: the safe box on the engine stream
-  // while the exchange is in flight, then the shell boxes. Solution and
-  // residual history must equal the single-rank solve's bit for bit.
+  // so each sweep executes by region: the safe box while the exchange
+  // is in flight, then the shell boxes. Solution and residual history
+  // must equal the single-rank solve's bit for bit.
   const Vec3 global{32, 32, 32};
   for (const bool varcoef : {false, true}) {
     GmgOptions o = base_options(4, Smoother::kPointJacobi);
@@ -467,10 +467,11 @@ TEST(JacobiSweep, RegionSplitEightRankSolveMatchesSingleRank) {
     }
     // The split path really ran.
     const trace::Snapshot snap = trace::collect();
-    const auto waits = std::count_if(
-        snap.spans.begin(), snap.spans.end(),
-        [](const trace::SpanRecord& s) { return s.name == "exec.wait_overlap"; });
-    EXPECT_GT(waits, 0) << (varcoef ? "varcoef" : "const");
+    const auto interior = std::count_if(
+        snap.spans.begin(), snap.spans.end(), [](const trace::SpanRecord& s) {
+          return s.name == "overlap.interior";
+        });
+    EXPECT_GT(interior, 0) << (varcoef ? "varcoef" : "const");
   }
 }
 

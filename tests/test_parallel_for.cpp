@@ -1,20 +1,33 @@
 // Engine::parallel_for_chunks semantics (chunk coverage, exception
-// propagation, nesting from stream tasks, arbitrary worker counts) and
-// the exec runtime facade: deterministic tree reductions that are
-// bitwise identical across worker counts and across the engine-pool /
-// legacy-OpenMP modes, all the way up to full solver runs.
+// propagation, concurrent submitters, arbitrary worker counts), the
+// pool's job path (workers wake to claim chunks, the caller finishes
+// its own job when every worker is busy, rethrow after every claimed
+// chunk, chunk spans on the submitter's rank) and the exec runtime
+// facade: the default engine's configuration, and deterministic tree
+// reductions that are bitwise identical across worker counts and
+// across the engine-pool / legacy-OpenMP modes, all the way up to full
+// solver runs.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <optional>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "common/error.hpp"
 #include "exec/engine.hpp"
 #include "exec/runtime.hpp"
 #include "gmg/solver.hpp"
 #include "tests/test_util.hpp"
+#include "trace/trace.hpp"
 
 namespace gmg::exec {
 namespace {
@@ -74,14 +87,17 @@ TEST(ParallelFor, EmptyAndSingleChunkRanges) {
                           [&](int, std::int64_t, std::int64_t) { ++calls; });
   EXPECT_EQ(calls, 0);
   // n < grain: one chunk, runs inline on the caller.
+  std::thread::id ran_on;
   eng.parallel_for_chunks("test.single", 5, 16,
                           [&](int c, std::int64_t b, std::int64_t e) {
                             ++calls;
+                            ran_on = std::this_thread::get_id();
                             EXPECT_EQ(c, 0);
                             EXPECT_EQ(b, 0);
                             EXPECT_EQ(e, 5);
                           });
   EXPECT_EQ(calls, 1);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
 }
 
 TEST(ParallelFor, FirstExceptionPropagatesToCaller) {
@@ -105,27 +121,6 @@ TEST(ParallelFor, FirstExceptionPropagatesToCaller) {
   EXPECT_EQ(ok.load(), 64);
 }
 
-TEST(ParallelFor, NestedCallFromStreamTaskCompletes) {
-  // The overlap configuration: a stream task (the interior-compute
-  // submission) fans out through parallel_for on the same engine. The
-  // task's worker participates in the chunk loop, so this must finish
-  // even on a single-worker engine.
-  for (int workers : {1, 2}) {
-    Engine eng(workers);
-    Stream s = eng.create_stream("s");
-    std::atomic<std::int64_t> sum{0};
-    eng.submit(s, "outer", [&] {
-      ASSERT_EQ(this_thread_engine(), &eng);
-      eng.parallel_for_chunks("inner", 1000, 10,
-                              [&](int, std::int64_t b, std::int64_t e) {
-                                for (std::int64_t i = b; i < e; ++i) sum += i;
-                              });
-    });
-    eng.sync(s);
-    EXPECT_EQ(sum.load(), 1000 * 999 / 2);
-  }
-}
-
 TEST(ParallelFor, ConcurrentSubmittersShareThePool) {
   Engine eng(4);
   std::atomic<std::int64_t> total{0};
@@ -142,6 +137,165 @@ TEST(ParallelFor, ConcurrentSubmittersShareThePool) {
   }
   for (auto& t : submitters) t.join();
   EXPECT_EQ(total.load(), std::int64_t{4} * 20 * 10000);
+}
+
+// --- the pool's job path --------------------------------------------
+
+/// Spin (yielding) until `pred()` holds or 20 s pass; whether it held.
+/// The bound keeps a broken pool from hanging the suite.
+template <class Pred>
+bool await(Pred pred) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+/// A two-chunk job whose chunks each wait for the other to start, so it
+/// completes promptly only if a second thread claims a chunk while the
+/// first sits in its own.
+struct Rendezvous {
+  std::array<std::thread::id, 2> ran_on;  // per chunk
+  std::array<bool, 2> met{};              // chunk saw the other start
+};
+
+Rendezvous rendezvous_job(Engine& eng, const char* name) {
+  Rendezvous out;
+  std::atomic<int> started{0};
+  eng.parallel_for_chunks(
+      name, 2, 1, [&](int c, std::int64_t, std::int64_t) {
+        const auto i = static_cast<std::size_t>(c);
+        out.ran_on[i] = std::this_thread::get_id();
+        started.fetch_add(1);
+        out.met[i] = await([&] { return started.load() == 2; });
+      });
+  return out;
+}
+
+TEST(ExecEngine, ReportsWorkerCountAndRejectsZero) {
+  for (int workers : {1, 3}) EXPECT_EQ(Engine(workers).workers(), workers);
+  EXPECT_THROW(Engine(0), Error);
+  EXPECT_THROW(Engine(-2), Error);
+}
+
+TEST(ExecEngine, IdleWorkersWakeToClaimChunks) {
+  // The thread sitting in one chunk cannot claim the other: each job
+  // completes only because an idle worker woke and claimed a chunk.
+  Engine eng(2);
+  for (int rep = 0; rep < 10; ++rep) {
+    const Rendezvous r = rendezvous_job(eng, "test.wake");
+    EXPECT_TRUE(r.met[0] && r.met[1]) << "rep " << rep;
+    EXPECT_NE(r.ran_on[0], r.ran_on[1]) << "rep " << rep;
+  }
+}
+
+TEST(ExecEngine, CallerFinishesItsJobWhileEveryWorkerIsBusy) {
+  // Job A pins its submitter and both workers in chunks that wait for a
+  // release. Job B, submitted meanwhile, must still complete — every
+  // chunk on B's own caller — while A is pinned.
+  Engine eng(2);
+  std::atomic<int> a_started{0};
+  std::atomic<bool> release{false};
+  std::atomic<bool> a_done{false};
+  std::array<std::thread::id, 3> a_ran_on;
+  std::thread submitter([&] {
+    eng.parallel_for_chunks(
+        "test.pinned", 3, 1, [&](int c, std::int64_t, std::int64_t) {
+          a_ran_on[static_cast<std::size_t>(c)] = std::this_thread::get_id();
+          a_started.fetch_add(1);
+          await([&] { return release.load(); });
+        });
+    a_done = true;
+  });
+  const bool pinned = await([&] { return a_started.load() == 3; });
+  EXPECT_TRUE(pinned) << "the workers never joined job A";
+
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> b_off_caller{0};
+  std::atomic<std::int64_t> b_covered{0};
+  eng.parallel_for_chunks("test.caller", 6400, 100,
+                          [&](int, std::int64_t b, std::int64_t e) {
+                            if (std::this_thread::get_id() != caller)
+                              b_off_caller.fetch_add(1);
+                            b_covered.fetch_add(e - b);
+                          });
+  EXPECT_EQ(b_covered.load(), 6400);
+  EXPECT_EQ(b_off_caller.load(), 0);
+  EXPECT_FALSE(a_done.load());
+
+  release = true;
+  submitter.join();
+  EXPECT_TRUE(a_done.load());
+  EXPECT_EQ(std::set<std::thread::id>(a_ran_on.begin(), a_ran_on.end()).size(),
+            3u);
+}
+
+TEST(ExecEngine, RethrowWaitsForEveryClaimedChunk) {
+  Engine eng(3);
+  std::atomic<int> started{0};
+  std::atomic<int> finished{0};
+  try {
+    eng.parallel_for_chunks(
+        "test.rethrow", 64, 1, [&](int c, std::int64_t, std::int64_t) {
+          started.fetch_add(1);
+          if (c == 0) {
+            finished.fetch_add(1);
+            throw std::runtime_error("chunk 0 failed");
+          }
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+          finished.fetch_add(1);
+        });
+    ADD_FAILURE() << "the chunk's exception was swallowed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "chunk 0 failed");
+    // The call is blocking even when a chunk throws: by the rethrow,
+    // every chunk of the plan has run to its end.
+    EXPECT_EQ(started.load(), 64);
+    EXPECT_EQ(finished.load(), 64);
+  }
+}
+
+TEST(ExecEngine, WorkerChunkSpansCarryTheSubmittersRank) {
+  trace::clear();
+  trace::set_rank(5);
+  {
+    Engine eng(2);
+    const Rendezvous r = rendezvous_job(eng, "test.ranked");
+    EXPECT_TRUE(r.met[0] && r.met[1]);
+  }  // joins the workers before the trace is read
+  trace::set_rank(0);
+  // Only workers record a span per job, and the rendezvous put at least
+  // one chunk on a worker.
+  int spans = 0;
+  for (const trace::SpanRecord& s : trace::collect().spans) {
+    if (s.name != "test.ranked") continue;
+    ++spans;
+    EXPECT_EQ(s.rank, 5);
+    EXPECT_EQ(s.cat, trace::Category::kExec);
+  }
+  EXPECT_GE(spans, 1);
+}
+
+TEST(ExecEngine, NestedCallFromAChunkCompletes) {
+  // A chunk that fans out again on its own engine runs the inner job's
+  // chunks itself, so this finishes even when the one worker is the
+  // thread running the outer chunk.
+  for (int workers : {1, 2}) {
+    Engine eng(workers);
+    std::atomic<std::int64_t> sum{0};
+    eng.parallel_for_chunks(
+        "test.outer", 4, 1, [&](int, std::int64_t, std::int64_t) {
+          eng.parallel_for_chunks("test.inner", 1000, 10,
+                                  [&](int, std::int64_t b, std::int64_t e) {
+                                    for (std::int64_t i = b; i < e; ++i)
+                                      sum += i;
+                                  });
+        });
+    EXPECT_EQ(sum.load(), 4 * (1000 * 999 / 2)) << "workers=" << workers;
+  }
 }
 
 // --- runtime facade -------------------------------------------------
@@ -189,21 +343,78 @@ TEST(Runtime, ReduceMaxMatchesSerialScan) {
   EXPECT_EQ(got, chunk_max(0, n));
 }
 
-TEST(Runtime, ParallelForUsesOwningEngineWhenNested) {
+TEST(Runtime, ConfigureDefaultEngineRebuildsThePool) {
   RuntimeGuard guard;
-  configure_default_engine(2);
-  Engine own(1);
-  Stream s = own.create_stream("s");
-  std::atomic<std::int64_t> covered{0};
-  own.submit(s, "nested", [&] {
-    // Free-function parallel_for inside a stream task must run on the
-    // owning engine (no cross-engine deadlock), not the default one.
-    parallel_for("inner", 5000, 10, [&](std::int64_t b, std::int64_t e) {
-      covered.fetch_add(e - b);
+  set_kernel_runtime(KernelRuntime::kEnginePool);
+  for (int workers : {3, 1}) {
+    configure_default_engine(workers);
+    EXPECT_EQ(default_engine().workers(), workers);
+    std::atomic<std::int64_t> covered{0};
+    parallel_for("test.configured", 5000, 10,
+                 [&](std::int64_t b, std::int64_t e) { covered.fetch_add(e - b); });
+    EXPECT_EQ(covered.load(), 5000) << "workers=" << workers;
+  }
+  // Non-positive counts clamp to one worker.
+  for (int workers : {0, -4}) {
+    configure_default_engine(workers);
+    EXPECT_EQ(default_engine().workers(), 1) << "workers=" << workers;
+  }
+}
+
+/// Sets GMG_EXEC_WORKERS for one scope, then restores the old value.
+class ScopedWorkersEnv {
+ public:
+  explicit ScopedWorkersEnv(const char* value) {
+    if (const char* old = std::getenv(kName)) old_ = old;
+    ::setenv(kName, value, 1);
+  }
+  ~ScopedWorkersEnv() {
+    if (old_)
+      ::setenv(kName, old_->c_str(), 1);
+    else
+      ::unsetenv(kName);
+  }
+
+ private:
+  static constexpr const char* kName = "GMG_EXEC_WORKERS";
+  std::optional<std::string> old_;
+};
+
+TEST(Runtime, ResolvedDefaultWorkersReadsOnlyValidCounts) {
+  const unsigned hc = std::thread::hardware_concurrency();
+  const int hardware = hc > 1 ? static_cast<int>(hc - 1) : 1;
+  for (const char* v : {"1", "5", "1024"}) {
+    ScopedWorkersEnv env(v);
+    EXPECT_EQ(resolved_default_workers(), std::atoi(v)) << v;
+  }
+  // Out of range or not a number: the hardware default.
+  for (const char* v : {"0", "-3", "1025", "abc", ""}) {
+    ScopedWorkersEnv env(v);
+    EXPECT_EQ(resolved_default_workers(), hardware) << '"' << v << '"';
+  }
+}
+
+TEST(Runtime, ParallelForCoversTheRangeInBothModes) {
+  RuntimeGuard guard;
+  configure_default_engine(3);
+  for (KernelRuntime mode :
+       {KernelRuntime::kEnginePool, KernelRuntime::kOpenMP}) {
+    set_kernel_runtime(mode);
+    const std::int64_t n = 100000;
+    std::vector<std::atomic<int>> hits(static_cast<size_t>(n));
+    for (auto& h : hits) h.store(0);
+    parallel_for("test.cover", n, 1000, [&](std::int64_t b, std::int64_t e) {
+      for (std::int64_t i = b; i < e; ++i)
+        hits[static_cast<size_t>(i)].fetch_add(1);
     });
-  });
-  own.sync(s);
-  EXPECT_EQ(covered.load(), 5000);
+    for (std::int64_t i = 0; i < n; ++i)
+      ASSERT_EQ(hits[static_cast<size_t>(i)].load(), 1) << "index " << i;
+    std::atomic<int> calls{0};
+    for (std::int64_t empty : {std::int64_t{0}, std::int64_t{-7}})
+      parallel_for("test.empty", empty, 1,
+                   [&](std::int64_t, std::int64_t) { calls.fetch_add(1); });
+    EXPECT_EQ(calls.load(), 0);
+  }
 }
 
 // --- solver determinism --------------------------------------------

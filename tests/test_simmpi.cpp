@@ -302,6 +302,37 @@ TEST(SimMpi, TestReportsCompletionAndStaysTrue) {
   });
 }
 
+TEST(SimMpi, IsendCompletesAtPostAndCopiesThePayload) {
+  // Buffered sends: an isend is complete when it returns, whether it
+  // met a posted receive or was queued for a later one, and the sender
+  // may reuse its buffer at once. A rank can therefore compute between
+  // posting an exchange and waiting on it without stalling its peers.
+  World world(2);
+  world.run([&](Communicator& c) {
+    if (c.rank() == 0) {
+      double matched = 0, queued = 0;
+      Request rm = c.irecv(&matched, sizeof(matched), 1, 8);
+      c.barrier();  // the peer sends both messages after this
+      c.barrier();
+      EXPECT_TRUE(c.test(rm));
+      Request rq = c.irecv(&queued, sizeof(queued), 1, 7);
+      EXPECT_TRUE(c.test(rq));
+      EXPECT_DOUBLE_EQ(matched, 2.5);
+      EXPECT_DOUBLE_EQ(queued, 1.5);
+    } else {
+      c.barrier();
+      double v = 1.5;
+      Request sq = c.isend(&v, sizeof(v), 0, 7);  // no receive posted
+      EXPECT_TRUE(c.test(sq));
+      v = 2.5;
+      Request sm = c.isend(&v, sizeof(v), 0, 8);  // meets the posted one
+      EXPECT_TRUE(c.test(sm));
+      v = -1.0;
+      c.barrier();
+    }
+  });
+}
+
 TEST(SimMpi, WaitAnyReturnsCompletionsOutOfPostOrder) {
   World world(2);
   world.run([&](Communicator& c) {

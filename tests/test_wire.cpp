@@ -336,6 +336,23 @@ TEST(Wire, DecodeValidatesSemanticFields) {
   bad.operator_id = "";
   EXPECT_FALSE(decode_submit(payload_of(bad), &out, &err));
 
+  // Extents are int32s off the wire; their 64-bit product can wrap to
+  // the sample count the frame carries (2^64 -> 0, 2^65 + 8 -> 8).
+  struct Wrap {
+    Vec3 extent;
+    std::size_t samples;
+  };
+  for (const Wrap& w : {Wrap{{1 << 22, 1 << 21, 1 << 21}, 0},
+                        Wrap{{1 << 21, 1 << 22, 1 << 21}, 0},
+                        Wrap{{1 << 21, 1 << 21, 1 << 22}, 0},
+                        Wrap{{1979080, 384773, 48448661}, 8}}) {
+    bad = good;
+    bad.global_extent = w.extent;
+    bad.rhs_samples.assign(w.samples, 1.0);
+    EXPECT_FALSE(decode_submit(payload_of(bad), &out, &err)) << w.extent;
+    EXPECT_NE(err.find("sample count"), std::string::npos) << err;
+  }
+
   // Trailing bytes are a protocol violation.
   const std::vector<std::uint8_t> ping = encode_ping(1);
   std::vector<std::uint8_t> payload(ping.begin() + 12, ping.end());

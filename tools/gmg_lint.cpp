@@ -74,10 +74,9 @@
 //                       `patch_exchange().exchange(...)`) may only
 //                       appear inside the executors' exchange
 //                       primitives — member functions named exchange,
-//                       begin or finish — and the shared
-//                       finish_exchange_overlapped. Anywhere else they
-//                       bypass the cycle whose recorded schedule
-//                       setup-time verification proved.
+//                       begin or finish. Anywhere else they bypass the
+//                       cycle whose recorded schedule setup-time
+//                       verification proved.
 //
 // Exit status 0 = clean, 1 = violations (one per line,
 // `file:line: [rule] message`), 2 = usage/IO error.
@@ -646,13 +645,10 @@ class Linter {
     if (!fc.in_exchange_dirs) return;
     const std::vector<Tok>& t = tf.toks;
     for (const FnInfo& fn : fns) {
-      // The executors' exchange primitives, and the split-phase finish
-      // the run executors share.
+      // The executors' exchange primitives.
       const bool primitive =
-          (!fn.member_of.empty() &&
-           (fn.name == "exchange" || fn.name == "begin" ||
-            fn.name == "finish")) ||
-          fn.name == "finish_exchange_overlapped";
+          !fn.member_of.empty() && (fn.name == "exchange" ||
+                                    fn.name == "begin" || fn.name == "finish");
       if (primitive) continue;
       for (std::size_t i = fn.body_begin; i + 1 < fn.body_end; ++i) {
         if (t[i].kind != Tok::kIdent ||
@@ -871,6 +867,10 @@ const SelfTest kSelfTests[] = {
      "namespace gmg {\ntemplate <class Exec>\nclass Cycle {\n"
      "  void exchange_for_smooth(int l) {\n"
      "    lev(l).exchange->begin(comm, fields);\n  }\n};\n}\n",
+     "exchange-call"},
+    {"free split-phase helper flagged", "src/gmg/foo.cpp",
+     "namespace gmg {\nvoid finish_split(comm::Communicator& c, "
+     "MgLevel& lev) {\n  lev.exchange->finish(c);\n}\n}\n",
      "exchange-call"},
     {"exchange inside an executor primitive clean", "src/gmg/foo.cpp",
      "namespace gmg {\nclass SoloRun {\n public:\n"
