@@ -69,7 +69,7 @@ std::string parse_trace_out(int argc, const char* const argv[],
                             const char* program);
 
 /// Same, but on a caller-provided Options so a bench can register its
-/// own flags (e.g. fig6/fig8's --overlap) next to --trace-out.
+/// own flags (e.g. amr_refine's -s and -b) next to --trace-out.
 std::string parse_trace_out(Options& opts, int argc,
                             const char* const argv[], const char* program);
 

@@ -97,12 +97,10 @@ void protocol_ablation() {
       "below the eager threshold — the paper's coarsest-level finding.");
 }
 
-void measured_host_exchange(bool overlap) {
+void measured_host_exchange() {
   bench::section(
-      std::string("Fig. 6 (measured) — live 2-rank exchange on the host, ") +
-      (overlap ? "split-phase begin()/finish() path (--overlap=on)"
-               : "blocking exchange() path (--overlap=off)") +
-      " (memcpy-level; wall time includes thread scheduling)");
+      "Fig. 6 (measured) — live 2-rank exchange on the host (memcpy-level; "
+      "wall time includes thread scheduling)");
   Table t({"subdomain", "mode", "payload bytes", "time [us]", "GB/s"});
   const std::pair<comm::BrickExchangeMode, const char*> modes[] = {
       {comm::BrickExchangeMode::kPackFree, "pack-free"},
@@ -131,16 +129,7 @@ void measured_host_exchange(bool overlap) {
         perf::Profiler prof;  // rank-local; emits "exchange" spans
         Timer timer;
         for (int r = 0; r < reps; ++r) {
-          prof.timed(0, perf::Phase::kExchange, [&] {
-            if (overlap) {
-              // The solver's split-phase schedule, back to back: any
-              // per-phase overhead over blocking shows up right here.
-              ex.begin(c, f);
-              ex.finish(c);
-            } else {
-              ex.exchange(c, f);
-            }
-          });
+          prof.timed(0, perf::Phase::kExchange, [&] { ex.exchange(c, f); });
         }
         const double local = timer.elapsed() / reps;
         const double worst = c.allreduce_max(local);
@@ -170,16 +159,11 @@ void measured_host_exchange(bool overlap) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opts;
-  opts.add_flag("overlap",
-                "measured exchange path: on = split-phase begin()/finish() "
-                "(DESIGN.md §10), off = blocking exchange()",
-                "on");
   const std::string trace_out =
-      bench::parse_trace_out(opts, argc, argv, "fig6_exchange_bandwidth");
+      bench::parse_trace_out(argc, argv, "fig6_exchange_bandwidth");
   modeled_fig6();
   protocol_ablation();
-  measured_host_exchange(opts.get_bool("overlap"));
+  measured_host_exchange();
   bench::finish_trace(trace_out);
   return 0;
 }

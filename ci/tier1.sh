@@ -18,14 +18,13 @@
 #      retirement loop, set_rhs and the serve execute path) at every
 #      group size, including the socket path.
 #   3. A TSan tree (./build-tsan, OpenMP off — see GMG_SANITIZE_THREAD)
-#      running the kernel-runtime parallel_for pool, simmpi,
-#      split-phase exchange, overlapped smoothing (the run executor's
-#      finish computes the interior pass on the rank thread while the
-#      round's buffered sends and posted receives are in flight, then
-#      its kernels fan out over the pool), and solve-service tests: the
-#      worker-pool and message handoffs of DESIGN.md §10–11 and the
-#      serve layer's executor pool / hierarchy cache / brick arena
-#      (§12) are exactly what a race detector must see scheduled live.
+#      running the kernel-runtime parallel_for pool, simmpi, the ghost
+#      exchange (each rank thread posts a round and waits on it while
+#      its peers' buffered sends land in its ghost bricks), and
+#      solve-service tests: the worker-pool and message handoffs of
+#      DESIGN.md §10–11 and the serve layer's executor pool / hierarchy
+#      cache / brick arena (§12) are exactly what a race detector must
+#      see scheduled live.
 #      The socket front's wire and server tests (§14: poll loop x
 #      executor completion callbacks x client threads) and the
 #      batched-solve suite (§15: the coalescer's hold-window handoff)
@@ -93,16 +92,23 @@ echo "== tier 1: solver suite, default workers =="
 echo "== tier 1: solver suite, fusion off (GMG_FUSE_STAGES=0) =="
 GMG_FUSE_STAGES=0 ./build/tests/test_solver
 # test_fused also holds the one-pass Jacobi sweep's bitwise reference
-# tests (binding vs applyOp + smooth stages over interior, CA-grown and
-# split-phase regions); they run here, in the plain and GMG_CHECK=1
-# ctest stages above, and in the TSan tree below.
+# tests (binding vs applyOp + smooth stages over interior and CA-grown
+# regions); they run here, in the plain and GMG_CHECK=1 ctest stages
+# above, and in the TSan tree below.
 echo "== tier 1: fused-kernel suite, fusion off (split fallback) =="
 GMG_FUSE_STAGES=0 ./build/tests/test_fused
 
+# The benchmark smokes write their BENCH_*.json and bench/out CSVs into
+# the working directory; run them from a scratch directory so a CI run
+# never rewrites the committed baselines.
+ROOT="$(pwd)"
+SMOKE_DIR="$(mktemp -d)"
+trap 'rm -rf "${SMOKE_DIR}"' EXIT
+
 # Serve-layer smoke: cold vs cached request latency and client-fanout
-# throughput (writes BENCH_serve_throughput.json + bench/out CSV).
+# throughput.
 echo "== tier 1: serve throughput smoke =="
-./build/bench/serve_throughput
+(cd "${SMOKE_DIR}" && "${ROOT}/build/bench/serve_throughput")
 
 # Front-tier smoke (DESIGN.md §14): start the socket listener, drive a
 # client round trip through the wire protocol, drain, and verify the
@@ -111,9 +117,9 @@ echo "== tier 1: socket front smoke =="
 ./build/tools/serve_front --smoke --shards 2
 
 # AMR refinement smoke (DESIGN.md §17): composite coarse+patch solve
-# vs a uniformly fine solve at a reduced size; writes BENCH_amr.json.
+# vs a uniformly fine solve at a reduced size.
 echo "== tier 1: AMR refinement smoke =="
-./build/bench/amr_refine -s 32 -b 4
+(cd "${SMOKE_DIR}" && "${ROOT}/build/bench/amr_refine" -s 32 -b 4)
 
 SKIP_ASAN=0
 SKIP_TSAN=0
@@ -156,12 +162,10 @@ else
     -DGMG_ENABLE_EXAMPLES=OFF \
     -DGMG_NATIVE_ARCH=OFF >/dev/null
   cmake --build build-tsan -j"${JOBS}" \
-    --target test_parallel_for test_simmpi test_exchange test_overlap \
-             test_batch test_serve test_wire test_front test_fused \
-             test_amr
-  for t in test_parallel_for test_simmpi test_exchange test_overlap \
-           test_batch test_serve test_wire test_front test_fused \
-           test_amr; do
+    --target test_parallel_for test_simmpi test_exchange test_batch \
+             test_serve test_wire test_front test_fused test_amr
+  for t in test_parallel_for test_simmpi test_exchange test_batch \
+           test_serve test_wire test_front test_fused test_amr; do
     echo "-- ${t} (tsan)"
     "./build-tsan/tests/${t}"
   done

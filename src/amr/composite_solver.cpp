@@ -1,6 +1,7 @@
 #include "amr/composite_solver.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <utility>
 
@@ -262,7 +263,7 @@ class CompositeRecord {
                 {{"patch_x", "x"}, {"coarse", "x", 0, part_coarse_}});
   }
   void patch_sweep() {
-    ex_.sweep(h_.patch(), pl_, interior_p_, false, false, false);
+    ex_.sweep(h_.patch(), pl_, interior_p_, false, false);
     rec_.swap(pl_, "x", "Ax");
   }
   void restrict_solution() { restrict_patch_step("xH", "x"); }
@@ -309,13 +310,16 @@ CompositeResult CompositeSolver::solve(comm::Communicator& comm) {
   result.history.push_back(res);
   const real_t target = h_.options().tolerance * res;
 
-  while (res > target && result.cycles < h_.options().max_cycles) {
+  // A non-finite norm (a NaN or Inf in the data; the norm kernels count
+  // a NaN as +inf) never converges, and then target is inf too.
+  while (std::isfinite(res) && res > target &&
+         result.cycles < h_.options().max_cycles) {
     res = composite_cycle(x, h_);
     ++result.cycles;
     result.history.push_back(res);
   }
   result.final_residual = res;
-  result.converged = res <= target;
+  result.converged = std::isfinite(res) && res <= target;
   result.seconds = timer.elapsed();
   return result;
 }

@@ -106,62 +106,6 @@ BrickRange BrickGrid::ghost_range(int dir) const {
   return ghost_ranges_[dir];
 }
 
-int BrickGrid::ghost_group(std::int32_t id) const {
-  GMG_REQUIRE(id >= interior_count_ && id < total_,
-              "id must be a ghost brick");
-  const Vec3 c = coord_of_[static_cast<std::size_t>(id)];
-  Vec3 off{0, 0, 0};
-  for (int d = 0; d < 3; ++d) {
-    if (c[d] < 0) off[d] = -1;
-    if (c[d] >= nb_[d]) off[d] = 1;
-  }
-  return direction_index(static_cast<int>(off.x), static_cast<int>(off.y),
-                         static_cast<int>(off.z));
-}
-
-BrickPartition BrickGrid::partition(
-    const std::array<bool, kNumDirections>& remote) const {
-  GMG_REQUIRE(!remote[kSelfDirection], "self direction cannot be remote");
-  BrickPartition p;
-
-  // The interior box: shrink one brick layer off every side whose face
-  // neighbor is remote (the paper's ghost depth is one brick, so one
-  // layer is exactly the stencil reach in brick units).
-  p.interior_box = interior_box();
-  for (int d = 0; d < 3; ++d) {
-    int lo_off[3] = {0, 0, 0};
-    lo_off[d] = -1;
-    if (remote[static_cast<std::size_t>(
-            direction_index(lo_off[0], lo_off[1], lo_off[2]))])
-      ++p.interior_box.lo[d];
-    int hi_off[3] = {0, 0, 0};
-    hi_off[d] = 1;
-    if (remote[static_cast<std::size_t>(
-            direction_index(hi_off[0], hi_off[1], hi_off[2]))])
-      --p.interior_box.hi[d];
-  }
-  if (p.interior_box.empty()) p.interior_box = Box{};  // normalize
-  p.surface_boxes = shell_boxes(interior_box(), p.interior_box);
-
-  // Ground truth per brick: surface iff some stencil neighbor is a
-  // ghost brick in a remote group. Cross-check against the box form so
-  // an axis-inconsistent mask cannot silently misclassify.
-  for (std::int32_t id = 0; id < interior_count_; ++id) {
-    bool surf = false;
-    for (int dir = 0; dir < kNumDirections && !surf; ++dir) {
-      if (dir == kSelfDirection) continue;
-      const std::int32_t n = adj_[static_cast<std::size_t>(id)][dir];
-      if (n < interior_count_) continue;  // owned neighbor
-      surf = remote[static_cast<std::size_t>(ghost_group(n))];
-    }
-    GMG_ASSERT(
-        p.interior_box.contains(coord_of_[static_cast<std::size_t>(id)]) ==
-        !surf);
-    (surf ? p.surface : p.interior).push_back(id);
-  }
-  return p;
-}
-
 std::shared_ptr<const BrickIterPlan> BrickGrid::build_plan(
     const Box& active, Vec3 brick_dims, const BrickMask* mask) const {
   const Vec3 bd = brick_dims;

@@ -36,21 +36,6 @@ struct BrickRange {
   std::int32_t count = 0;
 };
 
-/// Interior/surface split of a grid's owned bricks for compute–comm
-/// overlap (DESIGN.md §10). A brick is *surface* iff its 26-point
-/// stencil neighborhood touches a ghost brick received from another
-/// rank — i.e. its data cannot be smoothed while that exchange is in
-/// flight. Every owned brick appears in exactly one of the two lists.
-struct BrickPartition {
-  std::vector<std::int32_t> interior;  // storage ids, ascending
-  std::vector<std::int32_t> surface;   // storage ids, ascending
-  /// Brick-coordinate box holding exactly the interior set (the
-  /// surface set is its complement shell; empty when all-surface).
-  Box interior_box;
-  /// Disjoint brick-coordinate boxes tiling the surface set.
-  std::vector<Box> surface_boxes;
-};
-
 /// One resolved brick of a cached iteration plan: storage id, brick
 /// coordinate, the local clip bounds of the active region inside the
 /// brick, and a pointer to the brick's 27-entry adjacency row (valid
@@ -136,19 +121,6 @@ class BrickGrid {
   /// The contiguous storage range holding the ghost bricks received
   /// from the neighbor in direction `dir` (empty for an unstored group).
   BrickRange ghost_range(int dir) const;
-
-  /// The ghost group (one of the 26 directions) a ghost brick belongs
-  /// to. `id` must be a ghost brick (id >= num_interior()).
-  int ghost_group(std::int32_t id) const;
-
-  /// Split the owned bricks by `remote` — per-direction flags saying
-  /// whether the ghost group there is filled by another rank
-  /// (CartDecomp::remote_neighbors). The mask must be axis-consistent
-  /// (an edge/corner direction is remote iff one of its face axes is,
-  /// as periodic decompositions always are): that makes the interior
-  /// set a box, which the partition cross-checks brick by brick.
-  BrickPartition partition(
-      const std::array<bool, kNumDirections>& remote) const;
 
   /// The memoized iteration plan for `active` under `brick_dims`
   /// (BrickShape element dims); `active` must stay inside the interior

@@ -63,24 +63,10 @@ namespace {
 // runs inside every solver constructor; see the overhead budget in
 // ci/tier1.sh).
 struct FieldState {
-  enum class From : std::uint8_t { kInitial, kWrite, kExchange, kFinish };
+  enum class From : std::uint8_t { kInitial, kWrite, kExchange };
   index_t valid = 0;
   From from = From::kInitial;
-  std::size_t step = 0;         // producing step (kWrite/kExchange: itself;
-  std::size_t finish_step = 0;  // kFinish: begin step + finishing step)
-};
-
-// One in-flight split-phase exchange per level (BrickExchange enforces
-// exactly this at runtime; the verifier proves the plan never relies
-// on more).
-struct InFlight {
-  bool active = false;
-  std::size_t begin_step = 0;
-  std::vector<std::string> fields;
-  index_t depth = 0;
-  bool covers(const std::string& f) const {
-    return std::find(fields.begin(), fields.end(), f) != fields.end();
-  }
+  std::size_t step = 0;  // producing step (kWrite/kExchange)
 };
 
 struct FieldSlot {
@@ -135,13 +121,7 @@ class Checker {
       const ScheduleStep& st = s_.steps[i_];
       switch (st.kind) {
         case StepKind::kExchange:
-          check_exchange(st, /*split=*/false);
-          break;
-        case StepKind::kExchangeBegin:
-          check_exchange(st, /*split=*/true);
-          break;
-        case StepKind::kExchangeFinish:
-          check_finish(st);
+          check_exchange(st);
           break;
         case StepKind::kKernel:
           check_kernel(st);
@@ -159,14 +139,6 @@ class Checker {
           break;
       }
     }
-    for (const auto& [lvl, fl] : inflight_) {
-      if (fl.active) {
-        std::ostringstream os;
-        os << "split-phase exchange begun at " << step_name(s_, fl.begin_step)
-           << " is never finished";
-        report(os.str());
-      }
-    }
     return std::move(diags_);
   }
 
@@ -179,9 +151,6 @@ class Checker {
         return "write by " + step_name(s_, fs.step);
       case FieldState::From::kExchange:
         return step_name(s_, fs.step);
-      case FieldState::From::kFinish:
-        return step_name(s_, fs.step) + " (completed at step " +
-               std::to_string(fs.finish_step) + ")";
     }
     return "initial state";
   }
@@ -224,68 +193,16 @@ class Checker {
     return state_.back();
   }
 
-  InFlight& inflight(int level) {
-    for (auto& [lvl, fl] : inflight_) {
-      if (lvl == level) return fl;
-    }
-    inflight_.push_back({level, InFlight{}});
-    return inflight_.back().second;
-  }
-
-  void check_exchange(const ScheduleStep& st, bool split) {
-    InFlight& fl = inflight(st.level);
-    if (fl.active) {
-      std::ostringstream os;
-      os << step_name(s_, i_) << " overlaps the exchange begun at "
-         << step_name(s_, fl.begin_step)
-         << ": one exchange may be in flight per level engine";
-      report(os.str());
-      // Model the new exchange anyway so later diagnostics stay sane.
-    }
-    if (split) {
-      fl.active = true;
-      fl.begin_step = i_;
-      fl.fields = st.exchange_fields;
-      fl.depth = st.exchange_depth;
-    } else {
-      for (const std::string& f : st.exchange_fields) {
-        FieldState& fs = state(st.level, f);
-        fs.valid = st.exchange_depth;
-        fs.from = FieldState::From::kExchange;
-        fs.step = i_;
-      }
-    }
-  }
-
-  void check_finish(const ScheduleStep& st) {
-    InFlight& fl = inflight(st.level);
-    if (!fl.active) {
-      report(step_name(s_, i_) + " finishes an exchange that was never begun");
-      return;
-    }
-    for (const std::string& f : fl.fields) {
+  void check_exchange(const ScheduleStep& st) {
+    for (const std::string& f : st.exchange_fields) {
       FieldState& fs = state(st.level, f);
-      fs.valid = fl.depth;
-      fs.from = FieldState::From::kFinish;
-      fs.step = fl.begin_step;
-      fs.finish_step = i_;
+      fs.valid = st.exchange_depth;
+      fs.from = FieldState::From::kExchange;
+      fs.step = i_;
     }
-    fl.active = false;
   }
 
   void check_swap(const ScheduleStep& st) {
-    const InFlight& fl = inflight(st.level);
-    for (const std::string& f : st.exchange_fields) {
-      if (fl.active && fl.covers(f)) {
-        std::ostringstream os;
-        os << step_name(s_, i_) << " swaps '" << f
-           << "' while its exchange (begun at "
-           << step_name(s_, fl.begin_step)
-           << ") is in flight — the receives would land in the other buffer";
-        report(os.str());
-        return;
-      }
-    }
     // Create both slots before taking references: state() may grow the
     // slot vector.
     const std::string& a = st.exchange_fields[0];
@@ -338,19 +255,16 @@ class Checker {
     for (const StepAccess& a : st.accesses) {
       const LevelInfo* ali = a.level == st.level ? li : level_info(a.level);
       if (ali == nullptr || a.box.empty() || !a.write) continue;
-      check_write(st, a, *ali);
+      check_write(a, *ali);
     }
   }
 
   void check_read(const StepAccess& a, const LevelInfo& li) {
     const SideNeed need = side_need(a.box, li.interior, a.reach);
-    // Interior-only reads touch no ghost layer: nothing to prove, and
-    // nothing an in-flight exchange could conflict with (its receive
-    // targets are ghost layers). Skipping the state lookups here keeps
-    // the common case — reach-0 interior reads — at a few subtractions.
+    // Interior-only reads touch no ghost layer: nothing to prove.
+    // Skipping the state lookup here keeps the common case — reach-0
+    // interior reads — at a few subtractions.
     if (need.max() <= 0) return;
-    const InFlight& fl = inflight(a.level);
-    const bool in_flight = fl.active && fl.covers(a.field);
     const FieldState& fs = state(a.level, a.field);
     for (int d = 0; d < 3; ++d) {
       // A wrapped axis has no ghost layers: past the interior it reads
@@ -359,27 +273,6 @@ class Checker {
       for (int side = 0; side < 2; ++side) {
         const int n = side == 0 ? need.lo[d] : need.hi[d];
         if (n <= 0) continue;
-        const bool remote = side == 0 ? li.remote_lo[d] : li.remote_hi[d];
-        if (in_flight) {
-          if (remote) {
-            std::ostringstream os;
-            os << step_name(s_, i_) << " reads '" << a.field << "' " << n
-               << " ghost layer(s) deep on a remote face while that field's"
-               << " exchange (begun at " << step_name(s_, fl.begin_step)
-               << ") is still in flight";
-            report(os.str());
-            return;
-          }
-          if (n > static_cast<int>(fl.depth)) {
-            std::ostringstream os;
-            os << step_name(s_, i_) << " reads '" << a.field << "' " << n
-               << " ghost layer(s) deep but the in-flight exchange fills only "
-               << fl.depth;
-            report(os.str());
-            return;
-          }
-          continue;
-        }
         if (n > static_cast<int>(fs.valid)) {
           std::ostringstream os;
           os << step_name(s_, i_) << " reads '" << a.field << "' (level "
@@ -394,8 +287,7 @@ class Checker {
     }
   }
 
-  void check_write(const ScheduleStep& st, const StepAccess& a,
-                   const LevelInfo& li) {
+  void check_write(const StepAccess& a, const LevelInfo& li) {
     const SideNeed g = side_need(a.box, li.interior, /*reach=*/0);
     for (int d = 0; d < 3; ++d) {
       if (li.wrapped[d] && (g.lo[d] > 0 || g.hi[d] > 0)) {
@@ -408,32 +300,6 @@ class Checker {
         return;
       }
     }
-    const InFlight& fl = inflight(a.level);
-    if (fl.active && fl.covers(a.field)) {
-      if (!st.partial) {
-        std::ostringstream os;
-        os << step_name(s_, i_) << " writes '" << a.field
-           << "' while its exchange (begun at " << step_name(s_, fl.begin_step)
-           << ") is in flight; only the remote-clipped interior pass may run "
-              "here";
-        report(os.str());
-        return;
-      }
-      for (int d = 0; d < 3; ++d) {
-        const bool bad_lo = li.remote_lo[d] && g.lo[d] > 0;
-        const bool bad_hi = li.remote_hi[d] && g.hi[d] > 0;
-        if (bad_lo || bad_hi) {
-          std::ostringstream os;
-          os << step_name(s_, i_) << " writes '" << a.field
-             << "' into remote-face ghost layers that are in-flight receive "
-                "targets of the exchange begun at "
-             << step_name(s_, fl.begin_step);
-          report(os.str());
-          return;
-        }
-      }
-    }
-    if (st.partial) return;  // combined effect lands with the full pass
     index_t valid = li.ghost_depth;
     for (int d = 0; d < 3; ++d) {
       if (li.wrapped[d]) continue;  // reads there never consult `valid`
@@ -661,7 +527,6 @@ class Checker {
   std::map<int, const LevelInfo*> levels_;
   std::vector<LevelSlots> state_;
   std::vector<std::pair<std::int64_t, std::int64_t>> cells_;
-  std::vector<std::pair<int, InFlight>> inflight_;
   std::map<int, std::pair<int, std::size_t>> group_last_;  // group -> (component, step)
   std::unordered_set<int> retired_;
   std::vector<std::string> diags_;

@@ -1,7 +1,7 @@
 // Setup-time schedule verification (DESIGN.md §18, layer 3 of the
 // verification ladder). A Schedule is the full planned sequence of
-// kernel launches, ghost exchanges (blocking and split-phase), masked
-// sweeps, reductions and component retirements one solver
+// kernel launches, blocking ghost exchanges, masked sweeps,
+// reductions and component retirements one solver
 // configuration will execute — recorded by driving the solvers' own
 // cycle through a recording executor (gmg/schedule_audit.hpp; the
 // batched and AMR composite recordings build on it) without running a
@@ -14,16 +14,13 @@
 //     invariant, proven over the whole plan instead of observed at
 //     runtime by GMG_CHECK; on a wrapped axis reads are always valid
 //     and writes past the interior are rejected;
-//   * split-phase safety: while an exchange is in flight, no kernel
-//     reads or writes the in-flight fields' remote-side ghost layers,
-//     and no second exchange begins on the same engine;
 //   * effect conformance: each recorded access matches the kernel's
 //     constexpr EffectSummary — an access with no declared effect for
 //     its role is an undeclared read/write box;
 //   * no in-place stencil updates: a launch never writes, through one
 //     role, the field it reads through a stencil (reach > 0) under
 //     another role — the one-pass Jacobi sweep must write its spare
-//     buffer, and a swapped field is never in flight;
+//     buffer;
 //   * fused chunk disjointness: a fused stage's per-chunk write boxes
 //     are pairwise disjoint (congruent aligned tiles take an O(n)
 //     hash path; small irregular sets fall back to O(n^2));
@@ -76,8 +73,6 @@ struct StepAccess {
 enum class StepKind : std::uint8_t {
   kKernel,
   kExchange,        // blocking: fields valid to `exchange_depth` after
-  kExchangeBegin,   // split-phase start: self-copies done, remotes in flight
-  kExchangeFinish,  // split-phase completion
   kReduction,       // one collective contribution (component, group)
   kRetire,          // batch component retirement
   kPlanSwitch,      // kernel-plan rebind (set_coefficient, fusion flip)
@@ -90,7 +85,7 @@ struct ScheduleStep {
   int level = 0;
   std::vector<StepAccess> accesses;
 
-  // kExchange / kExchangeBegin: which fields, filled to what depth.
+  // kExchange: which fields, filled to what depth.
   std::vector<std::string> exchange_fields;
   index_t exchange_depth = 0;
 
@@ -117,31 +112,21 @@ struct ScheduleStep {
   int reduction_group = -1;
   bool retirement_masked = false;
 
-  // Overlap split-phase interior pass: runs while the exchange is in
-  // flight over a remote-clipped safe box. Verified against in-flight
-  // rules but does NOT update ghost validity — the post-finish
-  // full-active step carries the combined effect.
-  bool partial = false;
-
   // The kernel's static effect summary (empty => no conformance check,
   // used only for exchange/reduction pseudo-steps).
   EffectSummary summary;
 };
 
 /// Static per-level geometry the verifier needs: the interior box in
-/// local coordinates, the ghost capacity in layers, which of the six
-/// faces borders a remote rank (in-flight ghost rules apply there;
-/// self-periodic faces complete synchronously at begin()), and which
-/// axes the level's brick grid wraps (DESIGN.md §11): past the
-/// interior on a wrapped axis every read lands on owned cells and is
-/// always valid, while a write there is rejected — it would hit an
-/// owned cell through its alias.
+/// local coordinates, the ghost capacity in layers, and which axes the
+/// level's brick grid wraps (DESIGN.md §11): past the interior on a
+/// wrapped axis every read lands on owned cells and is always valid,
+/// while a write there is rejected — it would hit an owned cell
+/// through its alias.
 struct LevelInfo {
   int level = 0;
   Box interior;
   index_t ghost_depth = 0;
-  bool remote_lo[3] = {false, false, false};
-  bool remote_hi[3] = {false, false, false};
   bool wrapped[3] = {false, false, false};
 };
 
@@ -237,23 +222,6 @@ class ScheduleRecorder {
     s.level = level;
     s.exchange_fields = std::move(fields);
     s.exchange_depth = depth;
-    push(std::move(s));
-  }
-  void exchange_begin(int level, std::vector<std::string> fields,
-                      index_t depth) {
-    ScheduleStep s;
-    s.kind = StepKind::kExchangeBegin;
-    s.kernel = "exchange.begin";
-    s.level = level;
-    s.exchange_fields = std::move(fields);
-    s.exchange_depth = depth;
-    push(std::move(s));
-  }
-  void exchange_finish(int level) {
-    ScheduleStep s;
-    s.kind = StepKind::kExchangeFinish;
-    s.kernel = "exchange.finish";
-    s.level = level;
     push(std::move(s));
   }
 

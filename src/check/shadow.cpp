@@ -37,7 +37,7 @@ struct OpenScope {
 };
 
 struct FieldState {
-  const BrickGrid* grid = nullptr;       // set by on_exchange_begin
+  const BrickGrid* grid = nullptr;       // set by on_receives_posted
   std::vector<BrickRange> inflight;      // receive ghost ranges
   bool in_flight = false;
   std::uint64_t epoch = 0;
@@ -245,15 +245,15 @@ ScopeAccesses derive_accesses(const EffectSummary& s, const Box& box,
   return out;
 }
 
-void on_exchange_begin(const void* key, const BrickGrid* grid,
-                       const std::vector<BrickRange>& ghost_ranges) {
+void on_receives_posted(const void* key, const BrickGrid* grid,
+                        const std::vector<BrickRange>& ghost_ranges) {
   if (!enabled()) return;
   Tracker& t = tracker();
   std::lock_guard<std::mutex> lock(t.mu);
   FieldState& f = t.fields[key];
   if (f.in_flight) {
     record_locked(t, HazardKind::kOverlappingExchange, f.epoch,
-                  "exchange begin while a previous exchange of the same "
+                  "exchange posted while a previous exchange of the same "
                   "field is still in flight");
   }
   f.grid = grid;
@@ -261,7 +261,7 @@ void on_exchange_begin(const void* key, const BrickGrid* grid,
   f.in_flight = true;
 }
 
-void on_exchange_finish(const void* key) {
+void on_receives_done(const void* key) {
   if (!enabled()) return;
   Tracker& t = tracker();
   std::lock_guard<std::mutex> lock(t.mu);

@@ -2,8 +2,8 @@
 //
 // The kernel runtime's chunk plans are deterministic (DESIGN.md §11):
 // the same bricks land in the same chunks on every run, so TSan almost
-// never sees the conflicting schedules that a wrong plan or a
-// mis-split overlap phase *could* produce. This tracker checks the
+// never sees the conflicting schedules that a wrong plan *could*
+// produce. This tracker checks the
 // region-disjointness invariants directly instead of waiting for an
 // unlucky interleaving:
 //
@@ -11,15 +11,17 @@
 //     box it writes and the (tap-grown) boxes it reads — derived by
 //     check::scope from the kernel's constexpr EffectSummary
 //     (effects.hpp), its launch box and its role->field bindings;
-//   - BrickExchange begin()/finish() mark the receive ghost-brick
-//     ranges of each in-flight field (sends are buffered at post time,
-//     so only receives matter);
+//   - each exchange round (BrickExchange, PatchExchange) marks the
+//     receive ghost-brick ranges of its fields in flight from posting
+//     until its wait returns (sends are buffered at post time, so only
+//     receives matter);
 //   - hazards are recorded when a scope reads or writes an in-flight
-//     ghost brick (split-phase ordering bug), when two concurrently
-//     open scopes write intersecting cell boxes of one field, when a
-//     second exchange begins while one is in flight for the same
-//     field, or when a cached iteration plan is structurally corrupt
-//     (a kernel would write bricks outside its declared footprint).
+//     ghost brick (a kernel racing a round's receives), when two
+//     concurrently open scopes write intersecting cell boxes of one
+//     field, when a second exchange begins while one is in flight for
+//     the same field, or when a cached iteration plan is structurally
+//     corrupt (a kernel would write bricks outside its declared
+//     footprint).
 //
 // Enabled via GMG_CHECK=1 (or the GMG_CHECK CMake option, which flips
 // the default). Disabled, a launch pays one enabled() call — an atomic
@@ -166,11 +168,12 @@ ScopeAccesses derive_accesses(const EffectSummary& s, const Box& box,
   return scope(s, box, std::span(binds.begin(), binds.size()));
 }
 
-/// Exchange hooks (called by comm::BrickExchange). `ghost_ranges` are
-/// the storage ranges the in-flight receives will scatter into.
-void on_exchange_begin(const void* key, const BrickGrid* grid,
-                       const std::vector<BrickRange>& ghost_ranges);
-void on_exchange_finish(const void* key);
+/// Exchange hooks (called by comm::BrickExchange and PatchExchange
+/// around each round's wait). `ghost_ranges` are the storage ranges the
+/// in-flight receives will scatter into.
+void on_receives_posted(const void* key, const BrickGrid* grid,
+                        const std::vector<BrickRange>& ghost_ranges);
+void on_receives_done(const void* key);
 
 /// Structural validation of a cached iteration plan, run once per
 /// launch by for_each_plan_brick when the detector is on: unique

@@ -16,8 +16,8 @@ int per_brick_tag(int dir, int seq) { return dir + kPerBrickTagStride * (seq + 1
 
 /// PatchExchange tags live in their own band, disjoint from both the
 /// plain direction tags (0..26) and every per-brick tag
-/// (dir + 64*(seq+1)): an AMR patch round can never collide with a
-/// parent-level BrickExchange left in flight by the overlap engine.
+/// (dir + 64*(seq+1)): an AMR patch message can never match a
+/// BrickExchange message of the parent level.
 constexpr int kPatchTagBase = 1 << 20;
 }  // namespace
 
@@ -67,17 +67,6 @@ void BrickExchange::exchange(Communicator& comm, BrickedArray& field) {
 
 void BrickExchange::exchange(Communicator& comm,
                              std::vector<BrickedArray*> fields) {
-  begin(comm, std::move(fields));
-  finish(comm);
-}
-
-void BrickExchange::begin(Communicator& comm, BrickedArray& field) {
-  begin(comm, std::vector<BrickedArray*>{&field});
-}
-
-void BrickExchange::begin(Communicator& comm,
-                          std::vector<BrickedArray*> fields) {
-  GMG_REQUIRE(!in_flight_, "an exchange is already in flight");
   GMG_REQUIRE(!fields.empty(), "no fields to exchange");
   for (BrickedArray* f : fields) {
     GMG_REQUIRE(f->grid_ptr().get() == grid_.get(),
@@ -237,52 +226,35 @@ void BrickExchange::begin(Communicator& comm,
     }
   }
 
-  // Hazard tracking: the receive ghost ranges of every field are now
-  // in flight until finish(). Sends need no marking — kPackFree buffers
-  // them inside isendv at post time, kPacked stages them above, and
-  // self-copies completed synchronously in the pack phase.
+  // Hazard tracking: the receive ghost ranges of every field are in
+  // flight until the wait below returns. Sends need no marking —
+  // kPackFree buffers them inside isendv at post time, kPacked stages
+  // them above, and self-copies completed synchronously in the pack
+  // phase.
   if (check::enabled()) {
     std::vector<BrickRange> ghost;
     for (const DirectionPlan& plan : plans_) {
       if (!plan.self) ghost.push_back(plan.recv_range);
     }
     for (BrickedArray* f : fields) {
-      check::on_exchange_begin(f->data(), grid_.get(), ghost);
+      check::on_receives_posted(f->data(), grid_.get(), ghost);
     }
   }
 
-  inflight_fields_ = std::move(fields);
-  in_flight_ = true;
-}
-
-bool BrickExchange::test(Communicator& comm) {
-  if (!in_flight_) return true;
-  for (Request& r : requests_)
-    if (!comm.test(r)) return false;
-  return true;
-}
-
-void BrickExchange::finish(Communicator& comm) {
-  GMG_REQUIRE(in_flight_, "no exchange in flight");
   {
-    // Drain in completion order, not post order: early-arriving
-    // messages retire immediately while stragglers are still flying.
     trace::TraceSpan span("exchange.wait", trace::Category::kWait);
-    while (comm.wait_any(requests_) >= 0) {
-    }
+    comm.wait_all(requests);
   }
-  requests_.clear();
+  requests.clear();
 
   // kPacked: unpack staged receives into the ghost ranges.
   if (mode_ == BrickExchangeMode::kPacked) {
     trace::TraceSpan span("exchange.unpack", trace::Category::kComm);
-    const std::size_t vol = static_cast<std::size_t>(shape_.volume());
-    const std::size_t brick_bytes = vol * kRealBytes;
     for (std::size_t p = 0; p < plans_.size(); ++p) {
       const DirectionPlan& plan = plans_[p];
       if (plan.self) continue;
       const real_t* src = recv_staging_[p].data();
-      for (BrickedArray* f : inflight_fields_) {
+      for (BrickedArray* f : fields) {
         std::memcpy(f->brick(plan.recv_range.first), src,
                     static_cast<std::size_t>(plan.recv_range.count) *
                         brick_bytes);
@@ -291,12 +263,8 @@ void BrickExchange::finish(Communicator& comm) {
     }
   }
   if (check::enabled()) {
-    for (BrickedArray* f : inflight_fields_) {
-      check::on_exchange_finish(f->data());
-    }
+    for (BrickedArray* f : fields) check::on_receives_done(f->data());
   }
-  inflight_fields_.clear();
-  in_flight_ = false;
 }
 
 // ---------------------------------------------------------------------------
@@ -405,7 +373,7 @@ void PatchExchange::exchange(Communicator& comm,
     std::vector<BrickRange> ghost;
     for (const DirectionPlan& plan : plans_) ghost.push_back(plan.recv_range);
     for (BrickedArray* f : fields) {
-      check::on_exchange_begin(f->data(), grid_.get(), ghost);
+      check::on_receives_posted(f->data(), grid_.get(), ghost);
     }
   }
   {
@@ -413,7 +381,7 @@ void PatchExchange::exchange(Communicator& comm,
     comm.wait_all(requests);
   }
   if (check::enabled()) {
-    for (BrickedArray* f : fields) check::on_exchange_finish(f->data());
+    for (BrickedArray* f : fields) check::on_receives_done(f->data());
   }
 }
 

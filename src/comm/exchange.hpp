@@ -41,32 +41,16 @@ class BrickExchange {
 
   /// Fill the ghost-brick groups the grid stores (all 26 on a
   /// full-shell grid, none on a fully wrapped one) from the neighbors.
-  /// Equivalent to begin() + finish().
+  /// Blocking (DESIGN.md §10): posts the receives, performs the
+  /// periodic self-copies (only full-shell grids have any: solver
+  /// levels wrap their self-periodic axes instead, DESIGN.md §11),
+  /// packs (mode-dependent), sends, waits for every message and
+  /// unpacks in kPacked mode.
   void exchange(Communicator& comm, BrickedArray& field);
 
   /// Exchange several fields in one round with message aggregation
   /// across fields (one message per neighbor carrying all fields).
   void exchange(Communicator& comm, std::vector<BrickedArray*> fields);
-
-  // Split-phase protocol (DESIGN.md §10). begin() posts the ghost
-  // receives, performs the periodic self-copies synchronously (only
-  // full-shell grids have any: solver levels wrap their self-periodic
-  // axes instead, DESIGN.md §11), packs
-  // (mode-dependent) and sends; the caller then computes on data that
-  // does not touch the in-flight ghost ranges — for kPackFree the
-  // receives scatter straight into ghost brick storage, so those
-  // bricks are off-limits until finish() returns. finish() drains the
-  // requests (wait_any order, so completion need not match post order)
-  // and unpacks in kPacked mode. One exchange may be in flight per
-  // engine at a time; begin() while in flight is an error.
-  void begin(Communicator& comm, BrickedArray& field);
-  void begin(Communicator& comm, std::vector<BrickedArray*> fields);
-  /// Nonblocking: true once every message of the in-flight exchange
-  /// has completed (true when none is in flight). Does not unpack —
-  /// finish() must still be called.
-  bool test(Communicator& comm);
-  void finish(Communicator& comm);
-  bool in_flight() const { return in_flight_; }
 
   /// Total payload bytes moved per exchange() of one field (both into
   /// messages and self-copies) — feeds the network model.
@@ -101,15 +85,12 @@ class BrickExchange {
   std::uint64_t remote_bytes_ = 0;
   int remote_neighbors_ = 0;
 
-  // Staging buffers for kPacked mode, one pair per direction plan.
+  // Staging buffers for kPacked mode, one pair per direction plan, and
+  // the round's requests: members, so a repeated exchange reuses their
+  // capacity instead of allocating.
   std::vector<AlignedBuffer<real_t>> send_staging_;
   std::vector<AlignedBuffer<real_t>> recv_staging_;
-
-  // Split-phase state: requests and the field set of the exchange
-  // begun but not yet finished.
   std::vector<Request> requests_;
-  std::vector<BrickedArray*> inflight_fields_;
-  bool in_flight_ = false;
 };
 
 /// Masked ghost exchange for an AMR patch part (DESIGN.md §17).
@@ -124,10 +105,9 @@ class BrickExchange {
 /// radius-1 patch smoother and are skipped entirely — the "masked"
 /// part of the exchange. Sends move whole surface bricks pack-free,
 /// receives land in the contiguous ghost ranges, exactly like
-/// BrickExchange::kPackFree; the round is blocking (patch surfaces are
-/// small, split-phase overlap buys nothing here). Messages use a
-/// disjoint tag base so an in-flight BrickExchange on the parent level
-/// can never collide.
+/// BrickExchange::kPackFree; the round is blocking, like every ghost
+/// round (DESIGN.md §10). Messages use a disjoint tag base, so a patch
+/// round can never match a BrickExchange message of the parent level.
 class PatchExchange {
  public:
   /// `grid`/`shape`: the patch part's brick grid on this rank (null

@@ -210,34 +210,6 @@ void Communicator::wait(Request& request) {
   wait_all(reqs);
 }
 
-bool Communicator::test(Request& request) {
-  if (!request.valid()) return true;
-  std::lock_guard<std::mutex> lock(world_->mu);
-  return request.state_->done;
-}
-
-int Communicator::wait_any(std::span<Request> requests) {
-  trace::TraceSpan span("mpi.wait_any", trace::Category::kWait);
-  std::unique_lock<std::mutex> lock(world_->mu);
-  int found = -1;
-  const auto done_or_empty = [&] {
-    found = -1;
-    bool any_valid = false;
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      if (!requests[i].valid()) continue;
-      any_valid = true;
-      if (requests[i].state_->done) {
-        found = static_cast<int>(i);
-        return true;
-      }
-    }
-    return !any_valid;
-  };
-  world_->wait_until(lock, done_or_empty, "wait_any");
-  if (found >= 0) requests[static_cast<std::size_t>(found)].state_.reset();
-  return found;
-}
-
 void Communicator::wait_all(std::span<Request> requests) {
   trace::TraceSpan span("mpi.wait_all", trace::Category::kWait);
   std::unique_lock<std::mutex> lock(world_->mu);

@@ -80,21 +80,6 @@ class Communicator {
   void wait_all(std::span<Request> requests);
   void wait(Request& request);
 
-  /// Nonblocking completion check (MPI_Test analogue, minus the
-  /// request deallocation): true once the operation has completed, and
-  /// on every later call — the request stays valid, so split-phase
-  /// engines can poll the same handle repeatedly. An invalid (default
-  /// or consumed) request tests true, like MPI_REQUEST_NULL. Untraced:
-  /// this sits in polling loops.
-  bool test(Request& request);
-
-  /// Block until any valid request in `requests` completes; return its
-  /// index and invalidate that entry (MPI_Waitany semantics: the
-  /// consumed request becomes MPI_REQUEST_NULL). Returns -1 when every
-  /// entry is already invalid. Completion order need not match post
-  /// order — drain loops call this until it returns -1.
-  int wait_any(std::span<Request> requests);
-
   void barrier();
   /// Global max / sum of one double per rank. Contributions combine in
   /// rank order whatever order the ranks arrive in, so the result is

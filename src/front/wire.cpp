@@ -302,6 +302,10 @@ bool decode_submit(const std::vector<std::uint8_t>& payload, SubmitFrame* out,
   if (!out->global_extent.volume_at_most(samples) ||
       out->global_extent.volume() != samples)
     return fail(error, "rhs sample count does not match global extent");
+  // A NaN or Inf sample can only yield a NaN solve: refuse it here.
+  for (const real_t v : out->rhs_samples) {
+    if (!std::isfinite(v)) return fail(error, "non-finite rhs sample");
+  }
   if (!(out->tolerance >= 0) || !std::isfinite(out->tolerance))
     return fail(error, "bad tolerance");
   if (out->max_vcycles <= 0) return fail(error, "non-positive max_vcycles");

@@ -100,7 +100,7 @@ struct SubmitFrame {
   real_t deadline_seconds = 0;
   bool return_solution = false;
   /// One sample per global cell, x-fastest; size must equal
-  /// global_extent.volume().
+  /// global_extent.volume(), and every sample must be finite.
   std::vector<real_t> rhs_samples;
 };
 

@@ -1,10 +1,9 @@
 // The multigrid cycle, written once (DESIGN.md §18). Cycle<Exec> holds
 // every schedule decision of a solve: the communication-avoiding margin
-// algebra and exchange aggregation, the split-phase decision and its
-// safe box, the Jacobi, Chebyshev and red-black Gauss-Seidel sweeps,
-// the bottom smoother and the masked bottom CG, the V/W cycle, FMG and
-// the convergence norm. It issues each launch, exchange and reduction
-// through an executor, of which there are two:
+// algebra and exchange aggregation, the Jacobi, Chebyshev and red-black
+// Gauss-Seidel sweeps, the bottom smoother and the masked bottom CG,
+// the V/W cycle, FMG and the convergence norm. It issues each launch,
+// exchange and reduction through an executor, of which there are two:
 //
 //   * LevelRun<Level> (level_run.hpp): runs it over a field set — the
 //     GmgSolver's own levels (timed by the solver's profiler) or a
@@ -22,16 +21,12 @@
 //
 //   k()                                   components (1 solo, K batched)
 //   timed(l, phase, fn)                   fn under a profiler phase
-//   exchange(l, fields), begin(l, fields) blocking / split-phase round
-//   finish(l, active, safe, phase, kernel)
-//                                         complete a begun round around
-//                                         kernel(box, partial)
-//   apply(l, out, in, box, partial)       out = A in
-//   jacobi(l, box, residual, restrict, partial)
-//                                         one Jacobi sweep into the
+//   exchange(l, fields)                   one blocking ghost round
+//   apply(l, out, in, box)                out = A in
+//   jacobi(l, box, residual, restrict)    one Jacobi sweep into the
 //                                         spare buffer (Ax's storage)
 //   swap(l)                               x and Ax trade storage
-//   gs_color(l, color, box, partial), residual(l, box),
+//   gs_color(l, color, box), residual(l, box),
 //   residual_restrict(l), restriction(l, fine), init_zero_x(l, stored),
 //   interp_increment(l), interp_trilinear(l), cheby_p(l, box, beta),
 //   axpy_p(l, alpha, box), copy(l, dst, src)
@@ -46,6 +41,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <utility>
@@ -177,8 +173,8 @@ class Cycle {
   /// Global L2 norm of the finest residual (one component; collective).
   real_t residual_norm_l2() {
     const MgLevel& fine = lev(0);
-    if (st_.ghosts[0].margin < fine.radius) exchange_for_smooth(0, false);
-    ex_.apply(0, Fld::kAx, Fld::kX, fine.interior(), false);
+    if (st_.ghosts[0].margin < fine.radius) exchange_for_smooth(0);
+    ex_.apply(0, Fld::kAx, Fld::kX, fine.interior());
     ex_.residual(0, fine.interior());
     return ex_.allreduce_sum(ex_.norm2_sq(), "allreduce.norm2", 0, 0,
                              ex_.next_group(), false);
@@ -189,61 +185,10 @@ class Cycle {
   const MgLevel& lev(int l) const { return s_.level(l); }
   bool ca() const { return o_.communication_avoiding; }
 
-  /// Whether level l's exchanges run split-phase: overlap on, a remote
-  /// neighbor, enough interior bricks, and interior field bytes at
-  /// least overlap_min_compute_bytes_ratio times the remote payload.
-  /// Both sides scale with the batch width, so the decision is
-  /// K-invariant and read off the solo hierarchy. Value-neutral either
-  /// way (DESIGN.md §10).
-  bool use_overlap(int l) const {
-    const MgLevel& L = lev(l);
-    if (!(o_.overlap && L.has_remote &&
-          static_cast<int>(L.part.interior.size()) >=
-              o_.overlap_min_interior_bricks)) {
-      return false;
-    }
-    if (o_.overlap_min_compute_bytes_ratio > 0.0) {
-      const double interior_bytes =
-          static_cast<double>(L.part.interior.size()) *
-          static_cast<double>(L.shape.volume()) * sizeof(real_t);
-      const double remote_bytes =
-          static_cast<double>(L.exchange->remote_bytes_per_exchange());
-      if (interior_bytes < o_.overlap_min_compute_bytes_ratio * remote_bytes)
-        return false;
-    }
-    return true;
-  }
-
-  /// The subregion of `active` whose stencil taps touch no remote ghost
-  /// brick — safe to compute while the exchange is in flight. Clamped to
-  /// the interior-partition cells on sides with a remote neighbor (one
-  /// brick of owned surface keeps the taps clear of the in-flight
-  /// receive targets); self-periodic axes wrap onto owned bricks and
-  /// never grow the active region, so nothing there is in flight.
-  Box overlap_safe_box(int l, const Box& active) const {
-    const MgLevel& L = lev(l);
-    if (L.part.interior_box.empty()) return Box{};
-    Box safe = active;
-    for (int d = 0; d < 3; ++d) {
-      int off[3] = {0, 0, 0};
-      off[d] = -1;
-      if (L.remote[static_cast<std::size_t>(
-              direction_index(off[0], off[1], off[2]))])
-        safe.lo[d] = std::max(safe.lo[d], L.part_cells.lo[d]);
-      off[d] = 1;
-      if (L.remote[static_cast<std::size_t>(
-              direction_index(off[0], off[1], off[2]))])
-        safe.hi[d] = std::min(safe.hi[d], L.part_cells.hi[d]);
-    }
-    return safe.empty() ? Box{} : safe;
-  }
-
-  /// One aggregated ghost round at level l, blocking or (split) begun:
-  /// x always, b when its ghosts are stale under CA, p for the CA
-  /// Chebyshev recurrence — the paper's message aggregation across
-  /// fields. The margin is claimed at begin time: every consumer of the
-  /// ghost layers runs after the round completes.
-  void exchange_for_smooth(int l, bool split) {
+  /// One aggregated blocking ghost round at level l: x always, b when
+  /// its ghosts are stale under CA, p for the CA Chebyshev recurrence —
+  /// the paper's message aggregation across fields.
+  void exchange_for_smooth(int l) {
     GhostState& g = st_.ghosts[idx(l)];
     FieldSet fs(Fld::kX);
     if (ca() && !g.b_valid) {
@@ -251,58 +196,30 @@ class Cycle {
       g.b_valid = true;
     }
     if (ca() && o_.smoother == Smoother::kChebyshev) fs.add(Fld::kP);
-    ex_.timed(l, perf::Phase::kExchange, [&] {
-      if (split)
-        ex_.begin(l, fs);
-      else
-        ex_.exchange(l, fs);
-    });
+    ex_.timed(l, perf::Phase::kExchange, [&] { ex_.exchange(l, fs); });
     g.margin = lev(l).shape.bx;
-  }
-
-  /// Run kernel(box, partial) over `active`: split-phase around a begun
-  /// exchange, or whole under `phase`.
-  template <class Kernel>
-  void launch(int l, const Box& active, bool split, perf::Phase phase,
-              Kernel&& kernel) {
-    if (split) {
-      ex_.finish(l, active, overlap_safe_box(l, active), phase, kernel);
-    } else {
-      ex_.timed(l, phase, [&] { kernel(active, false); });
-    }
   }
 
   /// Ax = A x over `box` with x's ghosts refreshed first when spent.
   void apply_fresh(int l, const Box& box) {
-    bool split = false;
-    if (st_.ghosts[idx(l)].margin < lev(l).radius) {
-      split = use_overlap(l);
-      exchange_for_smooth(l, split);
-    }
-    launch(l, box, split, perf::Phase::kApplyOp,
-           [&](const Box& b, bool partial) {
-             ex_.apply(l, Fld::kAx, Fld::kX, b, partial);
-           });
+    if (st_.ghosts[idx(l)].margin < lev(l).radius) exchange_for_smooth(l);
+    ex_.timed(l, perf::Phase::kApplyOp,
+              [&] { ex_.apply(l, Fld::kAx, Fld::kX, box); });
   }
 
   /// The exchange a Jacobi or Chebyshev sweep needs, and the region it
   /// then covers: under CA it exchanges only when the margin is spent
   /// or b's ghosts are stale, and grows the sweep into the still-valid
   /// ghost layers; without CA it exchanges before every sweep.
-  Box prepare_sweep(int l, bool& split) {
+  Box prepare_sweep(int l) {
     const MgLevel& L = lev(l);
     GhostState& g = st_.ghosts[idx(l)];
-    split = false;
     if (!ca()) {
-      split = use_overlap(l);
-      exchange_for_smooth(l, split);
+      exchange_for_smooth(l);
       g.margin = 0;
       return L.interior();
     }
-    if (g.margin < L.radius || !g.b_valid) {
-      split = use_overlap(l);
-      exchange_for_smooth(l, split);
-    }
+    if (g.margin < L.radius || !g.b_valid) exchange_for_smooth(l);
     return L.grid->grow_unwrapped(L.interior(), g.margin - L.radius);
   }
 
@@ -325,22 +242,17 @@ class Cycle {
   void jacobi_sweeps(int l, int iterations, bool with_residual,
                      bool restrict) {
     for (int it = 0; it < iterations; ++it) {
-      bool split = false;
-      const Box active = prepare_sweep(l, split);
+      const Box active = prepare_sweep(l);
       // One sweep writes x' into the spare buffer (Ax's storage), so it
-      // never writes what it reads and splits by region as a whole —
-      // interior-then-surface order cannot change a value (DESIGN.md
-      // §10). Only the block's last sweep writes r, and on a fused
-      // descent it also folds the restriction of r into the coarse RHS:
-      // nothing reads an earlier sweep's residual.
+      // never writes what it reads. Only the block's last sweep writes
+      // r, and on a fused descent it also folds the restriction of r
+      // into the coarse RHS: nothing reads an earlier sweep's residual.
       const bool residual = with_residual && it == iterations - 1;
       const bool restrict_here = residual && restrict;
-      launch(l, active, split,
-             restrict_here ? perf::Phase::kFusedDescent
-                           : perf::Phase::kJacobiSweep,
-             [&](const Box& b, bool partial) {
-               ex_.jacobi(l, b, residual, restrict_here, partial);
-             });
+      ex_.timed(l,
+                restrict_here ? perf::Phase::kFusedDescent
+                              : perf::Phase::kJacobiSweep,
+                [&] { ex_.jacobi(l, active, residual, restrict_here); });
       ex_.swap(l);
       if (ca()) st_.ghosts[idx(l)].margin -= lev(l).radius;
     }
@@ -356,14 +268,9 @@ class Cycle {
     const real_t delta = 0.5 * (lambda_max - lambda_min);
     real_t alpha_ch = 0.0;
     for (int it = 0; it < iterations; ++it) {
-      bool split = false;
-      const Box active = prepare_sweep(l, split);
-      // Split only the applyOp (DESIGN.md §10); the recurrence reads Ax
-      // and runs once over the full region.
-      launch(l, active, split, perf::Phase::kApplyOp,
-             [&](const Box& b, bool partial) {
-               ex_.apply(l, Fld::kAx, Fld::kX, b, partial);
-             });
+      const Box active = prepare_sweep(l);
+      ex_.timed(l, perf::Phase::kApplyOp,
+                [&] { ex_.apply(l, Fld::kAx, Fld::kX, active); });
       ex_.timed(l, perf::Phase::kSmoothResidual, [&] {
         ex_.residual(l, active);
         // Chebyshev recurrence on the diagonally preconditioned residual
@@ -390,46 +297,26 @@ class Cycle {
                 "7-point operator only");
     GhostState& g = st_.ghosts[idx(l)];
     const Box interior = L.interior();
-    const auto color = [&](int c) {
-      return [this, l, c](const Box& b, bool partial) {
-        ex_.gs_color(l, c, b, partial);
-      };
-    };
     for (int it = 0; it < iterations; ++it) {
       if (!ca()) {
         // Without deep ghosts the black half-sweep needs the red-updated
-        // neighbor values: exchange before each half-sweep. Either half
-        // splits cleanly by region (a cell never reads its own parity).
+        // neighbor values: exchange before each half-sweep.
         for (int c = 0; c < 2; ++c) {
-          const bool split = use_overlap(l);
-          exchange_for_smooth(l, split);
-          launch(l, interior, split, perf::Phase::kSmooth, color(c));
+          exchange_for_smooth(l);
+          ex_.timed(l, perf::Phase::kSmooth,
+                    [&] { ex_.gs_color(l, c, interior); });
         }
         g.margin = 0;
         continue;
       }
       // A full red+black iteration consumes two ghost layers.
-      bool split = false;
-      if (g.margin < 2 || !g.b_valid) {
-        split = use_overlap(l);
-        exchange_for_smooth(l, split);
-      }
+      if (g.margin < 2 || !g.b_valid) exchange_for_smooth(l);
       const Box red_box = L.grid->grow_unwrapped(interior, g.margin - 1);
       const Box black_box = L.grid->grow_unwrapped(interior, g.margin - 2);
-      if (split) {
-        // A red cell reads only black-parity neighbors, which the red
-        // half-sweep never writes — so splitting red by region changes
-        // no value. Black needs the red updates everywhere and runs
-        // whole, after finish.
-        launch(l, red_box, true, perf::Phase::kSmooth, color(0));
-        ex_.timed(l, perf::Phase::kSmooth,
-                  [&] { ex_.gs_color(l, 1, black_box, false); });
-      } else {
-        ex_.timed(l, perf::Phase::kSmooth, [&] {
-          ex_.gs_color(l, 0, red_box, false);
-          ex_.gs_color(l, 1, black_box, false);
-        });
-      }
+      ex_.timed(l, perf::Phase::kSmooth, [&] {
+        ex_.gs_color(l, 0, red_box);
+        ex_.gs_color(l, 1, black_box);
+      });
       g.margin -= 2;
     }
     if (!with_residual) return;
@@ -477,7 +364,7 @@ class Cycle {
       ex_.exchange(l, FieldSet(Fld::kX));
       g.margin = L.shape.bx;
     }
-    ex_.apply(l, Fld::kAx, Fld::kX, interior, false);
+    ex_.apply(l, Fld::kAx, Fld::kX, interior);
     ex_.residual(l, interior);
     ex_.copy(l, Fld::kP, Fld::kR);
 
@@ -496,7 +383,7 @@ class Cycle {
     const int iterations = ex_.cg_iterations(o_.bottom_smooths);
     for (int it = 0; it < iterations && nlive > 0; ++it) {
       ex_.exchange(l, FieldSet(Fld::kP));
-      ex_.apply(l, Fld::kAx, Fld::kP, interior, false);  // Ax := A p
+      ex_.apply(l, Fld::kAx, Fld::kP, interior);  // Ax := A p
       const int group = ex_.next_group();
       for (int c = 0; c < k; ++c) {
         if (live[c] == 0) continue;
@@ -619,8 +506,11 @@ void set_rhs_fields(
 
 /// Algorithm 1 for specs.size() components riding one cycle schedule:
 /// cycle until each component's global residual max-norm is at most its
-/// tolerance or it has spent its cycle cap, or its SolveControl stops
-/// it. A component that stops *retires*: its result is final and
+/// tolerance or is not finite, or it has spent its cycle cap, or its
+/// SolveControl stops it. A non-finite norm (a NaN or Inf in the data;
+/// the norm kernels count a NaN as +inf) retires unconverged at once:
+/// no cycle brings it back. A component that stops *retires*: its
+/// result is final and
 /// retire(c) runs (the batched solver snapshots its solution there),
 /// while the schedule keeps running for the rest. Each component exits
 /// where a lone solve's loop would — the loop-condition check, then the
@@ -641,7 +531,8 @@ std::vector<SolveResult> solve_loop(Cycle<Exec>& cycle,
   const auto stop = [&](std::size_t c) {
     SolveResult& r = results[c];
     r.final_residual = res[c];
-    r.converged = !r.cancelled && res[c] <= specs[c].tolerance;
+    r.converged =
+        !r.cancelled && std::isfinite(res[c]) && res[c] <= specs[c].tolerance;
     r.seconds = timer.elapsed();
     active[c] = 0;
     --live;
@@ -649,8 +540,9 @@ std::vector<SolveResult> solve_loop(Cycle<Exec>& cycle,
   };
   const auto retire_finished = [&] {
     for (std::size_t c = 0; c < k; ++c) {
-      if (active[c] && !(res[c] > specs[c].tolerance &&
-                         results[c].vcycles < specs[c].max_vcycles))
+      if (active[c] &&
+          !(std::isfinite(res[c]) && res[c] > specs[c].tolerance &&
+            results[c].vcycles < specs[c].max_vcycles))
         stop(c);
     }
   };

@@ -458,7 +458,7 @@ real_t residual_max_norm(F& r, const F& b, const F& Ax) {
           for (std::int64_t i = lo; i < hi; ++i) {
             const real_t v = bp[i] - axp[i];
             rp[i] = v;
-            local = std::max(local, std::abs(v));
+            local = std::max(local, detail::norm_term(v));
           }
           return local;
         });

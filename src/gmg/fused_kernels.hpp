@@ -24,11 +24,9 @@
 //   * residual_restrict (red-black GS tail) and residual_max_norm (the
 //     convergence check).
 //
-// Region splitting: a sweep reads x and writes only x', r and the
-// coarse RHS, so the split-phase overlap machinery runs it over the
-// safe interior box and the shell boxes independently (DESIGN.md §10);
-// those regions cut the interior at brick boundaries, so every interior
-// brick restricts exactly once.
+// Regions: a sweep reads x and writes only x', r and the coarse RHS.
+// Over a CA-grown box only its interior part restricts, so every
+// interior brick restricts exactly once.
 //
 // Bitwise contract: every fused kernel replicates the split kernels'
 // per-element arithmetic and summation order VERBATIM (the same 7-point

@@ -47,15 +47,6 @@ struct MgLevel {
   // kernel_plan.hpp. Rebuilt by set_coefficient when varcoef flips.
   KernelPlan plan;
 
-  // Compute–comm overlap (DESIGN.md §10): which ghost groups are
-  // filled by another rank, the interior/surface split of the owned
-  // bricks, and the interior set as a cell-space box. Levels with no
-  // remote neighbor (single-rank runs) take the blocking path.
-  std::array<bool, kNumDirections> remote{};
-  bool has_remote = false;
-  BrickPartition part;
-  Box part_cells;
-
   Box interior() const { return Box::from_extent(cells); }
 
   /// Visit every interior cell in for_each order with its physical

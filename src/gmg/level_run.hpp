@@ -17,7 +17,6 @@
 #include "gmg/kernel_plan.hpp"
 #include "gmg/operators.hpp"
 #include "gmg/operators_varcoef.hpp"
-#include "trace/trace.hpp"
 
 namespace gmg {
 
@@ -51,42 +50,16 @@ class LevelRun {
   void exchange(int l, BrickedArray& field) {
     lev(l).exchange->exchange(comm_, field);
   }
-  void begin(int l, const FieldSet& fs) {
-    lev(l).exchange->begin(comm_, fields(l, fs));
-  }
-  /// Complete a begun round in the usual MPI order, all on this rank
-  /// thread (DESIGN.md §10): kernel over `safe` while the messages are
-  /// in flight, then the finish, then kernel over the shell of `active`
-  /// outside `safe` — the order Record::finish records. The safe box
-  /// and the shell write disjoint cells and read only values fixed
-  /// before the sweep, so the split changes no value. Both kernel parts
-  /// are timed under `phase`, the finish under kExchange.
-  template <class Kernel>
-  void finish(int l, const Box& active, const Box& safe, perf::Phase phase,
-              Kernel& kernel) {
-    if (!safe.empty()) {
-      trace::TraceSpan span("overlap.interior");
-      timed(l, phase, [&] { kernel(safe, false); });
-    }
-    timed(l, perf::Phase::kExchange, [&] { lev(l).exchange->finish(comm_); });
-    const std::vector<Box> shell = shell_boxes(active, safe);
-    if (!shell.empty()) {
-      timed(l, phase, [&] {
-        for (const Box& b : shell) kernel(b, false);
-      });
-    }
-  }
-
-  void apply(int l, Fld out, Fld in, const Box& box, bool) {
+  void apply(int l, Fld out, Fld in, const Box& box) {
     level_apply(base(l), f(l, out), f(l, in), box);
   }
-  void jacobi(int l, const Box& box, bool residual, bool restrict, bool) {
+  void jacobi(int l, const Box& box, bool residual, bool restrict) {
     Level& L = lev(l);
     level_jacobi(base(l), L.Ax, residual ? &L.r : nullptr,
                  restrict ? &lev(l + 1).b : nullptr, L.x, L.b, box);
   }
   void swap(int l) { std::swap(lev(l).x, lev(l).Ax); }
-  void gs_color(int l, int color, const Box& box, bool) {
+  void gs_color(int l, int color, const Box& box) {
     const MgLevel& B = base(l);
     gs_color_sweep(lev(l).x, lev(l).b, B.alpha, B.beta, color, B.rank_box.lo,
                    box);

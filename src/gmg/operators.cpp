@@ -648,7 +648,7 @@ real_t max_norm(const F& a, int c) {
           real_t local = 0.0;
 #pragma omp simd reduction(max : local)
           for (std::int64_t i = lo; i < hi; ++i) {
-            local = std::max(local, std::abs(p[i * K]));
+            local = std::max(local, detail::norm_term(p[i * K]));
           }
           return local;
         });

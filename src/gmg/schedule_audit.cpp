@@ -59,16 +59,7 @@ void Record::add_levels() {
     info.level = l;
     info.interior = L.interior();
     info.ghost_depth = L.shape.bx;
-    for (int d = 0; d < 3; ++d) {
-      info.wrapped[d] = L.grid->wraps(d);
-      int off[3] = {0, 0, 0};
-      off[d] = -1;
-      info.remote_lo[d] = L.remote[static_cast<std::size_t>(
-          direction_index(off[0], off[1], off[2]))];
-      off[d] = 1;
-      info.remote_hi[d] = L.remote[static_cast<std::size_t>(
-          direction_index(off[0], off[1], off[2]))];
-    }
+    for (int d = 0; d < 3; ++d) info.wrapped[d] = L.grid->wraps(d);
     rec_.add_level(info);
     const index_t bx = L.shape.bx;
     rec_.set_initial("x", l, bx);
@@ -85,12 +76,6 @@ void Record::exchange(int l, const FieldSet& fs) {
   rec_.exchange(l, std::move(fields), lev(l).shape.bx);
 }
 
-void Record::begin(int l, const FieldSet& fs) {
-  std::vector<std::string> fields;
-  for (int i = 0; i < fs.n; ++i) fields.emplace_back(name(fs.f[i]));
-  rec_.exchange_begin(l, std::move(fields), lev(l).shape.bx);
-}
-
 check::ScheduleStep& Record::apply(const MgLevel& L, int l, const char* out,
                                    const char* in, const Box& box) {
   const check::EffectSummary s = level_apply_effects(L);
@@ -99,16 +84,16 @@ check::ScheduleStep& Record::apply(const MgLevel& L, int l, const char* out,
   return rec_.launch(s, l, box, {{"Ax", out}, {"x", in}});
 }
 
-void Record::apply(int l, Fld out, Fld in, const Box& box, bool partial) {
-  apply(lev(l), l, name(out), name(in), box).partial = partial;
+void Record::apply(int l, Fld out, Fld in, const Box& box) {
+  apply(lev(l), l, name(out), name(in), box);
 }
 
 void Record::sweep(const MgLevel& L, int l, const Box& box, bool residual,
-                   bool restrict, bool partial) {
+                   bool restrict) {
   // The two-stage body (13-point / stencilgen operators) issues its
   // applyOp into the spare buffer first, then the pointwise update over
   // it — at every batch width.
-  if (!jacobi_is_one_pass(L)) apply(L, l, "Ax", "x", box).partial = partial;
+  if (!jacobi_is_one_pass(L)) apply(L, l, "Ax", "x", box);
   const Box fine = intersect(box, L.interior());
   const bool coarse = restrict && !fine.empty();
   const check::StepBinding r{"r", residual ? "r" : nullptr};
@@ -122,18 +107,15 @@ void Record::sweep(const MgLevel& L, int l, const Box& box, bool residual,
                          {"b", "b"}, {"diag", "diag"}})
           : rec_.launch(s, l, box,
                         {{"out", "Ax"}, r, c, {"x", "x"}, {"b", "b"}});
-  step.partial = partial;
-  if (coarse && !partial) add_chunk_writes(step, L.shape, box);
+  if (coarse) add_chunk_writes(step, L.shape, box);
 }
 
-void Record::jacobi(int l, const Box& box, bool residual, bool restrict,
-                    bool partial) {
-  sweep(lev(l), l, box, residual, restrict, partial);
+void Record::jacobi(int l, const Box& box, bool residual, bool restrict) {
+  sweep(lev(l), l, box, residual, restrict);
 }
 
-void Record::gs_color(int l, int, const Box& box, bool partial) {
-  rec_.launch(gs_color_sweep_effects(), l, box, {{"x", "x"}, {"b", "b"}})
-      .partial = partial;
+void Record::gs_color(int l, int, const Box& box) {
+  rec_.launch(gs_color_sweep_effects(), l, box, {{"x", "x"}, {"b", "b"}});
 }
 
 void Record::residual(int l, const Box& box) {

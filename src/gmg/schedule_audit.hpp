@@ -1,8 +1,8 @@
 // Schedule recording for the solvers (DESIGN.md §18). Record is the
 // cycle's third executor (gmg/cycle.hpp): driving Cycle<Record> runs
 // the solvers' own schedule logic — the CA margin algebra, the
-// aggregated-exchange decisions, the split-phase branches and the
-// fused-plan capability checks — against the live MgLevel/KernelPlan
+// aggregated-exchange decisions and the fused-plan capability checks —
+// against the live MgLevel/KernelPlan
 // state, but every launch, exchange and reduction becomes a
 // check::ScheduleStep instead of executing. The resulting Schedule is
 // the planned launch/exchange sequence of a solve, proven hazard-free
@@ -37,7 +37,7 @@ class Record {
   check::ScheduleStep& apply(const MgLevel& L, int l, const char* out,
                              const char* in, const Box& box);
   void sweep(const MgLevel& L, int l, const Box& box, bool residual,
-             bool restrict, bool partial);
+             bool restrict);
 
   // ---- the executor contract (gmg/cycle.hpp) ----
   int k() const { return k_; }
@@ -47,22 +47,10 @@ class Record {
     fn();
   }
   void exchange(int l, const FieldSet& fs);
-  void begin(int l, const FieldSet& fs);
-  /// The partial step over the safe box runs while the exchange is in
-  /// flight; the full-region step after the finish carries the
-  /// combined effect.
-  template <class Kernel>
-  void finish(int l, const Box& active, const Box& safe, perf::Phase,
-              Kernel& kernel) {
-    if (!safe.empty()) kernel(safe, true);
-    rec_.exchange_finish(l);
-    kernel(active, false);
-  }
-  void apply(int l, Fld out, Fld in, const Box& box, bool partial);
-  void jacobi(int l, const Box& box, bool residual, bool restrict,
-              bool partial);
+  void apply(int l, Fld out, Fld in, const Box& box);
+  void jacobi(int l, const Box& box, bool residual, bool restrict);
   void swap(int l) { rec_.swap(l, "x", "Ax"); }
-  void gs_color(int l, int color, const Box& box, bool partial);
+  void gs_color(int l, int color, const Box& box);
   void residual(int l, const Box& box);
   void residual_restrict(int l);
   void restriction(int l, Fld fine);

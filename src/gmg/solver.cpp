@@ -118,12 +118,6 @@ GmgSolver::GmgSolver(const GmgOptions& opts, const CartDecomp& decomp,
   opts_.levels = levels;
 
   const Box rank_box0 = decomp.subdomain_box(rank);
-  // Which ghost groups come from other ranks — a property of the rank
-  // grid alone, so identical on every level.
-  const std::array<bool, kNumDirections> remote =
-      decomp.remote_neighbors(rank);
-  bool has_remote = false;
-  for (bool r : remote) has_remote = has_remote || r;
   // Axes with one rank wrap through the brick adjacency instead of
   // storing ghost copies of owned bricks (DESIGN.md §11).
   const std::array<bool, 3> wrap = decomp.self_periodic_axes();
@@ -165,16 +159,6 @@ GmgSolver::GmgSolver(const GmgOptions& opts, const CartDecomp& decomp,
         Vec3{lev.cells.x / shape.bx, lev.cells.y / shape.by,
              lev.cells.z / shape.bz},
         wrap);
-    lev.remote = remote;
-    lev.has_remote = has_remote;
-    lev.part = lev.grid->partition(remote);
-    lev.part_cells =
-        Box{{lev.part.interior_box.lo.x * shape.bx,
-             lev.part.interior_box.lo.y * shape.by,
-             lev.part.interior_box.lo.z * shape.bz},
-            {lev.part.interior_box.hi.x * shape.bx,
-             lev.part.interior_box.hi.y * shape.by,
-             lev.part.interior_box.hi.z * shape.bz}};
     for_each_solve_field(opts_, lev, [&](BrickedArray& a) {
       a = BrickedArray(lev.grid, shape);
     });

@@ -59,46 +59,6 @@ struct GmgOptions {
   bool communication_avoiding = true;
   comm::BrickExchangeMode exchange_mode = comm::BrickExchangeMode::kPackFree;
 
-  /// Overlap compute with the ghost exchange (DESIGN.md §10): each
-  /// exchange runs split-phase — begin() posts the round, the stencil
-  /// runs over the interior brick partition on the rank thread while
-  /// the messages fly, then finish() completes the round and the
-  /// stencil covers the surface shell.
-  /// Bitwise identical to the blocking path: a region split only
-  /// reorders work that never reads what it writes — the whole one-pass
-  /// Jacobi sweep (x' goes to a separate buffer), Chebyshev's operator
-  /// application, the red GS half-sweep. No effect on ranks with no
-  /// remote neighbor.
-  bool overlap = true;
-  /// Levels with fewer interior (non-surface) bricks than this fall
-  /// back to the blocking exchange even when `overlap` is on: on the
-  /// coarse grids there is next to no interior work to hide the
-  /// messages behind, so the split-phase machinery is pure overhead.
-  int overlap_min_interior_bricks = 4;
-  /// Second overlap cutoff, in work-vs-traffic terms: split-phase
-  /// engages only where the interior field bytes (the compute hidden
-  /// behind the messages) are at least this multiple of the remote
-  /// payload bytes one exchange round moves. The brick-count floor
-  /// above catches tiny coarse grids; this ratio catches the
-  /// surface-dominated shapes in between, where the safe interior is a
-  /// sliver and the split-phase machinery (the extra kernel launches
-  /// over the shell boxes) costs more than the messages it hides.
-  /// Overlap is value-neutral (DESIGN.md §10), so this is purely a
-  /// performance knob; 0 disables the ratio test. The default rests on
-  /// fig8's 8-rank 64^3 problem, whose split-phase levels sit at
-  /// interior/payload ratios of 0.44 (L0) and 0.05 (L1): on a 4-vCPU
-  /// VM the raw split hides a few percent of the visible exchange wait
-  /// at most, and its wall clock runs ~4% *slower* than blocking
-  /// (medians of 10 runs) — with host parallelism oversubscribed, the
-  /// hidden wait is cost moved, not removed, and the split-phase
-  /// bookkeeping is a pure add. 8.0 keeps split-phase
-  /// for the regime where interior arithmetic genuinely dwarfs the
-  /// traffic (roughly >=64^3 per rank at brick 4^3), and turns
-  /// small-subdomain solves — including everything the serve tier
-  /// batches — back into the cheaper blocking exchange. Set to 0 to
-  /// measure raw split-phase behavior (what fig8 --overlap=on reports
-  /// per level).
-  double overlap_min_compute_bytes_ratio = 8.0;
   /// Upper bound on how many compatible requests the serve tier's
   /// coalescer may fuse into one batched solve through this hierarchy
   /// (src/batch). 1 = no coalescing. Not part of the hierarchy cache

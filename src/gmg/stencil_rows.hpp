@@ -1,17 +1,19 @@
 // Per-brick building blocks shared by every kernel over bricked
 // storage, each written once for any lane count K (component c of cell
 // e at flat e*K + c — brick/batched_array.hpp; K is the compile-time 1
-// for a BrickedArray): the row visitor, the 7-point row body and the
-// per-brick 8->1 restriction. The split operators (operators*.cpp) and
-// the fused passes (fused_kernels.cpp) share one definition of each, so
-// the one-pass Jacobi sweep and the two-pass reference it replaces
-// apply literally the same per-element arithmetic (DESIGN.md §16), and
-// every lane of a batched field gets the solo arithmetic (§15) — the
-// bitwise contracts hold by construction, not by keeping copies in
-// step.
+// for a BrickedArray): the row visitor, the 7-point row body, the
+// per-brick 8->1 restriction and the max-norm term. The split
+// operators (operators*.cpp) and the fused passes (fused_kernels.cpp)
+// share one definition of each, so the one-pass Jacobi sweep and the
+// two-pass reference it replaces apply literally the same per-element
+// arithmetic (DESIGN.md §16), and every lane of a batched field gets
+// the solo arithmetic (§15) — the bitwise contracts hold by
+// construction, not by keeping copies in step.
 #pragma once
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "brick/batched_array.hpp"
 #include "brick/brick_plan.hpp"
@@ -189,6 +191,16 @@ inline void restrict_brick(KT K, const Vec3& bc, const BrickGrid& cg,
       });
     }
   }
+}
+
+/// |v| as a max-norm term: a NaN counts as +inf. Every max on the way
+/// to a convergence test (std::max here and in the chunk tree, the
+/// allreduce's a > b ? a : b) drops a NaN operand, so a NaN residual
+/// would otherwise read as converged; +inf survives all of them. Finite
+/// values pass through bitwise unchanged.
+inline real_t norm_term(real_t v) {
+  const real_t a = std::abs(v);
+  return a == a ? a : std::numeric_limits<real_t>::infinity();
 }
 
 }  // namespace gmg::detail

@@ -25,33 +25,6 @@ Box ghost_region(const Box& domain, int dir, index_t g) {
   return r;
 }
 
-std::vector<Box> shell_boxes(const Box& outer, const Box& inner) {
-  if (outer.empty()) return {};
-  if (inner.empty()) return {outer};
-  GMG_REQUIRE(outer.covers(inner), "inner box must lie inside outer");
-  std::vector<Box> shell;
-  // Peel full-width slabs axis by axis (z, then y, then x): each slab
-  // spans the not-yet-peeled extent of the faster axes, so the slabs
-  // tile outer \ inner exactly without overlap.
-  Box rest = outer;
-  for (int d = 2; d >= 0; --d) {
-    if (inner.lo[d] > rest.lo[d]) {
-      Box slab = rest;
-      slab.hi[d] = inner.lo[d];
-      shell.push_back(slab);
-      rest.lo[d] = inner.lo[d];
-    }
-    if (inner.hi[d] < rest.hi[d]) {
-      Box slab = rest;
-      slab.lo[d] = inner.hi[d];
-      shell.push_back(slab);
-      rest.hi[d] = inner.hi[d];
-    }
-  }
-  GMG_ASSERT(rest == inner);
-  return shell;
-}
-
 Box surface_region(const Box& domain, int dir, index_t g) {
   GMG_REQUIRE(dir >= 0 && dir < kNumDirections && dir != kSelfDirection,
               "dir must be one of the 26 neighbor directions");

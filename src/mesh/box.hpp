@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <iosfwd>
-#include <vector>
 
 #include "common/error.hpp"
 #include "common/types.hpp"
@@ -96,13 +95,5 @@ Box ghost_region(const Box& domain, int dir, index_t g);
 /// The interior region whose data a neighbor in direction `dir` needs:
 /// the `g`-deep strip adjacent to the boundary facing `dir`.
 Box surface_region(const Box& domain, int dir, index_t g);
-
-/// Decompose `outer` minus `inner` into at most six disjoint slabs
-/// whose union with `inner` is exactly `outer` (z-lo, y-lo, x-lo,
-/// x-hi, y-hi, z-hi order). `inner` must be covered by `outer`; an
-/// empty `inner` yields {outer}, `inner == outer` yields {}. This is
-/// the overlap path's surface region: the cells a split-phase smoother
-/// computes after exchange finish() (DESIGN.md §10).
-std::vector<Box> shell_boxes(const Box& outer, const Box& inner);
 
 }  // namespace gmg

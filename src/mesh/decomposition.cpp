@@ -58,16 +58,6 @@ int CartDecomp::neighbor(int rank, int dir) const {
   return rank_of(coord_of(rank) + direction_offset(dir));
 }
 
-std::array<bool, kNumDirections> CartDecomp::remote_neighbors(
-    int rank) const {
-  std::array<bool, kNumDirections> remote{};
-  for (int dir = 0; dir < kNumDirections; ++dir) {
-    if (dir == kSelfDirection) continue;
-    remote[static_cast<std::size_t>(dir)] = neighbor(rank, dir) != rank;
-  }
-  return remote;
-}
-
 Box CartDecomp::subdomain_box(int rank) const {
   const Vec3 c = coord_of(rank);
   const Vec3 lo{c.x * sub_.x, c.y * sub_.y, c.z * sub_.z};

@@ -34,15 +34,6 @@ class CartDecomp {
   /// The neighbor rank in one of the 26 directions (periodic wrap).
   int neighbor(int rank, int dir) const;
 
-  /// For each of the 27 directions, whether the neighbor there is a
-  /// *different* rank (self direction is always false). With periodic
-  /// wrap this is per-axis: the ±a neighbors are remote iff
-  /// rank_grid()[a] > 1, so the result is rank-independent — but the
-  /// rank parameter keeps the call-site shape of neighbor(). This
-  /// drives the interior/surface brick partition for compute–comm
-  /// overlap (DESIGN.md §10).
-  std::array<bool, kNumDirections> remote_neighbors(int rank) const;
-
   /// The axes along which the rank grid has one rank, so every rank is
   /// its own periodic neighbor there — the axes a level's BrickGrid
   /// wraps instead of storing ghost copies (DESIGN.md §11).

@@ -2,12 +2,12 @@
 // the bounded plan cache, coarse–fine interface operator exactness,
 // composite-solve convergence and accuracy against a uniformly fine
 // reference, bitwise reproducibility across worker counts, multi-rank
-// GMG_CHECK cleanliness under forced overlap, and arena round-trips
-// with mixed bucket sizes.
+// GMG_CHECK cleanliness, and arena round-trips with mixed bucket sizes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <mutex>
 #include <vector>
 
@@ -203,6 +203,28 @@ TEST(CompositeSolve, ConvergesOnLocalizedSource) {
   });
 }
 
+TEST(CompositeSolve, NanRhsNeverConverges) {
+  // One NaN RHS cell outside the patch: the composite norm reads +inf,
+  // and so does its target (tolerance x initial norm) — the solve must
+  // report unconverged instead of inf <= inf.
+  const CartDecomp decomp({32, 32, 32}, {1, 1, 1});
+  comm::World world(1);
+  world.run([&](comm::Communicator& c) {
+    amr::AmrHierarchy h(composite_options(Box{{8, 8, 8}, {24, 24, 24}}),
+                        decomp, 0);
+    h.set_rhs([](real_t x, real_t y, real_t z) {
+      const real_t hc = 1.0 / 32;
+      return x < hc && y < hc && z < hc
+                 ? std::numeric_limits<real_t>::quiet_NaN()
+                 : gaussian_rhs(x, y, z);
+    });
+    const amr::CompositeResult res = amr::CompositeSolver(h).solve(c);
+    EXPECT_FALSE(res.converged);
+    EXPECT_EQ(res.cycles, 0);
+    EXPECT_EQ(res.final_residual, std::numeric_limits<real_t>::infinity());
+  });
+}
+
 TEST(CompositeSolve, MatchesUniformlyFineSolveOnRefinedRegion) {
   comm::World world(1);
   world.run([&](comm::Communicator& c) {
@@ -301,12 +323,10 @@ TEST(CompositeSolve, BitwiseReproducibleAcrossWorkerCounts) {
 TEST(CompositeSolve, MultiRankCheckCleanMatchesSingleRank) {
   // 2x2x2 ranks (16^3 coarse subdomains) and the amr_ranks shape 2x2x1
   // (z wrapped onto each rank itself, DESIGN.md §11); patch faces at 8
-  // and 24 avoid the rank planes at 16. Overlap is forced on so
-  // refluxing and the masked kernels run concurrently with split-phase
-  // exchanges inside the correction V-cycles — the shadow tracker must
-  // stay clean throughout.
+  // and 24 avoid the rank planes at 16. Refluxing, the masked kernels
+  // and the patch and level exchanges of the correction V-cycles must
+  // leave the shadow tracker clean throughout.
   amr::AmrOptions aopts = composite_options(Box{{8, 8, 8}, {24, 24, 24}});
-  aopts.gmg.overlap_min_compute_bytes_ratio = 0.0;
   // Pin the level count to what the 16^3 subdomains allow, so the
   // single-rank reference runs the identical algebraic cycle.
   aopts.gmg.levels = 3;

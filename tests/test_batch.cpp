@@ -1,7 +1,8 @@
 // src/batch: K-way batched solves must be BITWISE identical to K solo
 // GmgSolver runs — same iterates, same residual histories, same cycle
 // counts — across every smoother, with and without communication
-// avoidance, overlap, and the variable-coefficient operator. Plus the
+// avoidance, on one and two remote axes, and with the
+// variable-coefficient operator. Plus the
 // per-component retirement machinery (tolerance, cycle budget, cancel)
 // and the one-stretched-exchange-round-per-sweep property the AoSoA
 // layout exists to buy.
@@ -9,6 +10,8 @@
 
 #include <cmath>
 #include <functional>
+#include <limits>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -112,13 +115,15 @@ void expect_component_matches_solo(const SoloRef& solo,
 }
 
 // ---------------------------------------------------------------------
-// The bitwise matrix: smoother x CA x overlap x varcoef, 2 ranks, K=2;
-// plus wider batches and the 13-point operator.
+// The bitwise matrix: smoother x CA x rank grid x varcoef, K=2; plus
+// wider batches and the 13-point operator. The 2x1x1 grid exchanges
+// only faces; 2x2x1 adds the edge groups of the stretched K-lane
+// rounds.
 
 struct MatrixCase {
   Smoother smoother;
   bool ca;
-  bool overlap;
+  Vec3 rank_grid;
   bool varcoef;
   int k = 2;       // batch width
   int radius = 1;  // operator radius (2: the 13-point star)
@@ -134,11 +139,18 @@ std::string case_name(const ::testing::TestParamInfo<MatrixCase>& info) {
     case Smoother::kRedBlackGS: s = "RedBlackGS"; break;
   }
   s += p.ca ? "_Ca" : "_NoCa";
-  s += p.overlap ? "_Overlap" : "_Blocking";
+  s += "_Ranks" + std::to_string(p.rank_grid.x) + "x" +
+       std::to_string(p.rank_grid.y) + "x" + std::to_string(p.rank_grid.z);
   s += p.varcoef ? "_VarCoef" : "_ConstCoef";
   if (p.k != 2) s += "_K" + std::to_string(p.k);
   if (p.radius != 1) s += "_Radius" + std::to_string(p.radius);
   return s;
+}
+
+// The same name in ctest's listing (the default printer dumps the
+// struct's bytes, padding included, so the listed names vary by build).
+void PrintTo(const MatrixCase& p, std::ostream* os) {
+  *os << case_name({p, 0});
 }
 
 class BatchedBitwise : public ::testing::TestWithParam<MatrixCase> {};
@@ -150,16 +162,9 @@ TEST_P(BatchedBitwise, TwoWayMatchesTwoSoloSolves) {
   o.smoother = p.smoother;
   o.operator_radius = p.radius;
   o.communication_avoiding = p.ca;
-  o.overlap = p.overlap;
-  if (p.overlap) {
-    // Force split-phase engagement on this small grid so the test
-    // actually exercises the overlapped path (it is value-neutral).
-    o.overlap_min_interior_bricks = 0;
-    o.overlap_min_compute_bytes_ratio = 0.0;
-  }
-  const CartDecomp decomp({16, 16, 16}, {2, 1, 1});
+  const CartDecomp decomp({16, 16, 16}, p.rank_grid);
   const Vec3 sub = decomp.subdomain_extent();
-  comm::World world(2);
+  comm::World world(decomp.num_ranks());
   world.run([&](comm::Communicator& c) {
     GmgSolver solver(o, decomp, c.rank());
     if (p.varcoef) solver.set_coefficient(c, wavy_coef);
@@ -192,10 +197,10 @@ std::vector<MatrixCase> matrix_cases() {
   for (Smoother s : {Smoother::kPointJacobi, Smoother::kWeightedJacobi,
                      Smoother::kChebyshev, Smoother::kRedBlackGS}) {
     for (bool ca : {false, true}) {
-      for (bool overlap : {false, true}) {
+      for (const Vec3 rg : {Vec3{2, 1, 1}, Vec3{2, 2, 1}}) {
         for (bool varcoef : {false, true}) {
           if (varcoef && s == Smoother::kRedBlackGS) continue;  // unsupported
-          cases.push_back({s, ca, overlap, varcoef});
+          cases.push_back({s, ca, rg, varcoef});
         }
       }
     }
@@ -206,24 +211,24 @@ std::vector<MatrixCase> matrix_cases() {
 INSTANTIATE_TEST_SUITE_P(Matrix, BatchedBitwise,
                          ::testing::ValuesIn(matrix_cases()), case_name);
 
-// Wider batches through the one-pass sweep (K = 3 and 8, point Jacobi,
-// with CA and split-phase overlap; K = 8 also with variable
-// coefficients) and the 13-point operator's two-stage body at K = 2.
-// One-lane batches pin the solve loop's K = 1 call through the
-// runtime-lane kernels to the solo solver: point Jacobi with CA and
-// split-phase overlap, Chebyshev with variable coefficients, red-black
-// GS.
+// Wider batches through the one-pass sweep (K = 3 and 8, point Jacobi
+// with CA; K = 8 also with variable coefficients) and the 13-point
+// operator's two-stage body at K = 2. One-lane batches pin the solve
+// loop's K = 1 call through the runtime-lane kernels to the solo
+// solver: point Jacobi with CA, Chebyshev with variable coefficients,
+// red-black GS.
+constexpr Vec3 kTwoRanks{2, 1, 1};
 INSTANTIATE_TEST_SUITE_P(
     Widths, BatchedBitwise,
     ::testing::Values(
-        MatrixCase{Smoother::kPointJacobi, true, true, false, 1, 1},
-        MatrixCase{Smoother::kChebyshev, true, false, true, 1, 1},
-        MatrixCase{Smoother::kRedBlackGS, true, false, false, 1, 1},
-        MatrixCase{Smoother::kPointJacobi, true, true, false, 3, 1},
-        MatrixCase{Smoother::kPointJacobi, true, true, false, 8, 1},
-        MatrixCase{Smoother::kPointJacobi, true, true, true, 8, 1},
-        MatrixCase{Smoother::kPointJacobi, true, true, false, 2, 2},
-        MatrixCase{Smoother::kPointJacobi, false, false, false, 2, 2}),
+        MatrixCase{Smoother::kPointJacobi, true, kTwoRanks, false, 1, 1},
+        MatrixCase{Smoother::kChebyshev, true, kTwoRanks, true, 1, 1},
+        MatrixCase{Smoother::kRedBlackGS, true, kTwoRanks, false, 1, 1},
+        MatrixCase{Smoother::kPointJacobi, true, kTwoRanks, false, 3, 1},
+        MatrixCase{Smoother::kPointJacobi, true, kTwoRanks, false, 8, 1},
+        MatrixCase{Smoother::kPointJacobi, true, kTwoRanks, true, 8, 1},
+        MatrixCase{Smoother::kPointJacobi, true, kTwoRanks, false, 2, 2},
+        MatrixCase{Smoother::kPointJacobi, false, kTwoRanks, false, 2, 2}),
     case_name);
 
 // ---------------------------------------------------------------------
@@ -284,6 +289,42 @@ TEST(BatchedRetirement, LooseComponentRetiresEarlyBitwise) {
     const std::vector<SolveResult> got = bs.solve(c, specs);
     expect_component_matches_solo(loose, got[0], bs, 0, 0);
     expect_component_matches_solo(tight, got[1], bs, 1, 0);
+  });
+}
+
+TEST(BatchedRetirement, NanLaneRetiresAloneAndBatchmatesStayBitwise) {
+  // A NaN RHS cell in lane 1 (on rank 0 of two): its norm reads +inf,
+  // through the max-allreduce too, so it retires unconverged before
+  // the first cycle, while lanes 0 and 2 finish exactly as their solo
+  // solves do.
+  GmgOptions o = small_options();
+  o.max_vcycles = 8;
+  const CartDecomp decomp({16, 16, 16}, {2, 1, 1});
+  const Vec3 sub = decomp.subdomain_extent();
+  const auto nan_rhs = [](real_t x, real_t y, real_t z) {
+    const real_t h = 1.0 / 16;
+    return x < h && y < h && z < h ? std::numeric_limits<real_t>::quiet_NaN()
+                                   : rhs_b(x, y, z);
+  };
+  comm::World world(2);
+  world.run([&](comm::Communicator& c) {
+    GmgSolver solver(o, decomp, c.rank());
+    const SoloRef ra = run_solo(c, solver, sub, rhs_a, o.tolerance, 8);
+    const SoloRef rc = run_solo(c, solver, sub, rhs_c, o.tolerance, 8);
+
+    batch::BatchedSolver bs(solver, 3);
+    bs.set_rhs({rhs_a, nan_rhs, rhs_c});
+    std::vector<batch::BatchSolveSpec> specs(3);
+    for (auto& s : specs) {
+      s.tolerance = o.tolerance;
+      s.max_vcycles = 8;
+    }
+    const std::vector<SolveResult> got = bs.solve(c, specs);
+    EXPECT_FALSE(got[1].converged);
+    EXPECT_EQ(got[1].vcycles, 0);
+    EXPECT_EQ(got[1].final_residual, std::numeric_limits<real_t>::infinity());
+    expect_component_matches_solo(ra, got[0], bs, 0, c.rank());
+    expect_component_matches_solo(rc, got[2], bs, 2, c.rank());
   });
 }
 

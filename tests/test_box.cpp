@@ -78,52 +78,6 @@ TEST(GhostSurfaceRegions, GhostVolumesTileTheShell) {
   EXPECT_EQ(total, grow(dom, g).volume() - dom.volume());
 }
 
-TEST(ShellBoxes, TileOuterMinusInnerExactly) {
-  const Box outer{{-2, -1, 0}, {7, 8, 9}};
-  const Box inner{{0, 0, 2}, {5, 8, 7}};  // flush with outer on one axis
-  const std::vector<Box> shell = shell_boxes(outer, inner);
-  EXPECT_LE(shell.size(), 6u);
-  // Disjoint...
-  for (std::size_t a = 0; a < shell.size(); ++a)
-    for (std::size_t b = a + 1; b < shell.size(); ++b)
-      EXPECT_TRUE(intersect(shell[a], shell[b]).empty());
-  // ...don't touch the inner box...
-  index_t vol = 0;
-  for (const Box& s : shell) {
-    EXPECT_TRUE(outer.covers(s));
-    EXPECT_TRUE(intersect(s, inner).empty());
-    vol += s.volume();
-  }
-  // ...and tile the difference exactly.
-  EXPECT_EQ(vol + inner.volume(), outer.volume());
-}
-
-TEST(ShellBoxes, DegenerateInners) {
-  const Box outer{{0, 0, 0}, {4, 4, 4}};
-  // Empty inner: the whole outer box in one piece.
-  auto shell = shell_boxes(outer, Box{});
-  ASSERT_EQ(shell.size(), 1u);
-  EXPECT_EQ(shell[0], outer);
-  // inner == outer: nothing left.
-  EXPECT_TRUE(shell_boxes(outer, outer).empty());
-  // Empty outer: nothing at all.
-  EXPECT_TRUE(shell_boxes(Box{}, Box{}).empty());
-  // Inner escaping outer is a contract violation.
-  EXPECT_THROW(shell_boxes(outer, Box{{0, 0, 0}, {5, 4, 4}}), Error);
-}
-
-TEST(ShellBoxes, EveryCellCoveredOnce) {
-  const Box outer{{0, 0, 0}, {5, 4, 3}};
-  const Box inner{{1, 1, 1}, {4, 3, 2}};
-  const std::vector<Box> shell = shell_boxes(outer, inner);
-  for_each(outer, [&](index_t i, index_t j, index_t k) {
-    int hits = inner.contains({i, j, k}) ? 1 : 0;
-    for (const Box& s : shell)
-      if (s.contains({i, j, k})) ++hits;
-    EXPECT_EQ(hits, 1) << "cell (" << i << ',' << j << ',' << k << ')';
-  });
-}
-
 TEST(FactorRanks, BalancedCubes) {
   EXPECT_EQ(factor_ranks(1), (Vec3{1, 1, 1}));
   EXPECT_EQ(factor_ranks(8).volume(), 8);

@@ -3,14 +3,14 @@
 // Two deliberately planted bugs from the issue spec:
 //   1. an undersized ghost depth (stencil radius > brick dimension) —
 //      rejected at kernel launch / solver setup, checker on or off;
-//   2. a split-phase ordering bug (reading ghost bricks between
-//      exchange begin() and finish()) — recorded by the runtime
+//   2. an exchange ordering bug (a kernel reading ghost bricks while a
+//      round's receives are still pending) — recorded by the runtime
 //      detector, which TSan misses under deterministic chunk plans.
 // Plus: write-write overlap across engine workers, corrupt iteration
 // plans, the scopes the kernels derive from their effect summaries, the
 // disabled-path guarantee (no hazard recorded, no heap allocation per
 // launch), and a full checker-enabled multi-rank V-cycle over every
-// smoother, with split-phase exchanges, that must come out clean.
+// smoother that must come out clean.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,13 +26,11 @@
 #include "amr/interface_kernels.hpp"
 #include "check/footprint.hpp"
 #include "check/shadow.hpp"
-#include "comm/exchange.hpp"
 #include "comm/simmpi.hpp"
 #include "dsl/apply_brick.hpp"
 #include "dsl/stencils.hpp"
 #include "gmg/fused_kernels.hpp"
 #include "gmg/operators.hpp"
-#include "gmg/schedule_audit.hpp"
 #include "gmg/solver.hpp"
 
 namespace gmg {
@@ -115,24 +113,23 @@ TEST_F(CheckDetector, UndersizedGhostRejectedEvenWhenDetectorOff) {
   EXPECT_THROW(dsl::apply(expr, out, Box::from_extent({8, 8, 8}), in), Error);
 }
 
-// ---- seeded bug 2: split-phase ordering ----------------------------------
+// ---- seeded bug 2: exchange ordering -------------------------------------
 
 TEST_F(CheckDetector, SeededOutOfOrderExchangeReadIsFlagged) {
-  // Two ranks, x-split: begin() the ghost exchange and apply the
-  // operator over the full interior BEFORE finish(). The stencil's
-  // tap-grown read box covers in-flight receive ghost bricks — the
-  // ordering bug the deterministic runtime hides from TSan.
-  const CartDecomp decomp({16, 8, 8}, {2, 1, 1});
-  comm::World world(2);
-  world.run([&](comm::Communicator& c) {
-    BrickedArray x = BrickedArray::create({8, 8, 8}, BrickShape::cube(4));
-    BrickedArray Ax(x.grid_ptr(), x.shape());
-    comm::BrickExchange ex(x.grid_ptr(), x.shape(), decomp, c.rank(),
-                           comm::BrickExchangeMode::kPackFree);
-    ex.begin(c, x);
-    apply_op(Ax, x, -6.0, 1.0, Box::from_extent({8, 8, 8}));  // too early
-    ex.finish(c);
-  });
+  // Apply the operator over the full interior while x's receives are
+  // pending — the window an exchange marks between posting its round
+  // and its wait returning. The stencil's tap-grown read box covers
+  // in-flight receive ghost bricks: the ordering bug the deterministic
+  // runtime hides from TSan.
+  BrickedArray x = BrickedArray::create({8, 8, 8}, BrickShape::cube(4));
+  BrickedArray Ax(x.grid_ptr(), x.shape());
+  std::vector<BrickRange> ghost;
+  for (int dir = 0; dir < kNumDirections; ++dir) {
+    if (dir != kSelfDirection) ghost.push_back(x.grid().ghost_range(dir));
+  }
+  check::on_receives_posted(x.data(), &x.grid(), ghost);
+  apply_op(Ax, x, -6.0, 1.0, Box::from_extent({8, 8, 8}));  // too early
+  check::on_receives_done(x.data());
   EXPECT_GT(check::hazard_count(), 0u);
   EXPECT_TRUE(has_kind(check::HazardKind::kReadInflightGhost));
 }
@@ -146,12 +143,12 @@ TEST_F(CheckDetector, WritesIntoInflightGhostBricksAreFlagged) {
     if (dir == kSelfDirection) continue;
     ghost.push_back(f.grid().ghost_range(dir));
   }
-  check::on_exchange_begin(f.data(), &f.grid(), ghost);
+  check::on_receives_posted(f.data(), &f.grid(), ghost);
   init_zero(f);
-  check::on_exchange_finish(f.data());
+  check::on_receives_done(f.data());
   EXPECT_TRUE(has_kind(check::HazardKind::kWriteInflightGhost));
 
-  // After finish, the same write is clean.
+  // Once the receives are done, the same write is clean.
   check::clear_hazards();
   init_zero(f);
   EXPECT_EQ(check::hazard_count(), 0u);
@@ -160,9 +157,9 @@ TEST_F(CheckDetector, WritesIntoInflightGhostBricksAreFlagged) {
 TEST_F(CheckDetector, OverlappingExchangesOnOneFieldAreFlagged) {
   BrickedArray f = BrickedArray::create({8, 8, 8}, BrickShape::cube(4));
   const std::vector<BrickRange> ghost{f.grid().ghost_range(0)};
-  check::on_exchange_begin(f.data(), &f.grid(), ghost);
-  check::on_exchange_begin(f.data(), &f.grid(), ghost);
-  check::on_exchange_finish(f.data());
+  check::on_receives_posted(f.data(), &f.grid(), ghost);
+  check::on_receives_posted(f.data(), &f.grid(), ghost);
+  check::on_receives_done(f.data());
   EXPECT_TRUE(has_kind(check::HazardKind::kOverlappingExchange));
 }
 
@@ -422,11 +419,9 @@ TEST_F(CheckDetector, DisabledDetectorLaunchesAllocateNothing) {
 // ---- full solves must come out clean --------------------------------------
 
 TEST_F(CheckDetector, CheckerEnabledVcycleRunsCleanForEverySmoother) {
-  // Multi-rank, overlap + communication-avoiding on: exercises the
-  // split-phase exchange ordering, the CA deep-ghost sweeps, and every
-  // instrumented kernel. Any recorded hazard fails the test. The
-  // overlap cutoff is forced off so the 16^3 subdomains take the
-  // split-phase path; the recorded schedule must show it does.
+  // Multi-rank with communication avoiding on: exercises the exchange
+  // ordering, the CA deep-ghost sweeps, and every instrumented kernel.
+  // Any recorded hazard fails the test.
   const CartDecomp decomp({32, 32, 32}, {2, 2, 2});
   const std::array<Smoother, 4> smoothers{
       Smoother::kPointJacobi, Smoother::kWeightedJacobi, Smoother::kChebyshev,
@@ -443,19 +438,7 @@ TEST_F(CheckDetector, CheckerEnabledVcycleRunsCleanForEverySmoother) {
       o.brick = BrickShape::cube(4);
       o.smoother = sm;
       o.communication_avoiding = true;
-      o.overlap = true;
-      o.overlap_min_compute_bytes_ratio = 0;
       GmgSolver solver(o, decomp, c.rank());
-      if (c.rank() == 0) {
-        const check::Schedule sched = record_solver_schedule(solver);
-        EXPECT_GT(std::count_if(sched.steps.begin(), sched.steps.end(),
-                                [](const check::ScheduleStep& st) {
-                                  return st.kind ==
-                                         check::StepKind::kExchangeBegin;
-                                }),
-                  0)
-            << "no split-phase exchange for smoother " << static_cast<int>(sm);
-      }
       solver.set_rhs([](real_t x, real_t y, real_t z) {
         return std::sin(2 * M_PI * x) * std::sin(2 * M_PI * y) *
                std::sin(2 * M_PI * z);
@@ -491,11 +474,11 @@ TEST_F(CheckDetector, CheckerEnabledGeneratedKernelSolveRunsClean) {
 
 TEST_F(CheckDetector, RequireCleanThrowsWithHazardDetails) {
   BrickedArray f = BrickedArray::create({8, 8, 8}, BrickShape::cube(4));
-  check::on_exchange_begin(f.data(), &f.grid(),
-                           {f.grid().ghost_range(0)});
-  check::on_exchange_begin(f.data(), &f.grid(),
-                           {f.grid().ghost_range(0)});
-  check::on_exchange_finish(f.data());
+  check::on_receives_posted(f.data(), &f.grid(),
+                            {f.grid().ghost_range(0)});
+  check::on_receives_posted(f.data(), &f.grid(),
+                            {f.grid().ghost_range(0)});
+  check::on_receives_done(f.data());
   try {
     check::require_clean("unit");
     FAIL() << "require_clean did not throw";

@@ -11,7 +11,6 @@
 // ghost configuration is rejected at setup.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -28,7 +27,6 @@
 #include "gmg/operators.hpp"
 #include "gmg/operators_varcoef.hpp"
 #include "gmg/solver.hpp"
-#include "trace/trace.hpp"
 #include "tests/test_util.hpp"
 
 namespace gmg {
@@ -250,30 +248,19 @@ void expect_same_bits(const BrickedArray& got, const BrickedArray& want,
   ASSERT_EQ(failures, 0) << what;
 }
 
-/// The regions one sweep may be issued over: the interior, CA-grown
-/// boxes (clipped ghost bricks), and the split-phase decomposition of
-/// the deepest grown box — a safe box clipped one owned brick inside
-/// two "remote" faces, plus its shell boxes.
+/// The regions one sweep may be issued over: the interior and the
+/// CA-grown boxes (clipped ghost bricks).
 struct SweepRegion {
   std::string what;
   Box active;
-  std::vector<Box> parts;
 };
 
 std::vector<SweepRegion> sweep_regions(const MgLevel& lev) {
   const Box in = lev.interior();
   const index_t deep = lev.shape.bx - lev.radius;
-  std::vector<SweepRegion> out{{"interior", in, {in}},
-                               {"grown by 1", grow(in, 1), {grow(in, 1)}},
-                               {"grown to margin", grow(in, deep),
-                                {grow(in, deep)}}};
-  Box safe = grow(in, deep);
-  safe.lo.x = in.lo.x + lev.shape.bx;
-  safe.hi.z = in.hi.z - lev.shape.bz;
-  std::vector<Box> parts{safe};
-  for (const Box& s : shell_boxes(grow(in, deep), safe)) parts.push_back(s);
-  out.push_back({"split safe box + shell", grow(in, deep), parts});
-  return out;
+  return {{"interior", in},
+          {"grown by 1", grow(in, 1)},
+          {"grown to margin", grow(in, deep)}};
 }
 
 struct SweepCase {
@@ -336,10 +323,8 @@ void compare_sweeps(const SweepCase& sc, const GmgOptions& o,
           fused::smooth_residual_restrict(xref, rref, cref, ax, lev.b,
                                           gamma, act);
         }
-        for (const Box& part : reg.parts) {
-          level_jacobi(lev, lev.Ax, stage >= 1 ? &lev.r : nullptr,
-                       stage == 2 ? &coarse.b : nullptr, lev.x, lev.b, part);
-        }
+        level_jacobi(lev, lev.Ax, stage >= 1 ? &lev.r : nullptr,
+                     stage == 2 ? &coarse.b : nullptr, lev.x, lev.b, act);
         // The sweep wrote x' into the spare buffer and left x alone.
         expect_same_bits(lev.Ax, xref, act, what + ": x'");
         if (stage >= 1) expect_same_bits(lev.r, rref, act, what + ": r");
@@ -352,10 +337,10 @@ void compare_sweeps(const SweepCase& sc, const GmgOptions& o,
   }
 }
 
-// One level_jacobi call (over each part of a region)
-// must equal applyOp followed by smooth / smooth_residual /
-// fused::smooth_residual_restrict over the whole region, bit for bit:
-// the new iterate, the residual, and the restricted coarse RHS. The
+// One level_jacobi call must equal applyOp followed by smooth /
+// smooth_residual / fused::smooth_residual_restrict over the same
+// region, bit for bit: the new iterate, the residual, and the
+// restricted coarse RHS. The
 // level is rank 0's of a 2x2x2 grid: with remote neighbors on every
 // axis its grid stores the full ghost shell, so the CA-grown regions
 // reach into ghost bricks (a one-rank level wraps every axis and
@@ -413,15 +398,13 @@ TEST(JacobiSweep, AliasedOutputRejected) {
                Error);
 }
 
-TEST(JacobiSweep, RegionSplitEightRankSolveMatchesSingleRank) {
-  // With the bytes-ratio cutoff off, the finest level runs split-phase,
-  // so each sweep executes by region: the safe box while the exchange
-  // is in flight, then the shell boxes. Solution and residual history
-  // must equal the single-rank solve's bit for bit.
+TEST(JacobiSweep, EightRankSolveMatchesSingleRank) {
+  // The fused one-pass sweeps over CA-grown regions on 2x2x2 ranks:
+  // solution and residual history must equal the single-rank solve's
+  // bit for bit, with constant and with variable coefficients.
   const Vec3 global{32, 32, 32};
   for (const bool varcoef : {false, true}) {
     GmgOptions o = base_options(4, Smoother::kPointJacobi);
-    o.overlap_min_compute_bytes_ratio = 0;
     RunOut reference;
     {
       comm::World world(1);
@@ -429,7 +412,6 @@ TEST(JacobiSweep, RegionSplitEightRankSolveMatchesSingleRank) {
         reference = run_cycles(c, o, /*fuse=*/true, varcoef, 3);
       });
     }
-    trace::clear();
     const CartDecomp decomp(global, {2, 2, 2});
     std::vector<real_t> history;
     comm::World world(decomp.num_ranks());
@@ -465,13 +447,6 @@ TEST(JacobiSweep, RegionSplitEightRankSolveMatchesSingleRank) {
     for (std::size_t i = 0; i < history.size(); ++i) {
       EXPECT_EQ(history[i], reference.history[i]) << "cycle " << i;
     }
-    // The split path really ran.
-    const trace::Snapshot snap = trace::collect();
-    const auto interior = std::count_if(
-        snap.spans.begin(), snap.spans.end(), [](const trace::SpanRecord& s) {
-          return s.name == "overlap.interior";
-        });
-    EXPECT_GT(interior, 0) << (varcoef ? "varcoef" : "const");
   }
 }
 

@@ -4,10 +4,9 @@
 // verifier must reject at setup with a sourced diagnostic — a dropped
 // exchange, an undeclared fused write box, a masked plan scheduling a
 // covered brick, a retired batch component whose collectives resurrect,
-// a reordered reduction group, duplicated fused chunk writes, a
-// split-phase exchange that never finishes, a Jacobi sweep that writes
-// the field it reads through its stencil, and a write past the
-// interior on a wrapped (self-periodic) axis.
+// a reordered reduction group, duplicated fused chunk writes, a Jacobi
+// sweep that writes the field it reads through its stencil, and a write
+// past the interior on a wrapped (self-periodic) axis.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -100,45 +99,28 @@ void expect_checked_run_clean(
 // instrumented solve leaves the hazard detector empty. The two layers
 // watch the same invariants from opposite ends; this pins them
 // together.
-// The multi-rank grids run once more with the overlap cutoff forced off,
-// so their sweeps take the split-phase path: its in-flight ghost rules
-// are checked from both ends too.
 TEST(ScheduleParity, StaticProofMatchesCheckedRunAcrossMatrix) {
   for (const Vec3& rg : kRankGrids) {
     const CartDecomp decomp({32, 32, 32}, rg);
-    for (const bool forced : {false, true}) {
-      if (forced && decomp.num_ranks() == 1) continue;
-      for (const Smoother sm : kSmoothers) {
-        for (const bool fuse : {false, true}) {
-          SCOPED_TRACE(grid_tag(rg) + " " + smoother_tag(sm) +
-                       (fuse ? " fused" : " split") +
-                       (forced ? " forced-overlap" : ""));
-          GmgOptions o = matrix_options(sm, fuse);
-          if (forced) o.overlap_min_compute_bytes_ratio = 0;
-          expect_checked_run_clean(decomp, [&](comm::Communicator& c) {
-            // The constructor already runs the static proof (it throws
-            // on any hazard); re-check explicitly so a clean run asserts
-            // an empty diagnostic list, not just the absence of a throw.
-            GmgSolver solver(o, decomp, c.rank());
-            if (c.rank() == 0) {
-              const check::Schedule sched = record_solver_schedule(solver);
-              EXPECT_TRUE(check::ScheduleVerifier().check(sched).empty());
-              const check::Schedule fmg = record_fmg_schedule(solver);
-              EXPECT_TRUE(check::ScheduleVerifier().check(fmg).empty());
-              if (forced) {
-                EXPECT_GT(std::count_if(
-                              sched.steps.begin(), sched.steps.end(),
-                              [](const check::ScheduleStep& st) {
-                                return st.kind ==
-                                       check::StepKind::kExchangeBegin;
-                              }),
-                          0);
-              }
-            }
-            solver.set_rhs(sine_rhs);
-            solver.solve(c);
-          });
-        }
+    for (const Smoother sm : kSmoothers) {
+      for (const bool fuse : {false, true}) {
+        SCOPED_TRACE(grid_tag(rg) + " " + smoother_tag(sm) +
+                     (fuse ? " fused" : " split"));
+        const GmgOptions o = matrix_options(sm, fuse);
+        expect_checked_run_clean(decomp, [&](comm::Communicator& c) {
+          // The constructor already runs the static proof (it throws on
+          // any hazard); re-check explicitly so a clean run asserts an
+          // empty diagnostic list, not just the absence of a throw.
+          GmgSolver solver(o, decomp, c.rank());
+          if (c.rank() == 0) {
+            const check::Schedule sched = record_solver_schedule(solver);
+            EXPECT_TRUE(check::ScheduleVerifier().check(sched).empty());
+            const check::Schedule fmg = record_fmg_schedule(solver);
+            EXPECT_TRUE(check::ScheduleVerifier().check(fmg).empty());
+          }
+          solver.set_rhs(sine_rhs);
+          solver.solve(c);
+        });
       }
     }
   }
@@ -252,9 +234,7 @@ struct StepCounts {
 StepCounts count_steps(const check::Schedule& sched) {
   StepCounts n;
   for (const check::ScheduleStep& st : sched.steps) {
-    if (st.kind == check::StepKind::kExchange ||
-        st.kind == check::StepKind::kExchangeBegin)
-      ++n.exchanges;
+    if (st.kind == check::StepKind::kExchange) ++n.exchanges;
     if (st.kind == check::StepKind::kReduction) ++n.reductions;
   }
   return n;
@@ -624,45 +604,7 @@ TEST(ScheduleSeededBug, ReorderedReductionGroupRejected) {
   FAIL() << "no ascending same-group reduction pair found";
 }
 
-// Hazard class 7: a split-phase exchange that never finishes, with a
-// deep ghost read on a remote face while the receives are in flight.
-// Hand-built: the recording never emits this shape, which is the point.
-TEST(ScheduleSeededBug, UnfinishedSplitExchangeRejected) {
-  check::ScheduleRecorder rec("seeded.split");
-  check::LevelInfo L;
-  L.level = 0;
-  L.interior = Box::from_extent({16, 16, 16});
-  L.ghost_depth = 4;
-  L.remote_hi[0] = true;
-  rec.add_level(L);
-  rec.set_initial("b", 0, 4);
-  rec.exchange_begin(0, {"x"}, 4);
-  auto& step = rec.kernel(check::EffectSummary{"kernel.smooth"}
-                              .writes("x")
-                              .reads("x", 1)
-                              .reads("b", 0),
-                          0);
-  step.accesses.push_back(check::read_access(
-      "x", 0, grow(L.interior, 3), 1, "x"));
-  step.accesses.push_back(
-      check::read_access("b", 0, grow(L.interior, 3), 0, "b"));
-  step.accesses.push_back(
-      check::write_access("x", 0, grow(L.interior, 3), "x"));
-  const check::Schedule sched = rec.take();
-  const std::vector<std::string> diags =
-      check::ScheduleVerifier().check(sched);
-  ASSERT_FALSE(diags.empty());
-  // Two findings are acceptable orderings: the remote-face touch while
-  // in flight, and the begin that never finishes.
-  const bool sourced =
-      std::any_of(diags.begin(), diags.end(), [](const std::string& d) {
-        return d.find("in-flight") != std::string::npos ||
-               d.find("never finished") != std::string::npos;
-      });
-  EXPECT_TRUE(sourced) << diags.front();
-}
-
-// Hazard class 8: a one-pass Jacobi sweep whose output is bound to its
+// Hazard class 7: a one-pass Jacobi sweep whose output is bound to its
 // own input — an in-place stencil update, racing read-after-write
 // across bricks. The sweep must write the level's spare buffer.
 TEST(ScheduleSeededBug, InPlaceStencilSweepRejected) {
@@ -684,23 +626,7 @@ TEST(ScheduleSeededBug, InPlaceStencilSweepRejected) {
   expect_rejected(sched, "in-place stencil update");
 }
 
-// The ping-pong swap must never trade storage under an in-flight
-// exchange: the receives would land in the buffer that is no longer x.
-TEST(ScheduleSeededBug, SwapUnderInFlightExchangeRejected) {
-  check::ScheduleRecorder rec("seeded.swap");
-  check::LevelInfo L;
-  L.level = 0;
-  L.interior = Box::from_extent({16, 16, 16});
-  L.ghost_depth = 4;
-  L.remote_hi[0] = true;
-  rec.add_level(L);
-  rec.exchange_begin(0, {"x"}, 4);
-  rec.swap(0, "x", "Ax");
-  rec.exchange_finish(0);
-  expect_rejected(rec.take(), "is in flight");
-}
-
-// Hazard class 9: a write past the interior on a wrapped axis. A
+// Hazard class 8: a write past the interior on a wrapped axis. A
 // one-rank level wraps every axis, so there the ghost coordinates alias
 // owned cells: the verifier rejects the write box, and the level's grid
 // rejects the same box as an iteration plan at run time.

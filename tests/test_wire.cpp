@@ -1,14 +1,16 @@
 // Wire protocol: bitwise round trips (including property sweeps over
 // randomized frames) and the malformed-input contract — truncated
 // headers, oversized length prefixes, bad magic/version/flags,
-// mid-frame disconnects, and payload counts that exceed the bytes
-// actually received must all be rejected without a crash and without
-// allocating from an attacker-controlled length.
+// mid-frame disconnects, payload counts that exceed the bytes actually
+// received, and NaN or infinite RHS samples must all be rejected
+// without a crash and without allocating from an attacker-controlled
+// length.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -335,6 +337,19 @@ TEST(Wire, DecodeValidatesSemanticFields) {
   bad = good;
   bad.operator_id = "";
   EXPECT_FALSE(decode_submit(payload_of(bad), &out, &err));
+
+  // A NaN or infinite sample can only produce a NaN solve, wherever it
+  // sits.
+  for (const real_t v : {std::numeric_limits<real_t>::quiet_NaN(),
+                         std::numeric_limits<real_t>::infinity(),
+                         -std::numeric_limits<real_t>::infinity()}) {
+    for (const std::size_t at : {std::size_t{0}, std::size_t{7}}) {
+      bad = good;
+      bad.rhs_samples[at] = v;
+      EXPECT_FALSE(decode_submit(payload_of(bad), &out, &err)) << v;
+      EXPECT_NE(err.find("non-finite rhs sample"), std::string::npos) << err;
+    }
+  }
 
   // Extents are int32s off the wire; their 64-bit product can wrap to
   // the sample count the frame carries (2^64 -> 0, 2^65 + 8 -> 8).

@@ -70,13 +70,13 @@
 //                       specializer registry.
 //   exchange-call       7. In src/gmg, src/batch and src/amr, direct
 //                       ghost-exchange engine calls
-//                       (`*.exchange->exchange/begin/finish(...)`,
+//                       (`*.exchange->exchange(...)`,
 //                       `patch_exchange().exchange(...)`) may only
 //                       appear inside the executors' exchange
-//                       primitives — member functions named exchange,
-//                       begin or finish. Anywhere else they bypass the
-//                       cycle whose recorded schedule setup-time
-//                       verification proved.
+//                       primitives — member functions named exchange.
+//                       Anywhere else they bypass the cycle whose
+//                       recorded schedule setup-time verification
+//                       proved.
 //
 // Exit status 0 = clean, 1 = violations (one per line,
 // `file:line: [rule] message`), 2 = usage/IO error.
@@ -646,15 +646,9 @@ class Linter {
     const std::vector<Tok>& t = tf.toks;
     for (const FnInfo& fn : fns) {
       // The executors' exchange primitives.
-      const bool primitive =
-          !fn.member_of.empty() && (fn.name == "exchange" ||
-                                    fn.name == "begin" || fn.name == "finish");
-      if (primitive) continue;
+      if (!fn.member_of.empty() && fn.name == "exchange") continue;
       for (std::size_t i = fn.body_begin; i + 1 < fn.body_end; ++i) {
-        if (t[i].kind != Tok::kIdent ||
-            (t[i].text != "exchange" && t[i].text != "begin" &&
-             t[i].text != "finish"))
-          continue;
+        if (t[i].kind != Tok::kIdent || t[i].text != "exchange") continue;
         if (t[i + 1].text != "(") continue;
         if (i == fn.body_begin ||
             (t[i - 1].text != "." && t[i - 1].text != "->"))
@@ -866,25 +860,21 @@ const SelfTest kSelfTests[] = {
     {"direct exchange in the cycle flagged", "src/gmg/cycle.hpp",
      "namespace gmg {\ntemplate <class Exec>\nclass Cycle {\n"
      "  void exchange_for_smooth(int l) {\n"
-     "    lev(l).exchange->begin(comm, fields);\n  }\n};\n}\n",
-     "exchange-call"},
-    {"free split-phase helper flagged", "src/gmg/foo.cpp",
-     "namespace gmg {\nvoid finish_split(comm::Communicator& c, "
-     "MgLevel& lev) {\n  lev.exchange->finish(c);\n}\n}\n",
+     "    lev(l).exchange->exchange(comm, fields);\n  }\n};\n}\n",
      "exchange-call"},
     {"exchange inside an executor primitive clean", "src/gmg/foo.cpp",
      "namespace gmg {\nclass SoloRun {\n public:\n"
-     "  void begin(int l, const FieldSet& fs) {\n"
-     "    lev(l).exchange->begin(comm_, fields(l, fs));\n  }\n};\n}\n",
+     "  void exchange(int l, const FieldSet& fs) {\n"
+     "    lev(l).exchange->exchange(comm_, fields(l, fs));\n  }\n};\n}\n",
      nullptr},
     {"patch_exchange() receiver flagged", "src/amr/foo.cpp",
      "namespace gmg::amr {\nclass CompositeRun {\n"
      "  void patch_smooth(comm::Communicator& c) {\n"
      "    h_.patch_exchange().exchange(c, h_.patch().x);\n  }\n};\n}\n",
      "exchange-call"},
-    {"vector begin not an exchange call", "src/gmg/foo.cpp",
-     "namespace gmg {\nvoid GmgSolver::sort_stuff(std::vector<int>& v) {\n"
-     "  std::sort(v.begin(), v.end());\n}\n}\n",
+    {"std::exchange not an exchange call", "src/gmg/foo.cpp",
+     "namespace gmg {\nint GmgSolver::take(int& v) {\n"
+     "  return std::exchange(v, 0);\n}\n}\n",
      nullptr},
     {"suppressed exchange call clean", "src/gmg/foo.cpp",
      "namespace gmg {\nvoid GmgSolver::sneaky(comm::Communicator& c, "
