@@ -142,16 +142,13 @@ int main(int argc, char** argv) {
 
   // Concurrency that the hardware cannot actually run in parallel
   // only dilates every accepted request's latency (two solves on one
-  // core each take twice as long for zero extra throughput), so the
-  // number of simultaneously *running* solves is capped by the core
-  // count: inflight 1 per shard, and overflow spills to the second
-  // shard only when a second core exists to run it.
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  // core each take twice as long for zero extra throughput), so each
+  // shard runs one solve at a time: inflight 1 per shard, and a request
+  // the busy ring shard sheds moves along its walk to the other shard.
   front::FrontConfig cfg;
   cfg.shards = 2;
   cfg.shard.executors = 1;
   cfg.shard.cache_capacity = 4;
-  cfg.spill_to_cold = hw >= 2;
   // Inflight cap == executors: an accepted request never waits behind
   // a queue, so accepted-latency percentiles stay near the
   // uncontended solve time and overload turns into fast sheds.
@@ -171,8 +168,8 @@ int main(int argc, char** argv) {
       wire::sample_rhs({kN, kN, kN}, sine_rhs);
 
   bench::section("Front tier — warm caches on every shard");
-  // The router pins this problem shape to one shard; warm the others
-  // directly so overflow spills also hit a warm hierarchy.
+  // Warm every shard directly, so a request placed off its ring shard
+  // also hits a warm hierarchy.
   {
     serve::SolveRequest req;
     req.domain.global_extent = {kN, kN, kN};
@@ -216,6 +213,7 @@ int main(int argc, char** argv) {
   // core count). Concurrent solves contend for cores and memory
   // bandwidth, so an analytic executors/p50 estimate would overshoot
   // the real capacity substantially.
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   double saturation = 0;
   {
     serve::SolveRequest req;

@@ -18,13 +18,16 @@
 #      retirement loop, set_rhs and the serve execute path) at every
 #      group size, including the socket path.
 #   3. A TSan tree (./build-tsan, OpenMP off — see GMG_SANITIZE_THREAD)
-#      running the kernel-runtime parallel_for pool, simmpi, the ghost
-#      exchange (each rank thread posts a round and waits on it while
-#      its peers' buffered sends land in its ghost bricks), and
-#      solve-service tests: the worker-pool and message handoffs of
-#      DESIGN.md §10–11 and the serve layer's executor pool / hierarchy
-#      cache / brick arena (§12) are exactly what a race detector must
-#      see scheduled live.
+#      running the trace recorder (each ring has one producer, its
+#      owning thread, and one consumer at a time — thread exit, the
+#      periodic flusher or collect() — and test_trace flushes a ring
+#      while its owner records), the kernel-runtime parallel_for pool,
+#      simmpi, the ghost exchange (each rank thread posts a round and
+#      waits on it while its peers' buffered sends land in its ghost
+#      bricks), and solve-service tests: the ring handoffs of DESIGN.md
+#      §9, the worker-pool and message handoffs of §10–11 and the serve
+#      layer's executor pool / hierarchy cache / brick arena (§12) are
+#      exactly what a race detector must see scheduled live.
 #      The socket front's wire and server tests (§14: poll loop x
 #      executor completion callbacks x client threads) and the
 #      batched-solve suite (§15: the coalescer's hold-window handoff)
@@ -155,17 +158,17 @@ fi
 if [[ "${SKIP_TSAN}" == 1 ]]; then
   echo "== skipping TSan pass =="
 else
-  echo "== TSan: exec pool + comm tests =="
+  echo "== TSan: trace + exec pool + comm tests =="
   cmake -B build-tsan -S . \
     -DGMG_SANITIZE_THREAD=ON \
     -DGMG_ENABLE_BENCH=OFF \
     -DGMG_ENABLE_EXAMPLES=OFF \
     -DGMG_NATIVE_ARCH=OFF >/dev/null
   cmake --build build-tsan -j"${JOBS}" \
-    --target test_parallel_for test_simmpi test_exchange test_batch \
-             test_serve test_wire test_front test_fused test_amr
-  for t in test_parallel_for test_simmpi test_exchange test_batch \
-           test_serve test_wire test_front test_fused test_amr; do
+    --target test_trace test_parallel_for test_simmpi test_exchange \
+             test_batch test_serve test_wire test_front test_fused test_amr
+  for t in test_trace test_parallel_for test_simmpi test_exchange \
+           test_batch test_serve test_wire test_front test_fused test_amr; do
     echo "-- ${t} (tsan)"
     "./build-tsan/tests/${t}"
   done

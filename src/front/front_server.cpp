@@ -408,35 +408,18 @@ void FrontServer::handle_submit(const std::shared_ptr<Connection>& conn,
   const double cost =
       AdmissionController::estimate_cost(sf.global_extent, options.levels);
 
-  // Route to the cache-affine shard; on shed, overflow to the
-  // least-loaded shard that admits (cold setup beats rejection while
-  // compute has headroom), else reject fast.
-  const int primary = router_.route(key);
-  int target = -1;
-  bool spilled = false;
-  if (shards_[static_cast<std::size_t>(primary)]->admission->try_admit(
-          cost, sf.deadline_seconds) == AdmissionController::Decision::kAdmit) {
-    target = primary;
-  } else if (cfg_.spill_to_cold && num_shards() > 1) {
-    std::vector<std::pair<double, int>> by_load;
-    for (int s = 0; s < num_shards(); ++s) {
-      if (s == primary) continue;
-      by_load.emplace_back(
-          shards_[static_cast<std::size_t>(s)]->admission->stats()
-              .inflight_cost,
-          s);
-    }
-    std::sort(by_load.begin(), by_load.end());
-    for (const auto& [load, s] : by_load) {
-      if (shards_[static_cast<std::size_t>(s)]->admission->try_admit(
-              cost, sf.deadline_seconds) ==
-          AdmissionController::Decision::kAdmit) {
-        target = s;
-        spilled = true;
-        break;
-      }
-    }
-  }
+  // Bounded-load placement (DESIGN.md §14): the key's ring shard
+  // unless it carries (1 + ε)× the mean inflight count, else the next
+  // shard along the key's walk; the first that admits takes it.
+  const auto admission = [&](int s) -> AdmissionController& {
+    return *shards_[static_cast<std::size_t>(s)]->admission;
+  };
+  const int target = router_.place(
+      key, [&](int s) { return admission(s).stats().inflight; },
+      [&](int s) {
+        return admission(s).try_admit(cost, sf.deadline_seconds) ==
+               AdmissionController::Decision::kAdmit;
+      });
   if (target < 0) {
     sheds_.fetch_add(1, std::memory_order_relaxed);
     trace::counter_add("front.rejected_overload", 1);
@@ -445,7 +428,7 @@ void FrontServer::handle_submit(const std::shared_ptr<Connection>& conn,
     return;
   }
   Shard* shard = shards_[static_cast<std::size_t>(target)].get();
-  if (spilled) {
+  if (target != router_.route(key)) {
     spills_.fetch_add(1, std::memory_order_relaxed);
     shard->spilled_in.fetch_add(1, std::memory_order_relaxed);
     trace::counter_add("front.spilled", 1);

@@ -3,25 +3,30 @@
 //   client frames ──▶ Listener (poll loop, per-connection FrameReader)
 //                        │ decode submit
 //                        ▼
-//                  ShardRouter: consistent hash on hierarchy_key
-//                        │ affine shard
+//        ShardRouter::place: walk the consistent-hash ring from the
+//        request's hierarchy_key, skipping shards whose inflight count
+//        is at ⌈(1 + ε)·(total + 1)/N⌉ (ε = 1/4)
+//                        │ next shard on the walk
 //                        ▼
 //              AdmissionController (cost-aware, deadline-aware)
 //               │ admit          │ shed
-//               ▼                ├─▶ spill to least-loaded shard that
-//        shard SolveService      │   admits (pays cold setup — the
-//        (own HierarchyCache     │   cache, not compute, was the
-//         + BrickArena + pool)   │   bottleneck), else
-//               │ on_complete    └─▶ REJECT(kOverload) frame, fast
+//               ▼                ├─▶ try the next shard on the walk
+//        shard SolveService      │   under the cap, else
+//        (own HierarchyCache     └─▶ REJECT(kOverload) frame, fast
+//         + BrickArena + pool)
+//               │ on_complete
 //               ▼
 //        response frame queued on the connection, flushed by the
 //        poll loop
 //
 // Sharding is in-process: each shard is an isolated serve::SolveService
 // (its own executor pool, hierarchy cache, and brick arena), so a
-// shard is exactly the HierarchyCache affinity unit — the router sends
-// every request for one problem shape to the shard whose cache holds
-// its hierarchy. One poll thread owns all sockets; solve executors
+// shard is exactly the HierarchyCache affinity unit. An idle or evenly
+// loaded tier sends every request for one problem shape to its ring
+// shard, whose cache holds its hierarchy; once that shard carries
+// (1 + ε)× the mean load, requests for the shape move along the
+// shape's walk, and each shard they reach pays one cold hierarchy
+// build for it. One poll thread owns all sockets; solve executors
 // never touch a socket (completion callbacks enqueue bytes and wake
 // the poll loop through a self-pipe).
 #pragma once
@@ -54,10 +59,6 @@ struct FrontConfig {
   /// Per-shard admission control; max_inflight from
   /// GMG_FRONT_MAX_INFLIGHT when set.
   AdmissionConfig admission;
-  /// When the cache-affine shard sheds, offer the request to the
-  /// least-loaded shard that admits it — a cold setup there beats a
-  /// rejection when compute, not the cache, has headroom.
-  bool spill_to_cold = true;
   int vnodes_per_shard = 64;
   int listen_backlog = 64;
   /// Cap on simultaneously open client connections.
@@ -74,8 +75,8 @@ struct FrontStats {
   std::uint64_t connections_open = 0;
   std::uint64_t protocol_errors = 0;  // corrupt streams, closed
   std::uint64_t submits = 0;
-  std::uint64_t sheds = 0;   // rejected kOverload (no spill taken)
-  std::uint64_t spills = 0;  // admitted on a non-affine shard
+  std::uint64_t sheds = 0;   // rejected kOverload (no shard admitted)
+  std::uint64_t spills = 0;  // placed off the key's ring shard
   std::uint64_t bad_requests = 0;
   wire::StatsFrame shards;
 };
@@ -109,8 +110,9 @@ class FrontServer {
 
   FrontStats stats() const;
 
-  /// The shard the router picks for this request — exposed so tests
-  /// can pin affinity and find the service that ran a request.
+  /// The request's ring shard, where an evenly loaded tier places it —
+  /// exposed so tests can pin affinity and find the service that ran a
+  /// request.
   int shard_for(const serve::DomainSpec& domain,
                 const std::string& operator_id) const;
   serve::SolveService& shard_service(int shard);
@@ -130,7 +132,7 @@ class FrontServer {
   struct Shard {
     std::unique_ptr<serve::SolveService> service;
     std::unique_ptr<AdmissionController> admission;
-    std::atomic<std::uint64_t> spilled_in{0};
+    std::atomic<std::uint64_t> spilled_in{0};  // placed here off-ring
   };
 
   void start_poll_thread();

@@ -1,6 +1,9 @@
 #include "front/shard_router.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <map>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -33,6 +36,7 @@ void ShardRouter::build(const std::vector<int>& shard_ids,
                         int vnodes_per_shard) {
   GMG_REQUIRE(!shard_ids.empty(), "ShardRouter: need at least one shard");
   GMG_REQUIRE(vnodes_per_shard > 0, "ShardRouter: need at least one vnode");
+  shard_ids_ = shard_ids;
   num_shards_ = static_cast<int>(shard_ids.size());
   ring_.reserve(shard_ids.size() *
                 static_cast<std::size_t>(vnodes_per_shard));
@@ -47,17 +51,37 @@ void ShardRouter::build(const std::vector<int>& shard_ids,
     }
   }
   std::sort(ring_.begin(), ring_.end());
+  // Two passes: the second gives each shard's first point its
+  // predecessor from the end of the ring.
+  prev_same_.assign(ring_.size(), 0);
+  std::map<int, std::size_t> last;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t i = 0; i < ring_.size(); ++i) {
+      const auto [it, first] = last.try_emplace(ring_[i].second, i);
+      if (!first) prev_same_[i] = std::exchange(it->second, i);
+    }
+  }
 }
 
-int ShardRouter::route(std::string_view key) const {
-  const std::uint64_t h = hash64(key);
-  auto it = std::lower_bound(
+std::size_t ShardRouter::first_point(std::uint64_t h) const {
+  const auto it = std::lower_bound(
       ring_.begin(), ring_.end(), h,
       [](const std::pair<std::uint64_t, int>& p, std::uint64_t v) {
         return p.first < v;
       });
-  if (it == ring_.end()) it = ring_.begin();  // wrap
-  return it->second;
+  return it == ring_.end() ? 0 : static_cast<std::size_t>(it - ring_.begin());
+}
+
+int ShardRouter::route(std::string_view key) const {
+  return ring_[first_point(hash64(key))].second;
+}
+
+std::size_t ShardRouter::load_cap(std::size_t total, int shards) {
+  // (1 + ε)·(total + 1) is exact for ε = 1/4, and a correctly rounded
+  // quotient that should be an integer is one, so the ceil is exact.
+  return static_cast<std::size_t>(
+      std::ceil((1 + kLoadSlack) * static_cast<double>(total + 1) /
+                static_cast<double>(shards)));
 }
 
 }  // namespace gmg::front

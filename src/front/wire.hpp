@@ -136,7 +136,7 @@ struct ShardStatsEntry {
   std::uint64_t rejected = 0;
   std::uint64_t failed = 0;
   std::uint64_t shed_overload = 0;  // admission fast rejections
-  std::uint64_t spilled_in = 0;     // overflow routed here cold
+  std::uint64_t spilled_in = 0;     // placed here off the ring shard
   std::uint64_t queue_depth = 0;
   std::uint64_t inflight = 0;
   /// Coalescer occupancy (v2): batched solve invocations and the

@@ -5,9 +5,11 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 namespace gmg::trace {
 namespace {
@@ -39,17 +41,23 @@ struct RawCounter {
   std::uint64_t value = 0;
 };
 
-/// Single-writer event ring plus a mutex-guarded counter table. The
-/// owning thread is the only writer of events[0..count); collect()
-/// reads count with acquire ordering against the owner's release
-/// store, so harvested slots are fully written.
+/// One thread's event ring plus a mutex-guarded counter table. The
+/// ring is single-producer/single-consumer: only the owning thread
+/// advances `head` (a release store after writing the slot), and only
+/// a drainer — one at a time, under the registry lock — advances
+/// `tail` (a release store after reading the slots). Each side loads
+/// the other's index with acquire ordering, so no slot is ever written
+/// and read at once. Events in [tail, head) are pending; while
+/// events.size() are pending the owner drops new ones and counts them.
 struct ThreadBuffer {
   explicit ThreadBuffer(int tid_) : events(ring_capacity()), tid(tid_) {}
 
   std::vector<RawEvent> events;
-  std::atomic<std::size_t> count{0};
+  std::atomic<std::uint64_t> head{0};
+  std::atomic<std::uint64_t> tail{0};
+  std::size_t write_slot = 0;  // head's slot; owner only
+  std::size_t read_slot = 0;   // tail's slot; drainer only
   std::atomic<std::uint64_t> dropped{0};
-  std::atomic<bool> retired{false};
   int tid = 0;
 
   std::mutex counter_mu;
@@ -58,8 +66,8 @@ struct ThreadBuffer {
 
 struct Registry {
   std::mutex mu;
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers;  // live + retired
-  std::vector<std::shared_ptr<ThreadBuffer>> free;     // harvested, reusable
+  std::vector<std::shared_ptr<ThreadBuffer>> buffers;  // owned by live threads
+  std::vector<std::shared_ptr<ThreadBuffer>> free;     // drained, reusable
   int next_tid = 0;
 };
 
@@ -70,21 +78,45 @@ Registry& registry() {
   return *r;
 }
 
-/// Where the periodic flusher parks drained events between collects.
-/// Bounded: beyond `keep_spans` the oldest spans are discarded and
-/// counted as dropped, so a runaway service degrades loudly (the drop
-/// counter) instead of exhausting memory. Compaction runs only once
-/// the store reaches twice `keep_spans` (then trims back down to it),
-/// so the front-erase shift is amortized O(1) per appended span
-/// instead of an O(keep_spans) memmove on every append at the cap.
+/// A parked event: the ring's raw event plus its recorder's thread id.
+struct ParkedEvent {
+  RawEvent event;
+  int tid = 0;
+};
+
+using CounterTable = std::map<std::pair<std::string_view, int>, std::uint64_t>;
+
+/// Where the events of exited threads and of periodic flushes wait for
+/// the next collect(): a ring of at most `keep_spans` raw events — once
+/// it is full each new event overwrites the oldest, counted in
+/// `dropped`, so a runaway service degrades loudly instead of
+/// exhausting memory — and a counter table merged by (name, rank) as
+/// entries arrive. Names stay literal pointers; only collect() builds
+/// SpanRecords.
 struct FlushStore {
   std::mutex mu;
-  std::vector<SpanRecord> spans;
-  std::vector<CounterTotal> counters;
+  std::vector<ParkedEvent> events;
+  std::size_t oldest = 0;  // the slot the next event overwrites once full
+  CounterTable counters;
   std::uint64_t dropped = 0;
   std::size_t keep_spans =
       env_size("GMG_TRACE_FLUSH_KEEP", std::size_t{1} << 18,
                std::size_t{1} << 10, std::size_t{1} << 26);
+
+  void park(const RawEvent& e, int tid) {
+    if (events.size() < keep_spans) {
+      // Grow geometrically but never past the bound.
+      if (events.size() == events.capacity()) {
+        events.reserve(std::min(
+            keep_spans, std::max<std::size_t>(1024, 2 * events.size())));
+      }
+      events.push_back(ParkedEvent{e, tid});
+      return;
+    }
+    events[oldest] = ParkedEvent{e, tid};
+    if (++oldest == events.size()) oldest = 0;
+    ++dropped;
+  }
 };
 
 FlushStore& flush_store() {
@@ -110,31 +142,54 @@ std::atomic<bool> g_enabled{true};
 
 thread_local int tls_rank = 0;
 
-// Defined below, after Snapshot's methods.
-void drain_buffer(ThreadBuffer& b, Snapshot& snap);
-void append_to_flush_store(Snapshot&& snap);
+/// Visit the pending events of `b`, oldest first; with `consume`, hand
+/// their slots back to the owner. The caller holds the registry lock,
+/// which makes it the ring's one consumer.
+template <class Fn>
+void read_ring(ThreadBuffer& b, bool consume, Fn&& fn) {
+  const std::uint64_t head = b.head.load(std::memory_order_acquire);
+  const std::uint64_t tail = b.tail.load(std::memory_order_relaxed);
+  std::size_t slot = b.read_slot;
+  for (std::uint64_t i = tail; i != head; ++i) {
+    fn(b.events[slot]);
+    if (++slot == b.events.size()) slot = 0;
+  }
+  if (consume) {
+    b.read_slot = slot;
+    b.tail.store(head, std::memory_order_release);
+  }
+}
 
-/// At thread exit the owning thread drains its ring into the bounded
-/// flush store and returns the buffer to the free list. Draining
-/// eagerly (rather than waiting for a clearing collect()) keeps trace
-/// memory bounded by the peak number of concurrent threads: a serving
-/// process spawns short-lived world threads per request, and stranding
-/// one full ring per thread ever created grows without bound.
+/// Move everything `b` holds — pending events, counters, drops — into
+/// the flush store. Thread exit and flush_now() both park through here.
+/// The caller holds the registry lock and the flush-store lock.
+void park_buffer(ThreadBuffer& b, FlushStore& fs) {
+  read_ring(b, /*consume=*/true,
+            [&](const RawEvent& e) { fs.park(e, b.tid); });
+  fs.dropped += b.dropped.exchange(0, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(b.counter_mu);
+  for (const RawCounter& c : b.counters)
+    fs.counters[{c.name, c.rank}] += c.value;
+  b.counters.clear();
+}
+
+/// At thread exit the owning thread parks its ring in the bounded flush
+/// store and returns the buffer to the free list. Parking eagerly
+/// (rather than waiting for a clearing collect()) keeps trace memory
+/// bounded by the peak number of concurrent threads: a serving process
+/// spawns short-lived world threads per request, and stranding one
+/// full ring per thread ever created grows without bound.
 struct TlsHandle {
   std::shared_ptr<ThreadBuffer> buf;
   ~TlsHandle() {
     if (!buf) return;
-    Snapshot snap;
-    {
-      Registry& reg = registry();
-      std::lock_guard<std::mutex> lock(reg.mu);
-      drain_buffer(*buf, snap);
-      auto it = std::find(reg.buffers.begin(), reg.buffers.end(), buf);
-      if (it != reg.buffers.end()) reg.buffers.erase(it);
-      buf->retired.store(true, std::memory_order_release);
-      reg.free.push_back(std::move(buf));
-    }
-    append_to_flush_store(std::move(snap));
+    Registry& reg = registry();
+    FlushStore& fs = flush_store();
+    std::scoped_lock lock(reg.mu, fs.mu);
+    park_buffer(*buf, fs);
+    auto it = std::find(reg.buffers.begin(), reg.buffers.end(), buf);
+    if (it != reg.buffers.end()) reg.buffers.erase(it);
+    reg.free.push_back(std::move(buf));
   }
 };
 thread_local TlsHandle tls_handle;
@@ -146,12 +201,10 @@ ThreadBuffer* local_buffer() {
     if (!reg.free.empty()) {
       tls_handle.buf = std::move(reg.free.back());
       reg.free.pop_back();
-      tls_handle.buf->retired.store(false, std::memory_order_relaxed);
-      reg.buffers.push_back(tls_handle.buf);
     } else {
       tls_handle.buf = std::make_shared<ThreadBuffer>(reg.next_tid++);
-      reg.buffers.push_back(tls_handle.buf);
     }
+    reg.buffers.push_back(tls_handle.buf);
   }
   return tls_handle.buf.get();
 }
@@ -159,13 +212,14 @@ ThreadBuffer* local_buffer() {
 void push_event(const char* name, Category cat, int level, std::uint64_t t0,
                 std::uint64_t dur) {
   ThreadBuffer* b = local_buffer();
-  const std::size_t i = b->count.load(std::memory_order_relaxed);
-  if (i >= b->events.size()) {
+  const std::uint64_t head = b->head.load(std::memory_order_relaxed);
+  if (head - b->tail.load(std::memory_order_acquire) >= b->events.size()) {
     b->dropped.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  b->events[i] = RawEvent{name, t0, dur, level, tls_rank, cat};
-  b->count.store(i + 1, std::memory_order_release);
+  b->events[b->write_slot] = RawEvent{name, t0, dur, level, tls_rank, cat};
+  if (++b->write_slot == b->events.size()) b->write_slot = 0;
+  b->head.store(head + 1, std::memory_order_release);
 }
 
 }  // namespace
@@ -278,89 +332,49 @@ int Snapshot::max_rank() const {
   return m;
 }
 
-namespace {
-
-/// Drain one buffer's ring and counter table into `snap` and reset
-/// them. Caller must hold the registry lock (mutual exclusion with
-/// harvest_rings) and be — or exclude — the owning thread.
-void drain_buffer(ThreadBuffer& b, Snapshot& snap) {
-  const std::size_t n =
-      std::min(b.count.load(std::memory_order_acquire), b.events.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const RawEvent& e = b.events[i];
-    snap.spans.push_back(SpanRecord{e.name, e.cat, e.rank, b.tid, e.level,
-                                    e.t0_ns, e.dur_ns});
-  }
-  snap.dropped += b.dropped.load(std::memory_order_relaxed);
+Snapshot collect(bool clear) {
+  // Under the locks, copy raw events and merge counters; the
+  // SpanRecords (one string each) are built after releasing them.
+  std::vector<ParkedEvent> events;
+  CounterTable counters;
+  Snapshot snap;
   {
-    std::lock_guard<std::mutex> clock(b.counter_mu);
-    for (const RawCounter& c : b.counters)
-      snap.counters.push_back(CounterTotal{c.name, c.rank, c.value});
-    b.counters.clear();
-  }
-  b.count.store(0, std::memory_order_relaxed);
-  b.dropped.store(0, std::memory_order_relaxed);
-}
-
-/// Park `snap` in the flush store, enforcing the keep_spans bound.
-/// Takes only the flush-store lock; never called with the registry
-/// lock held.
-void append_to_flush_store(Snapshot&& snap) {
-  FlushStore& fs = flush_store();
-  std::lock_guard<std::mutex> lock(fs.mu);
-  fs.dropped += snap.dropped;
-  for (SpanRecord& s : snap.spans) fs.spans.push_back(std::move(s));
-  for (CounterTotal& c : snap.counters) fs.counters.push_back(std::move(c));
-  if (fs.spans.size() > 2 * fs.keep_spans) {
-    const std::size_t excess = fs.spans.size() - fs.keep_spans;
-    fs.spans.erase(fs.spans.begin(),
-                   fs.spans.begin() + static_cast<std::ptrdiff_t>(excess));
-    fs.spans.shrink_to_fit();
-    fs.dropped += excess;
-  }
-}
-
-/// Drain every ring buffer into `snap` (unsorted). Holds the registry
-/// lock; the flush-store lock is never taken inside it.
-void harvest_rings(Snapshot& snap, bool clear) {
-  Registry& reg = registry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  for (const auto& b : reg.buffers) {
-    const std::size_t n =
-        std::min(b->count.load(std::memory_order_acquire), b->events.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      const RawEvent& e = b->events[i];
-      snap.spans.push_back(SpanRecord{e.name, e.cat, e.rank, b->tid, e.level,
-                                      e.t0_ns, e.dur_ns});
+    Registry& reg = registry();
+    FlushStore& fs = flush_store();
+    std::scoped_lock lock(reg.mu, fs.mu);
+    if (clear) {
+      events = std::exchange(fs.events, {});
+      fs.oldest = 0;
+      counters = std::exchange(fs.counters, {});
+      snap.dropped = std::exchange(fs.dropped, 0);
+    } else {
+      events = fs.events;
+      counters = fs.counters;
+      snap.dropped = fs.dropped;
     }
-    snap.dropped += b->dropped.load(std::memory_order_relaxed);
-    {
+    for (const auto& b : reg.buffers) {
+      read_ring(*b, clear, [&](const RawEvent& e) {
+        events.push_back(ParkedEvent{e, b->tid});
+      });
+      snap.dropped += clear
+                          ? b->dropped.exchange(0, std::memory_order_relaxed)
+                          : b->dropped.load(std::memory_order_relaxed);
       std::lock_guard<std::mutex> clock(b->counter_mu);
       for (const RawCounter& c : b->counters)
-        snap.counters.push_back(CounterTotal{c.name, c.rank, c.value});
+        counters[{c.name, c.rank}] += c.value;
       if (clear) b->counters.clear();
     }
-    if (clear) {
-      b->count.store(0, std::memory_order_relaxed);
-      b->dropped.store(0, std::memory_order_relaxed);
-    }
   }
-  if (clear) {
-    // Recycle buffers whose owner thread has exited.
-    auto it = std::partition(reg.buffers.begin(), reg.buffers.end(),
-                             [](const std::shared_ptr<ThreadBuffer>& b) {
-                               return !b->retired.load(
-                                   std::memory_order_acquire);
-                             });
-    for (auto r = it; r != reg.buffers.end(); ++r)
-      reg.free.push_back(std::move(*r));
-    reg.buffers.erase(it, reg.buffers.end());
-  }
-}
 
-/// Sort spans and merge per-(name, rank) counters — the snapshot
-/// ordering contract documented in trace.hpp.
-void finalize_snapshot(Snapshot& snap) {
+  // The snapshot ordering contract documented in trace.hpp: spans by
+  // (rank, tid, t0, -dur), counters by (name, rank) as the table keeps
+  // them.
+  snap.spans.reserve(events.size());
+  for (const ParkedEvent& p : events) {
+    const RawEvent& e = p.event;
+    snap.spans.push_back(
+        SpanRecord{e.name, e.cat, e.rank, p.tid, e.level, e.t0_ns, e.dur_ns});
+  }
   std::sort(snap.spans.begin(), snap.spans.end(),
             [](const SpanRecord& a, const SpanRecord& b) {
               if (a.rank != b.rank) return a.rank < b.rank;
@@ -368,55 +382,31 @@ void finalize_snapshot(Snapshot& snap) {
               if (a.t0_ns != b.t0_ns) return a.t0_ns < b.t0_ns;
               return a.dur_ns > b.dur_ns;  // parent before child
             });
-
-  // Merge counters recorded by different threads of the same rank.
-  std::sort(snap.counters.begin(), snap.counters.end(),
-            [](const CounterTotal& a, const CounterTotal& b) {
-              if (a.name != b.name) return a.name < b.name;
-              return a.rank < b.rank;
-            });
-  std::vector<CounterTotal> merged;
-  for (CounterTotal& c : snap.counters) {
-    if (!merged.empty() && merged.back().name == c.name &&
-        merged.back().rank == c.rank) {
-      merged.back().value += c.value;
-    } else {
-      merged.push_back(std::move(c));
-    }
-  }
-  snap.counters = std::move(merged);
-}
-
-}  // namespace
-
-Snapshot collect(bool clear) {
-  Snapshot snap;
-  // Flushed events precede anything still sitting in a ring, so they
-  // go in first (ordering is restored by the sort regardless).
-  {
-    FlushStore& fs = flush_store();
-    std::lock_guard<std::mutex> lock(fs.mu);
-    snap.spans = clear ? std::move(fs.spans) : fs.spans;
-    snap.counters = clear ? std::move(fs.counters) : fs.counters;
-    snap.dropped = fs.dropped;
-    if (clear) {
-      fs.spans.clear();
-      fs.counters.clear();
-      fs.dropped = 0;
-    }
-  }
-  harvest_rings(snap, clear);
-  finalize_snapshot(snap);
+  snap.counters.reserve(counters.size());
+  for (const auto& [key, value] : counters)
+    snap.counters.push_back(
+        CounterTotal{std::string(key.first), key.second, value});
   return snap;
 }
 
 void clear() { (void)collect(/*clear=*/true); }
 
 void flush_now() {
-  Snapshot snap;
-  harvest_rings(snap, /*clear=*/true);
-  append_to_flush_store(std::move(snap));
+  Registry& reg = registry();
+  FlushStore& fs = flush_store();
+  std::scoped_lock lock(reg.mu, fs.mu);
+  for (const auto& b : reg.buffers) park_buffer(*b, fs);
 }
+
+namespace detail {
+
+FlushStoreStats flush_store_stats() {
+  FlushStore& fs = flush_store();
+  std::lock_guard<std::mutex> lock(fs.mu);
+  return FlushStoreStats{fs.events.size(), fs.keep_spans, fs.counters.size()};
+}
+
+}  // namespace detail
 
 void start_periodic_flush(double interval_seconds) {
   if (!(interval_seconds > 0)) return;

@@ -4,8 +4,9 @@
 // Every instrumented site records *events* — completed spans with a
 // monotonic start timestamp and duration, or monotonically increasing
 // named counters — into a per-thread ring buffer. Recording is
-// wait-free for spans (single-writer ring, release-store on the count)
-// and takes one uncontended mutex for counters, so hot kernels can be
+// wait-free for spans (a single-producer/single-consumer ring: the
+// owner release-stores its write index, a drainer its read index) and
+// takes one uncontended mutex for counters, so hot kernels can be
 // wrapped unconditionally; the measured overhead budget is <2% on the
 // fig5 kernels (see BENCH_trace_overhead.json).
 //
@@ -140,10 +141,10 @@ struct Snapshot {
   int max_rank() const;
 };
 
-/// Harvest every thread's ring buffer into one snapshot, merged with
-/// whatever the periodic flusher has accumulated. With `clear`,
-/// buffers (and the flush accumulator) are reset and buffers of exited
-/// threads are recycled.
+/// Harvest every live thread's ring buffer into one snapshot, merged
+/// with the flush store (where exited threads and the periodic flusher
+/// park their events). With `clear`, the rings and the store are
+/// emptied.
 Snapshot collect(bool clear = true);
 
 /// Drop everything recorded so far (collect-and-discard).
@@ -152,11 +153,11 @@ void clear();
 // ---------------------------------------------------------------------------
 // Periodic flushing: a long-running process (the solve service) emits
 // spans indefinitely, but each ring holds only ring_capacity() events.
-// The flusher drains every ring into a process-wide accumulator on an
-// interval, so collect() still returns the full history and nothing is
-// dropped silently. The accumulator itself is bounded (oldest spans
-// give way, counted in Snapshot::dropped): GMG_TRACE_FLUSH_KEEP spans,
-// default 2^20.
+// The flusher drains every ring into the process-wide flush store on
+// an interval, so collect() still returns the full history and nothing
+// is dropped silently. The store is a bounded ring of raw events (the
+// oldest give way, counted in Snapshot::dropped): GMG_TRACE_FLUSH_KEEP
+// events, default 2^18. A thread parks its ring there when it exits.
 // ---------------------------------------------------------------------------
 
 /// Start the background flusher (idempotent; restarting with a new
@@ -172,8 +173,21 @@ bool start_periodic_flush_from_env();
 /// next collect(). Safe to call when no flusher runs.
 void stop_periodic_flush();
 
-/// One synchronous flush: drain all rings into the accumulator (what
+/// One synchronous flush: drain all rings into the flush store (what
 /// the background thread does each tick).
 void flush_now();
+
+namespace detail {
+
+/// Flush-store occupancy, for tests: parked events, the store's bound
+/// (GMG_TRACE_FLUSH_KEEP) and merged (name, rank) counter entries.
+struct FlushStoreStats {
+  std::size_t events = 0;
+  std::size_t capacity = 0;
+  std::size_t counter_entries = 0;
+};
+FlushStoreStats flush_store_stats();
+
+}  // namespace detail
 
 }  // namespace gmg::trace

@@ -1,10 +1,11 @@
 // Front tier end-to-end: consistent-hash routing stability (same key
 // -> same shard; removing 1 of N shards remaps ~1/N of keys and ONLY
-// keys of the removed shard), admission-control shedding, graceful
-// drain of the serve layer, live ServiceStats counters, and the
-// headline guarantee — a solve submitted through the socket front is
-// bitwise identical to the same request submitted directly to a
-// SolveService. Runs under TSan in ci/tier1.sh (poll loop x executor
+// keys of the removed shard), bounded-load placement along each key's
+// ring walk, admission-control shedding, graceful drain of the serve
+// layer, live ServiceStats counters, and the headline guarantee — a
+// solve submitted through the socket front is bitwise identical to the
+// same request submitted directly to a SolveService, on whichever
+// shard it lands. Runs under TSan in ci/tier1.sh (poll loop x executor
 // callbacks x client threads).
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -13,6 +14,8 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
+#include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -84,6 +87,128 @@ TEST(ShardRouterTest, RemovingOneShardMovesOnlyItsKeys) {
   // perfect; accept a generous band around 500/2000).
   EXPECT_GT(moved, 2000 / 8);
   EXPECT_LT(moved, 2000 / 2);
+}
+
+/// `key`'s walk over `router`, every shard listed.
+std::vector<int> walk_order(const ShardRouter& router,
+                            const std::string& key) {
+  std::vector<int> order;
+  EXPECT_EQ(router.walk(key,
+                        [&](int s) {
+                          order.push_back(s);
+                          return false;
+                        }),
+            -1);
+  return order;
+}
+
+TEST(ShardRouterTest, WalkStartsAtRouteAndListsEveryShardOnce) {
+  const std::vector<std::string> keys = test_keys(1000);
+  for (int shards = 1; shards <= 8; ++shards) {
+    const ShardRouter router(shards);
+    for (const std::string& key : keys) {
+      const std::vector<int> order = walk_order(router, key);
+      ASSERT_EQ(order.size(), static_cast<std::size_t>(shards)) << key;
+      EXPECT_EQ(order.front(), router.route(key)) << key;
+      const std::set<int> distinct(order.begin(), order.end());
+      EXPECT_EQ(distinct.size(), order.size()) << key;
+      EXPECT_EQ(*distinct.begin(), 0);
+      EXPECT_EQ(*distinct.rbegin(), shards - 1);
+    }
+  }
+}
+
+TEST(BoundedLoadTest, CapIsOnePlusEpsilonTimesTheMean) {
+  EXPECT_EQ(ShardRouter::kLoadSlack, 0.25);
+  EXPECT_EQ(ShardRouter::load_cap(0, 2), 1u);  // idle: ring shard
+  EXPECT_EQ(ShardRouter::load_cap(1, 2), 2u);  // ceil(2.5 / 2)
+  EXPECT_EQ(ShardRouter::load_cap(2, 2), 2u);  // ceil(3.75 / 2)
+  EXPECT_EQ(ShardRouter::load_cap(3, 2), 3u);  // ceil(5 / 2)
+  EXPECT_EQ(ShardRouter::load_cap(3, 3), 2u);  // ceil(5 / 3)
+  EXPECT_EQ(ShardRouter::load_cap(7, 4), 3u);  // ceil(10 / 4)
+  EXPECT_EQ(ShardRouter::load_cap(0, 1), 2u);
+}
+
+TEST(BoundedLoadTest, SkipsShardsAtTheCapForTheNextUnderIt) {
+  const ShardRouter router(3);
+  const std::string key = test_keys(1).front();
+  const std::vector<int> w = walk_order(router, key);
+  ASSERT_EQ(w.size(), 3u);
+  std::vector<std::size_t> load(3, 0);
+  const auto at = [&](int s) { return load[static_cast<std::size_t>(s)]; };
+  const auto admit_all = [](int) { return true; };
+  const auto set = [&](std::size_t a, std::size_t b, std::size_t c) {
+    load[static_cast<std::size_t>(w[0])] = a;
+    load[static_cast<std::size_t>(w[1])] = b;
+    load[static_cast<std::size_t>(w[2])] = c;
+  };
+
+  set(0, 0, 0);  // idle: the ring shard
+  EXPECT_EQ(router.place(key, at, admit_all), w[0]);
+  set(1, 0, 0);  // cap ceil(2.5 / 3) = 1: the ring shard is at it
+  EXPECT_EQ(router.place(key, at, admit_all), w[1]);
+  set(2, 1, 1);  // cap ceil(6.25 / 3) = 3: under it
+  EXPECT_EQ(router.place(key, at, admit_all), w[0]);
+  set(3, 3, 0);  // cap ceil(8.75 / 3) = 3: both ahead are at it
+  EXPECT_EQ(router.place(key, at, admit_all), w[2]);
+
+  // A shard under the cap that refuses admission passes the request
+  // on along the walk; when none admits, placement fails.
+  set(0, 0, 0);
+  EXPECT_EQ(router.place(key, at, [&](int s) { return s != w[0]; }), w[1]);
+  EXPECT_EQ(router.place(key, at, [](int) { return false; }), -1);
+}
+
+TEST(BoundedLoadTest, OneShardNeverSkips) {
+  const ShardRouter router(1);
+  for (const std::size_t load : {0u, 1u, 7u, 1000u}) {
+    int asked = 0;
+    EXPECT_EQ(router.place(
+                  "16x16x16/1x1x1/b4x4x4/l2/poisson",
+                  [&](int) { return load; },
+                  [&](int) {
+                    ++asked;
+                    return true;
+                  }),
+              0);
+    EXPECT_EQ(asked, 1);
+  }
+}
+
+TEST(BoundedLoadTest, RandomAdmitsAndCompletionsStayUnderTheBound) {
+  const std::vector<std::string> keys = test_keys(64);
+  std::mt19937_64 rng(20260419);
+  for (int shards = 1; shards <= 8; ++shards) {
+    const ShardRouter router(shards);
+    std::vector<std::size_t> load(static_cast<std::size_t>(shards), 0);
+    std::size_t total = 0;
+    const auto at = [&](int s) { return load[static_cast<std::size_t>(s)]; };
+    for (int step = 0; step < 4000; ++step) {
+      if (total > 0 && rng() % 5 < 2) {  // a request completes
+        std::size_t s = rng() % load.size();
+        while (load[s] == 0) s = (s + 1) % load.size();
+        --load[s];
+        --total;
+        continue;
+      }
+      const std::string& key = keys[rng() % keys.size()];
+      const int placed = router.place(key, at, [](int) { return true; });
+      ASSERT_GE(placed, 0);
+      // The first shard on the walk under the cap took it ...
+      const std::size_t cap = ShardRouter::load_cap(total, shards);
+      for (const int s : walk_order(router, key)) {
+        if (s == placed) break;
+        EXPECT_GE(at(s), cap) << "skipped a shard under the cap";
+      }
+      // ... and is left at most ceil(1.25 m / N), m counting it.
+      ++load[static_cast<std::size_t>(placed)];
+      ++total;
+      const double bound =
+          std::ceil(1.25 * static_cast<double>(total) / shards);
+      ASSERT_LE(static_cast<double>(at(placed)), bound)
+          << shards << " shards, step " << step;
+    }
+  }
 }
 
 TEST(AdmissionTest, CountCapShedsAndReleases) {
@@ -322,10 +447,89 @@ TEST(FrontServerTest, SocketSolveBitwiseMatchesDirectSubmit) {
   server.stop();
 }
 
+TEST(FrontServerTest, ConcurrentSubmitsOfOneKeyRunOnBothShards) {
+  const Vec3 extent{16, 16, 16};
+  // Every cold hierarchy build evaluates the coefficient, and waits
+  // there until the front has placed all four requests, so they are
+  // inflight together.
+  std::atomic<bool> open{false};
+  serve::OperatorSpec spec;
+  spec.options = small_options();
+  spec.coefficient = [&open](real_t x, real_t y, real_t z) {
+    while (!open.load()) std::this_thread::yield();
+    return 1.0 + 0.5 * std::sin(2 * M_PI * x) * std::cos(2 * M_PI * y) *
+                     std::sin(2 * M_PI * z);
+  };
+
+  FrontConfig cfg;
+  cfg.shards = 2;
+  cfg.shard.executors = 2;
+  FrontServer server(cfg);
+  server.register_operator("varcoef", spec);
+  const std::uint16_t port = server.listen_tcp(0);
+
+  FrontClient client;
+  client.connect_tcp(port);
+  wire::SubmitFrame sf;
+  sf.global_extent = extent;
+  sf.operator_id = "varcoef";
+  sf.return_solution = true;
+  sf.rhs_samples = wire::sample_rhs(extent, sine_rhs);
+  constexpr int kRequests = 4;
+  for (int i = 0; i < kRequests; ++i) {
+    sf.request_id = static_cast<std::uint64_t>(i) + 1;
+    client.send_submit(sf);
+  }
+  // Two go to the ring shard; the third finds it at the cap
+  // (ceil(1.25 * 3 / 2) = 2) and moves to the other shard.
+  while (server.stats().submits < kRequests) std::this_thread::yield();
+  open.store(true);
+
+  std::vector<FrontClient::Response> responses(kRequests);
+  for (FrontClient::Response& r : responses) {
+    ASSERT_TRUE(client.read_response(&r, 60000)) << client.last_error();
+    ASSERT_FALSE(r.rejected) << r.reject.detail;
+    ASSERT_EQ(static_cast<serve::RequestStatus>(r.result.status),
+              serve::RequestStatus::kDone);
+  }
+  client.close();
+  server.stop();
+
+  const FrontStats stats = server.stats();
+  ASSERT_EQ(stats.shards.shards.size(), 2u);
+  for (const wire::ShardStatsEntry& e : stats.shards.shards)
+    EXPECT_GT(e.completed, 0u) << "shard " << e.shard_id;
+  EXPECT_EQ(stats.spills, 1u);
+  EXPECT_EQ(stats.sheds, 0u);
+
+  // Direct: a plain SolveService, same operator and request.
+  serve::RequestResult direct;
+  {
+    serve::SolveService service(cfg.shard);
+    service.register_operator("varcoef", spec);
+    serve::SolveRequest req;
+    req.domain.global_extent = extent;
+    req.operator_id = "varcoef";
+    req.rhs = sine_rhs;
+    req.return_solution = true;
+    direct = service.submit(req).get();
+  }
+  ASSERT_EQ(direct.status, serve::RequestStatus::kDone);
+  for (const FrontClient::Response& r : responses) {
+    EXPECT_EQ(r.result.vcycles, direct.solve.vcycles);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.result.final_residual),
+              std::bit_cast<std::uint64_t>(direct.solve.final_residual));
+    ASSERT_EQ(r.result.solution.size(), direct.solution.size());
+    for (std::size_t i = 0; i < direct.solution.size(); ++i)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(r.result.solution[i]),
+                std::bit_cast<std::uint64_t>(direct.solution[i]))
+          << "request " << r.request_id << " cell " << i;
+  }
+}
+
 TEST(FrontServerTest, OverloadShedsFastWithRejectFrames) {
   FrontConfig cfg;
   cfg.shards = 1;
-  cfg.spill_to_cold = false;  // single shard: shed, don't spill
   cfg.shard.executors = 1;
   cfg.admission.max_inflight = 1;
   FrontServer server(cfg);

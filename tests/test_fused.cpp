@@ -128,6 +128,9 @@ struct FusedCase {
   const char* name;
 };
 
+// Stable test names: print the case name, not the struct's bytes.
+void PrintTo(const FusedCase& c, std::ostream* os) { *os << c.name; }
+
 class FusedVsSplit : public ::testing::TestWithParam<FusedCase> {};
 
 TEST_P(FusedVsSplit, BitwiseIdenticalSchedules) {

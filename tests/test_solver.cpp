@@ -215,6 +215,9 @@ struct SmootherCase {
   const char* name;
 };
 
+// Stable test names: print the case name, not the struct's bytes.
+void PrintTo(const SmootherCase& c, std::ostream* os) { *os << c.name; }
+
 class MultiRankSmoother : public ::testing::TestWithParam<SmootherCase> {};
 
 // Every smoother has its own exchange pattern — red-black GS exchanges

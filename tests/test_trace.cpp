@@ -1,9 +1,11 @@
 // The src/trace subsystem: span nesting across rank threads, counter
-// totals agreeing with the comm layer's own byte accounting, and the
-// Chrome trace-event JSON round-tripping through the reader that
-// tools/trace_report uses.
+// totals agreeing with the comm layer's own byte accounting, the flush
+// store that exited threads and the periodic flusher park events in,
+// and the Chrome trace-event JSON round-tripping through the reader
+// that tools/trace_report uses.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -156,6 +158,117 @@ TEST_F(TraceCounters, ExchangeCountersMatchByteAccounting) {
     (c.rank == 0 ? r0 : r1) += static_cast<double>(c.value);
   }
   EXPECT_EQ(r0, r1);
+}
+
+using TraceFlushStore = TraceTest;
+
+TEST_F(TraceFlushStore, ExitedThreadsReachCollect) {
+  std::thread t([] {
+    set_rank(3);
+    TraceSpan outer("exited.outer", Category::kCompute, 1);
+    TraceSpan inner("exited.inner", Category::kComm);
+    counter_add("exited.counter", 5);
+  });
+  t.join();
+  // The thread parked its ring when it exited.
+  EXPECT_EQ(detail::flush_store_stats().events, 2u);
+
+  const Snapshot snap = collect();
+  EXPECT_EQ(snap.dropped, 0u);
+  ASSERT_EQ(snap.spans.size(), 2u);
+  EXPECT_EQ(snap.spans[0].name, "exited.outer");  // parent first
+  EXPECT_EQ(snap.spans[0].level, 1);
+  EXPECT_EQ(snap.spans[1].name, "exited.inner");
+  EXPECT_EQ(snap.spans[1].cat, Category::kComm);
+  for (const SpanRecord& s : snap.spans) EXPECT_EQ(s.rank, 3);
+  EXPECT_EQ(snap.spans[0].tid, snap.spans[1].tid);
+  ASSERT_EQ(snap.counters.size(), 1u);
+  EXPECT_EQ(snap.counters[0].name, "exited.counter");
+  EXPECT_EQ(snap.counters[0].rank, 3);
+  EXPECT_EQ(snap.counters[0].value, 5u);
+  // A clearing collect empties the store.
+  EXPECT_EQ(detail::flush_store_stats().events, 0u);
+  EXPECT_TRUE(collect().spans.empty());
+}
+
+TEST_F(TraceFlushStore, KeepsTheNewestEventsAndCountsTheRest) {
+  // Short-lived threads park more events than the store keeps; each
+  // span's level is its global sequence number.
+  const std::size_t keep = detail::flush_store_stats().capacity;
+  constexpr int kPerThread = 1000;  // fits the smallest ring
+  const int threads = static_cast<int>(keep / kPerThread) + 2;
+  const std::size_t recorded =
+      static_cast<std::size_t>(threads) * kPerThread;
+  for (int t = 0; t < threads; ++t) {
+    std::thread([t] {
+      for (int i = 0; i < kPerThread; ++i)
+        TraceSpan("flush.seq", Category::kOther, t * kPerThread + i);
+    }).join();
+  }
+  EXPECT_EQ(detail::flush_store_stats().events, keep);
+
+  const Snapshot snap = collect();
+  ASSERT_EQ(snap.spans.size(), keep);
+  EXPECT_EQ(snap.dropped, recorded - keep);
+  std::vector<bool> seen(recorded, false);
+  for (const SpanRecord& s : snap.spans) {
+    const std::size_t seq = static_cast<std::size_t>(s.level);
+    ASSERT_GE(seq, recorded - keep) << "an old event survived";
+    ASSERT_LT(seq, recorded);
+    ASSERT_FALSE(seen[seq]) << "event " << seq << " twice";
+    seen[seq] = true;
+  }
+}
+
+TEST_F(TraceFlushStore, CountersOfExitedThreadsMergeByNameAndRank) {
+  constexpr int kThreads = 1000;
+  constexpr int kRanks = 4;
+  for (int i = 0; i < kThreads; ++i) {
+    std::thread([i] {
+      set_rank(i % kRanks);
+      counter_add("merge.calls", 1);
+      counter_add("merge.bytes", static_cast<std::uint64_t>(i));
+    }).join();
+  }
+  // One store entry per (name, rank), however many threads exited.
+  EXPECT_EQ(detail::flush_store_stats().counter_entries,
+            static_cast<std::size_t>(2 * kRanks));
+
+  const Snapshot snap = collect();
+  EXPECT_EQ(snap.counter_total("merge.calls"),
+            static_cast<std::uint64_t>(kThreads));
+  EXPECT_EQ(snap.counter_total("merge.bytes"),
+            static_cast<std::uint64_t>(kThreads) * (kThreads - 1) / 2);
+  ASSERT_EQ(snap.counters.size(), static_cast<std::size_t>(2 * kRanks));
+  for (int r = 0; r < kRanks; ++r) {
+    // Sorted by (name, rank): "merge.bytes" entries come first.
+    const CounterTotal& calls =
+        snap.counters[static_cast<std::size_t>(kRanks + r)];
+    EXPECT_EQ(calls.name, "merge.calls");
+    EXPECT_EQ(calls.rank, r);
+    EXPECT_EQ(calls.value, static_cast<std::uint64_t>(kThreads / kRanks));
+  }
+}
+
+TEST_F(TraceFlushStore, FlushingWhileRecordingLosesNothing) {
+  // One thread records while another flushes its live ring in a loop:
+  // every span is either collected or counted as dropped.
+  constexpr int kSpans = 100000;
+  std::atomic<bool> done{false};
+  std::thread recorder([&] {
+    for (int i = 0; i < kSpans; ++i) TraceSpan("race.span", Category::kOther);
+    done.store(true);
+  });
+  std::thread flusher([&] {
+    while (!done.load()) flush_now();
+  });
+  recorder.join();
+  flusher.join();
+
+  const Snapshot snap = collect();
+  std::size_t collected = 0;
+  for (const SpanRecord& s : snap.spans) collected += s.name == "race.span";
+  EXPECT_EQ(collected + snap.dropped, static_cast<std::size_t>(kSpans));
 }
 
 using ChromeTrace = TraceTest;
