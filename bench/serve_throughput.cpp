@@ -1,8 +1,8 @@
 // Serve-layer benchmark: cold hierarchy setup vs cached-hierarchy
 // request latency, and sustained solve throughput at 1/4/8 concurrent
 // clients against one SolveService. The cold/cached gap is the payoff
-// of the hierarchy cache + brick arena (setup, allocation, and
-// first-touch costs paid once per problem shape, not per request).
+// of the hierarchy cache (setup, field allocation, and first-touch
+// costs paid once per problem shape, not per request).
 // Writes BENCH_serve_throughput.json; smoke-run by ci/tier1.sh.
 #include <algorithm>
 #include <fstream>
@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
       "bricks 4^3, 3 levels");
 
   // Request #1 pays hierarchy construction; #2..#K reuse the cached
-  // hierarchy with arena-recycled field storage.
+  // hierarchy and its fields.
   const RequestResult cold = service.submit(req).get();
   if (cold.status != RequestStatus::kDone) {
     std::cerr << "cold solve failed: " << status_name(cold.status) << " "
@@ -313,7 +313,6 @@ int main(int argc, char** argv) {
      << "  \"cold_over_cached\": " << cold.total_seconds / cached_median
      << ",\n"
      << "  \"cache_hit_ratio\": " << rep.cache.hit_ratio() << ",\n"
-     << "  \"arena_reuse_ratio\": " << rep.arena.reuse_ratio() << ",\n"
      << "  \"latency_p50_seconds\": " << rep.latency_p50 << ",\n"
      << "  \"latency_p99_seconds\": " << rep.latency_p99 << ",\n"
      << "  \"latency_p999_seconds\": " << rep.latency_p999 << ",\n"

@@ -16,7 +16,10 @@
 #      replaces the global operator new to count allocations. The
 #      solver, serve and front suites drive the one solve driver (the
 #      retirement loop, set_rhs and the serve execute path) at every
-#      group size, including the socket path.
+#      group size, including the socket path, and test_wire feeds
+#      FrameReader and the decode_* functions hostile bytes (truncated
+#      headers, oversized lengths, bad magic/version/flags, mid-frame
+#      disconnects).
 #   3. A TSan tree (./build-tsan, OpenMP off — see GMG_SANITIZE_THREAD)
 #      running the trace recorder (each ring has one producer, its
 #      owning thread, and one consumer at a time — thread exit, the
@@ -26,8 +29,8 @@
 #      waits on it while its peers' buffered sends land in its ghost
 #      bricks), and solve-service tests: the ring handoffs of DESIGN.md
 #      §9, the worker-pool and message handoffs of §10–11 and the serve
-#      layer's executor pool / hierarchy cache / brick arena (§12) are
-#      exactly what a race detector must see scheduled live.
+#      layer's executor pool / hierarchy cache (§12) are exactly what a
+#      race detector must see scheduled live.
 #      The socket front's wire and server tests (§14: poll loop x
 #      executor completion callbacks x client threads) and the
 #      batched-solve suite (§15: the coalescer's hold-window handoff)
@@ -137,7 +140,7 @@ done
 if [[ "${SKIP_ASAN}" == 1 ]]; then
   echo "== skipping ASan+UBSan pass =="
 else
-  echo "== ASan+UBSan: trace + comm + kernel tests =="
+  echo "== ASan+UBSan: trace + comm + kernel + serve/wire tests =="
   cmake -B build-asan -S . \
     -DGMG_SANITIZE=ON \
     -DGMG_ENABLE_BENCH=OFF \
@@ -146,10 +149,10 @@ else
   cmake --build build-asan -j"${JOBS}" \
     --target test_trace test_simmpi test_exchange test_operators \
              test_fused test_batch test_check test_schedule test_amr \
-             test_solver test_serve test_front
+             test_solver test_serve test_wire test_front
   for t in test_trace test_simmpi test_exchange test_operators test_fused \
            test_batch test_check test_schedule test_amr test_solver \
-           test_serve test_front; do
+           test_serve test_wire test_front; do
     echo "-- ${t} (sanitized)"
     "./build-asan/tests/${t}"
   done

@@ -114,8 +114,6 @@ AmrHierarchy::AmrHierarchy(const AmrOptions& opts, const CartDecomp& decomp,
 
 void AmrHierarchy::set_rhs(
     const std::function<real_t(real_t, real_t, real_t)>& f) {
-  GMG_REQUIRE(!detached_, "attach_field_storage() before set_rhs on a "
-                          "parked hierarchy");
   solver_.level(0).for_each_cell_centre(
       [&](index_t i, index_t j, index_t k, real_t px, real_t py, real_t pz) {
         bH_(i, j, k) = f(px, py, pz);
@@ -133,39 +131,6 @@ void AmrHierarchy::set_rhs(
     init_zero(patch_.Ax);
     init_zero(patch_.r);
   }
-}
-
-void AmrHierarchy::detach_field_storage(BrickArena& arena) {
-  if (detached_) return;
-  solver_.detach_field_storage(arena);
-  arena.release(std::move(xH_));
-  arena.release(std::move(bH_));
-  arena.release(std::move(rH_));
-  arena.release(std::move(AxH_));
-  if (has_part()) {
-    arena.release(std::move(patch_.x));
-    arena.release(std::move(patch_.b));
-    arena.release(std::move(patch_.Ax));
-    arena.release(std::move(patch_.r));
-  }
-  detached_ = true;
-}
-
-void AmrHierarchy::attach_field_storage(BrickArena& arena) {
-  if (!detached_) return;
-  solver_.attach_field_storage(arena);
-  const MgLevel& L0 = solver_.level(0);
-  xH_ = arena.acquire(L0.grid, L0.shape);
-  bH_ = arena.acquire(L0.grid, L0.shape);
-  rH_ = arena.acquire(L0.grid, L0.shape);
-  AxH_ = arena.acquire(L0.grid, L0.shape);
-  if (has_part()) {
-    patch_.x = arena.acquire(patch_.grid, patch_.shape);
-    patch_.b = arena.acquire(patch_.grid, patch_.shape);
-    patch_.Ax = arena.acquire(patch_.grid, patch_.shape);
-    patch_.r = arena.acquire(patch_.grid, patch_.shape);
-  }
-  detached_ = false;
 }
 
 }  // namespace gmg::amr

@@ -21,7 +21,6 @@
 #include <memory>
 
 #include "amr/interface_kernels.hpp"
-#include "brick/brick_arena.hpp"
 #include "brick/brick_mask.hpp"
 #include "comm/exchange.hpp"
 #include "gmg/solver.hpp"
@@ -85,13 +84,6 @@ class AmrHierarchy {
   const BrickMask& covered() const { return *covered_; }
   const BrickMask& uncovered() const { return *uncovered_; }
 
-  /// Park / revive every per-solve field (the solver hierarchy's, the
-  /// composite coarse fields, and the patch fields — the latter a
-  /// different bucket size than any solver level when the part is
-  /// brick-count-odd, exercising the arena's mixed-bucket path).
-  void detach_field_storage(BrickArena& arena);
-  void attach_field_storage(BrickArena& arena);
-
  private:
   AmrOptions opts_;
   CartDecomp decomp_;
@@ -103,7 +95,6 @@ class AmrHierarchy {
   BrickedArray xH_, bH_, rH_, AxH_;
   MgLevel patch_;
   std::unique_ptr<comm::PatchExchange> pexch_;
-  bool detached_ = false;
 };
 
 }  // namespace gmg::amr

@@ -9,8 +9,7 @@ namespace gmg::batch {
 
 bool batchable(const GmgOptions& o) { return !o.use_generated_kernels; }
 
-BatchedSolver::BatchedSolver(GmgSolver& base, int k, BrickArena* arena)
-    : base_(base), k_(k), arena_(arena) {
+BatchedSolver::BatchedSolver(GmgSolver& base, int k) : base_(base), k_(k) {
   GMG_REQUIRE(k >= 1, "batch size must be >= 1");
   GMG_REQUIRE(batchable(base.options()),
               "batched solves support the hand-written and DSL kernels only "
@@ -22,9 +21,7 @@ BatchedSolver::BatchedSolver(GmgSolver& base, int k, BrickArena* arena)
     const MgLevel& lev = base.level(l);
     BatchLevel bl;
     for_each_solve_field(opts, bl, [&](BatchedBrickedArray& a) {
-      a = arena_ != nullptr
-              ? BatchedBrickedArray(lev.grid, lev.shape, k, *arena_)
-              : BatchedBrickedArray(lev.grid, lev.shape, k);
+      a = BatchedBrickedArray(lev.grid, lev.shape, k);
     });
     // One stretched-shape exchange engine per level: a single round
     // moves all K components of every aggregated field per neighbor.
@@ -37,15 +34,6 @@ BatchedSolver::BatchedSolver(GmgSolver& base, int k, BrickArena* arena)
   cycle_ = CycleState(num_levels(), k_);
   if (check::verify_schedule_enabled()) {
     check::ScheduleVerifier().verify(record_solver_schedule(base_, 2, k_));
-  }
-}
-
-BatchedSolver::~BatchedSolver() {
-  if (arena_ == nullptr) return;
-  for (BatchLevel& bl : levels_) {
-    for_each_solve_field(base_.options(), bl, [&](BatchedBrickedArray& a) {
-      a.release_to(*arena_);
-    });
   }
 }
 

@@ -5,11 +5,11 @@
 // executor (gmg/level_run.hpp), the set_rhs body, the solve loop with
 // its per-component retirement, and the recorded schedule
 // (record_solver_schedule at width K). This class keeps the K-lane
-// field set — AoSoA batched storage (brick/batched_array.hpp) that
-// stays attached, with ONE stretched-shape ghost exchange round per
-// sweep moving all K components of every aggregated field — and the
-// per-component solution snapshots. Every launch is the solo kernel
-// instantiated for K lanes per cell (gmg/operators.hpp).
+// field set — AoSoA batched storage (brick/batched_array.hpp), with
+// ONE stretched-shape ghost exchange round per sweep moving all K
+// components of every aggregated field — and the per-component
+// solution snapshots. Every launch is the solo kernel instantiated for
+// K lanes per cell (gmg/operators.hpp).
 //
 // Correctness bar: a K-way batched solve is BITWISE identical to K
 // solo GmgSolver::solve runs with the same hierarchy and inputs —
@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "brick/batched_array.hpp"
-#include "brick/brick_arena.hpp"
 #include "comm/exchange.hpp"
 #include "comm/simmpi.hpp"
 #include "gmg/cycle_state.hpp"
@@ -57,12 +56,9 @@ bool batchable(const GmgOptions& o);
 /// the K-component field set and its stretched exchange engines.
 class BatchedSolver {
  public:
-  /// Build the K-component twin of `base`'s hierarchy. With `arena`,
-  /// field storage is checked out of the pool (and returned on
-  /// destruction) instead of allocated. Requires k >= 1 and
-  /// batchable(base.options()).
-  BatchedSolver(GmgSolver& base, int k, BrickArena* arena = nullptr);
-  ~BatchedSolver();
+  /// Build the K-component twin of `base`'s hierarchy. Requires
+  /// k >= 1 and batchable(base.options()).
+  BatchedSolver(GmgSolver& base, int k);
 
   BatchedSolver(const BatchedSolver&) = delete;
   BatchedSolver& operator=(const BatchedSolver&) = delete;
@@ -92,9 +88,6 @@ class BatchedSolver {
     return solutions_[static_cast<std::size_t>(c)];
   }
 
-  /// The live batched fine-level solution field (testing hook).
-  BatchedBrickedArray& solution_field() { return levels_.front().x; }
-
   /// The hierarchy the batch rides on (geometry, operator, options).
   const GmgSolver& base() const { return base_; }
 
@@ -112,7 +105,6 @@ class BatchedSolver {
 
   GmgSolver& base_;
   int k_;
-  BrickArena* arena_;
   std::vector<BatchLevel> levels_;
   std::vector<std::vector<real_t>> solutions_;
   /// The cycle's ghost bookkeeping (in base cells) and bottom-CG scratch.

@@ -22,7 +22,6 @@
 #include <type_traits>
 #include <utility>
 
-#include "brick/brick_arena.hpp"
 #include "brick/bricked_array.hpp"
 
 namespace gmg {
@@ -50,14 +49,6 @@ class BatchedBrickedArray {
         k_(static_cast<index_t>(k)),
         inner_(std::move(grid), stretched_shape(base, k), zero) {}
 
-  /// Adopt pooled storage from a BrickArena (zeroed through the kernel
-  /// runtime's chunk plan, like any arena acquire).
-  BatchedBrickedArray(std::shared_ptr<const BrickGrid> grid, BrickShape base,
-                      int k, BrickArena& arena)
-      : base_(base),
-        k_(static_cast<index_t>(k)),
-        inner_(arena.acquire(std::move(grid), stretched_shape(base, k))) {}
-
   int batch() const { return static_cast<int>(k_); }
   BrickShape base_shape() const { return base_; }
   /// Brick shape and interior extent in cells, as BrickedArray's: the
@@ -68,8 +59,8 @@ class BatchedBrickedArray {
     return {e.x / k_, e.y, e.z};
   }
 
-  /// The stretched-shape storage array: what the ghost exchange and
-  /// the arena operate on directly.
+  /// The stretched-shape storage array: what the ghost exchange
+  /// operates on directly.
   BrickedArray& inner() { return inner_; }
   const BrickedArray& inner() const { return inner_; }
 
@@ -86,9 +77,6 @@ class BatchedBrickedArray {
   const real_t& at(index_t i, index_t j, index_t k, int c) const {
     return inner_(i * k_ + static_cast<index_t>(c), j, k);
   }
-
-  /// Return the storage to an arena, leaving this array empty.
-  void release_to(BrickArena& arena) { arena.release(std::move(inner_)); }
 
  private:
   BrickShape base_{};

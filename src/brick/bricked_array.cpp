@@ -26,30 +26,6 @@ BrickedArray::BrickedArray(std::shared_ptr<const BrickGrid> grid,
                      });
 }
 
-BrickedArray::BrickedArray(std::shared_ptr<const BrickGrid> grid,
-                           BrickShape shape, AlignedBuffer<real_t>&& storage,
-                           bool zero)
-    : grid_(std::move(grid)), shape_(shape), data_(std::move(storage)) {
-  const std::size_t needed = static_cast<std::size_t>(grid_->num_bricks()) *
-                             static_cast<std::size_t>(shape.volume());
-  if (data_.size() != needed) data_.reset(needed, /*zero=*/false);
-  if (!zero) return;
-  real_t* p = data_.data();
-  exec::parallel_for("brick.arenaZero", static_cast<std::int64_t>(size()),
-                     exec::kElementGrain, [&](std::int64_t b, std::int64_t e) {
-                       std::memset(p + b, 0,
-                                   static_cast<std::size_t>(e - b) *
-                                       sizeof(real_t));
-                     });
-}
-
-AlignedBuffer<real_t> BrickedArray::take_storage() {
-  AlignedBuffer<real_t> out = std::move(data_);
-  grid_.reset();
-  shape_ = BrickShape{};
-  return out;
-}
-
 void BrickedArray::copy_from(const Array3D& a) {
   GMG_REQUIRE(a.extent() == extent(), "extent mismatch");
   for_each(Box::from_extent(extent()),

@@ -25,15 +25,6 @@ class BrickedArray {
   BrickedArray(std::shared_ptr<const BrickGrid> grid, BrickShape shape,
                bool zero = true);
 
-  /// Build over a shared grid adopting `storage` (a buffer previously
-  /// taken from another array, e.g. by a BrickArena). When the buffer
-  /// size matches the grid's requirement its pages are reused — the
-  /// malloc/first-touch cost of the plain constructor is skipped —
-  /// otherwise it is reallocated. With `zero`, the (warm) storage is
-  /// zeroed through the kernel runtime's chunking either way.
-  BrickedArray(std::shared_ptr<const BrickGrid> grid, BrickShape shape,
-               AlignedBuffer<real_t>&& storage, bool zero = true);
-
   /// Convenience: build a fresh grid for a subdomain of `cells`
   /// elements (must be divisible by the brick dims).
   static BrickedArray create(Vec3 cells, BrickShape shape, bool zero = true) {
@@ -106,10 +97,6 @@ class BrickedArray {
   /// Single-rank periodic ghost fill: copies the wrapped interior into
   /// the ghost bricks (multi-rank exchange lives in src/comm).
   void fill_ghosts_periodic();
-
-  /// Surrender the storage (for recycling through a BrickArena) and
-  /// leave this array empty (size() == 0, no grid).
-  AlignedBuffer<real_t> take_storage();
 
  private:
   std::shared_ptr<const BrickGrid> grid_;

@@ -135,8 +135,6 @@ class Checker {
         case StepKind::kSwap:
           check_swap(st);
           break;
-        case StepKind::kPlanSwitch:
-          break;
       }
     }
     return std::move(diags_);

@@ -75,7 +75,6 @@ enum class StepKind : std::uint8_t {
   kExchange,        // blocking: fields valid to `exchange_depth` after
   kReduction,       // one collective contribution (component, group)
   kRetire,          // batch component retirement
-  kPlanSwitch,      // kernel-plan rebind (set_coefficient, fusion flip)
   kSwap,            // two fields of one level exchange storage (ping-pong)
 };
 
@@ -252,12 +251,6 @@ class ScheduleRecorder {
     s.kernel = "swap";
     s.level = level;
     s.exchange_fields = {a, b};
-    push(std::move(s));
-  }
-  void plan_switch(const char* what) {
-    ScheduleStep s;
-    s.kind = StepKind::kPlanSwitch;
-    s.kernel = what;
     push(std::move(s));
   }
 

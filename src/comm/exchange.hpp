@@ -60,11 +60,6 @@ class BrickExchange {
   std::uint64_t remote_bytes_per_exchange() const { return remote_bytes_; }
   int remote_neighbor_count() const { return remote_neighbors_; }
 
-  /// Ghost layers one exchange round fills on every face — the brick
-  /// depth of the level's shape. Schedule recording quotes this as the
-  /// exchange depth it proves reads against.
-  index_t ghost_layers() const { return shape_.bx; }
-
  private:
   struct DirectionPlan {
     int dir = 0;

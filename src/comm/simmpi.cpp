@@ -1,5 +1,6 @@
 #include "comm/simmpi.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <thread>
@@ -10,7 +11,8 @@ namespace gmg::comm {
 namespace detail {
 
 namespace {
-/// How long a blocked wait may stall before we declare deadlock.
+/// Backstop for a wait the deadlock check below cannot see through
+/// (it fails a deadlock the moment the last live rank blocks).
 /// Generous: the host has a single core, so rank threads time-slice.
 constexpr auto kDeadlockTimeout = std::chrono::seconds(300);
 
@@ -109,22 +111,58 @@ struct WorldState {
   /// receives fail fast instead of riding out the deadlock timeout.
   bool aborted = false;
 
+  /// The wait conditions of the ranks blocked in wait_until (one entry
+  /// per blocked rank thread, pointing into its stack frame), and how
+  /// many ranks have returned from run()'s function. Sends are
+  /// buffered, so only a running rank can satisfy a blocked one: once
+  /// every rank that has not exited is blocked on a false condition,
+  /// none ever wakes, and `deadlocked` fails them all at once.
+  struct BlockedWait {
+    bool (*ready)(const void* pred);
+    const void* pred;
+  };
+  std::vector<const BlockedWait*> blocked;
+  int exited = 0;
+  bool deadlocked = false;
+
   explicit WorldState(int n) : nranks(n), mailboxes(static_cast<size_t>(n)) {
     gather_buf.resize(static_cast<size_t>(n));
     reduce_buf.resize(static_cast<size_t>(n));
   }
 
+  /// With mu held: flag a deadlock (and wake the waiters to fail) when
+  /// every live rank is blocked and no blocked rank's condition holds.
+  /// A condition is evaluated rather than its waiter counted, because
+  /// a rank that was notified but has not woken yet is not stuck.
+  void check_deadlock() {
+    if (aborted || deadlocked || blocked.empty() ||
+        static_cast<int>(blocked.size()) < nranks - exited)
+      return;
+    for (const BlockedWait* w : blocked)
+      if (w->ready(w->pred)) return;
+    deadlocked = true;
+    cv.notify_all();
+  }
+
   template <typename Pred>
   void wait_until(std::unique_lock<std::mutex>& lock, Pred pred,
                   const char* what) {
-    if (!cv.wait_for(lock, kDeadlockTimeout,
-                     [&] { return aborted || pred(); })) {
-      throw Error(std::string("simmpi: timed out in ") + what +
-                  " — communication deadlock");
+    if (pred()) return;
+    const BlockedWait self{
+        [](const void* p) { return (*static_cast<const Pred*>(p))(); },
+        &pred};
+    blocked.push_back(&self);
+    check_deadlock();
+    const bool woke = cv.wait_for(lock, kDeadlockTimeout, [&] {
+      return aborted || deadlocked || pred();
+    });
+    blocked.erase(std::find(blocked.begin(), blocked.end(), &self));
+    if (pred()) return;
+    if (!woke || deadlocked) {
+      throw Error(std::string("simmpi: communication deadlock in ") + what +
+                  (woke ? " (every live rank is blocked)" : " (timed out)"));
     }
-    if (aborted && !pred()) {
-      throw Error(std::string("simmpi: peer rank failed during ") + what);
-    }
+    throw Error(std::string("simmpi: peer rank failed during ") + what);
   }
 };
 
@@ -294,12 +332,15 @@ World::World(int nranks) : nranks_(nranks) {
 World::~World() = default;
 
 void World::run(const std::function<void(Communicator&)>& fn) {
-  // Fresh mailboxes per run so leftover state cannot leak across runs.
+  // Fresh mailboxes and collective counts per run, so leftover state
+  // (a failed run's half-entered barrier, say) cannot leak across runs.
   for (auto& box : state_->mailboxes) {
     box.posted.clear();
     box.unexpected.clear();
   }
-  state_->aborted = false;
+  state_->barrier_count = state_->reduce_count = state_->gather_count = 0;
+  state_->exited = 0;
+  state_->aborted = state_->deadlocked = false;
 
   std::vector<std::thread> threads;
   std::vector<std::exception_ptr> errors(static_cast<size_t>(nranks_));
@@ -316,6 +357,9 @@ void World::run(const std::function<void(Communicator&)>& fn) {
       trace::set_rank(r);
       try {
         fn(comms[static_cast<size_t>(r)]);
+        std::lock_guard<std::mutex> lock(state_->mu);
+        ++state_->exited;
+        state_->check_deadlock();
       } catch (...) {
         errors[static_cast<size_t>(r)] = std::current_exception();
         {

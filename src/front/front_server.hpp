@@ -13,17 +13,17 @@
 //               ▼                ├─▶ try the next shard on the walk
 //        shard SolveService      │   under the cap, else
 //        (own HierarchyCache     └─▶ REJECT(kOverload) frame, fast
-//         + BrickArena + pool)
+//         + executor pool)
 //               │ on_complete
 //               ▼
 //        response frame queued on the connection, flushed by the
 //        poll loop
 //
 // Sharding is in-process: each shard is an isolated serve::SolveService
-// (its own executor pool, hierarchy cache, and brick arena), so a
-// shard is exactly the HierarchyCache affinity unit. An idle or evenly
-// loaded tier sends every request for one problem shape to its ring
-// shard, whose cache holds its hierarchy; once that shard carries
+// (its own executor pool and hierarchy cache), so a shard is exactly
+// the HierarchyCache affinity unit. An idle or evenly loaded tier
+// sends every request for one problem shape to its ring shard, whose
+// cache holds its hierarchy; once that shard carries
 // (1 + ε)× the mean load, requests for the shape move along the
 // shape's walk, and each shard they reach pays one cold hierarchy
 // build for it. One poll thread owns all sockets; solve executors

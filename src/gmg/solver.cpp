@@ -182,34 +182,7 @@ void GmgSolver::resolve_kernel_plans() {
 
 void GmgSolver::set_rhs(
     const std::function<real_t(real_t, real_t, real_t)>& f) {
-  GMG_REQUIRE(!storage_detached_,
-              "attach_field_storage() before set_rhs on a parked hierarchy");
   set_rhs_fields(*this, levels_, cycle_, &f);
-}
-
-void GmgSolver::detach_field_storage(BrickArena& arena) {
-  if (storage_detached_) return;
-  for (MgLevel& lev : levels_) {
-    for_each_solve_field(opts_, lev, [&](BrickedArray& a) {
-      arena.release(std::move(a));
-    });
-    // coef/diag describe the operator, not one solve — they stay, like
-    // the grids, exchange engines and iteration plans.
-  }
-  storage_detached_ = true;
-}
-
-void GmgSolver::attach_field_storage(BrickArena& arena) {
-  if (!storage_detached_) return;
-  for (MgLevel& lev : levels_) {
-    for_each_solve_field(opts_, lev, [&](BrickedArray& a) {
-      a = arena.acquire(lev.grid, lev.shape);
-    });
-  }
-  // Everything is zero again; mirror the constructor's conservative
-  // ghost state so the CA exchange schedule matches a fresh solver's.
-  for (GhostState& g : cycle_.ghosts) g = GhostState{};
-  storage_detached_ = false;
 }
 
 void GmgSolver::set_coefficient(
@@ -278,8 +251,6 @@ real_t GmgSolver::residual_norm_l2(comm::Communicator& comm) {
 
 SolveResult GmgSolver::solve(comm::Communicator& comm,
                              const SolveControl* control) {
-  GMG_REQUIRE(!storage_detached_,
-              "attach_field_storage() before solving a parked hierarchy");
   Run ex(*this, levels_, &profiler_, comm);
   Cycle<Run> cycle(*this, ex, cycle_);
   std::vector<SolveResult> results =

@@ -9,7 +9,6 @@
 #include <functional>
 #include <vector>
 
-#include "brick/brick_arena.hpp"
 #include "comm/simmpi.hpp"
 #include "exec/runtime.hpp"
 #include "gmg/cycle_state.hpp"
@@ -190,22 +189,6 @@ class GmgSolver {
   SolveResult solve(comm::Communicator& comm,
                     const SolveControl* control = nullptr);
 
-  /// Hand every per-solve field (x, b, Ax, r, and the Chebyshev/CG
-  /// direction p) of every level to `arena`, leaving the hierarchy a
-  /// storage-less skeleton: geometry, stencil coefficients, exchange
-  /// engines, cached iteration plans, and the variable-coefficient
-  /// operator (coef/diag) stay resident. The serve layer parks cached
-  /// hierarchies this way so idle entries hold no field memory.
-  void detach_field_storage(BrickArena& arena);
-
-  /// Re-acquire the detached fields from `arena` (zeroed, so a
-  /// following set_rhs()/solve() behaves exactly like a fresh solver).
-  /// No-op when storage is already attached.
-  void attach_field_storage(BrickArena& arena);
-
-  /// Whether the per-solve fields are currently detached.
-  bool storage_detached() const { return storage_detached_; }
-
   /// One multigrid cycle rooted at the finest level (V or W according
   /// to options().cycle).
   void vcycle(comm::Communicator& comm);
@@ -244,7 +227,6 @@ class GmgSolver {
   GmgOptions opts_;
   CartDecomp decomp_;
   int rank_;
-  bool storage_detached_ = false;
   std::vector<MgLevel> levels_;
   perf::Profiler profiler_;
   /// The cycle's ghost bookkeeping and bottom-CG scratch (gmg/cycle.hpp).

@@ -56,14 +56,6 @@ class Array3D {
     for (auto& x : data_) x = v;
   }
 
-  /// Copy interior values (not ghosts) from another array of identical
-  /// interior extent.
-  void copy_interior_from(const Array3D& o) {
-    GMG_REQUIRE(o.extent() == n_, "extent mismatch");
-    for_each(interior(),
-             [&](index_t i, index_t j, index_t k) { (*this)(i, j, k) = o(i, j, k); });
-  }
-
   /// Fill this array's ghost shell from its own interior assuming the
   /// subdomain is itself the whole periodic domain (single-rank case).
   void fill_ghosts_periodic();

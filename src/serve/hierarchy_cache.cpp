@@ -8,34 +8,23 @@ namespace gmg::serve {
 
 std::unique_ptr<CachedHierarchy> HierarchyCache::acquire(
     const std::string& key) {
-  std::unique_ptr<CachedHierarchy> entry;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = std::find_if(idle_.begin(), idle_.end(),
-                           [&](const std::unique_ptr<CachedHierarchy>& e) {
-                             return e->key == key;
-                           });
-    if (it == idle_.end()) {
-      ++stats_.misses;
-      return nullptr;
-    }
-    entry = std::move(*it);
-    idle_.erase(it);
-    ++stats_.hits;
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = std::find_if(idle_.begin(), idle_.end(),
+                         [&](const std::unique_ptr<CachedHierarchy>& e) {
+                           return e->key == key;
+                         });
+  if (it == idle_.end()) {
+    ++stats_.misses;
+    return nullptr;
   }
-  // Attach outside the lock: zeroing the fields is real work and other
-  // executors must be able to hit the cache meanwhile.
-  trace::TraceSpan span("serve.cache_attach");
-  for (auto& s : entry->solvers) s->attach_field_storage(*arena_);
+  std::unique_ptr<CachedHierarchy> entry = std::move(*it);
+  idle_.erase(it);
+  ++stats_.hits;
   return entry;
 }
 
 void HierarchyCache::release(std::unique_ptr<CachedHierarchy> entry) {
   if (!entry) return;
-  {
-    trace::TraceSpan span("serve.cache_detach");
-    for (auto& s : entry->solvers) s->detach_field_storage(*arena_);
-  }
   entry->last_used_ns = trace::now_ns();
   std::lock_guard<std::mutex> lock(mu_);
   idle_.push_back(std::move(entry));

@@ -6,12 +6,12 @@
 // operators) coefficient restriction.
 //
 // Entries are checked out *exclusively*: a GmgSolver holds mutable
-// per-solve state, so two requests may never share one entry. Idle
-// entries are parked with their field storage detached into the shared
-// BrickArena (arena lifetime rule: the cache owns hierarchy skeletons,
-// the arena owns idle field pages; a checked-out request owns both).
-// Beyond `capacity` idle entries the least-recently-used is evicted —
-// its skeleton is freed, its already-detached pages stay pooled.
+// per-solve state, so two requests may never share one entry. An entry
+// owns its solo and batched fields from construction until eviction
+// (field lifetime, DESIGN.md §12): a hit reuses them as they are, and
+// set_rhs resets everything a solve reads, so a reused entry solves
+// bitwise like a fresh one. Beyond `capacity` idle entries the
+// least-recently-used is evicted and freed whole.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "batch/batched_solver.hpp"
-#include "brick/brick_arena.hpp"
 #include "gmg/solver.hpp"
 #include "mesh/decomposition.hpp"
 
@@ -40,9 +39,9 @@ struct CachedHierarchy {
   /// built lazily on the first K-way coalesced batch and reused for
   /// the hierarchy's lifetime — a batched solver's construction
   /// (stretched exchanges, K-wide fields) is per-shape setup, exactly
-  /// what this cache exists to amortize. Their storage stays attached
-  /// while the entry is idle: a memory-for-latency trade scoped to
-  /// operators that opted into batching (GmgOptions::max_batch > 1).
+  /// what this cache exists to amortize. Their fields live as long as
+  /// the entry: a memory-for-latency trade scoped to operators that
+  /// opted into batching (GmgOptions::max_batch > 1).
   /// Declared after `solvers`: each BatchedSolver references its base
   /// GmgSolver and must be destroyed first.
   std::map<int, std::vector<std::unique_ptr<batch::BatchedSolver>>> batched;
@@ -57,21 +56,19 @@ struct CachedHierarchy {
 
 class HierarchyCache {
  public:
-  /// Keep at most `capacity` idle hierarchies; detach/attach field
-  /// storage through `arena` (must outlive the cache).
-  HierarchyCache(std::size_t capacity, BrickArena* arena)
-      : capacity_(capacity), arena_(arena) {}
+  /// Keep at most `capacity` idle hierarchies.
+  explicit HierarchyCache(std::size_t capacity) : capacity_(capacity) {}
   HierarchyCache(const HierarchyCache&) = delete;
   HierarchyCache& operator=(const HierarchyCache&) = delete;
 
-  /// Check out the entry for `key` with its field storage re-attached
-  /// (a *hit*), or nullptr when none is idle under that key (a *miss*
-  /// — the caller builds the hierarchy and later release()s it).
+  /// Check out the idle entry for `key`, fields and all (a *hit*), or
+  /// nullptr when none is idle under that key (a *miss* — the caller
+  /// builds the hierarchy and later release()s it).
   std::unique_ptr<CachedHierarchy> acquire(const std::string& key);
 
-  /// Return a checked-out (or freshly built) entry: field storage is
-  /// detached into the arena and the entry becomes acquirable again.
-  /// May evict the least-recently-used idle entry over capacity.
+  /// Return a checked-out (or freshly built) entry: it becomes
+  /// acquirable again. May evict the least-recently-used idle entry
+  /// over capacity.
   void release(std::unique_ptr<CachedHierarchy> entry);
 
   struct Stats {
@@ -91,7 +88,6 @@ class HierarchyCache {
  private:
   mutable std::mutex mu_;
   std::size_t capacity_;
-  BrickArena* arena_;
   std::vector<std::unique_ptr<CachedHierarchy>> idle_;
   Stats stats_;
 };

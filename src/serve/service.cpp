@@ -89,7 +89,7 @@ bool SolveFuture::cancel() {
 
 SolveService::SolveService(ServeConfig config)
     : config_(config),
-      cache_(std::max<std::size_t>(config.cache_capacity, 0), &arena_) {
+      cache_(std::max<std::size_t>(config.cache_capacity, 0)) {
   if (config_.trace_flush_seconds > 0) {
     trace::start_periodic_flush(config_.trace_flush_seconds);
     flush_started_ = true;
@@ -366,7 +366,7 @@ void SolveService::execute(
           mine.push_back(s.solve(c, specs[0].control));
         } else {
           auto& bs = (*batched)[r];
-          if (!bs) bs = std::make_unique<batch::BatchedSolver>(s, k, &arena_);
+          if (!bs) bs = std::make_unique<batch::BatchedSolver>(s, k);
           bs->set_rhs(rhs);
           mine = bs->solve(c, specs);
         }
@@ -376,9 +376,10 @@ void SolveService::execute(
     }
     if (needs_coefficient) entry->coefficient_set = true;
 
-    // Scatter before release() parks the entry: each rank's interior in
-    // rank order, read straight from the solver at K = 1 and from the
-    // component's retirement snapshot otherwise.
+    // Scatter before release() makes the entry (and its fields) the
+    // next request's: each rank's interior in rank order, read straight
+    // from the solver at K = 1 and from the component's retirement
+    // snapshot otherwise.
     for (int c = 0; c < k; ++c) {
       detail::RequestState& rs = *live[static_cast<std::size_t>(c)];
       RequestResult& out = rs.result;
@@ -407,8 +408,7 @@ void SolveService::execute(
     cache_.release(std::move(entry));
   } catch (const std::exception& e) {
     // The hierarchy may be mid-mutation — drop it rather than cache a
-    // possibly inconsistent entry (its detached pages, if any, are
-    // already pooled).
+    // possibly inconsistent entry.
     entry.reset();
     fail_all(e.what());
     return;
@@ -534,7 +534,6 @@ ServiceReport SolveService::report() const {
   }
   rep.schedules_verified = check::schedules_verified();
   rep.cache = cache_.stats();
-  rep.arena = arena_.stats();
   std::sort(samples.begin(), samples.end());
   rep.latency_p50 = percentile(samples, 0.50);
   rep.latency_p99 = percentile(samples, 0.99);
@@ -573,9 +572,6 @@ std::string ServiceReport::to_string() const {
      << "cache: hits=" << cache.hits << " misses=" << cache.misses
      << " evictions=" << cache.evictions << " idle=" << cache.idle_entries
      << " hit_ratio=" << cache.hit_ratio() << "\n"
-     << "arena: acquires=" << arena.acquires << " hits=" << arena.hits
-     << " reuse=" << arena.reuse_ratio()
-     << " pooled_bytes=" << arena.pooled_bytes << "\n"
      << "batch: solves=" << batch_solves << " requests=" << batch_requests
      << " occupancy="
      << (batch_solves ? static_cast<double>(batch_requests) /

@@ -7,15 +7,14 @@
 //
 //   submit(request) --> bounded admission queue (priority + FIFO,
 //   blocking backpressure) --> executor pool --> hierarchy cache
-//   (reuse full GmgLevel chains, skip setup) --> brick arena (recycle
-//   field storage, skip malloc/first-touch) --> simmpi World solve on
-//   the shared exec engine (kernels fan out over its worker pool) -->
-//   completion future.
+//   (reuse full GmgLevel chains and their fields: no setup, no field
+//   allocation) --> simmpi World solve on the shared exec engine
+//   (kernels fan out over its worker pool) --> completion future.
 //
 // Determinism contract: a request's result is bitwise identical to
-// running the same request alone on a fresh solver — cached
-// hierarchies are re-zeroed through the same chunk plans, and the
-// kernel runtime's fixed chunk boundaries/reduction trees make results
+// running the same request alone on a fresh solver — set_rhs resets
+// everything a solve of a cached hierarchy reads, and the kernel
+// runtime's fixed chunk boundaries/reduction trees make results
 // independent of what else the service is executing concurrently.
 #pragma once
 
@@ -29,7 +28,6 @@
 #include <thread>
 #include <vector>
 
-#include "brick/brick_arena.hpp"
 #include "gmg/solver.hpp"
 #include "serve/hierarchy_cache.hpp"
 
@@ -193,7 +191,6 @@ struct ServiceReport {
   std::uint64_t batch_requests = 0;
   std::uint64_t schedules_verified = 0;
   HierarchyCache::Stats cache;
-  BrickArena::Stats arena;
   /// Total request latency (submission to completion) over finished
   /// requests, seconds. Nearest-rank percentiles.
   double latency_p50 = 0;
@@ -248,7 +245,6 @@ class SolveService {
   /// Cheap live counters (no latency percentile sort).
   ServiceStats stats() const;
 
-  BrickArena& arena() { return arena_; }
   const ServeConfig& config() const { return config_; }
 
  private:
@@ -271,7 +267,6 @@ class SolveService {
                 RequestStatus status);
 
   ServeConfig config_;
-  BrickArena arena_;
   HierarchyCache cache_;
 
   mutable std::mutex mu_;

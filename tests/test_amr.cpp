@@ -1,8 +1,8 @@
 // Patch-based local refinement (src/amr): masked iteration plans and
 // the bounded plan cache, coarse–fine interface operator exactness,
 // composite-solve convergence and accuracy against a uniformly fine
-// reference, bitwise reproducibility across worker counts, multi-rank
-// GMG_CHECK cleanliness, and arena round-trips with mixed bucket sizes.
+// reference, bitwise reproducibility across worker counts, and
+// multi-rank GMG_CHECK cleanliness.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +13,6 @@
 
 #include "amr/composite_solver.hpp"
 #include "amr/hierarchy.hpp"
-#include "brick/brick_arena.hpp"
 #include "brick/brick_mask.hpp"
 #include "check/shadow.hpp"
 #include "exec/runtime.hpp"
@@ -399,25 +398,6 @@ TEST(CompositeSolve, MultiRankCheckCleanMatchesSingleRank) {
       EXPECT_DOUBLE_EQ(r.final_residual, sres.final_residual);
     }
   }
-}
-
-TEST(AmrArena, MixedBucketReuseStaysPerfectAcrossCycles) {
-  // The patch part (6^3 bricks) shares the arena with the solver
-  // levels (8^3 down to 1^3 bricks) and the composite coarse fields —
-  // detach/attach cycles with this bucket mix must keep serving every
-  // acquire from the pool.
-  const CartDecomp decomp({32, 32, 32}, {1, 1, 1});
-  amr::AmrHierarchy h(composite_options(Box{{8, 8, 8}, {20, 20, 20}}),
-                      decomp, 0);
-  BrickArena arena;
-  for (int cycle = 0; cycle < 4; ++cycle) {
-    h.detach_field_storage(arena);
-    h.attach_field_storage(arena);
-  }
-  const auto s = arena.stats();
-  EXPECT_GT(s.acquires, 0u);
-  EXPECT_EQ(s.hits, s.acquires);
-  EXPECT_DOUBLE_EQ(s.reuse_ratio(), 1.0);
 }
 
 }  // namespace

@@ -433,40 +433,6 @@ TEST(BatchedExchange, KWaySolveUsesSoloExchangeRounds) {
   trace::clear();
 }
 
-// ---------------------------------------------------------------------
-// Storage plumbing: arena-backed batched fields round-trip.
-
-TEST(BatchedStorage, ArenaBackedSolveMatchesDirect) {
-  GmgOptions o = small_options();
-  const CartDecomp decomp({16, 16, 16}, {1, 1, 1});
-  const Vec3 sub = decomp.subdomain_extent();
-  comm::World world(1);
-  world.run([&](comm::Communicator& c) {
-    GmgSolver solver(o, decomp, 0);
-    const SoloRef ra = run_solo(c, solver, sub, rhs_a, o.tolerance, o.max_vcycles);
-
-    BrickArena arena;
-    std::vector<batch::BatchSolveSpec> specs(2);
-    specs[0].tolerance = specs[1].tolerance = o.tolerance;
-    specs[0].max_vcycles = specs[1].max_vcycles = o.max_vcycles;
-    {
-      batch::BatchedSolver bs(solver, 2, &arena);
-      bs.set_rhs({rhs_a, rhs_b});
-      const std::vector<SolveResult> got = bs.solve(c, specs);
-      expect_component_matches_solo(ra, got[0], bs, 0, 0);
-    }
-    // Fields returned to the arena on destruction; a second batched
-    // solver reuses them (zeroed) and still matches solo.
-    EXPECT_GT(arena.stats().pooled_buffers, 0u);
-    {
-      batch::BatchedSolver bs(solver, 2, &arena);
-      bs.set_rhs({rhs_a, rhs_b});
-      const std::vector<SolveResult> got = bs.solve(c, specs);
-      expect_component_matches_solo(ra, got[0], bs, 0, 0);
-    }
-  });
-}
-
 TEST(BatchedArray, LayoutIsRhsInnermost) {
   // The AoSoA contract: (i,j,k,c) lives at stretched inner element
   // (i*K + c, j, k) — component index innermost within a brick row.

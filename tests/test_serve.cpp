@@ -1,6 +1,6 @@
 // SolveService end-to-end: concurrent requests bitwise-match solo
-// solves, hierarchy cache hit/eviction behavior, brick-arena reuse,
-// admission-queue backpressure, priorities, cancellation and
+// solves, hierarchy cache hit/eviction behavior and field reuse, solver
+// re-entrancy, admission-queue backpressure, priorities, cancellation and
 // deadlines. Runs under TSan in ci/tier1.sh — the service is the
 // repo's most concurrent component (executor pool x simmpi worlds x
 // the shared exec engine).
@@ -15,6 +15,9 @@
 #include <thread>
 #include <vector>
 
+#include "amr/composite_solver.hpp"
+#include "amr/hierarchy.hpp"
+#include "batch/batched_solver.hpp"
 #include "gmg/solver.hpp"
 #include "mesh/array3d.hpp"
 #include "serve/service.hpp"
@@ -138,8 +141,8 @@ TEST(SolveService, CachedHierarchySolvesBitwiseIdenticalToCold) {
   ASSERT_EQ(first.status, RequestStatus::kDone);
   ASSERT_FALSE(first.cache_hit);
 
-  // Solve #2..#K reuse the hierarchy and arena-recycled storage; the
-  // acceptance bar is bitwise identity with solve #1.
+  // Solve #2..#K reuse the hierarchy and its fields; the acceptance
+  // bar is bitwise identity with solve #1.
   for (int k = 0; k < 3; ++k) {
     const RequestResult& res = service.submit(req).get();
     ASSERT_EQ(res.status, RequestStatus::kDone);
@@ -154,8 +157,29 @@ TEST(SolveService, CachedHierarchySolvesBitwiseIdenticalToCold) {
   const ServiceReport rep = service.report();
   EXPECT_EQ(rep.cache.hits, 3u);
   EXPECT_EQ(rep.cache.misses, 1u);
-  // Arena: every attach after the first release finds pooled pages.
-  EXPECT_GE(rep.arena.reuse_ratio(), 0.9);
+}
+
+TEST(HierarchyCache, AcquireHandsBackTheReleasedEntryWithItsFields) {
+  // An entry owns its fields until evicted: a hit reuses the storage
+  // the last request solved in, so steady state allocates none.
+  const CartDecomp decomp({16, 16, 16}, {1, 1, 1});
+  HierarchyCache cache(2);
+  EXPECT_EQ(cache.acquire("k"), nullptr);
+  auto entry = std::make_unique<CachedHierarchy>("k", decomp, small_options());
+  entry->solvers.push_back(
+      std::make_unique<GmgSolver>(small_options(), decomp, 0));
+  const real_t* storage = entry->solvers[0]->solution().data();
+  cache.release(std::move(entry));
+
+  auto again = cache.acquire("k");
+  ASSERT_NE(again, nullptr);
+  EXPECT_EQ(again->solvers[0]->solution().data(), storage);
+  EXPECT_EQ(cache.acquire("k"), nullptr);  // checked out exclusively
+  cache.release(std::move(again));
+  const HierarchyCache::Stats st = cache.stats();
+  EXPECT_EQ(st.hits, 1u);
+  EXPECT_EQ(st.misses, 2u);
+  EXPECT_EQ(st.idle_entries, 1u);
 }
 
 TEST(SolveService, EightConcurrentClientsMatchSequentialBitwise) {
@@ -474,35 +498,194 @@ TEST(ReentrantSolver, RepeatedSolvesAreBitwiseIdentical) {
   });
 }
 
-TEST(ReentrantSolver, DetachAttachRoundTripMatchesFreshSolver) {
-  const CartDecomp decomp({32, 32, 32}, {1, 1, 1});
-  BrickArena arena;
-  comm::World world(1);
-  world.run([&](comm::Communicator& c) {
-    GmgSolver fresh(small_options(), decomp, 0);
-    fresh.set_rhs(sine_rhs);
-    const SolveResult ref = fresh.solve(c);
+// A cache entry keeps its fields from one request to the next, so
+// set_rhs alone must reset everything a solve reads: a solver that has
+// solved RHS A and is given set_rhs(B) must solve B bit for bit like a
+// fresh solver. B differs from A, so any state A leaves behind shows.
+real_t second_rhs(real_t x, real_t y, real_t z) {
+  return std::cos(2 * M_PI * x) * std::sin(4 * M_PI * y) * (0.5 + z);
+}
 
-    GmgSolver solver(small_options(), decomp, 0);
-    solver.set_rhs(sine_rhs);
-    solver.solve(c);
-    solver.detach_field_storage(arena);
-    EXPECT_TRUE(solver.storage_detached());
-    solver.attach_field_storage(arena);
-    EXPECT_FALSE(solver.storage_detached());
+real_t wavy_coef(real_t x, real_t y, real_t z) {
+  return 1.0 + 0.5 * std::sin(2 * M_PI * x) * std::cos(2 * M_PI * y) +
+         0.25 * std::sin(4 * M_PI * z);
+}
 
-    solver.set_rhs(sine_rhs);
-    const SolveResult res = solver.solve(c);
-    EXPECT_EQ(res.vcycles, ref.vcycles);
-    EXPECT_EQ(res.history, ref.history);
-    const BrickedArray& xa = solver.solution();
-    const BrickedArray& xb = fresh.solution();
-    for_each(Box::from_extent({32, 32, 32}),
+/// Every rank's interior of `x`, concatenated in rank order.
+template <class Solvers, class Field>
+std::vector<real_t> gather(const Solvers& per_rank, Field field) {
+  std::vector<real_t> out;
+  for (const auto& s : per_rank) {
+    const BrickedArray& x = field(*s);
+    for_each(Box::from_extent(x.extent()),
              [&](index_t i, index_t j, index_t k) {
-               ASSERT_EQ(xa(i, j, k), xb(i, j, k));
+               out.push_back(x(i, j, k));
              });
+  }
+  return out;
+}
+
+struct ReentrantCase {
+  Smoother smoother;
+  BottomSolverType bottom;
+  bool ca;
+  bool varcoef;
+  Vec3 ranks;
+};
+
+/// Solve `rhs` on every rank's solver of one decomposition; rank 0's
+/// result (the loop runs collectively, so every rank's is the same).
+SolveResult solve_all(std::vector<std::unique_ptr<GmgSolver>>& solvers,
+                      const std::function<real_t(real_t, real_t, real_t)>& rhs,
+                      bool set_coefficient) {
+  std::vector<SolveResult> res(solvers.size());
+  comm::World world(static_cast<int>(solvers.size()));
+  world.run([&](comm::Communicator& c) {
+    GmgSolver& s = *solvers[static_cast<std::size_t>(c.rank())];
+    if (set_coefficient) s.set_coefficient(c, wavy_coef);
+    s.set_rhs(rhs);
+    res[static_cast<std::size_t>(c.rank())] = s.solve(c);
   });
-  EXPECT_GE(arena.stats().hits, 1u);
+  return res.front();
+}
+
+TEST(ReentrantSolver, SecondRhsMatchesFreshSolver) {
+  std::vector<ReentrantCase> cases;
+  for (const Smoother sm :
+       {Smoother::kPointJacobi, Smoother::kWeightedJacobi,
+        Smoother::kChebyshev, Smoother::kRedBlackGS})
+    for (const BottomSolverType bottom :
+         {BottomSolverType::kSmooth, BottomSolverType::kConjugateGradient})
+      for (const bool ca : {true, false})
+        for (const Vec3 ranks : {Vec3{1, 1, 1}, Vec3{2, 2, 1}})
+          cases.push_back({sm, bottom, ca, false, ranks});
+  for (const Smoother sm : {Smoother::kPointJacobi, Smoother::kWeightedJacobi})
+    for (const Vec3 ranks : {Vec3{1, 1, 1}, Vec3{2, 2, 1}})
+      cases.push_back({sm, BottomSolverType::kSmooth, true, true, ranks});
+
+  for (const ReentrantCase& rc : cases) {
+    SCOPED_TRACE(testing::Message()
+                 << "smoother " << static_cast<int>(rc.smoother) << " bottom "
+                 << static_cast<int>(rc.bottom) << " ca " << rc.ca
+                 << " varcoef " << rc.varcoef << " ranks " << rc.ranks.x
+                 << "x" << rc.ranks.y << "x" << rc.ranks.z);
+    GmgOptions o = small_options(4, 3);
+    o.smoother = rc.smoother;
+    o.bottom = rc.bottom;
+    o.communication_avoiding = rc.ca;
+    o.smooths = 4;
+    o.bottom_smooths = 16;
+    o.tolerance = 1e-9;
+    o.max_vcycles = 6;
+    const CartDecomp decomp({16, 16, 16}, rc.ranks);
+    const auto build = [&] {
+      std::vector<std::unique_ptr<GmgSolver>> v;
+      for (int r = 0; r < static_cast<int>(rc.ranks.volume()); ++r)
+        v.push_back(std::make_unique<GmgSolver>(o, decomp, r));
+      return v;
+    };
+    auto fresh = build();
+    const SolveResult ref = solve_all(fresh, second_rhs, rc.varcoef);
+    auto reused = build();
+    solve_all(reused, sine_rhs, rc.varcoef);
+    const SolveResult got = solve_all(reused, second_rhs, false);
+    EXPECT_EQ(got.vcycles, ref.vcycles);
+    EXPECT_EQ(got.history, ref.history);
+    const auto solution = [](GmgSolver& s) -> const BrickedArray& {
+      return s.solution();
+    };
+    EXPECT_EQ(gather(reused, solution), gather(fresh, solution));
+  }
+}
+
+TEST(ReentrantSolver, BatchedRerunWithSwappedLanesMatchesFreshBatch) {
+  for (const Vec3 ranks : {Vec3{1, 1, 1}, Vec3{2, 2, 1}}) {
+    SCOPED_TRACE(testing::Message() << "ranks " << ranks.x << "x" << ranks.y);
+    GmgOptions o = small_options(4, 3);
+    o.smooths = 4;
+    o.max_vcycles = 6;
+    const CartDecomp decomp({16, 16, 16}, ranks);
+    const int n = static_cast<int>(ranks.volume());
+    std::vector<std::unique_ptr<GmgSolver>> bases;
+    for (int r = 0; r < n; ++r)
+      bases.push_back(std::make_unique<GmgSolver>(o, decomp, r));
+    std::vector<std::vector<SolveResult>> ref(static_cast<std::size_t>(n)),
+        got(static_cast<std::size_t>(n));
+    std::vector<std::vector<std::vector<real_t>>> ref_x(
+        static_cast<std::size_t>(n)),
+        got_x(static_cast<std::size_t>(n));
+    const std::vector<SolveSpec> specs(2, SolveSpec{o.tolerance,
+                                                    o.max_vcycles, nullptr});
+    comm::World world(n);
+    world.run([&](comm::Communicator& c) {
+      const std::size_t r = static_cast<std::size_t>(c.rank());
+      batch::BatchedSolver fresh(*bases[r], 2);
+      fresh.set_rhs({second_rhs, sine_rhs});
+      ref[r] = fresh.solve(c, specs);
+      ref_x[r] = {fresh.solution(0), fresh.solution(1)};
+
+      batch::BatchedSolver reused(*bases[r], 2);
+      reused.set_rhs({sine_rhs, second_rhs});
+      reused.solve(c, specs);
+      reused.set_rhs({second_rhs, sine_rhs});
+      got[r] = reused.solve(c, specs);
+      got_x[r] = {reused.solution(0), reused.solution(1)};
+    });
+    for (std::size_t r = 0; r < static_cast<std::size_t>(n); ++r) {
+      for (std::size_t lane = 0; lane < 2; ++lane) {
+        EXPECT_EQ(got[r][lane].history, ref[r][lane].history);
+        EXPECT_EQ(got_x[r][lane], ref_x[r][lane]);
+      }
+    }
+  }
+}
+
+TEST(ReentrantSolver, CompositeSecondRhsMatchesFreshHierarchy) {
+  for (const Vec3 ranks : {Vec3{1, 1, 1}, Vec3{2, 2, 1}}) {
+    SCOPED_TRACE(testing::Message() << "ranks " << ranks.x << "x" << ranks.y);
+    amr::AmrOptions o;
+    o.gmg = small_options(4, 3);
+    o.gmg.identity_coef = 1.0;
+    o.gmg.laplacian_coef = -1e-3;
+    o.patch = Box{{4, 4, 4}, {12, 12, 12}};
+    o.max_cycles = 8;
+    const CartDecomp decomp({16, 16, 16}, ranks);
+    const int n = static_cast<int>(ranks.volume());
+    const auto build = [&] {
+      std::vector<std::unique_ptr<amr::AmrHierarchy>> v;
+      for (int r = 0; r < n; ++r)
+        v.push_back(std::make_unique<amr::AmrHierarchy>(o, decomp, r));
+      return v;
+    };
+    const auto solve = [&](std::vector<std::unique_ptr<amr::AmrHierarchy>>& hs,
+                           const std::function<real_t(real_t, real_t, real_t)>&
+                               rhs) {
+      std::vector<amr::CompositeResult> res(static_cast<std::size_t>(n));
+      comm::World world(n);
+      world.run([&](comm::Communicator& c) {
+        amr::AmrHierarchy& h = *hs[static_cast<std::size_t>(c.rank())];
+        h.set_rhs(rhs);
+        res[static_cast<std::size_t>(c.rank())] =
+            amr::CompositeSolver(h).solve(c);
+      });
+      return res.front();
+    };
+    auto fresh = build();
+    const amr::CompositeResult ref = solve(fresh, second_rhs);
+    auto reused = build();
+    solve(reused, sine_rhs);
+    const amr::CompositeResult got = solve(reused, second_rhs);
+    EXPECT_EQ(got.cycles, ref.cycles);
+    EXPECT_EQ(got.history, ref.history);
+    const auto xH = [](amr::AmrHierarchy& h) -> const BrickedArray& {
+      return h.xH();
+    };
+    const auto patch_x = [](amr::AmrHierarchy& h) -> const BrickedArray& {
+      return h.patch().x;
+    };
+    EXPECT_EQ(gather(reused, xH), gather(fresh, xH));
+    EXPECT_EQ(gather(reused, patch_x), gather(fresh, patch_x));
+  }
 }
 
 // ---- BatchCoalescer (DESIGN.md §15) ----------------------------------

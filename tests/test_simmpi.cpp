@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <functional>
 #include <numeric>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -365,6 +367,45 @@ TEST(SimMpi, PeerFailurePropagates) {
     }
   }),
                Error);
+}
+
+// Sends are buffered, so a rank blocked in a wait can only be woken by
+// a rank that is still running: once every live rank is blocked on a
+// false condition, the run fails at once with a deadlock error instead
+// of riding out the wait timeout.
+void expect_deadlock(World& world,
+                     const std::function<void(Communicator&)>& fn) {
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    world.run(fn);
+    ADD_FAILURE() << "a deadlocked run returned";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("communication deadlock"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+}
+
+TEST(SimMpi, ReceivesNobodySendsFailAsDeadlock) {
+  World world(2);
+  expect_deadlock(world, [](Communicator& c) {
+    double v = 0;
+    Request r = c.irecv(&v, sizeof(v), 1 - c.rank(), 9);
+    c.wait(r);
+  });
+}
+
+TEST(SimMpi, BarrierAfterAPeerExitedFailsAsDeadlock) {
+  World world(2);
+  expect_deadlock(world, [](Communicator& c) {
+    if (c.rank() == 1) c.barrier();
+  });
+  // The failed run leaves no state behind: the world runs again.
+  world.run([](Communicator& c) {
+    c.barrier();
+    EXPECT_DOUBLE_EQ(c.allreduce_sum(1.0), 2.0);
+  });
 }
 
 }  // namespace
