@@ -5,6 +5,7 @@
 // measures how much of that shows up as wall time at equal
 // discretization error where it matters. Writes BENCH_amr.json;
 // ci/tier1.sh smoke-runs it at a reduced size.
+#include <cmath>
 #include <fstream>
 #include <iostream>
 

@@ -8,13 +8,16 @@
 // run of the same schedule on the host validates the schedule itself
 // and prints the artifact-format profile.
 #include <iostream>
+#include <map>
 
 #include "bench/bench_util.hpp"
 #include "comm/simmpi.hpp"
 #include "common/table.hpp"
+#include "gmg/phase.hpp"
 #include "gmg/solver.hpp"
 #include "net/net_model.hpp"
 #include "perf/vcycle_model.hpp"
+#include "trace/report.hpp"
 
 using namespace gmg;
 
@@ -69,10 +72,11 @@ void modeled_fig3() {
   }
 }
 
-/// One live validation run; returns rank 0's per-(level, phase) wall
-/// totals so the fused-vs-split comparison below can contrast the
-/// smoothing stages directly.
-perf::Profiler measured_host_run(bool fuse_stages) {
+/// One live validation run; returns rank 0's per-(level, phase) stats
+/// so the fused-vs-split comparison below can contrast the smoothing
+/// stages directly. The trace is kept whole for --trace-out, so the
+/// run's phase spans are those that start after it does.
+trace::LevelStats measured_host_run(bool fuse_stages) {
   bench::section(
       std::string("Fig. 3 validation — live 8-rank run of the same "
                   "schedule on the host (32^3/rank, 3 levels, "
@@ -80,8 +84,7 @@ perf::Profiler measured_host_run(bool fuse_stages) {
       (fuse_stages ? "on" : "off"));
   const CartDecomp decomp({64, 64, 64}, {2, 2, 2});
   comm::World world(8);
-  std::string report;
-  perf::Profiler prof;
+  const std::uint64_t start_ns = trace::now_ns();
   world.run([&](comm::Communicator& c) {
     GmgOptions opts;
     opts.levels = 3;
@@ -97,39 +100,40 @@ perf::Profiler measured_host_run(bool fuse_stages) {
              std::sin(2 * M_PI * z);
     });
     solver.solve(c);
-    if (c.rank() == 0) {
-      report = solver.profiler().report();
-      prof = solver.profiler();
-    }
   });
-  std::cout << report;
+  trace::Snapshot snap = trace::collect(/*clear=*/false);
+  std::erase_if(snap.spans, [&](const trace::SpanRecord& s) {
+    return s.t0_ns < start_ns;
+  });
+  std::cout << trace::format_level_stats(snap, /*rank=*/0);
 
   // Per-stage wall breakdown per level (rank 0).
+  const trace::LevelStats stats = trace::level_stats(snap, /*rank=*/0);
+  std::map<int, double> level_total;
+  for (const auto& [key, st] : stats) level_total[key.first] += st.sum();
   Table t({"level", "stage", "wall_s", "share"});
-  for (int l = 0; l <= prof.max_level(); ++l) {
-    for (const auto& [phase, share] : prof.level_breakdown(l)) {
-      t.row()
-          .cell(static_cast<long>(l))
-          .cell(perf::phase_name(phase))
-          .cell(prof.total(l, phase), 5)
-          .cell(share, 3);
-    }
-    std::cout << "level " << l << " total: " << prof.level_total(l)
-              << " s\n";
+  for (const auto& [key, st] : stats) {
+    t.row()
+        .cell(static_cast<long>(key.first))
+        .cell(key.second)
+        .cell(st.sum(), 5)
+        .cell(st.sum() / level_total[key.first], 3);
   }
+  for (const auto& [l, total] : level_total)
+    std::cout << "level " << l << " total: " << total << " s\n";
   t.print();
-  return prof;
+  return stats;
 }
 
 /// Sum of the smoothing and restriction stage walls across levels: the
 /// one-pass Jacobi sweeps, the split restriction and the fused descent
 /// pass that absorbs the last sweep and the restriction.
-double smooth_stage_seconds(const perf::Profiler& prof) {
+double smooth_stage_seconds(const trace::LevelStats& stats) {
   double s = 0;
-  for (int l = 0; l <= prof.max_level(); ++l) {
-    s += prof.total(l, perf::Phase::kJacobiSweep);
-    s += prof.total(l, perf::Phase::kRestriction);
-    s += prof.total(l, perf::Phase::kFusedDescent);
+  for (const auto& [key, st] : stats) {
+    for (const Phase p :
+         {Phase::kJacobiSweep, Phase::kRestriction, Phase::kFusedDescent})
+      if (key.second == phase_name(p)) s += st.sum();
   }
   return s;
 }
@@ -140,13 +144,13 @@ int main(int argc, char** argv) {
   const std::string trace_out =
       bench::parse_trace_out(argc, argv, "fig3_level_times");
   modeled_fig3();
-  const perf::Profiler fused_prof = measured_host_run(/*fuse_stages=*/true);
-  const perf::Profiler split_prof = measured_host_run(/*fuse_stages=*/false);
+  const trace::LevelStats fused = measured_host_run(/*fuse_stages=*/true);
+  const trace::LevelStats split = measured_host_run(/*fuse_stages=*/false);
   bench::note(
       "  smoothing + restriction stages (applyOp+smooth / restriction / "
       "fused descent), all levels:\n  fused  " +
-      std::to_string(smooth_stage_seconds(fused_prof)) + " s\n  split  " +
-      std::to_string(smooth_stage_seconds(split_prof)) + " s");
+      std::to_string(smooth_stage_seconds(fused)) + " s\n  split  " +
+      std::to_string(smooth_stage_seconds(split)) + " s");
   bench::finish_trace(trace_out);
   return 0;
 }

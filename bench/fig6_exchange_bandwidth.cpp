@@ -4,8 +4,8 @@
 // Table I); fitted alpha/beta are printed for comparison with the
 // paper's 25–200 us / 7–16 GB/s ranges. A live 2-rank host exchange
 // exercises the real packing-free code path end to end.
+#include <cstdio>
 #include <iostream>
-
 #include <utility>
 
 #include "bench/bench_util.hpp"
@@ -13,9 +13,10 @@
 #include "comm/simmpi.hpp"
 #include "common/ascii_plot.hpp"
 #include "common/table.hpp"
+#include "gmg/phase.hpp"
 #include "net/net_model.hpp"
-#include "perf/profiler.hpp"
 #include "perf/vcycle_model.hpp"
+#include "trace/report.hpp"
 
 using namespace gmg;
 
@@ -107,17 +108,15 @@ void measured_host_exchange() {
       {comm::BrickExchangeMode::kPacked, "packed"},
       {comm::BrickExchangeMode::kPerBrick, "per-brick"},
   };
-  // Sum over all ranks/configs of the Profiler's kExchange aggregate;
-  // trace_report's "exchange total across ranks" line must agree with
-  // this number (the spans are one and the same measurements).
-  double profiler_exchange_total = 0;
+  // Each timed exchange is one level-0 exchange phase span, so the
+  // in-process total printed below is what trace_report reads back from
+  // --trace-out as its "exchange total across ranks".
   for (index_t sub : {16, 32, 64}) {
     for (const auto& [mode, mode_name] : modes) {
       const CartDecomp decomp({2 * sub, sub, sub}, {2, 1, 1});
       comm::World world(2);
       double secs = 0;
       std::uint64_t bytes = 0;
-      double exchange_total = 0;
       world.run([&](comm::Communicator& c) {
         BrickedArray f = BrickedArray::create({sub, sub, sub},
                                               BrickShape::cube(8));
@@ -126,22 +125,16 @@ void measured_host_exchange() {
         ex.exchange(c, f);  // warm-up
         c.barrier();
         const int reps = 20;
-        perf::Profiler prof;  // rank-local; emits "exchange" spans
         Timer timer;
-        for (int r = 0; r < reps; ++r) {
-          prof.timed(0, perf::Phase::kExchange, [&] { ex.exchange(c, f); });
-        }
+        for (int r = 0; r < reps; ++r)
+          timed_phase(0, Phase::kExchange, [&] { ex.exchange(c, f); });
         const double local = timer.elapsed() / reps;
         const double worst = c.allreduce_max(local);
-        const double all_ranks =
-            c.allreduce_sum(prof.total(0, perf::Phase::kExchange));
         if (c.rank() == 0) {
           secs = worst;
           bytes = ex.bytes_per_exchange();
-          exchange_total = all_ranks;
         }
       });
-      profiler_exchange_total += exchange_total;
       t.row()
           .cell(std::to_string(sub) + "^3")
           .cell(mode_name)
@@ -151,9 +144,12 @@ void measured_host_exchange() {
     }
   }
   t.print();
-  std::cout << "  Profiler kExchange aggregate across ranks: "
-            << profiler_exchange_total
-            << " s (trace_report's exchange total must match within 5%)\n";
+  const trace::LevelStats stats =
+      trace::level_stats(trace::collect(/*clear=*/false));
+  std::printf(
+      "  in-process exchange total across ranks: %.6f s (trace_report's "
+      "exchange total, read back from --trace-out, must match)\n",
+      stats.at({0, phase_name(Phase::kExchange)}).sum());
 }
 
 }  // namespace

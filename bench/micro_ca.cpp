@@ -5,13 +5,15 @@
 // so every axis has remote neighbors and that trade is real: on one
 // rank every axis wraps onto the rank itself (DESIGN.md §11), so both
 // schedules would do identical work. Rank 0's counters report the
-// round counts and exchange time.
+// round counts and exchange time, read from its exchange phase spans.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 
 #include "comm/simmpi.hpp"
+#include "gmg/phase.hpp"
 #include "gmg/solver.hpp"
+#include "trace/report.hpp"
 
 namespace {
 
@@ -25,6 +27,7 @@ real_t sine_rhs(real_t x, real_t y, real_t z) {
 void run_vcycles(benchmark::State& state, bool ca, index_t bdim) {
   const CartDecomp decomp({64, 64, 64}, {2, 2, 2});
   comm::World world(decomp.num_ranks());
+  trace::clear();
   world.run([&](comm::Communicator& c) {
     GmgOptions opts;
     opts.levels = 3;
@@ -46,15 +49,14 @@ void run_vcycles(benchmark::State& state, bool ca, index_t bdim) {
     for (auto _ : state) {
       solver.vcycle(c);
     }
-    // Exchange rounds per V-cycle at the finest level.
-    const auto& prof = solver.profiler();
-    state.counters["exchanges/vcycle(l0)"] =
-        static_cast<double>(prof.stats(0, perf::Phase::kExchange).count()) /
-        static_cast<double>(state.iterations() + 1);
-    state.counters["exchange_ms/vcycle"] =
-        prof.total(0, perf::Phase::kExchange) * 1e3 /
-        static_cast<double>(state.iterations() + 1);
   });
+  // Exchange rounds per V-cycle at the finest level.
+  const RunningStats ex = trace::level_stats(trace::collect(), 0)
+                              .at({0, phase_name(Phase::kExchange)});
+  const double vcycles = static_cast<double>(state.iterations() + 1);
+  state.counters["exchanges/vcycle(l0)"] =
+      static_cast<double>(ex.count()) / vcycles;
+  state.counters["exchange_ms/vcycle"] = ex.sum() * 1e3 / vcycles;
 }
 
 void BM_Vcycle_CA_Brick8(benchmark::State& state) {

@@ -9,6 +9,7 @@
 #include "gmg/solver.hpp"
 #include "net/net_model.hpp"
 #include "perf/vcycle_model.hpp"
+#include "trace/report.hpp"
 
 using namespace gmg;
 
@@ -54,7 +55,6 @@ void measured_table2() {
       "run, 32^3/rank");
   const CartDecomp decomp({64, 64, 64}, {2, 2, 2});
   comm::World world(8);
-  std::map<perf::Phase, double> breakdown;
   world.run([&](comm::Communicator& c) {
     GmgOptions opts;
     opts.levels = 3;
@@ -69,11 +69,16 @@ void measured_table2() {
              std::sin(2 * M_PI * z);
     });
     solver.solve(c);
-    if (c.rank() == 0) breakdown = solver.profiler().level_breakdown(0);
   });
+  // Rank 0's finest-level phases, as shares of its level-0 total.
+  const trace::LevelStats stats = trace::level_stats(trace::collect(), 0);
+  double level0_s = 0;
+  for (const auto& [key, st] : stats)
+    if (key.first == 0) level0_s += st.sum();
   Table t({"Operation", "Host (OpenMP)"});
-  for (const auto& [phase, frac] : breakdown) {
-    t.row().cell(perf::phase_name(phase)).cell_percent(frac);
+  for (const auto& [key, st] : stats) {
+    if (key.first == 0)
+      t.row().cell(key.second).cell_percent(st.sum() / level0_s);
   }
   t.print();
   bench::note(

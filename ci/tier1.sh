@@ -127,6 +127,19 @@ echo "== tier 1: socket front smoke =="
 echo "== tier 1: AMR refinement smoke =="
 (cd "${SMOKE_DIR}" && "${ROOT}/build/bench/amr_refine" -s 32 -b 4)
 
+# Measured-profile smokes (DESIGN.md §9): Table II and Fig. 3 build
+# their host tables from the solver's phase spans (trace::level_stats).
+# Each must print its measured level-0 applyOp+smooth row, so a profile
+# that silently comes out empty fails here; a failing bench fails the
+# stage through pipefail.
+echo "== tier 1: measured-profile smokes (table2, fig3) =="
+(cd "${SMOKE_DIR}" && "${ROOT}/build/bench/table2_op_breakdown") |
+  tee "${SMOKE_DIR}/table2.out"
+grep -qE '^\| applyOp\+smooth +\| +[0-9.]+% ' "${SMOKE_DIR}/table2.out"
+(cd "${SMOKE_DIR}" && "${ROOT}/build/bench/fig3_level_times") |
+  tee "${SMOKE_DIR}/fig3.out"
+grep -qE '^\| 0 +\| applyOp\+smooth +\| +[0-9.]+ ' "${SMOKE_DIR}/fig3.out"
+
 SKIP_ASAN=0
 SKIP_TSAN=0
 for arg in "$@"; do

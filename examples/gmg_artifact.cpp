@@ -9,16 +9,20 @@
 // ranks, total time per level, total time to solution, and GStencil/s.
 //
 // On this reproduction host, ranks are simmpi threads (-r, default 8,
-// one per "node" as in the paper's §VI experiments).
+// one per "node" as in the paper's §VI experiments). The profile comes
+// from the solver's phase spans (trace::level_stats), one sum per rank.
 #include <cmath>
+#include <cstdint>
 #include <iostream>
+#include <map>
+#include <vector>
 
 #include "comm/simmpi.hpp"
 #include "common/options.hpp"
 #include "common/stats.hpp"
 #include "common/timer.hpp"
 #include "gmg/solver.hpp"
-#include "perf/rank_report.hpp"
+#include "trace/report.hpp"
 
 using namespace gmg;
 
@@ -53,8 +57,26 @@ int main(int argc, char** argv) {
             << " ranks " << grid << " = " << global << " global, -I " << reps
             << ", -l " << opts.levels << ", -n " << opts.max_vcycles << "\n";
 
+  // Each rank's per-(level, phase) totals over the timed solves, folded
+  // in from the trace after every solve, so the trace never holds more
+  // than one solve's events.
+  using Key = std::pair<int, std::string>;
+  std::vector<std::map<Key, double>> rank_totals(
+      static_cast<std::size_t>(nranks));
+  std::uint64_t dropped = 0;
+  const auto fold = [&] {
+    const trace::Snapshot snap = trace::collect();
+    dropped += snap.dropped;
+    for (int r = 0; r < nranks; ++r) {
+      for (const auto& [key, st] : trace::level_stats(snap, r))
+        rank_totals[static_cast<std::size_t>(r)][key] += st.sum();
+    }
+  };
+
   comm::World world(nranks);
   int exit_code = 0;
+  RunningStats solve_times;
+  SolveResult res;
   world.run([&](comm::Communicator& comm) {
     GmgSolver solver(opts, decomp, comm.rank());
     const auto rhs = [](real_t x, real_t y, real_t z) {
@@ -65,37 +87,60 @@ int main(int argc, char** argv) {
     // Warm-up solve (the artifact warms up with a full set of solves;
     // one suffices on a shared-core host), then -I timed solves.
     solver.set_rhs(rhs);
-    SolveResult res = solver.solve(comm);
-    solver.profiler().clear();
+    SolveResult last = solver.solve(comm);
+    // Rank 0 drops the warm-up's spans, and later folds each timed
+    // solve's, while every other rank waits in a barrier: no phase span
+    // is recorded meanwhile.
+    comm.barrier();
+    if (comm.rank() == 0) trace::clear();
+    comm.barrier();
 
-    RunningStats solve_times;
     for (int it = 0; it < reps; ++it) {
       solver.set_rhs(rhs);
       comm.barrier();
       Timer t;
-      res = solver.solve(comm);
-      solve_times.add(comm.allreduce_max(t.elapsed()));
-    }
-
-    const std::string report = perf::cross_rank_report(comm,
-                                                       solver.profiler());
-    if (comm.rank() == 0) {
-      std::cout << report;
-      for (int l = 0; l < solver.num_levels(); ++l) {
-        std::cout << "level " << l << " total (rank 0): "
-                  << solver.profiler().level_total(l) / reps
-                  << " s per solve\n";
+      last = solver.solve(comm);
+      const double worst = comm.allreduce_max(t.elapsed());
+      if (comm.rank() == 0) {
+        solve_times.add(worst);
+        fold();
       }
-      const double cells = static_cast<double>(global.volume());
-      std::cout << "solve time across " << reps << " repetitions: "
-                << solve_times.summary() << "\n"
-                << (res.converged ? "converged" : "NOT converged") << " in "
-                << res.vcycles << " V-cycles, max|r| = "
-                << res.final_residual << "\n"
-                << "throughput: " << cells / solve_times.mean() / 1e9
-                << " GStencil/s (fine-grid DOF per second of solve)\n";
-      if (!res.converged) exit_code = 1;
+      comm.barrier();
     }
+    if (comm.rank() == 0) res = last;
   });
+
+  // The artifact's cross-rank profile: each rank's totals, reduced.
+  std::map<Key, RunningStats> across_ranks;
+  for (const std::map<Key, double>& totals : rank_totals) {
+    for (const auto& [key, s] : totals) across_ranks[key].add(s);
+  }
+  std::map<int, double> rank0_level_s;
+  for (const auto& [key, s] : rank_totals.front())
+    rank0_level_s[key.first] += s;
+  for (const auto& [key, st] : across_ranks) {
+    std::cout << "level " << key.first << ' ' << key.second << ' '
+              << st.summary() << '\n';
+  }
+  for (const auto& [l, total] : rank0_level_s) {
+    std::cout << "level " << l << " total (rank 0): " << total / reps
+              << " s per solve\n";
+  }
+  const double cells = static_cast<double>(global.volume());
+  std::cout << "solve time across " << reps << " repetitions: "
+            << solve_times.summary() << "\n"
+            << (res.converged ? "converged" : "NOT converged") << " in "
+            << res.vcycles << " V-cycles, max|r| = " << res.final_residual
+            << "\n"
+            << "throughput: " << cells / solve_times.mean() / 1e9
+            << " GStencil/s (fine-grid DOF per second of solve)\n";
+  if (!res.converged) exit_code = 1;
+  // A profile built from a lossy (or empty) trace would misreport the
+  // solves, so either fails the run.
+  if (across_ranks.empty() || dropped > 0) {
+    std::cerr << "gmg_artifact: trace profile is empty or lost " << dropped
+              << " events\n";
+    exit_code = 1;
+  }
   return exit_code;
 }

@@ -12,6 +12,7 @@
 #include "common/options.hpp"
 #include "gmg/solver.hpp"
 #include "mesh/decomposition.hpp"
+#include "trace/report.hpp"
 
 using namespace gmg;
 
@@ -72,11 +73,20 @@ int main(int argc, char** argv) {
       std::cout << (res.converged ? "converged" : "NOT converged") << " in "
                 << res.vcycles << " V-cycles, max|r| = "
                 << res.final_residual << ", wall " << max_rank_s << " s, "
-                << total_bytes / 1e6 << " MB total message traffic\n\n"
-                << "rank 0 profile (artifact format):\n"
-                << solver.profiler().report();
+                << total_bytes / 1e6 << " MB total message traffic\n";
       if (!res.converged) exit_code = 1;
     }
   });
+
+  // Rank 0's phase spans. A profile built from a lossy (or empty)
+  // trace would misreport the solve, so either fails the run.
+  const trace::Snapshot snap = trace::collect();
+  const std::string profile = trace::format_level_stats(snap, /*rank=*/0);
+  std::cout << "\nrank 0 profile (artifact format):\n" << profile;
+  if (profile.empty() || snap.dropped > 0) {
+    std::cerr << "multi_rank_sim: trace profile is empty or lost "
+              << snap.dropped << " events\n";
+    return 1;
+  }
   return exit_code;
 }

@@ -11,7 +11,9 @@
 #include "common/options.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
+#include "gmg/phase.hpp"
 #include "gmg/solver.hpp"
+#include "trace/report.hpp"
 
 using namespace gmg;
 
@@ -68,14 +70,13 @@ int main(int argc, char** argv) {
       GmgSolver solver(opts, decomp, 0);
       solver.set_rhs(sine_rhs);
       solver.vcycle(comm);  // warm-up
-      solver.profiler().clear();
+      trace::clear();
       Timer timer;
       for (int v = 0; v < vcycles; ++v) solver.vcycle(comm);
       const double per_cycle = timer.elapsed() / vcycles;
-      const double exchanges =
-          static_cast<double>(
-              solver.profiler().stats(0, perf::Phase::kExchange).count()) /
-          vcycles;
+      const RunningStats exchange = trace::level_stats(trace::collect())
+                                        .at({0, phase_name(Phase::kExchange)});
+      const double exchanges = static_cast<double>(exchange.count()) / vcycles;
       t.row()
           .cell(std::to_string(cfg.brick) + "^3")
           .cell(cfg.ca ? "on" : "off")

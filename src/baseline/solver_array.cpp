@@ -1,6 +1,7 @@
 #include "baseline/solver_array.hpp"
 
 #include "common/timer.hpp"
+#include "gmg/phase.hpp"
 
 namespace gmg::baseline {
 
@@ -69,17 +70,17 @@ void ArrayGmgSolver::smooth_level(comm::Communicator& comm, ArrayLevel& lev,
                                   int iterations, bool with_residual) {
   const Box interior = lev.interior();
   for (int it = 0; it < iterations; ++it) {
-    profiler_.timed(lev.level, perf::Phase::kExchange,
-                    [&] { lev.exchange->exchange(comm, lev.x); });
-    profiler_.timed(lev.level, perf::Phase::kApplyOp, [&] {
+    timed_phase(lev.level, Phase::kExchange,
+                [&] { lev.exchange->exchange(comm, lev.x); });
+    timed_phase(lev.level, Phase::kApplyOp, [&] {
       apply_op(lev.Ax, lev.x, lev.alpha, lev.beta, interior);
     });
     if (with_residual) {
-      profiler_.timed(lev.level, perf::Phase::kSmoothResidual, [&] {
+      timed_phase(lev.level, Phase::kSmoothResidual, [&] {
         smooth_residual(lev.x, lev.r, lev.Ax, lev.b, lev.gamma, interior);
       });
     } else {
-      profiler_.timed(lev.level, perf::Phase::kSmooth, [&] {
+      timed_phase(lev.level, Phase::kSmooth, [&] {
         smooth(lev.x, lev.Ax, lev.b, lev.gamma, interior);
       });
     }
@@ -92,35 +93,32 @@ void ArrayGmgSolver::vcycle(comm::Communicator& comm) {
     ArrayLevel& lev = levels_[static_cast<std::size_t>(l)];
     ArrayLevel& coarse = levels_[static_cast<std::size_t>(l + 1)];
     smooth_level(comm, lev, opts_.smooths, /*with_residual=*/true);
-    profiler_.timed(l, perf::Phase::kRestriction,
-                    [&] { restriction(coarse.b, lev.r); });
-    profiler_.timed(l + 1, perf::Phase::kInitZero,
-                    [&] { init_zero(coarse.x); });
+    timed_phase(l, Phase::kRestriction,
+                [&] { restriction(coarse.b, lev.r); });
+    timed_phase(l + 1, Phase::kInitZero, [&] { init_zero(coarse.x); });
   }
   smooth_level(comm, levels_[static_cast<std::size_t>(bottom)],
                opts_.bottom_smooths, /*with_residual=*/false);
   for (int l = bottom - 1; l >= 0; --l) {
     ArrayLevel& lev = levels_[static_cast<std::size_t>(l)];
     ArrayLevel& coarse = levels_[static_cast<std::size_t>(l + 1)];
-    profiler_.timed(l, perf::Phase::kInterpIncrement,
-                    [&] { interpolation_increment(lev.x, coarse.x); });
+    timed_phase(l, Phase::kInterpIncrement,
+                [&] { interpolation_increment(lev.x, coarse.x); });
     smooth_level(comm, lev, opts_.smooths, /*with_residual=*/true);
   }
 }
 
 real_t ArrayGmgSolver::residual_norm(comm::Communicator& comm) {
   ArrayLevel& fine = levels_.front();
-  profiler_.timed(0, perf::Phase::kExchange,
-                  [&] { fine.exchange->exchange(comm, fine.x); });
-  profiler_.timed(0, perf::Phase::kApplyOp, [&] {
+  timed_phase(0, Phase::kExchange,
+              [&] { fine.exchange->exchange(comm, fine.x); });
+  timed_phase(0, Phase::kApplyOp, [&] {
     apply_op(fine.Ax, fine.x, fine.alpha, fine.beta, fine.interior());
   });
-  profiler_.timed(0, perf::Phase::kResidual, [&] {
-    residual(fine.r, fine.b, fine.Ax, fine.interior());
-  });
+  timed_phase(0, Phase::kResidual,
+              [&] { residual(fine.r, fine.b, fine.Ax, fine.interior()); });
   real_t local = 0;
-  profiler_.timed(0, perf::Phase::kMaxNorm,
-                  [&] { local = max_norm(fine.r); });
+  timed_phase(0, Phase::kMaxNorm, [&] { local = max_norm(fine.r); });
   return comm.allreduce_max(local);
 }
 

@@ -14,7 +14,6 @@
 #include "comm/exchange.hpp"
 #include "comm/simmpi.hpp"
 #include "mesh/decomposition.hpp"
-#include "perf/profiler.hpp"
 
 namespace gmg::baseline {
 
@@ -60,7 +59,6 @@ class ArrayGmgSolver {
   real_t residual_norm(comm::Communicator& comm);
 
   const Array3D& solution() const { return levels_.front().x; }
-  perf::Profiler& profiler() { return profiler_; }
 
  private:
   void smooth_level(comm::Communicator& comm, ArrayLevel& lev, int iterations,
@@ -69,7 +67,6 @@ class ArrayGmgSolver {
   ArrayGmgOptions opts_;
   int rank_;
   std::vector<ArrayLevel> levels_;
-  perf::Profiler profiler_;
 };
 
 }  // namespace gmg::baseline

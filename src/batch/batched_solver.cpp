@@ -65,10 +65,10 @@ std::vector<SolveResult> BatchedSolver::solve(
               "need one BatchSolveSpec per component");
   trace::counter_add("batch.solves", 1);
   trace::counter_add("batch.components", static_cast<std::uint64_t>(k_));
-  // The solo cycle and solve loop over the K-lane fields; untimed (the
-  // batched path keeps no profiler). A retiring component's solution
-  // is snapshotted the moment its solo twin's loop would have exited.
-  LevelRun<BatchLevel> ex(base_, levels_, nullptr, comm);
+  // The solo cycle and solve loop over the K-lane fields, timed by the
+  // solo phase spans. A retiring component's solution is snapshotted
+  // the moment its solo twin's loop would have exited.
+  LevelRun<BatchLevel> ex(base_, levels_, comm);
   Cycle<LevelRun<BatchLevel>> cycle(base_, ex, cycle_);
   return solve_loop(cycle, specs, "batch.vcycle",
                     [&](int c) { snapshot_solution(c); });

@@ -1,4 +1,4 @@
-// Wall-clock timing utilities used by the profiler and benches.
+// Wall-clock timing utilities used by the solvers and benches.
 #pragma once
 
 #include <chrono>

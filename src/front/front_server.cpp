@@ -507,7 +507,7 @@ wire::StatsFrame FrontServer::shard_stats() const {
     e.batch_solves = svc.batch_solves;
     e.batch_requests = svc.batch_requests;
     e.inflight_cost = a.inflight_cost;
-    e.cache_hit_ratio = svc.cache_hit_ratio;
+    e.cache_hit_ratio = svc.cache.hit_ratio();
     out.shards.push_back(e);
   }
   return out;

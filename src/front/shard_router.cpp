@@ -17,6 +17,14 @@ std::uint64_t ShardRouter::hash64(std::string_view s) {
     h ^= static_cast<std::uint8_t>(c);
     h *= 0x100000001b3ULL;
   }
+  // MurmurHash3's fmix64 finalizer. FNV-1a of labels that differ only
+  // in their last bytes lands close together, so without it a shard's
+  // vnode points form one arc of the ring instead of scattering.
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
   return h;
 }
 

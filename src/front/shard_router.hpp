@@ -6,10 +6,12 @@
 // point at or after the key's hash (wrapping), and route(key) is the
 // walk's first shard. Two properties the front tier depends on:
 //
-//   * Stability: the ring is built from FNV-1a over fixed strings, so
-//     the same key maps to the same shard in every process on every
-//     run — a client can even predict placement. Cache affinity
-//     (HierarchyCache entries live per shard) survives restarts.
+//   * Stability: the ring is built from a fixed hash (FNV-1a, then the
+//     fmix64 finalizer that scatters a shard's points) over fixed
+//     strings, so the same key maps to the same shard in every process
+//     on every run — a client can even predict placement. Cache
+//     affinity (HierarchyCache entries live per shard) survives
+//     restarts.
 //   * Minimal disruption: removing one of N shards deletes only that
 //     shard's points, so only the keys in the deleted arcs move
 //     (~1/N of them), to the next point on the ring. All other keys
@@ -71,7 +73,8 @@ class ShardRouter {
 
   int num_shards() const { return num_shards_; }
 
-  /// FNV-1a; deterministic across runs and platforms by construction.
+  /// FNV-1a finished with MurmurHash3's fmix64; deterministic across
+  /// runs and platforms by construction.
   static std::uint64_t hash64(std::string_view s);
 
  private:

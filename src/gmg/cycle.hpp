@@ -6,9 +6,9 @@
 // exchange and reduction through an executor, of which there are two:
 //
 //   * LevelRun<Level> (level_run.hpp): runs it over a field set — the
-//     GmgSolver's own levels (timed by the solver's profiler) or a
-//     batched solve's K-lane levels — through each level's KernelPlan
-//     and the one K-generic kernel set;
+//     GmgSolver's own levels or a batched solve's K-lane levels —
+//     through each level's KernelPlan and the one K-generic kernel
+//     set, each phase timed as one levelled trace span (gmg/phase.hpp);
 //   * Record (schedule_audit.hpp): emits a check::ScheduleStep per
 //     launch instead of running it, so the §18 verifier proves the
 //     schedule the solvers issue.
@@ -20,7 +20,7 @@
 // solver. The executor contract, level index first throughout:
 //
 //   k()                                   components (1 solo, K batched)
-//   timed(l, phase, fn)                   fn under a profiler phase
+//   timed(l, phase, fn)                   fn as one phase (gmg/phase.hpp)
 //   exchange(l, fields)                   one blocking ghost round
 //   apply(l, out, in, box)                out = A in
 //   jacobi(l, box, residual, restrict)    one Jacobi sweep into the
@@ -51,8 +51,8 @@
 #include "common/timer.hpp"
 #include "gmg/cycle_state.hpp"
 #include "gmg/operators.hpp"
+#include "gmg/phase.hpp"
 #include "gmg/solver.hpp"
-#include "perf/profiler.hpp"
 #include "trace/trace.hpp"
 
 namespace gmg {
@@ -98,8 +98,7 @@ class Cycle {
   void fmg() {
     const int bot = s_.bottom_level();
     for (int l = 0; l < bot; ++l) {
-      ex_.timed(l, perf::Phase::kRestriction,
-                [&] { ex_.restriction(l, Fld::kB); });
+      ex_.timed(l, Phase::kRestriction, [&] { ex_.restriction(l, Fld::kB); });
       st_.ghosts[idx(l + 1)].b_valid = false;
     }
     ex_.init_zero_x(bot, stored_cells(bot));
@@ -109,12 +108,11 @@ class Cycle {
       // Trilinear prolongation reads one coarse ghost layer.
       GhostState& cg = st_.ghosts[idx(l + 1)];
       if (cg.margin < 1) {
-        ex_.timed(l + 1, perf::Phase::kExchange,
+        ex_.timed(l + 1, Phase::kExchange,
                   [&] { ex_.exchange(l + 1, FieldSet(Fld::kX)); });
         cg.margin = lev(l + 1).shape.bx;
       }
-      ex_.timed(l, perf::Phase::kInterpIncrement,
-                [&] { ex_.interp_trilinear(l); });
+      ex_.timed(l, Phase::kInterpIncrement, [&] { ex_.interp_trilinear(l); });
       st_.ghosts[idx(l)].margin = 0;
       cycle_at(l);
     }
@@ -134,18 +132,17 @@ class Cycle {
         // Fused residual + max-norm: one pass instead of two, bitwise
         // identical to the split pair (fused_kernels.hpp).
         real_t local = 0;
-        ex_.timed(0, perf::Phase::kMaxNorm,
-                  [&] { local = ex_.residual_max_norm(); });
+        ex_.timed(0, Phase::kMaxNorm, [&] { local = ex_.residual_max_norm(); });
         res[0] = ex_.allreduce_max(local, "allreduce.max_norm", 0, 0, group,
                                    /*masked=*/true);
         return;
       }
     }
-    ex_.timed(0, perf::Phase::kResidual, [&] { ex_.residual(0, in); });
+    ex_.timed(0, Phase::kResidual, [&] { ex_.residual(0, in); });
     for (int c = 0; c < ex_.k(); ++c) {
       if (active[c] == 0) continue;
       real_t local = 0;
-      ex_.timed(0, perf::Phase::kMaxNorm, [&] { local = ex_.max_norm(c); });
+      ex_.timed(0, Phase::kMaxNorm, [&] { local = ex_.max_norm(c); });
       res[c] = ex_.allreduce_max(local, "allreduce.max_norm", 0, c, group,
                                  /*masked=*/true);
     }
@@ -196,14 +193,14 @@ class Cycle {
       g.b_valid = true;
     }
     if (ca() && o_.smoother == Smoother::kChebyshev) fs.add(Fld::kP);
-    ex_.timed(l, perf::Phase::kExchange, [&] { ex_.exchange(l, fs); });
+    ex_.timed(l, Phase::kExchange, [&] { ex_.exchange(l, fs); });
     g.margin = lev(l).shape.bx;
   }
 
   /// Ax = A x over `box` with x's ghosts refreshed first when spent.
   void apply_fresh(int l, const Box& box) {
     if (st_.ghosts[idx(l)].margin < lev(l).radius) exchange_for_smooth(l);
-    ex_.timed(l, perf::Phase::kApplyOp,
+    ex_.timed(l, Phase::kApplyOp,
               [&] { ex_.apply(l, Fld::kAx, Fld::kX, box); });
   }
 
@@ -250,8 +247,7 @@ class Cycle {
       const bool residual = with_residual && it == iterations - 1;
       const bool restrict_here = residual && restrict;
       ex_.timed(l,
-                restrict_here ? perf::Phase::kFusedDescent
-                              : perf::Phase::kJacobiSweep,
+                restrict_here ? Phase::kFusedDescent : Phase::kJacobiSweep,
                 [&] { ex_.jacobi(l, active, residual, restrict_here); });
       ex_.swap(l);
       if (ca()) st_.ghosts[idx(l)].margin -= lev(l).radius;
@@ -269,9 +265,9 @@ class Cycle {
     real_t alpha_ch = 0.0;
     for (int it = 0; it < iterations; ++it) {
       const Box active = prepare_sweep(l);
-      ex_.timed(l, perf::Phase::kApplyOp,
+      ex_.timed(l, Phase::kApplyOp,
                 [&] { ex_.apply(l, Fld::kAx, Fld::kX, active); });
-      ex_.timed(l, perf::Phase::kSmoothResidual, [&] {
+      ex_.timed(l, Phase::kSmoothResidual, [&] {
         ex_.residual(l, active);
         // Chebyshev recurrence on the diagonally preconditioned residual
         // (D^-1 A has spectrum in [lambda_min, lambda_max]).
@@ -303,8 +299,7 @@ class Cycle {
         // neighbor values: exchange before each half-sweep.
         for (int c = 0; c < 2; ++c) {
           exchange_for_smooth(l);
-          ex_.timed(l, perf::Phase::kSmooth,
-                    [&] { ex_.gs_color(l, c, interior); });
+          ex_.timed(l, Phase::kSmooth, [&] { ex_.gs_color(l, c, interior); });
         }
         g.margin = 0;
         continue;
@@ -313,7 +308,7 @@ class Cycle {
       if (g.margin < 2 || !g.b_valid) exchange_for_smooth(l);
       const Box red_box = L.grid->grow_unwrapped(interior, g.margin - 1);
       const Box black_box = L.grid->grow_unwrapped(interior, g.margin - 2);
-      ex_.timed(l, perf::Phase::kSmooth, [&] {
+      ex_.timed(l, Phase::kSmooth, [&] {
         ex_.gs_color(l, 0, red_box);
         ex_.gs_color(l, 1, black_box);
       });
@@ -326,10 +321,9 @@ class Cycle {
     if (restrict) {
       // Fused tail: r and its restriction into the coarse RHS in one
       // pass per brick.
-      ex_.timed(l, perf::Phase::kFusedDescent,
-                [&] { ex_.residual_restrict(l); });
+      ex_.timed(l, Phase::kFusedDescent, [&] { ex_.residual_restrict(l); });
     } else {
-      ex_.timed(l, perf::Phase::kResidual, [&] { ex_.residual(l, interior); });
+      ex_.timed(l, Phase::kResidual, [&] { ex_.residual(l, interior); });
     }
   }
 
@@ -339,7 +333,7 @@ class Cycle {
       smooth_level(l, o_.bottom_smooths, /*with_residual=*/false,
                    /*restrict=*/false);
     } else {
-      ex_.timed(l, perf::Phase::kBottomSolve, [&] { bottom_cg(l); });
+      ex_.timed(l, Phase::kBottomSolve, [&] { bottom_cg(l); });
     }
   }
 
@@ -427,19 +421,17 @@ class Cycle {
     const bool fuses = L.plan.fuses_restriction();
     smooth_level(l, o_.smooths, /*with_residual=*/true, fuses);
     if (!fuses) {
-      ex_.timed(l, perf::Phase::kRestriction,
-                [&] { ex_.restriction(l, Fld::kR); });
+      ex_.timed(l, Phase::kRestriction, [&] { ex_.restriction(l, Fld::kR); });
     }
     cg.b_valid = false;
-    ex_.timed(l + 1, perf::Phase::kInitZero,
+    ex_.timed(l + 1, Phase::kInitZero,
               [&] { ex_.init_zero_x(l + 1, stored_cells(l + 1)); });
     cg.margin = coarse.shape.bx;  // zero ghosts are valid
 
     cycle_at(l + 1);
     if (o_.cycle == CycleType::kW) cycle_at(l + 1);
 
-    ex_.timed(l, perf::Phase::kInterpIncrement,
-              [&] { ex_.interp_increment(l); });
+    ex_.timed(l, Phase::kInterpIncrement, [&] { ex_.interp_increment(l); });
     st_.ghosts[idx(l)].margin = 0;  // interior changed; ghosts are stale
     // The ascent leaves no residual: the next descent or convergence
     // check rewrites r before anything reads it.

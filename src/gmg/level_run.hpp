@@ -6,7 +6,8 @@
 // choice come from the solo hierarchy's MgLevel and its KernelPlan
 // (kernel_plan.hpp), and the kernels are the one K-generic set, so a
 // batched solve issues exactly the solo launches, one stretched
-// exchange round per aggregated exchange.
+// exchange round per aggregated exchange, and is timed by the same
+// phase spans.
 #pragma once
 
 #include <utility>
@@ -25,21 +26,17 @@ namespace gmg {
 template <class Level>
 class LevelRun {
  public:
-  /// Runs over `levels`, the solve fields of `s`'s hierarchy; timed by
-  /// `prof` when given.
+  /// Runs over `levels`, the solve fields of `s`'s hierarchy.
   LevelRun(const GmgSolver& s, std::vector<Level>& levels,
-           perf::Profiler* prof, comm::Communicator& comm)
-      : s_(s), levels_(levels), prof_(prof), comm_(comm) {}
+           comm::Communicator& comm)
+      : s_(s), levels_(levels), comm_(comm) {}
 
   int k() const { return static_cast<int>(lanes(levels_.front().x)); }
   /// The fused residual + max-norm yields one norm: the one lane's.
   bool fuses_norm() const { return k() == 1; }
   template <class Fn>
-  void timed(int l, perf::Phase phase, Fn&& fn) {
-    if (prof_ != nullptr)
-      prof_->timed(l, phase, std::forward<Fn>(fn));
-    else
-      fn();
+  void timed(int l, Phase phase, Fn&& fn) {
+    timed_phase(l, phase, std::forward<Fn>(fn));
   }
 
   // Exchange primitives: the only direct exchange-engine calls of a
@@ -132,7 +129,6 @@ class LevelRun {
 
   const GmgSolver& s_;
   std::vector<Level>& levels_;
-  perf::Profiler* prof_;
   comm::Communicator& comm_;
 };
 

@@ -43,7 +43,7 @@ class Record {
   int k() const { return k_; }
   bool fuses_norm() const { return k_ == 1; }
   template <class Fn>
-  void timed(int, perf::Phase, Fn&& fn) {
+  void timed(int, Phase, Fn&& fn) {
     fn();
   }
   void exchange(int l, const FieldSet& fs);

@@ -39,8 +39,7 @@ static_assert(check::interpolation_trilinear_shape().num_taps() == 27,
 
 namespace {
 
-/// The solo solve's executor: the hierarchy's own fields, every phase
-/// timed by the solver's profiler.
+/// The solo solve's executor: the hierarchy's own fields.
 using Run = LevelRun<MgLevel>;
 
 }  // namespace
@@ -202,7 +201,7 @@ void GmgSolver::set_coefficient(
     levels_[l].coef = BrickedArray(levels_[l].grid, levels_[l].shape);
     restriction(levels_[l].coef, levels_[l - 1].coef);
   }
-  Run ex(*this, levels_, &profiler_, comm);
+  Run ex(*this, levels_, comm);
   for (MgLevel& lev : levels_) {
     lev.varcoef = true;
     ex.exchange(lev.level, lev.coef);
@@ -224,20 +223,20 @@ void GmgSolver::set_coefficient(
 
 void GmgSolver::vcycle(comm::Communicator& comm) {
   // Umbrella span so the timeline shows cycle boundaries around the
-  // per-phase spans Profiler::timed emits.
+  // per-phase spans LevelRun::timed emits.
   trace::TraceSpan span("gmg.vcycle");
-  Run ex(*this, levels_, &profiler_, comm);
+  Run ex(*this, levels_, comm);
   Cycle<Run>(*this, ex, cycle_).vcycle();
 }
 
 void GmgSolver::fmg(comm::Communicator& comm) {
   trace::TraceSpan span("gmg.fmg");
-  Run ex(*this, levels_, &profiler_, comm);
+  Run ex(*this, levels_, comm);
   Cycle<Run>(*this, ex, cycle_).fmg();
 }
 
 real_t GmgSolver::residual_norm(comm::Communicator& comm) {
-  Run ex(*this, levels_, &profiler_, comm);
+  Run ex(*this, levels_, comm);
   const std::uint8_t active = 1;
   real_t res = 0;
   Cycle<Run>(*this, ex, cycle_).residual_norms(&active, &res);
@@ -245,13 +244,13 @@ real_t GmgSolver::residual_norm(comm::Communicator& comm) {
 }
 
 real_t GmgSolver::residual_norm_l2(comm::Communicator& comm) {
-  Run ex(*this, levels_, &profiler_, comm);
+  Run ex(*this, levels_, comm);
   return std::sqrt(Cycle<Run>(*this, ex, cycle_).residual_norm_l2());
 }
 
 SolveResult GmgSolver::solve(comm::Communicator& comm,
                              const SolveControl* control) {
-  Run ex(*this, levels_, &profiler_, comm);
+  Run ex(*this, levels_, comm);
   Cycle<Run> cycle(*this, ex, cycle_);
   std::vector<SolveResult> results =
       solve_loop(cycle, {{opts_.tolerance, opts_.max_vcycles, control}},

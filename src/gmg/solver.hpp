@@ -13,7 +13,6 @@
 #include "exec/runtime.hpp"
 #include "gmg/cycle_state.hpp"
 #include "gmg/level.hpp"
-#include "perf/profiler.hpp"
 
 namespace gmg {
 
@@ -215,9 +214,6 @@ class GmgSolver {
   const BrickedArray& solution() const { return levels_.front().x; }
   BrickedArray& solution() { return levels_.front().x; }
 
-  perf::Profiler& profiler() { return profiler_; }
-  const perf::Profiler& profiler() const { return profiler_; }
-
  private:
   /// Resolve every level's KernelPlan (kernel bindings + fusion
   /// predicate). Called from the constructor and again from
@@ -228,7 +224,6 @@ class GmgSolver {
   CartDecomp decomp_;
   int rank_;
   std::vector<MgLevel> levels_;
-  perf::Profiler profiler_;
   /// The cycle's ghost bookkeeping and bottom-CG scratch (gmg/cycle.hpp).
   CycleState cycle_;
 };

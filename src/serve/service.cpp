@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <sstream>
 
 #include "batch/batched_solver.hpp"
@@ -444,7 +443,6 @@ void SolveService::complete(const std::shared_ptr<detail::RequestState>& rs,
     switch (status) {
       case RequestStatus::kDone:
         ++completed_;
-        latency_samples_.push_back(rs->result.total_seconds);
         trace::counter_add("serve.completed", 1);
         break;
       case RequestStatus::kCancelled:
@@ -503,45 +501,6 @@ void SolveService::shutdown() {
   }
 }
 
-namespace {
-
-double percentile(std::vector<double> sorted, double p) {
-  if (sorted.empty()) return 0;
-  const std::size_t idx = static_cast<std::size_t>(
-      std::min<double>(static_cast<double>(sorted.size()) - 1,
-                       std::ceil(p * static_cast<double>(sorted.size())) - 1));
-  return sorted[idx];
-}
-
-}  // namespace
-
-ServiceReport SolveService::report() const {
-  ServiceReport rep;
-  std::vector<double> samples;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    rep.submitted = submitted_;
-    rep.completed = completed_;
-    rep.cancelled = cancelled_;
-    rep.expired = expired_;
-    rep.rejected = rejected_;
-    rep.failed = failed_;
-    rep.queue_depth = queue_.size();
-    rep.queue_high_water = queue_high_water_;
-    rep.batch_solves = batch_solves_;
-    rep.batch_requests = batch_requests_;
-    samples = latency_samples_;
-  }
-  rep.schedules_verified = check::schedules_verified();
-  rep.cache = cache_.stats();
-  std::sort(samples.begin(), samples.end());
-  rep.latency_p50 = percentile(samples, 0.50);
-  rep.latency_p99 = percentile(samples, 0.99);
-  rep.latency_p999 = percentile(samples, 0.999);
-  rep.latency_max = samples.empty() ? 0 : samples.back();
-  return rep;
-}
-
 ServiceStats SolveService::stats() const {
   ServiceStats s;
   {
@@ -554,33 +513,14 @@ ServiceStats SolveService::stats() const {
     s.rejected = rejected_;
     s.failed = failed_;
     s.queue_depth = queue_.size();
+    s.queue_high_water = queue_high_water_;
     s.inflight = inflight_;
     s.batch_solves = batch_solves_;
     s.batch_requests = batch_requests_;
   }
-  s.cache_hit_ratio = cache_.stats().hit_ratio();
+  s.cache = cache_.stats();
   s.schedules_verified = check::schedules_verified();
   return s;
-}
-
-std::string ServiceReport::to_string() const {
-  std::ostringstream os;
-  os << "serve: submitted=" << submitted << " done=" << completed
-     << " cancelled=" << cancelled << " expired=" << expired
-     << " rejected=" << rejected << " failed=" << failed
-     << " queue=" << queue_depth << " (hwm " << queue_high_water << ")\n"
-     << "cache: hits=" << cache.hits << " misses=" << cache.misses
-     << " evictions=" << cache.evictions << " idle=" << cache.idle_entries
-     << " hit_ratio=" << cache.hit_ratio() << "\n"
-     << "batch: solves=" << batch_solves << " requests=" << batch_requests
-     << " occupancy="
-     << (batch_solves ? static_cast<double>(batch_requests) /
-                            static_cast<double>(batch_solves)
-                      : 0.0)
-     << " schedules_verified=" << schedules_verified << "\n"
-     << "latency: p50=" << latency_p50 << "s p99=" << latency_p99
-     << "s p999=" << latency_p999 << "s max=" << latency_max << "s\n";
-  return os.str();
 }
 
 }  // namespace gmg::serve

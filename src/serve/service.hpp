@@ -147,12 +147,13 @@ struct ServeConfig {
   double max_batch_hold_seconds = 0.002;
 };
 
-/// Live admission-level counters, cheap enough to sample per request
-/// (one mutex, no latency sort). The front tier's load-shedder reads
-/// these at frame-decode frequency; report() is the human-facing
-/// superset. All counters are also exported as trace counters
-/// (serve.accepted, serve.rejected, serve.cancelled, serve.expired,
-/// serve.completed, serve.failed, serve.cache_hits,
+/// The service's one stats snapshot, cheap enough to sample per request
+/// (one mutex each for the service and its cache). The front tier's
+/// load-shedder reads it at frame-decode frequency. Request latencies
+/// are the callers' to aggregate (RequestResult::total_seconds, and
+/// the serve.request spans). All counters are also exported as trace
+/// counters (serve.accepted, serve.rejected, serve.cancelled,
+/// serve.expired, serve.completed, serve.failed, serve.cache_hits,
 /// serve.cache_misses; queue depth is the difference of the monotonic
 /// serve.enqueued/serve.dequeued pair).
 struct ServiceStats {
@@ -164,9 +165,10 @@ struct ServiceStats {
   std::uint64_t rejected = 0;
   std::uint64_t failed = 0;
   std::size_t queue_depth = 0;
+  std::size_t queue_high_water = 0;
   /// Admitted but not yet complete (queued + executing).
   std::size_t inflight = 0;
-  double cache_hit_ratio = 0;
+  HierarchyCache::Stats cache;
   /// Coalescer tallies: batched solve invocations (K >= 2) and the
   /// requests they carried. requests/solves = mean batch occupancy.
   std::uint64_t batch_solves = 0;
@@ -175,30 +177,6 @@ struct ServiceStats {
   /// (GMG_VERIFY_SCHEDULE): every hierarchy the cache built — solo,
   /// batched, composite — was statically verified this many times.
   std::uint64_t schedules_verified = 0;
-};
-
-/// Point-in-time service metrics (report()).
-struct ServiceReport {
-  std::uint64_t submitted = 0;
-  std::uint64_t completed = 0;  // kDone
-  std::uint64_t cancelled = 0;
-  std::uint64_t expired = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t failed = 0;
-  std::size_t queue_depth = 0;
-  std::size_t queue_high_water = 0;
-  std::uint64_t batch_solves = 0;
-  std::uint64_t batch_requests = 0;
-  std::uint64_t schedules_verified = 0;
-  HierarchyCache::Stats cache;
-  /// Total request latency (submission to completion) over finished
-  /// requests, seconds. Nearest-rank percentiles.
-  double latency_p50 = 0;
-  double latency_p99 = 0;
-  double latency_p999 = 0;
-  double latency_max = 0;
-
-  std::string to_string() const;
 };
 
 /// The hierarchy-cache key for (domain, operator): everything that
@@ -233,16 +211,13 @@ class SolveService {
   /// any submitter blocked on backpressure wakes with that rejection
   /// instead of deadlocking), then block until everything already
   /// admitted — queued or executing — has completed. Executors stay
-  /// alive; report()/stats() remain valid. Idempotent.
+  /// alive; stats() remains valid. Idempotent.
   void drain();
 
   /// Stop admitting, finish everything queued, join the executors.
   /// Idempotent; the destructor calls it.
   void shutdown();
 
-  ServiceReport report() const;
-
-  /// Cheap live counters (no latency percentile sort).
   ServiceStats stats() const;
 
   const ServeConfig& config() const { return config_; }
@@ -289,7 +264,6 @@ class SolveService {
   /// Arrival-rate estimate feeding the adaptive hold window.
   double ewma_interarrival_s_ = 0;
   std::uint64_t last_enqueue_ns_ = 0;
-  std::vector<double> latency_samples_;
 
   std::vector<std::thread> executors_;
 };

@@ -5,7 +5,6 @@
 #include <limits>
 #include <sstream>
 
-#include "common/stats.hpp"
 #include "trace/metrics.hpp"
 
 namespace gmg::trace {
@@ -80,13 +79,17 @@ std::vector<RankSummary> per_rank_summary(const Snapshot& snap) {
   return out;
 }
 
-std::string profiler_format(const Snapshot& snap) {
-  std::map<std::pair<int, std::string>, RunningStats> stats;
+LevelStats level_stats(const Snapshot& snap, int rank) {
+  LevelStats stats;
   for (const SpanRecord& s : snap.spans)
-    if (s.level >= 0) stats[{s.level, s.name}].add(s.seconds());
+    if (s.level >= 0 && (rank < 0 || s.rank == rank))
+      stats[{s.level, s.name}].add(s.seconds());
+  return stats;
+}
 
+std::string format_level_stats(const Snapshot& snap, int rank) {
   std::ostringstream os;
-  for (const auto& [key, st] : stats) {
+  for (const auto& [key, st] : level_stats(snap, rank)) {
     os << "level " << key.first << ' ' << key.second << ' ' << st.summary()
        << '\n';
   }
@@ -115,8 +118,7 @@ std::string render_report(const Snapshot& snap) {
     exch_sum += r.exchange_s;
   }
   os << "exchange-wait sum across ranks: " << seconds_str(wait_sum) << " s\n";
-  os << "exchange total across ranks:    " << seconds_str(exch_sum)
-     << " s  (compare: Profiler kExchange aggregate)\n";
+  os << "exchange total across ranks:    " << seconds_str(exch_sum) << " s\n";
 
   os << "\n-- per-rank critical path (top self-time spans) --\n";
   for (const RankSummary& r : ranks) {
@@ -155,7 +157,7 @@ std::string render_report(const Snapshot& snap) {
          << "\n";
   }
 
-  const std::string prof = profiler_format(snap);
+  const std::string prof = format_level_stats(snap);
   if (!prof.empty()) {
     os << "\n-- per-(level, phase) profile (artifact format) --\n" << prof;
   }

@@ -1,13 +1,15 @@
 // Sink 3: human-readable reports over a trace snapshot — the per-rank
 // timeline/critical-path/exchange-wait breakdowns printed by
 // tools/trace_report, and the artifact-format per-(level, phase)
-// profile that subsumes the legacy perf::Profiler output.
+// profile of the solvers' phase spans (gmg/phase.hpp).
 #pragma once
 
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/stats.hpp"
 #include "trace/trace.hpp"
 
 namespace gmg::trace {
@@ -19,8 +21,8 @@ struct RankSummary {
   /// Sum of top-level (un-nested) span durations — the rank's busy
   /// time; wall - busy is idle/untraced time.
   double busy_s = 0;
-  /// Total of the solver's "exchange" phase spans (perf::Profiler
-  /// kExchange umbrella; 0 when exchange ran outside the solver).
+  /// Total of the solver's "exchange" phase spans (the umbrella over
+  /// the exchange.* spans; 0 when exchange ran outside the solver).
   double exchange_s = 0;
   /// Total of "exchange.wait" spans — time blocked in wait_all inside
   /// the ghost exchange, the rank-skew signal.
@@ -32,11 +34,16 @@ struct RankSummary {
 
 std::vector<RankSummary> per_rank_summary(const Snapshot& snap);
 
-/// Artifact-format per-(level, phase) lines derived purely from the
-/// levelled spans, e.g.
+/// Per-(level, span name) stats over the levelled spans — the solvers'
+/// phase spans — of rank `rank`, or of every rank pooled when -1: one
+/// sample per span invocation. A cross-rank profile reduces each
+/// rank's map (sum() per key) across ranks.
+using LevelStats = std::map<std::pair<int, std::string>, RunningStats>;
+LevelStats level_stats(const Snapshot& snap, int rank = -1);
+
+/// Artifact-format lines of level_stats(snap, rank), e.g.
 ///   level 0 applyOp [0.000112, 0.000119, 0.000140] (σ: 7.1e-06)
-/// Stats are over individual span invocations pooled across ranks.
-std::string profiler_format(const Snapshot& snap);
+std::string format_level_stats(const Snapshot& snap, int rank = -1);
 
 /// The full trace_report rendering: per-rank table, critical-path
 /// decomposition, aggregated span metrics, counters, and the

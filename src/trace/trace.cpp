@@ -277,21 +277,13 @@ TraceSpan::TraceSpan(const char* name, Category cat, int level) {
   level_ = level;
   recording_ = enabled();
   t0_ = now_ns();
-  open_ = true;
 }
 
-TraceSpan::~TraceSpan() { close(); }
-
-double TraceSpan::close() {
-  if (!open_) return 0.0;
-  open_ = false;
-  const std::uint64_t t1 = now_ns();
-  if (recording_) push_event(name_, cat_, level_, t0_, t1 - t0_);
-  return static_cast<double>(t1 - t0_) * 1e-9;
+TraceSpan::~TraceSpan() {
+  if (recording_) push_event(name_, cat_, level_, t0_, now_ns() - t0_);
 }
 
 double TraceSpan::elapsed() const {
-  if (!open_) return 0.0;
   return static_cast<double>(now_ns() - t0_) * 1e-9;
 }
 

@@ -14,8 +14,8 @@
 // thread via set_rank(), so a collected snapshot can be rendered with
 // one Chrome-trace pid per simulated rank and exchange overlap across
 // ranks is visible on a shared timeline (chrome_trace.hpp). Aggregated
-// views (metrics.hpp, report.hpp) and the legacy perf::Profiler are
-// all consumers of the same snapshots.
+// views (metrics.hpp, and report.hpp's per-(level, phase) profile,
+// level_stats) are consumers of the same snapshots.
 //
 // Span names must be string literals (or otherwise outlive the
 // registry); the recorder stores the pointer, not a copy.
@@ -65,9 +65,7 @@ void set_rank(int rank);
 int current_rank();
 
 /// RAII span guard: opens at construction, records one completed event
-/// at destruction (or at an explicit close(), which also returns the
-/// elapsed seconds — used by perf::Profiler so its aggregates and the
-/// timeline share one measurement).
+/// at destruction when tracing was enabled at construction.
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name, Category cat = Category::kCompute,
@@ -76,13 +74,7 @@ class TraceSpan {
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
-  /// End the span now and return its duration in seconds; idempotent
-  /// (later calls return 0). The event is recorded only if tracing was
-  /// enabled at construction, but the measurement is always valid, so
-  /// perf::Profiler keeps working with tracing off.
-  double close();
-
-  /// Seconds since construction without closing.
+  /// Seconds since construction; valid with tracing off too.
   double elapsed() const;
 
  private:
@@ -90,7 +82,6 @@ class TraceSpan {
   std::uint64_t t0_ = 0;
   int level_ = -1;
   Category cat_ = Category::kOther;
-  bool open_ = false;     // still needs close()
   bool recording_ = false;  // tracing was enabled at construction
 };
 

@@ -16,7 +16,9 @@
 #include <vector>
 
 #include "batch/batched_solver.hpp"
+#include "gmg/phase.hpp"
 #include "gmg/solver.hpp"
+#include "trace/report.hpp"
 #include "trace/trace.hpp"
 
 namespace gmg {
@@ -431,6 +433,61 @@ TEST(BatchedExchange, KWaySolveUsesSoloExchangeRounds) {
   }
   trace::set_enabled(false);
   trace::clear();
+}
+
+// A batched solve is timed by the solo phase spans: on one hierarchy, a
+// 2-cycle K = 2 solve records the (level, phase) keys of a 2-cycle solo
+// solve, with the same counts. The level-0 norm phases are the
+// exception: the batched norm runs the residual once and the max-norm
+// per lane, where the solo norm fuses them into one maxNorm.
+TEST(BatchedTiming, BatchedSolveRecordsTheSoloPhaseSpans) {
+  const bool was = trace::enabled();
+  trace::set_enabled(true);
+  const CartDecomp decomp({16, 16, 16}, {1, 1, 1});
+  trace::LevelStats solo, batched;
+  comm::World world(1);
+  world.run([&](comm::Communicator& c) {
+    GmgSolver solver(small_options(), decomp, 0);
+    trace::clear();
+    (void)run_solo(c, solver, decomp.subdomain_extent(), rhs_a,
+                   /*tolerance=*/0.0, /*max_vcycles=*/2);
+    solo = trace::level_stats(trace::collect());
+
+    batch::BatchedSolver bs(solver, 2);
+    bs.set_rhs({rhs_a, rhs_b});
+    std::vector<batch::BatchSolveSpec> specs(2);
+    for (auto& s : specs) {
+      s.tolerance = 0.0;
+      s.max_vcycles = 2;
+    }
+    trace::clear();
+    (void)bs.solve(c, specs);
+    batched = trace::level_stats(trace::collect());
+  });
+  trace::set_enabled(was);
+
+  const auto is_norm = [](const std::pair<int, std::string>& key) {
+    return key.first == 0 && (key.second == phase_name(Phase::kResidual) ||
+                              key.second == phase_name(Phase::kMaxNorm));
+  };
+  const auto count = [](const trace::LevelStats& stats,
+                        const std::pair<int, std::string>& key) {
+    const auto it = stats.find(key);
+    return it == stats.end() ? std::uint64_t{0} : it->second.count();
+  };
+  ASSERT_FALSE(solo.empty());
+  for (const trace::LevelStats* stats : {&solo, &batched}) {
+    for (const auto& [key, st] : *stats) {
+      if (is_norm(key)) continue;
+      EXPECT_EQ(count(batched, key), count(solo, key))
+          << "level " << key.first << " " << key.second;
+    }
+  }
+  // Three norms (the initial one and one per cycle), one max-norm per
+  // lane each.
+  const std::pair<int, std::string> max_norm{0, phase_name(Phase::kMaxNorm)};
+  EXPECT_EQ(count(solo, max_norm), 3u);
+  EXPECT_EQ(count(batched, max_norm), 6u);
 }
 
 TEST(BatchedArray, LayoutIsRhsInnermost) {

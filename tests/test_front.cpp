@@ -118,6 +118,26 @@ TEST(ShardRouterTest, WalkStartsAtRouteAndListsEveryShardOnce) {
   }
 }
 
+TEST(ShardRouterTest, VnodesSpreadTheKeySpace) {
+  // A shard's vnode points scatter over the ring instead of forming one
+  // arc, so every shard owns close to 1/N of the keys.
+  constexpr int kKeys = 100000;
+  const std::vector<std::string> keys = test_keys(kKeys);
+  for (const int shards : {2, 3, 4, 8}) {
+    const ShardRouter router(shards);
+    std::vector<int> hits(static_cast<std::size_t>(shards), 0);
+    for (const std::string& key : keys)
+      ++hits[static_cast<std::size_t>(router.route(key))];
+    for (int s = 0; s < shards; ++s) {
+      const double share_times_n =
+          static_cast<double>(hits[static_cast<std::size_t>(s)]) * shards /
+          kKeys;
+      EXPECT_GE(share_times_n, 0.5) << shards << " shards, shard " << s;
+      EXPECT_LE(share_times_n, 1.5) << shards << " shards, shard " << s;
+    }
+  }
+}
+
 TEST(BoundedLoadTest, CapIsOnePlusEpsilonTimesTheMean) {
   EXPECT_EQ(ShardRouter::kLoadSlack, 0.25);
   EXPECT_EQ(ShardRouter::load_cap(0, 2), 1u);  // idle: ring shard
@@ -359,7 +379,7 @@ TEST(ServeStatsTest, CountersTrackOutcomes) {
   EXPECT_EQ(stats.completed, 3u);
   EXPECT_EQ(stats.inflight, 0u);
   // One cold setup, then cache hits.
-  EXPECT_GT(stats.cache_hit_ratio, 0.5);
+  EXPECT_GT(stats.cache.hit_ratio(), 0.5);
 }
 
 TEST(FrontServerTest, OnCompleteCallbackFires) {

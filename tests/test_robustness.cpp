@@ -8,7 +8,6 @@
 #include "gmg/operators.hpp"
 #include "gmg/solver.hpp"
 #include "perf/movement.hpp"
-#include "perf/profiler.hpp"
 #include "tests/test_util.hpp"
 
 namespace gmg {
@@ -78,15 +77,6 @@ TEST(SolverContracts, UnsupportedBrickShapes) {
   EXPECT_THROW(with_brick_dims(BrickShape::cube(16), [](auto) {}), Error);
 }
 
-TEST(ProfilerContracts, MissingKeyThrows) {
-  perf::Profiler prof;
-  EXPECT_THROW(prof.stats(0, perf::Phase::kApplyOp), Error);
-  prof.record(0, perf::Phase::kApplyOp, 0.5);
-  EXPECT_NO_THROW(prof.stats(0, perf::Phase::kApplyOp));
-  EXPECT_EQ(prof.max_level(), 0);
-  prof.clear();
-  EXPECT_EQ(prof.max_level(), -1);
-}
 
 TEST(MovementContracts, OddExtentRejected) {
   EXPECT_THROW(perf::measure_movement(arch::Op::kApplyOp,

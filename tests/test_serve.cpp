@@ -154,7 +154,7 @@ TEST(SolveService, CachedHierarchySolvesBitwiseIdenticalToCold) {
     EXPECT_EQ(res.solution, first.solution);
   }
 
-  const ServiceReport rep = service.report();
+  const ServiceStats rep = service.stats();
   EXPECT_EQ(rep.cache.hits, 3u);
   EXPECT_EQ(rep.cache.misses, 1u);
 }
@@ -212,7 +212,7 @@ TEST(SolveService, EightConcurrentClientsMatchSequentialBitwise) {
     EXPECT_EQ(res.solve.history, ref.result.history) << "client " << i;
     ASSERT_EQ(res.solution, ref.solution) << "client " << i;
   }
-  const ServiceReport rep = service.report();
+  const ServiceStats rep = service.stats();
   EXPECT_EQ(rep.completed, static_cast<std::uint64_t>(kClients));
 }
 
@@ -253,7 +253,7 @@ TEST(SolveService, EvictsLeastRecentlyUsedHierarchy) {
   ASSERT_EQ(again.status, RequestStatus::kDone);
   EXPECT_FALSE(again.cache_hit);
 
-  const ServiceReport rep = service.report();
+  const ServiceStats rep = service.stats();
   EXPECT_EQ(rep.cache.misses, 3u);
   EXPECT_GE(rep.cache.evictions, 1u);
   EXPECT_LE(rep.cache.idle_entries, 1u);
@@ -292,7 +292,7 @@ TEST(SolveService, QueueFullBackpressure) {
   EXPECT_EQ(running.get().status, RequestStatus::kDone);
   EXPECT_EQ(queued.get().status, RequestStatus::kDone);
   EXPECT_EQ(blocked.get().status, RequestStatus::kDone);
-  const ServiceReport rep = service.report();
+  const ServiceStats rep = service.stats();
   EXPECT_EQ(rep.rejected, 1u);
   EXPECT_EQ(rep.completed, 3u);
   EXPECT_EQ(rep.queue_high_water, 1u);
@@ -382,7 +382,7 @@ TEST(SolveService, CancelWhileQueuedAndWhileRunning) {
   EXPECT_EQ(r.solve.vcycles, 0);
   EXPECT_FALSE(running.cancel());  // already complete
 
-  const ServiceReport rep = service.report();
+  const ServiceStats rep = service.stats();
   EXPECT_EQ(rep.cancelled, 2u);
 }
 
@@ -419,7 +419,7 @@ TEST(SolveService, DeadlineExpiresBeforeAndDuringExecution) {
   EXPECT_EQ(r.status, RequestStatus::kExpired);
   EXPECT_TRUE(r.solve.cancelled);
 
-  const ServiceReport rep = service.report();
+  const ServiceStats rep = service.stats();
   EXPECT_EQ(rep.expired, 2u);
 }
 
@@ -764,9 +764,6 @@ TEST(BatchCoalescer, CoalescedBatchBitwiseMatchesSoloService) {
     const ServiceStats stats = service.stats();
     EXPECT_EQ(stats.batch_solves, 1u);
     EXPECT_EQ(stats.batch_requests, 3u);
-    const ServiceReport rep = service.report();
-    EXPECT_EQ(rep.batch_solves, 1u);
-    EXPECT_EQ(rep.batch_requests, 3u);
   }
 }
 

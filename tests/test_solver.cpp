@@ -12,8 +12,10 @@
 
 #include "baseline/solver_array.hpp"
 #include "gmg/operators.hpp"
+#include "gmg/phase.hpp"
 #include "gmg/solver.hpp"
 #include "tests/test_util.hpp"
+#include "trace/report.hpp"
 
 namespace gmg {
 namespace {
@@ -356,36 +358,45 @@ TEST(ArrayBaseline, ConvergesToSameSolutionAsBricks) {
   });
 }
 
-TEST(GmgSolver, ProfilerRecordsAllPhases) {
+/// Whether `stats` holds phase p at level l.
+bool has(const trace::LevelStats& stats, int l, Phase p) {
+  return stats.count({l, phase_name(p)}) != 0;
+}
+
+TEST(GmgSolver, TraceRecordsAllPhases) {
+  const bool was = trace::enabled();
+  trace::set_enabled(true);
   const CartDecomp decomp({32, 32, 32}, {1, 1, 1});
   comm::World world(1);
   world.run([&](comm::Communicator& c) {
     GmgSolver solver(small_options(4, 3), decomp, 0);
     solver.set_rhs(sine_rhs);
+    trace::clear();
     solver.vcycle(c);
-    const auto& prof = solver.profiler();
+    const trace::Snapshot snap = trace::collect();
+    const trace::LevelStats prof = trace::level_stats(snap);
     // Jacobi sweeps run as one pass per brick (DESIGN.md §16) and are
     // labelled as such, not as a separate applyOp + smooth+residual.
-    EXPECT_TRUE(prof.has(0, perf::Phase::kJacobiSweep));
-    EXPECT_FALSE(prof.has(0, perf::Phase::kApplyOp));
-    EXPECT_FALSE(prof.has(0, perf::Phase::kSmoothResidual));
+    EXPECT_TRUE(has(prof, 0, Phase::kJacobiSweep));
+    EXPECT_FALSE(has(prof, 0, Phase::kApplyOp));
+    EXPECT_FALSE(has(prof, 0, Phase::kSmoothResidual));
     // With the default fused descent (DESIGN.md §16) the final
     // smooth+residual and the restriction merge into one phase.
     // Branch on the solver's resolved option so the suite also passes
     // under a GMG_FUSE_STAGES CI override.
     if (solver.options().fuse_stages) {
-      EXPECT_TRUE(prof.has(0, perf::Phase::kFusedDescent));
-      EXPECT_FALSE(prof.has(0, perf::Phase::kRestriction));
+      EXPECT_TRUE(has(prof, 0, Phase::kFusedDescent));
+      EXPECT_FALSE(has(prof, 0, Phase::kRestriction));
     } else {
-      EXPECT_TRUE(prof.has(0, perf::Phase::kRestriction));
-      EXPECT_FALSE(prof.has(0, perf::Phase::kFusedDescent));
+      EXPECT_TRUE(has(prof, 0, Phase::kRestriction));
+      EXPECT_FALSE(has(prof, 0, Phase::kFusedDescent));
     }
-    EXPECT_TRUE(prof.has(0, perf::Phase::kInterpIncrement));
-    EXPECT_TRUE(prof.has(0, perf::Phase::kExchange));
-    EXPECT_TRUE(prof.has(2, perf::Phase::kJacobiSweep));  // bottom solver
-    EXPECT_GT(prof.level_total(0), 0.0);
+    EXPECT_TRUE(has(prof, 0, Phase::kInterpIncrement));
+    EXPECT_TRUE(has(prof, 0, Phase::kExchange));
+    EXPECT_TRUE(has(prof, 2, Phase::kJacobiSweep));  // bottom solver
+    EXPECT_GT(prof.at({0, phase_name(Phase::kJacobiSweep)}).sum(), 0.0);
     // Report contains artifact-style lines.
-    const std::string report = prof.report();
+    const std::string report = trace::format_level_stats(snap);
     EXPECT_NE(report.find("level 0 applyOp+smooth ["), std::string::npos);
 
     // Split configuration: the separate restriction phase comes back
@@ -394,13 +405,15 @@ TEST(GmgSolver, ProfilerRecordsAllPhases) {
     split.fuse_stages = false;
     GmgSolver split_solver(split, decomp, 0);
     split_solver.set_rhs(sine_rhs);
+    trace::clear();
     split_solver.vcycle(c);
+    const trace::LevelStats split_prof = trace::level_stats(trace::collect());
     if (!split_solver.options().fuse_stages) {
-      EXPECT_TRUE(split_solver.profiler().has(0, perf::Phase::kRestriction));
-      EXPECT_FALSE(
-          split_solver.profiler().has(0, perf::Phase::kFusedDescent));
+      EXPECT_TRUE(has(split_prof, 0, Phase::kRestriction));
+      EXPECT_FALSE(has(split_prof, 0, Phase::kFusedDescent));
     }
   });
+  trace::set_enabled(was);
 }
 
 TEST(GmgSolver, WorksWithAllExchangeModes) {

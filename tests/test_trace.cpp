@@ -12,7 +12,6 @@
 
 #include "comm/exchange.hpp"
 #include "comm/simmpi.hpp"
-#include "perf/profiler.hpp"
 #include "trace/chrome_trace.hpp"
 #include "trace/metrics.hpp"
 #include "trace/report.hpp"
@@ -97,26 +96,73 @@ TEST_F(TraceSpans, NestingAcrossThreads) {
 
 TEST_F(TraceSpans, DisabledTracingStillMeasures) {
   set_enabled(false);
-  TraceSpan span("off");
-  const double secs = span.close();
-  EXPECT_GE(secs, 0.0);
-  EXPECT_EQ(span.close(), 0.0);  // idempotent
+  {
+    TraceSpan span("off");
+    const double first = span.elapsed();
+    EXPECT_GE(first, 0.0);
+    EXPECT_GE(span.elapsed(), first);
+  }
   set_enabled(true);
   const Snapshot snap = collect();
   EXPECT_EQ(snap.span_seconds("off"), 0.0);
 }
 
-TEST_F(TraceSpans, ProfilerAggregatesMatchTrace) {
-  perf::Profiler prof;
-  for (int i = 0; i < 5; ++i)
-    prof.timed(1, perf::Phase::kApplyOp, [] {});
+// The artifact's profile (examples/gmg_artifact): each rank's
+// per-(level, phase) sums from level_stats, reduced across ranks.
+using CrossRankReport = TraceTest;
+
+TEST_F(CrossRankReport, StatsSpanTheRanks) {
+  comm::World world(4);
+  world.run([](comm::Communicator&) {
+    for (int i = 0; i < 2; ++i) {
+      TraceSpan span("applyOp", Category::kCompute, 0);
+    }
+    TraceSpan exchange("exchange", Category::kComm, 1);
+    TraceSpan untimed("gmg.vcycle");  // no level: in no profile
+  });
   const Snapshot snap = collect();
-  EXPECT_EQ(summarize(snap).find("applyOp")->count, 5u);
-  const perf::Profiler rebuilt = perf::Profiler::from_trace(snap);
-  ASSERT_TRUE(rebuilt.has(1, perf::Phase::kApplyOp));
-  // The rebuilt total only differs by the ns->s quantization.
-  EXPECT_NEAR(rebuilt.total(1, perf::Phase::kApplyOp),
-              prof.total(1, perf::Phase::kApplyOp), 1e-6);
+  RunningStats across;
+  for (int r = 0; r < 4; ++r) {
+    const LevelStats mine = level_stats(snap, r);
+    ASSERT_EQ(mine.size(), 2u) << "rank " << r;
+    EXPECT_EQ(mine.at({0, "applyOp"}).count(), 2u);
+    EXPECT_EQ(mine.at({1, "exchange"}).count(), 1u);
+    across.add(mine.at({0, "applyOp"}).sum());
+  }
+  EXPECT_EQ(across.count(), 4u);
+  EXPECT_LE(across.min(), across.mean());
+  EXPECT_LE(across.mean(), across.max());
+  // Pooled over ranks: one sample per invocation.
+  EXPECT_EQ(level_stats(snap).at({0, "applyOp"}).count(), 8u);
+}
+
+TEST_F(CrossRankReport, ArtifactFormatLines) {
+  Snapshot snap;
+  const auto span = [&](int rank, int level, const char* name,
+                        std::uint64_t dur_ns) {
+    SpanRecord s;
+    s.name = name;
+    s.rank = rank;
+    s.level = level;
+    s.dur_ns = dur_ns;
+    snap.spans.push_back(s);
+  };
+  for (int r = 0; r < 2; ++r) {
+    span(r, 0, "applyOp", 250'000'000);
+    span(r, 0, "smooth+residual", 500'000'000);
+  }
+  span(1, 2, "smooth", 125'000'000);
+  span(0, -1, "gmg.vcycle", 1'000'000'000);
+  const std::string report = format_level_stats(snap);
+  EXPECT_NE(report.find("level 0 applyOp ["), std::string::npos);
+  EXPECT_NE(report.find("level 0 smooth+residual ["), std::string::npos);
+  EXPECT_NE(report.find("level 2 smooth ["), std::string::npos);
+  EXPECT_NE(report.find("σ"), std::string::npos);
+  EXPECT_EQ(report.find("gmg.vcycle"), std::string::npos);
+  // applyOp identical on both ranks: zero spread.
+  EXPECT_NE(report.find("[0.25, 0.25, 0.25]"), std::string::npos);
+  // One rank's profile holds only its own spans.
+  EXPECT_EQ(format_level_stats(snap, 0).find("level 2"), std::string::npos);
 }
 
 using TraceCounters = TraceTest;

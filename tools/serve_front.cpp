@@ -7,6 +7,7 @@
 // is what ci/tier1.sh runs.
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
