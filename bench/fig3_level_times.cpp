@@ -13,7 +13,6 @@
 #include "bench/bench_util.hpp"
 #include "comm/simmpi.hpp"
 #include "common/table.hpp"
-#include "gmg/phase.hpp"
 #include "gmg/solver.hpp"
 #include "net/net_model.hpp"
 #include "perf/vcycle_model.hpp"
@@ -72,16 +71,13 @@ void modeled_fig3() {
   }
 }
 
-/// One live validation run; returns rank 0's per-(level, phase) stats
-/// so the fused-vs-split comparison below can contrast the smoothing
-/// stages directly. The trace is kept whole for --trace-out, so the
-/// run's phase spans are those that start after it does.
-trace::LevelStats measured_host_run(bool fuse_stages) {
+/// One live validation run, printing rank 0's per-(level, phase)
+/// stats. The trace is kept whole for --trace-out, so the run's phase
+/// spans are those that start after it does.
+void measured_host_run() {
   bench::section(
-      std::string("Fig. 3 validation — live 8-rank run of the same "
-                  "schedule on the host (32^3/rank, 3 levels, "
-                  "artifact-format profile of rank 0), fuse_stages=") +
-      (fuse_stages ? "on" : "off"));
+      "Fig. 3 validation — live 8-rank run of the same schedule on the "
+      "host (32^3/rank, 3 levels, artifact-format profile of rank 0)");
   const CartDecomp decomp({64, 64, 64}, {2, 2, 2});
   comm::World world(8);
   const std::uint64_t start_ns = trace::now_ns();
@@ -93,7 +89,6 @@ trace::LevelStats measured_host_run(bool fuse_stages) {
     opts.brick = BrickShape::cube(4);
     opts.max_vcycles = 2;
     opts.tolerance = 0;  // run exactly max_vcycles
-    opts.fuse_stages = fuse_stages;
     GmgSolver solver(opts, decomp, c.rank());
     solver.set_rhs([](real_t x, real_t y, real_t z) {
       return std::sin(2 * M_PI * x) * std::sin(2 * M_PI * y) *
@@ -122,20 +117,6 @@ trace::LevelStats measured_host_run(bool fuse_stages) {
   for (const auto& [l, total] : level_total)
     std::cout << "level " << l << " total: " << total << " s\n";
   t.print();
-  return stats;
-}
-
-/// Sum of the smoothing and restriction stage walls across levels: the
-/// one-pass Jacobi sweeps, the split restriction and the fused descent
-/// pass that absorbs the last sweep and the restriction.
-double smooth_stage_seconds(const trace::LevelStats& stats) {
-  double s = 0;
-  for (const auto& [key, st] : stats) {
-    for (const Phase p :
-         {Phase::kJacobiSweep, Phase::kRestriction, Phase::kFusedDescent})
-      if (key.second == phase_name(p)) s += st.sum();
-  }
-  return s;
 }
 
 }  // namespace
@@ -144,13 +125,7 @@ int main(int argc, char** argv) {
   const std::string trace_out =
       bench::parse_trace_out(argc, argv, "fig3_level_times");
   modeled_fig3();
-  const trace::LevelStats fused = measured_host_run(/*fuse_stages=*/true);
-  const trace::LevelStats split = measured_host_run(/*fuse_stages=*/false);
-  bench::note(
-      "  smoothing + restriction stages (applyOp+smooth / restriction / "
-      "fused descent), all levels:\n  fused  " +
-      std::to_string(smooth_stage_seconds(fused)) + " s\n  split  " +
-      std::to_string(smooth_stage_seconds(split)) + " s");
+  measured_host_run();
   bench::finish_trace(trace_out);
   return 0;
 }

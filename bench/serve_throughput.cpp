@@ -78,7 +78,7 @@ struct BatchPoint {
 /// per-sweep exchange/dispatch machinery) dominate the arithmetic, so
 /// the sweep runs a small domain; K requests then ride one V-cycle
 /// schedule instead of K.
-BatchPoint run_batch_point(int max_batch, bool fuse_stages = true) {
+BatchPoint run_batch_point(int max_batch) {
   // Tiny requests, deep hierarchy, small bricks: per-sweep fixed costs
   // (exchange rounds, kernel dispatch) dwarf the arithmetic — the
   // regime coalescing targets.
@@ -90,7 +90,6 @@ BatchPoint run_batch_point(int max_batch, bool fuse_stages = true) {
   o.max_vcycles = 40;
   o.brick = BrickShape::cube(2);
   o.max_batch = max_batch;
-  o.fuse_stages = fuse_stages;
 
   ServeConfig cfg;
   cfg.executors = 1;
@@ -280,45 +279,6 @@ int main(int argc, char** argv) {
   bt.print();
   bt.write_csv("bench/out/serve_batch_sweep.csv");
 
-  bench::section(
-      "Cross-stage fusion — req/s with fuse_stages on vs off, solo "
-      "(K=1) and coalesced (K=4) serving");
-  struct FusionPoint {
-    int max_batch;
-    bool fuse;
-    BatchPoint p;
-  };
-  std::vector<FusionPoint> fusion_points;
-  for (int k : {1, 4}) {
-    for (const bool fuse : {true, false}) {
-      fusion_points.push_back({k, fuse, run_batch_point(k, fuse)});
-    }
-  }
-  Table fus({"max_batch", "fuse_stages", "wall_s", "req/s", "batches",
-             "occupancy", "fused/split"});
-  for (std::size_t i = 0; i < fusion_points.size(); i += 2) {
-    const FusionPoint& on = fusion_points[i];
-    const FusionPoint& off = fusion_points[i + 1];
-    fus.row()
-        .cell(static_cast<long>(on.max_batch))
-        .cell("on")
-        .cell(on.p.seconds, 3)
-        .cell(on.p.req_per_s, 2)
-        .cell(static_cast<long>(on.p.batch_solves))
-        .cell(on.p.occupancy, 2)
-        .cell(on.p.req_per_s / off.p.req_per_s, 3);
-    fus.row()
-        .cell(static_cast<long>(off.max_batch))
-        .cell("off")
-        .cell(off.p.seconds, 3)
-        .cell(off.p.req_per_s, 2)
-        .cell(static_cast<long>(off.p.batch_solves))
-        .cell(off.p.occupancy, 2)
-        .cell("");
-  }
-  fus.print();
-  fus.write_csv("bench/out/serve_fusion_sweep.csv");
-
   const ServiceStats stats = service.stats();
   std::sort(latencies.begin(), latencies.end());
   std::cout << "serve: done=" << stats.completed << " rejected="
@@ -362,21 +322,6 @@ int main(int argc, char** argv) {
        << ", \"occupancy\": " << p.occupancy
        << ", \"speedup_vs_unbatched\": " << p.req_per_s / base_rps << "}"
        << (i + 1 < batch_points.size() ? ",\n" : "\n");
-  }
-  os << "  ],\n  \"fusion\": [\n";
-  for (std::size_t i = 0; i < fusion_points.size(); ++i) {
-    const FusionPoint& fp = fusion_points[i];
-    // Partner of the on/off pair (pairs are adjacent, on first).
-    const FusionPoint& other =
-        fusion_points[fp.fuse ? i + 1 : i - 1];
-    os << "    {\"max_batch\": " << fp.max_batch << ", \"fuse_stages\": "
-       << (fp.fuse ? "true" : "false")
-       << ", \"seconds\": " << fp.p.seconds
-       << ", \"req_per_s\": " << fp.p.req_per_s
-       << ", \"fused_over_split\": "
-       << (fp.fuse ? fp.p.req_per_s / other.p.req_per_s
-                   : other.p.req_per_s / fp.p.req_per_s)
-       << "}" << (i + 1 < fusion_points.size() ? ",\n" : "\n");
   }
   os << "  ]\n}\n";
   std::cout << "  wrote BENCH_serve_throughput.json\n";

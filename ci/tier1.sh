@@ -60,15 +60,13 @@ echo "-- gmg_lint self-tests (tokenizer + per-rule known-bad/known-good)"
 ./build/tools/gmg_lint --self-test
 echo "-- gmg_lint"
 ./build/tools/gmg_lint .
-# Schedule-verifier dry runs (DESIGN.md §18): record + statically prove
+# Schedule-verifier dry run (DESIGN.md §18): record + statically prove
 # the planned launch/exchange sequences of the smoother matrix, the
-# K=4 batched solve, and the AMR composite cycle — both fusion states —
-# without executing a sweep. The overhead assertion keeps the setup-time
-# proof cheap enough to stay on by default (GMG_VERIFY_SCHEDULE).
-echo "-- schedule verifier dry-run, fusion on"
-GMG_FUSE_STAGES=1 ./build/tools/schedule_audit --amr --assert-overhead 5
-echo "-- schedule verifier dry-run, fusion off"
-GMG_FUSE_STAGES=0 ./build/tools/schedule_audit --amr --assert-overhead 5
+# K=4 batched solve, and the AMR composite cycle without executing a
+# sweep. The overhead assertion keeps the setup-time proof cheap enough
+# to stay on by default (GMG_VERIFY_SCHEDULE).
+echo "-- schedule verifier dry-run"
+./build/tools/schedule_audit --amr --assert-overhead 5
 if command -v run-clang-tidy >/dev/null 2>&1; then
   echo "-- clang-tidy (src/)"
   run-clang-tidy -p build -quiet "src/.*\.cpp$"
@@ -81,28 +79,14 @@ else
 fi
 echo "-- checker-enabled test subset (GMG_CHECK=1, label: check)"
 GMG_CHECK=1 ctest --test-dir build --output-on-failure -L check -j"${JOBS}"
-echo "-- checker-enabled test subset, fusion off (GMG_FUSE_STAGES=0)"
-GMG_FUSE_STAGES=0 GMG_CHECK=1 \
-  ctest --test-dir build --output-on-failure -L check -j"${JOBS}"
 
 # The solver must produce bitwise-identical results at any worker
 # count; run the solver suite serial and at the hardware default to
-# catch anything the in-suite determinism tests miss. The fused
-# descent (DESIGN.md §16) is on by default, so the default runs cover
-# it; the GMG_FUSE_STAGES=0 runs exercise the split schedule the fused
-# kernels must match bitwise.
+# catch anything the in-suite determinism tests miss.
 echo "== tier 1: solver suite, GMG_EXEC_WORKERS=1 =="
 GMG_EXEC_WORKERS=1 ./build/tests/test_solver
 echo "== tier 1: solver suite, default workers =="
 ./build/tests/test_solver
-echo "== tier 1: solver suite, fusion off (GMG_FUSE_STAGES=0) =="
-GMG_FUSE_STAGES=0 ./build/tests/test_solver
-# test_fused also holds the one-pass Jacobi sweep's bitwise reference
-# tests (binding vs applyOp + smooth stages over interior and CA-grown
-# regions); they run here, in the plain and GMG_CHECK=1 ctest stages
-# above, and in the TSan tree below.
-echo "== tier 1: fused-kernel suite, fusion off (split fallback) =="
-GMG_FUSE_STAGES=0 ./build/tests/test_fused
 
 # The benchmark smokes write their BENCH_*.json and bench/out CSVs into
 # the working directory; run them from a scratch directory so a CI run

@@ -263,7 +263,7 @@ class CompositeRecord {
                 {{"patch_x", "x"}, {"coarse", "x", 0, part_coarse_}});
   }
   void patch_sweep() {
-    ex_.sweep(h_.patch(), pl_, interior_p_, false, false);
+    ex_.sweep(h_.patch(), pl_, interior_p_, /*descent=*/false);
     rec_.swap(pl_, "x", "Ax");
   }
   void restrict_solution() { restrict_patch_step("xH", "x"); }

@@ -1,7 +1,6 @@
 #include "brick/brick_grid.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "brick/brick_mask.hpp"
 #include "common/error.hpp"
@@ -9,27 +8,8 @@
 
 namespace gmg {
 
-namespace {
-
-// Default LRU capacity for the per-grid plan cache; override with
-// GMG_PLAN_CACHE_CAP (read once per process).
-std::size_t default_plan_cache_cap() {
-  static const std::size_t cap = [] {
-    if (const char* s = std::getenv("GMG_PLAN_CACHE_CAP")) {
-      const long v = std::atol(s);
-      if (v > 0) return static_cast<std::size_t>(v);
-    }
-    return static_cast<std::size_t>(128);
-  }();
-  return cap;
-}
-
-}  // namespace
-
 BrickGrid::BrickGrid(Vec3 interior_bricks, std::array<bool, 3> wrap)
-    : nb_(interior_bricks),
-      wrap_(wrap),
-      plan_cache_cap_(default_plan_cache_cap()) {
+    : nb_(interior_bricks), wrap_(wrap) {
   GMG_REQUIRE(nb_.x > 0 && nb_.y > 0 && nb_.z > 0,
               "brick grid extents must be positive");
 

@@ -67,6 +67,10 @@ struct BrickIterPlan {
 
 class BrickGrid {
  public:
+  /// Plan-cache LRU capacity of a new grid. A level uses a handful of
+  /// keys (one per kernel margin, times the active AMR masks).
+  static constexpr std::size_t kPlanCacheCapacity = 128;
+
   /// `interior_bricks`: number of bricks per axis covering the
   /// subdomain interior. On every unwrapped axis the grid carries one
   /// ghost brick layer per side (the paper's deep ghost zone: depth ==
@@ -137,10 +141,10 @@ class BrickGrid {
   /// path; the cache keys on the mask's (unique_id, version), so
   /// mutating a mask transparently misses to a fresh build.
   ///
-  /// The cache is a bounded LRU (default 128 entries; override with
-  /// GMG_PLAN_CACHE_CAP or set_plan_cache_capacity): AMR masks
-  /// multiply the key space, and an unbounded memo would leak. Lookups
-  /// bump trace counters brick.plan_cache.{hit,miss}.
+  /// The cache is a bounded LRU (kPlanCacheCapacity entries;
+  /// set_plan_cache_capacity changes it): AMR masks multiply the key
+  /// space, and an unbounded memo would leak. Lookups bump trace
+  /// counters brick.plan_cache.{hit,miss}.
   std::shared_ptr<const BrickIterPlan> iteration_plan(
       const Box& active, Vec3 brick_dims,
       const BrickMask* mask = nullptr) const;
@@ -209,7 +213,7 @@ class BrickGrid {
   mutable std::mutex plan_mu_;
   mutable std::vector<std::pair<PlanKey, std::shared_ptr<const BrickIterPlan>>>
       plan_cache_;
-  mutable std::size_t plan_cache_cap_;
+  mutable std::size_t plan_cache_cap_ = kPlanCacheCapacity;
   mutable PlanCacheStats plan_stats_{};
 };
 

@@ -13,7 +13,7 @@
 //     launch instead of running it, so the §18 verifier proves the
 //     schedule the solvers issue.
 //
-// Geometry, options and fusion predicates come from the GmgSolver's
+// Geometry, options and kernel plans come from the GmgSolver's
 // levels (a batched solve shares its base hierarchy's); the per-level
 // ghost state lives in a CycleState the caller owns, so a recording can
 // start from the canonical post-set_rhs state without touching a live
@@ -23,8 +23,10 @@
 //   timed(l, phase, fn)                   fn as one phase (gmg/phase.hpp)
 //   exchange(l, fields)                   one blocking ghost round
 //   apply(l, out, in, box)                out = A in
-//   jacobi(l, box, residual, restrict)    one Jacobi sweep into the
-//                                         spare buffer (Ax's storage)
+//   jacobi(l, box, descent)               one Jacobi sweep into the
+//                                         spare buffer (Ax's storage);
+//                                         a descent sweep also writes r
+//                                         and restricts it
 //   swap(l)                               x and Ax trade storage
 //   gs_color(l, color, box), residual(l, box),
 //   residual_restrict(l), restriction(l, fine), init_zero_x(l, stored),
@@ -33,9 +35,9 @@
 //   dot(l, a, b, c), axpy_interior(l, y, a, x, c),
 //   xpay_interior(l, y, x, beta, c)      per-component bottom-CG ops
 //   max_norm(c)                           finest-level local norm
+//   residual_max_norm()                   fused residual + max-norm
+//                                         (one component)
 //   norm2_sq()                            for residual_norm_l2 (solo)
-//   fuses_norm(), residual_max_norm()     optional fused residual +
-//                                         max-norm (one component)
 //   next_group(), allreduce_sum/max(local, op, l, c, group, masked)
 //   cg_iterations(budget)                 bottom-CG iteration cap
 #pragma once
@@ -127,16 +129,14 @@ class Cycle {
     const Box in = fine.interior();
     apply_fresh(0, in);
     const int group = ex_.next_group();
-    if constexpr (requires { ex_.residual_max_norm(); }) {
-      if (fine.plan.fuse_norm && ex_.fuses_norm()) {
-        // Fused residual + max-norm: one pass instead of two, bitwise
-        // identical to the split pair (fused_kernels.hpp).
-        real_t local = 0;
-        ex_.timed(0, Phase::kMaxNorm, [&] { local = ex_.residual_max_norm(); });
-        res[0] = ex_.allreduce_max(local, "allreduce.max_norm", 0, 0, group,
-                                   /*masked=*/true);
-        return;
-      }
+    if (ex_.k() == 1) {
+      // One norm: the residual and its max-norm in one pass, bitwise
+      // identical to the split pair (fused_kernels.hpp).
+      real_t local = 0;
+      ex_.timed(0, Phase::kMaxNorm, [&] { local = ex_.residual_max_norm(); });
+      res[0] = ex_.allreduce_max(local, "allreduce.max_norm", 0, 0, group,
+                                 /*masked=*/true);
+      return;
     }
     ex_.timed(0, Phase::kResidual, [&] { ex_.residual(0, in); });
     for (int c = 0; c < ex_.k(); ++c) {
@@ -220,35 +220,35 @@ class Cycle {
     return L.grid->grow_unwrapped(L.interior(), g.margin - L.radius);
   }
 
-  void smooth_level(int l, int iterations, bool with_residual,
-                    bool restrict) {
+  /// One smoothing block. On the descent (a level with a coarser one
+  /// below) the block also leaves the residual restricted into the
+  /// coarse RHS where the plan fuses the restriction; Chebyshev leaves
+  /// it to the caller.
+  void smooth_level(int l, int iterations, bool descent) {
     switch (o_.smoother) {
       case Smoother::kPointJacobi:
       case Smoother::kWeightedJacobi:
-        jacobi_sweeps(l, iterations, with_residual, restrict);
+        jacobi_sweeps(l, iterations, descent);
         break;
       case Smoother::kChebyshev:
         chebyshev_sweeps(l, iterations);
         break;
       case Smoother::kRedBlackGS:
-        gs_sweeps(l, iterations, with_residual, restrict);
+        gs_sweeps(l, iterations, descent);
         break;
     }
   }
 
-  void jacobi_sweeps(int l, int iterations, bool with_residual,
-                     bool restrict) {
+  void jacobi_sweeps(int l, int iterations, bool descent) {
     for (int it = 0; it < iterations; ++it) {
       const Box active = prepare_sweep(l);
       // One sweep writes x' into the spare buffer (Ax's storage), so it
-      // never writes what it reads. Only the block's last sweep writes
-      // r, and on a fused descent it also folds the restriction of r
-      // into the coarse RHS: nothing reads an earlier sweep's residual.
-      const bool residual = with_residual && it == iterations - 1;
-      const bool restrict_here = residual && restrict;
-      ex_.timed(l,
-                restrict_here ? Phase::kFusedDescent : Phase::kJacobiSweep,
-                [&] { ex_.jacobi(l, active, residual, restrict_here); });
+      // never writes what it reads. Only a descent block's last sweep
+      // writes r, and folds its restriction into the coarse RHS in the
+      // same pass: nothing reads an earlier sweep's residual.
+      const bool last = descent && it == iterations - 1;
+      ex_.timed(l, last ? Phase::kFusedDescent : Phase::kJacobiSweep,
+                [&] { ex_.jacobi(l, active, last); });
       ex_.swap(l);
       if (ca()) st_.ghosts[idx(l)].margin -= lev(l).radius;
     }
@@ -257,7 +257,7 @@ class Cycle {
   void chebyshev_sweeps(int l, int iterations) {
     // No descent fusion: the recurrence consumes r on every sweep and
     // updates x after it, so the caller keeps the split restriction
-    // (the plan's fuse_descent is off for Chebyshev).
+    // (the plan's fuses_restriction is off for Chebyshev).
     const real_t lambda_max = o_.cheby_lambda_max;
     const real_t lambda_min = lambda_max * o_.cheby_min_frac;
     const real_t theta = 0.5 * (lambda_max + lambda_min);
@@ -286,7 +286,7 @@ class Cycle {
     }
   }
 
-  void gs_sweeps(int l, int iterations, bool with_residual, bool restrict) {
+  void gs_sweeps(int l, int iterations, bool descent) {
     const MgLevel& L = lev(l);
     GMG_REQUIRE(L.radius == 1 && !L.varcoef,
                 "red-black Gauss-Seidel supports the constant-coefficient "
@@ -314,24 +314,18 @@ class Cycle {
       });
       g.margin -= 2;
     }
-    if (!with_residual) return;
-    // GS updates in place and leaves no fused residual; compute it for
-    // the restriction that follows.
+    if (!descent) return;
+    // GS updates in place and leaves no residual: the descent tail
+    // computes r and its restriction into the coarse RHS in one pass
+    // per brick.
     apply_fresh(l, interior);
-    if (restrict) {
-      // Fused tail: r and its restriction into the coarse RHS in one
-      // pass per brick.
-      ex_.timed(l, Phase::kFusedDescent, [&] { ex_.residual_restrict(l); });
-    } else {
-      ex_.timed(l, Phase::kResidual, [&] { ex_.residual(l, interior); });
-    }
+    ex_.timed(l, Phase::kFusedDescent, [&] { ex_.residual_restrict(l); });
   }
 
   void bottom_solve() {
     const int l = s_.bottom_level();
     if (o_.bottom == BottomSolverType::kSmooth) {
-      smooth_level(l, o_.bottom_smooths, /*with_residual=*/false,
-                   /*restrict=*/false);
+      smooth_level(l, o_.bottom_smooths, /*descent=*/false);
     } else {
       ex_.timed(l, Phase::kBottomSolve, [&] { bottom_cg(l); });
     }
@@ -415,12 +409,11 @@ class Cycle {
     const MgLevel& coarse = lev(l + 1);
     GhostState& cg = st_.ghosts[idx(l + 1)];
 
-    // Descent: where the plan fuses, the final smoothing sweep also
+    // Descent: where the plan fuses, the smoothing block also
     // restricts r into the coarse RHS (one pass instead of three stages
     // — DESIGN.md §16); otherwise restriction runs as its own pass.
-    const bool fuses = L.plan.fuses_restriction();
-    smooth_level(l, o_.smooths, /*with_residual=*/true, fuses);
-    if (!fuses) {
+    smooth_level(l, o_.smooths, /*descent=*/true);
+    if (!L.plan.fuses_restriction) {
       ex_.timed(l, Phase::kRestriction, [&] { ex_.restriction(l, Fld::kR); });
     }
     cg.b_valid = false;
@@ -435,7 +428,7 @@ class Cycle {
     st_.ghosts[idx(l)].margin = 0;  // interior changed; ghosts are stale
     // The ascent leaves no residual: the next descent or convergence
     // check rewrites r before anything reads it.
-    smooth_level(l, o_.smooths, /*with_residual=*/false, /*restrict=*/false);
+    smooth_level(l, o_.smooths, /*descent=*/false);
   }
 
   const GmgSolver& s_;

@@ -1,8 +1,9 @@
-// Fused multi-stage kernels for the V-cycle (DESIGN.md §16). The
-// split schedule makes a separate full pass over every fine brick per
-// stage — applyOp, smooth (+ residual), restriction — even though
-// fine-grain blocking keeps a brick's working set resident. These
-// kernels glue stages into ONE pass per brick:
+// Fused multi-stage kernels for the V-cycle (DESIGN.md §16). Run
+// stage by stage, the descent makes a separate full pass over every
+// fine brick per stage — applyOp, smooth (+ residual), restriction —
+// even though fine-grain blocking keeps a brick's working set
+// resident. These kernels glue stages into ONE pass per brick, and the
+// cycle runs them in place of the stages:
 //
 //   * jacobi_sweep[_varcoef]: the whole Jacobi sweep. Each cell's A*x
 //     is computed in a register (the split applyOp's row body and tap
@@ -22,7 +23,7 @@
 //     stages in place on x — kept as the two-pass reference the sweep
 //     is tested against bit for bit.
 //   * residual_restrict (red-black GS tail) and residual_max_norm (the
-//     convergence check).
+//     convergence check of a one-component solve).
 //
 // Regions: a sweep reads x and writes only x', r and the coarse RHS.
 // Over a CA-grown box only its interior part restricts, so every
@@ -71,11 +72,11 @@ static_assert(check::same_footprint(descent_footprint(),
 static_assert(check::footprint_fits(descent_footprint().extents(), 2, 2, 2),
               "fused descent footprint must fit the smallest brick");
 
-/// Setup-time guard (GmgSolver constructor, fuse_stages on): the fused
-/// footprint must fit the configured brick's one-brick-deep ghost
-/// capacity, and the per-brick octant restriction needs even brick
-/// dims. Throws GmgError otherwise — undersized ghosts are rejected at
-/// setup, not discovered as corrupt coarse RHS values.
+/// Setup-time guard (GmgSolver constructor): the fused footprint must
+/// fit the configured brick's one-brick-deep ghost capacity, and the
+/// per-brick octant restriction needs even brick dims. Throws GmgError
+/// otherwise — undersized ghosts are rejected at setup, not discovered
+/// as corrupt coarse RHS values.
 void require_fused_fits(const BrickShape& shape);
 
 /// One Jacobi sweep over `active` in one pass per brick: per cell,

@@ -25,20 +25,13 @@ bool jacobi_is_one_pass(const MgLevel& lev) {
 void resolve_level_kernels(const GmgOptions& opts, MgLevel& lev) {
   KernelPlan plan;
 
-  const bool jacobi = opts.smoother == Smoother::kPointJacobi ||
-                      opts.smoother == Smoother::kWeightedJacobi;
   plan.weight = opts.smoother == Smoother::kWeightedJacobi
                     ? opts.jacobi_weight
                     : real_t{0.5};
-  // Fusion capability predicate (see kernel_plan.hpp): full descent
-  // fusion needs a pointwise final smoother application (Jacobi
-  // family); GS fuses only its residual+restriction tail; Chebyshev
-  // falls back to the split schedule entirely. The residual+norm
-  // fusion is smoother-independent.
-  plan.fuse_descent = opts.fuse_stages && jacobi;
-  plan.fuse_gs_tail =
-      opts.fuse_stages && opts.smoother == Smoother::kRedBlackGS;
-  plan.fuse_norm = opts.fuse_stages;
+  // Jacobi's last sweep and GS's residual tail restrict in the same
+  // pass; the Chebyshev recurrence reads r on every sweep and updates x
+  // after it, so its restriction stays separate (see kernel_plan.hpp).
+  plan.fuses_restriction = opts.smoother != Smoother::kChebyshev;
 
   if (lev.varcoef) {
     plan.op = OpKind::kVarCoef;

@@ -2,34 +2,33 @@
 // §16): a KernelPlan is resolved ONCE at solver setup (and again when
 // set_coefficient flips a level to the variable-coefficient operator)
 // and cached in the MgLevel. It records the choice for this level's
-// (brick dims, const/var coefficient, smoother, fused-vs-split)
-// configuration — the operator variant, which fixes the shape of the
-// Jacobi sweep, and the fusion flags — so no sweep re-derives it.
-// level_apply and level_jacobi dispatch on that choice for any field
-// set: the solo fields of the MgLevel itself, or a batched solve's
-// K-lane fields (operators.hpp), which therefore issue exactly the solo
-// launches.
+// (brick dims, const/var coefficient, smoother) configuration — the
+// operator variant, which fixes the shape of the Jacobi sweep, and
+// whether the descent folds the restriction — so no sweep re-derives
+// it. level_apply and level_jacobi dispatch on that choice for any
+// field set: the solo fields of the MgLevel itself, or a batched
+// solve's K-lane fields (operators.hpp), which therefore issue exactly
+// the solo launches.
 //
 // Every Jacobi sweep goes through level_jacobi: one pass per brick
 // computing A*x in registers and writing x' into a spare buffer (the
-// level's Ax storage; the caller swaps x and Ax afterwards) — plus r on
-// the last sweep of a residual-producing block, and the descent
-// restriction when fusion is on. The 13-point and stencilgen operators
-// keep a two-stage body (A*x into the spare buffer, then the pointwise
-// update over it) behind the same call.
+// level's Ax storage; the caller swaps x and Ax afterwards) — plus r
+// and the descent restriction on the last sweep of a descent block.
+// The 13-point and stencilgen operators keep a two-stage body (A*x
+// into the spare buffer, then the pointwise update over it) behind the
+// same call.
 //
-// The plan also carries the fusion capability predicate. Cross-stage
-// fusion of the descent restriction is legal only where the last
-// smoother application produces the residual pointwise:
-//   - Jacobi / weighted Jacobi: fully fusible (fuse_descent).
+// Folding the descent restriction into the smoother is legal only
+// where the last smoother application produces the residual
+// pointwise:
+//   - Jacobi / weighted Jacobi: the last sweep writes x', r and the
+//     coarse RHS in one pass.
 //   - Red-black GS: the half-sweeps update x in place, but the descent
-//     tail's residual + restriction still fuse (fuse_gs_tail).
+//     tail's residual + restriction run as one pass.
 //   - Chebyshev: the recurrence needs r on every sweep and updates x
-//     *after* r, so the split path stays; only the residual+norm
-//     fusion applies.
-// Fused results are bitwise identical to the split path (the kernels
-// replicate the split per-element arithmetic verbatim; see
-// fused_kernels.hpp).
+//     *after* r, so the restriction stays a separate pass.
+// The fused kernels replicate the split stages' per-element arithmetic
+// verbatim (fused_kernels.hpp), so they give the split stages' bits.
 #pragma once
 
 #include <cstdint>
@@ -54,16 +53,10 @@ enum class OpKind : std::uint8_t {
 };
 
 struct KernelPlan {
-  /// Final descent smooth+residual+restriction runs as one fused pass
-  /// (Jacobi family only).
-  bool fuse_descent = false;
-  /// The GS descent tail's residual+restriction runs as one fused pass
-  /// (the half-sweeps themselves stay split).
-  bool fuse_gs_tail = false;
-  /// residual_norm computes r and its max-norm in one pass (legal for
-  /// every smoother: fp max is exactly associative, and the reduction
-  /// reuses the split max_norm's chunk plan).
-  bool fuse_norm = false;
+  /// The descent smoothing block consumes the restriction itself (every
+  /// smoother but Chebyshev); otherwise the cycle runs it as its own
+  /// pass.
+  bool fuses_restriction = false;
 
   /// Jacobi damping: 0.5 for kPointJacobi, opts.jacobi_weight for
   /// kWeightedJacobi (resolved once; sweeps stop re-deriving it).
@@ -73,10 +66,6 @@ struct KernelPlan {
   OpKind op = OpKind::kStar7;
   /// The variable-coefficient operator's identity term s.
   real_t identity_coef = 0;
-
-  /// Whether the descent smoothing block consumes the restriction
-  /// itself (the cycle skips the separate restriction pass).
-  bool fuses_restriction() const { return fuse_descent || fuse_gs_tail; }
 };
 
 /// Whether level `lev`'s Jacobi sweep runs as one pass per brick (the
@@ -86,7 +75,7 @@ struct KernelPlan {
 /// whichever the sweep issues, for every batch width.
 bool jacobi_is_one_pass(const MgLevel& lev);
 
-/// Resolve the kernel choice and fusion predicate for one level.
+/// Resolve the kernel choice and descent schedule for one level.
 /// Called from GmgSolver's constructor and again from set_coefficient
 /// (the varcoef flip changes the operator).
 void resolve_level_kernels(const GmgOptions& opts, MgLevel& lev);

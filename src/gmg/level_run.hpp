@@ -32,8 +32,6 @@ class LevelRun {
       : s_(s), levels_(levels), comm_(comm) {}
 
   int k() const { return static_cast<int>(lanes(levels_.front().x)); }
-  /// The fused residual + max-norm yields one norm: the one lane's.
-  bool fuses_norm() const { return k() == 1; }
   template <class Fn>
   void timed(int l, Phase phase, Fn&& fn) {
     timed_phase(l, phase, std::forward<Fn>(fn));
@@ -50,10 +48,10 @@ class LevelRun {
   void apply(int l, Fld out, Fld in, const Box& box) {
     level_apply(base(l), f(l, out), f(l, in), box);
   }
-  void jacobi(int l, const Box& box, bool residual, bool restrict) {
+  void jacobi(int l, const Box& box, bool descent) {
     Level& L = lev(l);
-    level_jacobi(base(l), L.Ax, residual ? &L.r : nullptr,
-                 restrict ? &lev(l + 1).b : nullptr, L.x, L.b, box);
+    level_jacobi(base(l), L.Ax, descent ? &L.r : nullptr,
+                 descent ? &lev(l + 1).b : nullptr, L.x, L.b, box);
   }
   void swap(int l) { std::swap(lev(l).x, lev(l).Ax); }
   void gs_color(int l, int color, const Box& box) {

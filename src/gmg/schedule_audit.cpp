@@ -88,15 +88,14 @@ void Record::apply(int l, Fld out, Fld in, const Box& box) {
   apply(lev(l), l, name(out), name(in), box);
 }
 
-void Record::sweep(const MgLevel& L, int l, const Box& box, bool residual,
-                   bool restrict) {
+void Record::sweep(const MgLevel& L, int l, const Box& box, bool descent) {
   // The two-stage body (13-point / stencilgen operators) issues its
   // applyOp into the spare buffer first, then the pointwise update over
   // it — at every batch width.
   if (!jacobi_is_one_pass(L)) apply(L, l, "Ax", "x", box);
   const Box fine = intersect(box, L.interior());
-  const bool coarse = restrict && !fine.empty();
-  const check::StepBinding r{"r", residual ? "r" : nullptr};
+  const bool coarse = descent && !fine.empty();
+  const check::StepBinding r{"r", descent ? "r" : nullptr};
   const check::StepBinding c{"coarse", coarse ? "b" : nullptr, l + 1,
                              coarsen(fine, 2)};
   const check::EffectSummary s = level_jacobi_effects(L);
@@ -110,8 +109,8 @@ void Record::sweep(const MgLevel& L, int l, const Box& box, bool residual,
   if (coarse) add_chunk_writes(step, L.shape, box);
 }
 
-void Record::jacobi(int l, const Box& box, bool residual, bool restrict) {
-  sweep(lev(l), l, box, residual, restrict);
+void Record::jacobi(int l, const Box& box, bool descent) {
+  sweep(lev(l), l, box, descent);
 }
 
 void Record::gs_color(int l, int, const Box& box) {

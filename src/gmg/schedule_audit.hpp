@@ -1,7 +1,7 @@
 // Schedule recording for the solvers (DESIGN.md §18). Record is the
 // cycle's third executor (gmg/cycle.hpp): driving Cycle<Record> runs
 // the solvers' own schedule logic — the CA margin algebra, the
-// aggregated-exchange decisions and the fused-plan capability checks —
+// aggregated-exchange decisions and the plans' descent schedules —
 // against the live MgLevel/KernelPlan
 // state, but every launch, exchange and reduction becomes a
 // check::ScheduleStep instead of executing. The resulting Schedule is
@@ -36,19 +36,17 @@ class Record {
   /// records its patch, a level outside the solver's, through these.
   check::ScheduleStep& apply(const MgLevel& L, int l, const char* out,
                              const char* in, const Box& box);
-  void sweep(const MgLevel& L, int l, const Box& box, bool residual,
-             bool restrict);
+  void sweep(const MgLevel& L, int l, const Box& box, bool descent);
 
   // ---- the executor contract (gmg/cycle.hpp) ----
   int k() const { return k_; }
-  bool fuses_norm() const { return k_ == 1; }
   template <class Fn>
   void timed(int, Phase, Fn&& fn) {
     fn();
   }
   void exchange(int l, const FieldSet& fs);
   void apply(int l, Fld out, Fld in, const Box& box);
-  void jacobi(int l, const Box& box, bool residual, bool restrict);
+  void jacobi(int l, const Box& box, bool descent);
   void swap(int l) { rec_.swap(l, "x", "Ax"); }
   void gs_color(int l, int color, const Box& box);
   void residual(int l, const Box& box);

@@ -2,8 +2,6 @@
 
 #include <array>
 #include <cmath>
-#include <cstdlib>
-#include <string>
 #include <utility>
 
 #include "check/footprint.hpp"
@@ -52,13 +50,6 @@ GmgSolver::GmgSolver(const GmgOptions& opts, const CartDecomp& decomp,
   GMG_REQUIRE(opts_.operator_radius == 1 || opts_.operator_radius == 2,
               "operator radius must be 1 (7-point) or 2 (13-point)");
 
-  // Environment override for the fusion gate (mirrors
-  // GMG_EXEC_WORKERS): lets CI and benches flip configurations without
-  // a rebuild. "0" disables, anything else enables.
-  if (const char* env = std::getenv("GMG_FUSE_STAGES")) {
-    opts_.fuse_stages = std::string(env) != "0";
-  }
-
   // Footprint-vs-ghost-depth checks (src/check): the ghost region is
   // one brick deep, so every stencil the cycle applies — operator,
   // smoother consumption rate, inter-level transfers — must fit the
@@ -79,7 +70,7 @@ GmgSolver::GmgSolver(const GmgOptions& opts, const CartDecomp& decomp,
   // restriction octant, but deriving it through the same constexpr
   // union keeps a future wider final-smooth stage from silently
   // outgrowing the ghosts.
-  if (opts_.fuse_stages) fused::require_fused_fits(opts_.brick);
+  fused::require_fused_fits(opts_.brick);
   // CA smoothing refills the ghost margin to one brick depth per
   // exchange and consumes layers per sweep: the operator radius for
   // Jacobi/Chebyshev, two for a red-black iteration (each colored

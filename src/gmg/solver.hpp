@@ -88,18 +88,6 @@ struct GmgOptions {
   /// "everything through the code generator" configuration BrickLib
   /// itself runs in. Constant-coefficient operators only.
   bool use_generated_kernels = false;
-
-  /// Cross-stage kernel fusion for the V-cycle descent (DESIGN.md
-  /// §16): where the smoother permits it, the final smooth + residual
-  /// + restriction run as ONE pass over each fine brick, and
-  /// residual_norm fuses the residual with its max-norm reduction.
-  /// Jacobi/weighted Jacobi fuse fully; red-black GS fuses its
-  /// residual+restriction tail; Chebyshev falls back to the split
-  /// schedule (its recurrence consumes r every sweep). Value-neutral:
-  /// fused results are bitwise identical to the split path. The
-  /// GMG_FUSE_STAGES environment variable ("0" disables) overrides
-  /// this at construction, mirroring GMG_EXEC_WORKERS.
-  bool fuse_stages = true;
 };
 
 struct SolveResult {

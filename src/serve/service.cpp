@@ -89,12 +89,7 @@ bool SolveFuture::cancel() {
 SolveService::SolveService(ServeConfig config)
     : config_(config),
       cache_(std::max<std::size_t>(config.cache_capacity, 0)) {
-  if (config_.trace_flush_seconds > 0) {
-    trace::start_periodic_flush(config_.trace_flush_seconds);
-    flush_started_ = true;
-  } else {
-    flush_started_ = trace::start_periodic_flush_from_env();
-  }
+  flush_started_ = trace::start_periodic_flush_from_env();
   const int n = std::max(1, config_.executors);
   executors_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {

@@ -135,9 +135,6 @@ struct ServeConfig {
   std::size_t queue_capacity = 16;
   /// Idle hierarchies kept by the cache.
   std::size_t cache_capacity = 4;
-  /// Start trace::start_periodic_flush at this interval; 0 consults
-  /// GMG_TRACE_FLUSH_MS (and leaves flushing off when unset).
-  double trace_flush_seconds = 0;
   /// Coalescer hold window: an executor that popped a request whose
   /// operator allows batching (GmgOptions::max_batch > 1) but found
   /// fewer than max_batch compatible peers queued may wait up to this

@@ -391,6 +391,7 @@ TEST(BatchedRetirement, CancelledComponentRetiresOthersFinish) {
 // schedule — each stretched round carries all K components.
 
 TEST(BatchedExchange, KWaySolveUsesSoloExchangeRounds) {
+  const bool was = trace::enabled();
   trace::clear();
   trace::set_enabled(true);
   GmgOptions o = small_options();
@@ -431,7 +432,7 @@ TEST(BatchedExchange, KWaySolveUsesSoloExchangeRounds) {
     EXPECT_EQ(snap.counter_total("batch.solves"), 2u);       // one per rank
     EXPECT_EQ(snap.counter_total("batch.components"), 6u);   // 3 per rank
   }
-  trace::set_enabled(false);
+  trace::set_enabled(was);
   trace::clear();
 }
 

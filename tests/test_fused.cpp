@@ -1,24 +1,24 @@
-// Cross-stage kernel fusion (DESIGN.md §16): the fused descent
-// schedule — final smooth + residual + restriction in one pass, fused
-// residual+max-norm convergence checks, and the GS residual tail —
-// must be BITWISE identical to the split schedule, across smoothers,
-// coefficients (constant and variable), brick dims, worker counts, and
-// batched K-way solves; and the one-pass Jacobi sweep must equal the
-// two-pass applyOp + smooth stages it replaced, over every region shape
-// a sweep is issued on. Plus the footprint machinery: the fused union
-// footprint is derived constexpr and static_assert-ed, GMG_CHECK sees
-// only the declared boxes during a fused run, and a seeded undersized-
-// ghost configuration is rejected at setup.
+// Cross-stage kernel fusion (DESIGN.md §16): each fused kernel the
+// V-cycle runs must give the bits of the split stages it replaces —
+// the one-pass Jacobi sweep against applyOp + smooth / smooth_residual
+// / smooth_residual_restrict over every region shape a sweep is issued
+// on, the GS residual tail and the fused convergence norm against
+// residual + restriction / max_norm at K = 1 and 4 — and a fused solve
+// must not depend on the worker or rank count. Plus the footprint
+// machinery: the fused union footprint is derived constexpr and
+// static_assert-ed, GMG_CHECK sees only the declared boxes during a
+// fused run, and a seeded undersized-ghost configuration is rejected
+// at setup.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
-#include <functional>
+#include <limits>
 #include <ostream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
-#include "batch/batched_solver.hpp"
 #include "check/footprint.hpp"
 #include "check/shadow.hpp"
 #include "common/rng.hpp"
@@ -82,9 +82,8 @@ struct RunOut {
   std::vector<real_t> history;
 };
 
-RunOut run_cycles(comm::Communicator& c, GmgOptions o, bool fuse,
-                  bool varcoef, int vcycles) {
-  o.fuse_stages = fuse;
+RunOut run_cycles(comm::Communicator& c, const GmgOptions& o, bool varcoef,
+                  int vcycles) {
   const Vec3 global{32, 32, 32};
   const CartDecomp decomp(global, {1, 1, 1});
   GmgSolver solver(o, decomp, 0);
@@ -119,54 +118,12 @@ void expect_bitwise(const RunOut& a, const RunOut& b, const char* what) {
   ASSERT_EQ(failures, 0) << what;
 }
 
-// ---- fused vs split bitwise identity -------------------------------------
-
-struct FusedCase {
-  Smoother smoother;
-  index_t bdim;
-  bool varcoef;
-  const char* name;
-};
-
-// Stable test names: print the case name, not the struct's bytes.
-void PrintTo(const FusedCase& c, std::ostream* os) { *os << c.name; }
-
-class FusedVsSplit : public ::testing::TestWithParam<FusedCase> {};
-
-TEST_P(FusedVsSplit, BitwiseIdenticalSchedules) {
-  const FusedCase fc = GetParam();
-  comm::World world(1);
-  world.run([&](comm::Communicator& c) {
-    const GmgOptions o = base_options(fc.bdim, fc.smoother);
-    const RunOut fusedr = run_cycles(c, o, /*fuse=*/true, fc.varcoef, 3);
-    const RunOut split = run_cycles(c, o, /*fuse=*/false, fc.varcoef, 3);
-    expect_bitwise(fusedr, split, fc.name);
-  });
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Schedules, FusedVsSplit,
-    ::testing::Values(
-        FusedCase{Smoother::kPointJacobi, 8, false, "jacobi-8"},
-        FusedCase{Smoother::kPointJacobi, 4, false, "jacobi-4"},
-        FusedCase{Smoother::kPointJacobi, 2, false, "jacobi-2"},
-        FusedCase{Smoother::kWeightedJacobi, 4, false, "wjacobi-4"},
-        FusedCase{Smoother::kWeightedJacobi, 4, true, "wjacobi-varcoef-4"},
-        FusedCase{Smoother::kPointJacobi, 8, true, "jacobi-varcoef-8"},
-        FusedCase{Smoother::kRedBlackGS, 4, false, "gs-4"},
-        FusedCase{Smoother::kChebyshev, 4, false, "cheby-4"},
-        FusedCase{Smoother::kChebyshev, 4, true, "cheby-varcoef-4"}),
-    [](const ::testing::TestParamInfo<FusedCase>& info) {
-      std::string n = info.param.name;
-      for (char& ch : n)
-        if (ch == '-') ch = '_';
-      return n;
-    });
+// ---- fused solves: worker- and rank-count independence ------------------
 
 TEST(FusedDescent, BitwiseIdenticalAcrossWorkerCounts) {
-  // The fused pass must not introduce any worker-count dependence: the
+  // The fused passes must not introduce any worker-count dependence: the
   // pointwise rows, the per-brick restriction, and the fused max-norm
-  // reduction all follow the same fixed chunk plans as the split path.
+  // reduction all follow the split stages' fixed chunk plans.
   class EngineGuard {
    public:
     ~EngineGuard() {
@@ -177,10 +134,10 @@ TEST(FusedDescent, BitwiseIdenticalAcrossWorkerCounts) {
   world.run([&](comm::Communicator& c) {
     const GmgOptions o = base_options(4, Smoother::kPointJacobi);
     exec::configure_default_engine(1);
-    const RunOut ref = run_cycles(c, o, /*fuse=*/true, false, 3);
+    const RunOut ref = run_cycles(c, o, false, 3);
     for (int workers : {2, 4}) {
       exec::configure_default_engine(workers);
-      const RunOut got = run_cycles(c, o, /*fuse=*/true, false, 3);
+      const RunOut got = run_cycles(c, o, false, 3);
       expect_bitwise(ref, got, "worker count");
     }
   });
@@ -196,17 +153,15 @@ TEST(FusedDescent, MultiRankMatchesSingleRankBitwise) {
     comm::World world(1);
     world.run([&](comm::Communicator& c) {
       reference =
-          run_cycles(c, base_options(4, Smoother::kPointJacobi), true, false,
-                     2)
+          run_cycles(c, base_options(4, Smoother::kPointJacobi), false, 2)
               .sol;
     });
   }
   const CartDecomp decomp(global, {2, 2, 1});
   comm::World world(decomp.num_ranks());
   world.run([&](comm::Communicator& c) {
-    GmgOptions o = base_options(4, Smoother::kPointJacobi);
-    o.fuse_stages = true;
-    GmgSolver solver(o, decomp, c.rank());
+    GmgSolver solver(base_options(4, Smoother::kPointJacobi), decomp,
+                     c.rank());
     solver.set_rhs(sine_rhs);
     for (int v = 0; v < 2; ++v) solver.vcycle(c);
     const Box my_box = decomp.subdomain_box(c.rank());
@@ -412,16 +367,14 @@ TEST(JacobiSweep, EightRankSolveMatchesSingleRank) {
     {
       comm::World world(1);
       world.run([&](comm::Communicator& c) {
-        reference = run_cycles(c, o, /*fuse=*/true, varcoef, 3);
+        reference = run_cycles(c, o, varcoef, 3);
       });
     }
     const CartDecomp decomp(global, {2, 2, 2});
     std::vector<real_t> history;
     comm::World world(decomp.num_ranks());
     world.run([&](comm::Communicator& c) {
-      GmgOptions ro = o;
-      ro.fuse_stages = true;
-      GmgSolver solver(ro, decomp, c.rank());
+      GmgSolver solver(o, decomp, c.rank());
       if (varcoef) solver.set_coefficient(c, wavy_coef);
       solver.set_rhs(sine_rhs);
       std::vector<real_t> h{solver.residual_norm(c)};
@@ -453,64 +406,90 @@ TEST(JacobiSweep, EightRankSolveMatchesSingleRank) {
   }
 }
 
-// ---- batched K-way solves ------------------------------------------------
+// ---- GS tail and convergence norm vs their split pairs -----------------
 
-real_t rhs_b(real_t x, real_t y, real_t z) {
-  return std::cos(2 * M_PI * x) * std::sin(4 * M_PI * y) * (0.5 + z);
+/// A zero field of width k (a BrickedArray at k = 1) on `lev`'s grid.
+template <class F>
+F make_field(const MgLevel& lev, int k) {
+  if constexpr (std::is_same_v<F, BrickedArray>) {
+    return BrickedArray(lev.grid, lev.shape);
+  } else {
+    return BatchedBrickedArray(lev.grid, lev.shape, k);
+  }
 }
 
-real_t rhs_c(real_t x, real_t y, real_t z) {
-  return x * (1 - x) + 0.25 * std::sin(2 * M_PI * (y + z));
+void expect_same_storage(BrickedArray& got, BrickedArray& want,
+                         const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(real_t)),
+            0)
+      << what;
 }
 
-TEST(FusedBatched, FusedVsSplitBitwiseAtK1AndK4) {
-  // A batched solve's kernels follow the base level's KernelPlan; with
-  // fusion on it must match one with fusion off bitwise for every
-  // component.
-  const CartDecomp decomp({32, 32, 32}, {1, 1, 1});
-  for (int k : {1, 4}) {
-    comm::World world(1);
-    world.run([&](comm::Communicator& c) {
-      std::vector<std::function<real_t(real_t, real_t, real_t)>> fs;
-      fs.emplace_back(sine_rhs);
-      if (k == 4) {
-        fs.emplace_back(rhs_b);
-        fs.emplace_back(rhs_c);
-        fs.emplace_back(sine_rhs);
-      }
-      std::vector<batch::BatchSolveSpec> specs(static_cast<std::size_t>(k));
-      for (auto& s : specs) s.max_vcycles = 3;
+/// fused::residual_restrict against residual + restriction, and at
+/// k = 1 fused::residual_max_norm against residual + max_norm, on
+/// `fine` and `coarse`: every storage cell, ghosts included, must hold
+/// the same bits both ways. b carries one NaN cell in its last
+/// component.
+template <class F>
+void compare_tails(const MgLevel& fine, const MgLevel& coarse, int k,
+                   const std::string& what) {
+  F b = make_field<F>(fine, k), ax = make_field<F>(fine, k);
+  F r_split = make_field<F>(fine, k), r_fused = make_field<F>(fine, k);
+  F cb_split = make_field<F>(coarse, k), cb_fused = make_field<F>(coarse, k);
+  fill_storage(storage(b), 21);
+  fill_storage(storage(ax), 22);
+  component(b, 1, 2, 3, k - 1) = std::numeric_limits<real_t>::quiet_NaN();
+  const auto reset = [&] {
+    for (F* r : {&r_split, &r_fused}) fill_storage(storage(*r), 23);
+    for (F* cb : {&cb_split, &cb_fused}) fill_storage(storage(*cb), 24);
+  };
 
-      GmgOptions fused_o = base_options(4, Smoother::kPointJacobi);
-      fused_o.fuse_stages = true;
-      GmgOptions split_o = fused_o;
-      split_o.fuse_stages = false;
+  reset();
+  residual(r_split, b, ax, fine.interior());
+  restriction(cb_split, r_split);
+  fused::residual_restrict(r_fused, cb_fused, b, ax);
+  expect_same_storage(storage(r_fused), storage(r_split), what + ": r");
+  expect_same_storage(storage(cb_fused), storage(cb_split),
+                      what + ": coarse b");
+  EXPECT_TRUE(std::isnan(component(cb_fused, 0, 1, 1, k - 1))) << what;
 
-      GmgSolver fused_base(fused_o, decomp, 0);
-      GmgSolver split_base(split_o, decomp, 0);
-      batch::BatchedSolver fused_bs(fused_base, k);
-      batch::BatchedSolver split_bs(split_base, k);
-      fused_bs.set_rhs(fs);
-      split_bs.set_rhs(fs);
-      const auto fr = fused_bs.solve(c, specs);
-      const auto sr = split_bs.solve(c, specs);
-      for (int comp = 0; comp < k; ++comp) {
-        const std::size_t cc = static_cast<std::size_t>(comp);
-        ASSERT_EQ(fr[cc].vcycles, sr[cc].vcycles) << "K=" << k;
-        ASSERT_EQ(fr[cc].final_residual, sr[cc].final_residual) << "K=" << k;
-        const auto& fx = fused_bs.solution(comp);
-        const auto& sx = split_bs.solution(comp);
-        ASSERT_EQ(fx.size(), sx.size());
-        int failures = 0;
-        for (std::size_t i = 0; i < fx.size(); ++i) {
-          if (fx[i] != sx[i] && failures++ < 3) {
-            ADD_FAILURE() << "K=" << k << " component " << comp
-                          << " diverges at flat index " << i;
-          }
-        }
-        ASSERT_EQ(failures, 0);
-      }
-    });
+  if constexpr (std::is_same_v<F, BrickedArray>) {
+    reset();
+    residual(r_split, b, ax, fine.interior());
+    const real_t want = max_norm(r_split);
+    const real_t got = fused::residual_max_norm(r_fused, b, ax);
+    expect_same_storage(r_fused, r_split, what + ": norm's r");
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0) << what;
+    // The norm counts a NaN as +inf: a NaN solve never converges.
+    EXPECT_EQ(got, std::numeric_limits<real_t>::infinity()) << what;
+  }
+}
+
+// The GS descent tail (residual + restriction in one pass) and the
+// one-component convergence norm (residual + max-norm in one pass) must
+// equal their split pairs bit for bit, at K = 1 and, for the tail, at
+// K = 4; over brick dims 2/4/8 and 1/4 workers. The levels are rank 0's
+// of a 2x2x2 grid, which store the full ghost shell.
+TEST(FusedTail, ResidualRestrictAndNormMatchSplitPairsBitwise) {
+  class EngineGuard {
+   public:
+    ~EngineGuard() {
+      exec::configure_default_engine(exec::resolved_default_workers());
+    }
+  } guard;
+  for (const index_t bdim : {2, 4, 8}) {
+    const GmgSolver solver(base_options(bdim, Smoother::kRedBlackGS),
+                           CartDecomp({64, 64, 64}, {2, 2, 2}), 0);
+    for (const int workers : {1, 4}) {
+      exec::configure_default_engine(workers);
+      const std::string what = "brick " + std::to_string(bdim) +
+                               ", workers " + std::to_string(workers);
+      compare_tails<BrickedArray>(solver.level(0), solver.level(1), 1,
+                                  what + ", K=1");
+      compare_tails<BatchedBrickedArray>(solver.level(0), solver.level(1), 4,
+                                         what + ", K=4");
+    }
   }
 }
 
@@ -526,10 +505,8 @@ TEST(FusedCheck, FusedVcycleIsHazardCleanUnderDetector) {
   comm::World world(1);
   world.run([&](comm::Communicator& c) {
     for (const bool varcoef : {false, true}) {
-      GmgOptions o = base_options(4, Smoother::kPointJacobi);
-      o.fuse_stages = true;
       const CartDecomp decomp({32, 32, 32}, {1, 1, 1});
-      GmgSolver solver(o, decomp, 0);
+      GmgSolver solver(base_options(4, Smoother::kPointJacobi), decomp, 0);
       if (varcoef) solver.set_coefficient(c, wavy_coef);
       solver.set_rhs(sine_rhs);
       solver.vcycle(c);

@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -41,14 +40,13 @@ real_t bump_rhs(real_t x, real_t y, real_t z) {
          std::cos(2 * M_PI * z);
 }
 
-GmgOptions matrix_options(Smoother sm, bool fuse) {
+GmgOptions matrix_options(Smoother sm) {
   GmgOptions o;
   o.levels = 3;
   o.smooths = 4;
   o.bottom_smooths = 10;
   o.brick = BrickShape::cube(4);
   o.smoother = sm;
-  o.fuse_stages = fuse;
   o.max_vcycles = 2;
   o.tolerance = 0;  // run the full cycle budget
   return o;
@@ -94,40 +92,36 @@ void expect_checked_run_clean(
   check::set_enabled(false);
 }
 
-// For every rank grid x smoother x fusion state, the statically
-// recorded schedule proves clean AND the same configuration's
-// instrumented solve leaves the hazard detector empty. The two layers
-// watch the same invariants from opposite ends; this pins them
-// together.
+// For every rank grid x smoother, the statically recorded schedule
+// proves clean AND the same configuration's instrumented solve leaves
+// the hazard detector empty. The two layers watch the same invariants
+// from opposite ends; this pins them together.
 TEST(ScheduleParity, StaticProofMatchesCheckedRunAcrossMatrix) {
   for (const Vec3& rg : kRankGrids) {
     const CartDecomp decomp({32, 32, 32}, rg);
     for (const Smoother sm : kSmoothers) {
-      for (const bool fuse : {false, true}) {
-        SCOPED_TRACE(grid_tag(rg) + " " + smoother_tag(sm) +
-                     (fuse ? " fused" : " split"));
-        const GmgOptions o = matrix_options(sm, fuse);
-        expect_checked_run_clean(decomp, [&](comm::Communicator& c) {
-          // The constructor already runs the static proof (it throws on
-          // any hazard); re-check explicitly so a clean run asserts an
-          // empty diagnostic list, not just the absence of a throw.
-          GmgSolver solver(o, decomp, c.rank());
-          if (c.rank() == 0) {
-            const check::Schedule sched = record_solver_schedule(solver);
-            EXPECT_TRUE(check::ScheduleVerifier().check(sched).empty());
-            const check::Schedule fmg = record_fmg_schedule(solver);
-            EXPECT_TRUE(check::ScheduleVerifier().check(fmg).empty());
-          }
-          solver.set_rhs(sine_rhs);
-          solver.solve(c);
-        });
-      }
+      SCOPED_TRACE(grid_tag(rg) + " " + smoother_tag(sm));
+      const GmgOptions o = matrix_options(sm);
+      expect_checked_run_clean(decomp, [&](comm::Communicator& c) {
+        // The constructor already runs the static proof (it throws on
+        // any hazard); re-check explicitly so a clean run asserts an
+        // empty diagnostic list, not just the absence of a throw.
+        GmgSolver solver(o, decomp, c.rank());
+        if (c.rank() == 0) {
+          const check::Schedule sched = record_solver_schedule(solver);
+          EXPECT_TRUE(check::ScheduleVerifier().check(sched).empty());
+          const check::Schedule fmg = record_fmg_schedule(solver);
+          EXPECT_TRUE(check::ScheduleVerifier().check(fmg).empty());
+        }
+        solver.set_rhs(sine_rhs);
+        solver.solve(c);
+      });
     }
   }
 }
 
 TEST(ScheduleParity, BatchedScheduleProvesCleanAndRunsClean) {
-  GmgOptions o = matrix_options(Smoother::kPointJacobi, true);
+  GmgOptions o = matrix_options(Smoother::kPointJacobi);
   o.bottom = BottomSolverType::kConjugateGradient;
   o.max_batch = 4;
   for (const Vec3& rg : kRankGrids) {
@@ -168,7 +162,7 @@ TEST(ScheduleParity, BatchedJacobiSweepIsTheSoloSweep) {
     SCOPED_TRACE(varcoef ? "varcoef" : "const");
     comm::World world(1);
     world.run([&](comm::Communicator& c) {
-      GmgSolver base(matrix_options(Smoother::kPointJacobi, true), decomp, 0);
+      GmgSolver base(matrix_options(Smoother::kPointJacobi), decomp, 0);
       if (varcoef) {
         base.set_coefficient(c, [](real_t x, real_t y, real_t) {
           return 1.5 + std::sin(2 * M_PI * x) * std::cos(2 * M_PI * y);
@@ -184,7 +178,7 @@ TEST(ScheduleParity, BatchedJacobiSweepIsTheSoloSweep) {
     });
   }
 
-  GmgOptions o = matrix_options(Smoother::kPointJacobi, true);
+  GmgOptions o = matrix_options(Smoother::kPointJacobi);
   o.operator_radius = 2;
   GmgSolver base(o, decomp, 0);
   batch::BatchedSolver bs(base, 4);
@@ -202,7 +196,7 @@ TEST(ScheduleParity, BatchedJacobiSweepIsTheSoloSweep) {
 
 TEST(ScheduleParity, CompositeAmrScheduleProvesCleanAndRunsClean) {
   amr::AmrOptions ao;
-  ao.gmg = matrix_options(Smoother::kPointJacobi, true);
+  ao.gmg = matrix_options(Smoother::kPointJacobi);
   ao.gmg.levels = 4;
   ao.patch = Box{{8, 8, 8}, {24, 24, 24}};
   ao.patch_smooths = 4;
@@ -280,7 +274,7 @@ TEST(ScheduleCoverage, SoloSolveIssuesTheRecordedSchedule) {
          {BottomSolverType::kSmooth, BottomSolverType::kConjugateGradient}) {
       SCOPED_TRACE(std::string(smoother_tag(sm)) +
                    (bottom == BottomSolverType::kSmooth ? " smooth" : " cg"));
-      GmgOptions o = matrix_options(sm, true);
+      GmgOptions o = matrix_options(sm);
       o.bottom = bottom;
       if (bottom == BottomSolverType::kConjugateGradient) {
         o.bottom_smooths = 2;  // the recorded bottom-CG iteration count
@@ -305,7 +299,7 @@ TEST(ScheduleCoverage, SoloSolveIssuesTheRecordedSchedule) {
 
 TEST(ScheduleCoverage, BatchedSolveIssuesTheRecordedSchedule) {
   const int n = kCoverageDecomp.num_ranks();
-  GmgOptions o = matrix_options(Smoother::kPointJacobi, true);
+  GmgOptions o = matrix_options(Smoother::kPointJacobi);
   o.bottom = BottomSolverType::kConjugateGradient;
   o.bottom_smooths = 2;
   o.bottom_cg_tolerance = 0;
@@ -338,7 +332,7 @@ TEST(ScheduleCoverage, BatchedSolveIssuesTheRecordedSchedule) {
 TEST(ScheduleCoverage, CompositeSolveIssuesTheRecordedSchedule) {
   const int n = kCoverageDecomp.num_ranks();
   amr::AmrOptions ao;
-  ao.gmg = matrix_options(Smoother::kPointJacobi, true);
+  ao.gmg = matrix_options(Smoother::kPointJacobi);
   ao.gmg.levels = 4;
   ao.patch = Box{{8, 8, 8}, {24, 24, 24}};
   ao.patch_smooths = 4;
@@ -435,37 +429,11 @@ TEST(ScheduleDerived, UnknownAndUnboundRolesRejected) {
 
 // ---- seeded hazards: each class rejected with a sourced diagnostic -----
 
-/// Lifts the GMG_FUSE_STAGES override for its lifetime. The seeded
-/// fused-step hazards need a schedule that holds fused steps whatever
-/// the environment says (ci/tier1.sh re-runs this suite with fusion
-/// overridden off), so their solver is built from an explicitly fused
-/// configuration the override cannot flip.
-class FuseOverrideLifted {
- public:
-  FuseOverrideLifted() {
-    if (const char* v = std::getenv("GMG_FUSE_STAGES")) {
-      saved_ = v;
-      had_ = true;
-      unsetenv("GMG_FUSE_STAGES");
-    }
-  }
-  ~FuseOverrideLifted() {
-    if (had_) setenv("GMG_FUSE_STAGES", saved_.c_str(), 1);
-  }
-  FuseOverrideLifted(const FuseOverrideLifted&) = delete;
-  FuseOverrideLifted& operator=(const FuseOverrideLifted&) = delete;
-
- private:
-  bool had_ = false;
-  std::string saved_;
-};
-
-/// The fused point-Jacobi schedule of rank 0 of `ranks` (32^3 cells
-/// per rank).
+/// The point-Jacobi schedule of rank 0 of `ranks` (32^3 cells per
+/// rank).
 check::Schedule jacobi_schedule(Vec3 ranks = {1, 1, 1}) {
-  const FuseOverrideLifted lifted;
   const CartDecomp decomp({32 * ranks.x, 32 * ranks.y, 32 * ranks.z}, ranks);
-  GmgSolver solver(matrix_options(Smoother::kPointJacobi, true), decomp, 0);
+  GmgSolver solver(matrix_options(Smoother::kPointJacobi), decomp, 0);
   return record_solver_schedule(solver);
 }
 
@@ -526,7 +494,7 @@ TEST(ScheduleSeededBug, OverlappingFusedChunksRejected) {
 // declares covered by refinement.
 TEST(ScheduleSeededBug, CoveredBrickScheduledRejected) {
   amr::AmrOptions ao;
-  ao.gmg = matrix_options(Smoother::kPointJacobi, true);
+  ao.gmg = matrix_options(Smoother::kPointJacobi);
   ao.gmg.levels = 4;
   ao.patch = Box{{8, 8, 8}, {24, 24, 24}};
   ao.patch_smooths = 4;
@@ -544,7 +512,7 @@ TEST(ScheduleSeededBug, CoveredBrickScheduledRejected) {
 }
 
 check::Schedule batched_schedule() {
-  GmgOptions o = matrix_options(Smoother::kPointJacobi, true);
+  GmgOptions o = matrix_options(Smoother::kPointJacobi);
   o.bottom = BottomSolverType::kConjugateGradient;
   o.max_batch = 4;
   const CartDecomp decomp({32, 32, 32}, {1, 1, 1});
@@ -632,7 +600,7 @@ TEST(ScheduleSeededBug, InPlaceStencilSweepRejected) {
 // rejects the same box as an iteration plan at run time.
 TEST(ScheduleSeededBug, WriteIntoWrappedGhostRejected) {
   const CartDecomp decomp({32, 32, 32}, {1, 1, 1});
-  GmgSolver solver(matrix_options(Smoother::kPointJacobi, true), decomp, 0);
+  GmgSolver solver(matrix_options(Smoother::kPointJacobi), decomp, 0);
   check::Schedule sched = record_solver_schedule(solver);
   const auto it = std::find_if(
       sched.steps.begin(), sched.steps.end(), [](const check::ScheduleStep& s) {
@@ -661,11 +629,11 @@ TEST(ScheduleGate, VerificationCountsOnlyWhenEnabled) {
 
   check::set_verify_schedule_enabled(false);
   const std::uint64_t before = check::schedules_verified();
-  { GmgSolver off(matrix_options(Smoother::kPointJacobi, true), decomp, 0); }
+  { GmgSolver off(matrix_options(Smoother::kPointJacobi), decomp, 0); }
   EXPECT_EQ(check::schedules_verified(), before);
 
   check::set_verify_schedule_enabled(true);
-  { GmgSolver on(matrix_options(Smoother::kPointJacobi, true), decomp, 0); }
+  { GmgSolver on(matrix_options(Smoother::kPointJacobi), decomp, 0); }
   EXPECT_GT(check::schedules_verified(), before);
 
   check::set_verify_schedule_enabled(was);

@@ -380,17 +380,10 @@ TEST(GmgSolver, TraceRecordsAllPhases) {
     EXPECT_TRUE(has(prof, 0, Phase::kJacobiSweep));
     EXPECT_FALSE(has(prof, 0, Phase::kApplyOp));
     EXPECT_FALSE(has(prof, 0, Phase::kSmoothResidual));
-    // With the default fused descent (DESIGN.md §16) the final
-    // smooth+residual and the restriction merge into one phase.
-    // Branch on the solver's resolved option so the suite also passes
-    // under a GMG_FUSE_STAGES CI override.
-    if (solver.options().fuse_stages) {
-      EXPECT_TRUE(has(prof, 0, Phase::kFusedDescent));
-      EXPECT_FALSE(has(prof, 0, Phase::kRestriction));
-    } else {
-      EXPECT_TRUE(has(prof, 0, Phase::kRestriction));
-      EXPECT_FALSE(has(prof, 0, Phase::kFusedDescent));
-    }
+    // The descent's last sweep and the restriction run as one pass
+    // (DESIGN.md §16), timed as one phase.
+    EXPECT_TRUE(has(prof, 0, Phase::kFusedDescent));
+    EXPECT_FALSE(has(prof, 0, Phase::kRestriction));
     EXPECT_TRUE(has(prof, 0, Phase::kInterpIncrement));
     EXPECT_TRUE(has(prof, 0, Phase::kExchange));
     EXPECT_TRUE(has(prof, 2, Phase::kJacobiSweep));  // bottom solver
@@ -399,19 +392,17 @@ TEST(GmgSolver, TraceRecordsAllPhases) {
     const std::string report = trace::format_level_stats(snap);
     EXPECT_NE(report.find("level 0 applyOp+smooth ["), std::string::npos);
 
-    // Split configuration: the separate restriction phase comes back
-    // (unless a GMG_FUSE_STAGES=1 override forces fusion back on).
-    GmgOptions split = small_options(4, 3);
-    split.fuse_stages = false;
-    GmgSolver split_solver(split, decomp, 0);
-    split_solver.set_rhs(sine_rhs);
+    // Chebyshev's recurrence reads r on every sweep, so its descent
+    // keeps the restriction as a separate phase.
+    GmgOptions cheby = small_options(4, 3);
+    cheby.smoother = Smoother::kChebyshev;
+    GmgSolver cheby_solver(cheby, decomp, 0);
+    cheby_solver.set_rhs(sine_rhs);
     trace::clear();
-    split_solver.vcycle(c);
-    const trace::LevelStats split_prof = trace::level_stats(trace::collect());
-    if (!split_solver.options().fuse_stages) {
-      EXPECT_TRUE(has(split_prof, 0, Phase::kRestriction));
-      EXPECT_FALSE(has(split_prof, 0, Phase::kFusedDescent));
-    }
+    cheby_solver.vcycle(c);
+    const trace::LevelStats cheby_prof = trace::level_stats(trace::collect());
+    EXPECT_TRUE(has(cheby_prof, 0, Phase::kRestriction));
+    EXPECT_FALSE(has(cheby_prof, 0, Phase::kFusedDescent));
   });
   trace::set_enabled(was);
 }
@@ -439,29 +430,24 @@ TEST(GmgSolver, NanRhsNeverConverges) {
   // drops a NaN operand, so the solve used to read as converged after
   // one cycle (residual 0) with every solution cell NaN. The norm
   // counts the NaN as +inf: the solve retires before its first cycle,
-  // unconverged — through the fused residual norm and the split pair.
+  // unconverged.
   const CartDecomp decomp({32, 32, 32}, {1, 1, 1});
   const real_t inf = std::numeric_limits<real_t>::infinity();
-  for (const bool fuse : {true, false}) {
-    comm::World world(1);
-    world.run([&](comm::Communicator& c) {
-      GmgOptions o = small_options(4, 3);
-      o.fuse_stages = fuse;
-      GmgSolver solver(o, decomp, 0);
-      solver.set_rhs([](real_t x, real_t y, real_t z) {
-        const real_t h = 1.0 / 32;
-        return x < h && y < h && z < h
-                   ? std::numeric_limits<real_t>::quiet_NaN()
-                   : sine_rhs(x, y, z);
-      });
-      const SolveResult r = solver.solve(c);
-      EXPECT_FALSE(r.converged) << "fuse " << fuse;
-      EXPECT_EQ(r.vcycles, 0) << "fuse " << fuse;
-      EXPECT_EQ(r.final_residual, inf) << "fuse " << fuse;
-      ASSERT_EQ(r.history.size(), 1u);
-      EXPECT_EQ(r.history[0], inf);
+  comm::World world(1);
+  world.run([&](comm::Communicator& c) {
+    GmgSolver solver(small_options(4, 3), decomp, 0);
+    solver.set_rhs([](real_t x, real_t y, real_t z) {
+      const real_t h = 1.0 / 32;
+      return x < h && y < h && z < h ? std::numeric_limits<real_t>::quiet_NaN()
+                                     : sine_rhs(x, y, z);
     });
-  }
+    const SolveResult r = solver.solve(c);
+    EXPECT_FALSE(r.converged);
+    EXPECT_EQ(r.vcycles, 0);
+    EXPECT_EQ(r.final_residual, inf);
+    ASSERT_EQ(r.history.size(), 1u);
+    EXPECT_EQ(r.history[0], inf);
+  });
 }
 
 }  // namespace

@@ -30,10 +30,11 @@
 //                       redundant ghost computation is bitwise equal
 //                       to the owning rank; a hand-written fma
 //                       reintroduces exactly that contraction.
-//   no-nondeterminism   3. No nondeterminism sources (random_device,
-//                       rand, srand, high_resolution_clock) outside
-//                       src/common/rng.hpp and the trace/perf clock
-//                       wrappers.
+//   no-nondeterminism   3. No nondeterminism sources: random_device,
+//                       rand and srand only in src/common/rng.hpp,
+//                       and no high_resolution_clock read in src/gmg,
+//                       src/dsl, src/brick, src/check, src/batch or
+//                       src/amr (kernel timing is a trace span).
 //   fp-contract         4. The top-level CMakeLists.txt must keep
 //                       -ffp-contract=off.
 //   effect-scope        5. Every kernel in src/gmg, src/dsl,
@@ -432,7 +433,6 @@ struct FileClass {
   std::string rel;  // e.g. "src/gmg/solver.cpp"
   bool in_kernel_dirs = false;   // rule 1, 3 (clock)
   bool in_rng = false;           // rule 3 exemption
-  bool in_clock_wrapper = false; // rule 3 exemption
   bool in_effect_dirs = false;   // rule 5: kernels
   bool in_check = false;         // rule 5: the one home of scopes
   bool plan_scope = false;       // rule 6: schedule files
@@ -452,9 +452,6 @@ FileClass classify(const std::string& rel) {
         "src/amr/"})
     if (starts_with(rel, d)) fc.in_kernel_dirs = true;
   fc.in_rng = rel == "src/common/rng.hpp";
-  fc.in_clock_wrapper = starts_with(rel, "src/trace/") ||
-                        starts_with(rel, "src/perf/") ||
-                        base == "timer.hpp" || base == "timer.cpp";
   fc.in_check = starts_with(rel, "src/check/");
   // Rule 6 covers the schedule code: everything in src/gmg, src/batch
   // and src/amr except the kernel sources and the specializer registry.
@@ -543,11 +540,10 @@ class Linter {
                "nondeterministic RNG source; use common/rng.hpp (seeded, "
                "reproducible) instead");
       }
-      if (fc.in_kernel_dirs && !fc.in_clock_wrapper &&
-          t.text == "high_resolution_clock") {
+      if (fc.in_kernel_dirs && t.text == "high_resolution_clock") {
         report(fc, tf, t.line, "no-nondeterminism",
-               "clock read inside a kernel directory; timing belongs in "
-               "src/trace / src/perf");
+               "clock read inside a kernel directory; time it with a "
+               "src/trace span");
       }
     }
   }
@@ -742,6 +738,14 @@ const SelfTest kSelfTests[] = {
      "namespace gmg {\nint f() { return rand(); }\n}\n", "no-nondeterminism"},
     {"operand not rand", "src/serve/foo.cpp",
      "namespace gmg {\nint f(int operand) { return operand; }\n}\n", nullptr},
+    {"clock read in a kernel directory flagged", "src/gmg/foo.cpp",
+     "namespace gmg {\nauto f() {\n"
+     "  return std::chrono::high_resolution_clock::now();\n}\n}\n",
+     "no-nondeterminism"},
+    {"clock read outside the kernel directories clean", "src/perf/foo.cpp",
+     "namespace gmg {\nauto f() {\n"
+     "  return std::chrono::high_resolution_clock::now();\n}\n}\n",
+     nullptr},
     // v1's false negative: the launch literal spans lines and the
     // definition is indented / return type on its own line.
     {"multi-line launch without scope flagged", "src/gmg/my_fused.cpp",
@@ -818,7 +822,7 @@ const SelfTest kSelfTests[] = {
     {"executor call in the cycle clean", "src/gmg/cycle.hpp",
      "namespace gmg {\ntemplate <class Exec>\nclass Cycle {\n"
      "  void sweep(int l) {\n"
-     "    ex_.jacobi(l, active, false, false, false);\n  }\n};\n}\n",
+     "    ex_.jacobi(l, active, false);\n  }\n};\n}\n",
      nullptr},
     {"level dispatcher in the cycle flagged", "src/gmg/cycle.hpp",
      "namespace gmg {\ntemplate <class Exec>\nclass Cycle {\n"

@@ -2,8 +2,8 @@
 // §18) over representative solver configurations without executing a
 // single sweep, and report how much the setup-time proof costs.
 //
-//   schedule_audit [--fuse 0|1] [--batch K] [--amr]
-//                  [--assert-overhead PCT] [--extent N] [--levels L]
+//   schedule_audit [--batch K] [--amr] [--assert-overhead PCT]
+//                  [--extent N] [--levels L]
 //
 // For each configuration (4 smoothers, both bottom solvers on Jacobi,
 // W-cycle, FMG is folded into every entry since verify_solver_schedule
@@ -20,13 +20,8 @@
 // record+verify time exceeds PCT percent of the corresponding solver
 // setup time — the guard CI uses to keep the proof cheap enough to
 // leave on by default.
-//
-// GMG_FUSE_STAGES is honored like everywhere else; --fuse just sets it
-// for child configuration so `schedule_audit --fuse 0` and
-// `GMG_FUSE_STAGES=0 schedule_audit` are the same dry run.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -43,7 +38,6 @@ namespace {
 using namespace gmg;
 
 struct Args {
-  int fuse = -1;  // -1 = leave GMG_FUSE_STAGES alone
   int batch = 4;
   bool amr = false;
   double assert_overhead_pct = 0;  // 0 = report only
@@ -53,7 +47,7 @@ struct Args {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: schedule_audit [--fuse 0|1] [--batch K] [--amr]\n"
+               "usage: schedule_audit [--batch K] [--amr]\n"
                "                      [--assert-overhead PCT] [--extent N]\n"
                "                      [--levels L]\n");
   return 2;
@@ -89,11 +83,7 @@ int main(int argc, char** argv) {
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
-    if (a == "--fuse") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      args.fuse = std::atoi(v);
-    } else if (a == "--batch") {
+    if (a == "--batch") {
       const char* v = next();
       if (v == nullptr) return usage();
       args.batch = std::atoi(v);
@@ -115,18 +105,13 @@ int main(int argc, char** argv) {
       return usage();
     }
   }
-  if (args.fuse == 0 || args.fuse == 1) {
-    setenv("GMG_FUSE_STAGES", args.fuse != 0 ? "1" : "0", 1);
-  }
   // The ctors would verify on their own; this tool wants the record
   // and proof phases timed separately from setup, so it disables the
   // hook and drives verification explicitly.
   check::set_verify_schedule_enabled(false);
 
-  const char* fuse_env = std::getenv("GMG_FUSE_STAGES");
-  std::printf("schedule_audit: extent=%lld levels=%d fuse=%s\n",
-              static_cast<long long>(args.extent), args.levels,
-              fuse_env != nullptr ? fuse_env : "default");
+  std::printf("schedule_audit: extent=%lld levels=%d\n",
+              static_cast<long long>(args.extent), args.levels);
 
   struct Config {
     Smoother smoother;
