@@ -158,6 +158,39 @@ JacobiSweepTimes measure_jacobi_sweep(index_t n, index_t bdim,
   return JacobiSweepTimes{best[0], best[1], best[2], best[3]};
 }
 
+LaunchTimes measure_sweep_launches(index_t n, index_t bdim, int launches,
+                                   int repetitions) {
+  GMG_REQUIRE(launches > 0 && launches % 2 == 0,
+              "sweep launches come in swap pairs");
+  KernelFixture f(n, bdim);
+  BrickedArray x_next(f.x.grid_ptr(), f.x.shape());
+  const Box interior = Box::from_extent({n, n, n});
+  const auto apply = [&] {
+    for (int l = 0; l < launches; ++l)
+      apply_op(f.Ax, f.x, f.alpha, f.beta, interior);
+  };
+  const auto sweep = [&] {
+    for (int l = 0; l < launches; l += 2) {
+      fused::jacobi_sweep(x_next, nullptr, nullptr, f.x, f.b, f.alpha,
+                          f.beta, f.gamma, interior);
+      fused::jacobi_sweep(f.x, nullptr, nullptr, x_next, f.b, f.alpha,
+                          f.beta, f.gamma, interior);
+    }
+  };
+  apply();  // warm-up
+  sweep();
+  LaunchTimes best{1e30, 1e30};
+  for (int rep = 0; rep < repetitions; ++rep) {
+    Timer t;
+    apply();
+    best.apply_op = std::min(best.apply_op, t.elapsed() / launches);
+    t.restart();
+    sweep();
+    best.one_pass = std::min(best.one_pass, t.elapsed() / launches);
+  }
+  return best;
+}
+
 arch::ArchSpec calibrated_host(index_t n) {
   arch::ArchSpec host = arch::host_cpu();
   const index_t bdim = host.brick_dim;

@@ -54,6 +54,17 @@ struct JacobiSweepTimes {
 JacobiSweepTimes measure_jacobi_sweep(index_t n, index_t bdim,
                                       int repetitions = 3);
 
+/// Per-launch wall times of applyOp and of the one-pass Jacobi sweep
+/// over an n^3 interior: `launches` back-to-back launches timed
+/// together (the sweep swapping x and x' between launches, as the
+/// smoother does), best of `repetitions`. Sized for short launches —
+/// a serve-shaped level is one chunk run on the calling thread.
+struct LaunchTimes {
+  double apply_op = 0, one_pass = 0;
+};
+LaunchTimes measure_sweep_launches(index_t n, index_t bdim, int launches,
+                                   int repetitions);
+
 /// The host ArchSpec with its per-kernel efficiencies filled from live
 /// measurements:
 ///   frac_roofline[op]        = achieved bandwidth / STREAM bandwidth

@@ -3,7 +3,8 @@
 // (persistent engine pool vs legacy OpenMP fork/join). Both modes use
 // the same chunk plan, so any throughput delta is pure dispatch cost.
 // Then the fused-descent and one-pass Jacobi sweep rows against their
-// split stages, and the schedule-proof overhead. Writes
+// split stages, applyOp and the sweep per launch at the serve shapes
+// (16^3 and 32^3, bricks 4^3), and the schedule-proof overhead. Writes
 // BENCH_kernel_runtime.json.
 #include <algorithm>
 #include <fstream>
@@ -148,6 +149,36 @@ int main(int argc, char** argv) {
   jt.print();
   jt.write_csv("bench/out/micro_runtime_jacobi_sweep.csv");
 
+  // --- the serve shapes: 4^3 bricks at 16^3 and 32^3, where every
+  // launch is a single chunk run on the calling thread.
+  bench::section(
+      "Serve-shaped sweep — applyOp and the one-pass Jacobi sweep per "
+      "launch, bricks 4^3, 2000 back-to-back launches per timing");
+  struct ServeSweep {
+    index_t n;
+    bench::LaunchTimes t;
+  };
+  std::vector<ServeSweep> serve_sweeps;
+  for (const index_t sn : {index_t{16}, index_t{32}})
+    serve_sweeps.push_back({sn, bench::measure_sweep_launches(sn, 4, 2000, 3)});
+  Table st({"level", "op", "us/launch", "GStencil/s"});
+  for (const ServeSweep& ss : serve_sweeps) {
+    const double sc = static_cast<double>(ss.n) * ss.n * ss.n;
+    const std::string level = std::to_string(ss.n) + "^3";
+    st.row()
+        .cell(level)
+        .cell("applyOp")
+        .cell(ss.t.apply_op * 1e6, 2)
+        .cell(sc / ss.t.apply_op / 1e9, 3);
+    st.row()
+        .cell(level)
+        .cell("one-pass sweep")
+        .cell(ss.t.one_pass * 1e6, 2)
+        .cell(sc / ss.t.one_pass / 1e9, 3);
+  }
+  st.print();
+  st.write_csv("bench/out/micro_runtime_serve_sweep.csv");
+
   // --- setup-time schedule verification (DESIGN.md §18): what the
   // static proof costs relative to the solver setup it rides on. The
   // ctor hook is disabled so the record+verify phases are timed
@@ -210,6 +241,18 @@ int main(int argc, char** argv) {
      << "    \"one_pass_speedup\": " << js.two_pass / js.one_pass << ",\n"
      << "    \"one_pass_residual_speedup\": "
      << js.two_pass_residual / js.one_pass_residual << "\n  },\n"
+     << "  \"serve_sweep\": [\n";
+  for (std::size_t i = 0; i < serve_sweeps.size(); ++i) {
+    const ServeSweep& ss = serve_sweeps[i];
+    const double sc = static_cast<double>(ss.n) * ss.n * ss.n;
+    os << "    {\"n\": " << ss.n << ", \"brick_dim\": 4"
+       << ", \"apply_op_s\": " << ss.t.apply_op
+       << ", \"one_pass_s\": " << ss.t.one_pass
+       << ", \"apply_op_gstencil_per_s\": " << sc / ss.t.apply_op / 1e9
+       << ", \"one_pass_gstencil_per_s\": " << sc / ss.t.one_pass / 1e9
+       << "}" << (i + 1 < serve_sweeps.size() ? ",\n" : "\n");
+  }
+  os << "  ],\n"
      << "  \"schedule_verify\": {\n"
      << "    \"setup_s\": " << setup_s << ",\n"
      << "    \"proof_s\": " << proof_s << ",\n"

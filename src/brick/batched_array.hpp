@@ -97,9 +97,12 @@ template <class F>
 concept BrickField = std::is_same_v<F, BrickedArray> ||
                      std::is_same_v<F, BatchedBrickedArray>;
 
-/// Whether lane-count type KT is the compile-time K = 1.
+/// Whether lane-count type KT is the compile-time K = 1 (cv- and
+/// ref-qualified forms included: decltype of a captured K may carry
+/// either).
 template <class KT>
-inline constexpr bool kOneLane = std::is_same_v<KT, OneLane>;
+inline constexpr bool kOneLane =
+    std::is_same_v<std::remove_cvref_t<KT>, OneLane>;
 
 /// The brick storage the ghost exchange moves.
 inline BrickedArray& storage(BrickedArray& a) { return a; }

@@ -39,53 +39,45 @@ inline std::uint64_t box_points(const Box& b, index_t lanes = 1) {
   return static_cast<std::uint64_t>(b.volume() * lanes);
 }
 
-/// brick_pass stage that does nothing (a kernel with no per-row A*x
-/// stage, or no separate pointwise stage).
+/// brick_pass stage that does nothing (a kernel with no A*x stage, or
+/// no separate pointwise stage).
 struct NoStage {
   template <typename... Args>
   void operator()(Args&&...) const {}
 };
 
-/// One pass over the bricks of `active`, K lanes per cell. `row(it,
-/// full, lj, lk, ilo, ihi, o)` runs per row, `o` being the row's flat
-/// CELL offset (the one-pass sweeps: A*x and the x update, in
-/// registers); `flat(o, lo, hi)` runs a pointwise stage over the row's
-/// storage elements [o + lo, o + hi) — full bricks collapse their rows
-/// into one whole-brick call, exactly as the row visitor chunks them.
-/// With a coarse grid `cg`, every INTERIOR brick then restricts its
-/// just-written residual `rp` into `cp`. Interior bricks are always
-/// full plan items here (the caller's region cuts the interior only at
-/// brick boundaries); clipped items are ghost-shell bricks, which
-/// contribute no restriction.
-template <typename BD, typename KT, typename Row, typename Flat>
+/// One pass over the bricks of `active`, K lanes per cell. Per plan
+/// brick, `brick(it, full, base)` runs first, `base` being the brick's
+/// first CELL (the one-pass sweeps: A*x and the x update, in
+/// registers); then `flat(o, lo, hi)` runs a pointwise stage over
+/// storage elements [o + lo, o + hi) — one whole-brick call on a full
+/// brick, one call per row on a clipped one, exactly as the row
+/// visitor chunks them. With a coarse grid `cg`, every INTERIOR brick
+/// then restricts its just-written residual `rp` into `cp`. Interior
+/// bricks are always full plan items here (the caller's region cuts
+/// the interior only at brick boundaries); clipped items are
+/// ghost-shell bricks, which contribute no restriction.
+template <typename BD, typename KT, typename Brick, typename Flat>
 void brick_pass(BD, KT K, const char* name, const BrickGrid& fg,
-                const Box& active, Row&& row, Flat&& flat,
+                const Box& active, Brick&& brick, Flat&& flat,
                 const BrickGrid* cg, const real_t* rp, real_t* cp) {
   const std::int64_t ni = fg.num_interior();
   const auto plan = fg.iteration_plan(active, Vec3{BD::bx, BD::by, BD::bz});
   for_each_plan_brick<BD>(name, *plan, [&](const BrickPlanItem& it,
                                            auto full) {
-    constexpr bool kFull = decltype(full)::value;
     const std::size_t base = static_cast<std::size_t>(it.id) * BD::volume;
-    const index_t ilo = kFull ? 0 : it.ilo;
-    const index_t ihi = kFull ? BD::bx : it.ihi;
-    const index_t jlo = kFull ? 0 : it.jlo;
-    const index_t jhi = kFull ? BD::by : it.jhi;
-    const index_t klo = kFull ? 0 : it.klo;
-    const index_t khi = kFull ? BD::bz : it.khi;
-    for (index_t lk = klo; lk < khi; ++lk) {
-      for (index_t lj = jlo; lj < jhi; ++lj) {
-        const std::size_t o =
-            base + static_cast<std::size_t>((lk * BD::by + lj) * BD::bx);
-        row(it, full, lj, lk, ilo, ihi, o);
-        if constexpr (!kFull) flat(o * K, ilo * K, ihi * K);
-      }
-    }
-    if constexpr (kFull) {
+    brick(it, full, base);
+    if constexpr (decltype(full)::value) {
       flat(base * K, index_t{0}, static_cast<index_t>(BD::volume * K));
       if (cp != nullptr && it.id < ni)
         detail::restrict_brick<BD>(K, it.coord, *cg, rp + base * K, cp);
     } else {
+      detail::for_each_brick_row<BD>(
+          it, full, [&](index_t lj, index_t lk, index_t ilo, index_t ihi) {
+            const std::size_t o =
+                base + static_cast<std::size_t>((lk * BD::by + lj) * BD::bx);
+            flat(o * K, ilo * K, ihi * K);
+          });
       GMG_ASSERT(cp == nullptr || it.id >= ni);
     }
   });
@@ -101,17 +93,24 @@ void with_residual(const void* r, Fn&& fn) {
     fn(std::false_type{});
 }
 
-/// The x update of one cell: x' = x + gamma*(ax - b), and r = b - ax —
-/// the split smooth / smooth_residual arithmetic verbatim (`scale` is
-/// gamma, or -omega/diag for the variable-coefficient operator).
-template <bool kResidual>
+/// The x update of one cell, or of one row when T is a RowVec: x' = x +
+/// gamma*(ax - b), and r = b - ax — the split smooth / smooth_residual
+/// arithmetic verbatim, elementwise (`scale` is gamma, or -omega/diag
+/// for the variable-coefficient operator).
+template <bool kResidual, class T>
 inline void jacobi_update_cell(real_t* __restrict xn, real_t* __restrict rp,
                                const real_t* __restrict xp,
                                const real_t* __restrict bp, real_t scale,
-                               std::size_t i, real_t ax) {
-  const real_t rhs = bp[i];
-  if constexpr (kResidual) rp[i] = rhs - ax;
-  xn[i] = xp[i] + scale * (ax - rhs);
+                               std::size_t i, const T& ax) {
+  T rhs, x;
+  detail::load_row(rhs, bp + i);
+  detail::load_row(x, xp + i);
+  if constexpr (kResidual) {
+    const T res = rhs - ax;
+    detail::store_row(rp + i, res);
+  }
+  const T next = x + scale * (ax - rhs);
+  detail::store_row(xn + i, next);
 }
 
 /// A fused restriction folds `fine` bricks into `coarse` octants: the
@@ -194,17 +193,17 @@ void jacobi_sweep(F& x_next, std::type_identity_t<F>* r,
     with_residual(r, [&](auto res) {
       brick_pass(
           bd, K, "kernel.jacobiSweep", x.grid(), active,
-          [&](const BrickPlanItem& it, auto full, index_t lj, index_t lk,
-              index_t ilo, index_t ihi, std::size_t o) {
-            // A*x stays in a register: each cell's ax goes straight into
-            // its update.
-            detail::star7_row<BD, decltype(full)::value>(
-                it, K, xp, lj, lk, ilo, ihi, alpha, beta,
-                [&](index_t s, real_t ax) {
-                  jacobi_update_cell<decltype(res)::value>(
-                      xn, rp, xp, bp, gamma,
-                      o * K + static_cast<std::size_t>(s), ax);
-                });
+          [&](const BrickPlanItem& it, auto full, std::size_t base) {
+            // A*x stays in registers: each cell's (or row's) ax goes
+            // straight into its update. The update's operands are
+            // captured by value, so its stores cannot force them to be
+            // re-read.
+            detail::star7<BD>(it, full, K, xp, alpha, beta,
+                              [=, o = base * K](index_t s, const auto& ax) {
+                                jacobi_update_cell<decltype(res)::value>(
+                                    xn, rp, xp, bp, gamma,
+                                    o + static_cast<std::size_t>(s), ax);
+                              });
           },
           NoStage{}, coarse_b != nullptr ? &coarse_b->grid() : nullptr, rp,
           coarse_b != nullptr ? coarse_b->data() : nullptr);
@@ -245,20 +244,27 @@ void jacobi_sweep_varcoef(F& x_next, std::type_identity_t<F>* r,
     with_residual(r, [&](auto res) {
       brick_pass(
           bd, K, "kernel.jacobiSweepVarCoef", x.grid(), active,
-          [&](const BrickPlanItem& it, auto, index_t lj, index_t lk,
-              index_t ilo, index_t ihi, std::size_t o) {
-            for (index_t c = 0; c < K; ++c) {
-              const dsl::detail::BrickAccessors<BD, decltype(K), OneLane> acc(
-                  {xp + c, coef.data()}, strides, it.adj, it.id);
-              dsl::detail::eval_row<BD>(
-                  expr, ext, acc.slow, acc.fast, lj, lk, ilo, ihi,
-                  [&](index_t li, real_t ax) {
-                    const std::size_t cell = o + static_cast<std::size_t>(li);
-                    jacobi_update_cell<decltype(res)::value>(
-                        xn, rp, xp, bp, -omega / dp[cell],
-                        cell * K + static_cast<std::size_t>(c), ax);
-                  });
-            }
+          [&](const BrickPlanItem& it, auto full, std::size_t base) {
+            detail::for_each_brick_row<BD>(it, full, [&](index_t lj,
+                                                         index_t lk,
+                                                         index_t ilo,
+                                                         index_t ihi) {
+              const std::size_t o =
+                  base + static_cast<std::size_t>((lk * BD::by + lj) * BD::bx);
+              for (index_t c = 0; c < K; ++c) {
+                const dsl::detail::BrickAccessors<BD, decltype(K), OneLane>
+                    acc({xp + c, coef.data()}, strides, it.adj, it.id);
+                dsl::detail::eval_row<BD>(
+                    expr, ext, acc.slow, acc.fast, lj, lk, ilo, ihi,
+                    [&](index_t li, real_t ax) {
+                      const std::size_t cell =
+                          o + static_cast<std::size_t>(li);
+                      jacobi_update_cell<decltype(res)::value>(
+                          xn, rp, xp, bp, -omega / dp[cell],
+                          cell * K + static_cast<std::size_t>(c), ax);
+                    });
+              }
+            });
           },
           NoStage{}, coarse_b != nullptr ? &coarse_b->grid() : nullptr, rp,
           coarse_b != nullptr ? coarse_b->data() : nullptr);
@@ -292,8 +298,9 @@ void jacobi_update(F& x_next, std::type_identity_t<F>* r,
 #pragma omp simd
             for (index_t i = ilo; i < ihi; ++i) {
               const std::size_t c = o + static_cast<std::size_t>(i);
+              const real_t ax = xn[c];  // a copy: the update writes xn[c]
               jacobi_update_cell<decltype(res)::value>(xn, rp, xp, bp, gamma,
-                                                       c, xn[c]);
+                                                       c, ax);
             }
           },
           coarse_b != nullptr ? &coarse_b->grid() : nullptr, rp,

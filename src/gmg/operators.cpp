@@ -50,11 +50,11 @@ inline std::uint64_t box_points(const Box& b, index_t lanes = 1) {
   return static_cast<std::uint64_t>(b.volume() * lanes);
 }
 
-/// Specialized 7-point star kernel: one detail::star7_row call per
-/// output row of the cached iteration plan (stencil_rows.hpp). The
+/// Specialized 7-point star kernel: one detail::star7 call per brick
+/// of the cached iteration plan (stencil_rows.hpp) — the whole-brick
+/// vector body on full solo bricks, the row body elsewhere. The
 /// generic DSL engine (dsl::apply) remains the fallback for arbitrary
-/// stencils. Full bricks of the iteration plan instantiate the row
-/// body with compile-time whole-brick bounds.
+/// stencils.
 template <typename BD, class F>
 void apply_op_7pt(BD, F& Ax, const F& x, real_t alpha, real_t beta,
                   const Box& active, const BrickMask* mask = nullptr) {
@@ -70,23 +70,12 @@ void apply_op_7pt(BD, F& Ax, const F& x, real_t alpha, real_t beta,
 
   for_each_plan_brick<BD>("kernel.applyOp", *plan, [&](const BrickPlanItem& it,
                                                        auto full) {
-    constexpr bool kFull = decltype(full)::value;
     real_t* __restrict ob =
         op + static_cast<std::size_t>(it.id * BD::volume * K);
-    const index_t ilo = kFull ? 0 : it.ilo;
-    const index_t ihi = kFull ? BD::bx : it.ihi;
-    const index_t jlo = kFull ? 0 : it.jlo;
-    const index_t jhi = kFull ? BD::by : it.jhi;
-    const index_t klo = kFull ? 0 : it.klo;
-    const index_t khi = kFull ? BD::bz : it.khi;
-    for (index_t lk = klo; lk < khi; ++lk) {
-      for (index_t lj = jlo; lj < jhi; ++lj) {
-        real_t* __restrict orow = ob + (lk * BD::by + lj) * BD::bx * K;
-        detail::star7_row<BD, kFull>(
-            it, K, xp, lj, lk, ilo, ihi, alpha, beta,
-            [&](index_t s, real_t ax) { orow[s] = ax; });
-      }
-    }
+    detail::star7<BD>(it, full, K, xp, alpha, beta,
+                      [ob](index_t s, const auto& ax) {
+                        detail::store_row(ob + s, ax);
+                      });
   });
 }
 

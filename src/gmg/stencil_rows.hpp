@@ -1,19 +1,21 @@
 // Per-brick building blocks shared by every kernel over bricked
 // storage, each written once for any lane count K (component c of cell
 // e at flat e*K + c — brick/batched_array.hpp; K is the compile-time 1
-// for a BrickedArray): the row visitor, the 7-point row body, the
-// per-brick 8->1 restriction and the max-norm term. The split
-// operators (operators*.cpp) and the fused passes (fused_kernels.cpp)
-// share one definition of each, so the one-pass Jacobi sweep and the
-// two-pass reference it replaces apply literally the same per-element
-// arithmetic (DESIGN.md §16), and every lane of a batched field gets
-// the solo arithmetic (§15) — the bitwise contracts hold by
-// construction, not by keeping copies in step.
+// for a BrickedArray): the row visitors, the 7-point row and
+// whole-brick bodies, the per-brick 8->1 restriction and the max-norm
+// term. The split operators (operators*.cpp) and the fused passes
+// (fused_kernels.cpp) share one definition of each, so the one-pass
+// Jacobi sweep and the two-pass reference it replaces apply literally
+// the same per-element arithmetic (DESIGN.md §16), and every lane of a
+// batched field gets the solo arithmetic (§15) — the bitwise contracts
+// hold by construction, not by keeping copies in step.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <utility>
 
 #include "brick/batched_array.hpp"
 #include "brick/brick_plan.hpp"
@@ -37,6 +39,23 @@ void require_taps_in_grid(BD, const BrickGrid& grid, const Box& active,
               "stencil taps reach beyond the ghost bricks");
 }
 
+/// Visit the active rows of plan brick `it`: fn(lj, lk, ilo, ihi) for
+/// cells [ilo, ihi) of row (lj, lk). `full` is for_each_plan_brick's
+/// tag; a full brick's bounds are compile-time constants.
+template <typename BD, typename Full, typename Fn>
+inline void for_each_brick_row(const BrickPlanItem& it, Full, Fn&& fn) {
+  constexpr bool kFull = Full::value;
+  const index_t ilo = kFull ? 0 : it.ilo;
+  const index_t ihi = kFull ? BD::bx : it.ihi;
+  const index_t jlo = kFull ? 0 : it.jlo;
+  const index_t jhi = kFull ? BD::by : it.jhi;
+  const index_t klo = kFull ? 0 : it.klo;
+  const index_t khi = kFull ? BD::bz : it.khi;
+  for (index_t lk = klo; lk < khi; ++lk) {
+    for (index_t lj = jlo; lj < jhi; ++lj) fn(lj, lk, ilo, ihi);
+  }
+}
+
 /// Visit the contiguous rows of `plan` in flat storage elements:
 /// fn(o, lo, hi) where the row occupies [o + lo, o + hi), K lanes per
 /// cell. Full bricks collapse to ONE call covering the whole brick
@@ -51,13 +70,12 @@ void for_each_row(BD, KT K, const char* name, const BrickIterPlan& plan,
     if constexpr (decltype(full)::value) {
       fn(base, index_t{0}, static_cast<index_t>(BD::volume * K));
     } else {
-      for (index_t lk = it.klo; lk < it.khi; ++lk) {
-        for (index_t lj = it.jlo; lj < it.jhi; ++lj) {
-          fn(base + static_cast<std::size_t>((lk * BD::by + lj) * BD::bx * K),
-             static_cast<index_t>(it.ilo * K),
-             static_cast<index_t>(it.ihi * K));
-        }
-      }
+      for_each_brick_row<BD>(
+          it, full, [&](index_t lj, index_t lk, index_t ilo, index_t ihi) {
+            fn(base +
+                   static_cast<std::size_t>((lk * BD::by + lj) * BD::bx * K),
+               static_cast<index_t>(ilo * K), static_cast<index_t>(ihi * K));
+          });
     }
   });
 }
@@ -156,6 +174,114 @@ inline void star7_row(const BrickPlanItem& it, KT K,
       emit(s, alpha * xr[s] + beta * (xr[s - K] + xpn[c] + ym[s] + yp[s] +
                                       zm[s] + zp[s]));
     }
+  }
+}
+
+/// One brick row of B cells as a single value: a GCC/Clang
+/// vector-extension type, whose arithmetic is elementwise IEEE. (A
+/// class member typedef: GCC drops the attribute from an alias
+/// template with a dependent size.)
+template <index_t B>
+struct RowVecOf {
+  typedef real_t type __attribute__((vector_size(B * sizeof(real_t))));
+};
+template <index_t B>
+using RowVec = typename RowVecOf<B>::type;
+
+/// Load / store a value of T (a real_t or a RowVec) at p, with no
+/// alignment or aliasing assumption: one (vector) move. Values travel
+/// by reference, never by value — a vector argument's ABI depends on
+/// the ISA flags the tree is built with.
+template <class T>
+inline void load_row(T& v, const real_t* p) {
+  std::memcpy(&v, p, sizeof v);
+}
+template <class T>
+inline void store_row(real_t* p, const T& v) {
+  std::memcpy(p, &v, sizeof v);
+}
+
+/// The x taps of row vector v: xm = (l[B-1], v[0], ..., v[B-2]) and
+/// xq = (v[1], ..., v[B-1], r[0]), with l and r the same row of the -x
+/// and +x neighbour bricks.
+template <class V, std::size_t... I>
+inline void shift_in_x(const V& l, const V& v, const V& r, V& xm, V& xq,
+                       std::index_sequence<I...>) {
+  constexpr int n = sizeof...(I);
+  xm = __builtin_shufflevector(l, v, (I == 0 ? n - 1 : n + int(I) - 1)...);
+  xq = __builtin_shufflevector(v, r, (int(I) + 1)...);
+}
+
+/// star7_row's ax for a FULL plan brick of a solo field (K = 1), one
+/// B-wide row vector at a time: emit(s, ax) receives each row's
+/// brick-relative flat offset s and its B results as a RowVec. The six
+/// face-neighbour bricks are looked up once per brick, and the x taps
+/// shuffle their edge cells into the row (BrickLib's vector folding,
+/// DESIGN.md §1–2). Every lane sums its taps in star7_row's order (xm
+/// + xp + ym + yp + zm + zp), so under -ffp-contract=off each cell is
+/// bitwise star7_row's.
+template <typename BD, typename Emit>
+inline void star7_brick(const BrickPlanItem& it, const real_t* __restrict xp,
+                        real_t alpha, real_t beta, Emit&& emit) {
+  using V = RowVec<BD::bx>;
+  constexpr index_t kRow = BD::bx, kPlane = BD::bx * BD::by;
+  const auto brick_of = [&](int dx, int dy, int dz) {
+    const std::int32_t b = it.adj[direction_index(dx, dy, dz)];
+    GMG_ASSERT(b >= 0);
+    return xp + static_cast<std::size_t>(b) * BD::volume;
+  };
+  const real_t* __restrict xb =
+      xp + static_cast<std::size_t>(it.id) * BD::volume;
+  const real_t* __restrict xmb = brick_of(-1, 0, 0);
+  const real_t* __restrict xpb = brick_of(1, 0, 0);
+  const real_t* __restrict ymb = brick_of(0, -1, 0);
+  const real_t* __restrict ypb = brick_of(0, 1, 0);
+  const real_t* __restrict zmb = brick_of(0, 0, -1);
+  const real_t* __restrict zpb = brick_of(0, 0, 1);
+  for (index_t lk = 0; lk < BD::bz; ++lk) {
+    // Unrolled, the y-neighbour choice of each row is a constant.
+#pragma GCC unroll 8
+    for (index_t lj = 0; lj < BD::by; ++lj) {
+      const index_t s = (lk * BD::by + lj) * kRow;
+      V l, v, r, ym, yp, zm, zp, xm, xq;
+      load_row(l, xmb + s);
+      load_row(v, xb + s);
+      load_row(r, xpb + s);
+      // Row s's y/z neighbours: in this brick, or on the opposite face
+      // of the neighbour brick.
+      load_row(ym, lj > 0 ? xb + (s - kRow) : ymb + (s + kPlane - kRow));
+      load_row(yp, lj < BD::by - 1 ? xb + (s + kRow)
+                                   : ypb + (s + kRow - kPlane));
+      load_row(zm, lk > 0 ? xb + (s - kPlane)
+                          : zmb + (s + BD::volume - kPlane));
+      load_row(zp, lk < BD::bz - 1 ? xb + (s + kPlane)
+                                   : zpb + (s + kPlane - BD::volume));
+      shift_in_x(l, v, r, xm, xq, std::make_index_sequence<BD::bx>{});
+      const V ax = alpha * v + beta * (xm + xq + ym + yp + zm + zp);
+      emit(s, ax);
+    }
+  }
+}
+
+/// The 7-point ax of every active cell of plan brick `it`, handed to
+/// emit(s, ax) with s the brick-relative flat index of ax's first
+/// element. A full 4^3 or 8^3 brick of a solo field takes the
+/// whole-brick body (ax a RowVec per row); every other brick — clipped,
+/// 2^3, or K >= 2 lanes — takes star7_row (ax one cell-lane value).
+template <typename BD, typename Full, typename KT, typename Emit>
+inline void star7(const BrickPlanItem& it, Full full, KT K,
+                  const real_t* __restrict xp, real_t alpha, real_t beta,
+                  Emit&& emit) {
+  if constexpr (Full::value && kOneLane<KT> && BD::bx >= 4) {
+    star7_brick<BD>(it, xp, alpha, beta, emit);
+  } else {
+    for_each_brick_row<BD>(
+        it, full, [&](index_t lj, index_t lk, index_t ilo, index_t ihi) {
+          const index_t row = (lk * BD::by + lj) * BD::bx * K;
+          star7_row<BD, Full::value>(
+              it, K, xp, lj, lk, ilo, ihi, alpha, beta,
+              [&](index_t s, real_t ax) { emit(row + s, ax); });
+        });
   }
 }
 

@@ -491,6 +491,13 @@ TEST(BatchedTiming, BatchedSolveRecordsTheSoloPhaseSpans) {
   EXPECT_EQ(count(batched, max_norm), 6u);
 }
 
+// The compile-time K = 1 picks the solo loops (and the whole-brick
+// 7-point body) under any cv/ref qualification decltype gives a
+// captured K; a run-time lane count never does.
+static_assert(kOneLane<OneLane> && kOneLane<const OneLane> &&
+              kOneLane<const OneLane&>);
+static_assert(!kOneLane<index_t> && !kOneLane<const index_t&>);
+
 TEST(BatchedArray, LayoutIsRhsInnermost) {
   // The AoSoA contract: (i,j,k,c) lives at stretched inner element
   // (i*K + c, j, k) — component index innermost within a brick row.

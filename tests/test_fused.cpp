@@ -27,6 +27,7 @@
 #include "gmg/operators.hpp"
 #include "gmg/operators_varcoef.hpp"
 #include "gmg/solver.hpp"
+#include "gmg/stencil_rows.hpp"
 #include "tests/test_util.hpp"
 
 namespace gmg {
@@ -406,6 +407,186 @@ TEST(JacobiSweep, EightRankSolveMatchesSingleRank) {
   }
 }
 
+// ---- whole-brick 7-point body vs the row body ----------------------------
+
+/// x for the brick-body checks: fill_storage's values plus an IEEE
+/// special (NaN, +inf, -inf, -0.0, a subnormal) on a corner, edge or
+/// face cell of every third storage brick, ghost bricks included.
+void fill_with_specials(BrickedArray& a, std::uint64_t seed) {
+  fill_storage(a, seed);
+  const index_t bd = a.shape().bx;
+  const std::size_t vol = static_cast<std::size_t>(a.shape().volume());
+  const real_t specials[] = {std::numeric_limits<real_t>::quiet_NaN(),
+                             std::numeric_limits<real_t>::infinity(),
+                             -std::numeric_limits<real_t>::infinity(), -0.0,
+                             3 * std::numeric_limits<real_t>::denorm_min()};
+  const Vec3 spots[] = {{0, 0, 0},      {bd - 1, bd - 1, bd - 1},
+                        {0, bd - 1, 1}, {bd - 1, 1, 0},
+                        {1, 1, 0},      {bd - 1, 1, 1}};
+  real_t* p = a.data();
+  std::size_t n = 0;
+  for (std::size_t id = 0; id < a.size() / vol; id += 3, ++n) {
+    const Vec3 c = spots[n % std::size(spots)];
+    p[id * vol + static_cast<std::size_t>((c.z * bd + c.y) * bd + c.x)] =
+        specials[n % std::size(specials)];
+  }
+}
+
+/// The levels the brick body runs on: a one-rank level, which wraps
+/// every axis (two bricks per axis, so both x neighbours of a brick are
+/// one owned brick), and rank 0 of a 2x2x2 grid, which stores the full
+/// ghost shell.
+struct BrickBodyCase {
+  index_t bdim;
+  bool wrapped;
+  std::string name() const {
+    return std::to_string(bdim) + "^3 bricks, " +
+           (wrapped ? "one wrapped rank" : "rank 0 of 2x2x2");
+  }
+};
+
+const BrickBodyCase kBrickBodyCases[] = {
+    {4, true}, {8, true}, {4, false}, {8, false}};
+
+GmgSolver brick_body_solver(const BrickBodyCase& bc) {
+  GmgOptions o = base_options(bc.bdim, Smoother::kWeightedJacobi);
+  o.levels = 2;
+  o.jacobi_weight = 0.6;
+  const index_t n = bc.wrapped ? 2 * bc.bdim : 4 * bc.bdim;
+  return bc.wrapped ? GmgSolver(o, CartDecomp({n, n, n}, {1, 1, 1}), 0)
+                    : GmgSolver(o, CartDecomp({2 * n, 2 * n, 2 * n},
+                                              {2, 2, 2}),
+                                0);
+}
+
+/// The row body's ax of every cell of full plan brick `it`, at its
+/// brick-relative flat index in `out`.
+template <typename BD>
+void star7_rows(const BrickPlanItem& it, const real_t* xp, real_t alpha,
+                real_t beta, real_t* out) {
+  for (index_t lk = 0; lk < BD::bz; ++lk) {
+    for (index_t lj = 0; lj < BD::by; ++lj) {
+      real_t* row = out + (lk * BD::by + lj) * BD::bx;
+      detail::star7_row<BD, true>(it, OneLane{}, xp, lj, lk, 0, BD::bx, alpha,
+                                  beta,
+                                  [&](index_t s, real_t ax) { row[s] = ax; });
+    }
+  }
+}
+
+void expect_same_storage(BrickedArray& got, BrickedArray& want,
+                         const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(real_t)),
+            0)
+      << what;
+}
+
+// On every full brick of the interior plan, star7_brick's row vectors
+// must hold star7_row's cells bit for bit, with IEEE specials on brick
+// faces, edges and corners.
+TEST(Star7Brick, RowsMatchRowBodyBitwise) {
+  for (const BrickBodyCase& bc : kBrickBodyCases) {
+    GmgSolver solver = brick_body_solver(bc);
+    MgLevel& lev = solver.level(0);
+    fill_with_specials(lev.x, 21);
+    with_brick_dims(lev.shape, [&](auto bd) {
+      using BD = decltype(bd);
+      const auto plan = lev.grid->iteration_plan(
+          lev.interior(), Vec3{BD::bx, BD::by, BD::bz});
+      ASSERT_EQ(plan->num_full,
+                static_cast<std::int64_t>(plan->items.size()));
+      std::vector<real_t> got(BD::volume), want(BD::volume);
+      int nan_cells = 0, inf_cells = 0;
+      for (const BrickPlanItem& it : plan->items) {
+        std::fill(got.begin(), got.end(), 0.5);
+        detail::star7_brick<BD>(it, lev.x.data(), lev.alpha, lev.beta,
+                                [&](index_t s, const auto& ax) {
+                                  detail::store_row(got.data() + s, ax);
+                                });
+        star7_rows<BD>(it, lev.x.data(), lev.alpha, lev.beta, want.data());
+        for (index_t e = 0; e < BD::volume; ++e) {
+          ASSERT_EQ(std::memcmp(&got[e], &want[e], sizeof(real_t)), 0)
+              << bc.name() << ", brick " << it.id << ", cell " << e << ": "
+              << got[e] << " vs " << want[e];
+          nan_cells += std::isnan(want[e]);
+          inf_cells += std::isinf(want[e]);
+        }
+      }
+      // The specials reach the compared cells.
+      EXPECT_GT(nan_cells, 0) << bc.name();
+      EXPECT_GT(inf_cells, 0) << bc.name();
+    });
+  }
+}
+
+// applyOp and the one-pass sweep (plain, with r, with r and the coarse
+// restriction) over the interior, which run the brick body on every
+// brick, against a reference built from star7_row and the update
+// arithmetic written out here — compared over whole storage, so a
+// write outside the region shows too.
+TEST(Star7Brick, KernelsMatchRowReferenceBitwise) {
+  for (const BrickBodyCase& bc : kBrickBodyCases) {
+    GmgSolver solver = brick_body_solver(bc);
+    MgLevel& lev = solver.level(0);
+    MgLevel& coarse = solver.level(1);
+    const real_t gamma = -lev.plan.weight / lev.alpha;
+    const Box act = lev.interior();
+    BrickedArray ax_ref(lev.grid, lev.shape), xn_ref(lev.grid, lev.shape),
+        r_ref(lev.grid, lev.shape), c_ref(coarse.grid, coarse.shape);
+    with_brick_dims(lev.shape, [&](auto bd) {
+      using BD = decltype(bd);
+      const auto plan =
+          lev.grid->iteration_plan(act, Vec3{BD::bx, BD::by, BD::bz});
+      ASSERT_EQ(plan->num_full,
+                static_cast<std::int64_t>(plan->items.size()));
+      const auto reference = [&](bool residual) {
+        std::vector<real_t> ax(BD::volume);
+        for (const BrickPlanItem& it : plan->items) {
+          star7_rows<BD>(it, lev.x.data(), lev.alpha, lev.beta, ax.data());
+          const std::size_t base = static_cast<std::size_t>(it.id) * BD::volume;
+          for (std::size_t e = 0; e < ax.size(); ++e) {
+            const std::size_t i = base + e;
+            const real_t rhs = lev.b.data()[i];
+            ax_ref.data()[i] = ax[e];
+            if (residual) r_ref.data()[i] = rhs - ax[e];
+            xn_ref.data()[i] = lev.x.data()[i] + gamma * (ax[e] - rhs);
+          }
+        }
+      };
+      const auto copy = [](BrickedArray& to, const BrickedArray& from) {
+        std::memcpy(to.data(), from.data(), from.size() * sizeof(real_t));
+      };
+      for (const int stage : {0, 1, 2}) {  // x', +r, +coarse restriction
+        const std::string what =
+            bc.name() + ", stage " + std::to_string(stage);
+        fill_with_specials(lev.x, 31);
+        fill_storage(lev.b, 32);
+        fill_storage(lev.Ax, 33);
+        fill_storage(lev.r, 34);
+        fill_storage(coarse.b, 35);
+        copy(ax_ref, lev.Ax);
+        copy(xn_ref, lev.Ax);
+        copy(r_ref, lev.r);
+        copy(c_ref, coarse.b);
+        reference(stage >= 1);
+        if (stage == 2) restriction(c_ref, r_ref);
+        if (stage == 0) {
+          apply_op(lev.Ax, lev.x, lev.alpha, lev.beta, act);
+          expect_same_storage(lev.Ax, ax_ref, what + ": applyOp");
+          fill_storage(lev.Ax, 33);  // the sweep's x' lands in Ax
+        }
+        fused::jacobi_sweep(lev.Ax, stage >= 1 ? &lev.r : nullptr,
+                            stage == 2 ? &coarse.b : nullptr, lev.x, lev.b,
+                            lev.alpha, lev.beta, gamma, act);
+        expect_same_storage(lev.Ax, xn_ref, what + ": x'");
+        expect_same_storage(lev.r, r_ref, what + ": r");
+        expect_same_storage(coarse.b, c_ref, what + ": coarse b");
+      }
+    });
+  }
+}
+
 // ---- GS tail and convergence norm vs their split pairs -----------------
 
 /// A zero field of width k (a BrickedArray at k = 1) on `lev`'s grid.
@@ -416,14 +597,6 @@ F make_field(const MgLevel& lev, int k) {
   } else {
     return BatchedBrickedArray(lev.grid, lev.shape, k);
   }
-}
-
-void expect_same_storage(BrickedArray& got, BrickedArray& want,
-                         const std::string& what) {
-  ASSERT_EQ(got.size(), want.size()) << what;
-  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(real_t)),
-            0)
-      << what;
 }
 
 /// fused::residual_restrict against residual + restriction, and at

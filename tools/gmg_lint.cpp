@@ -25,11 +25,14 @@
 //                       must go through the exec:: runtime so chunk
 //                       plans stay deterministic and the src/check
 //                       hazard tracker sees every launch.
-//   no-fma              2. No std::fma / __builtin_fma anywhere in
-//                       src/: the build uses -ffp-contract=off so CA
-//                       redundant ghost computation is bitwise equal
-//                       to the owning rank; a hand-written fma
-//                       reintroduces exactly that contraction.
+//   no-fma              2. No std::fma / __builtin_fma, and no x86
+//                       FMA intrinsic (_mm*_fmadd/fmsub/fnmadd/fnmsub
+//                       families, __builtin_ia32_vfmadd* and kin),
+//                       anywhere in src/: the build uses
+//                       -ffp-contract=off so CA redundant ghost
+//                       computation is bitwise equal to the owning
+//                       rank; a hand-written fma reintroduces exactly
+//                       that contraction.
 //   no-nondeterminism   3. No nondeterminism sources: random_device,
 //                       rand and srand only in src/common/rng.hpp,
 //                       and no high_resolution_clock read in src/gmg,
@@ -517,11 +520,26 @@ class Linter {
     }
   }
 
+  /// A fused multiply-add by name: the libm functions and builtins,
+  /// and the x86 intrinsics and ia32 builtins of every FMA family
+  /// (including the mask, maskz, round and addsub/subadd variants).
+  static bool is_fma_call(const std::string& id) {
+    const auto has = [&](const char* part) {
+      return id.find(part) != std::string::npos;
+    };
+    if (id == "fma" || id == "fmaf" || id == "fmal" ||
+        starts_with(id, "__builtin_fma"))
+      return true;
+    if (starts_with(id, "_mm"))
+      return has("_fmadd") || has("_fmsub") || has("_fnmadd") ||
+             has("_fnmsub");
+    return starts_with(id, "__builtin_ia32_vf") && (has("madd") || has("msub"));
+  }
+
   void rule_no_fma(const FileClass& fc, const TokenizedFile& tf) {
     for (const Tok& t : tf.toks) {
       if (t.kind != Tok::kIdent) continue;
-      if (t.text == "fma" || t.text == "fmaf" ||
-          starts_with(t.text, "__builtin_fma")) {
+      if (is_fma_call(t.text)) {
         report(fc, tf, t.line, "no-fma",
                "explicit fma reintroduces the FP contraction that "
                "-ffp-contract=off disables (breaks bitwise-reproducible "
@@ -733,6 +751,19 @@ const SelfTest kSelfTests[] = {
     {"fma suppressed", "src/brick/foo.cpp",
      "namespace gmg {\n// gmg-lint: allow(no-fma)\nreal_t f(real_t a) { "
      "return std::fma(a, a, a); }\n}\n",
+     nullptr},
+    {"fma intrinsic flagged", "src/gmg/foo.cpp",
+     "namespace gmg {\n__m512d f(__m512d a) { return _mm512_fmadd_pd(a, a, "
+     "a); }\n}\n",
+     "no-fma"},
+    {"ia32 fma builtin flagged", "src/gmg/foo.cpp",
+     "namespace gmg {\nV f(V a) { return __builtin_ia32_vfmaddpd256(a, a, "
+     "a); }\n}\n",
+     "no-fma"},
+    {"vector-extension multiply-add clean", "src/gmg/foo.cpp",
+     "namespace gmg {\ntypedef double V __attribute__((vector_size(64)));\n"
+     "void f(V& o, const V& va, const V& vb, double c, double s) {\n"
+     "  o = va * c + vb * s;\n}\n}\n",
      nullptr},
     {"rand flagged", "src/serve/foo.cpp",
      "namespace gmg {\nint f() { return rand(); }\n}\n", "no-nondeterminism"},
