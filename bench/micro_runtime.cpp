@@ -1,11 +1,10 @@
 // Kernel-runtime ablation: the five V-cycle operators on the live
-// host, swept over worker counts and over the two runtime modes
-// (persistent engine pool vs legacy OpenMP fork/join). Both modes use
-// the same chunk plan, so any throughput delta is pure dispatch cost.
-// Then the fused-descent and one-pass Jacobi sweep rows against their
-// split stages, applyOp and the sweep per launch at the serve shapes
-// (16^3 and 32^3, bricks 4^3), and the schedule-proof overhead. Writes
-// BENCH_kernel_runtime.json.
+// host, swept over the engine pool's worker counts. Every count uses
+// the same chunk plan, so any throughput delta is parallelism and
+// dispatch cost. Then the fused-descent and one-pass Jacobi sweep rows
+// against their split stages, applyOp and the sweep per launch at the
+// serve shapes (16^3 and 32^3, bricks 4^3), and the schedule-proof
+// overhead. Writes BENCH_kernel_runtime.json.
 #include <algorithm>
 #include <fstream>
 #include <iostream>
@@ -22,16 +21,6 @@
 
 using namespace gmg;
 
-namespace {
-
-struct Config {
-  exec::KernelRuntime mode;
-  int workers;  // engine pool size (ignored by the OpenMP mode)
-  std::string label;
-};
-
-}  // namespace
-
 int main(int argc, char** argv) {
   const std::string trace_out =
       bench::parse_trace_out(argc, argv, "micro_runtime");
@@ -40,22 +29,16 @@ int main(int argc, char** argv) {
 
   bench::section(
       "Kernel runtime ablation — GStencil/s per operator, 64^3, bricks "
-      "8^3: persistent engine pool at 1/2/default workers vs the OpenMP "
-      "fork/join reference (identical chunk plans)");
+      "8^3: persistent engine pool at 1/2/default workers (identical "
+      "chunk plans)");
   std::cout << "  hardware_concurrency = "
             << std::thread::hardware_concurrency()
             << ", default workers = " << default_workers << "\n";
 
-  std::vector<Config> configs{
-      {exec::KernelRuntime::kEnginePool, 1, "pool-1"},
-      {exec::KernelRuntime::kEnginePool, 2, "pool-2"},
-  };
+  std::vector<int> configs{1, 2};
   if (default_workers != 1 && default_workers != 2) {
-    configs.push_back({exec::KernelRuntime::kEnginePool, default_workers,
-                       "pool-" + std::to_string(default_workers)});
+    configs.push_back(default_workers);
   }
-  configs.push_back(
-      {exec::KernelRuntime::kOpenMP, default_workers, "omp-forkjoin"});
 
   // throughput[config][op] in GStencil/s (cells updated per second).
   // Two interleaved passes, best kept, so no config systematically
@@ -64,9 +47,7 @@ int main(int argc, char** argv) {
       configs.size(), std::vector<double>(arch::kNumOps, 0.0));
   for (int pass = 0; pass < 2; ++pass) {
     for (std::size_t ci = 0; ci < configs.size(); ++ci) {
-      const Config& cfg = configs[ci];
-      exec::set_kernel_runtime(cfg.mode);
-      exec::configure_default_engine(cfg.workers);
+      exec::configure_default_engine(configs[ci]);
       for (int opi = 0; opi < arch::kNumOps; ++opi) {
         const auto op = static_cast<arch::Op>(opi);
         const double secs = bench::measure_host_kernel(op, n, bdim, 9);
@@ -78,12 +59,12 @@ int main(int argc, char** argv) {
       }
     }
   }
-  // Restore the environment-selected defaults for whatever runs next.
-  exec::set_kernel_runtime(exec::KernelRuntime::kEnginePool);
+  // Restore the environment-selected default for whatever runs next.
   exec::configure_default_engine(default_workers);
 
   std::vector<std::string> headers{"op"};
-  for (const Config& cfg : configs) headers.push_back(cfg.label);
+  for (const int workers : configs)
+    headers.push_back("pool-" + std::to_string(workers));
   Table t(headers);
   for (int opi = 0; opi < arch::kNumOps; ++opi) {
     auto& row = t.row().cell(arch::op_name(static_cast<arch::Op>(opi)));
@@ -93,9 +74,8 @@ int main(int argc, char** argv) {
   t.print();
   t.write_csv("bench/out/micro_runtime.csv");
   bench::note(
-      "  pool-N spins the persistent engine with N workers; omp-forkjoin\n"
-      "  is the pre-runtime `#pragma omp parallel for` dispatch. On a\n"
-      "  single-core host all configs collapse to the serial fast path.");
+      "  pool-N runs the persistent engine with N workers. On a\n"
+      "  single-core host pool-1 takes the serial fast path.");
 
   // --- cross-stage fusion: fused descent vs the sum of its split
   // stages (DESIGN.md §16), at the default worker count. Throughput
@@ -261,11 +241,8 @@ int main(int argc, char** argv) {
      << "    \"budget_pct\": 5\n  },\n"
      << "  \"configs\": [\n";
   for (std::size_t ci = 0; ci < configs.size(); ++ci) {
-    const Config& cfg = configs[ci];
-    os << "    {\"label\": \"" << cfg.label << "\", \"runtime\": \""
-       << (cfg.mode == exec::KernelRuntime::kEnginePool ? "engine_pool"
-                                                        : "openmp")
-       << "\", \"workers\": " << cfg.workers << ", \"ops\": {";
+    os << "    {\"label\": \"pool-" << configs[ci]
+       << "\", \"workers\": " << configs[ci] << ", \"ops\": {";
     for (int opi = 0; opi < arch::kNumOps; ++opi) {
       os << "\"" << arch::op_name(static_cast<arch::Op>(opi))
          << "\": " << gsps[ci][static_cast<std::size_t>(opi)]

@@ -1,6 +1,8 @@
 // Microbenchmark (ablation §V): fine-grain data blocking vs the
 // conventional ijk array layout for the V-cycle kernels, and the
 // brick-size choice (8^3 vs 4^3, the paper's per-platform tuning).
+// Every kernel runs on the exec:: pool, so times and rates are wall
+// time (UseRealTime), not the main thread's CPU time.
 #include <benchmark/benchmark.h>
 
 #include "baseline/operators_array.hpp"
@@ -42,7 +44,11 @@ void BM_ApplyOp_Brick(benchmark::State& state) {
       static_cast<double>(state.iterations()) * kN * kN * kN / 1e9,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_ApplyOp_Brick)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ApplyOp_Brick)
+    ->Arg(4)
+    ->Arg(8)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_ApplyOp_Array(benchmark::State& state) {
   Array3D x({kN, kN, kN}, 1), Ax({kN, kN, kN}, 1);
@@ -58,7 +64,9 @@ void BM_ApplyOp_Array(benchmark::State& state) {
       static_cast<double>(state.iterations()) * kN * kN * kN / 1e9,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_ApplyOp_Array)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ApplyOp_Array)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_SmoothResidual_Brick(benchmark::State& state) {
   BrickFixture f(state.range(0));
@@ -72,7 +80,11 @@ void BM_SmoothResidual_Brick(benchmark::State& state) {
       static_cast<double>(state.iterations()) * kN * kN * kN / 1e9,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_SmoothResidual_Brick)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SmoothResidual_Brick)
+    ->Arg(4)
+    ->Arg(8)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_SmoothResidual_Array(benchmark::State& state) {
   Array3D x({kN, kN, kN}, 1), b({kN, kN, kN}, 1), Ax({kN, kN, kN}, 1),
@@ -91,7 +103,9 @@ void BM_SmoothResidual_Array(benchmark::State& state) {
       static_cast<double>(state.iterations()) * kN * kN * kN / 1e9,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_SmoothResidual_Array)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SmoothResidual_Array)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_Restriction_Brick(benchmark::State& state) {
   BrickFixture f(8);
@@ -102,7 +116,9 @@ void BM_Restriction_Brick(benchmark::State& state) {
     benchmark::DoNotOptimize(coarse.data());
   }
 }
-BENCHMARK(BM_Restriction_Brick)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Restriction_Brick)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_InterpIncrement_Brick(benchmark::State& state) {
   BrickFixture f(8);
@@ -114,7 +130,9 @@ void BM_InterpIncrement_Brick(benchmark::State& state) {
     benchmark::DoNotOptimize(f.x.data());
   }
 }
-BENCHMARK(BM_InterpIncrement_Brick)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_InterpIncrement_Brick)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // The generic expression-template engine vs the specialized
 // row-pointer kernel for the same 7-point stencil — the gap the
@@ -135,7 +153,8 @@ void BM_ApplyOp_BrickGenericDsl(benchmark::State& state) {
 BENCHMARK(BM_ApplyOp_BrickGenericDsl)
     ->Arg(4)
     ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Higher-radius star stencils through the DSL: the vector-folding /
 // shell-core split pays off more as the radius grows.
@@ -151,8 +170,12 @@ void BM_StarStencil_Brick(benchmark::State& state) {
     benchmark::DoNotOptimize(f.Ax.data());
   }
 }
-BENCHMARK(BM_StarStencil_Brick<2>)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_StarStencil_Brick<4>)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_StarStencil_Brick<2>)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK(BM_StarStencil_Brick<4>)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 

@@ -75,7 +75,7 @@ void measured_table2() {
   double level0_s = 0;
   for (const auto& [key, st] : stats)
     if (key.first == 0) level0_s += st.sum();
-  Table t({"Operation", "Host (OpenMP)"});
+  Table t({"Operation", "Host (exec pool)"});
   for (const auto& [key, st] : stats) {
     if (key.first == 0)
       t.row().cell(key.second).cell_percent(st.sum() / level0_s);

@@ -18,7 +18,7 @@ int main() {
   const auto platforms = arch::paper_platforms();
 
   Table t({"Operation", "A100 CUDA", "MI250X GCD HIP", "PVC tile SYCL",
-           "Phi (3 GPUs)", "Host OpenMP (cache-sim)"});
+           "Phi (3 GPUs)", "Host pool (cache-sim)"});
   std::vector<double> per_op_phi;
   for (int op = 0; op < arch::kNumOps; ++op) {
     t.row().cell(arch::op_name(static_cast<arch::Op>(op)));

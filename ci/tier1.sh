@@ -20,7 +20,7 @@
 #      FrameReader and the decode_* functions hostile bytes (truncated
 #      headers, oversized lengths, bad magic/version/flags, mid-frame
 #      disconnects).
-#   3. A TSan tree (./build-tsan, OpenMP off — see GMG_SANITIZE_THREAD)
+#   3. A TSan tree (./build-tsan, the same program as ./build)
 #      running the trace recorder (each ring has one producer, its
 #      owning thread, and one consumer at a time — thread exit, the
 #      periodic flusher or collect() — and test_trace flushes a ring

@@ -1,9 +1,10 @@
 #include "arch/arch_spec.hpp"
 
-#include <omp.h>
+#include <atomic>
 
 #include "common/aligned.hpp"
 #include "common/timer.hpp"
+#include "exec/runtime.hpp"
 #include "trace/trace.hpp"
 
 namespace gmg::arch {
@@ -127,8 +128,9 @@ std::vector<const ArchSpec*> paper_platforms() {
 
 namespace {
 
-/// STREAM-triad-like bandwidth probe: a(i) = b(i) + s*c(i) over a
-/// buffer far larger than LLC; returns GB/s of (2 reads + 1 write).
+/// STREAM-triad-like bandwidth probe on the kernel pool: a(i) = b(i) +
+/// s*c(i) over a buffer far larger than LLC; returns GB/s of (2 reads +
+/// 1 write).
 double measure_host_bandwidth() {
   trace::TraceSpan span("arch.calibrate.bandwidth", trace::Category::kModel);
   const std::size_t n = 8u << 20;  // 3 x 64 MiB
@@ -140,8 +142,12 @@ double measure_host_bandwidth() {
   double best = 0.0;
   for (int rep = 0; rep < 3; ++rep) {
     Timer t;
-#pragma omp parallel for schedule(static)
-    for (std::size_t i = 0; i < n; ++i) a[i] = b[i] + 3.0 * c[i];
+    exec::parallel_for("arch.triad", static_cast<std::int64_t>(n),
+                       exec::kElementGrain,
+                       [&](std::int64_t lo, std::int64_t hi) {
+                         for (std::int64_t i = lo; i < hi; ++i)
+                           a[i] = b[i] + 3.0 * c[i];
+                       });
     const double secs = t.elapsed();
     const double gbs = 3.0 * static_cast<double>(n) * kRealBytes / secs / 1e9;
     best = std::max(best, gbs);
@@ -152,24 +158,25 @@ double measure_host_bandwidth() {
   return best;
 }
 
-/// Parallel-region dispatch overhead: the host analogue of a kernel
-/// launch (an empty omp parallel region round-trip).
+/// Threads a kernel launch runs on: the submitting thread plus the
+/// default engine's workers.
+int pool_threads() { return exec::default_engine().workers() + 1; }
+
+/// Pool dispatch overhead: the host analogue of a kernel launch (a
+/// round trip of a near-empty launch with one chunk per pool thread).
 double measure_host_launch_us() {
   trace::TraceSpan span("arch.calibrate.launch", trace::Category::kModel);
   const int reps = 2000;
-  int sink = 0;
+  const int threads = pool_threads();
+  std::atomic<std::int64_t> sink{0};
   Timer t;
   for (int r = 0; r < reps; ++r) {
-#pragma omp parallel
-    {
-#pragma omp atomic
-      sink += 1;
-    }
+    exec::parallel_for("arch.launch", threads, 1,
+                       [&](std::int64_t lo, std::int64_t hi) {
+                         sink.fetch_add(hi - lo, std::memory_order_relaxed);
+                       });
   }
-  const double us = t.elapsed() / reps * 1e6;
-  volatile int keep = sink;
-  (void)keep;
-  return us;
+  return t.elapsed() / reps * 1e6;
 }
 
 }  // namespace
@@ -180,12 +187,12 @@ ArchSpec host_cpu() {
   ArchSpec s;
   s.name = "Host CPU";
   s.system = "reproduction host";
-  s.model = "OpenMP";
+  s.model = "exec pool";
   s.is_simulated = false;
   s.hbm_peak_gbs = bw;  // best observed = our empirical roofline
   s.hbm_measured_gbs = bw;
   // Rough FP64 peak: cores x 2 FMA ports x 4-wide AVX2 x ~3 GHz.
-  s.peak_fp64_gflops = omp_get_max_threads() * 2.0 * 2.0 * 4.0 * 3.0;
+  s.peak_fp64_gflops = pool_threads() * 2.0 * 2.0 * 4.0 * 3.0;
   s.launch_overhead_us = launch;
   s.simd_width = 4;
   s.brick_dim = 8;

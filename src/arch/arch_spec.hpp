@@ -37,7 +37,7 @@ const char* op_name(Op op);
 struct ArchSpec {
   std::string name;        // "NVIDIA A100", ...
   std::string system;      // "Perlmutter", ...
-  std::string model;       // programming model: CUDA / HIP / SYCL / OpenMP
+  std::string model;       // programming model: CUDA / HIP / SYCL / exec pool
   bool is_simulated = true;  // false for the live host
 
   // --- compute device ---

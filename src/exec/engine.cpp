@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
@@ -13,18 +14,22 @@ namespace gmg::exec {
 
 namespace detail {
 
-/// One in-flight parallel_for_chunks call. Chunks are claimed by an
-/// atomic ticket; the submitting thread and any free workers race for
-/// them. The `fn` pointer targets the caller's frame — safe because
-/// the caller blocks until done == chunks, and no thread dereferences
-/// it without first holding a valid (< chunks) ticket.
+static_assert(Engine::kMaxChunks <= 64, "one claim-mask bit per chunk");
+
+/// One in-flight parallel_for_chunks call. A thread claims chunk c by
+/// setting bit c of `claimed` (run_job_chunks gives the order). The
+/// `fn` pointer targets the caller's frame — safe because the caller
+/// blocks until done == chunks, and no thread dereferences it without
+/// first claiming a chunk.
 struct ParallelJob {
   const char* name = nullptr;
   std::int64_t n = 0;
   int chunks = 0;
+  int slots = 0;  // min(chunks, workers + 1): the caller's range is never empty
+  std::uint64_t all = 0;  // one bit per chunk
   int rank = 0;
   const std::function<void(int, std::int64_t, std::int64_t)>* fn = nullptr;
-  std::atomic<int> next{0};
+  std::atomic<std::uint64_t> claimed{0};
   std::atomic<int> done{0};
   std::mutex mu;
   std::condition_variable cv;
@@ -40,36 +45,60 @@ struct EngineState {
 
 namespace {
 
-/// Claim and execute chunks of `job` until its ticket runs out. Runs
-/// with no engine lock held; the per-chunk work happens entirely on
-/// this thread. The final done-increment is the completion signal the
-/// submitting thread waits on.
-void run_job_chunks(ParallelJob& job) {
-  for (;;) {
-    const int c = job.next.fetch_add(1, std::memory_order_relaxed);
-    if (c >= job.chunks) return;
-    try {
-      (*job.fn)(c, Engine::chunk_bound(job.n, job.chunks, c),
-                Engine::chunk_bound(job.n, job.chunks, c + 1));
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(job.mu);
-      if (!job.error) job.error = std::current_exception();
-    }
-    if (job.done.fetch_add(1, std::memory_order_acq_rel) + 1 == job.chunks) {
-      std::lock_guard<std::mutex> lock(job.mu);
-      job.cv.notify_all();
-    }
+/// Take chunk `c` unless another thread has; whether this call did.
+bool claim(ParallelJob& job, int c) {
+  const std::uint64_t bit = std::uint64_t{1} << c;
+  return (job.claimed.fetch_or(bit, std::memory_order_relaxed) & bit) == 0;
+}
+
+void run_chunk(ParallelJob& job, int c) {
+  try {
+    (*job.fn)(c, Engine::chunk_bound(job.n, job.chunks, c),
+              Engine::chunk_bound(job.n, job.chunks, c + 1));
+  } catch (...) {
+    std::lock_guard<std::mutex> lock(job.mu);
+    if (!job.error) job.error = std::current_exception();
+  }
+  if (job.done.fetch_add(1, std::memory_order_acq_rel) + 1 == job.chunks) {
+    std::lock_guard<std::mutex> lock(job.mu);
+    job.cv.notify_all();
   }
 }
 
-void worker_loop(EngineState& st) {
+/// Run slot `slot`'s share of `job`. The submitting thread is slot 0
+/// and worker i is slot i + 1; slot p < slots owns the contiguous range
+/// [chunks*p/slots, chunks*(p+1)/slots) and claims it in order, so each
+/// thread walks one block of bricks per launch instead of taking turns
+/// with the others. Then it steals unclaimed chunks from the top down,
+/// so a stealer meets a late owner at the end of the owner's range
+/// instead of splitting it. Runs with no engine lock held; the
+/// per-chunk work happens entirely on this thread. The final
+/// done-increment is the completion signal the submitting thread waits
+/// on.
+void run_job_chunks(ParallelJob& job, int slot) {
+  if (slot < job.slots) {
+    const int end = job.chunks * (slot + 1) / job.slots;
+    for (int c = job.chunks * slot / job.slots; c < end; ++c) {
+      if (claim(job, c)) run_chunk(job, c);
+    }
+  }
+  for (;;) {
+    const std::uint64_t open =
+        job.all & ~job.claimed.load(std::memory_order_relaxed);
+    if (open == 0) return;
+    const int c = 63 - std::countl_zero(open);
+    if (claim(job, c)) run_chunk(job, c);
+  }
+}
+
+void worker_loop(EngineState& st, int slot) {
   std::unique_lock<std::mutex> lock(st.mu);
   for (;;) {
     st.work_cv.wait(lock, [&] { return st.stop || !st.jobs.empty(); });
     if (st.jobs.empty()) return;  // stop && no work
     std::shared_ptr<ParallelJob> job = st.jobs.front();
-    if (job->next.load(std::memory_order_relaxed) >= job->chunks) {
-      st.jobs.pop_front();  // exhausted; retire and look again
+    if (job->claimed.load(std::memory_order_relaxed) == job->all) {
+      st.jobs.pop_front();  // every chunk claimed; retire and look again
       continue;
     }
     lock.unlock();
@@ -77,7 +106,7 @@ void worker_loop(EngineState& st) {
       trace::set_rank(job->rank);
       trace::TraceSpan span(job->name ? job->name : "exec.parallel_for",
                             trace::Category::kExec);
-      run_job_chunks(*job);
+      run_job_chunks(*job, slot);
     }
     lock.lock();
   }
@@ -96,7 +125,8 @@ Engine::Engine(int workers) {
   solo_ = workers == 1 && std::thread::hardware_concurrency() <= 1;
   workers_.reserve(static_cast<std::size_t>(workers));
   for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back([st = state_.get()] { detail::worker_loop(*st); });
+    workers_.emplace_back(
+        [st = state_.get(), slot = i + 1] { detail::worker_loop(*st, slot); });
   }
 }
 
@@ -135,6 +165,10 @@ void Engine::parallel_for_chunks(
   job->name = name;
   job->n = n;
   job->chunks = chunks;
+  job->slots = std::min(chunks, workers() + 1);
+  // A shift by 64 is undefined: the full 64-chunk mask is spelled out.
+  job->all =
+      chunks == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << chunks) - 1;
   job->rank = trace::current_rank();
   job->fn = &fn;
   {
@@ -142,7 +176,7 @@ void Engine::parallel_for_chunks(
     state_->jobs.push_back(job);
   }
   state_->work_cv.notify_all();
-  detail::run_job_chunks(*job);  // the submitter always participates
+  detail::run_job_chunks(*job, 0);  // the submitter always participates
   {
     std::unique_lock<std::mutex> lock(job->mu);
     job->cv.wait(lock, [&] {

@@ -1,8 +1,8 @@
 // exec: the persistent worker pool behind the kernel runtime
 // (exec/runtime.hpp). A parallel_for_chunks call splits [0, n) into a
 // chunk plan that depends only on the trip count and grain, then the
-// calling thread and the pool's workers claim chunks by an atomic
-// ticket until the plan runs out — no threads are created or joined per
+// calling thread and each worker claim one contiguous block of chunks
+// and steal whatever is left — no threads are created or joined per
 // kernel. Chunk spans are traced under Category::kExec with the
 // submitting thread's simulated rank, so a worker's share of a kernel
 // lands on that rank's timeline row.
@@ -50,13 +50,15 @@ class Engine {
 
   /// Data-parallel loop over [0, n): runs `fn(chunk, begin, end)` once
   /// per chunk of the (n, grain) chunk plan. The calling thread always
-  /// participates (claiming chunks alongside the workers), so the call
-  /// completes even when every worker is busy with another caller's
-  /// job. Blocking: returns once every chunk has run. Chunks may
-  /// execute in any order on any thread; chunk *boundaries* are
-  /// worker-count independent. If any chunk throws, the first exception
-  /// is rethrown here after all claimed chunks finish. Single-chunk
-  /// plans run inline with no pool traffic.
+  /// participates: it claims the first of min(chunks, workers + 1)
+  /// contiguous blocks, worker i the (i+1)-th, and every thread then
+  /// steals unclaimed chunks, so the call completes even when every
+  /// worker is busy with another caller's job. Blocking: returns once
+  /// every chunk has run. Which thread runs a chunk varies from call
+  /// to call; chunk *boundaries* are worker-count independent. If any
+  /// chunk throws, the first exception is rethrown here after all
+  /// claimed chunks finish. Single-chunk plans run inline with no pool
+  /// traffic.
   void parallel_for_chunks(
       const char* name, std::int64_t n, std::int64_t grain,
       const std::function<void(int, std::int64_t, std::int64_t)>& fn);

@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <memory>
 #include <mutex>
-#include <string>
 
 namespace gmg::exec {
 
@@ -14,8 +13,6 @@ std::mutex g_engine_mu;
 std::unique_ptr<Engine> g_engine;               // guarded by g_engine_mu
 std::atomic<Engine*> g_engine_ptr{nullptr};     // fast path
 
-std::atomic<int> g_runtime_mode{-1};  // -1: unresolved, else KernelRuntime
-
 int env_workers() {
   if (const char* s = std::getenv("GMG_EXEC_WORKERS")) {
     char* end = nullptr;
@@ -23,13 +20,6 @@ int env_workers() {
     if (end != s && v >= 1 && v <= 1024) return static_cast<int>(v);
   }
   return 0;
-}
-
-KernelRuntime env_runtime() {
-  if (const char* s = std::getenv("GMG_EXEC_RUNTIME")) {
-    if (std::string(s) == "omp") return KernelRuntime::kOpenMP;
-  }
-  return KernelRuntime::kEnginePool;
 }
 
 }  // namespace
@@ -57,36 +47,5 @@ void configure_default_engine(int workers) {
   g_engine = std::make_unique<Engine>(workers < 1 ? 1 : workers);
   g_engine_ptr.store(g_engine.get(), std::memory_order_release);
 }
-
-KernelRuntime kernel_runtime() {
-  int mode = g_runtime_mode.load(std::memory_order_relaxed);
-  if (mode < 0) {
-    mode = static_cast<int>(env_runtime());
-    g_runtime_mode.store(mode, std::memory_order_relaxed);
-  }
-  return static_cast<KernelRuntime>(mode);
-}
-
-void set_kernel_runtime(KernelRuntime mode) {
-  g_runtime_mode.store(static_cast<int>(mode), std::memory_order_relaxed);
-}
-
-namespace detail {
-
-// The only `omp parallel for` left in the codebase: the legacy
-// fork/join reference mode. Same chunk plan as the engine path, so the
-// two modes produce bitwise-identical results.
-void run_chunks_openmp(
-    int chunks, std::int64_t n,
-    const std::function<void(int, std::int64_t, std::int64_t)>& fn) {
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int c = 0; c < chunks; ++c) {
-    fn(c, Engine::chunk_bound(n, chunks, c), Engine::chunk_bound(n, chunks, c + 1));
-  }
-}
-
-}  // namespace detail
 
 }  // namespace gmg::exec

@@ -1,11 +1,11 @@
 // Engine::parallel_for_chunks semantics (chunk coverage, exception
 // propagation, concurrent submitters, arbitrary worker counts), the
-// pool's job path (workers wake to claim chunks, the caller finishes
-// its own job when every worker is busy, rethrow after every claimed
-// chunk, chunk spans on the submitter's rank) and the exec runtime
-// facade: the default engine's configuration, and deterministic tree
-// reductions that are bitwise identical across worker counts and
-// across the engine-pool / legacy-OpenMP modes, all the way up to full
+// pool's job path (workers wake to claim chunks, each thread claims one
+// contiguous block of chunks, the caller finishes its own job when
+// every worker is busy, rethrow after every claimed chunk, chunk spans
+// on the submitter's rank) and the exec runtime facade: the default
+// engine's configuration, and deterministic tree reductions that are
+// bitwise identical across worker counts, all the way up to full
 // solver runs.
 #include <gtest/gtest.h>
 
@@ -15,6 +15,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <map>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <stdexcept>
@@ -192,6 +194,41 @@ TEST(ExecEngine, IdleWorkersWakeToClaimChunks) {
   }
 }
 
+TEST(ExecEngine, EachThreadClaimsOneContiguousBlock) {
+  // Six chunks over the caller and two workers: three blocks of two.
+  // A thread's r-th chunk waits until 3r chunks have started. The first
+  // chunks thus wait for three threads, and each second chunk holds its
+  // thread until every chunk is claimed, so no thread can finish its
+  // block early and steal from another.
+  Engine eng(2);
+  std::array<std::thread::id, 6> ran_on;
+  std::mutex mu;
+  std::map<std::thread::id, int> rounds;  // chunks each thread started
+  int started = 0;
+  std::atomic<int> met{0};
+  eng.parallel_for_chunks(
+      "test.blocks", 6, 1, [&](int c, std::int64_t, std::int64_t) {
+        const std::thread::id self = std::this_thread::get_id();
+        ran_on[static_cast<std::size_t>(c)] = self;
+        int round = 0;
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          round = ++rounds[self];
+          ++started;
+        }
+        if (await([&] {
+              std::lock_guard<std::mutex> lock(mu);
+              return started >= 3 * round;
+            }))
+          met.fetch_add(1);
+      });
+  EXPECT_EQ(met.load(), 6);
+  EXPECT_EQ(ran_on[0], std::this_thread::get_id());
+  for (std::size_t block = 0; block < 3; ++block) {
+    EXPECT_EQ(ran_on[2 * block], ran_on[2 * block + 1]) << "block " << block;
+  }
+}
+
 TEST(ExecEngine, CallerFinishesItsJobWhileEveryWorkerIsBusy) {
   // Job A pins its submitter and both workers in chunks that wait for a
   // release. Job B, submitted meanwhile, must still complete — every
@@ -302,13 +339,10 @@ TEST(ExecEngine, NestedCallFromAChunkCompletes) {
 
 class RuntimeGuard {
  public:
-  ~RuntimeGuard() {
-    set_kernel_runtime(KernelRuntime::kEnginePool);
-    configure_default_engine(resolved_default_workers());
-  }
+  ~RuntimeGuard() { configure_default_engine(resolved_default_workers()); }
 };
 
-TEST(Runtime, ReduceSumBitwiseIdenticalAcrossWorkersAndModes) {
+TEST(Runtime, ReduceSumBitwiseIdenticalAcrossWorkers) {
   RuntimeGuard guard;
   const std::int64_t n = 1 << 20;
   auto chunk_sum = [](std::int64_t b, std::int64_t e) {
@@ -317,7 +351,6 @@ TEST(Runtime, ReduceSumBitwiseIdenticalAcrossWorkersAndModes) {
       s += std::sin(static_cast<double>(i)) * 1e-3;
     return s;
   };
-  set_kernel_runtime(KernelRuntime::kEnginePool);
   configure_default_engine(1);
   const double ref = parallel_reduce_sum<double>("r", n, 1 << 12, chunk_sum);
   for (int workers : {2, 8}) {
@@ -325,8 +358,6 @@ TEST(Runtime, ReduceSumBitwiseIdenticalAcrossWorkersAndModes) {
     const double got = parallel_reduce_sum<double>("r", n, 1 << 12, chunk_sum);
     EXPECT_EQ(ref, got) << "workers=" << workers;  // bitwise, not NEAR
   }
-  set_kernel_runtime(KernelRuntime::kOpenMP);
-  EXPECT_EQ(ref, parallel_reduce_sum<double>("r", n, 1 << 12, chunk_sum));
 }
 
 TEST(Runtime, ReduceMaxMatchesSerialScan) {
@@ -345,7 +376,6 @@ TEST(Runtime, ReduceMaxMatchesSerialScan) {
 
 TEST(Runtime, ConfigureDefaultEngineRebuildsThePool) {
   RuntimeGuard guard;
-  set_kernel_runtime(KernelRuntime::kEnginePool);
   for (int workers : {3, 1}) {
     configure_default_engine(workers);
     EXPECT_EQ(default_engine().workers(), workers);
@@ -394,27 +424,23 @@ TEST(Runtime, ResolvedDefaultWorkersReadsOnlyValidCounts) {
   }
 }
 
-TEST(Runtime, ParallelForCoversTheRangeInBothModes) {
+TEST(Runtime, ParallelForCoversTheRange) {
   RuntimeGuard guard;
   configure_default_engine(3);
-  for (KernelRuntime mode :
-       {KernelRuntime::kEnginePool, KernelRuntime::kOpenMP}) {
-    set_kernel_runtime(mode);
-    const std::int64_t n = 100000;
-    std::vector<std::atomic<int>> hits(static_cast<size_t>(n));
-    for (auto& h : hits) h.store(0);
-    parallel_for("test.cover", n, 1000, [&](std::int64_t b, std::int64_t e) {
-      for (std::int64_t i = b; i < e; ++i)
-        hits[static_cast<size_t>(i)].fetch_add(1);
-    });
-    for (std::int64_t i = 0; i < n; ++i)
-      ASSERT_EQ(hits[static_cast<size_t>(i)].load(), 1) << "index " << i;
-    std::atomic<int> calls{0};
-    for (std::int64_t empty : {std::int64_t{0}, std::int64_t{-7}})
-      parallel_for("test.empty", empty, 1,
-                   [&](std::int64_t, std::int64_t) { calls.fetch_add(1); });
-    EXPECT_EQ(calls.load(), 0);
-  }
+  const std::int64_t n = 100000;
+  std::vector<std::atomic<int>> hits(static_cast<size_t>(n));
+  for (auto& h : hits) h.store(0);
+  parallel_for("test.cover", n, 1000, [&](std::int64_t b, std::int64_t e) {
+    for (std::int64_t i = b; i < e; ++i)
+      hits[static_cast<size_t>(i)].fetch_add(1);
+  });
+  for (std::int64_t i = 0; i < n; ++i)
+    ASSERT_EQ(hits[static_cast<size_t>(i)].load(), 1) << "index " << i;
+  std::atomic<int> calls{0};
+  for (std::int64_t empty : {std::int64_t{0}, std::int64_t{-7}})
+    parallel_for("test.empty", empty, 1,
+                 [&](std::int64_t, std::int64_t) { calls.fetch_add(1); });
+  EXPECT_EQ(calls.load(), 0);
 }
 
 // --- solver determinism --------------------------------------------
@@ -455,7 +481,6 @@ SolveResult run_solve(std::vector<real_t>* solution_out) {
 
 TEST(Determinism, SolveBitwiseIdenticalAcrossWorkerCounts) {
   RuntimeGuard guard;
-  set_kernel_runtime(KernelRuntime::kEnginePool);
   configure_default_engine(1);
   std::vector<real_t> ref_x;
   const SolveResult ref = run_solve(&ref_x);
@@ -472,23 +497,6 @@ TEST(Determinism, SolveBitwiseIdenticalAcrossWorkerCounts) {
     for (size_t i = 0; i < ref_x.size(); ++i)
       ASSERT_EQ(ref_x[i], x[i]) << "workers=" << workers << " elem " << i;
   }
-}
-
-TEST(Determinism, SolveBitwiseIdenticalToOpenMPRuntime) {
-  RuntimeGuard guard;
-  set_kernel_runtime(KernelRuntime::kEnginePool);
-  configure_default_engine(3);
-  std::vector<real_t> pool_x;
-  const SolveResult pool = run_solve(&pool_x);
-  set_kernel_runtime(KernelRuntime::kOpenMP);
-  std::vector<real_t> omp_x;
-  const SolveResult omp = run_solve(&omp_x);
-  ASSERT_EQ(pool.history.size(), omp.history.size());
-  for (size_t i = 0; i < pool.history.size(); ++i)
-    EXPECT_EQ(pool.history[i], omp.history[i]) << "cycle " << i;
-  ASSERT_EQ(pool_x.size(), omp_x.size());
-  for (size_t i = 0; i < pool_x.size(); ++i)
-    ASSERT_EQ(pool_x[i], omp_x[i]) << "elem " << i;
 }
 
 }  // namespace

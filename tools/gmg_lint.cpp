@@ -19,12 +19,12 @@
 // Rules (suppress one occurrence with `// gmg-lint: allow(<id>)` on
 // the offending line or the line directly above):
 //
-//   no-raw-omp          1. No raw `#pragma omp parallel` in src/gmg,
-//                       src/dsl, src/brick, src/check, src/batch or
-//                       src/amr (`omp simd` is fine): all parallelism
-//                       must go through the exec:: runtime so chunk
-//                       plans stay deterministic and the src/check
-//                       hazard tracker sees every launch.
+//   no-raw-omp          1. No `#pragma omp` other than `omp simd`
+//                       anywhere in src/: all parallelism goes through
+//                       the exec:: runtime, so chunk plans stay
+//                       deterministic, the src/check hazard tracker
+//                       sees every launch, and no OpenMP runtime is
+//                       linked (the build passes -fopenmp-simd only).
 //   no-fma              2. No std::fma / __builtin_fma, and no x86
 //                       FMA intrinsic (_mm*_fmadd/fmsub/fnmadd/fnmsub
 //                       families, __builtin_ia32_vfmadd* and kin),
@@ -434,7 +434,7 @@ struct Violation {
 /// can classify synthetic paths.
 struct FileClass {
   std::string rel;  // e.g. "src/gmg/solver.cpp"
-  bool in_kernel_dirs = false;   // rule 1, 3 (clock)
+  bool in_kernel_dirs = false;   // rule 3 (clock)
   bool in_rng = false;           // rule 3 exemption
   bool in_effect_dirs = false;   // rule 5: kernels
   bool in_check = false;         // rule 5: the one home of scopes
@@ -506,17 +506,31 @@ class Linter {
     rule_exchange_call(fc, tf, fns);
   }
 
+  /// The words of a preprocessor line, '#' dropped: "#pragma omp simd"
+  /// is {"pragma", "omp", "simd"}.
+  static std::vector<std::string> pp_words(const std::string& pp) {
+    std::vector<std::string> words;
+    std::string w;
+    for (const char ch : pp + " ") {
+      if (ch == '#' || ch == ' ' || ch == '\t') {
+        if (!w.empty()) words.push_back(w);
+        w.clear();
+      } else {
+        w.push_back(ch);
+      }
+    }
+    return words;
+  }
+
   void rule_no_raw_omp(const FileClass& fc, const TokenizedFile& tf) {
-    if (!fc.in_kernel_dirs) return;
     for (const Tok& t : tf.toks) {
       if (t.kind != Tok::kPP) continue;
-      if (t.text.find("pragma") == std::string::npos ||
-          t.text.find("omp") == std::string::npos)
-        continue;
-      if (t.text.find("simd") != std::string::npos) continue;
+      const std::vector<std::string> w = pp_words(t.text);
+      if (w.size() < 2 || w[0] != "pragma" || w[1] != "omp") continue;
+      if (w.size() > 2 && w[2] == "simd") continue;
       report(fc, tf, t.line, "no-raw-omp",
-             "raw '#pragma omp' in a deterministic-kernel directory; route "
-             "parallelism through exec:: (only 'omp simd' is allowed here)");
+             "'#pragma omp' other than 'omp simd'; route parallelism "
+             "through exec:: (the build links no OpenMP runtime)");
     }
   }
 
@@ -742,6 +756,14 @@ const SelfTest kSelfTests[] = {
      "namespace gmg {\nvoid f() {\n#pragma omp simd\n}\n}\n", nullptr},
     {"omp in comment ignored", "src/gmg/foo.cpp",
      "namespace gmg {\n// #pragma omp parallel\nvoid f() {}\n}\n", nullptr},
+    {"raw omp outside the kernel directories flagged", "src/baseline/foo.cpp",
+     "namespace gmg {\nvoid f() {\n#pragma omp parallel for\n}\n}\n",
+     "no-raw-omp"},
+    {"omp simd outside the kernel directories clean", "src/baseline/foo.cpp",
+     "namespace gmg {\nvoid f() {\n#pragma omp simd\n}\n}\n", nullptr},
+    {"omp parallel for simd flagged", "src/baseline/foo.cpp",
+     "namespace gmg {\nvoid f() {\n#pragma omp parallel for simd\n}\n}\n",
+     "no-raw-omp"},
     {"fma flagged", "src/brick/foo.cpp",
      "namespace gmg {\nreal_t f(real_t a) { return std::fma(a, a, a); }\n}\n",
      "no-fma"},
