@@ -59,7 +59,6 @@ int main(int argc, char** argv) {
   variants.push_back({"point Jacobi, V-cycle (paper baseline)", base});
   {
     GmgOptions o = base;
-    o.smoother = Smoother::kWeightedJacobi;
     o.jacobi_weight = 2.0 / 3.0;
     variants.push_back({"weighted Jacobi (omega = 2/3)", o});
   }

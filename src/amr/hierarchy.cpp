@@ -16,9 +16,8 @@ AmrHierarchy::AmrHierarchy(const AmrOptions& opts, const CartDecomp& decomp,
   GMG_REQUIRE(opts_.gmg.operator_radius == 1,
               "AMR refluxing is derived from the 7-point flux form; "
               "operator_radius must be 1");
-  GMG_REQUIRE(opts_.gmg.smoother == Smoother::kPointJacobi ||
-                  opts_.gmg.smoother == Smoother::kWeightedJacobi,
-              "the patch smoother is the pointwise Jacobi family");
+  GMG_REQUIRE(opts_.gmg.smoother == Smoother::kJacobi,
+              "the patch smoother is Jacobi");
   GMG_REQUIRE(opts_.patch_smooths >= 1 && opts_.correction_vcycles >= 1,
               "composite cycle needs at least one sweep of each stage");
 

@@ -7,13 +7,8 @@
 
 namespace gmg::batch {
 
-bool batchable(const GmgOptions& o) { return !o.use_generated_kernels; }
-
 BatchedSolver::BatchedSolver(GmgSolver& base, int k) : base_(base), k_(k) {
   GMG_REQUIRE(k >= 1, "batch size must be >= 1");
-  GMG_REQUIRE(batchable(base.options()),
-              "batched solves support the hand-written and DSL kernels only "
-              "(stencilgen output is emitted for solo layout)");
   const GmgOptions& opts = base.options();
   const CartDecomp& decomp = base.decomp();
   levels_.reserve(static_cast<std::size_t>(base.num_levels()));

@@ -42,12 +42,6 @@ namespace gmg::batch {
 /// the solve loop's own spec.
 using BatchSolveSpec = SolveSpec;
 
-/// Whether solves with options `o` can ride a batched solve: the
-/// stencilgen kernels are emitted for solo layout only. The serve
-/// tier's coalescer asks this; the BatchedSolver constructor requires
-/// it.
-bool batchable(const GmgOptions& o);
-
 /// Drives K systems through one cycle schedule over a solo hierarchy.
 /// The base GmgSolver contributes everything per-level that is shared
 /// across the batch — geometry, stencil coefficients, the variable-
@@ -57,7 +51,7 @@ bool batchable(const GmgOptions& o);
 class BatchedSolver {
  public:
   /// Build the K-component twin of `base`'s hierarchy. Requires
-  /// k >= 1 and batchable(base.options()).
+  /// k >= 1.
   BatchedSolver(GmgSolver& base, int k);
 
   BatchedSolver(const BatchedSolver&) = delete;

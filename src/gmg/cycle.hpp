@@ -226,8 +226,7 @@ class Cycle {
   /// it to the caller.
   void smooth_level(int l, int iterations, bool descent) {
     switch (o_.smoother) {
-      case Smoother::kPointJacobi:
-      case Smoother::kWeightedJacobi:
+      case Smoother::kJacobi:
         jacobi_sweeps(l, iterations, descent);
         break;
       case Smoother::kChebyshev:

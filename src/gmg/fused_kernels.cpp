@@ -8,6 +8,7 @@
 #include "brick/brick_plan.hpp"
 #include "check/shadow.hpp"
 #include "dsl/apply_brick.hpp"
+#include "dsl/stencils.hpp"
 #include "exec/runtime.hpp"
 #include "gmg/operators_varcoef.hpp"
 #include "gmg/stencil_rows.hpp"
@@ -15,13 +16,18 @@
 
 namespace gmg::fused {
 
-// The one-pass sweeps' x reach is applyOp's 7-point star, and the
-// variable-coefficient sweep reads x and the coefficient through
-// apply_op_varcoef's own expression: pin the summaries' reaches to
+// The one-pass sweeps read x through their operator's stencil — the
+// 7-point star, star_stencil<2>, and apply_op_varcoef's expression
+// (which also reads the coefficient): pin the summaries' reaches to
 // those footprints.
-static_assert(jacobi_sweep_effects().read_reach("x") ==
+static_assert(jacobi_sweep_effects(1).read_reach("x") ==
                   check::star_shape(1).radius(),
               "jacobi sweep x reach must be the 7-point star's");
+static_assert(jacobi_sweep_star13_effects().read_reach("x") ==
+                  dsl::star_stencil<2, 0>(std::array<real_t, 3>{1.0, 1.0, 1.0})
+                      .offsets()
+                      .radius(),
+              "13-point sweep x reach must be star_stencil<2>'s");
 static_assert(jacobi_sweep_varcoef_effects().read_reach("x") ==
                       vc::apply_expr(0, 1).offsets().slot_extents(0).radius() &&
                   jacobi_sweep_varcoef_effects().read_reach("coef") ==
@@ -113,6 +119,59 @@ inline void jacobi_update_cell(real_t* __restrict xn, real_t* __restrict rp,
   detail::store_row(xn + i, next);
 }
 
+/// The one-pass sweep of an operator given as a DSL expression (the
+/// 13-point star, the variable coefficient): brick_pass over `active`
+/// with each cell's A*x from the DSL engine's row body — dsl::apply's
+/// per-element arithmetic, so its bits — consumed by the x update, lane
+/// by lane. `scale(cell)` is the update factor of storage cell `cell`.
+/// Slot 0 of `expr` is x; `shared` are its further slots, each one
+/// field every lane reads.
+template <class F, typename Expr, typename Scale, typename... Shared>
+void dsl_sweep(const char* name, F& x_next, F* r, F* coarse_b, const F& x,
+               const F& b, const Box& active, const Expr& expr,
+               Scale&& scale, const Shared&... shared) {
+  const auto K = lanes(x);
+  const dsl::Extents ext = expr.extents();
+  const std::tuple strides{K, lanes(shared)...};
+  with_brick_dims(x.shape(), [&](auto bd) {
+    using BD = decltype(bd);
+    detail::require_taps_in_grid(bd, x.grid(), active, ext.radius());
+    real_t* __restrict xn = x_next.data();
+    real_t* __restrict rp = r != nullptr ? r->data() : nullptr;
+    const real_t* __restrict xp = x.data();
+    const real_t* __restrict bp = b.data();
+    with_residual(r, [&](auto res) {
+      brick_pass(
+          bd, K, name, x.grid(), active,
+          [&](const BrickPlanItem& it, auto full, std::size_t base) {
+            detail::for_each_brick_row<BD>(it, full, [&](index_t lj,
+                                                         index_t lk,
+                                                         index_t ilo,
+                                                         index_t ihi) {
+              const std::size_t o =
+                  base + static_cast<std::size_t>((lk * BD::by + lj) * BD::bx);
+              for (index_t c = 0; c < K; ++c) {
+                const dsl::detail::BrickAccessors<BD, decltype(K),
+                                                  decltype(lanes(shared))...>
+                    acc({xp + c, shared.data()...}, strides, it.adj, it.id);
+                dsl::detail::eval_row<BD>(
+                    expr, ext, acc.slow, acc.fast, lj, lk, ilo, ihi,
+                    [&](index_t li, real_t ax) {
+                      const std::size_t cell =
+                          o + static_cast<std::size_t>(li);
+                      jacobi_update_cell<decltype(res)::value>(
+                          xn, rp, xp, bp, scale(cell),
+                          cell * K + static_cast<std::size_t>(c), ax);
+                    });
+              }
+            });
+          },
+          NoStage{}, coarse_b != nullptr ? &coarse_b->grid() : nullptr, rp,
+          coarse_b != nullptr ? coarse_b->data() : nullptr);
+    });
+  });
+}
+
 /// A fused restriction folds `fine` bricks into `coarse` octants: the
 /// fine extent is twice the coarse one and both share the brick shape.
 template <class F>
@@ -179,7 +238,7 @@ void jacobi_sweep(F& x_next, std::type_identity_t<F>* r,
   count_flops(box_points(active, K), r != nullptr ? 12 : 11);
   if (coarse_b != nullptr) count_flops(box_points(fine, K) / 8, 8);
   const auto scope = check::scope(
-      jacobi_sweep_effects(), active,
+      jacobi_sweep_effects(1), active,
       {check::bind("out", x_next), check::bind("r", r),
        check::bind("coarse", coarse_b, coarsen(fine, 2)),
        check::bind("x", x), check::bind("b", b)});
@@ -212,6 +271,29 @@ void jacobi_sweep(F& x_next, std::type_identity_t<F>* r,
 }
 
 template <class F>
+void jacobi_sweep_star13(F& x_next, std::type_identity_t<F>* r,
+                         std::type_identity_t<F>* coarse_b, const F& x,
+                         const F& b, real_t alpha, real_t beta, real_t beta2,
+                         real_t gamma, const Box& active) {
+  const Box fine = require_sweep_args<F>(x_next, r, coarse_b, x, active);
+  const auto K = lanes(x);
+  trace::TraceSpan span("kernel.jacobiSweep");
+  // A*x (15) + the x update (3) + the residual (1) per point; 8 per
+  // coarse point for the restriction.
+  count_flops(box_points(active, K), r != nullptr ? 19 : 18);
+  if (coarse_b != nullptr) count_flops(box_points(fine, K) / 8, 8);
+  const auto scope = check::scope(
+      jacobi_sweep_star13_effects(), active,
+      {check::bind("out", x_next), check::bind("r", r),
+       check::bind("coarse", coarse_b, coarsen(fine, 2)),
+       check::bind("x", x), check::bind("b", b)});
+  // The operator is the 13-point applyOp's expression.
+  dsl_sweep("kernel.jacobiSweep", x_next, r, coarse_b, x, b, active,
+            dsl::star_stencil<2, 0>(std::array<real_t, 3>{alpha, beta, beta2}),
+            [gamma](std::size_t) { return gamma; });
+}
+
+template <class F>
 void jacobi_sweep_varcoef(F& x_next, std::type_identity_t<F>* r,
                           std::type_identity_t<F>* coarse_b, const F& x,
                           const F& b, const BrickedArray& coef,
@@ -228,85 +310,12 @@ void jacobi_sweep_varcoef(F& x_next, std::type_identity_t<F>* r,
        check::bind("coarse", coarse_b, coarsen(fine, 2)),
        check::bind("x", x), check::bind("coef", coef), check::bind("b", b),
        check::bind("diag", diag)});
-  // The operator is apply_op_varcoef's expression, evaluated through the
-  // DSL engine's own row body — lane by lane, the coefficient shared.
-  const auto expr = vc::apply_expr(identity_coef, 0.5 / (h * h));
-  const dsl::Extents ext = expr.extents();
-  const std::tuple strides{K, lanes(coef)};
-  with_brick_dims(x.shape(), [&](auto bd) {
-    using BD = decltype(bd);
-    detail::require_taps_in_grid(bd, x.grid(), active, 1);
-    real_t* __restrict xn = x_next.data();
-    real_t* __restrict rp = r != nullptr ? r->data() : nullptr;
-    const real_t* __restrict xp = x.data();
-    const real_t* __restrict bp = b.data();
-    const real_t* __restrict dp = diag.data();
-    with_residual(r, [&](auto res) {
-      brick_pass(
-          bd, K, "kernel.jacobiSweepVarCoef", x.grid(), active,
-          [&](const BrickPlanItem& it, auto full, std::size_t base) {
-            detail::for_each_brick_row<BD>(it, full, [&](index_t lj,
-                                                         index_t lk,
-                                                         index_t ilo,
-                                                         index_t ihi) {
-              const std::size_t o =
-                  base + static_cast<std::size_t>((lk * BD::by + lj) * BD::bx);
-              for (index_t c = 0; c < K; ++c) {
-                const dsl::detail::BrickAccessors<BD, decltype(K), OneLane>
-                    acc({xp + c, coef.data()}, strides, it.adj, it.id);
-                dsl::detail::eval_row<BD>(
-                    expr, ext, acc.slow, acc.fast, lj, lk, ilo, ihi,
-                    [&](index_t li, real_t ax) {
-                      const std::size_t cell =
-                          o + static_cast<std::size_t>(li);
-                      jacobi_update_cell<decltype(res)::value>(
-                          xn, rp, xp, bp, -omega / dp[cell],
-                          cell * K + static_cast<std::size_t>(c), ax);
-                    });
-              }
-            });
-          },
-          NoStage{}, coarse_b != nullptr ? &coarse_b->grid() : nullptr, rp,
-          coarse_b != nullptr ? coarse_b->data() : nullptr);
-    });
-  });
-}
-
-template <class F>
-void jacobi_update(F& x_next, std::type_identity_t<F>* r,
-                   std::type_identity_t<F>* coarse_b, const F& x, const F& b,
-                   real_t gamma, const Box& active) {
-  const Box fine = require_sweep_args<F>(x_next, r, coarse_b, x, active);
-  const auto K = lanes(x);
-  trace::TraceSpan span("kernel.jacobiUpdate");
-  count_flops(box_points(active, K), r != nullptr ? 4 : 3);
-  if (coarse_b != nullptr) count_flops(box_points(fine, K) / 8, 8);
-  const auto scope = check::scope(
-      jacobi_update_effects(), active,
-      {check::bind("out", x_next), check::bind("r", r),
-       check::bind("coarse", coarse_b, coarsen(fine, 2)),
-       check::bind("x", x), check::bind("b", b)});
-  with_brick_dims(x.shape(), [&](auto bd) {
-    real_t* __restrict xn = x_next.data();
-    real_t* __restrict rp = r != nullptr ? r->data() : nullptr;
-    const real_t* __restrict xp = x.data();
-    const real_t* __restrict bp = b.data();
-    with_residual(r, [&](auto res) {
-      brick_pass(
-          bd, K, "kernel.jacobiUpdate", x.grid(), active, NoStage{},
-          [&](std::size_t o, index_t ilo, index_t ihi) {
-#pragma omp simd
-            for (index_t i = ilo; i < ihi; ++i) {
-              const std::size_t c = o + static_cast<std::size_t>(i);
-              const real_t ax = xn[c];  // a copy: the update writes xn[c]
-              jacobi_update_cell<decltype(res)::value>(xn, rp, xp, bp, gamma,
-                                                       c, ax);
-            }
-          },
-          coarse_b != nullptr ? &coarse_b->grid() : nullptr, rp,
-          coarse_b != nullptr ? coarse_b->data() : nullptr);
-    });
-  });
+  // The operator is apply_op_varcoef's expression, the coefficient
+  // shared by every lane.
+  const real_t* __restrict dp = diag.data();
+  dsl_sweep("kernel.jacobiSweepVarCoef", x_next, r, coarse_b, x, b, active,
+            vc::apply_expr(identity_coef, 0.5 / (h * h)),
+            [dp, omega](std::size_t cell) { return -omega / dp[cell]; }, coef);
 }
 
 void smooth_residual_restrict(BrickedArray& x, BrickedArray& r,
@@ -477,12 +486,13 @@ real_t residual_max_norm(F& r, const F& b, const F& Ax) {
 #define GMG_FUSED_KERNELS(F)                                                \
   template void jacobi_sweep<F>(F&, F*, F*, const F&, const F&, real_t,      \
                                 real_t, real_t, const Box&);                 \
+  template void jacobi_sweep_star13<F>(F&, F*, F*, const F&, const F&,       \
+                                       real_t, real_t, real_t, real_t,       \
+                                       const Box&);                          \
   template void jacobi_sweep_varcoef<F>(F&, F*, F*, const F&, const F&,      \
                                         const BrickedArray&,                 \
                                         const BrickedArray&, real_t, real_t, \
                                         real_t, const Box&);                 \
-  template void jacobi_update<F>(F&, F*, F*, const F&, const F&, real_t,     \
-                                 const Box&);                                \
   template void residual_restrict(F&, F&, const F&, const F&);               \
   template real_t residual_max_norm(F&, const F&, const F&);
 GMG_FUSED_KERNELS(BrickedArray)

@@ -5,17 +5,16 @@
 // resident. These kernels glue stages into ONE pass per brick, and the
 // cycle runs them in place of the stages:
 //
-//   * jacobi_sweep[_varcoef]: the whole Jacobi sweep. Each cell's A*x
-//     is computed in a register (the split applyOp's row body and tap
-//     order) and consumed at once by x' = x + gamma*(A*x - b) — plus
-//     r = b - A*x, and the 8->1 restriction of r per brick, on the last
-//     descent sweep. x' goes to a buffer distinct from x (the level's
-//     spare, Ax's storage; the solver swaps the two after the sweep),
-//     so no brick reads a neighbor value the sweep already replaced. A
-//     fine sweep streams x, b and x' (plus r on the last one) instead
-//     of the split pair's seven streams.
-//   * jacobi_update: the pointwise half of the same sweep for the
-//     operators that keep a separate A*x pass (13-point, stencilgen).
+//   * jacobi_sweep[_star13|_varcoef]: the whole Jacobi sweep, one per
+//     operator. Each cell's A*x is computed in a register (the split
+//     applyOp's row body and tap order) and consumed at once by
+//     x' = x + gamma*(A*x - b) — plus r = b - A*x, and the 8->1
+//     restriction of r per brick, on the last descent sweep. x' goes to
+//     a buffer distinct from x (the level's spare, Ax's storage; the
+//     solver swaps the two after the sweep), so no brick reads a
+//     neighbor value the sweep already replaced. A fine sweep streams
+//     x, b and x' (plus r on the last one) instead of the split pair's
+//     seven streams.
 //
 // The kernels templated on the field type F serve every batch width
 // (operators.hpp): a batched solve issues exactly the solo launches.
@@ -32,8 +31,8 @@
 // Bitwise contract: every fused kernel replicates the split kernels'
 // per-element arithmetic and summation order VERBATIM (the same 7-point
 // row body and restriction octant from stencil_rows.hpp, the same DSL
-// row evaluation for the variable-coefficient operator, the same
-// -omega/diag factor), under the repo-wide -ffp-contract=off.
+// row evaluation for the 13-point and variable-coefficient operators,
+// the same -omega/diag factor), under the repo-wide -ffp-contract=off.
 // Restriction writes stay race-free under any chunking: eight fine
 // bricks write disjoint octants of one coarse brick, and each fine
 // brick reads only the residual it just wrote.
@@ -91,6 +90,15 @@ void jacobi_sweep(F& x_next, std::type_identity_t<F>* r,
                   std::type_identity_t<F>* coarse_b, const F& x, const F& b,
                   real_t alpha, real_t beta, real_t gamma, const Box& active);
 
+/// 13-point twin: ax = dsl::star_stencil<2, 0>({alpha, beta, beta2}),
+/// evaluated through the DSL engine's row body as the 13-point applyOp
+/// evaluates it.
+template <class F>
+void jacobi_sweep_star13(F& x_next, std::type_identity_t<F>* r,
+                         std::type_identity_t<F>* coarse_b, const F& x,
+                         const F& b, real_t alpha, real_t beta, real_t beta2,
+                         real_t gamma, const Box& active);
+
 /// Variable-coefficient twin: ax = apply_op_varcoef's DSL expression,
 /// x_next = x + (-omega / diag) * (ax - b); coef and diag are shared by
 /// every lane.
@@ -100,15 +108,6 @@ void jacobi_sweep_varcoef(F& x_next, std::type_identity_t<F>* r,
                           const F& b, const BrickedArray& coef,
                           const BrickedArray& diag, real_t identity_coef,
                           real_t h, real_t omega, const Box& active);
-
-/// The pointwise half of a two-stage Jacobi sweep (13-point and
-/// stencilgen operators): `x_next` holds A*x over `active` on entry and
-/// is turned into x + gamma*(A*x - b) in place, with the same optional
-/// residual and restriction as jacobi_sweep.
-template <class F>
-void jacobi_update(F& x_next, std::type_identity_t<F>* r,
-                   std::type_identity_t<F>* coarse_b, const F& x, const F& b,
-                   real_t gamma, const Box& active);
 
 /// Post-applyOp descent stages in place on x (the two-pass reference
 /// the one-pass sweep is tested against): per brick of `active`,
@@ -169,17 +168,22 @@ constexpr check::EffectSummary smooth_residual_restrict_varcoef_effects() {
       .reads("diag");
 }
 
-/// The one-pass sweep reads x through the 7-point stencil and writes
-/// the new iterate into `out` — a role distinct from `x`, which is what
-/// lets the verifier reject a schedule binding both to one field (an
-/// in-place stencil update).
-constexpr check::EffectSummary jacobi_sweep_effects() {
+/// The one-pass sweep reads x through the operator's star of `radius`
+/// and writes the new iterate into `out` — a role distinct from `x`,
+/// which is what lets the verifier reject a schedule binding both to
+/// one field (an in-place stencil update).
+constexpr check::EffectSummary jacobi_sweep_effects(int radius) {
   return check::EffectSummary("kernel.jacobiSweep")
       .writes("out")
       .writes("r")
       .writes("coarse")
-      .reads("x", 1)
+      .reads("x", radius)
       .reads("b");
+}
+
+/// The 13-point sweep is the sweep over the radius-2 star.
+constexpr check::EffectSummary jacobi_sweep_star13_effects() {
+  return jacobi_sweep_effects(2);
 }
 
 constexpr check::EffectSummary jacobi_sweep_varcoef_effects() {
@@ -191,17 +195,6 @@ constexpr check::EffectSummary jacobi_sweep_varcoef_effects() {
       .reads("coef", 1)
       .reads("b")
       .reads("diag");
-}
-
-/// In place on `out` (which holds A*x on entry): pointwise, reach 0.
-constexpr check::EffectSummary jacobi_update_effects() {
-  return check::EffectSummary("kernel.jacobiUpdate")
-      .writes("out")
-      .writes("r")
-      .writes("coarse")
-      .reads("out")
-      .reads("x")
-      .reads("b");
 }
 
 constexpr check::EffectSummary residual_restrict_effects() {

@@ -3,7 +3,7 @@
 // set_coefficient flips a level to the variable-coefficient operator)
 // and cached in the MgLevel. It records the choice for this level's
 // (brick dims, const/var coefficient, smoother) configuration — the
-// operator variant, which fixes the shape of the Jacobi sweep, and
+// operator variant, which fixes the Jacobi sweep's row body, and
 // whether the descent folds the restriction — so no sweep re-derives
 // it. level_apply and level_jacobi dispatch on that choice for any
 // field set: the solo fields of the MgLevel itself, or a batched
@@ -14,15 +14,12 @@
 // computing A*x in registers and writing x' into a spare buffer (the
 // level's Ax storage; the caller swaps x and Ax afterwards) — plus r
 // and the descent restriction on the last sweep of a descent block.
-// The 13-point and stencilgen operators keep a two-stage body (A*x
-// into the spare buffer, then the pointwise update over it) behind the
-// same call.
 //
 // Folding the descent restriction into the smoother is legal only
 // where the last smoother application produces the residual
 // pointwise:
-//   - Jacobi / weighted Jacobi: the last sweep writes x', r and the
-//     coarse RHS in one pass.
+//   - Jacobi: the last sweep writes x', r and the coarse RHS in one
+//     pass.
 //   - Red-black GS: the half-sweeps update x in place, but the descent
 //     tail's residual + restriction run as one pass.
 //   - Chebyshev: the recurrence needs r on every sweep and updates x
@@ -45,11 +42,9 @@ struct GmgOptions;
 
 /// A level's operator A, resolved once.
 enum class OpKind : std::uint8_t {
-  kStar7,        // hand-written 7-point star (apply_op)
-  kStar13,       // 13-point star through the DSL engine
-  kVarCoef,      // variable coefficient (apply_op_varcoef)
-  kGenerated7,   // stencilgen 7-point (solo layout only)
-  kGenerated13,  // stencilgen 13-point (solo layout only)
+  kStar7,    // hand-written 7-point star (apply_op)
+  kStar13,   // 13-point star through the DSL engine
+  kVarCoef,  // variable coefficient (apply_op_varcoef)
 };
 
 struct KernelPlan {
@@ -58,22 +53,15 @@ struct KernelPlan {
   /// pass.
   bool fuses_restriction = false;
 
-  /// Jacobi damping: 0.5 for kPointJacobi, opts.jacobi_weight for
-  /// kWeightedJacobi (resolved once; sweeps stop re-deriving it).
+  /// Jacobi damping: opts.jacobi_weight (resolved once; sweeps stop
+  /// re-deriving it).
   real_t weight = 0.5;
 
-  /// The operator, which fixes the sweep shape (jacobi_is_one_pass).
+  /// The operator, which fixes the sweep's row body.
   OpKind op = OpKind::kStar7;
   /// The variable-coefficient operator's identity term s.
   real_t identity_coef = 0;
 };
-
-/// Whether level `lev`'s Jacobi sweep runs as one pass per brick (the
-/// 7-point operators, constant and variable coefficient) or as the
-/// two-stage body (apply into the spare buffer, then
-/// fused::jacobi_update over it). The schedule recording records
-/// whichever the sweep issues, for every batch width.
-bool jacobi_is_one_pass(const MgLevel& lev);
 
 /// Resolve the kernel choice and descent schedule for one level.
 /// Called from GmgSolver's constructor and again from set_coefficient
@@ -81,13 +69,11 @@ bool jacobi_is_one_pass(const MgLevel& lev);
 void resolve_level_kernels(const GmgOptions& opts, MgLevel& lev);
 
 /// The effect summary of the kernel level_apply runs for level L (the
-/// schedule recorders record what the plan runs, so a stencilgen
-/// operator is recorded as its emitted gen.* summary).
+/// schedule recorders record what the plan runs).
 check::EffectSummary level_apply_effects(const MgLevel& L);
 
-/// The effect summary of the one-pass sweep or, for the two-stage
-/// body, of the pointwise update that level_jacobi runs after its
-/// level_apply.
+/// The effect summary of the one-pass sweep level_jacobi runs for
+/// level L.
 check::EffectSummary level_jacobi_effects(const MgLevel& L);
 
 /// out = A in over `active` with level L's operator, every lane.

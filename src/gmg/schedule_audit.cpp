@@ -89,10 +89,6 @@ void Record::apply(int l, Fld out, Fld in, const Box& box) {
 }
 
 void Record::sweep(const MgLevel& L, int l, const Box& box, bool descent) {
-  // The two-stage body (13-point / stencilgen operators) issues its
-  // applyOp into the spare buffer first, then the pointwise update over
-  // it — at every batch width.
-  if (!jacobi_is_one_pass(L)) apply(L, l, "Ax", "x", box);
   const Box fine = intersect(box, L.interior());
   const bool coarse = descent && !fine.empty();
   const check::StepBinding r{"r", descent ? "r" : nullptr};

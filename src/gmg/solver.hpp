@@ -19,16 +19,15 @@ namespace gmg {
 /// Smoothing operator (paper §IV-C uses point Jacobi; §IX lists
 /// alternatives as future work).
 enum class Smoother {
-  kPointJacobi,    // x += gamma (Ax - b), gamma = -1/(2 diag)
-  kWeightedJacobi, // same with a configurable weight
-  kChebyshev,      // polynomial smoother on D^-1 A eigenvalue bounds
-  kRedBlackGS,     // red-black Gauss-Seidel (two colored half-sweeps)
+  kJacobi,      // x += gamma (Ax - b), gamma = -jacobi_weight/diag
+  kRedBlackGS,  // red-black Gauss-Seidel (two colored half-sweeps)
+  kChebyshev,   // polynomial smoother on D^-1 A eigenvalue bounds
 };
 
 enum class CycleType { kV, kW };
 
 enum class BottomSolverType {
-  kSmooth,             // the paper's 100 point-Jacobi iterations
+  kSmooth,             // bottom_smooths sweeps of the configured smoother
   kConjugateGradient,  // matrix-free CG with global reductions
 };
 
@@ -39,8 +38,8 @@ struct GmgOptions {
   int levels = 6;
   /// Smoothing iterations per level per sweep (paper: 12).
   int smooths = 12;
-  /// Bottom-solver budget: point-Jacobi iterations (paper: 100) or CG
-  /// iterations.
+  /// Bottom-solver budget: sweeps of the smoother (paper: 100 point-
+  /// Jacobi iterations) or CG iterations.
   int bottom_smooths = 100;
   /// Convergence: max-norm of the residual (paper: 1e-10).
   real_t tolerance = 1e-10;
@@ -72,8 +71,10 @@ struct GmgOptions {
   /// star; 2 = 4th-order 13-point star (radius 2).
   int operator_radius = 1;
 
-  Smoother smoother = Smoother::kPointJacobi;
-  real_t jacobi_weight = 0.5;  // used by kWeightedJacobi
+  Smoother smoother = Smoother::kJacobi;
+  /// Jacobi damping; the default 0.5 is the paper's point Jacobi
+  /// (gamma = -1/(2 diag)).
+  real_t jacobi_weight = 0.5;
   /// Chebyshev smoothing interval on the spectrum of D^-1 A:
   /// [lambda_max * min_frac, lambda_max].
   real_t cheby_lambda_max = 1.9;
@@ -82,12 +83,6 @@ struct GmgOptions {
   CycleType cycle = CycleType::kV;
   BottomSolverType bottom = BottomSolverType::kSmooth;
   real_t bottom_cg_tolerance = 1e-12;
-
-  /// Route applyOp through the stencilgen-emitted kernels
-  /// (src/dsl/generated/) instead of the hand-written ones — the
-  /// "everything through the code generator" configuration BrickLib
-  /// itself runs in. Constant-coefficient operators only.
-  bool use_generated_kernels = false;
 };
 
 struct SolveResult {

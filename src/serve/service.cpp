@@ -210,7 +210,7 @@ void SolveService::gather_batch(
   if (it == operators_.end()) return;
   const std::size_t max_batch =
       static_cast<std::size_t>(std::max(1, it->second.options.max_batch));
-  if (max_batch <= 1 || !batch::batchable(it->second.options)) return;
+  if (max_batch <= 1) return;
 
   // Compatible = same hierarchy_key. Requests share the operator-id's
   // registered options, so the key reduces to (operator_id, domain);

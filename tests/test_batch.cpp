@@ -135,8 +135,8 @@ std::string case_name(const ::testing::TestParamInfo<MatrixCase>& info) {
   const MatrixCase& p = info.param;
   std::string s;
   switch (p.smoother) {
-    case Smoother::kPointJacobi: s = "PointJacobi"; break;
-    case Smoother::kWeightedJacobi: s = "WeightedJacobi"; break;
+    // Jacobi at its default weight: the paper's point Jacobi.
+    case Smoother::kJacobi: s = "PointJacobi"; break;
     case Smoother::kChebyshev: s = "Chebyshev"; break;
     case Smoother::kRedBlackGS: s = "RedBlackGS"; break;
   }
@@ -196,8 +196,8 @@ TEST_P(BatchedBitwise, TwoWayMatchesTwoSoloSolves) {
 
 std::vector<MatrixCase> matrix_cases() {
   std::vector<MatrixCase> cases;
-  for (Smoother s : {Smoother::kPointJacobi, Smoother::kWeightedJacobi,
-                     Smoother::kChebyshev, Smoother::kRedBlackGS}) {
+  for (Smoother s :
+       {Smoother::kJacobi, Smoother::kChebyshev, Smoother::kRedBlackGS}) {
     for (bool ca : {false, true}) {
       for (const Vec3 rg : {Vec3{2, 1, 1}, Vec3{2, 2, 1}}) {
         for (bool varcoef : {false, true}) {
@@ -215,7 +215,7 @@ INSTANTIATE_TEST_SUITE_P(Matrix, BatchedBitwise,
 
 // Wider batches through the one-pass sweep (K = 3 and 8, point Jacobi
 // with CA; K = 8 also with variable coefficients) and the 13-point
-// operator's two-stage body at K = 2. One-lane batches pin the solve
+// operator's sweep at K = 2. One-lane batches pin the solve
 // loop's K = 1 call through the runtime-lane kernels to the solo
 // solver: point Jacobi with CA, Chebyshev with variable coefficients,
 // red-black GS.
@@ -223,14 +223,14 @@ constexpr Vec3 kTwoRanks{2, 1, 1};
 INSTANTIATE_TEST_SUITE_P(
     Widths, BatchedBitwise,
     ::testing::Values(
-        MatrixCase{Smoother::kPointJacobi, true, kTwoRanks, false, 1, 1},
+        MatrixCase{Smoother::kJacobi, true, kTwoRanks, false, 1, 1},
         MatrixCase{Smoother::kChebyshev, true, kTwoRanks, true, 1, 1},
         MatrixCase{Smoother::kRedBlackGS, true, kTwoRanks, false, 1, 1},
-        MatrixCase{Smoother::kPointJacobi, true, kTwoRanks, false, 3, 1},
-        MatrixCase{Smoother::kPointJacobi, true, kTwoRanks, false, 8, 1},
-        MatrixCase{Smoother::kPointJacobi, true, kTwoRanks, true, 8, 1},
-        MatrixCase{Smoother::kPointJacobi, true, kTwoRanks, false, 2, 2},
-        MatrixCase{Smoother::kPointJacobi, false, kTwoRanks, false, 2, 2}),
+        MatrixCase{Smoother::kJacobi, true, kTwoRanks, false, 3, 1},
+        MatrixCase{Smoother::kJacobi, true, kTwoRanks, false, 8, 1},
+        MatrixCase{Smoother::kJacobi, true, kTwoRanks, true, 8, 1},
+        MatrixCase{Smoother::kJacobi, true, kTwoRanks, false, 2, 2},
+        MatrixCase{Smoother::kJacobi, false, kTwoRanks, false, 2, 2}),
     case_name);
 
 // ---------------------------------------------------------------------

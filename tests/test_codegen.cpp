@@ -1,6 +1,6 @@
 // stencilgen: spec parsing, golden-file stability of the emitted
-// code, and numerical equivalence of the generated kernels against
-// the hand-written / DSL engines.
+// code, and equivalence of the generated kernels with the hand-written
+// (bit for bit) and DSL engines.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -11,9 +11,7 @@
 #include "dsl/generated/star_13pt_gen.hpp"
 #include "dsl/stencils.hpp"
 #include "dsl/apply_brick.hpp"
-#include "comm/simmpi.hpp"
 #include "gmg/operators.hpp"
-#include "gmg/solver.hpp"
 #include "tests/test_util.hpp"
 
 namespace gmg {
@@ -70,6 +68,8 @@ TEST(StencilGen, GoldenFilesMatchGeneratorOutput) {
 
 class GeneratedKernels : public ::testing::TestWithParam<index_t> {};
 
+// The emitted 7-point kernel sums its taps in apply_op's order, so it
+// gives apply_op's bits.
 TEST_P(GeneratedKernels, SevenPointMatchesHandWrittenKernel) {
   const index_t bdim = GetParam();
   const Vec3 n{2 * bdim, 2 * bdim, 2 * bdim};
@@ -82,14 +82,7 @@ TEST_P(GeneratedKernels, SevenPointMatchesHandWrittenKernel) {
 
   apply_op(want, x, -6.0, 1.0, Box::from_extent(n));
   dsl::generated::laplacian_7pt(got, x, -6.0, 1.0, Box::from_extent(n));
-
-  int failures = 0;
-  for_each(Box::from_extent(n), [&](index_t i, index_t j, index_t k) {
-    if (std::abs(got(i, j, k) - want(i, j, k)) > 1e-12 && failures++ < 3) {
-      ADD_FAILURE() << "at (" << i << ',' << j << ',' << k << ')';
-    }
-  });
-  ASSERT_EQ(failures, 0);
+  test::expect_same_bits(got, want, Box::from_extent(n), "interior");
 }
 
 TEST_P(GeneratedKernels, SevenPointOnExtendedRegion) {
@@ -106,15 +99,13 @@ TEST_P(GeneratedKernels, SevenPointOnExtendedRegion) {
   const Box active = grow(Box::from_extent(n), bdim - 1);
   apply_op(want, x, -6.0, 1.0, active);
   dsl::generated::laplacian_7pt(got, x, -6.0, 1.0, active);
-  int failures = 0;
-  for_each(active, [&](index_t i, index_t j, index_t k) {
-    if (std::abs(got(i, j, k) - want(i, j, k)) > 1e-12 && failures++ < 3) {
-      ADD_FAILURE() << "at (" << i << ',' << j << ',' << k << ')';
-    }
-  });
-  ASSERT_EQ(failures, 0);
+  test::expect_same_bits(got, want, active, "CA-grown box");
 }
 
+// A tolerance check, not a bitwise one: the generator sums the taps
+// in a different order from the DSL engine's star_stencil<2>
+// expression, and at 8^3 bricks 591 of the 4,096 cells differ in their
+// last bits.
 TEST_P(GeneratedKernels, ThirteenPointMatchesDslEngine) {
   const index_t bdim = GetParam();
   if (bdim < 2) GTEST_SKIP();
@@ -156,63 +147,6 @@ TEST(StencilGen, GeneratedCodeMentionsAllTaps) {
   EXPECT_NE(code.find("alpha * (p_0_0[li])"), std::string::npos);
   EXPECT_NE(code.find("#pragma omp simd"), std::string::npos);
   EXPECT_NE(code.find("DO NOT EDIT"), std::string::npos);
-}
-
-TEST(GeneratedKernels, SolverRunsOnGeneratedKernels) {
-  // use_generated_kernels routes every applyOp through the stencilgen
-  // output; the solve must converge to the same exact solution.
-  const index_t nn = 32;
-  const CartDecomp decomp({nn, nn, nn}, {1, 1, 1});
-  comm::World world(1);
-  world.run([&](comm::Communicator& c) {
-    GmgOptions o;
-    o.levels = 3;
-    o.smooths = 8;
-    o.bottom_smooths = 50;
-    o.brick = BrickShape::cube(4);
-    o.use_generated_kernels = true;
-    GmgSolver solver(o, decomp, 0);
-    solver.set_rhs([](real_t x, real_t y, real_t z) {
-      return std::sin(2 * M_PI * x) * std::sin(2 * M_PI * y) *
-             std::sin(2 * M_PI * z);
-    });
-    const SolveResult r = solver.solve(c);
-    EXPECT_TRUE(r.converged);
-    const real_t h = 1.0 / nn;
-    const real_t lambda = 6.0 * (std::cos(2 * M_PI * h) - 1.0) / (h * h);
-    real_t max_err = 0;
-    for_each(Box::from_extent({nn, nn, nn}),
-             [&](index_t i, index_t j, index_t k) {
-               const real_t want = std::sin(2 * M_PI * (i + 0.5) * h) *
-                                   std::sin(2 * M_PI * (j + 0.5) * h) *
-                                   std::sin(2 * M_PI * (k + 0.5) * h) /
-                                   lambda;
-               max_err = std::max(max_err,
-                                  std::abs(solver.solution()(i, j, k) - want));
-             });
-    EXPECT_LT(max_err, 1e-10);
-  });
-}
-
-TEST(GeneratedKernels, FourthOrderSolverOnGeneratedKernels) {
-  const CartDecomp decomp({32, 32, 32}, {1, 1, 1});
-  comm::World world(1);
-  world.run([&](comm::Communicator& c) {
-    GmgOptions o;
-    o.levels = 3;
-    o.smooths = 8;
-    o.bottom_smooths = 60;
-    o.brick = BrickShape::cube(4);
-    o.operator_radius = 2;
-    o.use_generated_kernels = true;
-    o.max_vcycles = 80;
-    GmgSolver solver(o, decomp, 0);
-    solver.set_rhs([](real_t x, real_t y, real_t z) {
-      return std::sin(2 * M_PI * x) * std::sin(2 * M_PI * y) *
-             std::sin(2 * M_PI * z);
-    });
-    EXPECT_TRUE(solver.solve(c).converged);
-  });
 }
 
 }  // namespace

@@ -133,7 +133,7 @@ TEST(FusedDescent, BitwiseIdenticalAcrossWorkerCounts) {
   } guard;
   comm::World world(1);
   world.run([&](comm::Communicator& c) {
-    const GmgOptions o = base_options(4, Smoother::kPointJacobi);
+    const GmgOptions o = base_options(4, Smoother::kJacobi);
     exec::configure_default_engine(1);
     const RunOut ref = run_cycles(c, o, false, 3);
     for (int workers : {2, 4}) {
@@ -154,15 +154,13 @@ TEST(FusedDescent, MultiRankMatchesSingleRankBitwise) {
     comm::World world(1);
     world.run([&](comm::Communicator& c) {
       reference =
-          run_cycles(c, base_options(4, Smoother::kPointJacobi), false, 2)
-              .sol;
+          run_cycles(c, base_options(4, Smoother::kJacobi), false, 2).sol;
     });
   }
   const CartDecomp decomp(global, {2, 2, 1});
   comm::World world(decomp.num_ranks());
   world.run([&](comm::Communicator& c) {
-    GmgSolver solver(base_options(4, Smoother::kPointJacobi), decomp,
-                     c.rank());
+    GmgSolver solver(base_options(4, Smoother::kJacobi), decomp, c.rank());
     solver.set_rhs(sine_rhs);
     for (int v = 0; v < 2; ++v) solver.vcycle(c);
     const Box my_box = decomp.subdomain_box(c.rank());
@@ -194,19 +192,6 @@ void fill_storage(BrickedArray& a, std::uint64_t seed) {
   for (std::size_t i = 0; i < a.size(); ++i) p[i] = rng.uniform();
 }
 
-void expect_same_bits(const BrickedArray& got, const BrickedArray& want,
-                      const Box& box, const std::string& what) {
-  int failures = 0;
-  for_each(box, [&](index_t i, index_t j, index_t k) {
-    const real_t g = got(i, j, k), w = want(i, j, k);
-    if (std::memcmp(&g, &w, sizeof g) != 0 && failures++ < 3) {
-      ADD_FAILURE() << what << ": differs at (" << i << ',' << j << ',' << k
-                    << "): " << g << " vs " << w;
-    }
-  });
-  ASSERT_EQ(failures, 0) << what;
-}
-
 /// The regions one sweep may be issued over: the interior and the
 /// CA-grown boxes (clipped ghost bricks).
 struct SweepRegion {
@@ -226,7 +211,6 @@ struct SweepCase {
   index_t bdim;
   bool varcoef;
   int radius;
-  bool generated;  // stencilgen operator: the two-stage body
   const char* name;
 };
 
@@ -258,7 +242,7 @@ void compare_sweeps(const SweepCase& sc, const GmgOptions& o,
         std::memcpy(xref.data(), lev.x.data(), lev.x.size() * sizeof(real_t));
         if (sc.varcoef) {
           apply_op_varcoef(ax, xref, lev.coef, o.identity_coef, lev.h, act);
-        } else if (sc.radius == 1 && !sc.generated) {
+        } else if (sc.radius == 1) {
           apply_op(ax, xref, lev.alpha, lev.beta, act);
         } else {
           level_apply(lev, ax, xref, act);
@@ -285,11 +269,11 @@ void compare_sweeps(const SweepCase& sc, const GmgOptions& o,
         level_jacobi(lev, lev.Ax, stage >= 1 ? &lev.r : nullptr,
                      stage == 2 ? &coarse.b : nullptr, lev.x, lev.b, act);
         // The sweep wrote x' into the spare buffer and left x alone.
-        expect_same_bits(lev.Ax, xref, act, what + ": x'");
-        if (stage >= 1) expect_same_bits(lev.r, rref, act, what + ": r");
+        test::expect_same_bits(lev.Ax, xref, act, what + ": x'");
+        if (stage >= 1) test::expect_same_bits(lev.r, rref, act, what + ": r");
         if (stage == 2) {
-          expect_same_bits(coarse.b, cref, coarse.interior(),
-                           what + ": coarse b");
+          test::expect_same_bits(coarse.b, cref, coarse.interior(),
+                                 what + ": coarse b");
         }
       }
     }
@@ -299,7 +283,8 @@ void compare_sweeps(const SweepCase& sc, const GmgOptions& o,
 // One level_jacobi call must equal applyOp followed by smooth /
 // smooth_residual / fused::smooth_residual_restrict over the same
 // region, bit for bit: the new iterate, the residual, and the
-// restricted coarse RHS. The
+// restricted coarse RHS — for the 7-point, variable-coefficient and
+// 13-point operators. The
 // level is rank 0's of a 2x2x2 grid: with remote neighbors on every
 // axis its grid stores the full ghost shell, so the CA-grown regions
 // reach into ghost bricks (a one-rank level wraps every axis and
@@ -314,10 +299,9 @@ TEST_P(OnePassSweep, MatchesTwoPassReferenceBitwise) {
   } guard;
   comm::World world(8);
   world.run([&](comm::Communicator& c) {
-    GmgOptions o = base_options(sc.bdim, Smoother::kWeightedJacobi);
+    GmgOptions o = base_options(sc.bdim, Smoother::kJacobi);
     o.jacobi_weight = 0.6;
     o.operator_radius = sc.radius;
-    o.use_generated_kernels = sc.generated;
     GmgSolver solver(o, CartDecomp({64, 64, 64}, {2, 2, 2}), c.rank());
     if (sc.varcoef) solver.set_coefficient(c, wavy_coef);
     // Only rank 0 sweeps; the others keep their hierarchies until it
@@ -330,14 +314,13 @@ TEST_P(OnePassSweep, MatchesTwoPassReferenceBitwise) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweeps, OnePassSweep,
-    ::testing::Values(SweepCase{2, false, 1, false, "const-2"},
-                      SweepCase{4, false, 1, false, "const-4"},
-                      SweepCase{8, false, 1, false, "const-8"},
-                      SweepCase{2, true, 1, false, "varcoef-2"},
-                      SweepCase{4, true, 1, false, "varcoef-4"},
-                      SweepCase{8, true, 1, false, "varcoef-8"},
-                      SweepCase{4, false, 2, false, "two-stage-13pt-4"},
-                      SweepCase{4, false, 1, true, "two-stage-generated-4"}),
+    ::testing::Values(SweepCase{2, false, 1, "const-2"},
+                      SweepCase{4, false, 1, "const-4"},
+                      SweepCase{8, false, 1, "const-8"},
+                      SweepCase{2, true, 1, "varcoef-2"},
+                      SweepCase{4, true, 1, "varcoef-4"},
+                      SweepCase{8, true, 1, "varcoef-8"},
+                      SweepCase{4, false, 2, "two-stage-13pt-4"}),
     [](const ::testing::TestParamInfo<SweepCase>& info) {
       std::string n = info.param.name;
       for (char& ch : n)
@@ -349,7 +332,7 @@ TEST(JacobiSweep, AliasedOutputRejected) {
   // x' written over x is an in-place stencil update: a brick would read
   // a neighbor cell another chunk already replaced.
   const CartDecomp decomp({16, 16, 16}, {1, 1, 1});
-  GmgSolver solver(base_options(4, Smoother::kPointJacobi), decomp, 0);
+  GmgSolver solver(base_options(4, Smoother::kJacobi), decomp, 0);
   MgLevel& lev = solver.level(0);
   EXPECT_THROW(fused::jacobi_sweep(lev.x, nullptr, nullptr, lev.x, lev.b,
                                    lev.alpha, lev.beta, lev.gamma,
@@ -363,7 +346,7 @@ TEST(JacobiSweep, EightRankSolveMatchesSingleRank) {
   // bit for bit, with constant and with variable coefficients.
   const Vec3 global{32, 32, 32};
   for (const bool varcoef : {false, true}) {
-    GmgOptions o = base_options(4, Smoother::kPointJacobi);
+    GmgOptions o = base_options(4, Smoother::kJacobi);
     RunOut reference;
     {
       comm::World world(1);
@@ -449,7 +432,7 @@ const BrickBodyCase kBrickBodyCases[] = {
     {4, true}, {8, true}, {4, false}, {8, false}};
 
 GmgSolver brick_body_solver(const BrickBodyCase& bc) {
-  GmgOptions o = base_options(bc.bdim, Smoother::kWeightedJacobi);
+  GmgOptions o = base_options(bc.bdim, Smoother::kJacobi);
   o.levels = 2;
   o.jacobi_weight = 0.6;
   const index_t n = bc.wrapped ? 2 * bc.bdim : 4 * bc.bdim;
@@ -679,7 +662,7 @@ TEST(FusedCheck, FusedVcycleIsHazardCleanUnderDetector) {
   world.run([&](comm::Communicator& c) {
     for (const bool varcoef : {false, true}) {
       const CartDecomp decomp({32, 32, 32}, {1, 1, 1});
-      GmgSolver solver(base_options(4, Smoother::kPointJacobi), decomp, 0);
+      GmgSolver solver(base_options(4, Smoother::kJacobi), decomp, 0);
       if (varcoef) solver.set_coefficient(c, wavy_coef);
       solver.set_rhs(sine_rhs);
       solver.vcycle(c);

@@ -89,7 +89,7 @@ TEST(GaussSeidelSmoother, ConvergesFasterThanJacobi) {
     EXPECT_TRUE(rg.converged);
 
     GmgOptions jo = gs_options();
-    jo.smoother = Smoother::kPointJacobi;
+    jo.smoother = Smoother::kJacobi;
     GmgSolver jac(jo, decomp, 0);
     jac.set_rhs(sine_rhs);
     const SolveResult rj = jac.solve(c);

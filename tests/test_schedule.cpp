@@ -52,14 +52,12 @@ GmgOptions matrix_options(Smoother sm) {
   return o;
 }
 
-const Smoother kSmoothers[] = {Smoother::kPointJacobi,
-                               Smoother::kWeightedJacobi,
-                               Smoother::kChebyshev, Smoother::kRedBlackGS};
+const Smoother kSmoothers[] = {Smoother::kJacobi, Smoother::kChebyshev,
+                               Smoother::kRedBlackGS};
 
 const char* smoother_tag(Smoother s) {
   switch (s) {
-    case Smoother::kPointJacobi: return "jacobi";
-    case Smoother::kWeightedJacobi: return "weighted";
+    case Smoother::kJacobi: return "jacobi";
     case Smoother::kChebyshev: return "chebyshev";
     case Smoother::kRedBlackGS: return "rbgs";
   }
@@ -121,7 +119,7 @@ TEST(ScheduleParity, StaticProofMatchesCheckedRunAcrossMatrix) {
 }
 
 TEST(ScheduleParity, BatchedScheduleProvesCleanAndRunsClean) {
-  GmgOptions o = matrix_options(Smoother::kPointJacobi);
+  GmgOptions o = matrix_options(Smoother::kJacobi);
   o.bottom = BottomSolverType::kConjugateGradient;
   o.max_batch = 4;
   for (const Vec3& rg : kRankGrids) {
@@ -147,22 +145,33 @@ TEST(ScheduleParity, BatchedScheduleProvesCleanAndRunsClean) {
   }
 }
 
-// A batched solve issues the solo launches: at K = 4 every 7-point
-// Jacobi sweep is one pass per brick, with constant and with variable
-// coefficients — no applyOp + jacobiUpdate pair — while the 13-point
-// operator keeps its two-stage body at every batch width.
+/// Steps of `s` that launch `kernel`.
+std::int64_t count_kernel(const check::Schedule& s, const std::string& kernel) {
+  return std::count_if(
+      s.steps.begin(), s.steps.end(),
+      [&](const check::ScheduleStep& st) { return st.kernel == kernel; });
+}
+
+/// Steps of `s` that launch a Jacobi kernel (a kernel name beginning
+/// "kernel.jacobi").
+std::int64_t count_jacobi_kernels(const check::Schedule& s) {
+  return std::count_if(
+      s.steps.begin(), s.steps.end(), [](const check::ScheduleStep& st) {
+        return st.kernel.rfind("kernel.jacobi", 0) == 0;
+      });
+}
+
+// A batched solve issues the solo launches: at K = 4 every Jacobi sweep
+// is one pass per brick — 7-point with constant and with variable
+// coefficients, and 13-point — and no other Jacobi kernel runs beside
+// it. (The K >= 2 residual norm still issues applyOps of its own.)
 TEST(ScheduleParity, BatchedJacobiSweepIsTheSoloSweep) {
   const CartDecomp decomp({32, 32, 32}, {1, 1, 1});
-  const auto count = [](const check::Schedule& s, const std::string& kernel) {
-    return std::count_if(
-        s.steps.begin(), s.steps.end(),
-        [&](const check::ScheduleStep& st) { return st.kernel == kernel; });
-  };
   for (const bool varcoef : {false, true}) {
     SCOPED_TRACE(varcoef ? "varcoef" : "const");
     comm::World world(1);
     world.run([&](comm::Communicator& c) {
-      GmgSolver base(matrix_options(Smoother::kPointJacobi), decomp, 0);
+      GmgSolver base(matrix_options(Smoother::kJacobi), decomp, 0);
       if (varcoef) {
         base.set_coefficient(c, [](real_t x, real_t y, real_t) {
           return 1.5 + std::sin(2 * M_PI * x) * std::cos(2 * M_PI * y);
@@ -171,32 +180,28 @@ TEST(ScheduleParity, BatchedJacobiSweepIsTheSoloSweep) {
       batch::BatchedSolver bs(base, 4);
       const check::Schedule sched =
           record_solver_schedule(bs.base(), 2, bs.batch());
-      EXPECT_GT(count(sched, varcoef ? "kernel.jacobiSweepVarCoef"
-                                     : "kernel.jacobiSweep"),
-                0);
-      EXPECT_EQ(count(sched, "kernel.jacobiUpdate"), 0);
+      const std::int64_t sweeps = count_kernel(
+          sched, varcoef ? "kernel.jacobiSweepVarCoef" : "kernel.jacobiSweep");
+      EXPECT_GT(sweeps, 0);
+      EXPECT_EQ(count_jacobi_kernels(sched), sweeps);
     });
   }
 
-  GmgOptions o = matrix_options(Smoother::kPointJacobi);
+  SCOPED_TRACE("13-point");
+  GmgOptions o = matrix_options(Smoother::kJacobi);
   o.operator_radius = 2;
   GmgSolver base(o, decomp, 0);
   batch::BatchedSolver bs(base, 4);
   const check::Schedule sched =
       record_solver_schedule(bs.base(), 2, bs.batch());
-  int updates = 0;
-  for (std::size_t i = 1; i < sched.steps.size(); ++i) {
-    if (sched.steps[i].kernel != "kernel.jacobiUpdate") continue;
-    EXPECT_EQ(sched.steps[i - 1].kernel, "kernel.applyOp");
-    ++updates;
-  }
-  EXPECT_GT(updates, 0);
-  EXPECT_EQ(count(sched, "kernel.jacobiSweep"), 0);
+  const std::int64_t sweeps = count_kernel(sched, "kernel.jacobiSweep");
+  EXPECT_GT(sweeps, 0);
+  EXPECT_EQ(count_jacobi_kernels(sched), sweeps);
 }
 
 TEST(ScheduleParity, CompositeAmrScheduleProvesCleanAndRunsClean) {
   amr::AmrOptions ao;
-  ao.gmg = matrix_options(Smoother::kPointJacobi);
+  ao.gmg = matrix_options(Smoother::kJacobi);
   ao.gmg.levels = 4;
   ao.patch = Box{{8, 8, 8}, {24, 24, 24}};
   ao.patch_smooths = 4;
@@ -299,7 +304,7 @@ TEST(ScheduleCoverage, SoloSolveIssuesTheRecordedSchedule) {
 
 TEST(ScheduleCoverage, BatchedSolveIssuesTheRecordedSchedule) {
   const int n = kCoverageDecomp.num_ranks();
-  GmgOptions o = matrix_options(Smoother::kPointJacobi);
+  GmgOptions o = matrix_options(Smoother::kJacobi);
   o.bottom = BottomSolverType::kConjugateGradient;
   o.bottom_smooths = 2;
   o.bottom_cg_tolerance = 0;
@@ -332,7 +337,7 @@ TEST(ScheduleCoverage, BatchedSolveIssuesTheRecordedSchedule) {
 TEST(ScheduleCoverage, CompositeSolveIssuesTheRecordedSchedule) {
   const int n = kCoverageDecomp.num_ranks();
   amr::AmrOptions ao;
-  ao.gmg = matrix_options(Smoother::kPointJacobi);
+  ao.gmg = matrix_options(Smoother::kJacobi);
   ao.gmg.levels = 4;
   ao.patch = Box{{8, 8, 8}, {24, 24, 24}};
   ao.patch_smooths = 4;
@@ -353,6 +358,43 @@ TEST(ScheduleCoverage, CompositeSolveIssuesTheRecordedSchedule) {
       [&](comm::Communicator& c) {
         amr::CompositeSolver(*hs[static_cast<std::size_t>(c.rank())])
             .solve(c);
+      });
+}
+
+// The 13-point operator's solve issues its recorded schedule, and every
+// recorded sweep on its radius-2 levels reads x at the radius-2 star's
+// reach.
+TEST(ScheduleCoverage, ThirteenPointSolveIssuesTheRecordedSchedule) {
+  const int n = kCoverageDecomp.num_ranks();
+  GmgOptions o = matrix_options(Smoother::kJacobi);
+  o.operator_radius = 2;
+  std::vector<std::unique_ptr<GmgSolver>> solvers(static_cast<std::size_t>(n));
+  expect_run_matches_recording(
+      kCoverageDecomp,
+      [&](comm::Communicator& c) {
+        auto& s = solvers[static_cast<std::size_t>(c.rank())];
+        s = std::make_unique<GmgSolver>(o, kCoverageDecomp, c.rank());
+        s->set_rhs(sine_rhs);
+        const check::Schedule sched =
+            record_solver_schedule(*s, o.max_vcycles);
+        int sweeps = 0;
+        for (const check::ScheduleStep& st : sched.steps) {
+          if (st.kernel != "kernel.jacobiSweep") continue;
+          EXPECT_EQ(s->level(st.level).radius, 2);
+          ++sweeps;
+          EXPECT_TRUE(std::any_of(
+              st.accesses.begin(), st.accesses.end(),
+              [](const check::StepAccess& a) {
+                return a.role == "x" && !a.write && a.reach == 2;
+              }))
+              << "a 13-point sweep on level " << st.level
+              << " does not read x at reach 2";
+        }
+        EXPECT_GT(sweeps, 0);
+        return sched;
+      },
+      [&](comm::Communicator& c) {
+        solvers[static_cast<std::size_t>(c.rank())]->solve(c);
       });
 }
 
@@ -397,7 +439,7 @@ TEST(ScheduleDerived, NullOptionalRoleIsSkipped) {
   check::ScheduleRecorder rec("derived");
   const Box box = Box::from_extent({8, 8, 8});
   const check::ScheduleStep& st = rec.launch(
-      fused::jacobi_sweep_effects(), 0, box,
+      fused::jacobi_sweep_effects(1), 0, box,
       {{"out", "Ax"}, {"r", nullptr}, {"coarse", nullptr, 1, Box{}},
        {"x", "x"}, {"b", "b"}});
   ASSERT_EQ(st.accesses.size(), 3u);
@@ -433,7 +475,7 @@ TEST(ScheduleDerived, UnknownAndUnboundRolesRejected) {
 /// rank).
 check::Schedule jacobi_schedule(Vec3 ranks = {1, 1, 1}) {
   const CartDecomp decomp({32 * ranks.x, 32 * ranks.y, 32 * ranks.z}, ranks);
-  GmgSolver solver(matrix_options(Smoother::kPointJacobi), decomp, 0);
+  GmgSolver solver(matrix_options(Smoother::kJacobi), decomp, 0);
   return record_solver_schedule(solver);
 }
 
@@ -494,7 +536,7 @@ TEST(ScheduleSeededBug, OverlappingFusedChunksRejected) {
 // declares covered by refinement.
 TEST(ScheduleSeededBug, CoveredBrickScheduledRejected) {
   amr::AmrOptions ao;
-  ao.gmg = matrix_options(Smoother::kPointJacobi);
+  ao.gmg = matrix_options(Smoother::kJacobi);
   ao.gmg.levels = 4;
   ao.patch = Box{{8, 8, 8}, {24, 24, 24}};
   ao.patch_smooths = 4;
@@ -512,7 +554,7 @@ TEST(ScheduleSeededBug, CoveredBrickScheduledRejected) {
 }
 
 check::Schedule batched_schedule() {
-  GmgOptions o = matrix_options(Smoother::kPointJacobi);
+  GmgOptions o = matrix_options(Smoother::kJacobi);
   o.bottom = BottomSolverType::kConjugateGradient;
   o.max_batch = 4;
   const CartDecomp decomp({32, 32, 32}, {1, 1, 1});
@@ -600,7 +642,7 @@ TEST(ScheduleSeededBug, InPlaceStencilSweepRejected) {
 // rejects the same box as an iteration plan at run time.
 TEST(ScheduleSeededBug, WriteIntoWrappedGhostRejected) {
   const CartDecomp decomp({32, 32, 32}, {1, 1, 1});
-  GmgSolver solver(matrix_options(Smoother::kPointJacobi), decomp, 0);
+  GmgSolver solver(matrix_options(Smoother::kJacobi), decomp, 0);
   check::Schedule sched = record_solver_schedule(solver);
   const auto it = std::find_if(
       sched.steps.begin(), sched.steps.end(), [](const check::ScheduleStep& s) {
@@ -629,11 +671,11 @@ TEST(ScheduleGate, VerificationCountsOnlyWhenEnabled) {
 
   check::set_verify_schedule_enabled(false);
   const std::uint64_t before = check::schedules_verified();
-  { GmgSolver off(matrix_options(Smoother::kPointJacobi), decomp, 0); }
+  { GmgSolver off(matrix_options(Smoother::kJacobi), decomp, 0); }
   EXPECT_EQ(check::schedules_verified(), before);
 
   check::set_verify_schedule_enabled(true);
-  { GmgSolver on(matrix_options(Smoother::kPointJacobi), decomp, 0); }
+  { GmgSolver on(matrix_options(Smoother::kJacobi), decomp, 0); }
   EXPECT_GT(check::schedules_verified(), before);
 
   check::set_verify_schedule_enabled(was);

@@ -283,8 +283,8 @@ TEST_P(MultiRankSmoother, MatchesSingleRankBitwise) {
 
 INSTANTIATE_TEST_SUITE_P(
     Smoothers, MultiRankSmoother,
-    ::testing::Values(SmootherCase{Smoother::kPointJacobi, true, "jacobi_ca"},
-                      SmootherCase{Smoother::kPointJacobi, false, "jacobi"},
+    ::testing::Values(SmootherCase{Smoother::kJacobi, true, "jacobi_ca"},
+                      SmootherCase{Smoother::kJacobi, false, "jacobi"},
                       SmootherCase{Smoother::kChebyshev, true, "cheby_ca"},
                       SmootherCase{Smoother::kChebyshev, false, "cheby"},
                       SmootherCase{Smoother::kRedBlackGS, true, "gs_ca"},

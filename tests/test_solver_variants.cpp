@@ -42,23 +42,10 @@ SolveResult run_solve(const GmgOptions& opts, Vec3 n = {32, 32, 32}) {
   return result;
 }
 
-TEST(SmootherVariants, WeightedJacobiHalfMatchesPointJacobiBitwise) {
-  GmgOptions a = base_options();
-  a.smoother = Smoother::kPointJacobi;
-  GmgOptions b = base_options();
-  b.smoother = Smoother::kWeightedJacobi;
-  b.jacobi_weight = 0.5;
-  const SolveResult ra = run_solve(a);
-  const SolveResult rb = run_solve(b);
-  EXPECT_EQ(ra.vcycles, rb.vcycles);
-  EXPECT_EQ(ra.final_residual, rb.final_residual);
-}
-
 class JacobiWeightSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(JacobiWeightSweep, Converges) {
   GmgOptions o = base_options();
-  o.smoother = Smoother::kWeightedJacobi;
   o.jacobi_weight = GetParam();
   const SolveResult r = run_solve(o);
   EXPECT_TRUE(r.converged) << "omega = " << GetParam();

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
 #include "brick/bricked_array.hpp"
 #include "common/rng.hpp"
 #include "mesh/array3d.hpp"
@@ -54,6 +57,21 @@ inline void expect_equal(const Array3D& got, const Array3D& want,
     }
   });
   ASSERT_EQ(failures, 0);
+}
+
+/// `got` must hold `want`'s bits (memcmp, so NaN and -0.0 count) on
+/// every cell of `box`.
+inline void expect_same_bits(const BrickedArray& got, const BrickedArray& want,
+                             const Box& box, const std::string& what) {
+  int failures = 0;
+  for_each(box, [&](index_t i, index_t j, index_t k) {
+    const real_t g = got(i, j, k), w = want(i, j, k);
+    if (std::memcmp(&g, &w, sizeof g) != 0 && failures++ < 3) {
+      ADD_FAILURE() << what << ": differs at (" << i << ',' << j << ',' << k
+                    << "): " << g << " vs " << w;
+    }
+  });
+  ASSERT_EQ(failures, 0) << what;
 }
 
 }  // namespace gmg::test

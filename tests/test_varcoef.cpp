@@ -149,9 +149,9 @@ TEST_P(VarCoefSolve, ConvergesOnWavyCoefficientProblem) {
 INSTANTIATE_TEST_SUITE_P(
     Configs, VarCoefSolve,
     ::testing::Values(
-        std::make_pair(Smoother::kPointJacobi, BottomSolverType::kSmooth),
+        std::make_pair(Smoother::kJacobi, BottomSolverType::kSmooth),
         std::make_pair(Smoother::kChebyshev, BottomSolverType::kSmooth),
-        std::make_pair(Smoother::kPointJacobi,
+        std::make_pair(Smoother::kJacobi,
                        BottomSolverType::kConjugateGradient)));
 
 TEST(VarCoefSolve, MultiRankMatchesSingleRankBitwise) {

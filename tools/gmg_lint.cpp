@@ -48,7 +48,8 @@
 //                       type) that launches a parallel loop
 //                       (parallel_for, for_each_row,
 //                       for_each_plan_brick, sweep_rows, run_plan,
-//                       parallel_reduce_*, the fused brick_pass) —
+//                       parallel_reduce_*, the fused brick_pass and
+//                       dsl_sweep) —
 //                       must open its GMG_CHECK scope from its own
 //                       constexpr EffectSummary:
 //                       `check::scope(<name>_effects(...), ...)`. The
@@ -66,12 +67,12 @@
 //                       the KernelPlan registry, kernel_plan.cpp, where
 //                       the kernel choice is made), the per-stage
 //                       kernels (smooth, smooth_residual, apply_op, the
-//                       jacobi_sweep family, their varcoef twins, and
-//                       the level_apply / level_jacobi dispatchers) may
-//                       only be called inside a run executor — a member
-//                       of a class whose name ends in "Run": a call in
-//                       the cycle bypasses its executors and the
-//                       specializer registry.
+//                       7- and 13-point jacobi_sweep, their varcoef
+//                       twins, and the level_apply / level_jacobi
+//                       dispatchers) may only be called inside a run
+//                       executor — a member of a class whose name ends
+//                       in "Run": a call in the cycle bypasses its
+//                       executors and the specializer registry.
 //   exchange-call       7. In src/gmg, src/batch and src/amr, direct
 //                       ghost-exchange engine calls
 //                       (`*.exchange->exchange(...)`,
@@ -412,7 +413,7 @@ bool body_launches(const TokenizedFile& tf, const FnInfo& fn) {
     if (t.kind != Tok::kIdent) continue;
     if (t.text.rfind("parallel_reduce", 0) == 0) return true;
     for (const char* w : {"parallel_for", "for_each_row", "for_each_plan_brick",
-                          "sweep_rows", "run_plan", "brick_pass"})
+                          "sweep_rows", "run_plan", "brick_pass", "dsl_sweep"})
       if (t.text == w) return true;
   }
   return false;
@@ -649,10 +650,10 @@ class Linter {
                           const std::vector<FnInfo>& fns) {
     if (!fc.plan_scope) return;
     static const std::set<std::string> kStage = {
-        "smooth",           "smooth_residual",  "smooth_varcoef",
-        "apply_op",         "apply_op_varcoef", "smooth_residual_varcoef",
-        "jacobi_sweep",     "jacobi_update",    "jacobi_sweep_varcoef",
-        "level_apply",      "level_jacobi"};
+        "smooth",       "smooth_residual",     "smooth_varcoef",
+        "apply_op",     "apply_op_varcoef",    "smooth_residual_varcoef",
+        "jacobi_sweep", "jacobi_sweep_star13", "jacobi_sweep_varcoef",
+        "level_apply",  "level_jacobi"};
     const std::vector<Tok>& t = tf.toks;
     for (const FnInfo& fn : fns) {
       if (ends_with(fn.member_of, "Run")) continue;  // a run executor
@@ -869,7 +870,7 @@ const SelfTest kSelfTests[] = {
      nullptr},
     {"bare stage call outside an executor flagged", "src/batch/foo.cpp",
      "namespace gmg::batch {\nvoid BatchedSolver::sweep(int l) {\n"
-     "  jacobi_update(ax, nullptr, nullptr, x, b, w, nullptr, active);\n"
+     "  jacobi_sweep_star13(ax, nullptr, nullptr, x, b, a, b1, b2, g, box);\n"
      "}\n}\n",
      "plan-bindings"},
     {"executor call in the cycle clean", "src/gmg/cycle.hpp",

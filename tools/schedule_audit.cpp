@@ -5,15 +5,16 @@
 //   schedule_audit [--batch K] [--amr] [--assert-overhead PCT]
 //                  [--extent N] [--levels L]
 //
-// For each configuration (4 smoothers, both bottom solvers on Jacobi,
-// W-cycle, FMG is folded into every entry since verify_solver_schedule
-// proves both the V-cycle and FMG schedules) the tool records the
-// planned launch/exchange sequence through the solvers' own cycle and
-// runs check::ScheduleVerifier over it, printing step counts and proof
-// time. Every configuration is proven for rank 0 of three rank grids,
-// each rank owning an N^3 subdomain (--extent N): 1x1x1 (every axis
-// wraps, so no ghost zone and no CA growth), 2x2x1 and 2x2x2 (CA
-// sweeps grow along the axes with remote neighbors — DESIGN.md §11).
+// For each configuration (every smoother, both bottom solvers on
+// Jacobi, W-cycle, FMG is folded into every entry since
+// verify_solver_schedule proves both the V-cycle and FMG schedules) the
+// tool records the planned launch/exchange sequence through the
+// solvers' own cycle and runs check::ScheduleVerifier over it, printing
+// step counts and proof time. Every configuration is proven for rank 0
+// of three rank grids, each rank owning an N^3 subdomain (--extent N):
+// 1x1x1 (every axis wraps, so no ghost zone and no CA growth), 2x2x1
+// and 2x2x2 (CA sweeps grow along the axes with remote neighbors —
+// DESIGN.md §11).
 // --batch K adds the K-component batched schedule (with the
 // representative retirement between cycles); --amr adds the composite
 // AMR schedule. --assert-overhead fails (exit 1) when the total
@@ -66,8 +67,7 @@ GmgOptions base_options(const Args& a, Smoother sm, BottomSolverType bottom) {
 
 const char* smoother_name(Smoother s) {
   switch (s) {
-    case Smoother::kPointJacobi: return "jacobi";
-    case Smoother::kWeightedJacobi: return "weighted";
+    case Smoother::kJacobi: return "jacobi";
     case Smoother::kChebyshev: return "chebyshev";
     case Smoother::kRedBlackGS: return "rbgs";
   }
@@ -119,11 +119,10 @@ int main(int argc, char** argv) {
     CycleType cycle;
   };
   const std::vector<Config> configs = {
-      {Smoother::kPointJacobi, BottomSolverType::kSmooth, CycleType::kV},
-      {Smoother::kPointJacobi, BottomSolverType::kConjugateGradient,
+      {Smoother::kJacobi, BottomSolverType::kSmooth, CycleType::kV},
+      {Smoother::kJacobi, BottomSolverType::kConjugateGradient,
        CycleType::kV},
-      {Smoother::kPointJacobi, BottomSolverType::kSmooth, CycleType::kW},
-      {Smoother::kWeightedJacobi, BottomSolverType::kSmooth, CycleType::kV},
+      {Smoother::kJacobi, BottomSolverType::kSmooth, CycleType::kW},
       {Smoother::kChebyshev, BottomSolverType::kSmooth, CycleType::kV},
       {Smoother::kRedBlackGS, BottomSolverType::kSmooth, CycleType::kV},
   };
@@ -175,7 +174,7 @@ int main(int argc, char** argv) {
     }
 
     if (args.batch > 1) {
-      GmgOptions o = base_options(args, Smoother::kPointJacobi,
+      GmgOptions o = base_options(args, Smoother::kJacobi,
                                   BottomSolverType::kConjugateGradient);
       o.max_batch = args.batch;
       Timer t;
@@ -208,7 +207,7 @@ int main(int argc, char** argv) {
 
     if (args.amr) {
       amr::AmrOptions ao;
-      ao.gmg = base_options(args, Smoother::kPointJacobi,
+      ao.gmg = base_options(args, Smoother::kJacobi,
                             BottomSolverType::kSmooth);
       const Vec3 q{decomp.global_extent().x / 4,
                    decomp.global_extent().y / 4,
