@@ -94,10 +94,6 @@ BatchPoint run_batch_point(int max_batch) {
   ServeConfig cfg;
   cfg.executors = 1;
   cfg.queue_capacity = 64;
-  // Closed-loop clients resubmit the moment a batch retires, so the
-  // whole burst lands within a fraction of a millisecond; a long hold
-  // would only add idle time to every batch.
-  cfg.max_batch_hold_seconds = 0.0005;
   SolveService service(cfg);
   service.register_operator("poisson", o);
 

@@ -33,7 +33,8 @@
 #      race detector must see scheduled live.
 #      The socket front's wire and server tests (§14: poll loop x
 #      executor completion callbacks x client threads) and the
-#      batched-solve suite (§15: the coalescer's hold-window handoff)
+#      batched-solve suite (§15: the coalescer's idle-executor count,
+#      read and written under the service mutex)
 #      ride in the same tree, as does the AMR composite suite (§17:
 #      patch smoothing and the interface kernels run through the same
 #      parallel_for engine).

@@ -8,7 +8,10 @@
 namespace gmg::batch {
 
 BatchedSolver::BatchedSolver(GmgSolver& base, int k) : base_(base), k_(k) {
-  GMG_REQUIRE(k >= 1, "batch size must be >= 1");
+  GMG_REQUIRE(k >= 1 && k <= kMaxBatch,
+              "batch size " + std::to_string(k) + " is outside [1, " +
+                  std::to_string(kMaxBatch) +
+                  "], the batch widths the kernels are built for");
   const GmgOptions& opts = base.options();
   const CartDecomp& decomp = base.decomp();
   levels_.reserve(static_cast<std::size_t>(base.num_levels()));

@@ -51,7 +51,7 @@ using BatchSolveSpec = SolveSpec;
 class BatchedSolver {
  public:
   /// Build the K-component twin of `base`'s hierarchy. Requires
-  /// k >= 1.
+  /// 1 <= k <= kMaxBatch.
   BatchedSolver(GmgSolver& base, int k);
 
   BatchedSolver(const BatchedSolver&) = delete;

@@ -15,8 +15,9 @@
 // grid), so if a solo field stores interior element e at flat offset e,
 // the batched field stores component c of that same cell at flat offset
 // e*K + c. A BrickedArray is the same layout at K = 1, which is how one
-// kernel set serves both (the lanes() trait below): component c of the
-// whole interior is a stride-K slice of one contiguous span.
+// kernel set serves both (with_lanes below hands every kernel K as a
+// compile-time constant): component c of the whole interior is a
+// stride-K slice of one contiguous span.
 #pragma once
 
 #include <type_traits>
@@ -84,25 +85,80 @@ class BatchedBrickedArray {
   BrickedArray inner_;
 };
 
-/// The lane count K of a field: components per cell, innermost in
-/// storage. A BrickedArray is the compile-time K = 1 — a kernel written
-/// over lanes() compiles to the plain solo loops there — and a
-/// BatchedBrickedArray carries its K at run time.
-using OneLane = std::integral_constant<index_t, 1>;
-constexpr OneLane lanes(const BrickedArray&) { return {}; }
-inline index_t lanes(const BatchedBrickedArray& a) { return a.batch(); }
+/// The widest batch the kernels are built for: every kernel of the one
+/// kernel set is instantiated for K = 1..kMaxBatch lanes per cell
+/// (with_lanes), so wider batches are rejected where they are formed
+/// (GmgOptions::max_batch, BatchedSolver).
+inline constexpr int kMaxBatch = 8;
+
+/// A lane count K as a compile-time constant: what every kernel sees.
+template <index_t K>
+using Lanes = std::integral_constant<index_t, K>;
+using OneLane = Lanes<1>;
+
+/// The lane count of lane-count type KT (cv- and ref-qualified forms
+/// included: decltype of a captured K may carry either).
+template <class KT>
+inline constexpr index_t kLanes = std::remove_cvref_t<KT>::value;
+
+/// Whether lane-count type KT is K = 1: the solo code.
+template <class KT>
+inline constexpr bool kOneLane =
+    std::is_same_v<std::remove_cvref_t<KT>, OneLane>;
+
+/// Components per cell of a field, as a run-time value (flop tallies,
+/// RHS setup, the cycle's bookkeeping — never a kernel loop bound).
+inline int batch_width(const BrickedArray&) { return 1; }
+inline int batch_width(const BatchedBrickedArray& a) { return a.batch(); }
+
+/// Dispatch a callable templated on the lane count of `f`, as
+/// with_brick_dims does on the brick shape: fn(Lanes<K>{}) with K the
+/// field's components per cell. A BrickedArray is K = 1, and so is a
+/// one-component batch: both run the solo code.
+template <typename Fn>
+decltype(auto) with_lanes(const BrickedArray&, Fn&& fn) {
+  return fn(OneLane{});
+}
+template <typename Fn>
+decltype(auto) with_lanes(const BatchedBrickedArray& f, Fn&& fn) {
+  switch (f.batch()) {
+    case 1:
+      return fn(Lanes<1>{});
+    case 2:
+      return fn(Lanes<2>{});
+    case 3:
+      return fn(Lanes<3>{});
+    case 4:
+      return fn(Lanes<4>{});
+    case 5:
+      return fn(Lanes<5>{});
+    case 6:
+      return fn(Lanes<6>{});
+    case 7:
+      return fn(Lanes<7>{});
+    case 8:
+      return fn(Lanes<8>{});
+    default:
+      GMG_REQUIRE(false, "batch width outside [1, kMaxBatch]");
+  }
+  // unreachable; silences missing-return warnings
+  return fn(OneLane{});
+}
+static_assert(kMaxBatch == 8, "with_lanes has one case per width");
+
+/// with_brick_dims and with_lanes in one: fn(bd, K) with the brick
+/// shape and lane count of `f` as compile-time constants.
+template <class F, typename Fn>
+decltype(auto) with_field_dims(const F& f, Fn&& fn) {
+  return with_brick_dims(f.shape(), [&](auto bd) -> decltype(auto) {
+    return with_lanes(f, [&](auto K) -> decltype(auto) { return fn(bd, K); });
+  });
+}
 
 /// A field type of the one kernel set.
 template <class F>
 concept BrickField = std::is_same_v<F, BrickedArray> ||
                      std::is_same_v<F, BatchedBrickedArray>;
-
-/// Whether lane-count type KT is the compile-time K = 1 (cv- and
-/// ref-qualified forms included: decltype of a captured K may carry
-/// either).
-template <class KT>
-inline constexpr bool kOneLane =
-    std::is_same_v<std::remove_cvref_t<KT>, OneLane>;
 
 /// The brick storage the ghost exchange moves.
 inline BrickedArray& storage(BrickedArray& a) { return a; }

@@ -83,6 +83,11 @@ struct BrickAccessor {
 /// in-brick loads, vectorizable.
 template <typename BD, typename... Strides>
 struct FastAccessor {
+  /// Every slot unit-stride: the in-brick row is one contiguous stream
+  /// per slot, which the row body vectorizes. A lane of a batched field
+  /// is a stride-K stream, which it does not (a gather per tap).
+  static constexpr bool kUnitStride = ((kLanes<Strides> == 1) && ...);
+
   std::array<const real_t*, sizeof...(Strides)> brick;  // this brick
   std::tuple<Strides...> stride;
 
@@ -116,7 +121,7 @@ inline void eval_row(const Expr& expr, const Extents& ext, const Slow& slow,
     for (index_t li = ilo; li < std::min(core_lo, ihi); ++li)
       emit(li, expr.eval(slow, li, lj, lk));
     if (core_lo < core_hi) {
-#pragma omp simd
+#pragma omp simd if(simd : Fast::kUnitStride)
       for (index_t li = core_lo; li < core_hi; ++li)
         emit(li, expr.eval(fast, li, lj, lk));
     }
@@ -163,17 +168,28 @@ inline const real_t* lane_base(const BatchedBrickedArray& f, index_t c) {
   return f.data() + c;
 }
 
-template <bool Increment, typename BD, typename Expr, class Out,
+/// Slot stride of an input read by a K-lane output: K for a batched
+/// input (the output's own batch), the compile-time 1 for a
+/// BrickedArray every lane shares.
+template <typename KT>
+OneLane lane_stride(KT, const BrickedArray&) {
+  return {};
+}
+template <typename KT>
+KT lane_stride(KT K, const BatchedBrickedArray& f) {
+  GMG_REQUIRE(f.batch() == K,
+              "a batched apply input has the output's batch width");
+  return K;
+}
+
+template <bool Increment, typename BD, typename KT, typename Expr, class Out,
           typename... Fields>
-void apply_bricks_impl(BD, const Expr& expr, Out& out, const Box& active,
-                       const Fields&... inputs) {
+void apply_bricks_impl(BD, KT K, const Expr& expr, Out& out,
+                       const Box& active, const Fields&... inputs) {
   const BrickGrid& grid = out.grid();
-  const auto K = lanes(out);
   const auto check_slot = [&](const auto& f) {
     GMG_REQUIRE(&f.grid() == &grid,
                 "all fields of one apply must share a brick grid");
-    GMG_REQUIRE(lanes(f) == 1 || lanes(f) == K,
-                "an apply input is the output's batch or shared by it");
   };
   (check_slot(inputs), ...);
 
@@ -187,7 +203,7 @@ void apply_bricks_impl(BD, const Expr& expr, Out& out, const Box& active,
   constexpr int kSlots = sizeof...(Fields);
   static_assert(kSlots <= static_cast<int>(std::size(kSlotRoles)),
                 "one role per input slot");
-  const std::tuple strides{lanes(inputs)...};
+  const std::tuple strides{lane_stride(K, inputs)...};
 
   // Access-hazard scope: out is written over `active` (and read, for an
   // increment); each input is read over `active` grown by its own
@@ -248,7 +264,7 @@ void apply_bricks_impl(BD, const Expr& expr, Out& out, const Box& active,
         for (index_t c = 0; c < K; ++c) {
           const std::array<const real_t*, kSlots> bases{
               lane_base(inputs, c)...};
-          const BrickAccessors<BD, decltype(lanes(inputs))...> acc(
+          const BrickAccessors<BD, decltype(lane_stride(K, inputs))...> acc(
               bases, strides, it.adj, id);
           for (index_t lk = klo; lk < khi; ++lk) {
             for (index_t lj = jlo; lj < jhi; ++lj) {
@@ -280,8 +296,8 @@ void apply(const Expr& expr, Out& out, const Box& active,
     GMG_REQUIRE(f.shape() == out.shape(), "brick shape mismatch");
   };
   (check_shape(inputs), ...);
-  with_brick_dims(out.shape(), [&](auto bd) {
-    detail::apply_bricks_impl<false>(bd, expr, out, active, inputs...);
+  with_field_dims(out, [&](auto bd, auto K) {
+    detail::apply_bricks_impl<false>(bd, K, expr, out, active, inputs...);
   });
 }
 
@@ -293,8 +309,8 @@ void apply_increment(const Expr& expr, Out& out, const Box& active,
     GMG_REQUIRE(f.shape() == out.shape(), "brick shape mismatch");
   };
   (check_shape(inputs), ...);
-  with_brick_dims(out.shape(), [&](auto bd) {
-    detail::apply_bricks_impl<true>(bd, expr, out, active, inputs...);
+  with_field_dims(out, [&](auto bd, auto K) {
+    detail::apply_bricks_impl<true>(bd, K, expr, out, active, inputs...);
   });
 }
 

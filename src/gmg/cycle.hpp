@@ -471,7 +471,7 @@ void set_rhs_fields(
     const GmgSolver& s, std::vector<Level>& levels, CycleState& st,
     const std::function<real_t(real_t, real_t, real_t)>* fs) {
   Level& fine = levels.front();
-  const int width = static_cast<int>(lanes(fine.b));
+  const int width = batch_width(fine.b);
   s.level(0).for_each_cell_centre(
       [&](index_t i, index_t j, index_t k, real_t px, real_t py, real_t pz) {
         for (int c = 0; c < width; ++c)

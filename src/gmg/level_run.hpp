@@ -31,7 +31,7 @@ class LevelRun {
            comm::Communicator& comm)
       : s_(s), levels_(levels), comm_(comm) {}
 
-  int k() const { return static_cast<int>(lanes(levels_.front().x)); }
+  int k() const { return batch_width(levels_.front().x); }
   template <class Fn>
   void timed(int l, Phase phase, Fn&& fn) {
     timed_phase(l, phase, std::forward<Fn>(fn));

@@ -55,12 +55,11 @@ inline std::uint64_t box_points(const Box& b, index_t lanes = 1) {
 /// vector body on full solo bricks, the row body elsewhere. The
 /// generic DSL engine (dsl::apply) remains the fallback for arbitrary
 /// stencils.
-template <typename BD, class F>
-void apply_op_7pt(BD, F& Ax, const F& x, real_t alpha, real_t beta,
+template <typename BD, typename KT, class F>
+void apply_op_7pt(BD, KT K, F& Ax, const F& x, real_t alpha, real_t beta,
                   const Box& active, const BrickMask* mask = nullptr) {
   const BrickGrid& grid = x.grid();
   GMG_REQUIRE(&Ax.grid() == &grid, "fields must share a brick grid");
-  const auto K = lanes(x);
   const real_t* __restrict xp = x.data();
   real_t* __restrict op = Ax.data();
 
@@ -107,7 +106,7 @@ std::int64_t interior_cells(const F& a) {
 }
 
 /// Lane c of the cells [lo, lo + n) as a contiguous span: the field's
-/// own storage at the compile-time K = 1, else a gather into per-thread
+/// own storage at K = 1, else a gather into per-thread
 /// scratch `slot`. The scratch is 64-byte aligned like the field
 /// buffer, whose chunks start at multiples of the element grain, so
 /// the shared reduction loop takes the same vector path either way.
@@ -134,11 +133,11 @@ void apply_op(F& Ax, const F& x, real_t alpha, real_t beta,
               const Box& active) {
   // 7-point star: 2 multiplies + 6 adds per output cell.
   trace::TraceSpan span("kernel.applyOp");
-  count_flops(box_points(active, lanes(x)), 8);
+  count_flops(box_points(active, batch_width(x)), 8);
   const auto scope = check::scope(apply_op_effects(1), active,
                                   {check::bind("Ax", Ax), check::bind("x", x)});
-  with_brick_dims(x.shape(), [&](auto bd) {
-    apply_op_7pt(bd, Ax, x, alpha, beta, active);
+  with_field_dims(x, [&](auto bd, auto K) {
+    apply_op_7pt(bd, K, Ax, x, alpha, beta, active);
   });
 }
 
@@ -154,7 +153,7 @@ void apply_op(BrickedArray& Ax, const BrickedArray& x, real_t alpha,
   const auto scope = check::scope(apply_op_effects(1), active,
                                   {check::bind("Ax", Ax), check::bind("x", x)});
   with_brick_dims(x.shape(), [&](auto bd) {
-    apply_op_7pt(bd, Ax, x, alpha, beta, active, &mask);
+    apply_op_7pt(bd, OneLane{}, Ax, x, alpha, beta, active, &mask);
   });
 }
 
@@ -170,7 +169,7 @@ void smooth(BrickedArray& x, const BrickedArray& Ax, const BrickedArray& b,
     real_t* __restrict xp = x.data();
     const real_t* __restrict axp = Ax.data();
     const real_t* __restrict bp = b.data();
-    for_each_row(bd, lanes(x), "kernel.smooth", x.grid(), active,
+    for_each_row(bd, OneLane{}, "kernel.smooth", x.grid(), active,
                  [&](std::size_t o, index_t ilo, index_t ihi) {
 #pragma omp simd
                    for (index_t i = ilo; i < ihi; ++i) {
@@ -193,7 +192,7 @@ void smooth_residual(BrickedArray& x, BrickedArray& r, const BrickedArray& Ax,
     real_t* __restrict rp = r.data();
     const real_t* __restrict axp = Ax.data();
     const real_t* __restrict bp = b.data();
-    for_each_row(bd, lanes(x), "kernel.smoothResidual", x.grid(), active,
+    for_each_row(bd, OneLane{}, "kernel.smoothResidual", x.grid(), active,
                  [&](std::size_t o, index_t ilo, index_t ihi) {
 #pragma omp simd
                    for (index_t i = ilo; i < ihi; ++i) {
@@ -209,16 +208,16 @@ void smooth_residual(BrickedArray& x, BrickedArray& r, const BrickedArray& Ax,
 template <class F>
 void residual(F& r, const F& b, const F& Ax, const Box& active) {
   trace::TraceSpan span("kernel.residual");
-  count_flops(box_points(active, lanes(r)), 1);
+  count_flops(box_points(active, batch_width(r)), 1);
   const auto scope =
       check::scope(residual_effects(), active,
                    {check::bind("r", r), check::bind("b", b),
                     check::bind("Ax", Ax)});
-  with_brick_dims(r.shape(), [&](auto bd) {
+  with_field_dims(r, [&](auto bd, auto K) {
     real_t* __restrict rp = r.data();
     const real_t* __restrict axp = Ax.data();
     const real_t* __restrict bp = b.data();
-    for_each_row(bd, lanes(r), "kernel.residual", r.grid(), active,
+    for_each_row(bd, K, "kernel.residual", r.grid(), active,
                  [&](std::size_t o, index_t ilo, index_t ihi) {
 #pragma omp simd
                    for (index_t i = ilo; i < ihi; ++i) {
@@ -241,7 +240,7 @@ void residual(BrickedArray& r, const BrickedArray& b, const BrickedArray& Ax,
     real_t* __restrict rp = r.data();
     const real_t* __restrict axp = Ax.data();
     const real_t* __restrict bp = b.data();
-    for_each_row(bd, lanes(r), "kernel.residualMasked",
+    for_each_row(bd, OneLane{}, "kernel.residualMasked",
                  *r.grid().iteration_plan(
                      active, Vec3{BD::bx, BD::by, BD::bz}, &mask),
                  [&](std::size_t o, index_t ilo, index_t ihi) {
@@ -258,17 +257,16 @@ void restriction(F& coarse, const F& fine) {
   const Vec3 fe = fine.extent(), ce = coarse.extent();
   GMG_REQUIRE(fe.x == 2 * ce.x && fe.y == 2 * ce.y && fe.z == 2 * ce.z,
               "fine extent must be twice the coarse extent");
-  const auto K = lanes(fine);
   // Full-weighting of a 2x2x2 cell block: 7 adds + 1 multiply.
   trace::TraceSpan span("kernel.restriction");
-  count_flops(box_points(Box::from_extent(ce), K), 8);
+  count_flops(box_points(Box::from_extent(ce), batch_width(fine)), 8);
   GMG_REQUIRE(fine.shape() == coarse.shape(),
               "restriction assumes equal brick shapes on both levels");
   const auto scope = check::scope(
       restriction_effects(), Box::from_extent(fe),
       {check::bind("coarse", coarse, Box::from_extent(ce)),
        check::bind("fine", fine)});
-  with_brick_dims(fine.shape(), [&](auto bd) {
+  with_field_dims(fine, [&](auto bd, auto K) {
     using BD = decltype(bd);
     static_assert(BD::bx % 2 == 0 && BD::by % 2 == 0 && BD::bz % 2 == 0);
     const BrickGrid& fg = fine.grid();
@@ -295,16 +293,15 @@ void interpolation_increment(F& fine, const F& coarse) {
   const Vec3 fe = fine.extent(), ce = coarse.extent();
   GMG_REQUIRE(fe.x == 2 * ce.x && fe.y == 2 * ce.y && fe.z == 2 * ce.z,
               "fine extent must be twice the coarse extent");
-  const auto K = lanes(fine);
   trace::TraceSpan span("kernel.interpIncrement");
-  count_flops(box_points(Box::from_extent(fe), K), 1);
+  count_flops(box_points(Box::from_extent(fe), batch_width(fine)), 1);
   GMG_REQUIRE(fine.shape() == coarse.shape(),
               "interpolation assumes equal brick shapes on both levels");
   const auto scope = check::scope(
       interpolation_increment_effects(), Box::from_extent(fe),
       {check::bind("fine", fine),
        check::bind("coarse", coarse, Box::from_extent(ce))});
-  with_brick_dims(fine.shape(), [&](auto bd) {
+  with_field_dims(fine, [&](auto bd, auto K) {
     using BD = decltype(bd);
     const BrickGrid& fg = fine.grid();
     const BrickGrid& cg = coarse.grid();
@@ -331,10 +328,11 @@ void interpolation_increment(F& fine, const F& coarse) {
                 const real_t* crow =
                     cb + ((oz + lk / 2) * BD::by + (oy + lj / 2)) * row +
                     ox * K;
-                detail::for_each_cell_lane(
-                    BD::bx, K, [&](index_t li, index_t c) {
-                      frow[li * K + c] += crow[(li / 2) * K + c];
-                    });
+                // Fine element s (lane c of cell li) takes lane c of
+                // coarse cell li / 2.
+                detail::for_each_cell_lane(BD::bx, K, [&](index_t s) {
+                  frow[s] += crow[s / (2 * K) * K + s % K];
+                });
               }
             }
           }
@@ -346,14 +344,13 @@ template <class F>
 void gs_color_sweep(F& x, const F& b, real_t alpha, real_t beta, int color,
                     Vec3 origin, const Box& active) {
   GMG_REQUIRE(color == 0 || color == 1, "color must be 0 (red) or 1 (black)");
-  const auto K = lanes(x);
   // One checkerboard color updates half the cells; ~9 flops each
   // (6 adds, 1 multiply, 1 subtract, 1 divide).
   trace::TraceSpan span("kernel.gsColorSweep");
-  count_flops(box_points(active, K) / 2, 9);
+  count_flops(box_points(active, batch_width(x)) / 2, 9);
   const auto scope = check::scope(gs_color_sweep_effects(), active,
                                   {check::bind("x", x), check::bind("b", b)});
-  with_brick_dims(x.shape(), [&](auto bd) {
+  with_field_dims(x, [&](auto bd, auto K) {
     using BD = decltype(bd);
     const BrickGrid& grid = x.grid();
     GMG_REQUIRE(&b.grid() == &grid, "fields must share a brick grid");
@@ -456,69 +453,73 @@ void init_zero(BrickedArray& a) {
 
 template <class F>
 real_t norm2_sq(const F& a, int c) {
-  const auto K = lanes(a);
   const auto scope = check::scope(
       norm2_sq_effects(), Box::from_extent(a.extent()), {check::bind("a", a)});
   const real_t* __restrict p = a.data();
   // Chunked tree reduction over lane c: per-chunk partial sums combined
   // in fixed chunk order — bitwise reproducible at any worker count and
   // any lane count.
-  return exec::parallel_reduce_sum<real_t>(
-      "kernel.norm2", interior_cells(a), exec::kElementGrain,
-      [&](std::int64_t lo, std::int64_t hi) {
-        return sum_sq_range(lane_span(p, K, c, lo, hi - lo, 0), hi - lo);
-      });
+  return with_lanes(a, [&](auto K) {
+    return exec::parallel_reduce_sum<real_t>(
+        "kernel.norm2", interior_cells(a), exec::kElementGrain,
+        [&](std::int64_t lo, std::int64_t hi) {
+          return sum_sq_range(lane_span(p, K, c, lo, hi - lo, 0), hi - lo);
+        });
+  });
 }
 
 template <class F>
 real_t dot_interior(const F& a, const F& b, int c) {
   GMG_REQUIRE(&a.grid() == &b.grid(), "fields must share a brick grid");
-  const auto K = lanes(a);
   const auto scope = check::scope(dot_interior_effects(),
                                   Box::from_extent(a.extent()),
                                   {check::bind("a", a), check::bind("b", b)});
   const real_t* __restrict pa = a.data();
   const real_t* __restrict pb = b.data();
-  return exec::parallel_reduce_sum<real_t>(
-      "kernel.dot", interior_cells(a), exec::kElementGrain,
-      [&](std::int64_t lo, std::int64_t hi) {
-        return dot_range(lane_span(pa, K, c, lo, hi - lo, 0),
-                         lane_span(pb, K, c, lo, hi - lo, 1), hi - lo);
-      });
+  return with_lanes(a, [&](auto K) {
+    return exec::parallel_reduce_sum<real_t>(
+        "kernel.dot", interior_cells(a), exec::kElementGrain,
+        [&](std::int64_t lo, std::int64_t hi) {
+          return dot_range(lane_span(pa, K, c, lo, hi - lo, 0),
+                           lane_span(pb, K, c, lo, hi - lo, 1), hi - lo);
+        });
+  });
 }
 
 template <class F>
 void axpy_interior(F& y, real_t alpha, const F& x, int c) {
   GMG_REQUIRE(&y.grid() == &x.grid(), "fields must share a brick grid");
-  const auto K = lanes(y);
   const auto scope = check::scope(axpy_interior_effects(),
                                   Box::from_extent(y.extent()),
                                   {check::bind("y", y), check::bind("x", x)});
   real_t* __restrict py = y.data() + c;
   const real_t* __restrict px = x.data() + c;
-  exec::parallel_for("kernel.axpy", interior_cells(y), exec::kElementGrain,
-                     [&](std::int64_t lo, std::int64_t hi) {
+  with_lanes(y, [&](auto K) {
+    exec::parallel_for("kernel.axpy", interior_cells(y), exec::kElementGrain,
+                       [&](std::int64_t lo, std::int64_t hi) {
 #pragma omp simd
-                       for (std::int64_t i = lo; i < hi; ++i)
-                         py[i * K] += alpha * px[i * K];
-                     });
+                         for (std::int64_t i = lo; i < hi; ++i)
+                           py[i * K] += alpha * px[i * K];
+                       });
+  });
 }
 
 template <class F>
 void xpay_interior(F& y, const F& x, real_t beta, int c) {
   GMG_REQUIRE(&y.grid() == &x.grid(), "fields must share a brick grid");
-  const auto K = lanes(y);
   const auto scope = check::scope(xpay_interior_effects(),
                                   Box::from_extent(y.extent()),
                                   {check::bind("y", y), check::bind("x", x)});
   real_t* __restrict py = y.data() + c;
   const real_t* __restrict px = x.data() + c;
-  exec::parallel_for("kernel.xpay", interior_cells(y), exec::kElementGrain,
-                     [&](std::int64_t lo, std::int64_t hi) {
+  with_lanes(y, [&](auto K) {
+    exec::parallel_for("kernel.xpay", interior_cells(y), exec::kElementGrain,
+                       [&](std::int64_t lo, std::int64_t hi) {
 #pragma omp simd
-                       for (std::int64_t i = lo; i < hi; ++i)
-                         py[i * K] = px[i * K] + beta * py[i * K];
-                     });
+                         for (std::int64_t i = lo; i < hi; ++i)
+                           py[i * K] = px[i * K] + beta * py[i * K];
+                       });
+  });
 }
 
 template <class F>
@@ -529,7 +530,7 @@ void copy_interior(F& dst, const F& src) {
       {check::bind("dst", dst), check::bind("src", src)});
   real_t* __restrict pd = dst.data();
   const real_t* __restrict ps = src.data();
-  exec::parallel_for("kernel.copy", interior_cells(dst) * lanes(dst),
+  exec::parallel_for("kernel.copy", interior_cells(dst) * batch_width(dst),
                      exec::kElementGrain,
                      [&](std::int64_t lo, std::int64_t hi) {
                        std::memcpy(pd + lo, ps + lo,
@@ -542,10 +543,10 @@ template <class F>
 void axpy(F& y, real_t alpha, const F& x, const Box& active) {
   const auto scope = check::scope(axpy_effects(), active,
                                   {check::bind("y", y), check::bind("x", x)});
-  with_brick_dims(y.shape(), [&](auto bd) {
+  with_field_dims(y, [&](auto bd, auto K) {
     real_t* __restrict py = y.data();
     const real_t* __restrict px = x.data();
-    for_each_row(bd, lanes(y), "kernel.axpyActive", y.grid(), active,
+    for_each_row(bd, K, "kernel.axpyActive", y.grid(), active,
                  [&](std::size_t o, index_t ilo, index_t ihi) {
 #pragma omp simd
                    for (index_t i = ilo; i < ihi; ++i) {
@@ -560,10 +561,10 @@ void cheby_p_update(F& p, const F& r, real_t inv_diag, real_t beta,
                     const Box& active) {
   const auto scope = check::scope(cheby_p_update_effects(), active,
                                   {check::bind("p", p), check::bind("r", r)});
-  with_brick_dims(p.shape(), [&](auto bd) {
+  with_field_dims(p, [&](auto bd, auto K) {
     real_t* __restrict pp = p.data();
     const real_t* __restrict pr = r.data();
-    for_each_row(bd, lanes(p), "kernel.chebyP", p.grid(), active,
+    for_each_row(bd, K, "kernel.chebyP", p.grid(), active,
                  [&](std::size_t o, index_t ilo, index_t ihi) {
 #pragma omp simd
                    for (index_t i = ilo; i < ihi; ++i) {
@@ -619,11 +620,10 @@ void interpolation_trilinear_assign(BrickedArray& fine,
 
 template <class F>
 real_t max_norm(const F& a, int c) {
-  const auto K = lanes(a);
   const auto scope = check::scope(
       max_norm_effects(), Box::from_extent(a.extent()), {check::bind("a", a)});
   real_t m = 0.0;
-  with_brick_dims(a.shape(), [&](auto bd) {
+  with_field_dims(a, [&](auto bd, auto K) {
     using BD = decltype(bd);
     const real_t* __restrict p = a.data() + c;
     // Interior bricks occupy storage ids [0, num_interior) — scan lane

@@ -41,7 +41,7 @@ void apply_op_varcoef(F& Ax, const F& x, const BrickedArray& beta,
   // Six face fluxes: 2 adds + 1 sub + 1 mul each, plus the identity
   // term and flux sum — ~26 flops per output cell.
   trace::TraceSpan span("kernel.applyOpVarCoef");
-  count_flops_vc(active, lanes(x), 26);
+  count_flops_vc(active, batch_width(x), 26);
   const real_t f = 0.5 / (h * h);
   const auto scope = check::scope(
       apply_op_varcoef_effects(), active,
@@ -78,7 +78,7 @@ void smooth_residual_varcoef(BrickedArray& x, BrickedArray& r,
     const real_t* __restrict axp = Ax.data();
     const real_t* __restrict bp = b.data();
     const real_t* __restrict dp = diag.data();
-    for_each_row(bd, lanes(x), "kernel.smoothResidualVarCoef", x.grid(),
+    for_each_row(bd, OneLane{}, "kernel.smoothResidualVarCoef", x.grid(),
                  active, [&](std::size_t o, index_t ilo, index_t ihi) {
 #pragma omp simd
                    for (index_t i = ilo; i < ihi; ++i) {
@@ -105,7 +105,7 @@ void smooth_varcoef(BrickedArray& x, const BrickedArray& Ax,
     const real_t* __restrict axp = Ax.data();
     const real_t* __restrict bp = b.data();
     const real_t* __restrict dp = diag.data();
-    for_each_row(bd, lanes(x), "kernel.smoothVarCoef", x.grid(), active,
+    for_each_row(bd, OneLane{}, "kernel.smoothVarCoef", x.grid(), active,
                  [&](std::size_t o, index_t ilo, index_t ihi) {
 #pragma omp simd
                    for (index_t i = ilo; i < ihi; ++i) {
@@ -122,8 +122,7 @@ void cheby_p_update_varcoef(F& p, const F& r, const BrickedArray& diag,
   const auto scope = check::scope(
       cheby_p_update_varcoef_effects(), active,
       {check::bind("p", p), check::bind("r", r), check::bind("diag", diag)});
-  with_brick_dims(p.shape(), [&](auto bd) {
-    const auto K = lanes(p);
+  with_field_dims(p, [&](auto bd, auto K) {
     real_t* __restrict pp = p.data();
     const real_t* __restrict rp = r.data();
     const real_t* __restrict dp = diag.data();

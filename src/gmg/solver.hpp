@@ -58,8 +58,10 @@ struct GmgOptions {
 
   /// Upper bound on how many compatible requests the serve tier's
   /// coalescer may fuse into one batched solve through this hierarchy
-  /// (src/batch). 1 = no coalescing. Not part of the hierarchy cache
-  /// key: batching reuses the solo hierarchy's geometry unchanged.
+  /// (src/batch). 1 = no coalescing; at most kMaxBatch
+  /// (brick/batched_array.hpp), the widest batch the kernels are built
+  /// for. Not part of the hierarchy cache key: batching reuses the solo
+  /// hierarchy's geometry unchanged.
   int max_batch = 1;
 
   /// The operator solved is A = identity_coef * I + laplacian_coef *

@@ -89,20 +89,15 @@ void for_each_row(BD bd, KT K, const char* name, const BrickGrid& grid,
                fn);
 }
 
-/// cell(i, c) for i in [0, n) and every lane c, vectorizing the loop
-/// that carries unit stride: the cell loop at the compile-time K = 1
-/// (the solo loop), the lane loop otherwise.
-template <typename KT, typename Cell>
-inline void for_each_cell_lane(index_t n, KT K, Cell&& cell) {
-  if constexpr (kOneLane<KT>) {
+/// elem(s) for every storage element s of n cells, K lanes per cell
+/// (element s is lane s % K of cell s / K), as ONE flat unit-stride
+/// loop over the n*K elements: at K = 1 the solo cell loop, at any K a
+/// loop the vectorizer sees whole.
+template <typename KT, typename Elem>
+inline void for_each_cell_lane(index_t n, KT, Elem&& elem) {
+  constexpr index_t K = kLanes<KT>;
 #pragma omp simd
-    for (index_t i = 0; i < n; ++i) cell(i, index_t{0});
-  } else {
-    for (index_t i = 0; i < n; ++i) {
-#pragma omp simd
-      for (index_t c = 0; c < K; ++c) cell(i, c);
-    }
-  }
+  for (index_t s = 0; s < n * K; ++s) elem(s);
 }
 
 /// ax = alpha*x + beta*(6 face neighbors) for the cells [ilo, ihi) of
@@ -201,37 +196,123 @@ inline void store_row(real_t* p, const T& v) {
   std::memcpy(p, &v, sizeof v);
 }
 
-/// The x taps of row vector v: xm = (l[B-1], v[0], ..., v[B-2]) and
-/// xq = (v[1], ..., v[B-1], r[0]), with l and r the same row of the -x
-/// and +x neighbour bricks.
-template <class V, std::size_t... I>
-inline void shift_in_x(const V& l, const V& v, const V& r, V& xm, V& xq,
-                       std::index_sequence<I...>) {
-  constexpr int n = sizeof...(I);
-  xm = __builtin_shufflevector(l, v, (I == 0 ? n - 1 : n + int(I) - 1)...);
-  xq = __builtin_shufflevector(v, r, (int(I) + 1)...);
+/// The widest row vector of the whole-brick body, in elements: one
+/// 64-byte line, one AVX-512 register. A K-lane row of B*K elements
+/// is cut into vectors of this width (or of the largest power of two
+/// dividing B*K, when smaller: a vector's size is a power of two).
+inline constexpr index_t kRowVecMax = 8;
+constexpr index_t row_vec_width(index_t row) {
+  index_t w = 1;
+  while (w < kRowVecMax && row % (2 * w) == 0) w *= 2;
+  return w;
 }
 
-/// star7_row's ax for a FULL plan brick of a solo field (K = 1), one
-/// B-wide row vector at a time: emit(s, ax) receives each row's
-/// brick-relative flat offset s and its B results as a RowVec. The six
-/// face-neighbour bricks are looked up once per brick, and the x taps
-/// shuffle their edge cells into the row (BrickLib's vector folding,
-/// DESIGN.md §1–2). Every lane sums its taps in star7_row's order (xm
-/// + xp + ym + yp + zm + zp), so under -ffp-contract=off each cell is
-/// bitwise star7_row's.
-template <typename BD, typename Emit>
-inline void star7_brick(const BrickPlanItem& it, const real_t* __restrict xp,
-                        real_t alpha, real_t beta, Emit&& emit) {
-  using V = RowVec<BD::bx>;
-  constexpr index_t kRow = BD::bx, kPlane = BD::bx * BD::by;
+/// out = elements [D, D + W) of the 2W-element concatenation (a, b): a
+/// row window that straddles two row vectors.
+template <int D, class V, std::size_t... I>
+inline void window(const V& a, const V& b, V& out,
+                   std::index_sequence<I...>) {
+  out = __builtin_shufflevector(a, b, (D + int(I))...);
+}
+
+/// The ax of the W-element vector at offset O of a K-lane row of kRow
+/// elements, handed to emit(s + O, ax): xr is the row, xl and xq the
+/// same row of the -x and +x neighbour bricks, and ym..zp the row's
+/// four y/z neighbour rows. The x taps are the row shifted by one cell
+/// (K elements) each way: a window inside the row is one (unaligned)
+/// load, and one that straddles a brick face shuffles the neighbour's
+/// edge cell in (BrickLib's vector folding, DESIGN.md §1–2).
+template <index_t K, index_t kRow, index_t O, class V, class Emit>
+inline void star7_vector(
+    index_t s, const real_t* __restrict xl, const real_t* __restrict xr,
+    const real_t* __restrict xq, const real_t* __restrict ym,
+    const real_t* __restrict yp, const real_t* __restrict zm,
+    const real_t* __restrict zp, real_t alpha, real_t beta, Emit& emit) {
+  constexpr index_t W = sizeof(V) / sizeof(real_t);
+  constexpr auto lanes = std::make_index_sequence<W>{};
+  V v, vym, vyp, vzm, vzp, xm, xp;
+  load_row(v, xr + O);
+  load_row(vym, ym + O);
+  load_row(vyp, yp + O);
+  load_row(vzm, zm + O);
+  load_row(vzp, zp + O);
+  // A straddling window pairs the neighbour's edge vector with the
+  // row's first (last) vector, which is v itself when O is that vector.
+  // Reusing v keeps the body's vector locals at the solo body's count:
+  // GCC's stack-frame estimate decides whether the brick loop inlines
+  // into the launch's chunk loop.
+  if constexpr (O - K >= 0) {
+    load_row(xm, xr + (O - K));
+  } else if constexpr (O - K + W <= 0) {
+    load_row(xm, xl + (kRow + O - K));
+  } else if constexpr (O == 0) {
+    V l;
+    load_row(l, xl + (kRow - W));
+    window<int(W + O - K)>(l, v, xm, lanes);
+  } else {
+    V l, first;
+    load_row(l, xl + (kRow - W));
+    load_row(first, xr);
+    window<int(W + O - K)>(l, first, xm, lanes);
+  }
+  if constexpr (O + K + W <= kRow) {
+    load_row(xp, xr + (O + K));
+  } else if constexpr (O + K >= kRow) {
+    load_row(xp, xq + (O + K - kRow));
+  } else if constexpr (O == kRow - W) {
+    V r;
+    load_row(r, xq);
+    window<int(O + K - (kRow - W))>(v, r, xp, lanes);
+  } else {
+    V last, r;
+    load_row(last, xr + (kRow - W));
+    load_row(r, xq);
+    window<int(O + K - (kRow - W))>(last, r, xp, lanes);
+  }
+  const V ax = alpha * v + beta * (xm + xp + vym + vyp + vzm + vzp);
+  emit(s + O, ax);
+}
+
+/// star7_vector over every vector of one row: C are the vector indices.
+template <index_t K, index_t kRow, class V, class Emit, std::size_t... C>
+inline void star7_row_vectors(
+    index_t s, const real_t* __restrict xl, const real_t* __restrict xr,
+    const real_t* __restrict xq, const real_t* __restrict ym,
+    const real_t* __restrict yp, const real_t* __restrict zm,
+    const real_t* __restrict zp, real_t alpha, real_t beta, Emit& emit,
+    std::index_sequence<C...>) {
+  constexpr index_t W = sizeof(V) / sizeof(real_t);
+  (star7_vector<K, kRow, static_cast<index_t>(C) * W, V>(
+       s, xl, xr, xq, ym, yp, zm, zp, alpha, beta, emit),
+   ...);
+}
+
+/// star7_row's ax for a FULL plan brick, K lanes per cell, one row
+/// vector at a time: emit(s, ax) receives each vector's brick-relative
+/// flat offset s and its W results as a RowVec<W> (a row of B*K
+/// elements is one vector up to kRowVecMax elements, several beyond).
+/// The six face-neighbour bricks are looked up once per brick. Every
+/// lane sums its taps in star7_row's order (xm + xp + ym + yp + zm +
+/// zp), so under -ffp-contract=off each cell of each lane is bitwise
+/// star7_row's. At K = 1 this is the solo body: one B-wide vector per
+/// row.
+template <typename BD, typename KT, typename Emit>
+inline void star7_brick(const BrickPlanItem& it, KT,
+                                               const real_t* __restrict xp,
+                                               real_t alpha, real_t beta,
+                                               Emit&& emit) {
+  constexpr index_t K = kLanes<KT>;
+  constexpr index_t kRow = BD::bx * K, kPlane = kRow * BD::by,
+                    kVol = kPlane * BD::bz;
+  using V = RowVec<row_vec_width(kRow)>;
+  constexpr auto vectors =
+      std::make_index_sequence<kRow / (sizeof(V) / sizeof(real_t))>{};
   const auto brick_of = [&](int dx, int dy, int dz) {
     const std::int32_t b = it.adj[direction_index(dx, dy, dz)];
     GMG_ASSERT(b >= 0);
-    return xp + static_cast<std::size_t>(b) * BD::volume;
+    return xp + static_cast<std::size_t>(b) * kVol;
   };
-  const real_t* __restrict xb =
-      xp + static_cast<std::size_t>(it.id) * BD::volume;
+  const real_t* __restrict xb = xp + static_cast<std::size_t>(it.id) * kVol;
   const real_t* __restrict xmb = brick_of(-1, 0, 0);
   const real_t* __restrict xpb = brick_of(1, 0, 0);
   const real_t* __restrict ymb = brick_of(0, -1, 0);
@@ -243,37 +324,31 @@ inline void star7_brick(const BrickPlanItem& it, const real_t* __restrict xp,
 #pragma GCC unroll 8
     for (index_t lj = 0; lj < BD::by; ++lj) {
       const index_t s = (lk * BD::by + lj) * kRow;
-      V l, v, r, ym, yp, zm, zp, xm, xq;
-      load_row(l, xmb + s);
-      load_row(v, xb + s);
-      load_row(r, xpb + s);
       // Row s's y/z neighbours: in this brick, or on the opposite face
       // of the neighbour brick.
-      load_row(ym, lj > 0 ? xb + (s - kRow) : ymb + (s + kPlane - kRow));
-      load_row(yp, lj < BD::by - 1 ? xb + (s + kRow)
-                                   : ypb + (s + kRow - kPlane));
-      load_row(zm, lk > 0 ? xb + (s - kPlane)
-                          : zmb + (s + BD::volume - kPlane));
-      load_row(zp, lk < BD::bz - 1 ? xb + (s + kPlane)
-                                   : zpb + (s + kPlane - BD::volume));
-      shift_in_x(l, v, r, xm, xq, std::make_index_sequence<BD::bx>{});
-      const V ax = alpha * v + beta * (xm + xq + ym + yp + zm + zp);
-      emit(s, ax);
+      star7_row_vectors<K, kRow, V>(
+          s, xmb + s, xb + s, xpb + s,
+          lj > 0 ? xb + (s - kRow) : ymb + (s + kPlane - kRow),
+          lj < BD::by - 1 ? xb + (s + kRow) : ypb + (s + kRow - kPlane),
+          lk > 0 ? xb + (s - kPlane) : zmb + (s + kVol - kPlane),
+          lk < BD::bz - 1 ? xb + (s + kPlane) : zpb + (s + kPlane - kVol),
+          alpha, beta, emit, vectors);
     }
   }
 }
 
 /// The 7-point ax of every active cell of plan brick `it`, handed to
 /// emit(s, ax) with s the brick-relative flat index of ax's first
-/// element. A full 4^3 or 8^3 brick of a solo field takes the
-/// whole-brick body (ax a RowVec per row); every other brick — clipped,
-/// 2^3, or K >= 2 lanes — takes star7_row (ax one cell-lane value).
+/// element. A full 4^3 or 8^3 brick takes the whole-brick body at every
+/// lane count (ax a RowVec); a clipped or 2^3 brick takes star7_row (ax
+/// one cell-lane value).
 template <typename BD, typename Full, typename KT, typename Emit>
-inline void star7(const BrickPlanItem& it, Full full, KT K,
+inline void star7(const BrickPlanItem& it, Full full,
+                                         KT K,
                   const real_t* __restrict xp, real_t alpha, real_t beta,
                   Emit&& emit) {
-  if constexpr (Full::value && kOneLane<KT> && BD::bx >= 4) {
-    star7_brick<BD>(it, xp, alpha, beta, emit);
+  if constexpr (Full::value && BD::bx >= 4) {
+    star7_brick<BD>(it, K, xp, alpha, beta, emit);
   } else {
     for_each_brick_row<BD>(
         it, full, [&](index_t lj, index_t lk, index_t ilo, index_t ihi) {
@@ -310,10 +385,12 @@ inline void restrict_brick(KT K, const Vec3& bc, const BrickGrid& cg,
       const real_t* r3 = r2 + row;           // j+1, k+1
       real_t* crow = cb + ((oz + lk / 2) * BD::by + (oy + lj / 2)) * row +
                      ox * K;
-      for_each_cell_lane(BD::bx / 2, K, [&](index_t li, index_t c) {
-        const index_t f = 2 * li * K + c;
-        crow[li * K + c] = 0.125 * (r0[f] + r0[f + K] + r1[f] + r1[f + K] +
-                                    r2[f] + r2[f + K] + r3[f] + r3[f + K]);
+      // Coarse element s (lane c of cell li) folds fine cells 2li and
+      // 2li + 1: fine element 2li*K + c = s + li*K, and the next cell.
+      for_each_cell_lane(BD::bx / 2, K, [&](index_t s) {
+        const index_t f = s + (s / K) * K;
+        crow[s] = 0.125 * (r0[f] + r0[f + K] + r1[f] + r1[f + K] + r2[f] +
+                           r2[f + K] + r3[f] + r3[f + K]);
       });
     }
   }

@@ -1,7 +1,6 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <sstream>
 
 #include "batch/batched_solver.hpp"
@@ -106,6 +105,12 @@ void SolveService::register_operator(const std::string& id,
 
 void SolveService::register_operator(const std::string& id,
                                      const OperatorSpec& spec) {
+  GMG_REQUIRE(spec.options.max_batch >= 1 &&
+                  spec.options.max_batch <= kMaxBatch,
+              "operator '" + id + "': GmgOptions::max_batch " +
+                  std::to_string(spec.options.max_batch) +
+                  " is outside [1, " + std::to_string(kMaxBatch) +
+                  "], the batch widths the kernels are built for");
   std::lock_guard<std::mutex> lock(mu_);
   operators_[id] = spec;
 }
@@ -161,14 +166,6 @@ SolveFuture SolveService::enqueue(SolveRequest req, bool block) {
     rs->seq = next_seq_++;
     ++accepted_;
     ++inflight_;
-    if (last_enqueue_ns_ != 0 && rs->submit_ns > last_enqueue_ns_) {
-      const double dt =
-          static_cast<double>(rs->submit_ns - last_enqueue_ns_) * 1e-9;
-      ewma_interarrival_s_ = ewma_interarrival_s_ == 0
-                                 ? dt
-                                 : 0.8 * ewma_interarrival_s_ + 0.2 * dt;
-    }
-    last_enqueue_ns_ = rs->submit_ns;
     queue_.push_back(rs);
     std::push_heap(queue_.begin(), queue_.end(), detail::heap_less);
     queue_high_water_ = std::max(queue_high_water_, queue_.size());
@@ -184,12 +181,14 @@ void SolveService::executor_loop() {
     std::vector<std::shared_ptr<detail::RequestState>> group;
     {
       std::unique_lock<std::mutex> lock(mu_);
+      ++idle_executors_;
       queue_cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
+      --idle_executors_;
       if (queue_.empty()) return;  // stopping and drained
       std::pop_heap(queue_.begin(), queue_.end(), detail::heap_less);
       group.push_back(std::move(queue_.back()));
       queue_.pop_back();
-      gather_batch(lock, group);
+      gather_batch(group);
       // Gathering may have consumed enqueue notifications meant for an
       // idle executor; re-arm one if work remains.
       if (!queue_.empty()) queue_cv_.notify_one();
@@ -201,59 +200,41 @@ void SolveService::executor_loop() {
 }
 
 void SolveService::gather_batch(
-    std::unique_lock<std::mutex>& lock,
     std::vector<std::shared_ptr<detail::RequestState>>& group) {
-  // Copy the shared_ptr: push_back below may reallocate `group`, which
-  // would invalidate a reference into it.
-  const std::shared_ptr<detail::RequestState> leader = group.front();
-  const auto it = operators_.find(leader->req.operator_id);
+  // An executor waiting on the queue runs the next request at once, and
+  // a solo solve beats riding in a batch: batch only what no idle
+  // executor can take.
+  if (idle_executors_ > 0) return;
+  const detail::RequestState& leader = *group.front();
+  const auto it = operators_.find(leader.req.operator_id);
   if (it == operators_.end()) return;
   const std::size_t max_batch =
-      static_cast<std::size_t>(std::max(1, it->second.options.max_batch));
+      static_cast<std::size_t>(it->second.options.max_batch);
   if (max_batch <= 1) return;
 
   // Compatible = same hierarchy_key. Requests share the operator-id's
   // registered options, so the key reduces to (operator_id, domain);
   // tolerance, cycle budget, and deadline ride per-component.
   const auto compatible = [&](const detail::RequestState& cand) {
-    return cand.req.operator_id == leader->req.operator_id &&
-           cand.req.domain.global_extent == leader->req.domain.global_extent &&
-           cand.req.domain.rank_grid == leader->req.domain.rank_grid;
+    return cand.req.operator_id == leader.req.operator_id &&
+           cand.req.domain.global_extent == leader.req.domain.global_extent &&
+           cand.req.domain.rank_grid == leader.req.domain.rank_grid;
   };
-  const auto take_matching = [&] {
-    bool changed = false;
-    for (auto qit = queue_.begin();
-         qit != queue_.end() && group.size() < max_batch;) {
-      if (compatible(**qit)) {
-        group.push_back(std::move(*qit));
-        qit = queue_.erase(qit);
-        changed = true;
-      } else {
-        ++qit;
-      }
+  // Appending to `group` may reallocate it; `leader` refers to the
+  // request state, which the shared_ptr keeps where it is.
+  bool changed = false;
+  for (auto qit = queue_.begin();
+       qit != queue_.end() && group.size() < max_batch;) {
+    if (compatible(**qit)) {
+      group.push_back(std::move(*qit));
+      qit = queue_.erase(qit);
+      changed = true;
+    } else {
+      ++qit;
     }
-    if (changed) {
-      std::make_heap(queue_.begin(), queue_.end(), detail::heap_less);
-    }
-  };
-
-  take_matching();
-  if (group.size() >= max_batch) return;
-
-  // Adaptive hold: wait for stragglers only while arrivals are landing
-  // at least as fast as the window — an idle service executes solo
-  // requests immediately.
-  const double hold = config_.max_batch_hold_seconds;
-  if (hold <= 0) return;
-  if (ewma_interarrival_s_ <= 0 || ewma_interarrival_s_ > hold) return;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration<double>(hold);
-  while (group.size() < max_batch && !stopping_) {
-    if (queue_cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
-      take_matching();
-      return;
-    }
-    take_matching();
+  }
+  if (changed) {
+    std::make_heap(queue_.begin(), queue_.end(), detail::heap_less);
   }
 }
 
@@ -509,6 +490,7 @@ ServiceStats SolveService::stats() const {
     s.failed = failed_;
     s.queue_depth = queue_.size();
     s.queue_high_water = queue_high_water_;
+    s.idle_executors = idle_executors_;
     s.inflight = inflight_;
     s.batch_solves = batch_solves_;
     s.batch_requests = batch_requests_;

@@ -135,13 +135,6 @@ struct ServeConfig {
   std::size_t queue_capacity = 16;
   /// Idle hierarchies kept by the cache.
   std::size_t cache_capacity = 4;
-  /// Coalescer hold window: an executor that popped a request whose
-  /// operator allows batching (GmgOptions::max_batch > 1) but found
-  /// fewer than max_batch compatible peers queued may wait up to this
-  /// long for stragglers — and only when the recent arrival rate says
-  /// stragglers are likely (EWMA inter-arrival <= the window). An
-  /// empty queue with sparse arrivals never delays a solo request.
-  double max_batch_hold_seconds = 0.002;
 };
 
 /// The service's one stats snapshot, cheap enough to sample per request
@@ -165,6 +158,9 @@ struct ServiceStats {
   std::size_t queue_high_water = 0;
   /// Admitted but not yet complete (queued + executing).
   std::size_t inflight = 0;
+  /// Executors waiting on the queue. The coalescer batches only while
+  /// this is zero: queued work an idle executor can take runs solo.
+  std::size_t idle_executors = 0;
   HierarchyCache::Stats cache;
   /// Coalescer tallies: batched solve invocations (K >= 2) and the
   /// requests they carried. requests/solves = mean batch occupancy.
@@ -226,10 +222,9 @@ class SolveService {
   /// just-popped leader, pull queued requests that can ride the same
   /// batched solve (same operator, domain, decomposition — i.e. the
   /// same hierarchy_key; tolerance/deadline stay per-component) up to
-  /// the operator's max_batch, holding briefly for stragglers when the
-  /// arrival rate warrants it.
-  void gather_batch(std::unique_lock<std::mutex>& lock,
-                    std::vector<std::shared_ptr<detail::RequestState>>& group);
+  /// the operator's max_batch — but only when no executor is waiting on
+  /// the queue, which would run them solo at once. It never waits.
+  void gather_batch(std::vector<std::shared_ptr<detail::RequestState>>& group);
   /// Run a popped group (one request, or a coalesced batch) as one
   /// solve of width K, the members that are still live: GmgSolver::solve
   /// on the cached hierarchy at K = 1, its cached K-way BatchedSolver
@@ -258,9 +253,8 @@ class SolveService {
   std::size_t inflight_ = 0;  // admitted, not yet complete
   std::size_t queue_high_water_ = 0;
   std::uint64_t batch_solves_ = 0, batch_requests_ = 0;
-  /// Arrival-rate estimate feeding the adaptive hold window.
-  double ewma_interarrival_s_ = 0;
-  std::uint64_t last_enqueue_ns_ = 0;
+  /// Executors blocked in queue_cv_'s wait.
+  std::size_t idle_executors_ = 0;
 
   std::vector<std::thread> executors_;
 };

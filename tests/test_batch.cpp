@@ -215,10 +215,9 @@ INSTANTIATE_TEST_SUITE_P(Matrix, BatchedBitwise,
 
 // Wider batches through the one-pass sweep (K = 3 and 8, point Jacobi
 // with CA; K = 8 also with variable coefficients) and the 13-point
-// operator's sweep at K = 2. One-lane batches pin the solve
-// loop's K = 1 call through the runtime-lane kernels to the solo
-// solver: point Jacobi with CA, Chebyshev with variable coefficients,
-// red-black GS.
+// operator's sweep at K = 2. One-lane batches, which run the K = 1
+// kernels, are pinned to the solo solver: point Jacobi with CA,
+// Chebyshev with variable coefficients, red-black GS.
 constexpr Vec3 kTwoRanks{2, 1, 1};
 INSTANTIATE_TEST_SUITE_P(
     Widths, BatchedBitwise,
@@ -491,12 +490,23 @@ TEST(BatchedTiming, BatchedSolveRecordsTheSoloPhaseSpans) {
   EXPECT_EQ(count(batched, max_norm), 6u);
 }
 
-// The compile-time K = 1 picks the solo loops (and the whole-brick
-// 7-point body) under any cv/ref qualification decltype gives a
-// captured K; a run-time lane count never does.
+// K = 1 picks the solo loops under any cv/ref qualification decltype
+// gives a captured K; a wider lane count never does.
 static_assert(kOneLane<OneLane> && kOneLane<const OneLane> &&
               kOneLane<const OneLane&>);
-static_assert(!kOneLane<index_t> && !kOneLane<const index_t&>);
+static_assert(!kOneLane<Lanes<2>> && !kOneLane<const Lanes<kMaxBatch>&>);
+static_assert(kLanes<const Lanes<3>&> == 3);
+
+// The kernels are built for batch widths 1..kMaxBatch: a batched solver
+// of any other width is rejected when it is built, not at its first
+// kernel launch.
+TEST(BatchedSetup, RejectsWidthsTheKernelsAreNotBuiltFor) {
+  GmgSolver base(small_options(), CartDecomp({16, 16, 16}, {1, 1, 1}), 0);
+  EXPECT_THROW(batch::BatchedSolver(base, 0), Error);
+  EXPECT_THROW(batch::BatchedSolver(base, kMaxBatch + 1), Error);
+  const batch::BatchedSolver widest(base, kMaxBatch);
+  EXPECT_EQ(widest.batch(), kMaxBatch);
+}
 
 TEST(BatchedArray, LayoutIsRhsInnermost) {
   // The AoSoA contract: (i,j,k,c) lives at stretched inner element

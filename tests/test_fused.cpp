@@ -394,24 +394,37 @@ TEST(JacobiSweep, EightRankSolveMatchesSingleRank) {
 
 /// x for the brick-body checks: fill_storage's values plus an IEEE
 /// special (NaN, +inf, -inf, -0.0, a subnormal) on a corner, edge or
-/// face cell of every third storage brick, ghost bricks included.
+/// face element of every third storage brick, ghost bricks included.
+/// On a batched field's storage (`a` its inner(), x stretched by K) an
+/// x of 0 or 1 is lane 0 or 1 of a face cell and bx - 1 the last lane
+/// of the opposite face's cell.
 void fill_with_specials(BrickedArray& a, std::uint64_t seed) {
   fill_storage(a, seed);
-  const index_t bd = a.shape().bx;
-  const std::size_t vol = static_cast<std::size_t>(a.shape().volume());
+  const BrickShape d = a.shape();
+  const std::size_t vol = static_cast<std::size_t>(d.volume());
   const real_t specials[] = {std::numeric_limits<real_t>::quiet_NaN(),
                              std::numeric_limits<real_t>::infinity(),
                              -std::numeric_limits<real_t>::infinity(), -0.0,
                              3 * std::numeric_limits<real_t>::denorm_min()};
-  const Vec3 spots[] = {{0, 0, 0},      {bd - 1, bd - 1, bd - 1},
-                        {0, bd - 1, 1}, {bd - 1, 1, 0},
-                        {1, 1, 0},      {bd - 1, 1, 1}};
+  const Vec3 spots[] = {{0, 0, 0},          {d.bx - 1, d.by - 1, d.bz - 1},
+                        {0, d.by - 1, 1},   {d.bx - 1, 1, 0},
+                        {1, 1, 0},          {d.bx - 1, 1, 1}};
   real_t* p = a.data();
   std::size_t n = 0;
   for (std::size_t id = 0; id < a.size() / vol; id += 3, ++n) {
     const Vec3 c = spots[n % std::size(spots)];
-    p[id * vol + static_cast<std::size_t>((c.z * bd + c.y) * bd + c.x)] =
+    p[id * vol + static_cast<std::size_t>((c.z * d.by + c.y) * d.bx + c.x)] =
         specials[n % std::size(specials)];
+  }
+}
+
+/// A zero field of width k (a BrickedArray at k = 1) on `lev`'s grid.
+template <class F>
+F make_field(const MgLevel& lev, int k) {
+  if constexpr (std::is_same_v<F, BrickedArray>) {
+    return BrickedArray(lev.grid, lev.shape);
+  } else {
+    return BatchedBrickedArray(lev.grid, lev.shape, k);
   }
 }
 
@@ -442,20 +455,24 @@ GmgSolver brick_body_solver(const BrickBodyCase& bc) {
                                 0);
 }
 
-/// The row body's ax of every cell of full plan brick `it`, at its
-/// brick-relative flat index in `out`.
-template <typename BD>
-void star7_rows(const BrickPlanItem& it, const real_t* xp, real_t alpha,
-                real_t beta, real_t* out) {
+/// The row body's ax of every cell-lane of full plan brick `it` (K
+/// lanes per cell), at its brick-relative flat index in `out`.
+template <typename BD, typename KT>
+void star7_rows(const BrickPlanItem& it, KT K, const real_t* xp,
+                real_t alpha, real_t beta, real_t* out) {
   for (index_t lk = 0; lk < BD::bz; ++lk) {
     for (index_t lj = 0; lj < BD::by; ++lj) {
-      real_t* row = out + (lk * BD::by + lj) * BD::bx;
-      detail::star7_row<BD, true>(it, OneLane{}, xp, lj, lk, 0, BD::bx, alpha,
-                                  beta,
+      real_t* row = out + (lk * BD::by + lj) * BD::bx * K;
+      detail::star7_row<BD, true>(it, K, xp, lj, lk, 0, BD::bx, alpha, beta,
                                   [&](index_t s, real_t ax) { row[s] = ax; });
     }
   }
 }
+
+/// The batch widths the brick-body checks run: the solo body (K = 1),
+/// the shapes the coalescer forms, an odd width whose row is cut into
+/// several vectors, and the widest.
+constexpr int kBodyWidths[] = {1, 2, 3, 4, 8};
 
 void expect_same_storage(BrickedArray& got, BrickedArray& want,
                          const std::string& what) {
@@ -466,121 +483,130 @@ void expect_same_storage(BrickedArray& got, BrickedArray& want,
 }
 
 // On every full brick of the interior plan, star7_brick's row vectors
-// must hold star7_row's cells bit for bit, with IEEE specials on brick
-// faces, edges and corners.
+// must hold star7_row's cells bit for bit, every lane at every width,
+// with IEEE specials on brick faces, edges and corners.
 TEST(Star7Brick, RowsMatchRowBodyBitwise) {
   for (const BrickBodyCase& bc : kBrickBodyCases) {
     GmgSolver solver = brick_body_solver(bc);
-    MgLevel& lev = solver.level(0);
-    fill_with_specials(lev.x, 21);
-    with_brick_dims(lev.shape, [&](auto bd) {
-      using BD = decltype(bd);
-      const auto plan = lev.grid->iteration_plan(
-          lev.interior(), Vec3{BD::bx, BD::by, BD::bz});
-      ASSERT_EQ(plan->num_full,
-                static_cast<std::int64_t>(plan->items.size()));
-      std::vector<real_t> got(BD::volume), want(BD::volume);
-      int nan_cells = 0, inf_cells = 0;
-      for (const BrickPlanItem& it : plan->items) {
-        std::fill(got.begin(), got.end(), 0.5);
-        detail::star7_brick<BD>(it, lev.x.data(), lev.alpha, lev.beta,
-                                [&](index_t s, const auto& ax) {
-                                  detail::store_row(got.data() + s, ax);
-                                });
-        star7_rows<BD>(it, lev.x.data(), lev.alpha, lev.beta, want.data());
-        for (index_t e = 0; e < BD::volume; ++e) {
-          ASSERT_EQ(std::memcmp(&got[e], &want[e], sizeof(real_t)), 0)
-              << bc.name() << ", brick " << it.id << ", cell " << e << ": "
-              << got[e] << " vs " << want[e];
-          nan_cells += std::isnan(want[e]);
-          inf_cells += std::isinf(want[e]);
+    const MgLevel& lev = solver.level(0);
+    for (const int k : kBodyWidths) {
+      const std::string what = bc.name() + ", K=" + std::to_string(k);
+      BatchedBrickedArray x(lev.grid, lev.shape, k);
+      fill_with_specials(x.inner(), 21);
+      with_field_dims(x, [&](auto bd, auto K) {
+        using BD = decltype(bd);
+        const auto plan = lev.grid->iteration_plan(
+            lev.interior(), Vec3{BD::bx, BD::by, BD::bz});
+        ASSERT_EQ(plan->num_full,
+                  static_cast<std::int64_t>(plan->items.size()));
+        const index_t n = BD::volume * K;
+        std::vector<real_t> got(static_cast<std::size_t>(n)),
+            want(static_cast<std::size_t>(n));
+        int nan_cells = 0, inf_cells = 0;
+        for (const BrickPlanItem& it : plan->items) {
+          std::fill(got.begin(), got.end(), 0.5);
+          detail::star7_brick<BD>(it, K, x.data(), lev.alpha, lev.beta,
+                                  [&](index_t s, const auto& ax) {
+                                    detail::store_row(got.data() + s, ax);
+                                  });
+          star7_rows<BD>(it, K, x.data(), lev.alpha, lev.beta, want.data());
+          for (std::size_t e = 0; e < got.size(); ++e) {
+            ASSERT_EQ(std::memcmp(&got[e], &want[e], sizeof(real_t)), 0)
+                << what << ", brick " << it.id << ", cell " << e / K
+                << " lane " << e % K << ": " << got[e] << " vs " << want[e];
+            nan_cells += std::isnan(want[e]);
+            inf_cells += std::isinf(want[e]);
+          }
         }
-      }
-      // The specials reach the compared cells.
-      EXPECT_GT(nan_cells, 0) << bc.name();
-      EXPECT_GT(inf_cells, 0) << bc.name();
-    });
+        // The specials reach the compared cells.
+        EXPECT_GT(nan_cells, 0) << what;
+        EXPECT_GT(inf_cells, 0) << what;
+      });
+    }
   }
 }
 
-// applyOp and the one-pass sweep (plain, with r, with r and the coarse
-// restriction) over the interior, which run the brick body on every
-// brick, against a reference built from star7_row and the update
-// arithmetic written out here — compared over whole storage, so a
-// write outside the region shows too.
+/// applyOp and the one-pass sweep (plain, with r, with r and the coarse
+/// restriction) over the interior of width-k fields, which run the
+/// brick body on every brick, against a reference built from star7_row
+/// and the update arithmetic written out here — compared over whole
+/// storage, so a write outside the region shows too.
+template <class F>
+void expect_kernels_match_row_reference(const BrickBodyCase& bc, int k) {
+  GmgSolver solver = brick_body_solver(bc);
+  const MgLevel& lev = solver.level(0);
+  const MgLevel& coarse = solver.level(1);
+  const real_t gamma = -lev.plan.weight / lev.alpha;
+  const Box act = lev.interior();
+  F x = make_field<F>(lev, k), b = make_field<F>(lev, k),
+    ax = make_field<F>(lev, k), r = make_field<F>(lev, k),
+    cb = make_field<F>(coarse, k);
+  F ax_ref = make_field<F>(lev, k), xn_ref = make_field<F>(lev, k),
+    r_ref = make_field<F>(lev, k), c_ref = make_field<F>(coarse, k);
+  with_field_dims(x, [&](auto bd, auto K) {
+    using BD = decltype(bd);
+    const auto plan =
+        lev.grid->iteration_plan(act, Vec3{BD::bx, BD::by, BD::bz});
+    ASSERT_EQ(plan->num_full, static_cast<std::int64_t>(plan->items.size()));
+    const std::size_t n = static_cast<std::size_t>(BD::volume * K);
+    const auto reference = [&](bool residual) {
+      std::vector<real_t> cell_ax(n);
+      for (const BrickPlanItem& it : plan->items) {
+        star7_rows<BD>(it, K, x.data(), lev.alpha, lev.beta, cell_ax.data());
+        const std::size_t base = static_cast<std::size_t>(it.id) * n;
+        for (std::size_t e = 0; e < n; ++e) {
+          const std::size_t i = base + e;
+          const real_t rhs = b.data()[i];
+          ax_ref.data()[i] = cell_ax[e];
+          if (residual) r_ref.data()[i] = rhs - cell_ax[e];
+          xn_ref.data()[i] = x.data()[i] + gamma * (cell_ax[e] - rhs);
+        }
+      }
+    };
+    const auto copy = [](F& to, const F& from) {
+      std::memcpy(to.data(), from.data(), from.size() * sizeof(real_t));
+    };
+    for (const int stage : {0, 1, 2}) {  // x', +r, +coarse restriction
+      const std::string what = bc.name() + ", K=" + std::to_string(k) +
+                               ", stage " + std::to_string(stage);
+      fill_with_specials(storage(x), 31);
+      fill_storage(storage(b), 32);
+      fill_storage(storage(ax), 33);
+      fill_storage(storage(r), 34);
+      fill_storage(storage(cb), 35);
+      copy(ax_ref, ax);
+      copy(xn_ref, ax);
+      copy(r_ref, r);
+      copy(c_ref, cb);
+      reference(stage >= 1);
+      if (stage == 2) restriction(c_ref, r_ref);
+      if (stage == 0) {
+        apply_op(ax, x, lev.alpha, lev.beta, act);
+        expect_same_storage(storage(ax), storage(ax_ref), what + ": applyOp");
+        fill_storage(storage(ax), 33);  // the sweep's x' lands in Ax
+      }
+      fused::jacobi_sweep(ax, stage >= 1 ? &r : nullptr,
+                          stage == 2 ? &cb : nullptr, x, b, lev.alpha,
+                          lev.beta, gamma, act);
+      expect_same_storage(storage(ax), storage(xn_ref), what + ": x'");
+      expect_same_storage(storage(r), storage(r_ref), what + ": r");
+      expect_same_storage(storage(cb), storage(c_ref), what + ": coarse b");
+    }
+  });
+}
+
+// Solo fields, and batched fields at every width the brick body has a
+// distinct row shape for.
 TEST(Star7Brick, KernelsMatchRowReferenceBitwise) {
   for (const BrickBodyCase& bc : kBrickBodyCases) {
-    GmgSolver solver = brick_body_solver(bc);
-    MgLevel& lev = solver.level(0);
-    MgLevel& coarse = solver.level(1);
-    const real_t gamma = -lev.plan.weight / lev.alpha;
-    const Box act = lev.interior();
-    BrickedArray ax_ref(lev.grid, lev.shape), xn_ref(lev.grid, lev.shape),
-        r_ref(lev.grid, lev.shape), c_ref(coarse.grid, coarse.shape);
-    with_brick_dims(lev.shape, [&](auto bd) {
-      using BD = decltype(bd);
-      const auto plan =
-          lev.grid->iteration_plan(act, Vec3{BD::bx, BD::by, BD::bz});
-      ASSERT_EQ(plan->num_full,
-                static_cast<std::int64_t>(plan->items.size()));
-      const auto reference = [&](bool residual) {
-        std::vector<real_t> ax(BD::volume);
-        for (const BrickPlanItem& it : plan->items) {
-          star7_rows<BD>(it, lev.x.data(), lev.alpha, lev.beta, ax.data());
-          const std::size_t base = static_cast<std::size_t>(it.id) * BD::volume;
-          for (std::size_t e = 0; e < ax.size(); ++e) {
-            const std::size_t i = base + e;
-            const real_t rhs = lev.b.data()[i];
-            ax_ref.data()[i] = ax[e];
-            if (residual) r_ref.data()[i] = rhs - ax[e];
-            xn_ref.data()[i] = lev.x.data()[i] + gamma * (ax[e] - rhs);
-          }
-        }
-      };
-      const auto copy = [](BrickedArray& to, const BrickedArray& from) {
-        std::memcpy(to.data(), from.data(), from.size() * sizeof(real_t));
-      };
-      for (const int stage : {0, 1, 2}) {  // x', +r, +coarse restriction
-        const std::string what =
-            bc.name() + ", stage " + std::to_string(stage);
-        fill_with_specials(lev.x, 31);
-        fill_storage(lev.b, 32);
-        fill_storage(lev.Ax, 33);
-        fill_storage(lev.r, 34);
-        fill_storage(coarse.b, 35);
-        copy(ax_ref, lev.Ax);
-        copy(xn_ref, lev.Ax);
-        copy(r_ref, lev.r);
-        copy(c_ref, coarse.b);
-        reference(stage >= 1);
-        if (stage == 2) restriction(c_ref, r_ref);
-        if (stage == 0) {
-          apply_op(lev.Ax, lev.x, lev.alpha, lev.beta, act);
-          expect_same_storage(lev.Ax, ax_ref, what + ": applyOp");
-          fill_storage(lev.Ax, 33);  // the sweep's x' lands in Ax
-        }
-        fused::jacobi_sweep(lev.Ax, stage >= 1 ? &lev.r : nullptr,
-                            stage == 2 ? &coarse.b : nullptr, lev.x, lev.b,
-                            lev.alpha, lev.beta, gamma, act);
-        expect_same_storage(lev.Ax, xn_ref, what + ": x'");
-        expect_same_storage(lev.r, r_ref, what + ": r");
-        expect_same_storage(coarse.b, c_ref, what + ": coarse b");
-      }
-    });
+    expect_kernels_match_row_reference<BrickedArray>(bc, 1);
+    for (const int k : kBodyWidths) {
+      if (k > 1) expect_kernels_match_row_reference<BatchedBrickedArray>(bc, k);
+    }
   }
 }
 
 // ---- GS tail and convergence norm vs their split pairs -----------------
-
-/// A zero field of width k (a BrickedArray at k = 1) on `lev`'s grid.
-template <class F>
-F make_field(const MgLevel& lev, int k) {
-  if constexpr (std::is_same_v<F, BrickedArray>) {
-    return BrickedArray(lev.grid, lev.shape);
-  } else {
-    return BatchedBrickedArray(lev.grid, lev.shape, k);
-  }
-}
 
 /// fused::residual_restrict against residual + restriction, and at
 /// k = 1 fused::residual_max_norm against residual + max_norm, on

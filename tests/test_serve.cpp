@@ -769,10 +769,6 @@ TEST(BatchCoalescer, CoalescedBatchBitwiseMatchesSoloService) {
 TEST(BatchCoalescer, FirstRequestOnIdleServiceRunsSoloImmediately) {
   ServeConfig cfg;
   cfg.executors = 1;
-  // Pathologically long hold window: if the executor held a lone
-  // request waiting for peers, this test would hang for 30 s. With no
-  // arrival history (EWMA = 0) the hold must not engage.
-  cfg.max_batch_hold_seconds = 30.0;
   SolveService service(cfg);
   service.register_operator("poisson", batched_options(8));
 
@@ -788,44 +784,62 @@ TEST(BatchCoalescer, FirstRequestOnIdleServiceRunsSoloImmediately) {
   EXPECT_EQ(service.stats().batch_solves, 0u);
 }
 
-TEST(BatchCoalescer, HoldWindowCollectsStraggler) {
+/// Spin until `service` has `n` executors waiting on its queue.
+void await_idle_executors(const SolveService& service, std::size_t n) {
+  while (service.stats().idle_executors != n) std::this_thread::yield();
+}
+
+// A request that an idle executor can take runs solo: with both
+// executors waiting, two compatible requests arrive; whichever executor
+// pops the first finds the other still waiting, so it leaves the second
+// to it. The second solve finishes while the first is still gated
+// inside its own solve — it never rode in the first's batch.
+TEST(BatchCoalescer, IdleExecutorTakesQueuedPeerSolo) {
   ServeConfig cfg;
-  cfg.executors = 1;
-  cfg.max_batch_hold_seconds = 2.0;
+  cfg.executors = 2;
   SolveService service(cfg);
-  service.register_operator("poisson", batched_options(2));
+  service.register_operator("poisson", batched_options(4));
+  await_idle_executors(service, 2);
 
   Gate gate;
-  SolveRequest pinned = basic_request();
-  pinned.domain.global_extent = {16, 16, 16};
-  pinned.rhs = [&](real_t x, real_t y, real_t z) {
+  SolveRequest first = basic_request();
+  first.domain.global_extent = {16, 16, 16};
+  first.rhs = [&](real_t x, real_t y, real_t z) {
     gate.wait();
     return sine_rhs(x, y, z);
   };
-  SolveFuture running = service.submit(pinned);
+  SolveRequest second = basic_request();
+  second.domain.global_extent = {16, 16, 16};
+  second.rhs = cosine_rhs;
+  SolveFuture f1 = service.submit(first);
+  SolveFuture f2 = service.submit(second);
   gate.await_entered();
 
-  // One batchable request queued (EWMA now primed well under the hold
-  // window); its straggler arrives shortly after the gate opens.
-  SolveRequest first = basic_request();
-  first.domain.global_extent = {16, 16, 16};
-  first.rhs = cosine_rhs;
-  SolveFuture f1 = service.submit(first);
+  // Bounded, so a batch that gated the second solve fails the test
+  // instead of hanging it.
+  const auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::seconds(60);
+  while (!f2.ready() && std::chrono::steady_clock::now() < give_up)
+    std::this_thread::yield();
+  EXPECT_TRUE(f2.ready()) << "the second request waited on the first";
   gate.release();
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  SolveRequest second = first;
-  second.rhs = poly_rhs;
-  SolveFuture f2 = service.submit(second);
 
-  EXPECT_EQ(running.get().status, RequestStatus::kDone);
   EXPECT_EQ(f1.get().status, RequestStatus::kDone);
   EXPECT_EQ(f2.get().status, RequestStatus::kDone);
-  // Whether the straggler was caught inside the hold window or was
-  // already queued when the leader popped, the pair must have run as
-  // one K=2 batch.
   const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.batch_solves, 1u);
-  EXPECT_EQ(stats.batch_requests, 2u);
+  EXPECT_EQ(stats.batch_solves, 0u);
+  EXPECT_EQ(stats.completed, 2u);
+}
+
+// Operators are registered with a batch width the kernels are built
+// for.
+TEST(BatchCoalescer, RegisterRejectsWidthsTheKernelsAreNotBuiltFor) {
+  SolveService service(ServeConfig{});
+  EXPECT_THROW(service.register_operator("none", batched_options(0)), Error);
+  EXPECT_THROW(
+      service.register_operator("wide", batched_options(kMaxBatch + 1)),
+      Error);
+  service.register_operator("widest", batched_options(kMaxBatch));
 }
 
 TEST(BatchCoalescer, IncompatibleDomainsAndUnbatchedOperatorsStaySolo) {

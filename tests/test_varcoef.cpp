@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "gmg/operators.hpp"
 #include "gmg/operators_varcoef.hpp"
@@ -118,9 +119,20 @@ TEST(VarCoefOperator, DiagonalMatchesOperatorColumn) {
   EXPECT_NEAR(Ax(3, 4, 5), diag(3, 4, 5), 1e-8);
 }
 
-class VarCoefSolve
-    : public ::testing::TestWithParam<std::pair<Smoother, BottomSolverType>> {
+struct VarCoefCase {
+  Smoother smoother;
+  BottomSolverType bottom;
 };
+
+// Readable, stable test names, e.g. "cheby_smooth" (the default printer
+// names a case by its enum bytes, which renumbering an enum renames).
+void PrintTo(const VarCoefCase& c, std::ostream* os) {
+  *os << (c.smoother == Smoother::kChebyshev ? "cheby" : "jacobi")
+      << (c.bottom == BottomSolverType::kConjugateGradient ? "_cg"
+                                                           : "_smooth");
+}
+
+class VarCoefSolve : public ::testing::TestWithParam<VarCoefCase> {};
 
 TEST_P(VarCoefSolve, ConvergesOnWavyCoefficientProblem) {
   const auto [smoother, bottom] = GetParam();
@@ -149,10 +161,9 @@ TEST_P(VarCoefSolve, ConvergesOnWavyCoefficientProblem) {
 INSTANTIATE_TEST_SUITE_P(
     Configs, VarCoefSolve,
     ::testing::Values(
-        std::make_pair(Smoother::kJacobi, BottomSolverType::kSmooth),
-        std::make_pair(Smoother::kChebyshev, BottomSolverType::kSmooth),
-        std::make_pair(Smoother::kJacobi,
-                       BottomSolverType::kConjugateGradient)));
+        VarCoefCase{Smoother::kJacobi, BottomSolverType::kSmooth},
+        VarCoefCase{Smoother::kChebyshev, BottomSolverType::kSmooth},
+        VarCoefCase{Smoother::kJacobi, BottomSolverType::kConjugateGradient}));
 
 TEST(VarCoefSolve, MultiRankMatchesSingleRankBitwise) {
   const Vec3 global{32, 32, 32};

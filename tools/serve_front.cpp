@@ -48,8 +48,10 @@ int usage() {
       << "  --max-inflight N per-shard admission cap"
          " (env GMG_FRONT_MAX_INFLIGHT)\n"
       << "  --executors N    solve executors per shard\n"
-      << "  --max-batch K    coalesce up to K compatible queued requests\n"
-         "                   into one multi-RHS batched solve (default 1)\n"
+      << "  --max-batch K    coalesce up to K (1.." << kMaxBatch
+      << ") compatible queued requests\n"
+         "                   into one multi-RHS batched solve; batches form\n"
+         "                   only when no executor is idle (default 1)\n"
       << "  --run-seconds S  serve for S seconds, then drain and exit\n"
       << "  --smoke          one client round trip through the socket,"
          " then exit\n";
@@ -117,6 +119,11 @@ int main(int argc, char** argv) {
       return usage();
     }
   }
+  if (max_batch < 1 || max_batch > kMaxBatch) {
+    std::cerr << "serve_front: --max-batch must be in [1, " << kMaxBatch
+              << "], the batch widths the kernels are built for\n";
+    return usage();
+  }
   if (smoke && unix_path.empty() && tcp_port < 0) tcp_port = 0;
   if (unix_path.empty() && tcp_port < 0) {
     std::cerr << "serve_front: need --unix or --tcp\n";
@@ -125,7 +132,7 @@ int main(int argc, char** argv) {
 
   front::FrontServer server(cfg);
   GmgOptions op = default_operator();
-  op.max_batch = std::max(1, max_batch);
+  op.max_batch = max_batch;
   server.register_operator("poisson", op);
 
   std::uint16_t bound_port = 0;
